@@ -6,9 +6,9 @@
 //                 pointer-chase the compiled layout replaces)
 //   compiled      CompiledTree + BatchPredictor, single thread
 //   compiled-mt   BatchPredictor across a ThreadPool (1, 2, 4 threads)
-//   descent       raw leaf descent per kernel tier (scalar gang, SSE2,
-//                 AVX2) x node layout (preorder, cache-blocked), plus
-//                 the pre-SIMD gang walker as the PR 1 baseline
+//   descent       raw leaf descent per kernel tier (scalar gang, AVX2)
+//                 x node layout (preorder, cache-blocked), plus the
+//                 pre-SIMD gang walker as the PR 1 baseline
 //   ensemble      EnsemblePredictor majority-voting 5 cross-val trees,
 //                 per kernel tier
 //
@@ -108,11 +108,6 @@ struct DatasetColumns {
 std::vector<std::pair<std::string, const InferKernelOps*>> RunnableTiers() {
   std::vector<std::pair<std::string, const InferKernelOps*>> tiers;
   tiers.emplace_back("scalar", &cmp::InferKernelOpsFor(KernelIsa::kScalar));
-  if (cmp::KernelIsaSupported(KernelIsa::kSse2)) {
-    if (const InferKernelOps* ops = cmp::Sse2InferKernelOpsOrNull()) {
-      tiers.emplace_back("sse2", ops);
-    }
-  }
   if (cmp::KernelIsaSupported(KernelIsa::kAvx2)) {
     if (const InferKernelOps* ops = cmp::Avx2InferKernelOpsOrNull()) {
       tiers.emplace_back("avx2", ops);
@@ -282,8 +277,7 @@ int main(int argc, char** argv) {
   const KernelIsa isa_before = cmp::ActiveKernelIsa();
   std::vector<std::pair<std::string, double>> ensemble_tiers;
   std::vector<cmp::ClassId> ensemble_reference;
-  for (const KernelIsa isa :
-       {KernelIsa::kScalar, KernelIsa::kSse2, KernelIsa::kAvx2}) {
+  for (const KernelIsa isa : {KernelIsa::kScalar, KernelIsa::kAvx2}) {
     if (!cmp::SetKernelIsa(isa)) continue;
     const cmp::BatchResult once = ensemble.Predict(test);
     if (ensemble_reference.empty()) {

@@ -69,7 +69,6 @@ class WeakPassCollector : public TrainObserver {
     kernel_seconds += pass.kernel_seconds;
     bytes_read += pass.bytes_read;
     code_cache_bytes = std::max(code_cache_bytes, pass.code_cache_bytes);
-    sibling_subtractions += pass.sibling_subtractions;
   }
 
   double scan_seconds = 0.0;
@@ -78,7 +77,6 @@ class WeakPassCollector : public TrainObserver {
   double kernel_seconds = 0.0;
   int64_t bytes_read = 0;
   int64_t code_cache_bytes = 0;
-  int64_t sibling_subtractions = 0;
 };
 
 int64_t EncodeLeafCount(double v) {
@@ -219,7 +217,6 @@ BuildResult BoostBuilder::Build(const Dataset& train) {
       pass.kernel_seconds = weak_passes.kernel_seconds;
       pass.bytes_read = weak_passes.bytes_read;
       pass.code_cache_bytes = weak_passes.code_cache_bytes;
-      pass.sibling_subtractions = weak_passes.sibling_subtractions;
       pass.records_scanned = train_n;
       pass.tree_nodes = agg.tree_nodes;
       observer->OnPass(pass);

@@ -109,17 +109,6 @@ void HistBundle::MergeSameShape(const HistBundle& other) {
   }
 }
 
-void HistBundle::SubtractSameShape(const HistBundle& other) {
-  assert(SameShapeAs(other));
-  for (size_t i = 0; i < hists_.size(); ++i) {
-    hists_[i].Subtract(other.hists_[i]);
-  }
-  for (size_t i = 0; i < matrices_.size(); ++i) {
-    if (static_cast<AttrId>(i) == x_attr_) continue;
-    matrices_[i].Subtract(other.matrices_[i]);
-  }
-}
-
 void HistBundle::AccumulateBatch(const BinCodeCache& codes,
                                  const RecordId* rids, size_t n,
                                  KernelScratch* scratch) {

@@ -138,22 +138,6 @@ class HistBundle {
   /// have identical shape (same variant, X attribute and X range).
   void MergeSameShape(const HistBundle& other);
 
-  /// Subtracts every histogram of `other` (identical shape, cell-wise
-  /// lower bound) from this bundle. Sibling subtraction derives the
-  /// larger child of a split as parent-minus-sibling: the parent's
-  /// records partition exactly into its two children, so the result is
-  /// the same integer counts a direct scan would produce.
-  void SubtractSameShape(const HistBundle& other);
-
-  /// True when `other` has this bundle's exact shape (variant, X
-  /// attribute, X range) — the precondition of MergeSameShape /
-  /// SubtractSameShape. Univariate bundles of one build always match;
-  /// bivariate ones match only when the X axis and covered X range agree.
-  bool SameShapeAs(const HistBundle& other) const {
-    return bivariate_ == other.bivariate_ && x_attr_ == other.x_attr_ &&
-           x_lo_ == other.x_lo_ && x_hi_ == other.x_hi_;
-  }
-
   /// An empty bundle of this bundle's exact shape (variant, X attribute,
   /// X range, histogram/matrix dimensions) with all counts zero. Parallel
   /// scans accumulate into per-shard clones and MergeSameShape them back

@@ -121,19 +121,9 @@ int64_t CountBufferedRecords(const Pending& p);
 // active node of the tree's growth frontier.
 
 /// A node awaiting its first complete histogram bundle.
-///
-/// When `derive_from_sibling` is >= 0 the node's bundle is not
-/// accumulated during the scan at all: `bundle` arrives holding the
-/// PARENT's full histograms, and after the scan the sink at that index
-/// of the same fresh list (the node's sibling) is subtracted from it.
-/// A split partitions the parent's records exactly into its two
-/// children, so parent-minus-sibling is cell-for-cell the counts a
-/// direct scan of this child would have produced — the scan only pays
-/// for the smaller child.
 struct FreshWork {
   NodeId node;
   HistBundle bundle;
-  int derive_from_sibling = -1;
 };
 
 /// A node whose approximate split resolves after the next scan.

@@ -8,10 +8,6 @@ SlotMaps BuildSlotMaps(int num_nodes, const FrontierQueues& work) {
   slots.pending.assign(num_nodes, -1);
   slots.collect.assign(num_nodes, -1);
   for (size_t i = 0; i < work.fresh.size(); ++i) {
-    // Sibling-derived entries are not scanned into: their records just
-    // advance nid_ and their bundle is computed by subtraction after the
-    // pass (see ScanPass::Run).
-    if (work.fresh[i].derive_from_sibling >= 0) continue;
     slots.fresh[work.fresh[i].node] = static_cast<int>(i);
   }
   for (size_t i = 0; i < work.pending.size(); ++i) {

@@ -262,10 +262,9 @@ class SplitExecutor {
         node.right = right_id;
         const AttrId x = planner_.PredictX(probe);
         PushFreshPair(
-            left_id, right_id, std::move(bundle),
+            left_id, right_id,
             planner_.MakeFreshBundle(x, 0, grids[x].num_intervals()),
-            planner_.MakeFreshBundle(x, 0, grids[x].num_intervals()),
-            left_counts, right_counts);
+            planner_.MakeFreshBundle(x, 0, grids[x].num_intervals()));
         return;
       }
     }
@@ -350,15 +349,13 @@ class SplitExecutor {
           const AttrId rx = planner_.PredictChildX(bundle, an.attr_est,
                                                    right_r);
           PushFreshPair(
-              left_id, right_id, std::move(bundle),
+              left_id, right_id,
               planner_.MakeFreshBundle(lx, 0, grids[lx].num_intervals()),
-              planner_.MakeFreshBundle(rx, 0, grids[rx].num_intervals()),
-              an.exact_left_counts, right_counts);
+              planner_.MakeFreshBundle(rx, 0, grids[rx].num_intervals()));
         } else {
-          PushFreshPair(left_id, right_id, std::move(bundle),
+          PushFreshPair(left_id, right_id,
                         HistBundle::MakeUnivariate(schema, grids),
-                        HistBundle::MakeUnivariate(schema, grids),
-                        an.exact_left_counts, right_counts);
+                        HistBundle::MakeUnivariate(schema, grids));
         }
         return;
       }
@@ -413,15 +410,13 @@ class SplitExecutor {
             lx = rx = planner_.PredictX(an);
           }
           PushFreshPair(
-              left_id, right_id, std::move(bundle),
+              left_id, right_id,
               planner_.MakeFreshBundle(lx, 0, grids[lx].num_intervals()),
-              planner_.MakeFreshBundle(rx, 0, grids[rx].num_intervals()),
-              left_counts, right_counts);
+              planner_.MakeFreshBundle(rx, 0, grids[rx].num_intervals()));
         } else {
-          PushFreshPair(left_id, right_id, std::move(bundle),
+          PushFreshPair(left_id, right_id,
                         HistBundle::MakeUnivariate(schema, grids),
-                        HistBundle::MakeUnivariate(schema, grids),
-                        left_counts, right_counts);
+                        HistBundle::MakeUnivariate(schema, grids));
         }
         return;
       }
@@ -634,51 +629,13 @@ class SplitExecutor {
   }
 
  private:
-  /// Pushes the two fresh children of a just-split node onto the next
-  /// round's work list. When sibling subtraction is on and the parent's
-  /// bundle has the children's exact shape (univariate: always;
-  /// bivariate: only when both children keep the parent's X axis and
-  /// full X range), the LARGER child (by seeded counts) is not scanned
-  /// at all: it is queued holding the parent's histograms and derived
-  /// after the scan as parent minus its scanned sibling — exact, because
-  /// the split partitions the parent's records into exactly these two
-  /// children. Ties scan the left child and derive the right. A cost
-  /// gate skips the derivation for small nodes, where subtracting every
-  /// histogram cell would cost more than the scan it avoids. The
-  /// (left, right) push order is preserved either way, so node-creation
-  /// order — and the serialized tree — is unchanged.
-  void PushFreshPair(NodeId left_id, NodeId right_id, HistBundle&& parent,
-                     HistBundle&& left_b, HistBundle&& right_b,
-                     const std::vector<int64_t>& left_counts,
-                     const std::vector<int64_t>& right_counts) {
-    const int base = static_cast<int>(next_->fresh.size());
-    // Deriving trades the larger child's accumulation (~num_attrs adds
-    // per record) for one subtract per histogram cell, so it only pays
-    // off when the child is big relative to the bundle — bivariate
-    // matrices hold q*q cells per attribute, and deep nodes with few
-    // records would spend more on the subtract than the skipped scan.
-    // Both sides of the comparison are deterministic (seeded class
-    // counts, shape-derived cell count), so the choice — and the tree —
-    // is identical on every run.
-    const int64_t larger =
-        std::max(CountSum(left_counts), CountSum(right_counts));
-    const int64_t cells =
-        static_cast<int64_t>(parent.MemoryBytes()) /
-        static_cast<int64_t>(sizeof(int64_t));
-    if (options_.sibling_subtraction && parent.SameShapeAs(left_b) &&
-        parent.SameShapeAs(right_b) &&
-        larger * planner_.schema().num_attrs() > cells) {
-      if (CountSum(left_counts) > CountSum(right_counts)) {
-        next_->fresh.push_back({left_id, std::move(parent), base + 1});
-        next_->fresh.push_back({right_id, std::move(right_b), -1});
-      } else {
-        next_->fresh.push_back({left_id, std::move(left_b), -1});
-        next_->fresh.push_back({right_id, std::move(parent), base});
-      }
-      return;
-    }
-    next_->fresh.push_back({left_id, std::move(left_b), -1});
-    next_->fresh.push_back({right_id, std::move(right_b), -1});
+  /// Queues the two children of a just-split node for the next scan,
+  /// left first: the next round grows the fresh list in order, so this
+  /// order fixes node-creation order and the serialized tree.
+  void PushFreshPair(NodeId left_id, NodeId right_id, HistBundle&& left_b,
+                     HistBundle&& right_b) {
+    next_->fresh.push_back({left_id, std::move(left_b)});
+    next_->fresh.push_back({right_id, std::move(right_b)});
   }
 
   NodeId AddChild(const std::vector<int64_t>& counts, int depth) {

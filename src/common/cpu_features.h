@@ -5,16 +5,15 @@
 
 namespace cmp {
 
-/// Instruction-set tiers the vectorized kernels are built for. The
-/// numeric order is the capability order: every tier can also run any
-/// lower tier's kernels, so "best available" is a simple max.
+/// Instruction-set tiers of the runtime-dispatched kernels. Only batch
+/// tree descent (infer/infer_kernels.h) dispatches on the tier; the
+/// training kernels are the same code on every tier.
 enum class KernelIsa {
   kScalar = 0,
-  kSse2 = 1,
-  kAvx2 = 2,
+  kAvx2 = 1,
 };
 
-/// Display name ("scalar", "sse2", "avx2").
+/// Display name ("scalar", "avx2").
 const char* KernelIsaName(KernelIsa isa);
 
 /// True when this host (CPU + OS state + how this binary was compiled)
@@ -33,12 +32,12 @@ KernelIsa ActiveKernelIsa();
 
 /// Overrides the active tier. Returns false (and changes nothing) when
 /// `isa` is not supported on this host. Intended for startup flags and
-/// tests; swapping tiers mid-build is safe for correctness (every tier
-/// produces identical cells) but makes timings meaningless.
+/// tests; swapping tiers mid-run is safe for correctness (every tier
+/// produces identical predictions) but makes timings meaningless.
 bool SetKernelIsa(KernelIsa isa);
 
-/// Parses "auto" | "scalar" | "sse2" | "avx2". "auto" yields
-/// DetectKernelIsa(). Returns false on any other string.
+/// Parses "auto" | "scalar" | "avx2". "auto" yields DetectKernelIsa().
+/// Returns false on any other string.
 bool ParseKernelIsa(const std::string& name, KernelIsa* out);
 
 /// ParseKernelIsa + SetKernelIsa in one step for CLI flags. On failure

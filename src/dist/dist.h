@@ -20,10 +20,9 @@ namespace dist {
 /// pending-buffer state, collect lists and record stash. The coordinator
 /// merges the results in worker-rank order — the same contiguous
 /// ascending-record decomposition the in-process sharded scan already
-/// uses — applies sibling subtraction once, and resolves splits exactly
-/// as a single-process build would. The resulting tree is byte-identical
-/// to the single-process tree for every worker count, thread count and
-/// block size.
+/// uses — and resolves splits exactly as a single-process build would.
+/// The resulting tree is byte-identical to the single-process tree for
+/// every worker count, thread count and block size.
 
 struct DistOptions {
   /// Worker processes to fork. Slices are [k*n/K, (k+1)*n/K); empty

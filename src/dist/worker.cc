@@ -166,11 +166,6 @@ int RunWorker(int fd) {
     for (uint64_t i = 0; r.ok() && i < num_fresh; ++i) {
       FreshWork fw;
       fw.node = static_cast<NodeId>(r.GetVar());
-      fw.derive_from_sibling = static_cast<int>(r.GetVarSigned());
-      // Derived entries stay empty placeholders here: the coordinator
-      // holds the parent counts and subtracts once after the rank-order
-      // merge, so the worker must NOT touch them (subtraction disabled
-      // below).
       if (!wire::ReadBundleShape(&r, schema, grids, &fw.bundle)) {
         return kWorkerProtocolError;
       }
@@ -201,7 +196,6 @@ int RunWorker(int fd) {
     ScanPass<StreamStore> scan(store, *source, grids, tree, nid, &pool,
                                &tracker, use_codes ? &codes : nullptr,
                                scan_shards);
-    scan.set_apply_sibling_subtraction(false);
     try {
       scan.Run(work, &po);
     } catch (...) {
@@ -209,18 +203,16 @@ int RunWorker(int fd) {
     }
 
     // kPassResult: per-worker stats, then the accumulated state in the
-    // skeleton's order — histogram cells for every scanned (non-derived)
-    // fresh bundle, pending buffers/counts, collect rid lists, and the
-    // full rows of every stashed record (the coordinator's resolve phase
-    // re-reads them). All rids are slice-local; the coordinator rebases
-    // by slice_lo.
+    // skeleton's order — histogram cells for every fresh bundle, pending
+    // buffers/counts, collect rid lists, and the full rows of every
+    // stashed record (the coordinator's resolve phase re-reads them). All
+    // rids are slice-local; the coordinator rebases by slice_lo.
     wire::WireWriter w;
     w.PutF64(po.kernel_seconds);
     w.PutVar(static_cast<uint64_t>(po.code_cache_bytes));
     w.PutVar(static_cast<uint64_t>(source->bytes_read() - bytes_before));
     w.PutVar(work.fresh.size());
     for (const FreshWork& fw : work.fresh) {
-      if (fw.derive_from_sibling >= 0) continue;
       wire::WriteBundleCounts(&w, fw.bundle);
     }
     w.PutVar(work.pending.size());

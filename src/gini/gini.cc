@@ -1,6 +1,8 @@
 #include "gini/gini.h"
 
-#include "common/cpu_features.h"
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 namespace cmp {
 
@@ -52,13 +54,12 @@ double BoundaryGini(std::span<const int64_t> below,
 
 namespace {
 
-// Scalar tier: literally BoundaryGini per row, so the scan's reference
-// semantics are the function the golden fixtures were built on — not a
-// reimplementation that could drift by an IEEE op.
-void ScanBoundaryGinisScalar(const int64_t* prefix, int num_boundaries,
-                             int nc, const int64_t* totals, double* out) {
+// BoundaryGini per row for boundaries [b, num_boundaries): the scan's
+// reference semantics, and the whole scan off x86.
+void ScanRows(const int64_t* prefix, int b, int num_boundaries, int nc,
+              const int64_t* totals, double* out) {
   const std::span<const int64_t> t(totals, static_cast<size_t>(nc));
-  for (int b = 0; b < num_boundaries; ++b) {
+  for (; b < num_boundaries; ++b) {
     out[b] = BoundaryGini(
         std::span<const int64_t>(prefix + static_cast<size_t>(b) * nc,
                                  static_cast<size_t>(nc)),
@@ -66,23 +67,73 @@ void ScanBoundaryGinisScalar(const int64_t* prefix, int num_boundaries,
   }
 }
 
-BoundaryGiniScanFn ScanFnFor(KernelIsa isa) {
-  if (isa == KernelIsa::kAvx2) {
-    if (BoundaryGiniScanFn fn = Avx2BoundaryGiniScanOrNull()) return fn;
-    isa = KernelIsa::kSse2;
-  }
-  if (isa == KernelIsa::kSse2) {
-    if (BoundaryGiniScanFn fn = Sse2BoundaryGiniScanOrNull()) return fn;
-  }
-  return ScanBoundaryGinisScalar;
+#if defined(__SSE2__)
+
+// Lane k <- row (b + k), class c of the converted prefix matrix.
+inline __m128d Lanes2(const double* p0, int c, int nc) {
+  return _mm_set_pd(p0[nc + c], p0[c]);
 }
+
+#endif
 
 }  // namespace
 
 void ScanBoundaryGinis(const int64_t* prefix, int num_boundaries, int nc,
                        const int64_t* totals, double* out) {
   if (num_boundaries <= 0) return;
-  ScanFnFor(ActiveKernelIsa())(prefix, num_boundaries, nc, totals, out);
+#if defined(__SSE2__)
+  // Convert the integer counts to doubles up front: every count is far
+  // below 2^53, so the conversions — and any sums of converted counts —
+  // are exact, and the arithmetic below sees the very values the scalar
+  // path's int64 -> double casts produce.
+  const size_t cells = static_cast<size_t>(num_boundaries) * nc;
+  std::vector<double> dp(cells);
+  for (size_t i = 0; i < cells; ++i) dp[i] = static_cast<double>(prefix[i]);
+  std::vector<double> dt(static_cast<size_t>(nc));
+  int64_t n = 0;
+  for (int c = 0; c < nc; ++c) {
+    n += totals[c];
+    dt[c] = static_cast<double>(totals[c]);
+  }
+  if (n == 0) {  // SplitGini of an empty node is 0.
+    for (int b = 0; b < num_boundaries; ++b) out[b] = 0.0;
+    return;
+  }
+  const __m128d vn = _mm_set1_pd(static_cast<double>(n));
+  const __m128d vone = _mm_set1_pd(1.0);
+  const __m128d vzero = _mm_setzero_pd();
+  int b = 0;
+  for (; b + 2 <= num_boundaries; b += 2) {
+    const double* p0 = dp.data() + static_cast<size_t>(b) * nc;
+    __m128d vnl = vzero;
+    for (int c = 0; c < nc; ++c) {
+      vnl = _mm_add_pd(vnl, Lanes2(p0, c, nc));
+    }
+    const __m128d vnr = _mm_sub_pd(vn, vnl);
+    __m128d sl = vzero;
+    __m128d sr = vzero;
+    for (int c = 0; c < nc; ++c) {
+      const __m128d x = Lanes2(p0, c, nc);
+      const __m128d r = _mm_sub_pd(_mm_set1_pd(dt[c]), x);
+      const __m128d pl = _mm_div_pd(x, vnl);
+      const __m128d pr = _mm_div_pd(r, vnr);
+      sl = _mm_add_pd(sl, _mm_mul_pd(pl, pl));
+      sr = _mm_add_pd(sr, _mm_mul_pd(pr, pr));
+    }
+    // A one-sided boundary divides 0/0 = NaN; mask it to the scalar's
+    // 0.0 (Gini of an empty set) before the weighting.
+    __m128d gl = _mm_sub_pd(vone, sl);
+    __m128d gr = _mm_sub_pd(vone, sr);
+    gl = _mm_andnot_pd(_mm_cmpeq_pd(vnl, vzero), gl);
+    gr = _mm_andnot_pd(_mm_cmpeq_pd(vnr, vzero), gr);
+    const __m128d g = _mm_add_pd(_mm_mul_pd(_mm_div_pd(vnl, vn), gl),
+                                 _mm_mul_pd(_mm_div_pd(vnr, vn), gr));
+    _mm_storeu_pd(out + b, g);
+  }
+  ScanRows(prefix, b, num_boundaries, nc, totals, out);
+#else
+  ScanRows(prefix, 0, num_boundaries, nc, totals, out);
+#endif
 }
 
 }  // namespace cmp

@@ -33,30 +33,15 @@ double BoundaryGini(std::span<const int64_t> below,
 /// num_boundaries x nc matrix of prefix-summed class counts (row b =
 /// per-class counts at or below cut b).
 ///
-/// Dispatches to a vectorized implementation (4 boundaries per AVX2
-/// iteration, 2 per SSE2) selected by common/cpu_features.h. Every tier
-/// is BIT-IDENTICAL to calling BoundaryGini per row: lanes map to
+/// Where the compiler targets SSE2 (every x86-64 build) the scan runs
+/// two boundaries per iteration; elsewhere it calls BoundaryGini per
+/// row. The SSE2 loop is BIT-IDENTICAL to BoundaryGini: lanes map to
 /// boundaries, the class loop stays sequential inside each lane, every
-/// IEEE op (convert, div, mul, add, sub) is elementwise in the scalar
-/// op order, and the tiers are compiled without FMA contraction — so
-/// the same doubles fall out regardless of tier, which is what keeps
-/// golden trees byte-identical under `--kernel auto`
-/// (tests/test_kernel_dispatch.cc, tests/test_gini.cc).
+/// IEEE op (convert, div, mul, add, sub) is elementwise in the scalar op
+/// order, and SSE2 has no FMA to contract into — so golden trees are
+/// byte-identical on every architecture (tests/test_gini.cc).
 void ScanBoundaryGinis(const int64_t* prefix, int num_boundaries, int nc,
                        const int64_t* totals, double* out);
-
-// ---------------------------------------------------------------------
-// Internal dispatch surface of ScanBoundaryGinis, exposed so the
-// differential tests can drive one specific tier directly. The OrNull
-// accessors return null when the build lacks the ISA (non-x86 target or
-// missing compiler flag); runtime support is checked by the dispatcher.
-
-using BoundaryGiniScanFn = void (*)(const int64_t* prefix,
-                                    int num_boundaries, int nc,
-                                    const int64_t* totals, double* out);
-
-BoundaryGiniScanFn Sse2BoundaryGiniScanOrNull();
-BoundaryGiniScanFn Avx2BoundaryGiniScanOrNull();
 
 }  // namespace cmp
 

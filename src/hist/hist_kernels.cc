@@ -1,85 +1,87 @@
 #include "hist/hist_kernels.h"
 
-#include "hist/hist_kernels_impl.h"
-
 namespace cmp {
 
 namespace {
 
-using hist_impl::Accum1D;
-using hist_impl::Accum2D;
-using hist_impl::GatherLabelsScalar;
-using hist_impl::GatherXRowsScalar;
+// The width template moves the u8/u16 branch out of the inner loops; the
+// nc == 2 specialization strength-reduces the row multiply to a shift
+// (binary classification is the common case in the paper's workloads).
+template <typename Code>
+void Accum1D(const Code* codes, const ClassId* batch_labels,
+             const RecordId* rids, size_t n, int nc, int64_t* counts) {
+  if (nc == 2) {
+    for (size_t i = 0; i < n; ++i) {
+      counts[(static_cast<size_t>(codes[rids[i]]) << 1) + batch_labels[i]]++;
+    }
+    return;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    counts[static_cast<size_t>(codes[rids[i]]) * nc + batch_labels[i]]++;
+  }
+}
 
-constexpr HistKernelOps kScalarOps = {
-    GatherLabelsScalar,
-    GatherXRowsScalar<uint8_t>,
-    GatherXRowsScalar<uint16_t>,
-    Accum1D<uint8_t>,
-    Accum1D<uint16_t>,
-    Accum2D<uint8_t>,
-    Accum2D<uint16_t>,
-};
+template <typename Code>
+void Accum2D(const int32_t* xrows, const Code* codes,
+             const ClassId* batch_labels, const RecordId* rids, size_t n,
+             int ny, int nc, int64_t* counts) {
+  if (nc == 2) {
+    for (size_t i = 0; i < n; ++i) {
+      const size_t cell =
+          static_cast<size_t>(xrows[i]) * ny + codes[rids[i]];
+      counts[(cell << 1) + batch_labels[i]]++;
+    }
+    return;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    const size_t cell = static_cast<size_t>(xrows[i]) * ny + codes[rids[i]];
+    counts[cell * nc + batch_labels[i]]++;
+  }
+}
+
+template <typename Code>
+void GatherXRowsImpl(const Code* codes, int x_lo, const RecordId* rids,
+                     size_t n, int32_t* out) {
+  for (size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<int32_t>(codes[rids[i]]) - x_lo;
+  }
+}
 
 }  // namespace
-
-// Sse2HistKernelOpsOrNull / Avx2HistKernelOpsOrNull are defined in
-// hist_kernels_sse2.cc / hist_kernels_avx2.cc. Each returns null when
-// its translation unit was compiled without the ISA (non-x86 target or
-// a compiler without the flag), which makes the fallback chain below a
-// link-time property of the build, not an #ifdef maze here.
-
-const HistKernelOps& HistKernelOpsFor(KernelIsa isa) {
-  if (isa == KernelIsa::kAvx2) {
-    if (const HistKernelOps* ops = Avx2HistKernelOpsOrNull()) return *ops;
-    isa = KernelIsa::kSse2;
-  }
-  if (isa == KernelIsa::kSse2) {
-    if (const HistKernelOps* ops = Sse2HistKernelOpsOrNull()) return *ops;
-  }
-  return kScalarOps;
-}
-
-const HistKernelOps& ActiveHistKernelOps() {
-  return HistKernelOpsFor(ActiveKernelIsa());
-}
 
 void GatherLabels(const ClassId* labels, const RecordId* rids, size_t n,
                   std::vector<ClassId>* out) {
   out->resize(n);
-  ActiveHistKernelOps().gather_labels(labels, rids, n, out->data());
+  for (size_t i = 0; i < n; ++i) (*out)[i] = labels[rids[i]];
 }
 
 void GatherXRows(const CodeView& xcodes, int x_lo, const RecordId* rids,
                  size_t n, std::vector<int32_t>* out) {
   out->resize(n);
-  const HistKernelOps& ops = ActiveHistKernelOps();
   if (xcodes.u8 != nullptr) {
-    ops.gather_xrows_u8(xcodes.u8, x_lo, rids, n, out->data());
+    GatherXRowsImpl(xcodes.u8, x_lo, rids, n, out->data());
   } else {
-    ops.gather_xrows_u16(xcodes.u16, x_lo, rids, n, out->data());
+    GatherXRowsImpl(xcodes.u16, x_lo, rids, n, out->data());
   }
 }
 
 void AccumulateHist1D(const CodeView& codes, const ClassId* batch_labels,
                       const RecordId* rids, size_t n, int nc,
                       int64_t* counts) {
-  const HistKernelOps& ops = ActiveHistKernelOps();
   if (codes.u8 != nullptr) {
-    ops.accum1d_u8(codes.u8, batch_labels, rids, n, nc, counts);
+    Accum1D(codes.u8, batch_labels, rids, n, nc, counts);
   } else {
-    ops.accum1d_u16(codes.u16, batch_labels, rids, n, nc, counts);
+    Accum1D(codes.u16, batch_labels, rids, n, nc, counts);
   }
 }
 
 void AccumulateHist2D(const int32_t* xrows, const CodeView& codes,
                       const ClassId* batch_labels, const RecordId* rids,
                       size_t n, int ny, int nc, int64_t* counts) {
-  const HistKernelOps& ops = ActiveHistKernelOps();
   if (codes.u8 != nullptr) {
-    ops.accum2d_u8(xrows, codes.u8, batch_labels, rids, n, ny, nc, counts);
+    Accum2D(xrows, codes.u8, batch_labels, rids, n, ny, nc, counts);
   } else {
-    ops.accum2d_u16(xrows, codes.u16, batch_labels, rids, n, ny, nc, counts);
+    Accum2D(xrows, codes.u16, batch_labels, rids, n, ny, nc, counts);
   }
 }
 

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/cpu_features.h"
 #include "common/types.h"
 #include "hist/bin_codes.h"
 
@@ -33,21 +32,10 @@ namespace cmp {
 /// (indexed by batch position, not record id) so the per-attribute loops
 /// do one random load per record instead of two.
 ///
-/// Every entry point below dispatches through a per-ISA function-pointer
-/// table (HistKernelOps) selected by common/cpu_features.h: an AVX2
-/// tier that widens codes and computes cell indices eight records at a
-/// time (with `vpgatherqd` code loads for non-contiguous batches), an
-/// SSE2 tier that vectorizes the contiguous-batch widening, and the
-/// portable scalar tier. Because the cells are integer counts, every
-/// tier produces byte-identical histograms — enforced differentially by
-/// tests/test_kernel_dispatch.cc across random tables, all code widths,
-/// and every supported tier.
-///
-/// The vector tiers load codes four bytes at a time (sequential widening
-/// loads and 32-bit gathers at 1- and 2-byte element offsets), so code
-/// columns MUST carry kCodeColumnPadding readable bytes past the last
-/// record. BinCodeCache allocates that padding; anything else that hands
-/// a CodeView to these kernels must do the same.
+/// The kernels are plain scalar loops: the scattered `counts[cell]++`
+/// does not vectorize without conflict detection, and measured SSE2/AVX2
+/// versions never beat these loops on a layer that is ~1-2% of training
+/// wall time (DESIGN.md §4h).
 
 /// Reusable per-shard scratch for the kernels: the gathered label and
 /// X-row columns of the current batch. Reused across batches to keep
@@ -78,48 +66,6 @@ void AccumulateHist1D(const CodeView& codes, const ClassId* batch_labels,
 void AccumulateHist2D(const int32_t* xrows, const CodeView& codes,
                       const ClassId* batch_labels, const RecordId* rids,
                       size_t n, int ny, int nc, int64_t* counts);
-
-// ---------------------------------------------------------------------
-// Dispatch table. One instance per ISA tier; the public entry points
-// above resolve the active tier's table per call (an atomic load — noise
-// against a 512-record batch). Exposed so the bench and the differential
-// tests can drive one specific tier regardless of the active selection.
-
-struct HistKernelOps {
-  void (*gather_labels)(const ClassId* labels, const RecordId* rids,
-                        size_t n, ClassId* out);
-  void (*gather_xrows_u8)(const uint8_t* codes, int x_lo,
-                          const RecordId* rids, size_t n, int32_t* out);
-  void (*gather_xrows_u16)(const uint16_t* codes, int x_lo,
-                           const RecordId* rids, size_t n, int32_t* out);
-  void (*accum1d_u8)(const uint8_t* codes, const ClassId* batch_labels,
-                     const RecordId* rids, size_t n, int nc,
-                     int64_t* counts);
-  void (*accum1d_u16)(const uint16_t* codes, const ClassId* batch_labels,
-                      const RecordId* rids, size_t n, int nc,
-                      int64_t* counts);
-  void (*accum2d_u8)(const int32_t* xrows, const uint8_t* codes,
-                     const ClassId* batch_labels, const RecordId* rids,
-                     size_t n, int ny, int nc, int64_t* counts);
-  void (*accum2d_u16)(const int32_t* xrows, const uint16_t* codes,
-                      const ClassId* batch_labels, const RecordId* rids,
-                      size_t n, int ny, int nc, int64_t* counts);
-};
-
-/// The table for `isa`, falling back tier by tier (avx2 → sse2 →
-/// scalar) when this build or binary lacks the requested one. Never
-/// null.
-const HistKernelOps& HistKernelOpsFor(KernelIsa isa);
-
-/// Per-tier tables, null when this build lacks the ISA (non-x86 target
-/// or missing compiler flag). Runtime support is checked by the
-/// dispatcher; the differential tests drive these directly so every
-/// compiled tier is exercised regardless of the active selection.
-const HistKernelOps* Sse2HistKernelOpsOrNull();
-const HistKernelOps* Avx2HistKernelOpsOrNull();
-
-/// The table of ActiveKernelIsa().
-const HistKernelOps& ActiveHistKernelOps();
 
 }  // namespace cmp
 

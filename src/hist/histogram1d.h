@@ -53,12 +53,6 @@ class Histogram1D {
   /// Adds every cell of `other` into this histogram. Shapes must match.
   void Merge(const Histogram1D& other);
 
-  /// Subtracts every cell of `other` from this histogram. Shapes must
-  /// match and `other` must be a cell-wise lower bound (sibling
-  /// subtraction derives a child as parent minus its sibling, so no cell
-  /// can go negative).
-  void Subtract(const Histogram1D& other);
-
   /// Per-class counts in intervals [0, i) (records strictly left of
   /// interval i). Convenience for split scans and tests.
   std::vector<int64_t> PrefixBefore(int i) const;

@@ -8,16 +8,12 @@ namespace {
 constexpr InferKernelOps kScalarOps = {infer_impl::DescendBlockScalar};
 }  // namespace
 
-// Same fallback chain as HistKernelOpsFor: a tier that was not compiled
-// into this binary (OrNull returned null) silently degrades to the next
-// one down, so callers can ask for the detected ISA unconditionally.
+// A tier that was not compiled into this binary (OrNull returned null)
+// silently degrades to scalar, so callers can ask for the detected ISA
+// unconditionally.
 const InferKernelOps& InferKernelOpsFor(KernelIsa isa) {
   if (isa == KernelIsa::kAvx2) {
     if (const InferKernelOps* ops = Avx2InferKernelOpsOrNull()) return *ops;
-    isa = KernelIsa::kSse2;
-  }
-  if (isa == KernelIsa::kSse2) {
-    if (const InferKernelOps* ops = Sse2InferKernelOpsOrNull()) return *ops;
   }
   return kScalarOps;
 }

@@ -8,10 +8,11 @@
 
 namespace cmp {
 
-/// Per-ISA batch tree-traversal kernels behind the same runtime dispatch
-/// as the histogram kernels (common/cpu_features.h): the AVX2 tier
-/// descends 8 rows per vector, SSE2 4, scalar falls back to the gang
-/// walker. Every tier reproduces CompiledTree::PredictRow bit for bit —
+/// Per-ISA batch tree-traversal kernels behind the runtime dispatch of
+/// common/cpu_features.h: the AVX2 tier descends 8 rows per vector,
+/// scalar is the gang walker (SSE2 has no gathers, and a measured SSE2
+/// descent ran at half the gang walker's speed; DESIGN.md §4k). Every
+/// tier reproduces CompiledTree::PredictRow bit for bit —
 /// comparisons stay in double, vector compares use ordered `<=` (NaN
 /// routes right), and linear splits are evaluated mul/mul/add with FP
 /// contraction impossible (the AVX2 file is compiled with -mavx2 only,
@@ -25,19 +26,17 @@ struct InferKernelOps {
                         int64_t begin, int64_t end, int32_t* out);
 };
 
-/// Ops for `isa`, falling back (avx2 -> sse2 -> scalar) when the
-/// requested tier was not compiled into this binary. The fallback is
-/// resolved at link time, so a scalar-only build never references
-/// vector symbols.
+/// Ops for `isa`, falling back to scalar when the AVX2 tier was not
+/// compiled into this binary. The fallback is resolved at link time, so
+/// a scalar-only build never references vector symbols.
 const InferKernelOps& InferKernelOpsFor(KernelIsa isa);
 
 /// Ops for the active (auto-detected or pinned) tier.
 const InferKernelOps& ActiveInferKernelOps();
 
-/// Tier tables, or null when this binary was built without the ISA.
+/// The AVX2 table, or null when this binary was built without the ISA.
 /// Exposed for the differential tests and benches that sweep every
 /// runnable tier explicitly.
-const InferKernelOps* Sse2InferKernelOpsOrNull();
 const InferKernelOps* Avx2InferKernelOpsOrNull();
 
 }  // namespace cmp

@@ -42,7 +42,7 @@ namespace wire {
 /// out-of-bounds read or a runaway allocation.
 
 constexpr char kMagic[4] = {'C', 'M', 'P', 'W'};
-constexpr uint32_t kVersion = 1;
+constexpr uint32_t kVersion = 2;
 constexpr uint32_t kEndianProbe = 0x01020304u;
 constexpr size_t kFrameHeaderBytes = 24;
 /// Upper bound on one frame's payload; a length prefix beyond it is

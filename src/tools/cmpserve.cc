@@ -34,14 +34,14 @@ int Usage() {
       << "usage: cmpserve --model NAME=PATH.cmpb [--model NAME2=PATH2 ...]\n"
          "                [--port P] [--unix PATH] [--threads N]\n"
          "                [--batch-rows R] [--batch-delay-us D]\n"
-         "                [--port-file FILE] [--kernel auto|scalar|sse2|avx2]\n"
+         "                [--port-file FILE] [--kernel auto|scalar|avx2]\n"
          "\n"
          "Serves predictions for compiled .cmpb models over a local TCP\n"
          "(default, port 0 = ephemeral) or UNIX socket. Line protocol:\n"
          "  predict <model> <csv-row> | predictp ... | batch <model> <n>\n"
          "  swap <model> <path.cmpb> | stats | quit\n"
          "\n"
-         "--kernel pins the ISA tier of the batch traversal kernels\n"
+         "--kernel pins the ISA tier of the batch tree-descent kernels\n"
          "(default auto-detects; predictions are identical across tiers).\n"
          "The tier actually serving is reported as kernel_isa in stats.\n";
   return kExitBadArgs;

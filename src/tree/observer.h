@@ -44,8 +44,8 @@ struct PassObservation {
   double kernel_seconds = 0.0;
   /// Resident bytes of the bin-code cache (0 when disabled).
   int64_t code_cache_bytes = 0;
-  /// Fresh bundles this pass derived by sibling subtraction
-  /// (parent minus scanned sibling) instead of being accumulated.
+  /// Always 0: fresh bundles are always accumulated by the scan. Kept
+  /// because the `--stats-json` key is read by the repository benchmark.
   int64_t sibling_subtractions = 0;
   /// Distributed training only (0 otherwise): worker processes that
   /// scanned this pass, protocol bytes exchanged with them (frames in
@@ -96,8 +96,9 @@ class TrainStatsCollector : public TrainObserver {
 
   const std::vector<PassObservation>& passes() const { return passes_; }
   const BuildStats& final_stats() const { return final_stats_; }
-  /// Kernel ISA ("scalar" | "sse2" | "avx2") active when the observed
-  /// build started, captured in OnBuildStart.
+  /// Kernel ISA ("scalar" | "avx2") active when the observed build
+  /// started, captured in OnBuildStart. Only tree descent dispatches on
+  /// it; training kernels are the same on every tier.
   const std::string& kernel_isa() const { return kernel_isa_; }
 
   /// The run as a JSON object: builder, record count, per-pass metrics

@@ -597,6 +597,16 @@ TEST_F(CmptoolTest, KernelFlagSelectsTierAndRejectsUnknown) {
             kBadArgs);
   EXPECT_NE(out.find("unknown kernel tier 'bogus'"), std::string::npos)
       << out;
+
+  // sse2 is not a tier: naming it is a usage error, and the message
+  // lists the tiers that exist.
+  EXPECT_EQ(RunTool("predict --data " + data_ + " --tree " + tree_ +
+                        " --kernel sse2",
+                    &out),
+            kBadArgs);
+  EXPECT_NE(out.find("unknown kernel tier 'sse2'"), std::string::npos)
+      << out;
+  EXPECT_NE(out.find("auto|scalar|avx2"), std::string::npos) << out;
 }
 
 }  // namespace

@@ -4,8 +4,6 @@
 
 #include <cmath>
 #include <span>
-#include <string>
-#include <utility>
 #include <vector>
 
 namespace cmp {
@@ -87,25 +85,10 @@ TEST(BoundaryGini, LoanExampleFromPaper) {
 }
 
 // ---------------------------------------------------------------------
-// ScanBoundaryGinis: the vectorized boundary scan must be BIT-identical
-// to calling BoundaryGini per row — same doubles, not merely close —
-// because the split argmin (and through it the golden trees) rides on
-// exact comparisons of these values. Each compiled tier is driven
-// directly, so the suite exercises sse2/avx2 even when the dispatcher
-// would pick a higher tier.
-
-// All tiers this binary carries, name + function. The public dispatcher
-// is checked separately (it routes to one of these).
-std::vector<std::pair<std::string, BoundaryGiniScanFn>> ScanTiers() {
-  std::vector<std::pair<std::string, BoundaryGiniScanFn>> tiers;
-  if (BoundaryGiniScanFn fn = Sse2BoundaryGiniScanOrNull()) {
-    tiers.emplace_back("sse2", fn);
-  }
-  if (BoundaryGiniScanFn fn = Avx2BoundaryGiniScanOrNull()) {
-    tiers.emplace_back("avx2", fn);
-  }
-  return tiers;
-}
+// ScanBoundaryGinis: the boundary scan (SSE2 on x86-64) must be
+// BIT-identical to calling BoundaryGini per row — same doubles, not
+// merely close — because the split argmin (and through it the golden
+// trees) rides on exact comparisons of these values.
 
 // The scalar reference: BoundaryGini on every prefix row.
 std::vector<double> NaiveScan(const std::vector<int64_t>& prefix, int nb,
@@ -121,13 +104,12 @@ std::vector<double> NaiveScan(const std::vector<int64_t>& prefix, int nb,
 }
 
 // EXPECT_EQ on doubles is exact (operator==): any reordered or
-// contracted FP op in a vector tier shows up as a failure here.
+// contracted FP op in the vector loop shows up as a failure here.
 void ExpectBitEqual(const std::vector<double>& got,
-                    const std::vector<double>& want,
-                    const std::string& tier) {
-  ASSERT_EQ(got.size(), want.size()) << tier;
+                    const std::vector<double>& want) {
+  ASSERT_EQ(got.size(), want.size());
   for (size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i], want[i]) << tier << " boundary " << i;
+    EXPECT_EQ(got[i], want[i]) << "boundary " << i;
   }
 }
 
@@ -160,12 +142,7 @@ TEST(ScanBoundaryGinis, MatchesNaiveOnRandomPrefixes) {
       const std::vector<double> want = NaiveScan(prefix, nb, nc, totals);
       std::vector<double> got(nb);
       ScanBoundaryGinis(prefix.data(), nb, nc, totals.data(), got.data());
-      ExpectBitEqual(got, want, "dispatched");
-      for (const auto& [name, fn] : ScanTiers()) {
-        std::vector<double> tier_got(nb, -1.0);
-        fn(prefix.data(), nb, nc, totals.data(), tier_got.data());
-        ExpectBitEqual(tier_got, want, name);
-      }
+      ExpectBitEqual(got, want);
     }
   }
 }
@@ -186,12 +163,7 @@ TEST(ScanBoundaryGinis, AllOneClassNodeIsZeroEverywhere) {
   for (int b = 0; b < nb; ++b) {
     EXPECT_EQ(got[b], 0.0) << "boundary " << b;
   }
-  ExpectBitEqual(got, want, "dispatched");
-  for (const auto& [name, fn] : ScanTiers()) {
-    std::vector<double> tier_got(nb, -1.0);
-    fn(prefix.data(), nb, nc, totals.data(), tier_got.data());
-    ExpectBitEqual(tier_got, want, name);
-  }
+  ExpectBitEqual(got, want);
 }
 
 TEST(ScanBoundaryGinis, EmptyIntervalsRepeatPrefixRows) {
@@ -213,14 +185,9 @@ TEST(ScanBoundaryGinis, EmptyIntervalsRepeatPrefixRows) {
   const std::vector<double> want = NaiveScan(prefix, nb, nc, totals);
   std::vector<double> got(nb, -1.0);
   ScanBoundaryGinis(prefix.data(), nb, nc, totals.data(), got.data());
-  ExpectBitEqual(got, want, "dispatched");
+  ExpectBitEqual(got, want);
   for (int b = 0; b < nb; ++b) {
     EXPECT_FALSE(std::isnan(got[b])) << "boundary " << b;
-  }
-  for (const auto& [name, fn] : ScanTiers()) {
-    std::vector<double> tier_got(nb, -1.0);
-    fn(prefix.data(), nb, nc, totals.data(), tier_got.data());
-    ExpectBitEqual(tier_got, want, name);
   }
 }
 
@@ -235,22 +202,17 @@ TEST(ScanBoundaryGinis, EmptyNodeAndNoBoundaries) {
   const std::vector<double> want = NaiveScan(prefix, nb, 2, totals_zero);
   std::vector<double> got(nb, -1.0);
   ScanBoundaryGinis(prefix.data(), nb, 2, totals_zero.data(), got.data());
-  ExpectBitEqual(got, want, "dispatched");
+  ExpectBitEqual(got, want);
   for (int b = 0; b < nb; ++b) {
     EXPECT_EQ(got[b], 0.0) << "boundary " << b;
-  }
-  for (const auto& [name, fn] : ScanTiers()) {
-    std::vector<double> tier_got(nb, -1.0);
-    fn(prefix.data(), nb, 2, totals_zero.data(), tier_got.data());
-    ExpectBitEqual(tier_got, want, name);
   }
 }
 
 TEST(ScanBoundaryGinis, LargeCountsStayExact) {
   // Counts near the top of the exactly-representable integer range the
   // build can produce (int64 record counts well below 2^53): the int ->
-  // double conversions in every tier are exact, so equality must hold
-  // bit-for-bit, not within an epsilon.
+  // double conversions of the vector loop are exact, so equality must
+  // hold bit-for-bit, not within an epsilon.
   const int64_t big = (int64_t{1} << 50) + 12345;
   const std::vector<int64_t> totals = {big, big / 3};
   const std::vector<int64_t> prefix = {
@@ -262,12 +224,7 @@ TEST(ScanBoundaryGinis, LargeCountsStayExact) {
   const std::vector<double> want = NaiveScan(prefix, nb, 2, totals);
   std::vector<double> got(nb);
   ScanBoundaryGinis(prefix.data(), nb, 2, totals.data(), got.data());
-  ExpectBitEqual(got, want, "dispatched");
-  for (const auto& [name, fn] : ScanTiers()) {
-    std::vector<double> tier_got(nb);
-    fn(prefix.data(), nb, 2, totals.data(), tier_got.data());
-    ExpectBitEqual(tier_got, want, name);
-  }
+  ExpectBitEqual(got, want);
 }
 
 }  // namespace

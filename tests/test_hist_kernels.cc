@@ -1,14 +1,21 @@
 // The attribute-major batch kernels must reproduce the record-major
 // counts EXACTLY — same integer cells, any batch split — because the
 // scan path swaps them in under the bit-identical-trees contract. Tested
-// bottom-up: raw kernels vs direct counting (both code widths), then
-// HistBundle::AccumulateBatch vs Add, then whole builds across the
-// {codes, subtraction} toggles.
+// bottom-up: raw kernels vs direct counting (both code widths, random
+// tables, every batch shape the scan produces), then
+// HistBundle::AccumulateBatch vs Add, then whole builds with and without
+// the code cache.
+//
+// The 511-record cases end at the last record of a column, so under ASan
+// (CMP_SANITIZE=address) any kernel read past the end of the unpadded
+// code column is a hard failure.
 #include "hist/hist_kernels.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cmp/bundle.h"
@@ -20,6 +27,194 @@
 
 namespace cmp {
 namespace {
+
+// A random single-column table encoded the way the builder encodes it.
+struct RandomColumn {
+  IntervalGrid grid;
+  BinCodeCache codes;
+  std::vector<ClassId> labels;
+};
+
+std::vector<std::string> ClassNames(int num_classes) {
+  std::vector<std::string> names;
+  for (int c = 0; c < num_classes; ++c) {
+    std::string name = "c";
+    name += std::to_string(c);
+    names.push_back(std::move(name));
+  }
+  return names;
+}
+
+// u8 codes: values drawn from a SMALL discrete pool so the equal-depth
+// grid sees heavy duplicate cut points (the degenerate-boundary case),
+// plus out-of-range strays that land in the clamp intervals.
+RandomColumn MakeRandomColumn(int64_t n, int num_intervals, int num_classes,
+                              uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> column(n);
+  RandomColumn out;
+  out.labels.resize(n);
+  for (int64_t i = 0; i < n; ++i) {
+    column[i] = static_cast<double>(rng.UniformInt(0, 11)) * 3.5;
+    if (rng.UniformDouble() < 0.05) column[i] = rng.Uniform(-100.0, 500.0);
+    out.labels[i] = static_cast<ClassId>(rng.UniformInt(0, num_classes - 1));
+  }
+  std::vector<double> sorted = column;
+  std::sort(sorted.begin(), sorted.end());
+  out.grid = IntervalGrid::EqualDepthFromSorted(sorted, num_intervals);
+  Schema schema({{"x", AttrKind::kNumeric, 0}}, ClassNames(num_classes));
+  out.codes = BinCodeCache(schema, n, std::max(num_intervals, 4));
+  EXPECT_TRUE(out.codes.enabled());
+  out.codes.EncodeNumericColumn(0, out.grid, column);
+  out.codes.SetLabels(out.labels);
+  return out;
+}
+
+// u16 codes: >255 intervals force the 2-byte kernels.
+RandomColumn MakeWideColumn(int64_t n, int num_classes, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> cuts;
+  for (int i = 0; i < 300; ++i) cuts.push_back(static_cast<double>(i));
+  RandomColumn out;
+  out.grid = IntervalGrid::FromBoundaries(std::move(cuts), 0.0, 300.0);
+  std::vector<double> column(n);
+  out.labels.resize(n);
+  for (int64_t i = 0; i < n; ++i) {
+    column[i] = rng.Uniform(-5.0, 305.0);
+    out.labels[i] = static_cast<ClassId>(rng.UniformInt(0, num_classes - 1));
+  }
+  Schema schema({{"x", AttrKind::kNumeric, 0}}, ClassNames(num_classes));
+  out.codes = BinCodeCache(schema, n, /*max_intervals=*/1024);
+  EXPECT_TRUE(out.codes.enabled());
+  out.codes.EncodeNumericColumn(0, out.grid, column);
+  out.codes.SetLabels(out.labels);
+  return out;
+}
+
+// Batch shapes the scan actually produces: a contiguous block, an
+// ascending subset with gaps, a shuffled batch (the kernels don't
+// require ascending order), and the full range ending at the last
+// record.
+std::vector<std::vector<RecordId>> BatchShapes(int64_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::vector<RecordId>> batches;
+  std::vector<RecordId> contiguous;
+  for (RecordId r = n / 4; r < n - n / 4; ++r) contiguous.push_back(r);
+  batches.push_back(std::move(contiguous));
+  std::vector<RecordId> gaps;
+  for (RecordId r = 0; r < n; ++r) {
+    if (rng.UniformDouble() < 0.55) gaps.push_back(r);
+  }
+  batches.push_back(gaps);
+  std::vector<RecordId> shuffled = batches.back();
+  for (size_t i = shuffled.size(); i > 1; --i) {
+    std::swap(shuffled[i - 1],
+              shuffled[static_cast<size_t>(rng.UniformInt(0, i - 1))]);
+  }
+  batches.push_back(std::move(shuffled));
+  std::vector<RecordId> all(n);
+  for (RecordId r = 0; r < n; ++r) all[r] = r;
+  batches.push_back(std::move(all));
+  return batches;
+}
+
+std::vector<int64_t> Kernel1D(const RandomColumn& t,
+                              const std::vector<RecordId>& rids, int nc) {
+  KernelScratch scratch;
+  GatherLabels(t.codes.labels(), rids.data(), rids.size(), &scratch.labels);
+  std::vector<int64_t> cells(static_cast<size_t>(t.grid.num_intervals()) * nc);
+  AccumulateHist1D(t.codes.view(0), scratch.labels.data(), rids.data(),
+                   rids.size(), nc, cells.data());
+  return cells;
+}
+
+// The table's own column serves as both the X and Y axis of a bivariate
+// cell grid; x_lo strips the leading quarter of the rows, like a child
+// bundle covering a sub-range.
+std::vector<int64_t> Kernel2D(const RandomColumn& t,
+                              const std::vector<RecordId>& rids, int nc) {
+  const int q = t.grid.num_intervals();
+  const int x_lo = q / 4;
+  std::vector<RecordId> inside;
+  for (const RecordId r : rids) {
+    if (t.codes.code(0, r) >= x_lo) inside.push_back(r);
+  }
+  KernelScratch scratch;
+  GatherLabels(t.codes.labels(), inside.data(), inside.size(),
+               &scratch.labels);
+  GatherXRows(t.codes.view(0), x_lo, inside.data(), inside.size(),
+              &scratch.xrows);
+  std::vector<int64_t> cells(static_cast<size_t>(q - x_lo) * q * nc);
+  AccumulateHist2D(scratch.xrows.data(), t.codes.view(0),
+                   scratch.labels.data(), inside.data(), inside.size(), q, nc,
+                   cells.data());
+  return cells;
+}
+
+// Naive references built straight from codes + labels, no kernels.
+std::vector<int64_t> Direct1D(const RandomColumn& t,
+                              const std::vector<RecordId>& rids, int nc) {
+  std::vector<int64_t> cells(static_cast<size_t>(t.grid.num_intervals()) * nc);
+  for (const RecordId r : rids) {
+    cells[static_cast<size_t>(t.codes.code(0, r)) * nc + t.labels[r]]++;
+  }
+  return cells;
+}
+
+std::vector<int64_t> Direct2D(const RandomColumn& t,
+                              const std::vector<RecordId>& rids, int nc) {
+  const int q = t.grid.num_intervals();
+  const int x_lo = q / 4;
+  std::vector<int64_t> cells(static_cast<size_t>(q - x_lo) * q * nc);
+  for (const RecordId r : rids) {
+    const int code = t.codes.code(0, r);
+    if (code < x_lo) continue;
+    const size_t cell = static_cast<size_t>(code - x_lo) * q + code;
+    cells[cell * nc + t.labels[r]]++;
+  }
+  return cells;
+}
+
+TEST(HistKernelsRandom, Accumulate1DMatchesDirectCountsOnRandomTables) {
+  for (const uint64_t seed : {11u, 12u, 13u, 14u}) {
+    for (const int64_t n : {int64_t{511}, int64_t{2048}, int64_t{37}}) {
+      for (const int nc : {2, 5}) {
+        const RandomColumn t = MakeRandomColumn(n, 40, nc, seed);
+        for (const auto& rids : BatchShapes(n, seed * 3 + nc)) {
+          ASSERT_EQ(Kernel1D(t, rids, nc), Direct1D(t, rids, nc))
+              << "seed=" << seed << " n=" << n << " nc=" << nc
+              << " batch=" << rids.size();
+        }
+      }
+    }
+  }
+}
+
+TEST(HistKernelsRandom, SixteenBitCodesMatchDirectCounts) {
+  for (const uint64_t seed : {21u, 22u}) {
+    for (const int64_t n : {int64_t{511}, int64_t{1500}}) {
+      const RandomColumn t = MakeWideColumn(n, 2, seed);
+      ASSERT_EQ(t.codes.width(0), 2) << ">255 intervals must code as u16";
+      for (const auto& rids : BatchShapes(n, seed)) {
+        ASSERT_EQ(Kernel1D(t, rids, 2), Direct1D(t, rids, 2))
+            << "1d seed=" << seed << " n=" << n;
+        ASSERT_EQ(Kernel2D(t, rids, 2), Direct2D(t, rids, 2))
+            << "2d seed=" << seed << " n=" << n;
+      }
+    }
+  }
+}
+
+TEST(HistKernelsRandom, BivariateMatchesDirectCountsOnRandomTables) {
+  for (const uint64_t seed : {31u, 32u, 33u}) {
+    const int64_t n = 511;
+    const RandomColumn t = MakeRandomColumn(n, 30, 3, seed);
+    for (const auto& rids : BatchShapes(n, seed + 7)) {
+      ASSERT_EQ(Kernel2D(t, rids, 3), Direct2D(t, rids, 3))
+          << "seed=" << seed << " batch=" << rids.size();
+    }
+  }
+}
 
 // Encodes a full dataset the way the builder does after grid
 // construction: numeric columns as interval indices, categorical
@@ -188,27 +383,10 @@ TEST_F(HistKernelsTest, BatchMatchesRecordMajorBivariateSubRange) {
   ExpectSameCells(batched, serial);
 }
 
-TEST_F(HistKernelsTest, SubtractSameShapeEqualsDirectScanOfOtherChild) {
-  // The sibling-subtraction identity: parent minus left child == right
-  // child, as exact integer counts.
-  const AttrId split_attr = ds_.schema().FindAttr("salary");
-  const double cut = 65000.0;
-  HistBundle parent = HistBundle::MakeUnivariate(ds_.schema(), grids_);
-  HistBundle left = HistBundle::MakeUnivariate(ds_.schema(), grids_);
-  HistBundle right = HistBundle::MakeUnivariate(ds_.schema(), grids_);
-  for (RecordId r = 0; r < ds_.num_records(); ++r) {
-    parent.Add(ds_, grids_, r);
-    (ds_.numeric(split_attr, r) <= cut ? left : right).Add(ds_, grids_, r);
-  }
-  ASSERT_TRUE(parent.SameShapeAs(left));
-  parent.SubtractSameShape(left);
-  ExpectSameCells(parent, right);
-}
-
 // Build-level identity: the tree bytes must not depend on which scan
-// path ran. Every combination of {code cache, sibling subtraction} and
-// thread count must reproduce the plain record-major single-thread tree,
-// for every CMP variant.
+// path ran. Every combination of code cache and thread count must
+// reproduce the plain record-major single-thread tree, for every CMP
+// variant.
 TEST(HistKernelsBuild, TreeBytesInvariantAcrossScanPaths) {
   AgrawalOptions gen;
   gen.function = AgrawalFunction::kF6;  // pendings + linear splits
@@ -221,23 +399,17 @@ TEST(HistKernelsBuild, TreeBytesInvariantAcrossScanPaths) {
     base.base.in_memory_threshold = 256;  // keep the collect path in play
     CmpOptions plain = base;
     plain.bin_code_cache = false;
-    plain.sibling_subtraction = false;
     const std::string reference =
         SerializeTree(CmpBuilder(plain).Build(train).tree);
     ASSERT_FALSE(reference.empty());
     for (const bool codes : {false, true}) {
-      for (const bool subtract : {false, true}) {
-        for (const int threads : {1, 4}) {
-          CmpOptions o = base;
-          o.bin_code_cache = codes;
-          o.sibling_subtraction = subtract;
-          o.base.num_threads = threads;
-          o.scan_shards = threads;
-          EXPECT_EQ(SerializeTree(CmpBuilder(o).Build(train).tree),
-                    reference)
-              << "codes=" << codes << " subtract=" << subtract
-              << " threads=" << threads;
-        }
+      for (const int threads : {1, 4}) {
+        CmpOptions o = base;
+        o.bin_code_cache = codes;
+        o.base.num_threads = threads;
+        o.scan_shards = threads;
+        EXPECT_EQ(SerializeTree(CmpBuilder(o).Build(train).tree), reference)
+            << "codes=" << codes << " threads=" << threads;
       }
     }
   }

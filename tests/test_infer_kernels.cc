@@ -1,5 +1,5 @@
 // Differential fuzz suite for the vectorized batch-inference engine:
-// every runnable kernel tier (scalar gang, SSE2, AVX2) must produce
+// every runnable kernel tier (scalar gang, AVX2) must produce
 // predictions byte-identical to the scalar PredictRow walker, across
 // batch remainders smaller than a vector, both `.cmpb` node layouts
 // (preorder and cache-blocked), random ensembles, and a trained boost
@@ -196,11 +196,6 @@ struct DatasetColumns {
 std::vector<std::pair<std::string, const InferKernelOps*>> RunnableTiers() {
   std::vector<std::pair<std::string, const InferKernelOps*>> tiers;
   tiers.emplace_back("scalar", &InferKernelOpsFor(KernelIsa::kScalar));
-  if (KernelIsaSupported(KernelIsa::kSse2)) {
-    if (const InferKernelOps* ops = Sse2InferKernelOpsOrNull()) {
-      tiers.emplace_back("sse2", ops);
-    }
-  }
   if (KernelIsaSupported(KernelIsa::kAvx2)) {
     if (const InferKernelOps* ops = Avx2InferKernelOpsOrNull()) {
       tiers.emplace_back("avx2", ops);
@@ -270,8 +265,8 @@ TEST(InferKernels, TiersMatchPredictRowAcrossLayoutsAndRemainders) {
       ASSERT_EQ(gang, reference);
 
       for (const auto& [name, ops] : tiers) {
-        // Batch sizes 0..17 cover every remainder of the 8- and 4-lane
-        // tiers (and the sub-vector scalar fallback) at both ends of
+        // Batch sizes 0..17 cover every remainder of the 8-lane tier
+        // (and the sub-vector scalar fallback) at both ends of
         // the range; two larger sizes exercise refill and drain.
         std::vector<int64_t> sizes;
         for (int64_t s = 0; s <= 17; ++s) sizes.push_back(s);
@@ -322,8 +317,7 @@ TEST(InferKernels, BatchPredictorEntryPointsAgreeAcrossActiveTiers) {
   }
 
   const KernelIsa before = ActiveKernelIsa();
-  for (const KernelIsa isa :
-       {KernelIsa::kScalar, KernelIsa::kSse2, KernelIsa::kAvx2}) {
+  for (const KernelIsa isa : {KernelIsa::kScalar, KernelIsa::kAvx2}) {
     if (!SetKernelIsa(isa)) continue;
     PredictOptions opts;
     opts.want_probs = true;
@@ -394,8 +388,7 @@ TEST(InferKernels, EnsembleInterleavingMatchesPerRowReference) {
       }
     }
 
-    for (const KernelIsa isa :
-         {KernelIsa::kScalar, KernelIsa::kSse2, KernelIsa::kAvx2}) {
+    for (const KernelIsa isa : {KernelIsa::kScalar, KernelIsa::kAvx2}) {
       if (!SetKernelIsa(isa)) continue;
       const EnsemblePredictor ensemble(compiled, vote);
       PredictOptions opts;
@@ -444,8 +437,7 @@ TEST(InferKernels, BoostForestIdenticalAcrossTiersAndLayouts) {
     const CompiledModel model = CompileModel(ptrs, pack, &error);
     ASSERT_FALSE(model.empty()) << error;
     ASSERT_EQ(model.layout, layout);
-    for (const KernelIsa isa :
-         {KernelIsa::kScalar, KernelIsa::kSse2, KernelIsa::kAvx2}) {
+    for (const KernelIsa isa : {KernelIsa::kScalar, KernelIsa::kAvx2}) {
       if (!SetKernelIsa(isa)) continue;
       const EnsemblePredictor ensemble(model.trees, VoteKind::kAverageProb);
       const BatchResult got = ensemble.Predict(train);

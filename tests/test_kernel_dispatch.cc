@@ -1,37 +1,16 @@
-// Differential equivalence suite for the runtime-dispatched SIMD
-// kernels. The scalar tier is the reference semantics; every compiled
-// tier (sse2, avx2) must reproduce it EXACTLY — cell-identical
-// histograms on random tables at both code widths, and byte-identical
-// trees for whole builds — because the dispatcher swaps tiers in under
-// the bit-identical-trees contract with no per-tier goldens. The suite
-// also reruns the committed golden fixtures under every tier, so a tier
-// that silently diverged from the scalar ops would fail against the
-// same bytes the scalar build is pinned to.
-//
-// The 511-record cases double as the over-read regression test: the
-// vector tiers load codes four bytes at a time, so a batch ending at
-// the last record of a column walks right up to the kCodeColumnPadding
-// bytes BinCodeCache allocates past it. Under ASan (CMP_SANITIZE=
-// address) a missing pad is a hard failure here, not latent UB.
-#include "hist/hist_kernels.h"
+// Runtime kernel-tier dispatch (common/cpu_features.h): tier detection,
+// parsing and selection, plus the whole-build check that training does
+// not depend on the selected tier. Only batch tree descent dispatches on
+// the tier; its per-tier equivalence suite is tests/test_infer_kernels.cc.
+#include "common/cpu_features.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cstdint>
-#include <fstream>
-#include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "cmp/cmp.h"
-#include "common/cpu_features.h"
-#include "common/random.h"
 #include "datagen/agrawal.h"
-#include "hist/bin_codes.h"
-#include "hist/histogram1d.h"
-#include "hist/quantiles.h"
 #include "tree/serialize.h"
 
 namespace cmp {
@@ -48,260 +27,15 @@ class IsaGuard {
   KernelIsa prev_;
 };
 
-// Every tier this binary carries AND this host can execute. Scalar is
-// always first — the comparisons below treat tiers[0] as the reference.
-std::vector<std::pair<std::string, const HistKernelOps*>> RunnableTiers() {
-  std::vector<std::pair<std::string, const HistKernelOps*>> tiers;
-  tiers.emplace_back("scalar", &HistKernelOpsFor(KernelIsa::kScalar));
-  if (KernelIsaSupported(KernelIsa::kSse2)) {
-    if (const HistKernelOps* ops = Sse2HistKernelOpsOrNull()) {
-      tiers.emplace_back("sse2", ops);
-    }
-  }
-  if (KernelIsaSupported(KernelIsa::kAvx2)) {
-    if (const HistKernelOps* ops = Avx2HistKernelOpsOrNull()) {
-      tiers.emplace_back("avx2", ops);
-    }
-  }
-  return tiers;
-}
-
 std::vector<KernelIsa> RunnableIsas() {
   std::vector<KernelIsa> isas = {KernelIsa::kScalar};
-  if (KernelIsaSupported(KernelIsa::kSse2) && Sse2HistKernelOpsOrNull()) {
-    isas.push_back(KernelIsa::kSse2);
-  }
-  if (KernelIsaSupported(KernelIsa::kAvx2) && Avx2HistKernelOpsOrNull()) {
-    isas.push_back(KernelIsa::kAvx2);
-  }
+  if (KernelIsaSupported(KernelIsa::kAvx2)) isas.push_back(KernelIsa::kAvx2);
   return isas;
 }
 
-// A random single-column table encoded the way the builder encodes it:
-// values drawn from a SMALL discrete pool so the equal-depth grid sees
-// heavy duplicate cut points (the degenerate-boundary case), plus out-
-// of-range strays that land in the clamp intervals.
-struct RandomColumn {
-  IntervalGrid grid;
-  BinCodeCache codes;
-  std::vector<ClassId> labels;
-  int64_t n = 0;
-};
-
-std::vector<std::string> ClassNames(int num_classes) {
-  std::vector<std::string> names;
-  for (int c = 0; c < num_classes; ++c) {
-    std::string name = "c";
-    name += std::to_string(c);
-    names.push_back(std::move(name));
-  }
-  return names;
-}
-
-RandomColumn MakeRandomColumn(int64_t n, int num_intervals, int num_classes,
-                              uint64_t seed) {
-  Rng rng(seed);
-  std::vector<double> column(n);
-  RandomColumn out;
-  out.n = n;
-  out.labels.resize(n);
-  for (int64_t i = 0; i < n; ++i) {
-    // ~12 distinct values for a grid asked for up to `num_intervals`
-    // cuts: most candidate boundaries repeat.
-    column[i] = static_cast<double>(rng.UniformInt(0, 11)) * 3.5;
-    if (rng.UniformDouble() < 0.05) column[i] = rng.Uniform(-100.0, 500.0);
-    out.labels[i] = static_cast<ClassId>(rng.UniformInt(0, num_classes - 1));
-  }
-  std::vector<double> sorted = column;
-  std::sort(sorted.begin(), sorted.end());
-  out.grid = IntervalGrid::EqualDepthFromSorted(sorted, num_intervals);
-  Schema schema({{"x", AttrKind::kNumeric, 0}}, ClassNames(num_classes));
-  out.codes = BinCodeCache(schema, n, /*max_intervals=*/
-                           std::max(num_intervals, 4));
-  EXPECT_TRUE(out.codes.enabled());
-  out.codes.EncodeNumericColumn(0, out.grid, column);
-  out.codes.SetLabels(out.labels);
-  return out;
-}
-
-// A u16-coded column: >255 intervals forces the 2-byte kernels.
-RandomColumn MakeWideColumn(int64_t n, int num_classes, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<double> cuts;
-  for (int i = 0; i < 300; ++i) cuts.push_back(static_cast<double>(i));
-  RandomColumn out;
-  out.n = n;
-  out.grid = IntervalGrid::FromBoundaries(std::move(cuts), 0.0, 300.0);
-  std::vector<double> column(n);
-  out.labels.resize(n);
-  for (int64_t i = 0; i < n; ++i) {
-    column[i] = rng.Uniform(-5.0, 305.0);
-    out.labels[i] = static_cast<ClassId>(rng.UniformInt(0, num_classes - 1));
-  }
-  Schema schema({{"x", AttrKind::kNumeric, 0}}, ClassNames(num_classes));
-  out.codes = BinCodeCache(schema, n, /*max_intervals=*/1024);
-  EXPECT_TRUE(out.codes.enabled());
-  out.codes.EncodeNumericColumn(0, out.grid, column);
-  out.codes.SetLabels(out.labels);
-  return out;
-}
-
-// Batch shapes the scan actually produces: a contiguous block, an
-// ascending subset with gaps, and a shuffled batch (the kernels don't
-// require ascending order, so the equivalence shouldn't either).
-std::vector<std::vector<RecordId>> BatchShapes(int64_t n, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<std::vector<RecordId>> batches;
-  std::vector<RecordId> contiguous;
-  for (RecordId r = n / 4; r < n - n / 4; ++r) contiguous.push_back(r);
-  batches.push_back(std::move(contiguous));
-  std::vector<RecordId> gaps;
-  for (RecordId r = 0; r < n; ++r) {
-    if (rng.UniformDouble() < 0.55) gaps.push_back(r);
-  }
-  batches.push_back(gaps);
-  std::vector<RecordId> shuffled = batches.back();
-  for (size_t i = shuffled.size(); i > 1; --i) {
-    std::swap(shuffled[i - 1],
-              shuffled[static_cast<size_t>(rng.UniformInt(0, i - 1))]);
-  }
-  batches.push_back(std::move(shuffled));
-  // The full range ending at the LAST record: the padding walk.
-  std::vector<RecordId> all(n);
-  for (RecordId r = 0; r < n; ++r) all[r] = r;
-  batches.push_back(std::move(all));
-  return batches;
-}
-
-void RunTier1D(const HistKernelOps& ops, const RandomColumn& t,
-               const std::vector<RecordId>& rids, int nc,
-               std::vector<int64_t>* cells) {
-  std::vector<ClassId> labels(rids.size());
-  ops.gather_labels(t.codes.labels(), rids.data(), rids.size(),
-                    labels.data());
-  cells->assign(static_cast<size_t>(t.grid.num_intervals()) * nc, 0);
-  const CodeView view = t.codes.view(0);
-  if (t.codes.width(0) == 1) {
-    ops.accum1d_u8(view.u8, labels.data(), rids.data(), rids.size(), nc,
-                   cells->data());
-  } else {
-    ops.accum1d_u16(view.u16, labels.data(), rids.data(), rids.size(), nc,
-                    cells->data());
-  }
-}
-
-// Drives accum2d with the table's own column serving as both the X and
-// Y axis of a bivariate cell grid (x_lo strips the leading quarter of
-// the rows, like a child bundle covering a sub-range).
-void RunTier2D(const HistKernelOps& ops, const RandomColumn& t,
-               const std::vector<RecordId>& rids, int nc,
-               std::vector<int64_t>* cells) {
-  const int q = t.grid.num_intervals();
-  const int x_lo = q / 4;
-  std::vector<RecordId> inside;
-  for (const RecordId r : rids) {
-    if (t.codes.code(0, r) >= x_lo) inside.push_back(r);
-  }
-  std::vector<ClassId> labels(inside.size());
-  std::vector<int32_t> xrows(inside.size());
-  ops.gather_labels(t.codes.labels(), inside.data(), inside.size(),
-                    labels.data());
-  const CodeView view = t.codes.view(0);
-  const int nx = q - x_lo;
-  cells->assign(static_cast<size_t>(nx) * q * nc, 0);
-  if (t.codes.width(0) == 1) {
-    ops.gather_xrows_u8(view.u8, x_lo, inside.data(), inside.size(),
-                        xrows.data());
-    ops.accum2d_u8(xrows.data(), view.u8, labels.data(), inside.data(),
-                   inside.size(), q, nc, cells->data());
-  } else {
-    ops.gather_xrows_u16(view.u16, x_lo, inside.data(), inside.size(),
-                         xrows.data());
-    ops.accum2d_u16(xrows.data(), view.u16, labels.data(), inside.data(),
-                    inside.size(), q, nc, cells->data());
-  }
-}
-
-// Naive reference built straight from codes + labels, no kernels.
-void DirectCounts1D(const RandomColumn& t, const std::vector<RecordId>& rids,
-                    int nc, std::vector<int64_t>* cells) {
-  cells->assign(static_cast<size_t>(t.grid.num_intervals()) * nc, 0);
-  for (const RecordId r : rids) {
-    (*cells)[static_cast<size_t>(t.codes.code(0, r)) * nc + t.labels[r]]++;
-  }
-}
-
-TEST(KernelDispatch, EveryTierMatchesDirectCountsOnRandomTables) {
-  const auto tiers = RunnableTiers();
-  ASSERT_FALSE(tiers.empty());
-  for (const uint64_t seed : {11u, 12u, 13u, 14u}) {
-    // 511 records: ends one short of a round chunk, so every tier runs
-    // its vector body AND its tail, and the final loads touch the last
-    // record of the column (the padding case under ASan).
-    for (const int64_t n : {int64_t{511}, int64_t{2048}, int64_t{37}}) {
-      for (const int nc : {2, 5}) {
-        const RandomColumn t = MakeRandomColumn(n, 40, nc, seed);
-        for (const auto& rids : BatchShapes(n, seed * 3 + nc)) {
-          std::vector<int64_t> want;
-          DirectCounts1D(t, rids, nc, &want);
-          for (const auto& [name, ops] : RunnableTiers()) {
-            std::vector<int64_t> got;
-            RunTier1D(*ops, t, rids, nc, &got);
-            ASSERT_EQ(got, want)
-                << name << " seed=" << seed << " n=" << n << " nc=" << nc
-                << " batch=" << rids.size();
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST(KernelDispatch, EveryTierMatchesScalarOnSixteenBitCodes) {
-  const auto tiers = RunnableTiers();
-  for (const uint64_t seed : {21u, 22u}) {
-    for (const int64_t n : {int64_t{511}, int64_t{1500}}) {
-      const RandomColumn t = MakeWideColumn(n, 2, seed);
-      ASSERT_EQ(t.codes.width(0), 2) << ">255 intervals must code as u16";
-      for (const auto& rids : BatchShapes(n, seed)) {
-        std::vector<int64_t> want1d, want2d;
-        RunTier1D(*tiers[0].second, t, rids, 2, &want1d);
-        RunTier2D(*tiers[0].second, t, rids, 2, &want2d);
-        std::vector<int64_t> direct;
-        DirectCounts1D(t, rids, 2, &direct);
-        ASSERT_EQ(want1d, direct) << "scalar vs naive";
-        for (size_t i = 1; i < tiers.size(); ++i) {
-          std::vector<int64_t> got;
-          RunTier1D(*tiers[i].second, t, rids, 2, &got);
-          ASSERT_EQ(got, want1d) << tiers[i].first << " 1d seed=" << seed;
-          RunTier2D(*tiers[i].second, t, rids, 2, &got);
-          ASSERT_EQ(got, want2d) << tiers[i].first << " 2d seed=" << seed;
-        }
-      }
-    }
-  }
-}
-
-TEST(KernelDispatch, BivariateTiersMatchScalarOnRandomTables) {
-  const auto tiers = RunnableTiers();
-  for (const uint64_t seed : {31u, 32u, 33u}) {
-    const int64_t n = 511;
-    const RandomColumn t = MakeRandomColumn(n, 30, 3, seed);
-    for (const auto& rids : BatchShapes(n, seed + 7)) {
-      std::vector<int64_t> want;
-      RunTier2D(*tiers[0].second, t, rids, 3, &want);
-      for (size_t i = 1; i < tiers.size(); ++i) {
-        std::vector<int64_t> got;
-        RunTier2D(*tiers[i].second, t, rids, 3, &got);
-        ASSERT_EQ(got, want) << tiers[i].first << " seed=" << seed;
-      }
-    }
-  }
-}
-
 // Whole-build identity: the serialized tree must not depend on the
-// kernel tier, the thread count, or the {codes, subtraction} toggles —
-// the full cross product collapses onto one byte string.
+// kernel tier, the thread count, or the code-cache toggle — the full
+// cross product collapses onto one byte string.
 TEST(KernelDispatch, TreeBytesInvariantAcrossTiersThreadsAndToggles) {
   IsaGuard guard;
   AgrawalOptions gen;
@@ -316,7 +50,6 @@ TEST(KernelDispatch, TreeBytesInvariantAcrossTiersThreadsAndToggles) {
   ASSERT_TRUE(SetKernelIsa(KernelIsa::kScalar));
   CmpOptions ref = base;
   ref.bin_code_cache = false;
-  ref.sibling_subtraction = false;
   const std::string reference =
       SerializeTree(CmpBuilder(ref).Build(train).tree);
   ASSERT_FALSE(reference.empty());
@@ -324,62 +57,18 @@ TEST(KernelDispatch, TreeBytesInvariantAcrossTiersThreadsAndToggles) {
   for (const KernelIsa isa : RunnableIsas()) {
     ASSERT_TRUE(SetKernelIsa(isa));
     for (const bool codes : {true, false}) {
-      for (const bool subtract : {true, false}) {
-        for (const int threads : {1, 2, 4}) {
-          CmpOptions o = base;
-          o.bin_code_cache = codes;
-          o.sibling_subtraction = subtract;
-          o.base.num_threads = threads;
-          o.scan_shards = threads;
-          EXPECT_EQ(SerializeTree(CmpBuilder(o).Build(train).tree),
-                    reference)
-              << KernelIsaName(isa) << " codes=" << codes
-              << " subtract=" << subtract << " threads=" << threads;
-        }
+      for (const int threads : {1, 2, 4}) {
+        CmpOptions o = base;
+        o.bin_code_cache = codes;
+        o.base.num_threads = threads;
+        o.scan_shards = threads;
+        EXPECT_EQ(SerializeTree(CmpBuilder(o).Build(train).tree), reference)
+            << KernelIsaName(isa) << " codes=" << codes
+            << " threads=" << threads;
       }
     }
   }
 }
-
-// The committed golden fixtures were produced under the scalar
-// semantics; every tier must retrain to the same bytes. This is the
-// cross-check that pins the SIMD tiers to the SAME reference the rest
-// of the suite is pinned to, not merely to each other.
-TEST(KernelDispatch, GoldenFixturesReproduceUnderEveryTier) {
-  IsaGuard guard;
-  AgrawalOptions gen;
-  gen.function = AgrawalFunction::kF2;
-  gen.num_records = 6000;
-  gen.seed = 71;
-  const Dataset train = GenerateAgrawal(gen);
-
-  const std::string path = std::string(CMP_GOLDEN_DIR) + "/cmp_b.tree";
-  std::ifstream is(path, std::ios::binary);
-  ASSERT_TRUE(is.good()) << "missing fixture " << path;
-  std::ostringstream buffer;
-  buffer << is.rdbuf();
-  const std::string fixture = buffer.str();
-
-  for (const KernelIsa isa : RunnableIsas()) {
-    ASSERT_TRUE(SetKernelIsa(isa));
-    CmpOptions o = CmpBOptions();
-    o.base.in_memory_threshold = 512;  // mirror test_golden's ScanHeavy
-    EXPECT_EQ(SerializeTree(CmpBuilder(o).Build(train).tree), fixture)
-        << KernelIsaName(isa)
-        << ": retrained tree differs from the committed scalar-era "
-           "fixture — this tier's kernels are not bit-equivalent";
-  }
-
-  // And once more under the auto selection, whatever it picks here.
-  ASSERT_TRUE(SetKernelIsa(DetectKernelIsa()));
-  CmpOptions o = CmpBOptions();
-  o.base.in_memory_threshold = 512;
-  EXPECT_EQ(SerializeTree(CmpBuilder(o).Build(train).tree), fixture)
-      << "auto (" << KernelIsaName(ActiveKernelIsa()) << ")";
-}
-
-// ---------------------------------------------------------------------
-// Dispatch plumbing.
 
 TEST(KernelDispatch, ScalarAlwaysSupportedAndSelectable) {
   IsaGuard guard;
@@ -402,12 +91,11 @@ TEST(KernelDispatch, ParseAcceptsTierNamesAndAuto) {
   KernelIsa isa;
   EXPECT_TRUE(ParseKernelIsa("scalar", &isa));
   EXPECT_EQ(isa, KernelIsa::kScalar);
-  EXPECT_TRUE(ParseKernelIsa("sse2", &isa));
-  EXPECT_EQ(isa, KernelIsa::kSse2);
   EXPECT_TRUE(ParseKernelIsa("avx2", &isa));
   EXPECT_EQ(isa, KernelIsa::kAvx2);
   EXPECT_TRUE(ParseKernelIsa("auto", &isa));
   EXPECT_EQ(isa, DetectKernelIsa());
+  EXPECT_FALSE(ParseKernelIsa("sse2", &isa));  // tier removed
   EXPECT_FALSE(ParseKernelIsa("avx512", &isa));
   EXPECT_FALSE(ParseKernelIsa("", &isa));
   EXPECT_FALSE(ParseKernelIsa("Scalar", &isa));  // names are lowercase
@@ -421,34 +109,9 @@ TEST(KernelDispatch, SelectByNameReportsUnknownTiers) {
   EXPECT_FALSE(SelectKernelIsaByName("bogus", &error));
   EXPECT_NE(error.find("unknown kernel tier 'bogus'"), std::string::npos)
       << error;
-}
-
-TEST(KernelDispatch, PublicEntryPointsFollowActiveTier) {
-  // The un-suffixed entry points must produce scalar-identical cells no
-  // matter which tier is active (smoke check that the atomic dispatch
-  // actually routes somewhere equivalent).
-  IsaGuard guard;
-  const RandomColumn t = MakeRandomColumn(511, 25, 2, 47);
-  std::vector<RecordId> rids(511);
-  for (RecordId r = 0; r < 511; ++r) rids[r] = r;
-  std::vector<int64_t> want;
-  DirectCounts1D(t, rids, 2, &want);
-  for (const KernelIsa isa : RunnableIsas()) {
-    ASSERT_TRUE(SetKernelIsa(isa));
-    KernelScratch scratch;
-    GatherLabels(t.codes.labels(), rids.data(), rids.size(),
-                 &scratch.labels);
-    Histogram1D hist(t.grid.num_intervals(), 2);
-    AccumulateHist1D(t.codes.view(0), scratch.labels.data(), rids.data(),
-                     rids.size(), 2, hist.data());
-    std::vector<int64_t> got(want.size());
-    for (int i = 0; i < hist.num_intervals(); ++i) {
-      for (ClassId c = 0; c < 2; ++c) {
-        got[static_cast<size_t>(i) * 2 + c] = hist.count(i, c);
-      }
-    }
-    EXPECT_EQ(got, want) << KernelIsaName(isa);
-  }
+  EXPECT_FALSE(SelectKernelIsaByName("sse2", &error));
+  EXPECT_NE(error.find("auto|scalar|avx2"), std::string::npos) << error;
+  EXPECT_EQ(ActiveKernelIsa(), KernelIsa::kScalar);
 }
 
 }  // namespace
