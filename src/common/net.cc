@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -61,6 +62,13 @@ bool LineReader::ReadLine(std::string* out) {
     if (n <= 0) return false;
     buf_.append(chunk, static_cast<size_t>(n));
   }
+}
+
+void SetNoDelay(int fd) {
+  // Fails with EOPNOTSUPP on non-TCP sockets, which have no Nagle delay
+  // to turn off; nothing to report either way.
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
 namespace {

@@ -7,7 +7,8 @@
 namespace cmp {
 
 /// Shared POSIX socket helpers for the serving daemon (serve/server.cc),
-/// the cmpserve front end, and the distributed-training coordinator.
+/// its client (serve/client.cc), the cmpserve front end, and the
+/// distributed-training coordinator.
 /// All of them speak over blocking stream sockets and need the same
 /// four things: ride out EINTR, survive partial reads/writes, never die
 /// on SIGPIPE, and hand a listening socket back with its resolved port.
@@ -39,6 +40,11 @@ class LineReader {
   int fd_;
   std::string buf_;
 };
+
+/// Sets TCP_NODELAY so small replies leave at once instead of waiting
+/// under Nagle's algorithm for the peer's (delayed) ACK. A no-op on
+/// sockets without Nagle, such as AF_UNIX.
+void SetNoDelay(int fd);
 
 /// Binds and listens on host:port (SO_REUSEADDR; port 0 binds an
 /// ephemeral port). On success returns the fd and stores the resolved

@@ -35,6 +35,7 @@ std::future<RowReply> MicroBatcher::Submit(
       return fut;
     }
     pending_.push_back(std::move(req));
+    if (stats_ != nullptr) stats_->AddQueueDepth(1);
     if (static_cast<int>(pending_.size()) >= policy_.max_rows) {
       full.swap(pending_);
     } else if (pending_.size() == 1) {
@@ -44,6 +45,15 @@ std::future<RowReply> MicroBatcher::Submit(
   }
   if (!full.empty()) Dispatch(std::move(full), /*inline_run=*/false);
   return fut;
+}
+
+void MicroBatcher::Flush() {
+  std::vector<Request> batch;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    batch.swap(pending_);
+  }
+  Dispatch(std::move(batch), /*inline_run=*/false);
 }
 
 void MicroBatcher::FlusherLoop() {
@@ -86,15 +96,21 @@ void MicroBatcher::Dispatch(std::vector<Request> batch, bool inline_run) {
 }
 
 void MicroBatcher::RunBatch(std::vector<Request>* batch) const {
+  const auto started = std::chrono::steady_clock::now();
   // Group row indices by model instance (pointer identity: two versions
   // of one name are distinct groups, which is exactly what a mid-queue
   // swap requires).
   std::map<const ServedModel*, std::vector<size_t>> groups;
   for (size_t i = 0; i < batch->size(); ++i) {
     groups[(*batch)[i].model.get()].push_back(i);
+    if (stats_ != nullptr) {
+      stats_->stages().queue_wait.Record(
+          NanosBetween((*batch)[i].enqueued, started));
+    }
   }
 
   for (auto& [model, rows] : groups) {
+    const auto group_start = std::chrono::steady_clock::now();
     const int32_t na = model->schema().num_attrs();
     const int32_t nc = model->num_classes();
     const int64_t n = static_cast<int64_t>(rows.size());
@@ -132,8 +148,10 @@ void MicroBatcher::RunBatch(std::vector<Request>* batch) const {
     // Account before fulfilling: a client that pipelines `stats` behind
     // its own reply must see counters that already include its rows.
     if (stats_ != nullptr) {
+      stats_->stages().score.Record(NanosBetween(group_start, done));
       stats_->AddRows(static_cast<uint64_t>(n));
       stats_->AddBatch();
+      stats_->AddQueueDepth(-n);
     }
     for (int64_t r = 0; r < n; ++r) {
       Request& req = (*batch)[rows[r]];
@@ -146,10 +164,7 @@ void MicroBatcher::RunBatch(std::vector<Request>* batch) const {
                            result.probs.begin() + (r + 1) * nc);
       }
       if (stats_ != nullptr) {
-        stats_->request_latency().Record(static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                done - req.enqueued)
-                .count()));
+        stats_->request_latency().Record(NanosBetween(req.enqueued, done));
       }
       req.promise.set_value(std::move(reply));
     }

@@ -43,12 +43,13 @@ struct BatchPolicy {
 /// caller and parks it; a batch flushes when it reaches
 /// `policy.max_rows` or when the oldest row has waited
 /// `policy.max_delay_us` (a dedicated flusher thread watches the
-/// deadline). Flushed batches are grouped by model — one PredictRows
-/// call per distinct model — and run as tasks on the shared ThreadPool,
-/// where the predictor's own ParallelFor further splits large groups.
-/// Each row's future is fulfilled with its label/probs and the version
-/// that scored it; per-row queue+score latency is recorded into
-/// `stats` at fulfillment time.
+/// deadline), or when a caller calls Flush(). Flushed batches are
+/// grouped by model — one PredictRows call per distinct model — and run
+/// as tasks on the shared ThreadPool, where the predictor's own
+/// ParallelFor further splits large groups. Each row's future is
+/// fulfilled with its label/probs and the version that scored it;
+/// per-row queue+score latency, the queue-wait and score stages and the
+/// queue depth are recorded into `stats`.
 ///
 /// Because rows carry their own shared_ptr<const ServedModel>, a hot
 /// swap mid-queue is torn-read-free by construction: rows submitted
@@ -69,6 +70,11 @@ class MicroBatcher {
                                std::vector<double> numeric,
                                std::vector<int32_t> categorical,
                                bool want_probs);
+
+  /// Dispatches every pending row now, as a full batch would be. For
+  /// callers that know no more rows are coming — a `batch` request once
+  /// all its rows are submitted — so they do not wait out the deadline.
+  void Flush();
 
   /// Flushes anything pending and stops the flusher thread. Submissions
   /// after Stop() resolve immediately with an error reply. Idempotent;

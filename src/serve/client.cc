@@ -18,7 +18,7 @@ void ServeClient::Close() {
     ::close(fd_);
     fd_ = -1;
   }
-  rbuf_.clear();
+  reader_ = LineReader(-1);
 }
 
 bool ServeClient::ConnectTcp(const std::string& host, int port,
@@ -45,6 +45,8 @@ bool ServeClient::ConnectTcp(const std::string& host, int port,
     Close();
     return false;
   }
+  SetNoDelay(fd_);
+  reader_ = LineReader(fd_);
   return true;
 }
 
@@ -70,41 +72,16 @@ bool ServeClient::ConnectUnix(const std::string& path, std::string* error) {
     Close();
     return false;
   }
+  reader_ = LineReader(fd_);
   return true;
 }
 
 bool ServeClient::Send(const std::string& line) {
-  if (fd_ < 0) return false;
-  const std::string framed = line + "\n";
-  size_t off = 0;
-  while (off < framed.size()) {
-    const ssize_t n =
-        ::send(fd_, framed.data() + off, framed.size() - off, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<size_t>(n);
-  }
-  return true;
+  return fd_ >= 0 && SendLine(fd_, line);
 }
 
 bool ServeClient::Recv(std::string* line) {
-  if (fd_ < 0) return false;
-  while (true) {
-    const size_t nl = rbuf_.find('\n');
-    if (nl != std::string::npos) {
-      line->assign(rbuf_, 0, nl);
-      if (!line->empty() && line->back() == '\r') line->pop_back();
-      rbuf_.erase(0, nl + 1);
-      return true;
-    }
-    char chunk[4096];
-    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return false;
-    rbuf_.append(chunk, static_cast<size_t>(n));
-  }
+  return fd_ >= 0 && reader_.ReadLine(line);
 }
 
 bool ServeClient::Rpc(const std::string& line, std::string* reply) {

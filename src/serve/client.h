@@ -4,6 +4,8 @@
 #include <string>
 #include <vector>
 
+#include "common/net.h"
+
 namespace cmp {
 
 /// Minimal blocking client for the cmpserve line protocol, used by the
@@ -39,7 +41,7 @@ class ServeClient {
 
  private:
   int fd_ = -1;
-  std::string rbuf_;
+  LineReader reader_{-1};
 };
 
 }  // namespace cmp

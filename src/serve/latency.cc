@@ -96,8 +96,18 @@ double ServeStats::UptimeSeconds() const {
       .count();
 }
 
+namespace {
+
+void WriteHistogram(std::ostream& os, const LatencyHistogram& hist) {
+  const LatencyHistogram::Snapshot s = hist.Snap();
+  os << "{\"count\":" << s.count << ",\"mean\":" << s.mean_us
+     << ",\"p50\":" << s.p50_us << ",\"p99\":" << s.p99_us
+     << ",\"max\":" << s.max_us << "}";
+}
+
+}  // namespace
+
 std::string ServeStats::ToJson() const {
-  const LatencyHistogram::Snapshot lat = request_latency_.Snap();
   const double up = UptimeSeconds();
   const uint64_t rows = rows_.load(std::memory_order_relaxed);
   const uint64_t batches = batches_.load(std::memory_order_relaxed);
@@ -121,10 +131,17 @@ std::string ServeStats::ToJson() const {
      // startup, so it always names what the next batch will run
      // (matching the train-side kernel_isa stats field).
      << ",\"kernel_isa\":\"" << KernelIsaName(ActiveKernelIsa()) << "\""
-     << ",\"batch_fill\":" << batch_fill
-     << ",\"latency_us\":{\"count\":" << lat.count
-     << ",\"mean\":" << lat.mean_us << ",\"p50\":" << lat.p50_us
-     << ",\"p99\":" << lat.p99_us << ",\"max\":" << lat.max_us << "}}";
+     << ",\"batch_fill\":" << batch_fill << ",\"latency_us\":";
+  WriteHistogram(os, request_latency_);
+  os << ",\"stages_us\":{\"parse\":";
+  WriteHistogram(os, stages_.parse);
+  os << ",\"queue_wait\":";
+  WriteHistogram(os, stages_.queue_wait);
+  os << ",\"score\":";
+  WriteHistogram(os, stages_.score);
+  os << ",\"reply_write\":";
+  WriteHistogram(os, stages_.reply_write);
+  os << "},\"queue_depth\":" << queue_depth() << "}";
   return os.str();
 }
 

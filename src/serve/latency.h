@@ -49,6 +49,23 @@ class LatencyHistogram {
   std::atomic<uint64_t> max_ns_{0};
 };
 
+/// Nanoseconds from `from` to a later `to`, in the unit Record() takes.
+inline uint64_t NanosBetween(std::chrono::steady_clock::time_point from,
+                             std::chrono::steady_clock::time_point to) {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(to - from).count());
+}
+
+/// Where a served row's time goes, one histogram per stage of the
+/// request path.
+struct StageLatencies {
+  LatencyHistogram parse;        // one CSV row -> dense slots, per row
+  LatencyHistogram queue_wait;   // enqueue -> its batch starts scoring
+  LatencyHistogram score;        // transpose + descent, per model group
+                                 // of a flushed batch
+  LatencyHistogram reply_write;  // the send of one whole reply
+};
+
 /// Serving-wide counters: request latency plus throughput/traffic
 /// totals, all relaxed atomics so the hot path never takes a lock to
 /// account for itself. Rendered as one JSON object by the `stats`
@@ -59,6 +76,17 @@ class ServeStats {
 
   LatencyHistogram& request_latency() { return request_latency_; }
   const LatencyHistogram& request_latency() const { return request_latency_; }
+  StageLatencies& stages() { return stages_; }
+  const StageLatencies& stages() const { return stages_; }
+
+  /// Rows accepted by the batcher and not yet scored: +1 per submitted
+  /// row, -n when a batch of n is fulfilled.
+  void AddQueueDepth(int64_t delta) {
+    queue_depth_.fetch_add(delta, std::memory_order_relaxed);
+  }
+  int64_t queue_depth() const {
+    return queue_depth_.load(std::memory_order_relaxed);
+  }
 
   void AddRows(uint64_t n) { rows_.fetch_add(n, std::memory_order_relaxed); }
   void AddRequests(uint64_t n) {
@@ -90,11 +118,16 @@ class ServeStats {
 
   /// One-line JSON: totals, sustained rows/sec since start, the active
   /// inference kernel tier, mean batch fill (rows per batch over the
-  /// configured capacity), and the request-latency percentiles.
+  /// configured capacity), the request-latency percentiles, then the
+  /// per-stage percentiles (`stages_us`) and `queue_depth`. New fields
+  /// go at the end: scrapers take the first "p50"/"p99" as the request
+  /// latency.
   std::string ToJson() const;
 
  private:
   LatencyHistogram request_latency_;
+  StageLatencies stages_;
+  std::atomic<int64_t> queue_depth_{0};
   std::atomic<uint64_t> rows_{0};
   std::atomic<uint64_t> requests_{0};
   std::atomic<uint64_t> batches_{0};

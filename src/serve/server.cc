@@ -59,6 +59,17 @@ bool ParseRow(const Schema& schema, const std::string& text,
   return na > 0;  // na == 0 is an unusable schema
 }
 
+/// ParseRow, timed into `hist`.
+bool TimedParseRow(const Schema& schema, const std::string& text,
+                   std::vector<double>* numeric,
+                   std::vector<int32_t>* categorical, std::string* error,
+                   LatencyHistogram* hist) {
+  const auto start = std::chrono::steady_clock::now();
+  const bool ok = ParseRow(schema, text, numeric, categorical, error);
+  hist->Record(NanosBetween(start, std::chrono::steady_clock::now()));
+  return ok;
+}
+
 std::string LabelName(const Schema& schema, ClassId c) {
   if (c == kInvalidClass) return "?";
   return c < schema.num_classes() ? schema.class_name(c)
@@ -112,6 +123,7 @@ void ServeDaemon::AcceptLoop() {
       ::close(fd);
       return;
     }
+    SetNoDelay(fd);
     stats_.AddConnection();
     TrackConnection(fd);
     std::lock_guard<std::mutex> lock(conn_mu_);
@@ -194,8 +206,8 @@ bool ServeDaemon::HandlePredict(int fd, const std::string& rest,
   std::vector<double> numeric;
   std::vector<int32_t> categorical;
   std::string error;
-  if (!ParseRow(model->schema(), rest.substr(sp + 1), &numeric, &categorical,
-                &error)) {
+  if (!TimedParseRow(model->schema(), rest.substr(sp + 1), &numeric,
+                     &categorical, &error, &stats_.stages().parse)) {
     stats_.AddProtocolError();
     return SendLine(fd, "err " + error);
   }
@@ -204,7 +216,15 @@ bool ServeDaemon::HandlePredict(int fd, const std::string& rest,
   std::future<RowReply> fut = batcher_->Submit(
       std::move(model), std::move(numeric), std::move(categorical),
       want_probs);
-  return SendLine(fd, ReplyLine(schema, fut.get(), want_probs));
+  return WriteReply(fd, ReplyLine(schema, fut.get(), want_probs) + "\n");
+}
+
+bool ServeDaemon::WriteReply(int fd, const std::string& reply) {
+  const auto start = std::chrono::steady_clock::now();
+  const bool ok = SendAll(fd, reply);
+  stats_.stages().reply_write.Record(
+      NanosBetween(start, std::chrono::steady_clock::now()));
+  return ok;
 }
 
 bool ServeDaemon::HandleBatch(int fd, LineReader* reader,
@@ -218,18 +238,24 @@ bool ServeDaemon::HandleBatch(int fd, LineReader* reader,
     stats_.AddProtocolError();
     return SendLine(fd, "err usage: batch <model> <num-rows>");
   }
+  // Every multi-line reply below goes out as one buffer in one write:
+  // line-by-line sends would leave all but the first line waiting under
+  // Nagle for the client's delayed ACK.
+  std::string out;
   const std::shared_ptr<const ServedModel> model = registry_.Get(name);
   if (model == nullptr) {
     // The client has likely pipelined n row lines behind the verb;
     // consume them so they are not misread as requests, and keep the
     // reply shape (n row replies + done) invariant.
     stats_.AddProtocolError();
+    const std::string err = "err unknown model '" + name + "'\n";
     std::string discard;
     for (long i = 0; i < n; ++i) {
       if (!reader->ReadLine(&discard)) return false;
-      if (!SendLine(fd, "err unknown model '" + name + "'")) return false;
+      out += err;
     }
-    return SendLine(fd, "done 0");
+    out += "done 0\n";
+    return SendAll(fd, out);
   }
   const Schema& schema = model->schema();
 
@@ -251,7 +277,8 @@ bool ServeDaemon::HandleBatch(int fd, LineReader* reader,
     std::vector<double> numeric;
     std::vector<int32_t> categorical;
     std::string error;
-    if (!ParseRow(schema, row, &numeric, &categorical, &error)) {
+    if (!TimedParseRow(schema, row, &numeric, &categorical, &error,
+                       &stats_.stages().parse)) {
       parse_errors[static_cast<size_t>(i)] = error;
       futures.emplace_back();  // placeholder, never waited on
       continue;
@@ -260,21 +287,24 @@ bool ServeDaemon::HandleBatch(int fd, LineReader* reader,
                                        std::move(categorical),
                                        /*want_probs=*/false));
   }
+  // No more rows are coming from this request: score what is queued
+  // now instead of waiting out the batcher's deadline.
+  batcher_->Flush();
   stats_.AddRequests(static_cast<uint64_t>(n));
 
   long ok_rows = 0;
   for (long i = 0; i < n; ++i) {
-    std::string reply;
     if (!parse_errors[static_cast<size_t>(i)].empty()) {
-      reply = "err " + parse_errors[static_cast<size_t>(i)];
+      out += "err " + parse_errors[static_cast<size_t>(i)];
     } else {
-      reply = ReplyLine(schema, futures[static_cast<size_t>(i)].get(),
-                        /*want_probs=*/false);
+      out += ReplyLine(schema, futures[static_cast<size_t>(i)].get(),
+                       /*want_probs=*/false);
       ++ok_rows;
     }
-    if (!SendLine(fd, reply)) return false;
+    out += '\n';
   }
-  return SendLine(fd, "done " + std::to_string(ok_rows));
+  out += "done " + std::to_string(ok_rows) + "\n";
+  return WriteReply(fd, out);
 }
 
 void ServeDaemon::RequestShutdown() {

@@ -101,6 +101,9 @@ class ServeDaemon {
   bool HandleLine(int fd, LineReader* reader, const std::string& line);
   bool HandlePredict(int fd, const std::string& rest, bool want_probs);
   bool HandleBatch(int fd, LineReader* reader, const std::string& rest);
+  /// Sends a whole newline-terminated reply in one write, timed into the
+  /// reply_write stage.
+  bool WriteReply(int fd, const std::string& reply);
   void TrackConnection(int fd);
   void UntrackConnection(int fd);
 

@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -63,6 +66,20 @@ CompiledModel MakeModel(double threshold, bool flip) {
   return model;
 }
 
+// Polls `done` every millisecond until it holds or `timeout` passes;
+// returns whether it held. Concurrency tests pace themselves with this
+// instead of fixed sleeps, so a loaded machine slows them down rather
+// than failing them.
+template <typename Pred>
+bool WaitUntil(Pred done, std::chrono::milliseconds timeout) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
 TEST(ServeLatency, BucketMappingIsMonotone) {
   int prev = -1;
   for (uint64_t v : {0ull, 1ull, 2ull, 3ull, 4ull, 5ull, 7ull, 8ull, 15ull,
@@ -111,13 +128,24 @@ TEST(ServeStats, JsonHasTheContractFields) {
   ServeStats stats;
   stats.AddRows(5);
   stats.AddRequests(2);
+  stats.AddQueueDepth(3);
   stats.request_latency().Record(1000);
+  stats.stages().parse.Record(2000);
   const std::string json = stats.ToJson();
   for (const char* key :
        {"\"rows\":5", "\"requests\":2", "\"rows_per_sec\"", "\"p50\"",
-        "\"p99\"", "\"max\"", "\"swaps\"", "\"uptime_s\""}) {
+        "\"p99\"", "\"max\"", "\"swaps\"", "\"uptime_s\"", "\"stages_us\"",
+        "\"parse\":{\"count\":1", "\"queue_wait\"", "\"score\"",
+        "\"reply_write\"", "\"queue_depth\":3"}) {
     EXPECT_NE(json.find(key), std::string::npos) << key << " in " << json;
   }
+  // Scrapers read the first "p50"/"p99" as the request latency, so the
+  // stage histograms must come after latency_us.
+  const size_t latency = json.find("\"latency_us\"");
+  ASSERT_NE(latency, std::string::npos);
+  EXPECT_LT(latency, json.find("\"stages_us\""));
+  EXPECT_LT(latency, json.find("\"queue_depth\""));
+  EXPECT_GT(json.find("\"p50\""), latency);
 }
 
 TEST(ModelRegistry, PublishGetAndVersioning) {
@@ -188,17 +216,19 @@ TEST(ModelRegistry, SwapUnderConcurrentScoring) {
     });
   }
 
+  // The swaps only race the scorers if the scorers are already running.
+  EXPECT_TRUE(WaitUntil([&] { return scored.load() > 0; },
+                        std::chrono::milliseconds(5000)));
   for (int swap = 0; swap < 50; ++swap) {
     // Versions start at 2 here; flip on even versions keeps the
     // scorers' invariant in lockstep with the publish counter.
     const uint64_t v = registry.Publish(
         "hot", MakeModel(0.0, (swap % 2) == 0), "", &error);
-    ASSERT_EQ(v, static_cast<uint64_t>(swap) + 2);
+    EXPECT_EQ(v, static_cast<uint64_t>(swap) + 2);
     std::this_thread::yield();
   }
   stop.store(true);
   for (std::thread& t : scorers) t.join();
-  EXPECT_GT(scored.load(), 0);
 }
 
 TEST(MicroBatcher, SizeTriggerFlushesImmediately) {
@@ -363,6 +393,93 @@ TEST_F(ServeDaemonTest, ServesPredictionsOverTcp) {
   daemon.Shutdown();
 }
 
+// An unknown model in `batch` still consumes the pipelined rows and
+// answers one err line per row plus "done 0", leaving the connection in
+// step for the next request.
+TEST_F(ServeDaemonTest, BatchForAnUnknownModelKeepsTheConnectionInStep) {
+  ServeOptions opts;
+  opts.batch.max_delay_us = 300;
+  ServeDaemon daemon(opts);
+  std::string error;
+  ASSERT_NE(daemon.registry().PublishFromFile("m", blob_a_, &error), 0u);
+  ASSERT_TRUE(daemon.Start(&error)) << error;
+
+  ServeClient client;
+  ASSERT_TRUE(client.ConnectTcp("127.0.0.1", daemon.port(), &error)) << error;
+  ASSERT_TRUE(client.Send("batch ghost 3\n-1,0\n1,0\n2,0"));
+  std::string reply;
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(client.Recv(&reply));
+    EXPECT_EQ(reply.rfind("err unknown model", 0), 0u) << reply;
+  }
+  ASSERT_TRUE(client.Recv(&reply));
+  EXPECT_EQ(reply, "done 0");
+  ASSERT_TRUE(client.Rpc("predict m 3,0", &reply));
+  EXPECT_EQ(reply, "ok pos");
+  daemon.Shutdown();
+}
+
+// A `batch` flushes its own rows: with both batcher triggers out of
+// reach, a 3-row batch must still come back at once rather than after
+// the 10 s deadline. The stage histograms account for it.
+TEST_F(ServeDaemonTest, BatchDoesNotWaitForTheBatcherDeadline) {
+  ServeOptions opts;
+  opts.batch.max_delay_us = 10'000'000;
+  opts.batch.max_rows = 1'000'000;
+  ServeDaemon daemon(opts);
+  std::string error;
+  ASSERT_NE(daemon.registry().PublishFromFile("m", blob_a_, &error), 0u);
+  ASSERT_TRUE(daemon.Start(&error)) << error;
+
+  ServeClient client;
+  ASSERT_TRUE(client.ConnectTcp("127.0.0.1", daemon.port(), &error)) << error;
+  std::vector<std::string> replies;
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(client.Batch("m", {"-1,0", "1,0", "2,0"}, &replies));
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+  EXPECT_EQ(replies, (std::vector<std::string>{"ok neg", "ok pos", "ok pos"}));
+
+  // The connection thread records the reply write after sending it; a
+  // second request on the same connection orders us after that.
+  std::string reply;
+  ASSERT_TRUE(client.Rpc("stats", &reply));
+  const StageLatencies& stages = daemon.stats().stages();
+  EXPECT_EQ(stages.parse.Snap().count, 3u);
+  EXPECT_EQ(stages.queue_wait.Snap().count, 3u);
+  EXPECT_LT(stages.queue_wait.Snap().max_us, 1e6);
+  EXPECT_GE(stages.score.Snap().count, 1u);
+  EXPECT_EQ(stages.reply_write.Snap().count, 1u);
+  EXPECT_EQ(daemon.stats().queue_depth(), 0);
+  daemon.Shutdown();
+}
+
+// Closed-loop 64-row batches over TCP must not hit the ~40 ms
+// Nagle/delayed-ACK stall that line-by-line replies used to cause.
+TEST_F(ServeDaemonTest, BatchRoundTripAvoidsTheDelayedAckStall) {
+  ServeOptions opts;
+  ServeDaemon daemon(opts);
+  std::string error;
+  ASSERT_NE(daemon.registry().PublishFromFile("m", blob_a_, &error), 0u);
+  ASSERT_TRUE(daemon.Start(&error)) << error;
+
+  ServeClient client;
+  ASSERT_TRUE(client.ConnectTcp("127.0.0.1", daemon.port(), &error)) << error;
+  const std::vector<std::string> rows(64, "-1,0");
+  std::vector<std::string> replies;
+  std::vector<double> rtt_ms;
+  for (int i = 0; i < 21; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    ASSERT_TRUE(client.Batch("m", rows, &replies));
+    rtt_ms.push_back(std::chrono::duration<double, std::milli>(
+                         std::chrono::steady_clock::now() - start)
+                         .count());
+    ASSERT_EQ(replies, std::vector<std::string>(64, "ok neg"));
+  }
+  std::nth_element(rtt_ms.begin(), rtt_ms.begin() + 10, rtt_ms.end());
+  EXPECT_LT(rtt_ms[10], 20.0);
+  daemon.Shutdown();
+}
+
 TEST_F(ServeDaemonTest, ServesOverUnixSocket) {
   ServeOptions opts;
   opts.unix_path = std::string(::testing::TempDir()) + "/cmpserve_test.sock";
@@ -399,8 +516,8 @@ TEST_F(ServeDaemonTest, QuitShutsTheDaemonDown) {
 // Hot swap under concurrent traffic, in-process: several client threads
 // hammer predict while the main thread swaps between two models whose
 // answers differ on every row. Every reply must be exactly one model's
-// answer — "neg" or "pos", never garbage, never a hang — and the swap
-// must be visible eventually.
+// answer — "neg" or "pos", never garbage, never a hang — and each swap
+// to model B must become visible.
 TEST_F(ServeDaemonTest, HotSwapUnderConcurrentTraffic) {
   ServeOptions opts;
   opts.batch.max_rows = 8;
@@ -410,11 +527,13 @@ TEST_F(ServeDaemonTest, HotSwapUnderConcurrentTraffic) {
   ASSERT_NE(daemon.registry().PublishFromFile("m", blob_a_, &error), 0u);
   ASSERT_TRUE(daemon.Start(&error)) << error;
 
+  constexpr int kClients = 4;
+  constexpr auto kWait = std::chrono::milliseconds(5000);
   std::atomic<bool> stop{false};
-  std::atomic<int64_t> replies{0};
+  std::array<std::atomic<int64_t>, kClients> replies{};
   std::atomic<int64_t> flipped_seen{0};
   std::vector<std::thread> clients;
-  for (int t = 0; t < 4; ++t) {
+  for (int t = 0; t < kClients; ++t) {
     clients.emplace_back([&, t] {
       ServeClient client;
       std::string cerr_msg;
@@ -427,29 +546,41 @@ TEST_F(ServeDaemonTest, HotSwapUnderConcurrentTraffic) {
         // model B (flipped leaves).
         if (!client.Rpc("predict m -2,0", &reply)) break;
         ASSERT_TRUE(reply == "ok neg" || reply == "ok pos") << reply;
-        replies.fetch_add(1, std::memory_order_relaxed);
         if (reply == "ok pos") {
           flipped_seen.fetch_add(1, std::memory_order_relaxed);
         }
-        (void)t;
+        replies[t].fetch_add(1, std::memory_order_relaxed);
       }
     });
   }
 
+  // Every client is in the loop before the first swap.
+  EXPECT_TRUE(WaitUntil(
+      [&] {
+        return std::all_of(replies.begin(), replies.end(),
+                           [](const auto& r) { return r.load() > 0; });
+      },
+      kWait));
   ServeClient admin;
-  ASSERT_TRUE(admin.ConnectTcp("127.0.0.1", daemon.port(), &error)) << error;
+  EXPECT_TRUE(admin.ConnectTcp("127.0.0.1", daemon.port(), &error)) << error;
   std::string reply;
-  for (int swap = 0; swap < 10; ++swap) {
-    const std::string& path = swap % 2 == 0 ? blob_b_ : blob_a_;
-    ASSERT_TRUE(admin.Rpc("swap m " + path, &reply));
+  for (int swap = 0; swap < 10 && !HasFailure(); ++swap) {
+    const bool to_b = swap % 2 == 0;
+    const int64_t flipped_before = flipped_seen.load();
+    if (!admin.Rpc("swap m " + (to_b ? blob_b_ : blob_a_), &reply)) {
+      ADD_FAILURE() << "swap " << swap << " got no reply";
+      break;
+    }
     EXPECT_EQ(reply.rfind("ok m v", 0), 0u) << reply;
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    if (to_b) {
+      EXPECT_TRUE(WaitUntil(
+          [&] { return flipped_seen.load() > flipped_before; }, kWait))
+          << "no reply from model B after swap " << swap;
+    }
   }
   stop.store(true);
   for (std::thread& t : clients) t.join();
 
-  EXPECT_GT(replies.load(), 0);
-  EXPECT_GT(flipped_seen.load(), 0);  // at least one reply from model B
   ASSERT_TRUE(admin.Rpc("stats", &reply));
   EXPECT_NE(reply.find("\"swaps\":10"), std::string::npos) << reply;
   daemon.Shutdown();
