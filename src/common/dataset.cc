@@ -10,6 +10,21 @@ Dataset::Dataset(Schema schema) : schema_(std::move(schema)) {
   cat_cols_.resize(schema_.num_attrs());
 }
 
+Dataset::Dataset(Schema schema, std::vector<std::vector<double>> numeric_cols,
+                 std::vector<std::vector<int32_t>> cat_cols,
+                 std::vector<ClassId> labels)
+    : schema_(std::move(schema)),
+      numeric_cols_(std::move(numeric_cols)),
+      cat_cols_(std::move(cat_cols)),
+      labels_(std::move(labels)) {
+  assert(numeric_cols_.size() == static_cast<size_t>(schema_.num_attrs()));
+  assert(cat_cols_.size() == static_cast<size_t>(schema_.num_attrs()));
+  for (AttrId a = 0; a < schema_.num_attrs(); ++a) {
+    assert((schema_.is_numeric(a) ? numeric_cols_[a].size()
+                                  : cat_cols_[a].size()) == labels_.size());
+  }
+}
+
 RecordId Dataset::Append(const std::vector<double>& numeric_values,
                          const std::vector<int32_t>& cat_values,
                          ClassId label) {

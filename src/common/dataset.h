@@ -21,6 +21,14 @@ class Dataset {
  public:
   Dataset() = default;
   explicit Dataset(Schema schema);
+  /// Adopts whole columns, indexed by AttrId like the accessors below:
+  /// per attribute only the matching-kind column is filled, and every
+  /// filled column holds labels.size() values. The values are not
+  /// checked here; the table loader (io/table_file.h) validates labels
+  /// and categorical codes before it moves its columns in.
+  Dataset(Schema schema, std::vector<std::vector<double>> numeric_cols,
+          std::vector<std::vector<int32_t>> cat_cols,
+          std::vector<ClassId> labels);
 
   // Movable but not copyable: training sets can be large, and accidental
   // copies are the kind of cost this library exists to avoid.

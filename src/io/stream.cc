@@ -75,11 +75,12 @@ std::unique_ptr<TableScanner> TableScanner::Open(const std::string& path,
                                                  int64_t first_record,
                                                  int64_t slice_records) {
   // Parse the header with the existing reader, then locate the column
-  // payloads: they start right after the header and are laid out in
-  // schema order, labels last.
+  // payloads through the format's one layout function.
   Schema schema;
   int64_t n = 0;
-  if (!ReadTableHeader(path, &schema, &n) || block_records <= 0) {
+  TableLayout layout;
+  if (!ReadTableHeader(path, &schema, &n) || block_records <= 0 ||
+      !ComputeTableLayout(schema, n, &layout)) {
     return nullptr;
   }
 
@@ -89,27 +90,8 @@ std::unique_ptr<TableScanner> TableScanner::Open(const std::string& path,
   scanner->block_records_ = block_records;
   scanner->file_.open(path, std::ios::binary);
   if (!scanner->file_.is_open()) return nullptr;
-
-  // Header size: magic(4) + version(4) + counts(8) + per attr
-  // (4 + name + 1 + 4) + per class (4 + name).
-  int64_t offset = 4 + 4 + 4 + 4;
-  for (AttrId a = 0; a < schema.num_attrs(); ++a) {
-    offset += 4 + static_cast<int64_t>(schema.attr(a).name.size()) + 1 + 4;
-  }
-  for (ClassId c = 0; c < schema.num_classes(); ++c) {
-    offset += 4 + static_cast<int64_t>(schema.class_name(c).size());
-  }
-  offset += 8;  // num_records
-
-  scanner->column_offsets_.resize(schema.num_attrs());
-  for (AttrId a = 0; a < schema.num_attrs(); ++a) {
-    scanner->column_offsets_[a] = offset;
-    offset += n * static_cast<int64_t>(schema.is_numeric(a)
-                                           ? sizeof(double)
-                                           : sizeof(int32_t));
-  }
-  scanner->label_offset_ = offset;
-  offset += n * static_cast<int64_t>(sizeof(ClassId));
+  scanner->column_offsets_ = std::move(layout.column_offsets);
+  scanner->label_offset_ = layout.label_offset;
 
   // The header promises `n` records; reject a file whose payload cannot
   // hold them (or trails garbage), so a truncated table fails at Open
@@ -117,7 +99,7 @@ std::unique_ptr<TableScanner> TableScanner::Open(const std::string& path,
   scanner->file_.seekg(0, std::ios::end);
   const int64_t file_size = static_cast<int64_t>(scanner->file_.tellg());
   scanner->file_.seekg(0);
-  if (file_size != offset) return nullptr;
+  if (file_size != layout.file_size) return nullptr;
 
   // Slice view: rebase every column offset by `first_record` rows and
   // shrink the visible record count, so record id 0 of this scanner is
@@ -158,6 +140,11 @@ bool TableScanner::ReadBlock(int64_t start, int64_t count,
     file_.read(dst, count * width);
     if (!file_.good()) return false;
     bytes_read_ += count * width;
+    if (!schema_.is_numeric(a) &&
+        !ValuesInRange(block->categorical_col(a), count,
+                       schema_.attr(a).cardinality)) {
+      return false;
+    }
   }
   file_.seekg(label_offset_ + start * static_cast<int64_t>(sizeof(ClassId)));
   file_.read(reinterpret_cast<char*>(block->labels()),
@@ -165,9 +152,8 @@ bool TableScanner::ReadBlock(int64_t start, int64_t count,
   if (!file_.good()) return false;
   bytes_read_ += count * static_cast<int64_t>(sizeof(ClassId));
 
-  const ClassId* labels = block->labels();
-  for (int64_t i = 0; i < count; ++i) {
-    if (labels[i] < 0 || labels[i] >= schema_.num_classes()) return false;
+  if (!ValuesInRange(block->labels(), count, schema_.num_classes())) {
+    return false;
   }
   block->set_range(start, count);
   return true;
@@ -190,7 +176,8 @@ bool TableScanner::ReadCategoricalColumn(AttrId a, std::vector<int32_t>* out) {
              num_records_ * static_cast<int64_t>(sizeof(int32_t)));
   if (!file_.good() && !(file_.eof() && num_records_ == 0)) return false;
   bytes_read_ += num_records_ * static_cast<int64_t>(sizeof(int32_t));
-  return true;
+  return ValuesInRange(out->data(), num_records_,
+                       schema_.attr(a).cardinality);
 }
 
 bool TableScanner::ReadLabelColumn(std::vector<ClassId>* out) {
@@ -200,10 +187,7 @@ bool TableScanner::ReadLabelColumn(std::vector<ClassId>* out) {
              num_records_ * static_cast<int64_t>(sizeof(ClassId)));
   if (!file_.good() && !(file_.eof() && num_records_ == 0)) return false;
   bytes_read_ += num_records_ * static_cast<int64_t>(sizeof(ClassId));
-  for (ClassId c : *out) {
-    if (c < 0 || c >= schema_.num_classes()) return false;
-  }
-  return true;
+  return ValuesInRange(out->data(), num_records_, schema_.num_classes());
 }
 
 bool TableScanner::NextBlock(ColumnBlock* block) {

@@ -112,8 +112,9 @@ class TableScanner {
 
   /// Reads records [start, start + count) into `block`, configuring it
   /// for this scanner's schema if needed. Returns false on I/O failure
-  /// or if any label is out of range; `block` is then empty. Does not
-  /// move the sequential cursor.
+  /// or if any label or categorical code is out of range (ValuesInRange
+  /// in table_file.h); `block` is then empty. Does not move the
+  /// sequential cursor.
   bool ReadBlock(int64_t start, int64_t count, ColumnBlock* block);
 
   /// Reads the next sequential block (at most block_records records)
@@ -128,8 +129,9 @@ class TableScanner {
   /// cursor.
   bool ReadNumericColumn(AttrId a, std::vector<double>* out);
 
-  /// Reads one whole categorical column in a single bulk read. `a` must
-  /// be a categorical attribute. Does not move the sequential cursor.
+  /// Reads one whole categorical column in a single bulk read; rejects
+  /// codes outside [0, cardinality). `a` must be a categorical
+  /// attribute. Does not move the sequential cursor.
   bool ReadCategoricalColumn(AttrId a, std::vector<int32_t>* out);
 
   /// Reads the whole label column; rejects out-of-range labels.

@@ -3,6 +3,8 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <limits>
+#include <utility>
 #include <vector>
 
 namespace cmp {
@@ -63,18 +65,24 @@ bool ReadHeaderInternal(std::ifstream& is, Schema* schema,
   uint32_t num_attrs = 0;
   uint32_t num_classes = 0;
   if (!ReadU32(is, &num_attrs) || !ReadU32(is, &num_classes)) return false;
-  std::vector<AttrInfo> attrs(num_attrs);
-  for (auto& a : attrs) {
+  // Grow the lists as entries arrive instead of sizing them from the
+  // header, so a hostile count fails at end of file, not in the allocator.
+  std::vector<AttrInfo> attrs;
+  for (uint32_t i = 0; i < num_attrs; ++i) {
+    AttrInfo a;
     if (!ReadString(is, &a.name)) return false;
     char kind = 0;
     is.read(&kind, 1);
     if (!is.good()) return false;
     a.kind = kind == 0 ? AttrKind::kNumeric : AttrKind::kCategorical;
     if (!ReadI32(is, &a.cardinality)) return false;
+    attrs.push_back(std::move(a));
   }
-  std::vector<std::string> class_names(num_classes);
-  for (auto& cn : class_names) {
+  std::vector<std::string> class_names;
+  for (uint32_t i = 0; i < num_classes; ++i) {
+    std::string cn;
     if (!ReadString(is, &cn)) return false;
+    class_names.push_back(std::move(cn));
   }
   if (!ReadI64(is, num_records) || *num_records < 0) return false;
   *schema = Schema(std::move(attrs), std::move(class_names));
@@ -82,6 +90,47 @@ bool ReadHeaderInternal(std::ifstream& is, Schema* schema,
 }
 
 }  // namespace
+
+bool ComputeTableLayout(const Schema& schema, int64_t num_records,
+                        TableLayout* out) {
+  if (num_records < 0) return false;
+  // Header: magic(4) + version(4) + counts(8) + per attr
+  // (4 + name + 1 + 4) + per class (4 + name) + num_records(8).
+  int64_t offset = 4 + 4 + 4 + 4;
+  for (AttrId a = 0; a < schema.num_attrs(); ++a) {
+    offset += 4 + static_cast<int64_t>(schema.attr(a).name.size()) + 1 + 4;
+  }
+  for (ClassId c = 0; c < schema.num_classes(); ++c) {
+    offset += 4 + static_cast<int64_t>(schema.class_name(c).size());
+  }
+  offset += 8;
+  // Every column then holds num_records fixed-width values.
+  if (num_records > (std::numeric_limits<int64_t>::max() - offset) /
+                        schema.RecordBytes()) {
+    return false;
+  }
+  out->column_offsets.resize(schema.num_attrs());
+  for (AttrId a = 0; a < schema.num_attrs(); ++a) {
+    out->column_offsets[a] = offset;
+    offset += num_records * static_cast<int64_t>(schema.is_numeric(a)
+                                                     ? sizeof(double)
+                                                     : sizeof(int32_t));
+  }
+  out->label_offset = offset;
+  out->file_size = offset + num_records * static_cast<int64_t>(sizeof(ClassId));
+  return true;
+}
+
+bool ValuesInRange(const int32_t* values, int64_t n, int32_t limit) {
+  if (limit <= 0) return n == 0;
+  // Branch-free over the whole column: one unsigned compare per value
+  // catches negatives too.
+  bool ok = true;
+  for (int64_t i = 0; i < n; ++i) {
+    ok &= static_cast<uint32_t>(values[i]) < static_cast<uint32_t>(limit);
+  }
+  return ok;
+}
 
 bool SaveTableFile(const Dataset& ds, const std::string& path) {
   std::ofstream os(path, std::ios::binary | std::ios::trunc);
@@ -124,47 +173,43 @@ bool LoadTableFile(const std::string& path, Dataset* out) {
   if (!is.is_open()) return false;
   Schema schema;
   int64_t n = 0;
-  if (!ReadHeaderInternal(is, &schema, &n)) return false;
+  TableLayout layout;
+  if (!ReadHeaderInternal(is, &schema, &n) ||
+      !ComputeTableLayout(schema, n, &layout)) {
+    return false;
+  }
+  // The header's record count is only trusted once the file size agrees
+  // with it; nothing below allocates before this check.
+  is.seekg(0, std::ios::end);
+  if (static_cast<int64_t>(is.tellg()) != layout.file_size) return false;
 
-  // Read columns, then repack record-wise through Append to reuse the
-  // Dataset invariants.
+  auto read_at = [&is](int64_t offset, void* dst, int64_t bytes) {
+    is.seekg(offset);
+    is.read(static_cast<char*>(dst), bytes);
+    return is.good();
+  };
   std::vector<std::vector<double>> ncols(schema.num_attrs());
   std::vector<std::vector<int32_t>> ccols(schema.num_attrs());
   for (AttrId a = 0; a < schema.num_attrs(); ++a) {
+    const int64_t offset = layout.column_offsets[a];
     if (schema.is_numeric(a)) {
       ncols[a].resize(n);
-      is.read(reinterpret_cast<char*>(ncols[a].data()),
-              static_cast<std::streamsize>(n * sizeof(double)));
+      if (!read_at(offset, ncols[a].data(), n * sizeof(double))) return false;
     } else {
       ccols[a].resize(n);
-      is.read(reinterpret_cast<char*>(ccols[a].data()),
-              static_cast<std::streamsize>(n * sizeof(int32_t)));
-    }
-    if (!is.good()) return false;
-  }
-  std::vector<ClassId> labels(n);
-  is.read(reinterpret_cast<char*>(labels.data()),
-          static_cast<std::streamsize>(n * sizeof(ClassId)));
-  if (!is.good()) return false;
-
-  Dataset ds(schema);
-  ds.Reserve(n);
-  std::vector<double> nvals;
-  std::vector<int32_t> cvals;
-  for (int64_t r = 0; r < n; ++r) {
-    nvals.clear();
-    cvals.clear();
-    for (AttrId a = 0; a < schema.num_attrs(); ++a) {
-      if (schema.is_numeric(a)) {
-        nvals.push_back(ncols[a][r]);
-      } else {
-        cvals.push_back(ccols[a][r]);
+      if (!read_at(offset, ccols[a].data(), n * sizeof(int32_t)) ||
+          !ValuesInRange(ccols[a].data(), n, schema.attr(a).cardinality)) {
+        return false;
       }
     }
-    if (labels[r] < 0 || labels[r] >= schema.num_classes()) return false;
-    ds.Append(nvals, cvals, labels[r]);
   }
-  *out = std::move(ds);
+  std::vector<ClassId> labels(n);
+  if (!read_at(layout.label_offset, labels.data(), n * sizeof(ClassId)) ||
+      !ValuesInRange(labels.data(), n, schema.num_classes())) {
+    return false;
+  }
+  *out = Dataset(std::move(schema), std::move(ncols), std::move(ccols),
+                 std::move(labels));
   return true;
 }
 

@@ -1,7 +1,9 @@
 #ifndef CMP_IO_TABLE_FILE_H_
 #define CMP_IO_TABLE_FILE_H_
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/dataset.h"
 
@@ -26,12 +28,43 @@ namespace cmp {
 /// `out_of_core` example, `cmptool train --stream`, and the block
 /// sources in io/block_source.h operate on.
 
+/// Where the columns of a table file sit, derived from its header alone
+/// (schema + record count). Both readers — LoadTableFile and
+/// TableScanner — locate columns and check the file size through it.
+struct TableLayout {
+  /// Absolute file offset of each attribute column, indexed by AttrId.
+  std::vector<int64_t> column_offsets;
+  /// Absolute file offset of the label column.
+  int64_t label_offset = 0;
+  /// Size of a well-formed file: the label column ends here.
+  int64_t file_size = 0;
+};
+
+/// Computes the layout of a table with `schema` and `num_records`
+/// records. Returns false when an offset would overflow int64_t, which a
+/// hostile record count can make it do.
+bool ComputeTableLayout(const Schema& schema, int64_t num_records,
+                        TableLayout* out);
+
+/// True when every value in values[0, n) lies in [0, limit). Both readers
+/// apply it to labels (limit = class count) and to categorical codes
+/// (limit = cardinality) before any builder indexes a histogram with them.
+bool ValuesInRange(const int32_t* values, int64_t n, int32_t limit);
+
 /// Writes `ds` to `path`. Returns false (and leaves a partial file) on I/O
 /// failure.
 bool SaveTableFile(const Dataset& ds, const std::string& path);
 
 /// Reads a table previously written by SaveTableFile. Returns false on
 /// open/parse failure; `out` is unspecified in that case.
+///
+/// Validates before it allocates a column: the file size must equal the
+/// layout its header implies, so a truncated file, trailing bytes or a
+/// hostile record count fail without allocating the claimed size. After
+/// the bulk column reads, every label must lie in [0, num_classes) and
+/// every categorical code in [0, cardinality). Each column is read once,
+/// straight into the vector the Dataset then adopts, so the load holds a
+/// single copy of the table.
 bool LoadTableFile(const std::string& path, Dataset* out);
 
 /// Reads only the schema and record count from a table file header.

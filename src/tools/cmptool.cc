@@ -19,6 +19,7 @@
 // All file formats are this library's own (table_file.h, serialize.h).
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -26,6 +27,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/cpu_features.h"
@@ -780,17 +782,63 @@ int CmdCompile(int argc, char** argv) {
   return kExitOk;
 }
 
+// Buffers predict's CSV and hands it to the stream in ~1 MB writes.
+// Numbers go through std::to_chars; a float prints in the general format
+// at precision 6, the same bytes `ostream << float` gives by default.
+class CsvWriter {
+ public:
+  explicit CsvWriter(std::ostream& os) : os_(os) {
+    buf_.reserve(kChunk + 4096);
+  }
+
+  void Put(char c) { buf_.push_back(c); }
+  void Put(std::string_view s) { buf_.append(s); }
+  void PutInt(int64_t v) {
+    char tmp[24];
+    buf_.append(tmp, std::to_chars(tmp, tmp + sizeof(tmp), v).ptr);
+  }
+  void PutFloat(float v) {
+    char tmp[32];
+    buf_.append(tmp, std::to_chars(tmp, tmp + sizeof(tmp), v,
+                                   std::chars_format::general, 6)
+                         .ptr);
+  }
+  void EndRow() {
+    buf_.push_back('\n');
+    if (buf_.size() >= kChunk) Drain();
+  }
+  // Writes out the rest and flushes; false if any write failed.
+  bool Finish() {
+    Drain();
+    os_.flush();
+    return os_.good();
+  }
+
+ private:
+  static constexpr size_t kChunk = size_t{1} << 20;
+
+  void Drain() {
+    os_.write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
+    buf_.clear();
+  }
+
+  std::ostream& os_;
+  std::string buf_;
+};
+
 int CmdPredict(int argc, char** argv) {
   const std::string data = GetFlag(argc, argv, "--data");
   const std::string tree_arg = GetFlag(argc, argv, "--tree");
   const std::string out_path = GetFlag(argc, argv, "--out");
   if (data.empty() || tree_arg.empty()) return Usage();
 
+  const cmp::Timer wall;
   cmp::Dataset ds;
   if (!LoadAnyDataset(data, &ds)) {
     std::cerr << "failed to read " << data << "\n";
     return kExitIo;
   }
+  const double load_seconds = wall.Seconds();
 
   // The model is either comma-separated text trees or one compiled
   // .cmpb blob (cmptool compile's output).
@@ -855,6 +903,7 @@ int CmdPredict(int argc, char** argv) {
   }
   const double seconds = timer.Seconds();
 
+  const cmp::Timer write_timer;
   std::ofstream file;
   if (!out_path.empty()) {
     file.open(out_path);
@@ -863,47 +912,72 @@ int CmdPredict(int argc, char** argv) {
       return kExitIo;
     }
   }
-  std::ostream& csv = out_path.empty() ? std::cout : file;
   std::ostream& summary = out_path.empty() ? std::cerr : std::cout;
+  CsvWriter csv(out_path.empty() ? std::cout : file);
 
-  auto class_name = [&model_schema](cmp::ClassId c) -> std::string {
-    if (c == cmp::kInvalidClass) return "?";
-    return c < model_schema.num_classes()
-               ? model_schema.class_name(c)
-               : "class" + std::to_string(c);
+  // Class names are looked up in the schemas, never built per row.
+  const int32_t nc = model_schema.num_classes();
+  auto put_class = [&csv, &model_schema, nc](cmp::ClassId c) {
+    if (c == cmp::kInvalidClass) {
+      csv.Put('?');
+    } else if (c < nc) {
+      csv.Put(model_schema.class_name(c));
+    } else {
+      csv.Put("class");
+      csv.PutInt(c);
+    }
   };
 
-  csv << "record,actual,predicted,correct";
+  csv.Put("record,actual,predicted,correct");
   if (opts.want_probs) {
-    for (cmp::ClassId c = 0; c < model_schema.num_classes(); ++c) {
-      csv << ",prob_" << model_schema.class_name(c);
+    for (cmp::ClassId c = 0; c < nc; ++c) {
+      csv.Put(",prob_");
+      csv.Put(model_schema.class_name(c));
     }
   }
   if (opts.top_k > 1) {
-    for (int k = 0; k < opts.top_k; ++k) csv << ",top" << (k + 1);
+    for (int k = 0; k < opts.top_k; ++k) {
+      csv.Put(",top");
+      csv.PutInt(k + 1);
+    }
   }
-  csv << '\n';
-  const int32_t nc = model_schema.num_classes();
+  csv.EndRow();
   int64_t correct = 0;
   for (cmp::RecordId r = 0; r < ds.num_records(); ++r) {
     const cmp::ClassId actual = ds.label(r);
     const cmp::ClassId predicted = result.labels[r];
     if (actual == predicted) ++correct;
-    csv << r << ',' << ds.schema().class_name(actual) << ','
-        << class_name(predicted) << ',' << (actual == predicted ? 1 : 0);
+    csv.PutInt(r);
+    csv.Put(',');
+    csv.Put(ds.schema().class_name(actual));
+    csv.Put(',');
+    put_class(predicted);
+    csv.Put(actual == predicted ? ",1" : ",0");
     if (opts.want_probs) {
+      const float* probs = result.probs.data() + static_cast<size_t>(r) * nc;
       for (int32_t c = 0; c < nc; ++c) {
-        csv << ',' << result.probs[static_cast<size_t>(r) * nc + c];
+        csv.Put(',');
+        csv.PutFloat(probs[c]);
       }
     }
     if (opts.top_k > 1) {
+      const cmp::ClassId* topk =
+          result.topk.data() + static_cast<size_t>(r) * opts.top_k;
       for (int k = 0; k < opts.top_k; ++k) {
-        csv << ',' << class_name(result.topk[static_cast<size_t>(r) *
-                                             opts.top_k + k]);
+        csv.Put(',');
+        put_class(topk[k]);
       }
     }
-    csv << '\n';
+    csv.EndRow();
   }
+  if (!csv.Finish()) {
+    std::cerr << "failed to write "
+              << (out_path.empty() ? std::string("stdout") : out_path)
+              << "\n";
+    return kExitIo;
+  }
+  const double write_seconds = write_timer.Seconds();
+  const double wall_seconds = wall.Seconds();
 
   const double accuracy =
       ds.num_records() == 0
@@ -924,6 +998,11 @@ int CmdPredict(int argc, char** argv) {
           << static_cast<int64_t>(ds.num_records() / std::max(seconds, 1e-9))
           << " rows/s, " << opts.num_threads << " thread(s), "
           << cmp::KernelIsaName(cmp::ActiveKernelIsa()) << " kernel)\n";
+  // The same layer names as the repository benchmark's predict ledger.
+  summary << "phases: io.holdout_load_s=" << load_seconds
+          << " infer.score_s=" << seconds
+          << " predict.write_s=" << write_seconds
+          << " wall_s=" << wall_seconds << "\n";
   return kExitOk;
 }
 

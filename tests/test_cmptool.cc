@@ -1,6 +1,7 @@
 // End-to-end smoke test of the cmptool CLI: gen -> info -> train ->
 // eval -> show -> dot -> explain -> importance, via std::system. The
-// binary path is injected by CMake as CMPTOOL_PATH.
+// binary path is injected by CMake as CMPTOOL_PATH. The library is
+// linked too, to craft hostile tables and to score the predict oracle.
 //
 // cmptool's exit-code contract (tested below): 0 success, 2 bad
 // arguments, 3 I/O failure, 4 training failure.
@@ -10,9 +11,18 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
+
+#include "infer/batch_predictor.h"
+#include "infer/compiled_tree.h"
+#include "infer/ensemble.h"
+#include "io/table_file.h"
+#include "tree/serialize.h"
 
 namespace {
 
@@ -241,6 +251,17 @@ TEST_F(CmptoolTest, ExitCodesDistinguishFailureKinds) {
                 " --out " + tree_),
             kTrain);
   std::remove(corrupt.c_str());
+
+  // An unwritable prediction output: /dev/full accepts the open and fails
+  // every write, so only a check after the final flush can catch it.
+  if (std::ifstream("/dev/full").good()) {
+    EXPECT_EQ(RunTool("predict --data " + data_ + " --tree " + tree_ +
+                      " --out /dev/full",
+                      &out),
+              kIo);
+    EXPECT_NE(out.find("failed to write /dev/full"), std::string::npos)
+        << out;
+  }
 }
 
 TEST_F(CmptoolTest, CompileAndBlobPredictFollowTheExitCodeContract) {
@@ -607,6 +628,237 @@ TEST_F(CmptoolTest, KernelFlagSelectsTierAndRejectsUnknown) {
   EXPECT_NE(out.find("unknown kernel tier 'sse2'"), std::string::npos)
       << out;
   EXPECT_NE(out.find("auto|scalar|avx2"), std::string::npos) << out;
+}
+
+// Rewrites `bytes` (a whole .cmpt file) so categorical attribute `a`
+// holds `code` on every 7th record.
+void PoisonCategorical(const cmp::TableLayout& layout, cmp::AttrId a,
+                       int64_t n, int32_t code, std::string* bytes) {
+  for (int64_t r = 0; r < n; r += 7) {
+    std::memcpy(&(*bytes)[layout.column_offsets[a] + r * sizeof(int32_t)],
+                &code, sizeof(code));
+  }
+}
+
+void WriteFile(const std::string& path, const std::string& bytes) {
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+// A hostile table fails like a bad label or a truncated file does on the
+// same path: 3 when loaded whole, 3 at open and 4 mid-pass when streamed.
+// Nothing aborts or segfaults (either would surface as -1 or 134 here).
+TEST_F(CmptoolTest, HostileTablesFailWithTheirExitCodes) {
+  ASSERT_EQ(RunTool("train --data " + data_ + " --algo cmp --out " + tree_),
+            0);
+  cmp::Schema schema;
+  int64_t n = 0;
+  cmp::TableLayout layout;
+  ASSERT_TRUE(cmp::ReadTableHeader(data_, &schema, &n));
+  ASSERT_TRUE(cmp::ComputeTableLayout(schema, n, &layout));
+  const std::string good = Slurp(data_);
+  const std::string bad = TempPath("hostile.cmpt");
+  const std::string csv = TempPath("hostile.csv");
+
+  // An out-of-range categorical code (elevel has 5 values).
+  std::string bytes = good;
+  PoisonCategorical(layout, schema.FindAttr("elevel"), n, 100000000, &bytes);
+  WriteFile(bad, bytes);
+  std::string out;
+  for (const char* algo : {"cmp", "sliq"}) {
+    EXPECT_EQ(RunTool("train --data " + bad + " --algo " + algo + " --out " +
+                      tree_,
+                      &out),
+              kIo)
+        << algo << ": " << out;
+    EXPECT_NE(out.find("failed to read"), std::string::npos) << out;
+  }
+  for (const char* algo : {"cmp", "cmp-s"}) {
+    EXPECT_EQ(RunTool("train --data " + bad + " --algo " + algo +
+                      " --stream --block 1000 --out " + tree_),
+              kTrain)
+        << algo;
+  }
+  EXPECT_EQ(RunTool("predict --data " + bad + " --tree " + tree_ + " --out " +
+                    csv),
+            kIo);
+  EXPECT_EQ(RunTool("info --data " + bad), kIo);
+
+  // A record count of 2^40 on a 4000-row file.
+  bytes = good;
+  const int64_t hostile = int64_t{1} << 40;
+  std::memcpy(&bytes[layout.column_offsets[0] - sizeof(int64_t)], &hostile,
+              sizeof(hostile));
+  WriteFile(bad, bytes);
+  EXPECT_EQ(RunTool("info --data " + bad, &out), kIo) << out;
+  EXPECT_EQ(RunTool("predict --data " + bad + " --tree " + tree_ + " --out " +
+                    csv),
+            kIo);
+  EXPECT_EQ(RunTool("train --data " + bad + " --algo cmp --out " + tree_),
+            kIo);
+  EXPECT_EQ(RunTool("train --data " + bad + " --algo cmp --stream --out " +
+                    tree_),
+            kIo);
+
+  // Truncated mid-column and padded with trailing bytes.
+  for (const std::string& mangled :
+       {good.substr(0, good.size() / 2), good + std::string(8, '\0')}) {
+    WriteFile(bad, mangled);
+    EXPECT_EQ(RunTool("info --data " + bad), kIo);
+    EXPECT_EQ(RunTool("predict --data " + bad + " --tree " + tree_ +
+                      " --out " + csv),
+              kIo);
+    EXPECT_EQ(RunTool("train --data " + bad + " --algo cmp --out " + tree_),
+              kIo);
+  }
+  std::remove(bad.c_str());
+  std::remove(csv.c_str());
+}
+
+// The predict CSV exactly as the original writer rendered it, streaming
+// every field through an ostream with default formatting. It is the
+// byte-for-byte oracle for the buffered writer.
+std::string OstreamCsv(const cmp::Dataset& ds, const cmp::Schema& model_schema,
+                       const cmp::PredictOptions& opts,
+                       const cmp::BatchResult& result) {
+  std::ostringstream csv;
+  auto class_name = [&model_schema](cmp::ClassId c) -> std::string {
+    if (c == cmp::kInvalidClass) return "?";
+    return c < model_schema.num_classes() ? model_schema.class_name(c)
+                                          : "class" + std::to_string(c);
+  };
+  csv << "record,actual,predicted,correct";
+  if (opts.want_probs) {
+    for (cmp::ClassId c = 0; c < model_schema.num_classes(); ++c) {
+      csv << ",prob_" << model_schema.class_name(c);
+    }
+  }
+  if (opts.top_k > 1) {
+    for (int k = 0; k < opts.top_k; ++k) csv << ",top" << (k + 1);
+  }
+  csv << '\n';
+  const int32_t nc = model_schema.num_classes();
+  for (cmp::RecordId r = 0; r < ds.num_records(); ++r) {
+    const cmp::ClassId actual = ds.label(r);
+    const cmp::ClassId predicted = result.labels[r];
+    csv << r << ',' << ds.schema().class_name(actual) << ','
+        << class_name(predicted) << ',' << (actual == predicted ? 1 : 0);
+    if (opts.want_probs) {
+      for (int32_t c = 0; c < nc; ++c) {
+        csv << ',' << result.probs[static_cast<size_t>(r) * nc + c];
+      }
+    }
+    if (opts.top_k > 1) {
+      for (int k = 0; k < opts.top_k; ++k) {
+        csv << ',' << class_name(result.topk[static_cast<size_t>(r) *
+                                             opts.top_k + k]);
+      }
+    }
+    csv << '\n';
+  }
+  return csv.str();
+}
+
+TEST_F(CmptoolTest, PredictCsvMatchesTheOstreamWriterByteForByte) {
+  // Two different pruned trees on a harder function, so leaves are
+  // impure and the averaged probabilities fractional.
+  const std::string data = TempPath("oracle.cmpt");
+  const std::string tree_a = TempPath("oracle_a.tree");
+  const std::string tree_b = TempPath("oracle_b.tree");
+  const std::string csv = TempPath("oracle.csv");
+  ASSERT_EQ(RunTool("gen --function F7 --records 20000 --seed 8 --out " +
+                    data),
+            0);
+  ASSERT_EQ(RunTool("train --data " + data + " --algo cmp --out " + tree_a),
+            0);
+  ASSERT_EQ(RunTool("train --data " + data + " --algo sliq --out " + tree_b),
+            0);
+  cmp::Dataset ds;
+  std::vector<cmp::DecisionTree> trees, second;
+  ASSERT_TRUE(cmp::LoadTableFile(data, &ds));
+  ASSERT_TRUE(cmp::LoadTrees(tree_a, &trees));
+  ASSERT_TRUE(cmp::LoadTrees(tree_b, &second));
+  trees.push_back(std::move(second.at(0)));
+  const cmp::Schema& schema = trees[0].schema();
+
+  // Default output, one tree, through --out.
+  const cmp::PredictOptions defaults;
+  const cmp::CompiledTree compiled = cmp::CompiledTree::Compile(trees[0]);
+  const std::string single = OstreamCsv(
+      ds, schema, defaults,
+      cmp::BatchPredictor(&compiled, defaults).Predict(ds));
+  ASSERT_EQ(RunTool("predict --data " + data + " --tree " + tree_a +
+                    " --out " + csv),
+            0);
+  EXPECT_TRUE(Slurp(csv) == single) << "default output differs";
+
+  // Probabilities, top-2 and abstentions on a --vote prob ensemble.
+  cmp::PredictOptions opts;
+  opts.want_probs = true;
+  opts.top_k = 2;
+  opts.abstain_threshold = 0.97;
+  const cmp::BatchResult voted =
+      cmp::EnsemblePredictor::Compile(trees, cmp::VoteKind::kAverageProb)
+          .Predict(ds, opts);
+  ASSERT_GT(voted.num_abstained, 0);
+  const std::string ensemble = OstreamCsv(ds, schema, opts, voted);
+  ASSERT_NE(ensemble.find(",?,"), std::string::npos);
+  const std::string flags = " --tree " + tree_a + "," + tree_b +
+                            " --vote prob --probs --top-k 2 --abstain 0.97";
+  ASSERT_EQ(RunTool("predict --data " + data + flags + " --out " + csv), 0);
+  EXPECT_TRUE(Slurp(csv) == ensemble) << "--probs --top-k output differs";
+
+  // The stdout path: the CSV alone on stdout, the summary on stderr.
+  const std::string err = TempPath("oracle.err");
+  const std::string cmd = ToolPath() + " predict --data " + data + flags +
+                          " > " + csv + " 2> " + err;
+  ASSERT_EQ(std::system(cmd.c_str()), 0);
+  EXPECT_TRUE(Slurp(csv) == ensemble) << "stdout output differs";
+  EXPECT_NE(Slurp(err).find("accuracy: "), std::string::npos);
+
+  for (const std::string& p : {data, tree_a, tree_b, csv, err}) {
+    std::remove(p.c_str());
+  }
+}
+
+// Reads `name=<seconds>` from predict's `phases:` line.
+double Phase(const std::string& out, const std::string& name) {
+  const size_t line = out.find("phases: ");
+  const size_t at = out.find(" " + name + "=", line);
+  if (line == std::string::npos || at == std::string::npos) return -1.0;
+  return std::atof(out.c_str() + at + name.size() + 2);
+}
+
+TEST_F(CmptoolTest, PredictPhasesAccountForItsWallTime) {
+  const std::string data = TempPath("phases.cmpt");
+  const std::string csv = TempPath("phases.csv");
+  ASSERT_EQ(RunTool("gen --function F2 --records 200000 --seed 6 --out " +
+                    data),
+            0);
+  ASSERT_EQ(RunTool("train --data " + data_ + " --algo cmp --out " + tree_),
+            0);
+  std::string out;
+  ASSERT_EQ(RunTool("predict --data " + data + " --tree " + tree_ +
+                    " --out " + csv,
+                    &out),
+            0);
+  // The phases line follows the lines users and tests already parse.
+  const size_t scored = out.find("scored 200000 records");
+  ASSERT_NE(scored, std::string::npos) << out;
+  ASSERT_NE(out.find("accuracy: "), std::string::npos) << out;
+  EXPECT_LT(out.find("accuracy: "), scored) << out;
+  EXPECT_GT(out.find("\nphases: io.holdout_load_s="), scored) << out;
+  const double load = Phase(out, "io.holdout_load_s");
+  const double score = Phase(out, "infer.score_s");
+  const double write = Phase(out, "predict.write_s");
+  const double wall = Phase(out, "wall_s");
+  ASSERT_GT(load, 0.0) << out;
+  ASSERT_GT(score, 0.0) << out;
+  ASSERT_GT(write, 0.0) << out;
+  ASSERT_GT(wall, 0.0) << out;
+  EXPECT_NEAR(load + score + write, wall, 0.05 * wall) << out;
+  std::remove(data.c_str());
+  std::remove(csv.c_str());
 }
 
 }  // namespace

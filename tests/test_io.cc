@@ -1,13 +1,45 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <fstream>
+#include <limits>
+#include <memory>
+#include <new>
+#include <sstream>
 #include <string>
 
 #include "common/stats.h"
 #include "datagen/agrawal.h"
 #include "io/csv.h"
 #include "io/scan.h"
+#include "io/stream.h"
 #include "io/table_file.h"
+
+// The largest single operator-new request since the last reset, so the
+// hostile-table tests can assert that counts read from a header never
+// reach the allocator.
+namespace {
+std::atomic<size_t> largest_new{0};
+}  // namespace
+
+// Kept out of line: GCC's -Wmismatched-new-delete misfires when it
+// inlines a replaced delete that calls free().
+__attribute__((noinline)) void* operator new(size_t size) {
+  size_t seen = largest_new.load(std::memory_order_relaxed);
+  while (size > seen && !largest_new.compare_exchange_weak(seen, size)) {
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+__attribute__((noinline)) void operator delete(void* p) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p, size_t) noexcept {
+  std::free(p);
+}
 
 namespace cmp {
 namespace {
@@ -88,6 +120,115 @@ TEST(TableFile, TruncatedFileFails) {
   ASSERT_EQ(truncate(path.c_str(), size / 2), 0);
   Dataset out;
   EXPECT_FALSE(LoadTableFile(path, &out));
+  std::remove(path.c_str());
+}
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  std::ostringstream buffer;
+  buffer << is.rdbuf();
+  return buffer.str();
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+// Both readers must reject a malformed table by returning false (or a
+// null scanner), never by throwing or crashing.
+void ExpectRejected(const std::string& path, const std::string& what) {
+  Dataset out;
+  bool loaded = true;
+  EXPECT_NO_THROW(loaded = LoadTableFile(path, &out)) << what;
+  EXPECT_FALSE(loaded) << what;
+  std::unique_ptr<TableScanner> scanner;
+  EXPECT_NO_THROW(scanner = TableScanner::Open(path, 1000)) << what;
+  EXPECT_EQ(scanner, nullptr) << what;
+}
+
+TEST(TableFile, HostileCountsFailBeforeAllocating) {
+  const Dataset ds = GenerateAgrawal(
+      {AgrawalFunction::kF7, /*num_records=*/3000, /*seed=*/2, 0.0});
+  const std::string path = TempPath("hostile_count.cmpt");
+  ASSERT_TRUE(SaveTableFile(ds, path));
+  std::string bytes = ReadBytes(path);
+  TableLayout layout;
+  ASSERT_TRUE(ComputeTableLayout(ds.schema(), 3000, &layout));
+  ASSERT_EQ(layout.file_size, static_cast<int64_t>(bytes.size()));
+  // num_records is the last header field, right before the first column.
+  const size_t count_at = static_cast<size_t>(layout.column_offsets[0]) - 8;
+  for (const int64_t hostile :
+       {int64_t{1} << 40, int64_t{3001}, int64_t{2999},
+        std::numeric_limits<int64_t>::max()}) {
+    std::memcpy(&bytes[count_at], &hostile, sizeof(hostile));
+    WriteBytes(path, bytes);
+    largest_new = 0;
+    ExpectRejected(path, "num_records=" + std::to_string(hostile));
+    // Nothing close to even the real table was allocated.
+    EXPECT_LT(largest_new.load(), bytes.size()) << hostile;
+  }
+  // Hostile attribute and class counts (u32 fields after magic+version)
+  // run into end of file instead of sizing a list from the header.
+  ASSERT_TRUE(SaveTableFile(ds, path));
+  bytes = ReadBytes(path);
+  for (const size_t field : {size_t{8}, size_t{12}}) {
+    std::string mangled = bytes;
+    const uint32_t hostile = 0xffffffffu;
+    std::memcpy(&mangled[field], &hostile, sizeof(hostile));
+    WriteBytes(path, mangled);
+    largest_new = 0;
+    ExpectRejected(path, "u32 count at byte " + std::to_string(field));
+    EXPECT_LT(largest_new.load(), bytes.size()) << field;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(TableFile, EveryTruncationAndTrailingGarbageFails) {
+  const std::string path = TempPath("prefix.cmpt");
+  ASSERT_TRUE(SaveTableFile(SmallMixedDataset(), path));
+  const std::string bytes = ReadBytes(path);
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    WriteBytes(path, bytes.substr(0, len));
+    ExpectRejected(path, "prefix of " + std::to_string(len) + " bytes");
+  }
+  WriteBytes(path, bytes + '\0');
+  ExpectRejected(path, "one trailing byte");
+  WriteBytes(path, bytes + bytes);
+  ExpectRejected(path, "the table twice");
+  WriteBytes(path, bytes);
+  Dataset out;
+  EXPECT_TRUE(LoadTableFile(path, &out));
+  std::remove(path.c_str());
+}
+
+TEST(TableFile, OutOfRangeCategoricalCodeFails) {
+  const Dataset ds = SmallMixedDataset();  // attr 1 has cardinality 4
+  const std::string path = TempPath("bad_code.cmpt");
+  ASSERT_TRUE(SaveTableFile(ds, path));
+  const std::string good = ReadBytes(path);
+  TableLayout layout;
+  ASSERT_TRUE(ComputeTableLayout(ds.schema(), ds.num_records(), &layout));
+  for (const int32_t code : {4, -1, 100000000}) {
+    std::string bytes = good;
+    // Record 2's code, so a reader must check past the first value.
+    std::memcpy(&bytes[layout.column_offsets[1] + 2 * sizeof(int32_t)], &code,
+                sizeof(code));
+    WriteBytes(path, bytes);
+    const std::string what = "code " + std::to_string(code);
+    Dataset out;
+    bool loaded = true;
+    EXPECT_NO_THROW(loaded = LoadTableFile(path, &out)) << what;
+    EXPECT_FALSE(loaded) << what;
+    // The file's size is intact, so the scanner opens; its reads fail.
+    auto scanner = TableScanner::Open(path, 2);
+    ASSERT_NE(scanner, nullptr) << what;
+    ColumnBlock block;
+    EXPECT_TRUE(scanner->ReadBlock(0, 2, &block)) << what;
+    EXPECT_FALSE(scanner->ReadBlock(1, 2, &block)) << what;
+    std::vector<int32_t> column;
+    EXPECT_FALSE(scanner->ReadCategoricalColumn(1, &column)) << what;
+  }
   std::remove(path.c_str());
 }
 
