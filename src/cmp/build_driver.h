@@ -108,11 +108,11 @@ class CmpBuild {
   FrontierQueues next_;
 };
 
-// Discretization pass: one column read and ONE sort per numeric
-// attribute serve both the quantile grid and the interior-splittable
-// marks, behind the AttrGridBuilder seam (hist/grid_builder.h). The
-// batch driver always uses the exact full-sort builder: grids depend
-// only on the sorted value multiset, so the streamed and in-memory
+// Discretization pass: one column read per numeric attribute serves the
+// quantile grid, the interior-splittable marks and the bin codes, behind
+// the AttrGridBuilder seam (hist/grid_builder.h). The batch driver always
+// uses the exact builder, which selects the cuts without sorting: grids
+// depend only on the value multiset, so the streamed and in-memory
 // builds produce identical grids — the first link of the
 // streamed-equals-in-memory determinism argument. (The sketch builder
 // behind the same seam powers the cmp-stream trainer, which has its
@@ -130,8 +130,8 @@ void CmpBuild<Store>::BuildGrids(int64_t n) {
     ExactAttrGridBuilder builder;
     if (codes_.enabled()) {
       // When the bin-code cache is on, the same column read feeds both
-      // the grid build (sorted copy) and the code encoding (record
-      // order) — no extra pass over the data.
+      // the grid build (the builder's copy) and the code encoding
+      // (record order) — no extra pass over the data.
       builder.Add(column.data(), static_cast<int64_t>(column.size()));
     } else {
       builder.AddOwned(std::move(column));

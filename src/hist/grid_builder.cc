@@ -1,6 +1,7 @@
 #include "hist/grid_builder.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 namespace cmp {
@@ -28,6 +29,29 @@ std::vector<char> InteriorMarksFromSorted(const std::vector<double>& sorted,
   return interior;
 }
 
+namespace {
+
+// The same marks as InteriorMarksFromSorted, from the values in any
+// order: interval i holds two distinct values iff its smallest value is
+// below its largest.
+std::vector<char> InteriorMarks(const std::vector<double>& values,
+                                const IntervalGrid& grid) {
+  const int m = grid.num_intervals();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> lo(m, kInf);
+  std::vector<double> hi(m, -kInf);
+  for (double v : values) {
+    const int i = grid.IntervalOf(v);
+    lo[i] = std::min(lo[i], v);
+    hi[i] = std::max(hi[i], v);
+  }
+  std::vector<char> interior(m);
+  for (int i = 0; i < m; ++i) interior[i] = lo[i] < hi[i];
+  return interior;
+}
+
+}  // namespace
+
 void ExactAttrGridBuilder::Add(const double* values, int64_t n) {
   values_.insert(values_.end(), values, values + n);
 }
@@ -47,12 +71,11 @@ void ExactAttrGridBuilder::MergeFrom(AttrGridBuilder& other) {
 }
 
 AttrGridResult ExactAttrGridBuilder::Finish(int q, Discretization kind) {
-  std::sort(values_.begin(), values_.end());
   AttrGridResult result;
   result.grid = kind == Discretization::kEqualDepth
-                    ? IntervalGrid::EqualDepthFromSorted(values_, q)
-                    : IntervalGrid::EqualWidthFromSorted(values_, q);
-  result.interior = InteriorMarksFromSorted(values_, result.grid);
+                    ? IntervalGrid::EqualDepth(values_, q)
+                    : IntervalGrid::EqualWidth(values_, q);
+  result.interior = InteriorMarks(values_, result.grid);
   return result;
 }
 
@@ -77,8 +100,8 @@ AttrGridResult SketchAttrGridBuilder::Finish(int q, Discretization kind) {
     result.grid = sketch_.ToEqualDepthGrid(q);
   } else {
     // Equal width needs only exact min/max, which the sketch tracks.
-    std::vector<double> extremes = {sketch_.min_value(), sketch_.max_value()};
-    result.grid = IntervalGrid::EqualWidthFromSorted(extremes, q);
+    result.grid = IntervalGrid::EqualWidth(
+        {sketch_.min_value(), sketch_.max_value()}, q);
   }
   // Mark intervals where the summary retains two distinct values: every
   // retained value is real data, so these intervals truly are

@@ -13,11 +13,12 @@ namespace cmp {
 
 /// How a discretization grid is computed from a numeric column.
 enum class GridMethod {
-  /// Buffer the whole column and sort it — the paper's exact equal-depth
-  /// quantiling. O(n) memory per attribute; grids depend only on the
-  /// value multiset. This is the default for every batch algorithm and
-  /// preserves their byte-identical-tree contract.
-  kExactSort,
+  /// Buffer the whole column and select its exact cuts — the paper's
+  /// equal-depth quantiling, computed by bucket selection instead of a
+  /// sort (IntervalGrid::EqualDepth). O(n) memory per attribute; grids
+  /// depend only on the value multiset. This is the default for every
+  /// batch algorithm and preserves their byte-identical-tree contract.
+  kExact,
   /// Feed a deterministic mergeable quantile sketch (hist/sketch.h) —
   /// O(k log(n/k)) memory, one pass, no sort barrier. Cuts land within
   /// the sketch's rank-error bound of the exact ones. Used by the
@@ -30,7 +31,7 @@ struct AttrGridResult {
   IntervalGrid grid;
   /// interior[i] is nonzero iff grid interval i is known to contain at
   /// least two distinct values — i.e. an interior split point can exist
-  /// there. Exact for kExactSort; for kSketch it is derived from the
+  /// there. Exact for kExact; for kSketch it is derived from the
   /// sketch summary (a value the sketch retained is real data, so a
   /// marked interval really is splittable, but sparse intervals can be
   /// missed — callers that need certainty must use the exact method).
@@ -67,10 +68,11 @@ class AttrGridBuilder {
   virtual int64_t MemoryBytes() const = 0;
 };
 
-/// Exact path: buffers and sorts the column. Finish(q, kEqualDepth) is
+/// Exact path: buffers the column and never sorts it. Finish(q,
+/// kEqualDepth) selects the cuts (IntervalGrid::EqualDepth), which is
 /// byte-identical to IntervalGrid::EqualDepthFromSorted on the sorted
-/// column, and the interior marks are byte-identical to the scan the CMP
-/// build driver historically ran over the sorted column.
+/// column; the interior marks come from one pass over the unsorted
+/// buffer and equal InteriorMarksFromSorted on the sorted column.
 class ExactAttrGridBuilder : public AttrGridBuilder {
  public:
   void Add(const double* values, int64_t n) override;
@@ -105,7 +107,8 @@ class SketchAttrGridBuilder : public AttrGridBuilder {
 
 /// Interior marks for a grid from a sorted value run (the exact rule the
 /// CMP driver uses: interval i is interior iff it contains two distinct
-/// values). Exposed so tests can compare implementations.
+/// values). The sketch builder uses it on its sorted summary; tests use
+/// it as the oracle for the exact builder's one-pass marks.
 std::vector<char> InteriorMarksFromSorted(const std::vector<double>& sorted,
                                           const IntervalGrid& grid);
 

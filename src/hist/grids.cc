@@ -11,8 +11,10 @@ std::vector<IntervalGrid> ComputeGrids(const Dataset& ds, int intervals,
   if (tracker != nullptr) tracker->ChargeScan(ds);
   std::vector<IntervalGrid> grids(ds.num_attrs());
   // Each attribute's grid depends only on that attribute's column, so the
-  // per-attribute sorts fan out; sort work is charged serially afterwards
-  // to keep the counters race-free and thread-count independent.
+  // per-attribute builds fan out. The paper's cost model charges an
+  // n log n sort per equal-depth grid (the selection does less work);
+  // the charge is made serially afterwards to keep the counters
+  // race-free and thread-count independent.
   auto build_attr = [&](AttrId a) {
     if (!ds.schema().is_numeric(a)) return;
     if (kind == Discretization::kEqualDepth) {

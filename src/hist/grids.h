@@ -21,9 +21,11 @@ class ThreadPool;
 /// Builds the per-attribute interval grids used by CLOUDS and the CMP
 /// family: `intervals` intervals for each numeric attribute (categorical
 /// attributes get an empty grid). The construction is charged to
-/// `tracker` as one dataset scan, plus one sort per numeric attribute
-/// for equal-depth grids. A `pool` fans the per-attribute sorts across
-/// worker threads (the grids are identical for any thread count).
+/// `tracker` as one dataset scan, plus the paper's cost of one sort per
+/// numeric attribute for equal-depth grids (the cuts are selected, not
+/// sorted, but the cost model is the paper's). A `pool` fans the
+/// per-attribute builds across worker threads (the grids are identical
+/// for any thread count).
 std::vector<IntervalGrid> ComputeGrids(const Dataset& ds, int intervals,
                                        Discretization kind,
                                        ScanTracker* tracker,

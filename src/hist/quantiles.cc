@@ -1,44 +1,188 @@
 #include "hist/quantiles.h"
 
-#include <algorithm>
+#include <bit>
 #include <cassert>
+#include <utility>
 
 namespace cmp {
 
+namespace {
+
+constexpr uint64_t kSignBit = uint64_t{1} << 63;
+
+// The selection's counting pass uses at most 2^12 buckets: 4096 counters
+// stay cache-resident while the column streams past.
+constexpr int kBucketBits = 12;
+
+// At most this many keys are selected directly, without bucketing.
+constexpr int64_t kDirectSelect = 4096;
+
+// Order-preserving map from a non-NaN double to an unsigned key: flip
+// every bit of a negative value, set the sign bit of the rest. Keys
+// order values as `<` does, except that -0.0 sorts before +0.0, which
+// makes the order total.
+uint64_t OrderKey(double v) {
+  const uint64_t bits = std::bit_cast<uint64_t>(v);
+  const uint64_t negative = static_cast<uint64_t>(
+      static_cast<int64_t>(bits) >> 63);
+  return bits ^ (negative | kSignBit);
+}
+
+double FromOrderKey(uint64_t key) {
+  const uint64_t positive = static_cast<uint64_t>(
+      static_cast<int64_t>(~key) >> 63);
+  return std::bit_cast<double>(key ^ (positive | kSignBit));
+}
+
+// Smallest and largest of the keys key_of(src[i]), i in [0, n), n > 0.
+template <class T, class KeyOf>
+std::pair<uint64_t, uint64_t> KeyRange(const T* src, int64_t n,
+                                       KeyOf key_of) {
+  uint64_t lo = ~uint64_t{0};
+  uint64_t hi = 0;
+  for (int64_t i = 0; i < n; ++i) {
+    const uint64_t key = key_of(src[i]);
+    lo = std::min(lo, key);
+    hi = std::max(hi, key);
+  }
+  return {lo, hi};
+}
+
+uint64_t SameKey(uint64_t key) { return key; }
+
+// Leaves the key of sorted rank ranks[k] in out[k], for ranks that
+// ascend, are distinct and index [first, last) from `base`. Selecting the
+// middle rank first and recursing on both sides costs O(len * log(#ranks))
+// rather than the O(len * #ranks) of selecting the ranks in turn.
+void SelectRanks(uint64_t* first, uint64_t* last, int64_t base,
+                 const int64_t* ranks, int64_t num_ranks, uint64_t* out) {
+  if (num_ranks == 0) return;
+  const int64_t mid = num_ranks / 2;
+  uint64_t* const nth = first + (ranks[mid] - base);
+  std::nth_element(first, nth, last);
+  out[mid] = *nth;
+  SelectRanks(first, nth, base, ranks, mid, out);
+  SelectRanks(nth + 1, last, ranks[mid] + 1, ranks + mid + 1,
+              num_ranks - mid - 1, out + mid + 1);
+}
+
+// Leaves in out[k] the key of sorted rank ranks[k] among the n keys
+// key_of(src[i]), which all lie in [lo, hi]; the ranks ascend, are
+// distinct and index the keys from `base`. The keys are counted into at
+// most 4096 equal-width buckets over [lo, hi]; only the buckets that hold
+// a rank are copied out, and each is selected the same way over its own
+// key range. Every level narrows the range at least 2^11-fold, so a
+// spike (a run of zeros) or an outlier costs one more level, not a sort,
+// and a bucket of one repeated key ends the descent.
+template <class T, class KeyOf>
+void SelectKeys(const T* src, int64_t n, KeyOf key_of, uint64_t lo,
+                uint64_t hi, int64_t base, const int64_t* ranks,
+                int64_t num_ranks, uint64_t* out) {
+  if (num_ranks == 0) return;
+  if (lo == hi) {
+    std::fill_n(out, num_ranks, lo);
+    return;
+  }
+  if (n <= kDirectSelect) {
+    std::vector<uint64_t> keys(n);
+    for (int64_t i = 0; i < n; ++i) keys[i] = key_of(src[i]);
+    SelectRanks(keys.data(), keys.data() + n, base, ranks, num_ranks, out);
+    return;
+  }
+  const int shift =
+      std::max(0, static_cast<int>(std::bit_width(hi - lo)) - kBucketBits);
+  const size_t num_buckets = static_cast<size_t>((hi - lo) >> shift) + 1;
+  // start[b] is the rank (from base) of the first key in bucket b.
+  std::vector<int64_t> start(num_buckets + 1, 0);
+  for (int64_t i = 0; i < n; ++i) {
+    ++start[((key_of(src[i]) - lo) >> shift) + 1];
+  }
+  start[0] = base;
+  for (size_t b = 0; b < num_buckets; ++b) start[b + 1] += start[b];
+
+  // Give each bucket that holds a rank a region of the candidate buffer
+  // (fill[b] stays -1 for the others), then copy the keys out.
+  std::vector<int64_t> fill(num_buckets, -1);
+  std::vector<int> bucket_of(num_ranks);
+  int64_t num_candidates = 0;
+  for (int64_t k = 0, b = 0; k < num_ranks; ++k) {
+    while (start[b + 1] <= ranks[k]) ++b;
+    bucket_of[k] = static_cast<int>(b);
+    if (fill[b] < 0) {
+      fill[b] = num_candidates;
+      num_candidates += start[b + 1] - start[b];
+    }
+  }
+  std::vector<uint64_t> candidates(num_candidates);
+  for (int64_t i = 0; i < n; ++i) {
+    const uint64_t key = key_of(src[i]);
+    int64_t& at = fill[(key - lo) >> shift];
+    if (at >= 0) candidates[at++] = key;
+  }
+
+  // fill[b] now marks the end of bucket b's region.
+  for (int64_t k = 0; k < num_ranks;) {
+    const int b = bucket_of[k];
+    int64_t k_end = k;
+    while (k_end < num_ranks && bucket_of[k_end] == b) ++k_end;
+    const int64_t size = start[b + 1] - start[b];
+    const uint64_t* const region = candidates.data() + fill[b] - size;
+    const auto [region_lo, region_hi] = KeyRange(region, size, SameKey);
+    SelectKeys(region, size, SameKey, region_lo, region_hi, start[b],
+               ranks + k, k_end - k, out + k);
+    k = k_end;
+  }
+}
+
+}  // namespace
+
 IntervalGrid IntervalGrid::EqualDepth(const std::vector<double>& values,
                                       int q) {
-  std::vector<double> sorted = values;
-  std::sort(sorted.begin(), sorted.end());
-  return EqualDepthFromSorted(sorted, q);
+  assert(q >= 1);
+  if (values.empty()) return IntervalGrid();
+  const int64_t n = static_cast<int64_t>(values.size());
+  const auto [lo, hi] = KeyRange(values.data(), n, OrderKey);
+  // The distinct target ranks, ascending (n < q repeats some).
+  std::vector<int64_t> ranks;
+  for (int i = 1; i < q; ++i) {
+    const int64_t rank = CutRank(n, i, q);
+    if (ranks.empty() || rank != ranks.back()) ranks.push_back(rank);
+  }
+  std::vector<uint64_t> keys(ranks.size());
+  SelectKeys(values.data(), n, OrderKey, lo, hi, 0, ranks.data(),
+             static_cast<int64_t>(ranks.size()), keys.data());
+  std::vector<double> rank_cuts;
+  rank_cuts.reserve(q - 1);
+  for (int i = 1, k = 0; i < q; ++i) {
+    while (ranks[k] != CutRank(n, i, q)) ++k;
+    rank_cuts.push_back(FromOrderKey(keys[k]));
+  }
+  return FromRankCuts(rank_cuts, FromOrderKey(lo), FromOrderKey(hi));
 }
 
 IntervalGrid IntervalGrid::EqualDepthFromSorted(
     const std::vector<double>& sorted, int q) {
   assert(q >= 1);
   assert(std::is_sorted(sorted.begin(), sorted.end()));
-  IntervalGrid grid;
-  if (sorted.empty() || q <= 1) {
-    if (!sorted.empty()) {
-      grid.min_value_ = sorted.front();
-      grid.max_value_ = sorted.back();
-    }
-    return grid;
-  }
-  grid.min_value_ = sorted.front();
-  grid.max_value_ = sorted.back();
+  if (sorted.empty()) return IntervalGrid();
   const int64_t n = static_cast<int64_t>(sorted.size());
-  grid.boundaries_.reserve(q - 1);
-  for (int i = 1; i < q; ++i) {
-    // Cut after the i-th q-quantile position.
-    const int64_t pos = std::min<int64_t>(n - 1, (n * i) / q);
-    const double cut = sorted[pos];
+  std::vector<double> rank_cuts;
+  rank_cuts.reserve(q - 1);
+  for (int i = 1; i < q; ++i) rank_cuts.push_back(sorted[CutRank(n, i, q)]);
+  return FromRankCuts(rank_cuts, sorted.front(), sorted.back());
+}
+
+IntervalGrid IntervalGrid::FromRankCuts(const std::vector<double>& rank_cuts,
+                                        double min_value, double max_value) {
+  IntervalGrid grid;
+  grid.min_value_ = min_value;
+  grid.max_value_ = max_value;
+  for (double cut : rank_cuts) {
     if (grid.boundaries_.empty() || cut > grid.boundaries_.back()) {
       grid.boundaries_.push_back(cut);
     }
   }
-  // A cut equal to the global maximum would leave an empty last interval;
-  // drop it.
-  while (!grid.boundaries_.empty() && grid.boundaries_.back() >= sorted.back()) {
+  while (!grid.boundaries_.empty() && grid.boundaries_.back() >= max_value) {
     grid.boundaries_.pop_back();
   }
   return grid;
@@ -46,38 +190,15 @@ IntervalGrid IntervalGrid::EqualDepthFromSorted(
 
 IntervalGrid IntervalGrid::EqualWidth(const std::vector<double>& values,
                                       int q) {
-  double lo = 0.0;
-  double hi = 0.0;
-  if (!values.empty()) {
-    const auto [lo_it, hi_it] =
-        std::minmax_element(values.begin(), values.end());
-    lo = *lo_it;
-    hi = *hi_it;
-  }
-  return EqualWidthFromBounds(values.empty(), lo, hi, q);
-}
-
-IntervalGrid IntervalGrid::EqualWidthFromSorted(
-    const std::vector<double>& sorted, int q) {
-  assert(std::is_sorted(sorted.begin(), sorted.end()));
-  const double lo = sorted.empty() ? 0.0 : sorted.front();
-  const double hi = sorted.empty() ? 0.0 : sorted.back();
-  return EqualWidthFromBounds(sorted.empty(), lo, hi, q);
-}
-
-IntervalGrid IntervalGrid::EqualWidthFromBounds(bool empty, double lo,
-                                                double hi, int q) {
   IntervalGrid grid;
-  if (empty || q <= 1) {
-    if (!empty) {
-      grid.min_value_ = lo;
-      grid.max_value_ = hi;
-    }
-    return grid;
-  }
+  if (values.empty()) return grid;
+  const auto [lo_key, hi_key] = KeyRange(
+      values.data(), static_cast<int64_t>(values.size()), OrderKey);
+  const double lo = FromOrderKey(lo_key);
+  const double hi = FromOrderKey(hi_key);
   grid.min_value_ = lo;
   grid.max_value_ = hi;
-  if (lo == hi) return grid;  // constant column: one interval
+  if (q <= 1 || lo == hi) return grid;  // constant column: one interval
   grid.boundaries_.reserve(q - 1);
   for (int i = 1; i < q; ++i) {
     const double cut = lo + (hi - lo) * i / q;
@@ -102,13 +223,6 @@ IntervalGrid IntervalGrid::FromBoundaries(std::vector<double> boundaries,
     grid.max_value_ = max_value;
   }
   return grid;
-}
-
-int IntervalGrid::IntervalOf(double v) const {
-  // Interval i covers (b_i, b_{i+1}]: the first boundary >= v identifies
-  // the interval.
-  const auto it = std::lower_bound(boundaries_.begin(), boundaries_.end(), v);
-  return static_cast<int>(it - boundaries_.begin());
 }
 
 }  // namespace cmp

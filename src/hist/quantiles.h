@@ -1,6 +1,9 @@
 #ifndef CMP_HIST_QUANTILES_H_
 #define CMP_HIST_QUANTILES_H_
 
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/types.h"
@@ -21,27 +24,39 @@ class IntervalGrid {
   IntervalGrid() = default;
 
   /// Builds an equal-depth grid with (at most) `q` intervals from the
-  /// attribute values. `values` is copied and sorted internally. The
-  /// observed min/max are recorded as the grid's domain bounds.
+  /// attribute values, in any order, without sorting them: the cuts are
+  /// order statistics, found by bucket selection (a counting pass over
+  /// order-preserving integer keys, repeated inside the few buckets that
+  /// hold a target rank until they are small or constant). The observed
+  /// min/max are recorded as the grid's domain bounds. Identical, bit for
+  /// bit, to EqualDepthFromSorted on the values sorted by the total order
+  /// that puts -0.0 before +0.0. `values` must not contain NaN.
   static IntervalGrid EqualDepth(const std::vector<double>& values, int q);
 
-  /// Same as EqualDepth, but `sorted` must already be in ascending
-  /// order. Lets a caller that needs the sorted column for other work
-  /// too (e.g. marking interior-splittable intervals) pay for one sort
-  /// instead of two. The grid is identical to EqualDepth on the same
-  /// multiset of values.
+  /// The same grid from a column already in ascending order: cut i is
+  /// the value at position CutRank(n, i, q). The reference definition of
+  /// an equal-depth grid; EqualDepth must agree with it.
   static IntervalGrid EqualDepthFromSorted(const std::vector<double>& sorted,
                                            int q);
 
-  /// Builds an equal-width grid: `q` intervals of identical value span
-  /// across [min, max] (the paper's other discretization option; cheaper
-  /// to build — no sort — but skewed data piles into few intervals).
-  static IntervalGrid EqualWidth(const std::vector<double>& values, int q);
+  /// Sorted position of cut i (1 <= i < q) of an n-value column.
+  static int64_t CutRank(int64_t n, int i, int q) {
+    return std::min<int64_t>(n - 1, (n * i) / q);
+  }
 
-  /// EqualWidth over a column already in ascending order (min/max are
-  /// the ends, no extra scan).
-  static IntervalGrid EqualWidthFromSorted(const std::vector<double>& sorted,
-                                           int q);
+  /// The equal-depth rule shared by every grid builder (exact and
+  /// sketched): `rank_cuts[i-1]` is the value at CutRank(n, i, q), for
+  /// i in [1, q). Repeated cuts (heavy ties) collapse, and cuts at or
+  /// above `max_value` are dropped, since they would leave the last
+  /// interval empty.
+  static IntervalGrid FromRankCuts(const std::vector<double>& rank_cuts,
+                                   double min_value, double max_value);
+
+  /// Builds an equal-width grid: `q` intervals of identical value span
+  /// across [min, max] (the paper's other discretization option; one
+  /// min/max pass, no ordering work — but skewed data piles into few
+  /// intervals).
+  static IntervalGrid EqualWidth(const std::vector<double>& values, int q);
 
   /// Builds a grid from explicit, strictly increasing cut values and
   /// domain bounds (defaulting to the first/last cut).
@@ -53,8 +68,21 @@ class IntervalGrid {
     return static_cast<int>(boundaries_.size()) + 1;
   }
 
-  /// Index of the interval containing `v`, in [0, num_intervals()).
-  int IntervalOf(double v) const;
+  /// Index of the interval containing `v`, in [0, num_intervals()):
+  /// the first cut >= v (std::lower_bound). A branchless search whose
+  /// trip count depends only on the cut count; the multiply keeps GCC
+  /// from turning the select back into a branch.
+  int IntervalOf(double v) const {
+    const double* base = boundaries_.data();
+    size_t len = boundaries_.size();
+    if (len == 0) return 0;
+    while (len > 1) {
+      const size_t half = len / 2;
+      base += static_cast<size_t>(base[half - 1] < v) * half;
+      len -= half;
+    }
+    return static_cast<int>(base - boundaries_.data()) + (*base < v);
+  }
 
   /// The cut value at the *upper* edge of interval `i`; only valid for
   /// i < num_intervals()-1 (the last interval is unbounded above).
@@ -75,9 +103,6 @@ class IntervalGrid {
   }
 
  private:
-  static IntervalGrid EqualWidthFromBounds(bool empty, double lo, double hi,
-                                           int q);
-
   std::vector<double> boundaries_;
   double min_value_ = 0.0;
   double max_value_ = 0.0;

@@ -140,26 +140,18 @@ IntervalGrid QuantileSketch::ToEqualDepthGrid(int q) const {
     cum[i] = running;
   }
   const int64_t n = count_;
-  std::vector<double> boundaries;
-  boundaries.reserve(q - 1);
+  std::vector<double> rank_cuts;
+  rank_cuts.reserve(q - 1);
   for (int i = 1; i < q; ++i) {
-    // Mirror EqualDepthFromSorted: the cut is the value at sorted
-    // position min(n-1, n*i/q) — here the first summary item whose
-    // cumulative weight exceeds that position.
-    const int64_t pos = std::min<int64_t>(n - 1, (n * i) / q);
+    // The cut at sorted position CutRank(n, i, q) is the first summary
+    // item whose cumulative weight exceeds that position.
+    const int64_t pos = IntervalGrid::CutRank(n, i, q);
     const auto it = std::upper_bound(cum.begin(), cum.end(), pos);
     const size_t idx = std::min<size_t>(
         static_cast<size_t>(it - cum.begin()), items.size() - 1);
-    const double cut = items[idx].value;
-    if (boundaries.empty() || cut > boundaries.back()) {
-      boundaries.push_back(cut);
-    }
+    rank_cuts.push_back(items[idx].value);
   }
-  while (!boundaries.empty() && boundaries.back() >= max_value_) {
-    boundaries.pop_back();
-  }
-  return IntervalGrid::FromBoundaries(std::move(boundaries), min_value_,
-                                      max_value_);
+  return IntervalGrid::FromRankCuts(rank_cuts, min_value_, max_value_);
 }
 
 int64_t QuantileSketch::MemoryBytes() const {

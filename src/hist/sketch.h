@@ -81,9 +81,10 @@ class QuantileSketch {
   /// Equal-depth grid with (at most) `q` intervals from the summary,
   /// mirroring IntervalGrid::EqualDepthFromSorted cut for cut: the cut
   /// for quantile i is the summary value at rank position
-  /// min(n-1, n*i/q), duplicate cuts collapse, and trailing cuts at the
-  /// maximum are dropped. On a sketch that never compacted the result is
-  /// byte-identical to EqualDepthFromSorted on the sorted input.
+  /// IntervalGrid::CutRank(n, i, q), and IntervalGrid::FromRankCuts
+  /// collapses duplicates and drops trailing cuts at the maximum. On a
+  /// sketch that never compacted the result is byte-identical to
+  /// EqualDepthFromSorted on the sorted input.
   IntervalGrid ToEqualDepthGrid(int q) const;
 
   int64_t MemoryBytes() const;

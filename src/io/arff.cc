@@ -6,6 +6,8 @@
 #include <sstream>
 #include <vector>
 
+#include "io/table_file.h"
+
 namespace cmp {
 
 namespace {
@@ -162,6 +164,7 @@ bool LoadArff(const std::string& path, Dataset* out) {
         } catch (...) {
           return false;
         }
+        if (!NoNaN(&nvals.back(), 1)) return false;
       }
     }
     const int label = FindValue(attrs.back().values, fields.back());

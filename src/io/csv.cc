@@ -7,6 +7,8 @@
 #include <string>
 #include <vector>
 
+#include "io/table_file.h"
+
 namespace cmp {
 
 namespace {
@@ -29,11 +31,13 @@ std::vector<std::string> SplitLine(const std::string& line) {
   return fields;
 }
 
+// A field is a number when strtod consumes all of it and the value is not
+// NaN (NoNaN in io/table_file.h: numeric columns hold no missing values).
 bool ParseDouble(const std::string& s, double* out) {
   if (s.empty()) return false;
   char* end = nullptr;
   *out = std::strtod(s.c_str(), &end);
-  return end != nullptr && *end == '\0';
+  return end != nullptr && *end == '\0' && NoNaN(out, 1);
 }
 
 }  // namespace
@@ -165,6 +169,7 @@ bool LoadCsv(const std::string& path, const Schema& schema, Dataset* out) {
       try {
         if (schema.is_numeric(a)) {
           nvals.push_back(std::stod(field));
+          if (!NoNaN(&nvals.back(), 1)) return false;
         } else {
           cvals.push_back(static_cast<int32_t>(std::stol(field)));
         }

@@ -13,18 +13,19 @@ bool SaveCsv(const Dataset& ds, const std::string& path);
 
 /// Loads a CSV previously produced by SaveCsv (or hand-written with the
 /// same conventions) against a known schema. Rows whose class name is not
-/// in the schema cause a failure. Returns false on any parse error.
+/// in the schema cause a failure. Returns false on any parse error or
+/// NaN value.
 bool LoadCsv(const std::string& path, const Schema& schema, Dataset* out);
 
 /// Loads a CSV with schema inference, for real-world files: the header
 /// row names the attributes (last column is the class), and each data
 /// column is classified by content — all-numeric columns become numeric
-/// attributes; everything else becomes a categorical attribute whose
-/// distinct strings are mapped to dense integers in first-appearance
-/// order. Class names are taken verbatim from the last column. The file
-/// is read twice (inference, then load). `max_categorical_card` bounds
-/// the cardinality a non-numeric column may have before the load fails
-/// (guards against free-text columns).
+/// attributes (a "nan" field is not a number); everything else becomes a
+/// categorical attribute whose distinct strings are mapped to dense
+/// integers in first-appearance order. Class names are taken verbatim
+/// from the last column. The file is read twice (inference, then load).
+/// `max_categorical_card` bounds the cardinality a non-numeric column may
+/// have before the load fails (guards against free-text columns).
 bool LoadCsvInferSchema(const std::string& path, Dataset* out,
                         int max_categorical_card = 256);
 

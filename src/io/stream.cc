@@ -140,11 +140,12 @@ bool TableScanner::ReadBlock(int64_t start, int64_t count,
     file_.read(dst, count * width);
     if (!file_.good()) return false;
     bytes_read_ += count * width;
-    if (!schema_.is_numeric(a) &&
-        !ValuesInRange(block->categorical_col(a), count,
-                       schema_.attr(a).cardinality)) {
-      return false;
-    }
+    const bool valid =
+        schema_.is_numeric(a)
+            ? NoNaN(block->numeric_col(a), count)
+            : ValuesInRange(block->categorical_col(a), count,
+                            schema_.attr(a).cardinality);
+    if (!valid) return false;
   }
   file_.seekg(label_offset_ + start * static_cast<int64_t>(sizeof(ClassId)));
   file_.read(reinterpret_cast<char*>(block->labels()),
@@ -162,9 +163,7 @@ bool TableScanner::ReadBlock(int64_t start, int64_t count,
 bool TableScanner::ReadNumericColumn(AttrId a, std::vector<double>* out) {
   out->resize(num_records_);
   file_.seekg(column_offsets_[a]);
-  file_.read(reinterpret_cast<char*>(out->data()),
-             num_records_ * static_cast<int64_t>(sizeof(double)));
-  if (!file_.good() && !(file_.eof() && num_records_ == 0)) return false;
+  if (!ReadNumbers(file_, out->data(), num_records_)) return false;
   bytes_read_ += num_records_ * static_cast<int64_t>(sizeof(double));
   return true;
 }

@@ -111,10 +111,10 @@ class TableScanner {
   int64_t bytes_read() const { return bytes_read_; }
 
   /// Reads records [start, start + count) into `block`, configuring it
-  /// for this scanner's schema if needed. Returns false on I/O failure
-  /// or if any label or categorical code is out of range (ValuesInRange
-  /// in table_file.h); `block` is then empty. Does not move the
-  /// sequential cursor.
+  /// for this scanner's schema if needed. Returns false on I/O failure,
+  /// if any label or categorical code is out of range (ValuesInRange in
+  /// table_file.h), or if a numeric value is NaN (NoNaN); `block` is then
+  /// empty. Does not move the sequential cursor.
   bool ReadBlock(int64_t start, int64_t count, ColumnBlock* block);
 
   /// Reads the next sequential block (at most block_records records)
@@ -123,10 +123,10 @@ class TableScanner {
   /// another pass.
   bool NextBlock(ColumnBlock* block);
 
-  /// Reads one whole column in a single bulk read (columns are stored
-  /// contiguously precisely so discretization passes can do this).
-  /// `a` must be a numeric attribute. Does not move the sequential
-  /// cursor.
+  /// Reads one whole column in bulk (columns are stored contiguously
+  /// precisely so discretization passes can do this); rejects NaN
+  /// (ReadNumbers in table_file.h). `a` must be a numeric attribute.
+  /// Does not move the sequential cursor.
   bool ReadNumericColumn(AttrId a, std::vector<double>* out);
 
   /// Reads one whole categorical column in a single bulk read; rejects

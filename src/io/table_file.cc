@@ -1,5 +1,6 @@
 #include "io/table_file.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -132,6 +133,32 @@ bool ValuesInRange(const int32_t* values, int64_t n, int32_t limit) {
   return ok;
 }
 
+bool NoNaN(const double* values, int64_t n) {
+  // On the bits: |v| is NaN iff it exceeds infinity's 0x7FF0...0, i.e.
+  // iff adding 0x000F...F carries into the sign bit. Integer adds and ORs
+  // vectorize, where a floating-point self-compare does not.
+  constexpr uint64_t kAbs = ~(uint64_t{1} << 63);
+  constexpr uint64_t kBelowCarry = (uint64_t{1} << 52) - 1;
+  uint64_t any = 0;
+  for (int64_t i = 0; i < n; ++i) {
+    uint64_t bits;
+    std::memcpy(&bits, &values[i], sizeof(bits));
+    any |= (bits & kAbs) + kBelowCarry;
+  }
+  return (any >> 63) == 0;
+}
+
+bool ReadNumbers(std::istream& is, double* dst, int64_t n) {
+  constexpr int64_t kChunk = int64_t{1} << 15;  // 256 KB
+  for (int64_t done = 0; done < n; done += kChunk) {
+    const int64_t m = std::min(kChunk, n - done);
+    is.read(reinterpret_cast<char*>(dst + done),
+            m * static_cast<int64_t>(sizeof(double)));
+    if (!is.good() || !NoNaN(dst + done, m)) return false;
+  }
+  return true;
+}
+
 bool SaveTableFile(const Dataset& ds, const std::string& path) {
   std::ofstream os(path, std::ios::binary | std::ios::trunc);
   if (!os.is_open()) return false;
@@ -194,7 +221,8 @@ bool LoadTableFile(const std::string& path, Dataset* out) {
     const int64_t offset = layout.column_offsets[a];
     if (schema.is_numeric(a)) {
       ncols[a].resize(n);
-      if (!read_at(offset, ncols[a].data(), n * sizeof(double))) return false;
+      is.seekg(offset);
+      if (!ReadNumbers(is, ncols[a].data(), n)) return false;
     } else {
       ccols[a].resize(n);
       if (!read_at(offset, ccols[a].data(), n * sizeof(int32_t)) ||

@@ -2,6 +2,7 @@
 #define CMP_IO_TABLE_FILE_H_
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -51,6 +52,18 @@ bool ComputeTableLayout(const Schema& schema, int64_t num_records,
 /// (limit = cardinality) before any builder indexes a histogram with them.
 bool ValuesInRange(const int32_t* values, int64_t n, int32_t limit);
 
+/// True when no value in values[0, n) is NaN. Every reader (both table
+/// readers, CSV and ARFF) applies it to numeric columns: the formats have
+/// no missing-value encoding, and the grids and split searches need a
+/// total order. Infinities are ordinary values and pass.
+bool NoNaN(const double* values, int64_t n);
+
+/// Reads `n` doubles from the stream's position into `dst` and checks
+/// them with NoNaN one cache-sized chunk at a time, so the check reads
+/// values that are still in cache rather than a second pass over the
+/// column. Returns false on a short read or a NaN.
+bool ReadNumbers(std::istream& is, double* dst, int64_t n);
+
 /// Writes `ds` to `path`. Returns false (and leaves a partial file) on I/O
 /// failure.
 bool SaveTableFile(const Dataset& ds, const std::string& path);
@@ -61,10 +74,10 @@ bool SaveTableFile(const Dataset& ds, const std::string& path);
 /// Validates before it allocates a column: the file size must equal the
 /// layout its header implies, so a truncated file, trailing bytes or a
 /// hostile record count fail without allocating the claimed size. After
-/// the bulk column reads, every label must lie in [0, num_classes) and
-/// every categorical code in [0, cardinality). Each column is read once,
-/// straight into the vector the Dataset then adopts, so the load holds a
-/// single copy of the table.
+/// the bulk column reads, every label must lie in [0, num_classes),
+/// every categorical code in [0, cardinality) and no numeric value may
+/// be NaN. Each column is read once, straight into the vector the
+/// Dataset then adopts, so the load holds a single copy of the table.
 bool LoadTableFile(const std::string& path, Dataset* out);
 
 /// Reads only the schema and record count from a table file header.

@@ -12,7 +12,7 @@ namespace cmp {
 
 /// Streaming CMP training (`--algo cmp-stream`): one sequential pass
 /// over the append-only record stream per tree level, per-node grids
-/// from bounded quantile sketches instead of a pre-pass full sort —
+/// from bounded quantile sketches instead of a whole-column pre-pass —
 /// O(k log(n/k)) sketch memory per (node, class, attribute), no O(n)
 /// column buffer. Fills `sidecar` (when non-null) with the per-leaf
 /// sketch state `cmptool refit` consumes later. False with *error on a

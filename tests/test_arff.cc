@@ -96,6 +96,16 @@ TEST(Arff, RejectsMalformedInputs) {
             "@data\n?,a\n");
   EXPECT_FALSE(LoadArff(path, &ds));
 
+  // NaN is a missing value too; infinities are numbers.
+  WriteFile(path,
+            "@relation r\n@attribute x numeric\n@attribute class {a,b}\n"
+            "@data\n1,a\nnan,b\n");
+  EXPECT_FALSE(LoadArff(path, &ds));
+  WriteFile(path,
+            "@relation r\n@attribute x numeric\n@attribute class {a,b}\n"
+            "@data\ninf,a\n-inf,b\n");
+  EXPECT_TRUE(LoadArff(path, &ds));
+
   // Unknown directive.
   WriteFile(path, "@relation r\n@frobnicate\n@data\n");
   EXPECT_FALSE(LoadArff(path, &ds));

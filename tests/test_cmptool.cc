@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -640,6 +641,14 @@ void PoisonCategorical(const cmp::TableLayout& layout, cmp::AttrId a,
   }
 }
 
+void PoisonNumeric(const cmp::TableLayout& layout, cmp::AttrId a, int64_t n,
+                   double value, std::string* bytes) {
+  for (int64_t r = 0; r < n; r += 7) {
+    std::memcpy(&(*bytes)[layout.column_offsets[a] + r * sizeof(double)],
+                &value, sizeof(value));
+  }
+}
+
 void WriteFile(const std::string& path, const std::string& bytes) {
   std::ofstream os(path, std::ios::binary | std::ios::trunc);
   os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
@@ -683,6 +692,52 @@ TEST_F(CmptoolTest, HostileTablesFailWithTheirExitCodes) {
                     csv),
             kIo);
   EXPECT_EQ(RunTool("info --data " + bad), kIo);
+
+  // NaN salaries: the format has no missing-value encoding, and NaN has
+  // no place in the order the grids and split searches need.
+  bytes = good;
+  PoisonNumeric(layout, schema.FindAttr("salary"), n,
+                std::numeric_limits<double>::quiet_NaN(), &bytes);
+  WriteFile(bad, bytes);
+  for (const char* algo : {"cmp", "cmp-s", "sliq", "clouds"}) {
+    EXPECT_EQ(RunTool("train --data " + bad + " --algo " + algo + " --out " +
+                      tree_,
+                      &out),
+              kIo)
+        << algo << ": " << out;
+  }
+  for (const char* algo : {"cmp", "cmp-s", "cmp-stream"}) {
+    EXPECT_EQ(RunTool("train --data " + bad + " --algo " + algo +
+                      " --stream --block 1000 --out " + tree_),
+              kTrain)
+        << algo;
+  }
+  EXPECT_EQ(RunTool("predict --data " + bad + " --tree " + tree_ + " --out " +
+                    csv),
+            kIo);
+  EXPECT_EQ(RunTool("eval --data " + bad + " --tree " + tree_), kIo);
+  EXPECT_EQ(RunTool("info --data " + bad), kIo);
+
+  // Infinities are ordinary values: the table trains, streamed or not,
+  // to one tree at any thread count.
+  bytes = good;
+  PoisonNumeric(layout, schema.FindAttr("salary"), n,
+                std::numeric_limits<double>::infinity(), &bytes);
+  PoisonNumeric(layout, schema.FindAttr("loan"), n,
+                -std::numeric_limits<double>::infinity(), &bytes);
+  WriteFile(bad, bytes);
+  const std::string inf_tree = TempPath("inf.tree");
+  ASSERT_EQ(RunTool("train --data " + bad + " --algo cmp --out " + inf_tree),
+            0);
+  EXPECT_EQ(RunTool("train --data " + bad + " --algo cmp --threads 4 --out " +
+                    tree_),
+            0);
+  EXPECT_EQ(Slurp(tree_), Slurp(inf_tree));
+  EXPECT_EQ(RunTool("train --data " + bad + " --algo cmp --stream --block " +
+                    "1000 --threads 2 --out " + tree_),
+            0);
+  EXPECT_EQ(Slurp(tree_), Slurp(inf_tree));
+  std::remove(inf_tree.c_str());
 
   // A record count of 2^40 on a 4000-row file.
   bytes = good;

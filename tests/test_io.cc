@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -229,6 +230,85 @@ TEST(TableFile, OutOfRangeCategoricalCodeFails) {
     std::vector<int32_t> column;
     EXPECT_FALSE(scanner->ReadCategoricalColumn(1, &column)) << what;
   }
+  std::remove(path.c_str());
+}
+
+TEST(TableFile, NaNNumericValueFails) {
+  const Dataset ds = SmallMixedDataset();  // attrs 0 and 2 are numeric
+  const std::string path = TempPath("nan_value.cmpt");
+  ASSERT_TRUE(SaveTableFile(ds, path));
+  const std::string good = ReadBytes(path);
+  TableLayout layout;
+  ASSERT_TRUE(ComputeTableLayout(ds.schema(), ds.num_records(), &layout));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::string bytes = good;
+  // Record 2's value, so a reader must check past the first value.
+  std::memcpy(&bytes[layout.column_offsets[2] + 2 * sizeof(double)], &nan,
+              sizeof(nan));
+  WriteBytes(path, bytes);
+  Dataset out;
+  EXPECT_FALSE(LoadTableFile(path, &out));
+  auto scanner = TableScanner::Open(path, 2);
+  ASSERT_NE(scanner, nullptr);
+  ColumnBlock block;
+  EXPECT_TRUE(scanner->ReadBlock(0, 2, &block));
+  EXPECT_FALSE(scanner->ReadBlock(1, 2, &block));
+  std::vector<double> column;
+  EXPECT_TRUE(scanner->ReadNumericColumn(0, &column));
+  EXPECT_FALSE(scanner->ReadNumericColumn(2, &column));
+
+  // Infinities are ordinary values.
+  bytes = good;
+  for (const double inf : {std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    std::memcpy(&bytes[layout.column_offsets[2] + 2 * sizeof(double)], &inf,
+                sizeof(inf));
+    WriteBytes(path, bytes);
+    ASSERT_TRUE(LoadTableFile(path, &out));
+    EXPECT_EQ(out.numeric(2, 2), inf);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(TableFile, NoNaNChecksEveryValue) {
+  using Limits = std::numeric_limits<double>;
+  const double inf = Limits::infinity();
+  const std::vector<double> values = {-inf,         -0.0, 0.0,
+                                      1e-310,       inf,  3.0,
+                                      Limits::max(), Limits::lowest()};
+  EXPECT_TRUE(NoNaN(values.data(), static_cast<int64_t>(values.size())));
+  EXPECT_TRUE(NoNaN(nullptr, 0));
+  // Quiet and signaling, either sign, smallest and largest payload.
+  const std::vector<double> nans = {
+      Limits::quiet_NaN(), -Limits::quiet_NaN(), Limits::signaling_NaN(),
+      std::bit_cast<double>(uint64_t{0x7FF0000000000001}),
+      std::bit_cast<double>(~uint64_t{0})};
+  for (size_t i = 0; i < values.size(); ++i) {
+    for (const double nan : nans) {
+      std::vector<double> bad = values;
+      bad[i] = nan;
+      EXPECT_FALSE(NoNaN(bad.data(), static_cast<int64_t>(bad.size())))
+          << i;
+    }
+  }
+}
+
+TEST(Csv, NaNFieldFails) {
+  const std::string path = TempPath("nan.csv");
+  for (const char* field : {"nan", "NaN", "-nan"}) {
+    {
+      std::ofstream os(path, std::ios::trunc);
+      os << "x,c,y,class\n1,0,2,a\n" << field << ",1,3,b\n";
+    }
+    Dataset out;
+    EXPECT_FALSE(LoadCsv(path, SmallMixedDataset().schema(), &out)) << field;
+  }
+  {
+    std::ofstream os(path, std::ios::trunc);
+    os << "x,c,y,class\n1,0,inf,a\n-inf,1,3,b\n";
+  }
+  Dataset out;
+  EXPECT_TRUE(LoadCsv(path, SmallMixedDataset().schema(), &out));
   std::remove(path.c_str());
 }
 

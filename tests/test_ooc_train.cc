@@ -164,5 +164,49 @@ TEST_F(OocTrainTest, StreamFailureThrowsInsteadOfSilentlyTraining) {
   EXPECT_THROW(builder.BuildStreamed(*source), std::runtime_error);
 }
 
+// A column mixing -0.0 and +0.0 (F7's commission zeros, every other one
+// negated: ~72k zeros) compares equal everywhere but orders -0.0 first
+// in the grid selection. The tree must not depend on where the signed
+// zeros land: one tree in memory at 1 and 4 threads and streamed.
+TEST(SignedZeros, OneTreeAcrossThreadsAndStreaming) {
+  AgrawalOptions gen;
+  gen.function = AgrawalFunction::kF7;
+  gen.num_records = 125000;
+  gen.seed = 6;
+  const Dataset plain = GenerateAgrawal(gen);
+  const AttrId commission = plain.schema().FindAttr("commission");
+  std::vector<std::vector<double>> numeric(plain.num_attrs());
+  std::vector<std::vector<int32_t>> categorical(plain.num_attrs());
+  for (AttrId a = 0; a < plain.num_attrs(); ++a) {
+    if (plain.schema().is_numeric(a)) {
+      numeric[a] = plain.numeric_column(a);
+    } else {
+      categorical[a] = plain.categorical_column(a);
+    }
+  }
+  int64_t zeros = 0;
+  for (double& v : numeric[commission]) {
+    if (v == 0.0 && zeros++ % 2 == 1) v = -0.0;
+  }
+  ASSERT_GT(zeros, 70000);
+  const Dataset ds(plain.schema(), std::move(numeric), std::move(categorical),
+                   plain.labels());
+  const std::string path = TempPath("signed_zeros.cmpt");
+  ASSERT_TRUE(SaveTableFile(ds, path));
+
+  for (CmpOptions options : {CmpSOptions(), CmpFullOptions()}) {
+    const std::string reference =
+        SerializeTree(CmpBuilder(options).Build(ds).tree);
+    options.base.num_threads = 4;
+    options.scan_shards = 4;
+    EXPECT_EQ(SerializeTree(CmpBuilder(options).Build(ds).tree), reference);
+    auto source = TableBlockSource::Open(path, 7000);
+    ASSERT_NE(source, nullptr);
+    EXPECT_EQ(SerializeTree(CmpBuilder(options).BuildStreamed(*source).tree),
+              reference);
+  }
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace cmp

@@ -3,9 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <functional>
+#include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
+#include "hist/grid_builder.h"
 
 namespace cmp {
 namespace {
@@ -103,6 +111,161 @@ TEST_P(GridDepthPropertyTest, EveryIntervalNonEmptyOnContinuousData) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GridDepthPropertyTest,
                          ::testing::Values(1, 2, 3, 4, 5));
+
+// -- Selection against the sorted reference ------------------------------
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// Ascending, with -0.0 before +0.0: the total order the selection uses,
+// so the reference grid is well defined when both zeros occur.
+std::vector<double> TotalOrderSorted(std::vector<double> values) {
+  std::sort(values.begin(), values.end(), [](double a, double b) {
+    return a < b || (a == b && std::signbit(a) && !std::signbit(b));
+  });
+  return values;
+}
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+void ExpectSameGrid(const IntervalGrid& got, const IntervalGrid& want,
+                    const std::string& what) {
+  ASSERT_EQ(got.boundaries().size(), want.boundaries().size()) << what;
+  for (size_t i = 0; i < got.boundaries().size(); ++i) {
+    EXPECT_EQ(Bits(got.boundaries()[i]), Bits(want.boundaries()[i]))
+        << what << " cut " << i;
+  }
+  EXPECT_EQ(Bits(got.min_value()), Bits(want.min_value())) << what;
+  EXPECT_EQ(Bits(got.max_value()), Bits(want.max_value())) << what;
+}
+
+// Columns that stress the selection: bucket spikes, ties, tiny and huge
+// magnitudes, infinities and signed zeros.
+std::vector<std::pair<std::string, std::vector<double>>> SelectionColumns() {
+  Rng rng(2024);
+  std::vector<std::pair<std::string, std::vector<double>>> cols;
+  auto add = [&](const std::string& name,
+                 const std::function<double(int)>& value, int size = 20000) {
+    std::vector<double> col(size);
+    for (int i = 0; i < size; ++i) col[i] = value(i);
+    cols.emplace_back(name, std::move(col));
+  };
+  add("uniform", [&](int) { return rng.Uniform(20000, 150000); });
+  add("zero spike", [&](int i) {
+    return i % 3 == 0 ? 0.0 : rng.Uniform(10000, 75000);
+  });
+  add("integer ties",
+      [&](int) { return static_cast<double>(rng.UniformInt(20, 80)); });
+  add("all equal", [](int) { return 7.5; });
+  add("one value", [](int) { return 42.0; }, 1);
+  add("fewer values than cuts", [&](int) { return rng.Uniform(-1, 1); }, 57);
+  add("negatives", [&](int) { return rng.Uniform(-1e6, -1e-3); });
+  add("gaussian", [&](int) { return rng.Gaussian(0, 1e3); });
+  add("infinities", [&](int i) {
+    return i % 11 == 0 ? kInf : i % 13 == 0 ? -kInf : rng.Uniform(-5, 5);
+  });
+  add("denormals", [&](int i) {
+    const double tiny = std::numeric_limits<double>::denorm_min() *
+                        static_cast<double>(rng.UniformInt(0, 1000));
+    return i % 2 == 0 ? tiny : -tiny;
+  });
+  add("1e300 outlier", [&](int i) {
+    return i == 7 ? 1e300 : rng.Uniform(20000, 150000);
+  });
+  add("signed zeros", [&](int i) {
+    return i % 4 == 0 ? -0.0 : i % 4 == 2 ? 0.0 : rng.Uniform(-3, 3);
+  });
+  add("only signed zeros", [](int i) { return i % 2 == 0 ? 0.0 : -0.0; });
+  return cols;
+}
+
+TEST(EqualDepthSelection, MatchesSortedReferenceBitForBit) {
+  for (const auto& [name, values] : SelectionColumns()) {
+    const std::vector<double> sorted = TotalOrderSorted(values);
+    const int n = static_cast<int>(values.size());
+    for (const int q : {1, 2, 100, 300, n + 5}) {
+      ExpectSameGrid(IntervalGrid::EqualDepth(values, q),
+                     IntervalGrid::EqualDepthFromSorted(sorted, q),
+                     name + " q=" + std::to_string(q));
+    }
+  }
+}
+
+TEST(EqualDepthSelection, SignedZerosAreOrderedNotInputDependent) {
+  // -0.0 sorts below +0.0, so the grid depends only on the multiset,
+  // not on where the zeros sit in the column.
+  std::vector<double> values = {1.0, 0.0, -0.0, 2.0, -0.0, 0.0, 3.0};
+  const IntervalGrid a = IntervalGrid::EqualDepth(values, 7);
+  std::reverse(values.begin(), values.end());
+  ExpectSameGrid(IntervalGrid::EqualDepth(values, 7), a, "reversed");
+  const IntervalGrid zeros = IntervalGrid::EqualDepth({0.0, -0.0}, 4);
+  EXPECT_TRUE(std::signbit(zeros.min_value()));
+  EXPECT_FALSE(std::signbit(zeros.max_value()));
+  EXPECT_EQ(zeros.num_intervals(), 1);
+}
+
+TEST(EqualDepthSelection, EqualWidthUsesTheSameExtremes) {
+  for (const auto& [name, values] : SelectionColumns()) {
+    const std::vector<double> sorted = TotalOrderSorted(values);
+    const IntervalGrid grid = IntervalGrid::EqualWidth(values, 16);
+    EXPECT_EQ(Bits(grid.min_value()), Bits(sorted.front())) << name;
+    EXPECT_EQ(Bits(grid.max_value()), Bits(sorted.back())) << name;
+  }
+}
+
+TEST(EqualDepthSelection, ExactBuilderMarksMatchSortedScan) {
+  for (const auto& [name, values] : SelectionColumns()) {
+    const std::vector<double> sorted = TotalOrderSorted(values);
+    for (const Discretization kind :
+         {Discretization::kEqualDepth, Discretization::kEqualWidth}) {
+      // Equal-width cuts between infinite extremes are NaN.
+      if (kind == Discretization::kEqualWidth && name == "infinities") {
+        continue;
+      }
+      for (const int q : {2, 100, 300}) {
+        const std::string what =
+            name + (kind == Discretization::kEqualDepth ? " depth" : " width") +
+            " q=" + std::to_string(q);
+        ExactAttrGridBuilder builder;
+        builder.Add(values.data(), static_cast<int64_t>(values.size()));
+        const AttrGridResult got = builder.Finish(q, kind);
+        const IntervalGrid want =
+            kind == Discretization::kEqualDepth
+                ? IntervalGrid::EqualDepthFromSorted(sorted, q)
+                : IntervalGrid::EqualWidth(values, q);
+        ExpectSameGrid(got.grid, want, what);
+        EXPECT_EQ(got.interior, InteriorMarksFromSorted(sorted, want))
+            << what;
+      }
+    }
+  }
+}
+
+// -- The branchless search against std::lower_bound ----------------------
+
+TEST(IntervalOf, EqualsLowerBoundForEveryCutCount) {
+  Rng rng(77);
+  for (int m = 0; m <= 300; ++m) {
+    std::vector<double> cuts;
+    double c = rng.Uniform(-100, 100);
+    for (int i = 0; i < m; ++i) {
+      cuts.push_back(c);
+      c += rng.Uniform(1e-9, 5);
+    }
+    const IntervalGrid grid = IntervalGrid::FromBoundaries(cuts);
+    std::vector<double> probes = {kInf, -kInf, 0.0, -0.0};
+    for (double cut : cuts) {
+      probes.push_back(cut);
+      probes.push_back(std::nextafter(cut, -kInf));
+      probes.push_back(std::nextafter(cut, kInf));
+    }
+    for (int i = 0; i < 64; ++i) probes.push_back(rng.Uniform(-200, 2000));
+    for (double v : probes) {
+      const int want = static_cast<int>(
+          std::lower_bound(cuts.begin(), cuts.end(), v) - cuts.begin());
+      ASSERT_EQ(grid.IntervalOf(v), want) << "m=" << m << " v=" << v;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace cmp

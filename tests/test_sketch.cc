@@ -363,8 +363,7 @@ TEST(AttrGridBuilder, SketchEqualWidthUsesExactExtremes) {
       sketchy->Finish(4, Discretization::kEqualWidth);
   // Equal width only needs min/max, which the sketch tracks exactly:
   // identical to the exact path's grid.
-  std::vector<double> sorted = column;
-  const IntervalGrid expect = IntervalGrid::EqualWidthFromSorted(sorted, 4);
+  const IntervalGrid expect = IntervalGrid::EqualWidth(column, 4);
   EXPECT_EQ(got.grid.boundaries(), expect.boundaries());
 }
 
