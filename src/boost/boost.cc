@@ -65,6 +65,9 @@ class WeakPassCollector : public TrainObserver {
   void OnPass(const PassObservation& pass) override {
     scan_seconds += pass.scan_seconds;
     plan_seconds += pass.plan_seconds;
+    line_search_seconds += pass.line_search_seconds;
+    line_refine_seconds += pass.line_refine_seconds;
+    lines_evaluated += pass.lines_evaluated;
     finish_seconds += pass.finish_seconds;
     kernel_seconds += pass.kernel_seconds;
     bytes_read += pass.bytes_read;
@@ -73,6 +76,9 @@ class WeakPassCollector : public TrainObserver {
 
   double scan_seconds = 0.0;
   double plan_seconds = 0.0;
+  double line_search_seconds = 0.0;
+  double line_refine_seconds = 0.0;
+  int64_t lines_evaluated = 0;
   double finish_seconds = 0.0;
   double kernel_seconds = 0.0;
   int64_t bytes_read = 0;
@@ -213,6 +219,9 @@ BuildResult BoostBuilder::Build(const Dataset& train) {
       pass.pass = round;
       pass.scan_seconds = weak_passes.scan_seconds;
       pass.plan_seconds = weak_passes.plan_seconds;
+      pass.line_search_seconds = weak_passes.line_search_seconds;
+      pass.line_refine_seconds = weak_passes.line_refine_seconds;
+      pass.lines_evaluated = weak_passes.lines_evaluated;
       pass.finish_seconds = weak_passes.finish_seconds;
       pass.kernel_seconds = weak_passes.kernel_seconds;
       pass.bytes_read = weak_passes.bytes_read;

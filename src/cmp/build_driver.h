@@ -387,6 +387,10 @@ void CmpBuild<Store>::Run() {
       executor.ResolvePending(w.node, w.pending.get(), depth);
     }
     po.plan_seconds = plan_timer.Seconds();
+    const LineSearchStats line_search = executor.TakeLineSearchStats();
+    po.line_search_seconds = line_search.search_seconds;
+    po.line_refine_seconds = line_search.refine_seconds;
+    po.lines_evaluated = line_search.lines_evaluated;
 
     if constexpr (Store::kStreaming) {
       // Every retained record has been consumed (collect subtrees built,

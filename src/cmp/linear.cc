@@ -1,7 +1,6 @@
 #include "cmp/linear.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <vector>
 
@@ -20,10 +19,9 @@ struct Axis {
 
 // Builds the value-space edges of matrix columns/rows covering global
 // intervals [lo, lo + n) of `grid`, merged into at most `max_cells`
-// coarse cells. Returns the axis plus, per coarse cell, the [first, last]
-// fine-cell range via `fine_begin`.
+// coarse cells. `coarse_of[k]` receives the coarse cell of fine cell k.
 Axis CoarsenAxis(const IntervalGrid& grid, int lo, int n, int max_cells,
-                 std::vector<int>* fine_begin) {
+                 std::vector<int>* coarse_of) {
   // Fine edges: value bounds of each of the n fine cells.
   std::vector<double> fine_edges(n + 1);
   for (int k = 0; k <= n; ++k) {
@@ -37,44 +35,96 @@ Axis CoarsenAxis(const IntervalGrid& grid, int lo, int n, int max_cells,
     }
   }
   Axis axis;
-  fine_begin->clear();
+  coarse_of->resize(n);
   const int groups = std::min(n, max_cells);
   axis.edges.reserve(groups + 1);
   for (int g = 0; g < groups; ++g) {
     const int begin = static_cast<int>(
         static_cast<int64_t>(n) * g / groups);
-    fine_begin->push_back(begin);
+    const int end = static_cast<int>(
+        static_cast<int64_t>(n) * (g + 1) / groups);
+    std::fill(coarse_of->begin() + begin, coarse_of->begin() + end, g);
     axis.edges.push_back(fine_edges[begin]);
   }
   axis.edges.push_back(fine_edges[n]);
   return axis;
 }
 
-// Class counts of the coarsened matrix, laid out [x][y][class].
-std::vector<int64_t> CoarsenMatrix(const HistogramMatrix& m,
-                                   const std::vector<int>& xb,
-                                   const std::vector<int>& yb) {
-  const int cx = static_cast<int>(xb.size());
-  const int cy = static_cast<int>(yb.size());
-  const int nc = m.num_classes();
-  std::vector<int64_t> out(static_cast<size_t>(cx) * cy * nc, 0);
-  auto group_of = [](const std::vector<int>& begins, int fine) {
-    // begins is ascending; find the last begin <= fine.
-    const auto it =
-        std::upper_bound(begins.begin(), begins.end(), fine) - 1;
-    return static_cast<int>(it - begins.begin());
-  };
+// A coarsened matrix prepared for line evaluation: `pre` holds, for each
+// column x and each row count y in [0, cy], the class counts of rows
+// [0, y) of column x, laid out [x][y][class].
+struct PrefixGrid {
+  Axis ax;
+  Axis ay;
+  int nc = 0;
+  std::vector<int64_t> pre;
+  std::vector<int64_t> totals;  // per-class counts of the whole matrix
+  // First row whose lower edge is +inf (cy when there is none).
+  int inf_row = 0;
+
+  const int64_t* column(int x) const {
+    return pre.data() + static_cast<size_t>(x) * (ay.cells() + 1) * nc;
+  }
+};
+
+// Coarsens `m` onto the axes (through the fine->coarse tables) and
+// prefix-sums each column. `mirror` lays the rows out top-down over
+// the Y-mirrored axis (y -> -y), for the positive-slope walk.
+PrefixGrid MakePrefixGrid(const HistogramMatrix& m, const Axis& ax,
+                          const std::vector<int>& xg, const Axis& ay,
+                          const std::vector<int>& yg, bool mirror) {
+  PrefixGrid g;
+  g.ax = ax;
+  g.nc = m.num_classes();
+  const int nc = g.nc;
+  const int cx = ax.cells();
+  const int cy = ay.cells();
+  if (mirror) {
+    g.ay.edges.resize(ay.edges.size());
+    for (size_t k = 0; k < ay.edges.size(); ++k) {
+      g.ay.edges[k] = -ay.edges[ay.edges.size() - 1 - k];
+    }
+  } else {
+    g.ay = ay;
+  }
+  const size_t col_stride = static_cast<size_t>(cy + 1) * nc;
+  g.pre.assign(static_cast<size_t>(cx) * col_stride, 0);
+  // Coarse cell (x, y) accumulates into slot y + 1 of column x; the
+  // running sum below turns the slots into prefix counts.
   for (int x = 0; x < m.x_intervals(); ++x) {
-    const int gx = group_of(xb, x);
+    int64_t* col = g.pre.data() + static_cast<size_t>(xg[x]) * col_stride;
     for (int y = 0; y < m.y_intervals(); ++y) {
-      const int gy = group_of(yb, y);
+      const int row = mirror ? cy - 1 - yg[y] : yg[y];
       const int64_t* cell = m.cell(x, y);
-      int64_t* dst = out.data() + (static_cast<size_t>(gx) * cy + gy) * nc;
+      int64_t* dst = col + static_cast<size_t>(row + 1) * nc;
       for (int c = 0; c < nc; ++c) dst[c] += cell[c];
     }
   }
-  return out;
+  g.totals.assign(nc, 0);
+  for (int x = 0; x < cx; ++x) {
+    int64_t* col = g.pre.data() + static_cast<size_t>(x) * col_stride;
+    for (int y = 1; y <= cy; ++y) {
+      for (int c = 0; c < nc; ++c) col[y * nc + c] += col[(y - 1) * nc + c];
+    }
+    for (int c = 0; c < nc; ++c) g.totals[c] += col[cy * nc + c];
+  }
+  g.inf_row = cy;
+  for (int y = 0; y < cy; ++y) {
+    if (g.ay.edges[y] == std::numeric_limits<double>::infinity()) {
+      g.inf_row = y;
+      break;
+    }
+  }
+  return g;
 }
+
+// Per-FindBestLine scratch, reused by every line evaluation.
+struct LineScratch {
+  std::vector<int64_t> under;
+  std::vector<int64_t> above;
+  std::vector<int64_t> on;
+  std::vector<double> by;  // b * ay.edges[k]
+};
 
 struct WalkResult {
   bool valid = false;
@@ -84,48 +134,103 @@ struct WalkResult {
   double gini = 1.0;
 };
 
-// gini^D of the three-way partition induced by a*X + b*Y <= c with
-// a, b > 0 over the coarse grid.
-double LineGini(const std::vector<int64_t>& grid, const Axis& ax,
-                const Axis& ay, int nc, double a, double b, double c,
-                int64_t* n_under, int64_t* n_above) {
-  std::vector<int64_t> under(nc, 0);
-  std::vector<int64_t> above(nc, 0);
-  std::vector<int64_t> on(nc, 0);
-  const int cy = ay.cells();
-  for (int x = 0; x < ax.cells(); ++x) {
-    for (int y = 0; y < cy; ++y) {
-      const int64_t* cell = grid.data() + (static_cast<size_t>(x) * cy + y) * nc;
-      // With positive coefficients, the max corner decides "under" and
-      // the min corner decides "above".
-      const double f_max = a * ax.edges[x + 1] + b * ay.edges[y + 1] - c;
-      const double f_min = a * ax.edges[x] + b * ay.edges[y] - c;
-      std::vector<int64_t>* bucket;
-      if (f_max <= 0.0) {
-        bucket = &under;
-      } else if (f_min >= 0.0) {
-        bucket = &above;
+// gini^D of the three-way partition induced by a*X + b*Y <= c over the
+// coarse grid, where a cell is "under" when its max corner satisfies
+// f_max = a*x1 + b*y1 - c <= 0, else "above" when its min corner
+// satisfies f_min = a*x0 + b*y0 - c >= 0, else "crossed".
+//
+// Within one column both corner values are non-decreasing in y (the walk
+// only builds lines with a, b >= 0), so "under" is a prefix of rows
+// [0, u) and "above" a suffix [max(u, m), cy), where u is the first row
+// failing the under test and m the first row passing the above test.
+// Two binary searches find u and m; prefix-count differences then give
+// the very integer counts the cell-by-cell classification sums, so
+// SplitGini3 sees identical inputs: O(cx * (log cy + classes)) per line
+// instead of O(cx * cy * classes). Each corner value is computed as the
+// same expression `(a*x + b*y) - c` the per-cell test uses (a*x hoisted
+// per column, b*y per row), so every comparison is bit-for-bit the same.
+//
+// Infinite edges (±inf attribute values are legal) can turn a corner
+// value into NaN, which fails both tests and files the cell as crossed.
+// In this expression NaN comes from 0*inf, inf - inf or -inf + inf.
+// Apart from b == 0, a NaN run in a column has only -inf values below it
+// and only +inf values above it (either side may be empty): b = inf
+// times a zero edge (rows below read -inf, rows above +inf), or an
+// infinite a*x or c meeting an infinite b*y at one end of the column.
+// Rows before such a run can never be >= 0 and rows after it can never
+// be <= 0, so the prefix and suffix shapes survive. A NaN a*x (0*inf or
+// inf*0 at an x edge) makes the whole column crossed, which the searches
+// also return (u = 0, m = rows). The one exception is b == 0 (an
+// infinite y edge span): b*y is then 0 on finite edges but NaN on
+// infinite ones, next to finite values. The walk's c is then NaN
+// whenever the first y edge is -inf (c contains y0/dy = -inf/inf), which
+// crosses every cell; otherwise only rows whose lower edge is +inf (the
+// top rows [inf_row, cy)) read NaN, and they are excluded from the
+// above suffix explicitly.
+double LineGini(const PrefixGrid& g, double a, double b, double c,
+                LineScratch* s, int64_t* n_under, int64_t* n_above) {
+  const int nc = g.nc;
+  const int cy = g.ay.cells();
+  const std::vector<double>& ex = g.ax.edges;
+  for (int k = 0; k <= cy; ++k) s->by[k] = b * g.ay.edges[k];
+  const double* by = s->by.data();
+  const int rows = b == 0.0 ? g.inf_row : cy;
+  std::fill(s->under.begin(), s->under.end(), 0);
+  std::fill(s->above.begin(), s->above.end(), 0);
+  for (int x = 0; x < g.ax.cells(); ++x) {
+    const double a1 = a * ex[x + 1];
+    const double a0 = a * ex[x];
+    // u: first row whose max corner is not under the line.
+    int lo = 0;
+    int hi = cy;
+    while (lo < hi) {
+      const int mid = (lo + hi) / 2;
+      if (a1 + by[mid + 1] - c <= 0.0) {
+        lo = mid + 1;
       } else {
-        bucket = &on;
+        hi = mid;
       }
-      for (int k = 0; k < nc; ++k) (*bucket)[k] += cell[k];
+    }
+    const int u = lo;
+    // m: first row whose min corner is on or above the line.
+    lo = 0;
+    hi = rows;
+    while (lo < hi) {
+      const int mid = (lo + hi) / 2;
+      if (a0 + by[mid] - c >= 0.0) {
+        hi = mid;
+      } else {
+        lo = mid + 1;
+      }
+    }
+    const int first_above = std::max(u, lo);
+    const int64_t* col = g.column(x);
+    for (int k = 0; k < nc; ++k) s->under[k] += col[u * nc + k];
+    if (first_above < rows) {
+      for (int k = 0; k < nc; ++k) {
+        s->above[k] += col[rows * nc + k] - col[first_above * nc + k];
+      }
     }
   }
   *n_under = 0;
   *n_above = 0;
   for (int k = 0; k < nc; ++k) {
-    *n_under += under[k];
-    *n_above += above[k];
+    s->on[k] = g.totals[k] - s->under[k] - s->above[k];
+    *n_under += s->under[k];
+    *n_above += s->above[k];
   }
-  return SplitGini3(under, above, on);
+  return SplitGini3(s->under, s->above, s->on);
 }
 
 // The paper's giniNegativeSlope walk: the line enters the grid at
 // x-edge i on the bottom and y-edge j on the left; i and j advance
-// greedily toward the top-right corner.
-WalkResult NegativeSlopeWalk(const std::vector<int64_t>& grid, const Axis& ax,
-                             const Axis& ay, int nc) {
+// greedily toward the top-right corner. Positive-slope lines are the
+// same walk over the Y-mirrored grid.
+WalkResult NegativeSlopeWalk(const PrefixGrid& g, LineScratch* scratch,
+                             int64_t* lines) {
   WalkResult best;
+  const Axis& ax = g.ax;
+  const Axis& ay = g.ay;
   const int max_i = ax.cells();
   const int max_j = ay.cells();
   if (max_i < 2 || max_j < 2) return best;
@@ -148,13 +253,14 @@ WalkResult NegativeSlopeWalk(const std::vector<int64_t>& grid, const Axis& ax,
     line_for(i, j, &a, &b, &c);
     int64_t n_under = 0;
     int64_t n_above = 0;
-    const double g = LineGini(grid, ax, ay, nc, a, b, c, &n_under, &n_above);
+    const double gini = LineGini(g, a, b, c, scratch, &n_under, &n_above);
+    ++*lines;
     out->a = a;
     out->b = b;
     out->c = c;
-    out->gini = g;
+    out->gini = gini;
     out->valid = n_under > 0 && n_above > 0;
-    return g;
+    return gini;
   };
 
   int i = 1;
@@ -181,30 +287,6 @@ WalkResult NegativeSlopeWalk(const std::vector<int64_t>& grid, const Axis& ax,
   return best;
 }
 
-// Mirrors the grid along Y (y -> -y) so the negative-slope walk searches
-// positive-slope lines; coefficients are mapped back by negating b.
-WalkResult PositiveSlopeWalk(const std::vector<int64_t>& grid, const Axis& ax,
-                             const Axis& ay, int nc) {
-  const int cy = ay.cells();
-  Axis may;  // mirrored y axis
-  may.edges.resize(ay.edges.size());
-  for (size_t k = 0; k < ay.edges.size(); ++k) {
-    may.edges[k] = -ay.edges[ay.edges.size() - 1 - k];
-  }
-  std::vector<int64_t> mgrid(grid.size());
-  const int cx = ax.cells();
-  for (int x = 0; x < cx; ++x) {
-    for (int y = 0; y < cy; ++y) {
-      const size_t src = (static_cast<size_t>(x) * cy + y) * nc;
-      const size_t dst = (static_cast<size_t>(x) * cy + (cy - 1 - y)) * nc;
-      for (int c = 0; c < nc; ++c) mgrid[dst + c] = grid[src + c];
-    }
-  }
-  WalkResult r = NegativeSlopeWalk(mgrid, ax, may, nc);
-  r.b = -r.b;
-  return r;
-}
-
 }  // namespace
 
 LinearSplitResult FindBestLine(const HistogramMatrix& m,
@@ -214,14 +296,24 @@ LinearSplitResult FindBestLine(const HistogramMatrix& m,
   const int nc = m.num_classes();
   if (m.x_intervals() < 2 || m.y_intervals() < 2) return out;
 
-  std::vector<int> xb;
-  std::vector<int> yb;
-  const Axis ax = CoarsenAxis(gx, x_lo, m.x_intervals(), max_grid, &xb);
-  const Axis ay = CoarsenAxis(gy, 0, m.y_intervals(), max_grid, &yb);
-  const std::vector<int64_t> grid = CoarsenMatrix(m, xb, yb);
+  std::vector<int> xg;
+  std::vector<int> yg;
+  const Axis ax = CoarsenAxis(gx, x_lo, m.x_intervals(), max_grid, &xg);
+  const Axis ay = CoarsenAxis(gy, 0, m.y_intervals(), max_grid, &yg);
+  LineScratch scratch;
+  scratch.under.resize(nc);
+  scratch.above.resize(nc);
+  scratch.on.resize(nc);
+  scratch.by.resize(ay.edges.size());
 
-  const WalkResult neg = NegativeSlopeWalk(grid, ax, ay, nc);
-  const WalkResult pos = PositiveSlopeWalk(grid, ax, ay, nc);
+  const WalkResult neg = NegativeSlopeWalk(
+      MakePrefixGrid(m, ax, xg, ay, yg, /*mirror=*/false), &scratch,
+      &out.lines_evaluated);
+  // Mirroring maps y -> -y; the coefficients map back by negating b.
+  WalkResult pos = NegativeSlopeWalk(
+      MakePrefixGrid(m, ax, xg, ay, yg, /*mirror=*/true), &scratch,
+      &out.lines_evaluated);
+  pos.b = -pos.b;
   const WalkResult& best =
       (!pos.valid || (neg.valid && neg.gini <= pos.gini)) ? neg : pos;
   if (!best.valid) return out;

@@ -1,6 +1,8 @@
 #ifndef CMP_CMP_LINEAR_H_
 #define CMP_CMP_LINEAR_H_
 
+#include <cstdint>
+
 #include "hist/histogram2d.h"
 #include "hist/quantiles.h"
 #include "tree/split.h"
@@ -17,6 +19,8 @@ struct LinearSplitResult {
   double c = 0.0;
   /// Three-way gini of the partition (under / above / crossed cells).
   double gini = 1.0;
+  /// Candidate lines scored by the search (both walks), valid or not.
+  int64_t lines_evaluated = 0;
 };
 
 /// Searches for the best splitting line over the matrix `m`, whose X
@@ -33,7 +37,8 @@ struct LinearSplitResult {
 ///
 /// `max_grid`: the matrix is first coarsened so that neither axis exceeds
 /// this many intervals (adjacent-interval merging), bounding the cost of
-/// each line evaluation.
+/// each line evaluation: O(cx * (log cy + classes)) over per-column
+/// prefix counts, for a cx x cy coarse grid.
 LinearSplitResult FindBestLine(const HistogramMatrix& m,
                                const IntervalGrid& gx, int x_lo,
                                const IntervalGrid& gy, int max_grid);

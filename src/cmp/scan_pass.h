@@ -179,27 +179,21 @@ class ScanPass : public PassScanner {
       std::vector<RecordId> retain;
     };
     std::vector<ScanShard> shards(num_shards > 1 ? num_shards - 1 : 0);
-    if (!shards.empty()) {
-      // The clones read only shape fields the scan never mutates, so
-      // per-shard mirror construction fans out.
-      const int nc = schema_.num_classes();
-      pool_->ParallelFor(
-          static_cast<int64_t>(shards.size()), 1,
-          [&](int64_t lo, int64_t hi) {
-            for (int64_t s = lo; s < hi; ++s) {
-              ScanShard& sh = shards[s];
-              sh.fresh.reserve(work.fresh.size());
-              for (const FreshWork& w : work.fresh) {
-                sh.fresh.push_back(w.bundle.CloneEmptyShape());
-              }
-              sh.pending.reserve(work.pending.size());
-              for (size_t i = 0; i < work.pending.size(); ++i) {
-                sh.pending.push_back(
-                    ClonePendingEmpty(*work.pending[i].pending, nc));
-              }
-              sh.collect.resize(work.collect.size());
-            }
-          });
+    // The mirrors are built on the calling thread: built inside pool
+    // tasks, their (large, short-lived) buffers land in per-thread malloc
+    // arenas that keep the memory after the pass frees them, which
+    // raised peak RSS by ~15% at 4 threads for no measurable speedup.
+    const int nc = schema_.num_classes();
+    for (ScanShard& sh : shards) {
+      sh.fresh.reserve(work.fresh.size());
+      for (const FreshWork& w : work.fresh) {
+        sh.fresh.push_back(w.bundle.CloneEmptyShape());
+      }
+      sh.pending.reserve(work.pending.size());
+      for (size_t i = 0; i < work.pending.size(); ++i) {
+        sh.pending.push_back(ClonePendingEmpty(*work.pending[i].pending, nc));
+      }
+      sh.collect.resize(work.collect.size());
     }
     // Per-shard batch state for the attribute-major kernels; persists
     // across blocks (the batches hold global record ids and flush

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "cmp/linear.h"
+#include "common/timer.h"
 #include "gini/estimator.h"
 
 namespace cmp {
@@ -183,16 +184,39 @@ BundleAnalysis SplitPlanner::Analyze(
   if (policy_.search_linear && bundle.bivariate() &&
       best_est > options_.linear_skip_gini) {
     const AttrId x = bundle.x_attr();
+    // Each Y's search reads only its own matrix, so the searches fan out
+    // across the pool into per-Y slots. The winner is reduced serially in
+    // ascending numeric_attrs_ order with the serial loop's comparison,
+    // so a tie goes to the first Y whatever the thread count.
+    std::vector<AttrId> ys;
+    for (AttrId y : numeric_attrs_) {
+      if (y != x && grids_[y].num_intervals() >= 2) ys.push_back(y);
+    }
+    std::vector<LinearSplitResult> lines(ys.size());
+    std::vector<double> seconds(ys.size(), 0.0);
+    auto search = [&](size_t i) {
+      const Timer timer;
+      lines[i] = FindBestLine(bundle.matrix(ys[i]), grids_[x], bundle.x_lo(),
+                              grids_[ys[i]], options_.linear_grid);
+      seconds[i] = timer.Seconds();
+    };
+    if (pool_->parallelism() > 1 && ys.size() > 1) {
+      pool_->ParallelFor(static_cast<int64_t>(ys.size()), 1,
+                         [&](int64_t lo, int64_t hi) {
+                           for (int64_t i = lo; i < hi; ++i) search(i);
+                         });
+    } else {
+      for (size_t i = 0; i < ys.size(); ++i) search(i);
+    }
     LinearSplitResult best_line;
     AttrId best_line_y = kInvalidAttr;
-    for (AttrId y : numeric_attrs_) {
-      if (y == x || grids_[y].num_intervals() < 2) continue;
-      const LinearSplitResult line = FindBestLine(
-          bundle.matrix(y), grids_[x], bundle.x_lo(), grids_[y],
-          options_.linear_grid);
+    for (size_t i = 0; i < ys.size(); ++i) {
+      const LinearSplitResult& line = lines[i];
+      out.line_search.search_seconds += seconds[i];
+      out.line_search.lines_evaluated += line.lines_evaluated;
       if (line.valid && (!best_line.valid || line.gini < best_line.gini)) {
         best_line = line;
-        best_line_y = y;
+        best_line_y = ys[i];
       }
     }
     if (best_line.valid &&
@@ -200,11 +224,14 @@ BundleAnalysis SplitPlanner::Analyze(
       // The coarse grid is enough to *detect* a linear relationship;
       // refine the winning matrix at full resolution so the committed
       // line hugs the true boundary (fewer residual fix-up splits).
+      const Timer refine_timer;
       const LinearSplitResult refined =
           FindBestLine(bundle.matrix(best_line_y), grids_[x], bundle.x_lo(),
                        grids_[best_line_y],
                        std::max(bundle.matrix(best_line_y).x_intervals(),
                                 bundle.matrix(best_line_y).y_intervals()));
+      out.line_search.refine_seconds += refine_timer.Seconds();
+      out.line_search.lines_evaluated += refined.lines_evaluated;
       if (refined.valid && refined.gini <= best_line.gini) {
         best_line = refined;
       }
@@ -310,8 +337,8 @@ BundleAnalysis SplitPlanner::Analyze(
 }
 
 std::unique_ptr<Pending> SplitPlanner::MakePending(
-    const HistBundle& bundle, const BundleAnalysis& analysis,
-    int depth) const {
+    const HistBundle& bundle, const BundleAnalysis& analysis, int depth,
+    LineSearchStats* line_search) const {
   auto p = std::make_unique<Pending>();
   p->attr = analysis.attr;
   p->alive = analysis.alive;
@@ -349,8 +376,8 @@ std::unique_ptr<Pending> SplitPlanner::MakePending(
                                        i1 + 1, right.range_hi);
     left.bundle_fresh = false;
     right.bundle_fresh = false;
-    PlanSegment(&left, depth + 1);
-    PlanSegment(&right, depth + 1);
+    PlanSegment(&left, depth + 1, line_search);
+    PlanSegment(&right, depth + 1, line_search);
   } else if (!bivariate()) {
     for (int k = 0; k < num_segments; ++k) {
       Segment& seg = p->segments[k];
@@ -407,7 +434,8 @@ std::unique_ptr<Pending> SplitPlanner::MakePending(
   return p;
 }
 
-void SplitPlanner::PlanSegment(Segment* seg, int depth) const {
+void SplitPlanner::PlanSegment(Segment* seg, int depth,
+                               LineSearchStats* line_search) const {
   const std::vector<int64_t> totals = seg->bundle.ClassTotals();
   // Too small / pure / deep partitions keep the derived bundle and are
   // finished at resolution time.
@@ -418,6 +446,7 @@ void SplitPlanner::PlanSegment(Segment* seg, int depth) const {
     return;
   }
   const BundleAnalysis an = Analyze(seg->bundle, totals);
+  line_search->Add(an.line_search);
   switch (an.decision) {
     case BundleAnalysis::Decision::kNone:
       seg->plan = PlanKind::kGrow;

@@ -35,6 +35,22 @@ namespace cmp {
 /// the record store (buffer flushes re-read records, exact finishing
 /// materializes partitions).
 
+/// Work done by the linear-split search of Analyze calls (CMP only).
+struct LineSearchStats {
+  /// Seconds in the coarse per-Y line searches, summed across threads.
+  double search_seconds = 0.0;
+  /// Seconds refining winning lines at full resolution.
+  double refine_seconds = 0.0;
+  /// Candidate lines scored; independent of the thread count.
+  int64_t lines_evaluated = 0;
+
+  void Add(const LineSearchStats& o) {
+    search_seconds += o.search_seconds;
+    refine_seconds += o.refine_seconds;
+    lines_evaluated += o.lines_evaluated;
+  }
+};
+
 /// Per-attribute analysis outcome used for both split selection and
 /// prediction.
 struct BundleAnalysis {
@@ -60,6 +76,8 @@ struct BundleAnalysis {
   CategoricalSplit cat;
   // kLinear.
   Split linear_split;
+  // What the linear-split search cost (whatever the decision).
+  LineSearchStats line_search;
 };
 
 /// How a child restricts the parent's records on the attribute that was
@@ -135,13 +153,17 @@ class SplitPlanner {
                          const std::vector<int64_t>& totals) const;
 
   /// Builds the Pending structure for a node whose decision is
-  /// kNumericPending.
+  /// kNumericPending. The line searches of any segments it plans are
+  /// added to `line_search`.
   std::unique_ptr<Pending> MakePending(const HistBundle& bundle,
                                        const BundleAnalysis& analysis,
-                                       int depth) const;
+                                       int depth,
+                                       LineSearchStats* line_search) const;
 
-  /// Plans one derived segment of a CMP-B double split.
-  void PlanSegment(Segment* seg, int depth) const;
+  /// Plans one derived segment of a CMP-B double split, adding its line
+  /// search to `line_search`.
+  void PlanSegment(Segment* seg, int depth,
+                   LineSearchStats* line_search) const;
 
  private:
   const Schema& schema_;
@@ -236,14 +258,20 @@ class SplitExecutor {
       return;
     }
 
+    // A pre-computed analysis (parallel frontier phase) substitutes for
+    // the inline call bit-for-bit: Analyze is a pure function of the
+    // bundle and totals.
+    BundleAnalysis local_an;
+    if (pre == nullptr) local_an = planner_.Analyze(bundle, totals);
+    const BundleAnalysis& an = pre != nullptr ? *pre : local_an;
+    line_search_.Add(an.line_search);
+
     // All-pairs extension: if the initial pass found a pairwise linear
     // relation at the root that the shared-X matrices cannot see, adopt it
     // when it beats the best univariate split by the usual margin.
     if (id == 0 && root_relations_ != nullptr && !root_relations_->empty()) {
-      const BundleAnalysis probe =
-          pre != nullptr ? *pre : planner_.Analyze(bundle, totals);
       double best_uni = std::numeric_limits<double>::infinity();
-      for (double est : probe.attr_est) best_uni = std::min(best_uni, est);
+      for (double est : an.attr_est) best_uni = std::min(best_uni, est);
       const PairRelation& rel = root_relations_->front();
       if (rel.gini < (1.0 - options_.linear_gain) * best_uni &&
           best_uni > options_.linear_skip_gini) {
@@ -260,7 +288,7 @@ class SplitExecutor {
         node.split = rel.split;
         node.left = left_id;
         node.right = right_id;
-        const AttrId x = planner_.PredictX(probe);
+        const AttrId x = planner_.PredictX(an);
         PushFreshPair(
             left_id, right_id,
             planner_.MakeFreshBundle(x, 0, grids[x].num_intervals()),
@@ -268,13 +296,6 @@ class SplitExecutor {
         return;
       }
     }
-
-    // A pre-computed analysis (parallel frontier phase) substitutes for
-    // the inline call bit-for-bit: Analyze is a pure function of the
-    // bundle and totals.
-    BundleAnalysis local_an;
-    if (pre == nullptr) local_an = planner_.Analyze(bundle, totals);
-    const BundleAnalysis& an = pre != nullptr ? *pre : local_an;
 
     // Prediction bookkeeping: a fresh bivariate bundle's X axis was
     // chosen by predictSplit; a hit means the split landed on the X axis.
@@ -299,7 +320,7 @@ class SplitExecutor {
           result_->stats.root_alive_intervals =
               static_cast<int64_t>(an.alive.size());
         }
-        auto pending = planner_.MakePending(bundle, an, depth);
+        auto pending = planner_.MakePending(bundle, an, depth, &line_search_);
         next_->pending.push_back({id, std::move(pending)});
         return;
       }
@@ -421,6 +442,14 @@ class SplitExecutor {
         return;
       }
     }
+  }
+
+  /// The line-search work of every analysis applied since the last call,
+  /// summed in the serial walk's order; resets the sum.
+  LineSearchStats TakeLineSearchStats() {
+    const LineSearchStats out = line_search_;
+    line_search_ = LineSearchStats{};
+    return out;
   }
 
   /// Resolves a pending split of tree node `id`, creating children (and
@@ -682,6 +711,7 @@ class SplitExecutor {
   FrontierQueues* next_;
   const BinCodeCache* codes_;  // null when the cache is disabled
   const std::vector<PairRelation>* root_relations_ = nullptr;
+  LineSearchStats line_search_;
 };
 
 }  // namespace cmp

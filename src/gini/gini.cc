@@ -6,16 +6,29 @@
 
 namespace cmp {
 
-double Gini(std::span<const int64_t> class_counts) {
-  int64_t n = 0;
-  for (int64_t c : class_counts) n += c;
+namespace {
+
+// 1 - sum_j (count(j) / n)^2 over classes j in [0, nc), or 0 when n is 0:
+// Gini's arithmetic over counts that may be computed on the fly.
+template <class Count>
+double GiniOf(size_t nc, int64_t n, Count count) {
   if (n == 0) return 0.0;
   double sum_sq = 0.0;
-  for (int64_t c : class_counts) {
-    const double p = static_cast<double>(c) / static_cast<double>(n);
+  for (size_t j = 0; j < nc; ++j) {
+    const double p =
+        static_cast<double>(count(j)) / static_cast<double>(n);
     sum_sq += p * p;
   }
   return 1.0 - sum_sq;
+}
+
+}  // namespace
+
+double Gini(std::span<const int64_t> class_counts) {
+  int64_t n = 0;
+  for (int64_t c : class_counts) n += c;
+  return GiniOf(class_counts.size(), n,
+                [&](size_t j) { return class_counts[j]; });
 }
 
 double SplitGini(std::span<const int64_t> left_counts,
@@ -47,9 +60,23 @@ double SplitGini3(std::span<const int64_t> a, std::span<const int64_t> b,
 
 double BoundaryGini(std::span<const int64_t> below,
                     std::span<const int64_t> totals) {
-  std::vector<int64_t> above(totals.size());
-  for (size_t i = 0; i < totals.size(); ++i) above[i] = totals[i] - below[i];
-  return SplitGini(below, above);
+  // SplitGini(below, totals - below) without materializing the above
+  // side: the same integer sums and the same double operations in the
+  // same order, so the result is bit-identical.
+  const size_t nc = totals.size();
+  int64_t nl = 0;
+  int64_t nr = 0;
+  for (size_t j = 0; j < nc; ++j) {
+    nl += below[j];
+    nr += totals[j] - below[j];
+  }
+  const int64_t n = nl + nr;
+  if (n == 0) return 0.0;
+  const double gl = GiniOf(nc, nl, [&](size_t j) { return below[j]; });
+  const double gr =
+      GiniOf(nc, nr, [&](size_t j) { return totals[j] - below[j]; });
+  return (static_cast<double>(nl) / n) * gl +
+         (static_cast<double>(nr) / n) * gr;
 }
 
 namespace {

@@ -64,6 +64,9 @@ std::string TrainStatsCollector::ToJson() const {
     os << "    {\"pass\": " << p.pass
        << ", \"scan_seconds\": " << p.scan_seconds
        << ", \"plan_seconds\": " << p.plan_seconds
+       << ", \"line_search_seconds\": " << p.line_search_seconds
+       << ", \"line_refine_seconds\": " << p.line_refine_seconds
+       << ", \"lines_evaluated\": " << p.lines_evaluated
        << ", \"finish_seconds\": " << p.finish_seconds
        << ", \"records_scanned\": " << p.records_scanned
        << ", \"bytes_read\": " << p.bytes_read

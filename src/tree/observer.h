@@ -19,6 +19,13 @@ struct PassObservation {
   double scan_seconds = 0.0;
   /// Wall seconds analyzing bundles, planning and resolving splits.
   double plan_seconds = 0.0;
+  /// CMP only (0 otherwise): the linear-split search inside plan. Seconds
+  /// of the coarse per-Y line searches, summed across threads like
+  /// kernel_seconds; seconds refining winning lines at full resolution;
+  /// and candidate lines scored, which no thread count changes.
+  double line_search_seconds = 0.0;
+  double line_refine_seconds = 0.0;
+  int64_t lines_evaluated = 0;
   /// Wall seconds finishing in-memory partitions with the exact builder.
   double finish_seconds = 0.0;
   int64_t records_scanned = 0;

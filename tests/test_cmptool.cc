@@ -367,6 +367,37 @@ TEST_F(CmptoolTest, StatsJsonEmitsObserverMetrics) {
   EXPECT_NE(json2.find("\"builder\": \"CMP-B\""), std::string::npos) << json2;
   EXPECT_NE(json2.find("\"bytes_read\""), std::string::npos) << json2;
   std::remove(stats.c_str());
+
+  // The line-search split of plan is reported per pass; CMP-S searches
+  // no lines, so its fields read 0 in every pass.
+  for (const std::string field :
+       {"line_search_seconds", "line_refine_seconds", "lines_evaluated"}) {
+    EXPECT_NE(json.find("\"" + field + "\": "), std::string::npos) << json;
+  }
+  ASSERT_EQ(RunTool("train --data " + data_ + " --algo cmp-s --out " +
+                tree_ + " --stats-json " + stats,
+                &out),
+            0);
+  std::ifstream is3(stats);
+  ASSERT_TRUE(is3.good());
+  std::ostringstream buffer3;
+  buffer3 << is3.rdbuf();
+  const std::string json3 = buffer3.str();
+  auto count = [&json3](const std::string& needle) {
+    int n = 0;
+    for (size_t at = json3.find(needle); at != std::string::npos;
+         at = json3.find(needle, at + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  for (const std::string field :
+       {"line_search_seconds", "line_refine_seconds", "lines_evaluated"}) {
+    const std::string key = "\"" + field + "\": ";
+    EXPECT_GT(count(key), 0) << json3;
+    EXPECT_EQ(count(key + "0,"), count(key)) << json3;
+  }
+  std::remove(stats.c_str());
 }
 
 std::string Slurp(const std::string& path) {

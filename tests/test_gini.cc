@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <span>
 #include <vector>
+
+#include "common/random.h"
 
 namespace cmp {
 namespace {
@@ -82,6 +86,29 @@ TEST(BoundaryGini, LoanExampleFromPaper) {
   const std::vector<int64_t> below = {2, 0};  // {No, Yes} below age 25
   const std::vector<int64_t> totals = {3, 3};
   EXPECT_NEAR(BoundaryGini(below, totals), 0.25, 1e-12);
+}
+
+// BoundaryGini computes the above side inline instead of allocating it;
+// it must stay bit-identical to SplitGini over the materialized
+// complement, which golden trees were recorded with.
+TEST(BoundaryGini, BitIdenticalToSplitGiniOfComplement) {
+  Rng rng(4242);
+  for (int trial = 0; trial < 20000; ++trial) {
+    const int nc = static_cast<int>(rng.UniformInt(1, 6));
+    std::vector<int64_t> below(nc);
+    std::vector<int64_t> above(nc);
+    std::vector<int64_t> totals(nc);
+    for (int c = 0; c < nc; ++c) {
+      const int64_t scale = rng.Bernoulli(0.2) ? (int64_t{1} << 40) : 50;
+      below[c] = rng.Bernoulli(0.2) ? 0 : rng.UniformInt(0, scale);
+      above[c] = rng.Bernoulli(0.2) ? 0 : rng.UniformInt(0, scale);
+      totals[c] = below[c] + above[c];
+    }
+    const double want = SplitGini(below, above);
+    const double got = BoundaryGini(below, totals);
+    ASSERT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(want))
+        << "trial " << trial;
+  }
 }
 
 // ---------------------------------------------------------------------

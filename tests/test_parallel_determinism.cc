@@ -16,6 +16,7 @@
 #include "common/thread_pool.h"
 #include "datagen/agrawal.h"
 #include "exact/exact.h"
+#include "tree/observer.h"
 #include "tree/serialize.h"
 
 namespace cmp {
@@ -128,6 +129,44 @@ TEST(ParallelDeterminism, ExactBuilderBitIdentical) {
         EXPECT_EQ(bytes, reference)
             << "exact, prune=" << prune << ", " << threads << " threads";
       }
+    }
+  }
+}
+
+// CMP scores the Y attributes of a node's matrices on the pool and
+// reduces them serially in ascending attribute order. Agrawal F7 at 60k
+// rows takes linear splits, so the parallel search and its tie rule are
+// on the path: the tree must carry a linear split and be byte-identical,
+// with the same count of scored lines, at every thread count.
+TEST(ParallelDeterminism, LinearSplitSearchBitIdentical) {
+  const Dataset train = MakeData(AgrawalFunction::kF7, 60000, 239);
+  std::string reference;
+  int64_t reference_lines = 0;
+  for (const int threads : {1, 2, 4}) {
+    CmpOptions o;
+    o.base.num_threads = threads;
+    o.scan_shards = threads;
+    TrainStatsCollector stats;
+    o.base.observer = &stats;
+    const BuildResult r = CmpBuilder(o).Build(train);
+    int64_t lines = 0;
+    for (const PassObservation& p : stats.passes()) lines += p.lines_evaluated;
+    const std::string bytes = SerializeTree(r.tree);
+    if (threads == 1) {
+      int linear = 0;
+      for (NodeId id = 0; id < r.tree.num_nodes(); ++id) {
+        const TreeNode& node = r.tree.node(id);
+        if (!node.is_leaf && node.split.kind == Split::Kind::kLinear) {
+          ++linear;
+        }
+      }
+      ASSERT_GE(linear, 1);
+      ASSERT_GT(lines, 0);
+      reference = bytes;
+      reference_lines = lines;
+    } else {
+      EXPECT_EQ(bytes, reference) << threads << " threads";
+      EXPECT_EQ(lines, reference_lines) << threads << " threads";
     }
   }
 }
