@@ -37,21 +37,12 @@ namespace cmp {
 // Templated over the record store (record_store.h): the in-memory path
 // instantiates it with InMemoryStore + a zero-copy DatasetBlockSource,
 // the out-of-core path with StreamStore + a TableBlockSource.
-//
-// The scan itself runs behind the PassScanner seam (scan_pass.h): by
-// default the driver's own local ScanPass, or — when a `remote` scanner
-// is injected — the distributed coordinator (src/dist/), which ships the
-// frontier skeleton to worker processes and merges their histograms back
-// in rank order. Everything above the seam (grids, planning, resolve,
-// tree growth) is the same code either way, which is what makes the
-// distributed tree byte-identical to the single-process one.
 
 template <class Store>
 class CmpBuild {
  public:
   CmpBuild(Store& store, BlockSource& source, const CmpOptions& options,
-           ThreadPool* pool, BuildResult* result,
-           PassScanner* remote = nullptr)
+           ThreadPool* pool, BuildResult* result)
       : store_(store),
         source_(source),
         schema_(store.schema()),
@@ -59,8 +50,7 @@ class CmpBuild {
         policy_(VariantPolicy::For(options.variant)),
         pool_(pool),
         result_(result),
-        tracker_(&result->stats),
-        remote_(remote) {}
+        tracker_(&result->stats) {}
 
   void Run();
 
@@ -76,7 +66,6 @@ class CmpBuild {
   ThreadPool* pool_;  // borrowed, never null (CmpBuilder::Build guarantees)
   BuildResult* result_;
   ScanTracker tracker_;
-  PassScanner* remote_;  // borrowed; null = scan locally
 
   std::vector<IntervalGrid> grids_;
   // interior_[a][i] is nonzero iff grid interval i of numeric attribute a
@@ -272,9 +261,7 @@ void CmpBuild<Store>::Run() {
     }
   }
 
-  // With a remote scanner the record->node map lives in the workers
-  // (each over its own slice); the coordinator never routes a record.
-  if (remote_ == nullptr) nid_.assign(n, root_id);
+  nid_.assign(n, root_id);
 
   // The three pipeline layers, wired over the shared state above.
   const SplitPlanner planner(schema_, options_, policy_, grids_, interior_,
@@ -284,16 +271,6 @@ void CmpBuild<Store>::Run() {
   executor.set_root_relations(&root_relations_);
   ScanPass<Store> scan(store_, source_, grids_, result_->tree, nid_, pool_,
                        &tracker_, &codes_, options_.scan_shards);
-  PassScanner* const scanner =
-      remote_ != nullptr ? remote_ : static_cast<PassScanner*>(&scan);
-  {
-    PassScanContext ctx;
-    ctx.grids = &grids_;
-    ctx.tree = &result_->tree;
-    ctx.num_records = n;
-    ctx.tracker = &tracker_;
-    scanner->Prepare(ctx);
-  }
 
   if (options_.base.in_memory_threshold > 0 &&
       n <= options_.base.in_memory_threshold) {
@@ -319,7 +296,7 @@ void CmpBuild<Store>::Run() {
     const int64_t bytes_before = result_->stats.bytes_read;
 
     Timer scan_timer;
-    scanner->RunPass(work_, &po);
+    scan.Run(work_, &po);
     charge_real_bytes();
     po.scan_seconds = scan_timer.Seconds();
 

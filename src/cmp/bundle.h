@@ -125,15 +125,6 @@ class HistBundle {
   /// x_attr).
   const HistogramMatrix& matrix(AttrId a) const { return matrices_[a]; }
 
-  /// Raw per-attribute storage, exposed for the distributed-training
-  /// wire layer (io/wire.cc), which ships and merges histogram cells
-  /// directly. Univariate bundles populate hists(), bivariate ones
-  /// matrices(); the other vector is empty.
-  std::vector<Histogram1D>& hists() { return hists_; }
-  const std::vector<Histogram1D>& hists() const { return hists_; }
-  std::vector<HistogramMatrix>& matrices() { return matrices_; }
-  const std::vector<HistogramMatrix>& matrices() const { return matrices_; }
-
   /// Adds every histogram of `other` into this bundle. Both bundles must
   /// have identical shape (same variant, X attribute and X range).
   void MergeSameShape(const HistBundle& other);

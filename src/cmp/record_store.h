@@ -1,7 +1,6 @@
 #ifndef CMP_CMP_RECORD_STORE_H_
 #define CMP_CMP_RECORD_STORE_H_
 
-#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <unordered_map>
@@ -106,37 +105,6 @@ class StreamStore {
       }
       label_stash_.push_back(view_->labels[i]);
     }
-  }
-
-  /// Appends one record directly into the stash — the distributed
-  /// coordinator stashes rows shipped by workers, where no resident
-  /// block exists to copy from. `nums` / `cats` are indexed by AttrId
-  /// (only the matching-kind entry of each attribute is read). An
-  /// already-stashed rid is skipped.
-  void StashRecord(RecordId r, const std::vector<double>& nums,
-                   const std::vector<int32_t>& cats, ClassId label) {
-    const auto [it, inserted] =
-        stash_index_.emplace(r, static_cast<int64_t>(label_stash_.size()));
-    (void)it;
-    if (!inserted) return;
-    for (AttrId a = 0; a < schema_.num_attrs(); ++a) {
-      if (schema_.is_numeric(a)) {
-        numeric_stash_[a].push_back(nums[a]);
-      } else {
-        cat_stash_[a].push_back(cats[a]);
-      }
-    }
-    label_stash_.push_back(label);
-  }
-
-  /// The stashed record ids in ascending order — the deterministic
-  /// iteration a worker uses to serialize its stash onto the wire.
-  std::vector<RecordId> StashedRids() const {
-    std::vector<RecordId> rids;
-    rids.reserve(stash_index_.size());
-    for (const auto& [r, row] : stash_index_) rids.push_back(r);
-    std::sort(rids.begin(), rids.end());
-    return rids;
   }
 
   void ClearStash() {

@@ -28,38 +28,6 @@ namespace cmp {
 /// single Run() call; what the sinks MEAN is the business of the
 /// frontier and split-plan layers.
 
-/// What a pass scanner learns once the driver has built its grids and
-/// seeded its tree — everything a remote transport must broadcast to
-/// workers before the first pass.
-struct PassScanContext {
-  const std::vector<IntervalGrid>* grids = nullptr;
-  const DecisionTree* tree = nullptr;
-  int64_t num_records = 0;
-  // The build's I/O tracker; a remote scanner charges the bytes its
-  // workers report reading so streamed-build accounting stays honest.
-  ScanTracker* tracker = nullptr;
-};
-
-/// The transport seam of the build driver: one interface between "run a
-/// scan pass over the frontier" and wherever the records actually are.
-/// The local ScanPass below implements it over a record store; the
-/// distributed coordinator (src/dist/) implements it by shipping the
-/// frontier skeleton to worker processes and merging their histogram
-/// bundles back in rank order. Either way, RunPass must leave `work` in
-/// the byte-identical state a serial single-process scan would produce.
-class PassScanner {
- public:
-  virtual ~PassScanner() = default;
-
-  /// Called once, after the driver has built grids and class counts but
-  /// before the first pass.
-  virtual void Prepare(const PassScanContext& ctx) { (void)ctx; }
-
-  /// Runs one full pass, filling `work`'s bundles, pending buffers and
-  /// collect lists.
-  virtual void RunPass(FrontierQueues& work, PassObservation* po) = 0;
-};
-
 /// node id -> work-list slot maps for one pass (-1: not in that list).
 struct SlotMaps {
   std::vector<int> fresh;
@@ -76,7 +44,7 @@ SlotMaps BuildSlotMaps(int num_nodes, const FrontierQueues& work);
 constexpr size_t kScanBatchRecords = 512;
 
 template <class Store>
-class ScanPass : public PassScanner {
+class ScanPass {
  public:
   /// All references are borrowed and must outlive the pass. `tree` is
   /// read-only during Run (records descend through splits resolved since
@@ -103,10 +71,6 @@ class ScanPass : public PassScanner {
         tracker_(tracker),
         codes_(codes != nullptr && codes->enabled() ? codes : nullptr),
         scan_shards_(scan_shards) {}
-
-  void RunPass(FrontierQueues& work, PassObservation* po) override {
-    Run(work, po);
-  }
 
   /// Runs one full pass, filling `work`'s bundles, pending buffers and
   /// collect lists. On return the accumulated state is byte-for-byte

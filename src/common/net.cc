@@ -35,18 +35,6 @@ bool SendLine(int fd, const std::string& line) {
   return SendAll(fd, line + "\n");
 }
 
-bool RecvAll(int fd, void* data, size_t size) {
-  char* p = static_cast<char*>(data);
-  size_t off = 0;
-  while (off < size) {
-    const ssize_t n = ::recv(fd, p + off, size - off, 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return false;
-    off += static_cast<size_t>(n);
-  }
-  return true;
-}
-
 bool LineReader::ReadLine(std::string* out) {
   while (true) {
     const size_t nl = buf_.find('\n');

@@ -7,8 +7,7 @@
 namespace cmp {
 
 /// Shared POSIX socket helpers for the serving daemon (serve/server.cc),
-/// its client (serve/client.cc), the cmpserve front end, and the
-/// distributed-training coordinator.
+/// its client (serve/client.cc) and the cmpserve front end.
 /// All of them speak over blocking stream sockets and need the same
 /// four things: ride out EINTR, survive partial reads/writes, never die
 /// on SIGPIPE, and hand a listening socket back with its resolved port.
@@ -21,11 +20,6 @@ bool SendAll(int fd, const std::string& data);
 
 /// SendAll of `line` plus a trailing newline.
 bool SendLine(int fd, const std::string& line);
-
-/// Reads exactly `size` bytes, riding out EINTR. False on EOF or error
-/// before the buffer fills (the caller cannot tell how much arrived —
-/// a short frame is a dead peer either way).
-bool RecvAll(int fd, void* data, size_t size);
 
 /// Buffered newline-framed reader over a blocking socket.
 class LineReader {

@@ -61,19 +61,14 @@ bool DatasetBlockSource::ReadLabels(std::vector<ClassId>* out) {
 // TableBlockSource
 
 std::unique_ptr<TableBlockSource> TableBlockSource::Open(
-    const std::string& path, int64_t block_records, int64_t first_record,
-    int64_t slice_records) {
-  auto scanner =
-      TableScanner::Open(path, block_records, first_record, slice_records);
+    const std::string& path, int64_t block_records) {
+  auto scanner = TableScanner::Open(path, block_records);
   if (scanner == nullptr) return nullptr;
   std::unique_ptr<TableBlockSource> src(new TableBlockSource());
   src->path_ = path;
-  src->first_record_ = first_record;
-  src->slice_records_ = slice_records;
   src->scanner_ = std::move(scanner);
   for (Slot& slot : src->slots_) {
-    slot.scanner =
-        TableScanner::Open(path, block_records, first_record, slice_records);
+    slot.scanner = TableScanner::Open(path, block_records);
     if (slot.scanner == nullptr) return nullptr;
     slot.block.Configure(slot.scanner->schema(), block_records);
   }
@@ -194,8 +189,7 @@ bool TableBlockSource::ReadNumericColumn(AttrId a,
                                          std::vector<double>* out) {
   // A private scanner per call: column loads may fan out across a pool
   // during discretization, and each needs its own stream position.
-  auto scanner = TableScanner::Open(path_, scanner_->block_records(),
-                                    first_record_, slice_records_);
+  auto scanner = TableScanner::Open(path_, scanner_->block_records());
   if (scanner == nullptr) return false;
   if (!scanner->ReadNumericColumn(a, out)) return false;
   std::lock_guard<std::mutex> lock(mu_);
@@ -205,8 +199,7 @@ bool TableBlockSource::ReadNumericColumn(AttrId a,
 
 bool TableBlockSource::ReadCategoricalColumn(AttrId a,
                                              std::vector<int32_t>* out) {
-  auto scanner = TableScanner::Open(path_, scanner_->block_records(),
-                                    first_record_, slice_records_);
+  auto scanner = TableScanner::Open(path_, scanner_->block_records());
   if (scanner == nullptr) return false;
   if (!scanner->ReadCategoricalColumn(a, out)) return false;
   std::lock_guard<std::mutex> lock(mu_);
@@ -215,8 +208,7 @@ bool TableBlockSource::ReadCategoricalColumn(AttrId a,
 }
 
 bool TableBlockSource::ReadLabels(std::vector<ClassId>* out) {
-  auto scanner = TableScanner::Open(path_, scanner_->block_records(),
-                                    first_record_, slice_records_);
+  auto scanner = TableScanner::Open(path_, scanner_->block_records());
   if (scanner == nullptr) return false;
   if (!scanner->ReadLabelColumn(out)) return false;
   std::lock_guard<std::mutex> lock(mu_);

@@ -108,15 +108,9 @@ class DatasetBlockSource : public BlockSource {
 /// independent of the table size.
 class TableBlockSource : public BlockSource {
  public:
-  /// Opens `path`; returns null on open/validation failure. A
-  /// non-default slice restricts the source to the contiguous file
-  /// records [first_record, first_record + slice_records), surfaced in
-  /// LOCAL record ids 0..slice_records-1 — the view a distributed
-  /// training worker owns (`slice_records < 0` means "to the end").
+  /// Opens `path`; returns null on open/validation failure.
   static std::unique_ptr<TableBlockSource> Open(const std::string& path,
-                                                int64_t block_records = 65536,
-                                                int64_t first_record = 0,
-                                                int64_t slice_records = -1);
+                                                int64_t block_records = 65536);
 
   ~TableBlockSource() override;
 
@@ -142,8 +136,6 @@ class TableBlockSource : public BlockSource {
   bool AwaitFetch(int s);
 
   std::string path_;
-  int64_t first_record_ = 0;   // slice origin in file record ids
-  int64_t slice_records_ = -1;
   std::unique_ptr<TableScanner> scanner_;  // consumer-side column reads
   int64_t next_fetch_ = 0;   // first record of the next block to fetch
   int64_t delivered_ = 0;    // records handed out this pass

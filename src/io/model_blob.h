@@ -29,8 +29,7 @@ namespace cmp {
 /// tree semantics. What each section *means* (element sizes, per-node
 /// invariants) is validated by the compiled-model parser in
 /// infer/model_io.h, so the same container can later carry other
-/// flattened payloads (histogram wire messages, sketches) without
-/// another magic number.
+/// flattened payloads (e.g. sketches) without another magic number.
 ///
 /// A loaded ModelBlob is immutable and position-independent: every
 /// section is reached through the table, never through stored pointers,

@@ -71,9 +71,7 @@ void ColumnBlock::Configure(const Schema& schema, int64_t capacity) {
 }
 
 std::unique_ptr<TableScanner> TableScanner::Open(const std::string& path,
-                                                 int64_t block_records,
-                                                 int64_t first_record,
-                                                 int64_t slice_records) {
+                                                 int64_t block_records) {
   // Parse the header with the existing reader, then locate the column
   // payloads through the format's one layout function.
   Schema schema;
@@ -101,22 +99,6 @@ std::unique_ptr<TableScanner> TableScanner::Open(const std::string& path,
   scanner->file_.seekg(0);
   if (file_size != layout.file_size) return nullptr;
 
-  // Slice view: rebase every column offset by `first_record` rows and
-  // shrink the visible record count, so record id 0 of this scanner is
-  // file record `first_record` and all the read paths above stay
-  // slice-oblivious.
-  if (first_record < 0 || first_record > n) return nullptr;
-  const int64_t slice =
-      slice_records < 0 ? n - first_record : slice_records;
-  if (slice < 0 || first_record + slice > n) return nullptr;
-  for (AttrId a = 0; a < schema.num_attrs(); ++a) {
-    const int64_t width = static_cast<int64_t>(
-        schema.is_numeric(a) ? sizeof(double) : sizeof(int32_t));
-    scanner->column_offsets_[a] += first_record * width;
-  }
-  scanner->label_offset_ +=
-      first_record * static_cast<int64_t>(sizeof(ClassId));
-  scanner->num_records_ = slice;
   return scanner;
 }
 

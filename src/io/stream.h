@@ -90,17 +90,8 @@ class TableScanner {
   /// block size, and on a file whose size does not match the record
   /// count and schema in its own header (truncated or padded files are
   /// rejected up front instead of failing mid-scan).
-  ///
-  /// A non-default slice restricts the scanner to the contiguous file
-  /// records [first_record, first_record + slice_records), presented in
-  /// LOCAL record ids 0..slice_records-1 (`slice_records < 0` means "to
-  /// the end of the table"). Distributed training opens one slice per
-  /// worker; the column offsets are rebased once here so every read path
-  /// below is slice-oblivious. Returns null on an out-of-range slice.
   static std::unique_ptr<TableScanner> Open(const std::string& path,
-                                            int64_t block_records = 65536,
-                                            int64_t first_record = 0,
-                                            int64_t slice_records = -1);
+                                            int64_t block_records = 65536);
 
   const Schema& schema() const { return schema_; }
   int64_t num_records() const { return num_records_; }

@@ -35,7 +35,6 @@
 #include "cmp/cmp.h"
 #include "datagen/agrawal.h"
 #include "datagen/drift.h"
-#include "dist/dist.h"
 #include "io/arff.h"
 #include "io/block_source.h"
 #include "io/csv.h"
@@ -98,18 +97,12 @@ int Usage() {
       "                 --no-codes falls back to the record-major scan;\n"
       "                 --scan-shards overrides the auto shard count.\n"
       "                 Same tree either way.)\n"
-      "                [--workers K] trains with K forked worker\n"
-      "                processes, each scanning one slice of a .cmpt\n"
-      "                table (cmp/cmp-b/cmp-s only; combine with\n"
-      "                 --stream --block B to bound worker memory).\n"
-      "                Same tree bytes as a single-process build.\n"
       "                --algo cmp-stream trains in one sequential pass\n"
       "                per level from bounded quantile sketches (no\n"
       "                pre-pass sort; add --stream --block B to read a\n"
       "                .cmpt table out of core). [--sketch-capacity K]\n"
       "                [--sidecar FILE.cmps] persists per-leaf sketch\n"
-      "                state for later refit. Incompatible with\n"
-      "                --workers.\n"
+      "                state for later refit.\n"
       "  cmptool refit --data FILE --tree FILE --sidecar FILE.cmps\n"
       "                --out FILE [--sidecar-out FILE.cmps]\n"
       "                [--drift-threshold T] [--threads N]\n"
@@ -275,82 +268,10 @@ int CmdGen(int argc, char** argv) {
   return kExitOk;
 }
 
-// Distributed training: forks K worker processes that each scan one
-// contiguous slice of the .cmpt table and ship per-pass histogram state
-// to this (coordinator) process over a versioned wire protocol. The
-// rank-order merge makes the tree byte-identical to a single-process
-// build for every K (that equality is CI-enforced).
-int CmdTrainDist(int argc, char** argv) {
-  const std::string data = GetFlag(argc, argv, "--data");
-  const std::string out = GetFlag(argc, argv, "--out");
-  const std::string algo = GetFlag(argc, argv, "--algo", "cmp");
-  if (algo != "cmp" && algo != "cmp-b" && algo != "cmp-s") {
-    std::cerr << "--workers supports cmp, cmp-b, cmp-s (got " << algo
-              << ")\n";
-    return kExitBadArgs;
-  }
-  cmp::dist::DistOptions d;
-  d.num_workers = std::atoi(GetFlag(argc, argv, "--workers", "2").c_str());
-  if (d.num_workers < 1) {
-    std::cerr << "--workers must be >= 1\n";
-    return kExitBadArgs;
-  }
-  d.num_threads = std::atoi(GetFlag(argc, argv, "--threads", "1").c_str());
-  // Without --stream each worker stages its whole slice as one block
-  // (the in-memory profile); with it, --block bounds worker memory the
-  // same way single-process streaming does.
-  if (HasFlag(argc, argv, "--stream")) {
-    d.block_records =
-        std::atoll(GetFlag(argc, argv, "--block", "65536").c_str());
-    if (d.block_records <= 0) {
-      std::cerr << "--block must be > 0\n";
-      return kExitBadArgs;
-    }
-  }
-  // Unreadable tables are the I/O exit code, same as the streamed
-  // path; DistTrain's exceptions then only mean training failures.
-  if (cmp::TableBlockSource::Open(data, 1) == nullptr) {
-    std::cerr << "failed to open " << data
-              << " (must be a valid .cmpt table)\n";
-    return kExitIo;
-  }
-  cmp::CmpOptions o = algo == "cmp"     ? cmp::CmpFullOptions()
-                      : algo == "cmp-b" ? cmp::CmpBOptions()
-                                        : cmp::CmpSOptions();
-  o.base.prune = !HasFlag(argc, argv, "--no-prune");
-  o.base.num_threads = d.num_threads;
-  o.intervals = std::atoi(GetFlag(argc, argv, "--intervals", "100").c_str());
-  o.bin_code_cache = !HasFlag(argc, argv, "--no-codes");
-  o.scan_shards =
-      std::atoi(GetFlag(argc, argv, "--scan-shards", "0").c_str());
-  const std::string stats_path = GetFlag(argc, argv, "--stats-json");
-  cmp::TrainStatsCollector collector;
-  if (!stats_path.empty()) o.base.observer = &collector;
-  cmp::BuildResult result;
-  try {
-    result = cmp::dist::DistTrain(data, o, d);
-  } catch (const std::exception& e) {
-    std::cerr << "training failed: " << e.what() << "\n";
-    return kExitTrain;
-  }
-  // With --stats-json - the JSON owns stdout; summaries move to stderr.
-  std::ostream& summary = stats_path == "-" ? std::cerr : std::cout;
-  summary << algo << " (distributed, workers=" << d.num_workers
-          << "): " << result.stats.ToString() << "\n";
-  if (!cmp::SaveTree(result.tree, out)) {
-    std::cerr << "failed to write " << out << "\n";
-    return kExitIo;
-  }
-  summary << "tree with " << result.tree.num_nodes() << " nodes saved to "
-          << out << "\n";
-  if (!stats_path.empty()) return WriteStatsJson(collector, stats_path);
-  return kExitOk;
-}
-
 // Out-of-core training: records flow from the .cmpt table through
 // block-pipelined scans instead of being loaded up front. Produces the
 // same tree bytes as the in-memory path (that equality is CI-enforced).
-int CmdTrainStreamed(int argc, char** argv) {
+int CmdTrainStreamed(int argc, char** argv, int intervals) {
   const std::string data = GetFlag(argc, argv, "--data");
   const std::string out = GetFlag(argc, argv, "--out");
   const std::string algo = GetFlag(argc, argv, "--algo", "cmp");
@@ -377,7 +298,7 @@ int CmdTrainStreamed(int argc, char** argv) {
   o.base.prune = !HasFlag(argc, argv, "--no-prune");
   o.base.num_threads =
       std::atoi(GetFlag(argc, argv, "--threads", "1").c_str());
-  o.intervals = std::atoi(GetFlag(argc, argv, "--intervals", "100").c_str());
+  o.intervals = intervals;
   o.bin_code_cache = !HasFlag(argc, argv, "--no-codes");
   o.scan_shards =
       std::atoi(GetFlag(argc, argv, "--scan-shards", "0").c_str());
@@ -414,25 +335,14 @@ int CmdTrainStreamed(int argc, char** argv) {
 // otherwise the dataset is loaded and wrapped in a zero-copy block
 // source (same tree bytes either way — ingestion is a record-order fold
 // regardless of the source's block size).
-int CmdTrainCmpStream(int argc, char** argv) {
+int CmdTrainCmpStream(int argc, char** argv, int intervals) {
   const std::string data = GetFlag(argc, argv, "--data");
   const std::string out = GetFlag(argc, argv, "--out");
-  // Single-process by contract: sketch state is a sequential fold over
-  // the record stream, which is exactly what makes the tree independent
-  // of thread/block/shard layout. Sharded ingestion would change the
-  // merge order, so the flag combination is rejected rather than
-  // silently ignored.
-  if (HasFlag(argc, argv, "--workers")) {
-    std::cerr << "--algo cmp-stream is incompatible with --workers"
-                 " (streaming ingestion is a sequential fold; use --stream"
-                 " --block B to bound memory instead)\n";
-    return kExitBadArgs;
-  }
   cmp::StreamOptions o;
   o.base.prune = !HasFlag(argc, argv, "--no-prune");
   o.base.num_threads =
       std::atoi(GetFlag(argc, argv, "--threads", "1").c_str());
-  o.intervals = std::atoi(GetFlag(argc, argv, "--intervals", "100").c_str());
+  o.intervals = intervals;
   o.sketch_capacity =
       std::atoi(GetFlag(argc, argv, "--sketch-capacity", "512").c_str());
   if (o.sketch_capacity < 8) {
@@ -614,21 +524,31 @@ int CmdRefit(int argc, char** argv) {
 }
 
 int CmdTrain(int argc, char** argv) {
+  if (HasFlag(argc, argv, "--workers")) {
+    std::cerr << "--workers: distributed training was removed; use"
+                 " --threads N or --stream\n";
+    return kExitBadArgs;
+  }
   const std::string data = GetFlag(argc, argv, "--data");
   const std::string out = GetFlag(argc, argv, "--out");
   const std::string algo = GetFlag(argc, argv, "--algo", "cmp");
   if (data.empty() || out.empty()) return Usage();
-  // cmp-stream owns its flag handling (and rejects --workers itself,
-  // with a message that explains why sharded ingestion is out).
-  if (algo == "cmp-stream") return CmdTrainCmpStream(argc, argv);
-  if (HasFlag(argc, argv, "--workers")) return CmdTrainDist(argc, argv);
-  if (HasFlag(argc, argv, "--stream")) return CmdTrainStreamed(argc, argv);
+  const int intervals =
+      std::atoi(GetFlag(argc, argv, "--intervals", "100").c_str());
+  if (intervals < 1) {
+    std::cerr << "--intervals must be >= 1\n";
+    return kExitBadArgs;
+  }
+  // cmp-stream owns its flag handling.
+  if (algo == "cmp-stream") return CmdTrainCmpStream(argc, argv, intervals);
+  if (HasFlag(argc, argv, "--stream")) {
+    return CmdTrainStreamed(argc, argv, intervals);
+  }
   cmp::BuilderConfig config;
   config.base.prune = !HasFlag(argc, argv, "--no-prune");
   config.base.num_threads =
       std::atoi(GetFlag(argc, argv, "--threads", "1").c_str());
-  config.intervals =
-      std::atoi(GetFlag(argc, argv, "--intervals", "100").c_str());
+  config.intervals = intervals;
   config.boost.rounds =
       std::atoi(GetFlag(argc, argv, "--rounds", "50").c_str());
   config.boost.shrinkage =

@@ -80,9 +80,6 @@ std::string TrainStatsCollector::ToJson() const {
        << ", \"kernel_seconds\": " << p.kernel_seconds
        << ", \"code_cache_bytes\": " << p.code_cache_bytes
        << ", \"sibling_subtractions\": " << p.sibling_subtractions
-       << ", \"workers\": " << p.workers
-       << ", \"wire_bytes_per_pass\": " << p.wire_bytes
-       << ", \"merge_seconds\": " << p.merge_seconds
        << ", \"sketch_bytes\": " << p.sketch_bytes
        << ", \"refit_leaves_regrown\": " << p.refit_leaves_regrown << "}"
        << (i + 1 < passes_.size() ? "," : "") << "\n";

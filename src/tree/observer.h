@@ -54,13 +54,6 @@ struct PassObservation {
   /// Always 0: fresh bundles are always accumulated by the scan. Kept
   /// because the `--stats-json` key is read by the repository benchmark.
   int64_t sibling_subtractions = 0;
-  /// Distributed training only (0 otherwise): worker processes that
-  /// scanned this pass, protocol bytes exchanged with them (frames in
-  /// both directions), and wall seconds the coordinator spent merging
-  /// their results in rank order.
-  int64_t workers = 0;
-  int64_t wire_bytes = 0;
-  double merge_seconds = 0.0;
   /// Streaming training only (0 otherwise): resident bytes of quantile
   /// sketch state across the frontier after this pass.
   int64_t sketch_bytes = 0;

@@ -203,6 +203,20 @@ TEST_F(CmptoolTest, ExitCodesDistinguishFailureKinds) {
   EXPECT_EQ(RunTool("train --data " + data_ + " --algo cmp --stream"
                 " --block 0 --out " + tree_),
             kBadArgs);
+  // An interval count below 1 is a bad argument on every training path.
+  for (const char* q : {"0", "-7"}) {
+    for (const char* mode :
+         {" --algo cmp", " --algo cmp-s", " --algo clouds",
+          " --algo cmp --stream", " --algo cmp-stream",
+          " --algo cmp-stream --stream"}) {
+      EXPECT_EQ(RunTool("train --data " + data_ + mode + " --intervals " +
+                        q + " --out " + tree_, &out),
+                kBadArgs)
+          << mode << " --intervals " << q;
+      EXPECT_NE(out.find("--intervals must be >= 1"), std::string::npos)
+          << out;
+    }
+  }
   EXPECT_EQ(RunTool("explain --data " + data_ + " --tree " + tree_ +
                 " --record 99999999"),
             kBadArgs);
@@ -518,13 +532,17 @@ TEST_F(CmptoolTest, StreamAndRefitFlagValidation) {
   const std::string sidecar = TempPath("val.cmps");
   std::string out;
 
-  // Unsupported combination: cmp-stream is single-process by contract.
-  EXPECT_EQ(RunTool("train --data " + data_ + " --algo cmp-stream"
-                " --workers 2 --out " + tree_,
-                &out),
-            kBadArgs);
-  EXPECT_NE(out.find("incompatible with --workers"), std::string::npos)
-      << out;
+  // --workers is rejected up front, with its reason, whatever the
+  // algorithm.
+  for (const char* algo : {"cmp", "cmp-stream"}) {
+    EXPECT_EQ(RunTool("train --data " + data_ + " --algo " + algo +
+                      " --workers 2 --out " + tree_,
+                      &out),
+              kBadArgs);
+    EXPECT_NE(out.find("distributed training was removed"),
+              std::string::npos)
+        << out;
+  }
 
   // Bad sketch capacity and bad block size are usage errors.
   EXPECT_EQ(RunTool("train --data " + data_ + " --algo cmp-stream"
