@@ -3,10 +3,11 @@
 // Three questions, answered on one Agrawal-generated table:
 //
 //  1. Kernel speedup — filling a node's HistBundle through the
-//     attribute-major batch kernels (bin-code loads, one histogram hot
-//     at a time) vs the record-major Add path (per-record binary search
-//     across every attribute), on contiguous and gapped batches. Counts
-//     are verified cell-identical before any number is reported.
+//     per-attribute kernels the scan's accumulate phase runs (bin-code
+//     loads over tile-relative offsets, one histogram hot at a time) vs
+//     the record-major Add path (per-record binary search across every
+//     attribute), on contiguous and gapped record sets. Counts are
+//     verified cell-identical before any number is reported.
 //  2. Gini scan speedup — ScanBoundaryGinis vs BoundaryGini per row,
 //     verified bit-identical.
 //  3. Cache amortization — how many histogram passes the one-time
@@ -28,6 +29,7 @@
 
 #include "bench_util.h"
 #include "cmp/bundle.h"
+#include "cmp/scan_pass.h"
 #include "common/cpu_features.h"
 #include "common/timer.h"
 #include "datagen/agrawal.h"
@@ -37,7 +39,37 @@
 
 namespace {
 
-constexpr size_t kBatch = 512;  // the scan path's batch size
+// One tile of a scan's accumulate phase: records base + offsets[i].
+struct Tile {
+  cmp::RecordId base = 0;
+  std::vector<uint32_t> offsets;
+};
+
+// Splits ascending record ids into the scan's tiles (built once, outside
+// the timed loops: the scan's route phase produces them).
+std::vector<Tile> ToTiles(const std::vector<cmp::RecordId>& rids) {
+  std::vector<Tile> tiles;
+  for (const cmp::RecordId r : rids) {
+    const cmp::RecordId base =
+        r / cmp::kScanTileRecords * cmp::kScanTileRecords;
+    if (tiles.empty() || tiles.back().base != base) tiles.push_back({base, {}});
+    tiles.back().offsets.push_back(static_cast<uint32_t>(r - base));
+  }
+  return tiles;
+}
+
+// Fills every histogram of `bundle`, one per-attribute kernel call per
+// tile, as the scan's accumulate tasks do.
+void FillByTiles(cmp::HistBundle* bundle, const cmp::BinCodeCache& codes,
+                 const std::vector<Tile>& tiles, int num_attrs) {
+  for (const Tile& t : tiles) {
+    for (cmp::AttrId a = 0; a < num_attrs; ++a) {
+      if (!bundle->HasHistogram(a)) continue;
+      bundle->AccumulateCodedAttr(codes, a, t.base, t.offsets.data(),
+                                  t.offsets.size());
+    }
+  }
+}
 
 bool SameCells(const cmp::HistBundle& a, const cmp::HistBundle& b,
                int num_attrs) {
@@ -90,30 +122,26 @@ int main(int argc, char** argv) {
   double record_major_s = 1e30;
   double kernel_s = 1e30;
   cmp::HistBundle serial;
-  cmp::HistBundle batched;
+  cmp::HistBundle filled;
   for (int pass = 0; pass < 3; ++pass) {
     serial = cmp::HistBundle::MakeUnivariate(train.schema(), grids);
     cmp::Timer t;
     for (int64_t r = 0; r < n; ++r) serial.Add(train, grids, r);
     record_major_s = std::min(record_major_s, t.Seconds());
   }
-  cmp::KernelScratch scratch;
+  const std::vector<Tile> all_tiles = ToTiles(rids);
   for (int pass = 0; pass < 3; ++pass) {
-    batched = cmp::HistBundle::MakeUnivariate(train.schema(), grids);
+    filled = cmp::HistBundle::MakeUnivariate(train.schema(), grids);
     cmp::Timer t;
-    for (int64_t i = 0; i < n; i += kBatch) {
-      const size_t count =
-          static_cast<size_t>(std::min<int64_t>(kBatch, n - i));
-      batched.AccumulateBatch(codes, rids.data() + i, count, &scratch);
-    }
+    FillByTiles(&filled, codes, all_tiles, train.num_attrs());
     kernel_s = std::min(kernel_s, t.Seconds());
   }
-  const bool counts_match = SameCells(batched, serial, train.num_attrs());
+  const bool counts_match = SameCells(filled, serial, train.num_attrs());
   const double speedup = record_major_s / kernel_s;
 
-  // --- gapped batches -------------------------------------------------
+  // --- gapped record sets ----------------------------------------------
   // Ascending rids with holes, the shape every post-root node sees
-  // (the contiguous batches above are the root pass). Cells are
+  // (the contiguous records above are the root pass). Cells are
   // re-verified against the record-major reference.
   std::vector<cmp::RecordId> gapped;
   gapped.reserve(n / 2);
@@ -130,19 +158,16 @@ int main(int argc, char** argv) {
       cmp::HistBundle::MakeUnivariate(train.schema(), grids);
   for (const cmp::RecordId r : gapped) gapped_serial.Add(train, grids, r);
   const int64_t gn = static_cast<int64_t>(gapped.size());
+  const std::vector<Tile> gapped_tiles = ToTiles(gapped);
   double gapped_s = 1e30;
   for (int pass = 0; pass < 5; ++pass) {
-    batched = cmp::HistBundle::MakeUnivariate(train.schema(), grids);
+    filled = cmp::HistBundle::MakeUnivariate(train.schema(), grids);
     cmp::Timer t;
-    for (int64_t i = 0; i < gn; i += kBatch) {
-      const size_t count =
-          static_cast<size_t>(std::min<int64_t>(kBatch, gn - i));
-      batched.AccumulateBatch(codes, gapped.data() + i, count, &scratch);
-    }
+    FillByTiles(&filled, codes, gapped_tiles, train.num_attrs());
     gapped_s = std::min(gapped_s, t.Seconds());
   }
   const bool gapped_match =
-      SameCells(batched, gapped_serial, train.num_attrs());
+      SameCells(filled, gapped_serial, train.num_attrs());
 
   // --- the gini boundary scan vs BoundaryGini per row ---------------
   // 5 divides per boundary, where the 2-wide SSE2 divpd multiplies
@@ -219,11 +244,11 @@ int main(int argc, char** argv) {
   std::cout << "histogram accumulation over " << n << " records, "
             << train.num_attrs() << " attrs, q=100\n\n"
             << "record-major Add:     " << record_major_s << " s\n"
-            << "attribute-major kernels: " << kernel_s << " s  ("
+            << "per-attribute kernels: " << kernel_s << " s  ("
             << speedup << "x)\n"
             << "counts cell-identical: " << (counts_match ? "yes" : "NO")
             << "\n"
-            << "kernels, gapped batches: " << gn / gapped_s
+            << "kernels, gapped records: " << gn / gapped_s
             << " rows/s (cells " << (gapped_match ? "ok" : "MISMATCH")
             << ")\n\n"
             << "gini, BoundaryGini per row: "

@@ -69,6 +69,7 @@ class WeakPassCollector : public TrainObserver {
     line_refine_seconds += pass.line_refine_seconds;
     lines_evaluated += pass.lines_evaluated;
     finish_seconds += pass.finish_seconds;
+    route_seconds += pass.route_seconds;
     kernel_seconds += pass.kernel_seconds;
     bytes_read += pass.bytes_read;
     code_cache_bytes = std::max(code_cache_bytes, pass.code_cache_bytes);
@@ -80,6 +81,7 @@ class WeakPassCollector : public TrainObserver {
   double line_refine_seconds = 0.0;
   int64_t lines_evaluated = 0;
   double finish_seconds = 0.0;
+  double route_seconds = 0.0;
   double kernel_seconds = 0.0;
   int64_t bytes_read = 0;
   int64_t code_cache_bytes = 0;
@@ -223,6 +225,7 @@ BuildResult BoostBuilder::Build(const Dataset& train) {
       pass.line_refine_seconds = weak_passes.line_refine_seconds;
       pass.lines_evaluated = weak_passes.lines_evaluated;
       pass.finish_seconds = weak_passes.finish_seconds;
+      pass.route_seconds = weak_passes.route_seconds;
       pass.kernel_seconds = weak_passes.kernel_seconds;
       pass.bytes_read = weak_passes.bytes_read;
       pass.code_cache_bytes = weak_passes.code_cache_bytes;

@@ -28,8 +28,8 @@ namespace cmp {
 
 // ---------------------------------------------------------------------
 // The build driver. The heavy lifting lives in the pipeline layers:
-//   frontier.h    — pending/segment lifecycle, routing, mirrors
-//   scan_pass.h   — one sharded, blocked pass over the records
+//   frontier.h    — pending/segment lifecycle, resolve-time routing
+//   scan_pass.h   — one tiled, blocked pass: route, then fill sinks
 //   split_plan.h  — bundle analysis, split decisions, tree growth
 // The driver owns the shared state (grids, record->node map, frontier
 // queues), sequences the passes, and reports per-pass observations.

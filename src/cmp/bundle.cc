@@ -77,28 +77,6 @@ HistBundle HistBundle::DeriveXRange(int x_lo, int x_hi, int full_lo,
   return b;
 }
 
-HistBundle HistBundle::CloneEmptyShape() const {
-  HistBundle b;
-  b.bivariate_ = bivariate_;
-  b.x_attr_ = x_attr_;
-  b.x_lo_ = x_lo_;
-  b.x_hi_ = x_hi_;
-  b.schema_ = schema_;
-  b.hists_.resize(hists_.size());
-  for (size_t i = 0; i < hists_.size(); ++i) {
-    b.hists_[i] =
-        Histogram1D(hists_[i].num_intervals(), hists_[i].num_classes());
-  }
-  b.matrices_.resize(matrices_.size());
-  for (size_t i = 0; i < matrices_.size(); ++i) {
-    if (static_cast<AttrId>(i) == x_attr_) continue;
-    const HistogramMatrix& m = matrices_[i];
-    b.matrices_[i] =
-        HistogramMatrix(m.x_intervals(), m.y_intervals(), m.num_classes());
-  }
-  return b;
-}
-
 void HistBundle::MergeSameShape(const HistBundle& other) {
   assert(bivariate_ == other.bivariate_ && x_attr_ == other.x_attr_ &&
          x_lo_ == other.x_lo_ && x_hi_ == other.x_hi_);
@@ -109,29 +87,19 @@ void HistBundle::MergeSameShape(const HistBundle& other) {
   }
 }
 
-void HistBundle::AccumulateBatch(const BinCodeCache& codes,
-                                 const RecordId* rids, size_t n,
-                                 KernelScratch* scratch) {
-  if (n == 0) return;
-  GatherLabels(codes.labels(), rids, n, &scratch->labels);
-  const ClassId* batch_labels = scratch->labels.data();
-  const Schema& schema = *schema_;
-  const int nc = schema.num_classes();
+void HistBundle::AccumulateCodedAttr(const BinCodeCache& codes, AttrId a,
+                                     RecordId base, const uint32_t* offsets,
+                                     size_t n) {
+  assert(HasHistogram(a));
+  const int nc = schema_->num_classes();
   if (!bivariate_) {
-    for (AttrId a = 0; a < schema.num_attrs(); ++a) {
-      AccumulateHist1D(codes.view(a), batch_labels, rids, n, nc,
-                       hists_[a].data());
-    }
+    AccumulateHist1D(codes.view(a), codes.labels(), base, offsets, n, nc,
+                     hists_[a].data());
     return;
   }
-  GatherXRows(codes.view(x_attr_), x_lo_, rids, n, &scratch->xrows);
-  const int32_t* xrows = scratch->xrows.data();
-  for (AttrId a = 0; a < schema.num_attrs(); ++a) {
-    if (a == x_attr_) continue;
-    HistogramMatrix& m = matrices_[a];
-    AccumulateHist2D(xrows, codes.view(a), batch_labels, rids, n,
-                     m.y_intervals(), nc, m.data());
-  }
+  HistogramMatrix& m = matrices_[a];
+  AccumulateHist2D(codes.view(x_attr_), x_lo_, codes.view(a), codes.labels(),
+                   base, offsets, n, m.y_intervals(), nc, m.data());
 }
 
 Histogram1D HistBundle::HistFor(AttrId a) const {

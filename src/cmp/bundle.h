@@ -2,6 +2,8 @@
 #define CMP_CMP_BUNDLE_H_
 
 #include <cassert>
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/dataset.h"
@@ -84,7 +86,7 @@ class HistBundle {
   /// Record-major add through the bin-code cache: same effect as Add but
   /// the interval index is a 1-2 byte load instead of a binary search.
   /// Used where records arrive one at a time with interleaved routing
-  /// (pending-buffer flushes), where batching cannot help.
+  /// (pending-buffer flushes at resolve time).
   void AddCoded(const BinCodeCache& codes, RecordId r) {
     const Schema& schema = *schema_;
     const ClassId label = codes.label(r);
@@ -103,14 +105,50 @@ class HistBundle {
     }
   }
 
-  /// Attribute-major batch accumulation: adds the `n` records of `rids`
-  /// to every histogram of the bundle using the hist/hist_kernels.h
-  /// kernels — the batch's labels (and X rows, for bivariate bundles)
-  /// are gathered once into `scratch`, then each attribute's histogram
-  /// is filled by one tight loop over the batch. Byte-for-byte the same
-  /// counts as calling Add record by record.
-  void AccumulateBatch(const BinCodeCache& codes, const RecordId* rids,
-                       size_t n, KernelScratch* scratch);
+  /// Whether attribute `a` has a histogram of its own in this bundle:
+  /// every attribute of a univariate bundle, every one but the X axis of
+  /// a bivariate bundle. The scan fills each such histogram as one task.
+  bool HasHistogram(AttrId a) const { return !bivariate_ || a != x_attr_; }
+
+  /// Per-attribute accumulation through the bin-code cache: adds records
+  /// `base + offsets[i]` to attribute `a`'s histogram only (which must
+  /// exist: HasHistogram(a)), with the hist/hist_kernels.h kernels.
+  /// Distinct attributes touch distinct histograms, so one bundle's
+  /// attributes may be filled concurrently. Byte-for-byte the counts of
+  /// calling Add record by record.
+  void AccumulateCodedAttr(const BinCodeCache& codes, AttrId a, RecordId base,
+                           const uint32_t* offsets, size_t n);
+
+  /// AccumulateCodedAttr without the cache: the interval indices come
+  /// from `IntervalOf` on the records of `ds` (which must be readable,
+  /// e.g. inside the resident block of a streamed scan).
+  template <class DS>
+  void AccumulateAttr(const DS& ds, const std::vector<IntervalGrid>& grids,
+                      AttrId a, RecordId base, const uint32_t* offsets,
+                      size_t n) {
+    assert(HasHistogram(a));
+    const bool numeric = schema_->is_numeric(a);
+    auto row_of = [&](RecordId r) {
+      return numeric ? grids[a].IntervalOf(ds.numeric(a, r))
+                     : ds.categorical(a, r);
+    };
+    if (!bivariate_) {
+      Histogram1D& h = hists_[a];
+      for (size_t i = 0; i < n; ++i) {
+        const RecordId r = base + offsets[i];
+        h.Add(row_of(r), ds.label(r));
+      }
+      return;
+    }
+    HistogramMatrix& m = matrices_[a];
+    const IntervalGrid& xgrid = grids[x_attr_];
+    for (size_t i = 0; i < n; ++i) {
+      const RecordId r = base + offsets[i];
+      const int gx = xgrid.IntervalOf(ds.numeric(x_attr_, r));
+      assert(gx >= x_lo_ && gx < x_hi_);
+      m.Add(gx - x_lo_, row_of(r), ds.label(r));
+    }
+  }
 
   /// The 1-D class histogram of attribute `a`:
   ///  - univariate: the stored histogram (numeric rows are global
@@ -128,12 +166,6 @@ class HistBundle {
   /// Adds every histogram of `other` into this bundle. Both bundles must
   /// have identical shape (same variant, X attribute and X range).
   void MergeSameShape(const HistBundle& other);
-
-  /// An empty bundle of this bundle's exact shape (variant, X attribute,
-  /// X range, histogram/matrix dimensions) with all counts zero. Parallel
-  /// scans accumulate into per-shard clones and MergeSameShape them back
-  /// in deterministic order.
-  HistBundle CloneEmptyShape() const;
 
   /// Per-class record counts of the whole bundle.
   std::vector<int64_t> ClassTotals() const;

@@ -33,8 +33,8 @@ class ThreadPool;
 class BlockSource;
 
 /// Construction is parallelized over `options.base.num_threads` workers
-/// (histogram accumulation sharded per thread and merged in attribute
-/// order, per-attribute gini scans fanned out, frontier nodes of one
+/// (records routed by contiguous shards, every histogram then filled by
+/// one task, per-attribute gini scans fanned out, frontier nodes of one
 /// level analyzed concurrently) with a hard determinism contract: the
 /// built tree is bit-identical for every thread count. An optional
 /// shared ThreadPool avoids oversubscription when training and inference

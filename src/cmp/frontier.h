@@ -15,10 +15,10 @@ namespace cmp {
 /// Frontier/pending lifecycle of the CMP build pipeline: the structures
 /// a scan accumulates into (fresh histogram bundles, pending approximate
 /// splits with their segments and buffers, collect lists) and the
-/// operations that keep them consistent across sharded, blocked scans —
-/// empty-mirror cloning, deterministic merging, record routing/flushing
-/// and buffer sorting. Split *decisions* live one layer up in
-/// split_plan.h; scan orchestration lives in scan_pass.h.
+/// resolve-time operations on them — buffer sorting and the record-major
+/// routing of flushed buffer records. Split *decisions* live one layer
+/// up in split_plan.h; scan orchestration (which routes a pass's records
+/// to these sinks and fills them) lives in scan_pass.h.
 
 /// A record set aside because its split-attribute value falls in an alive
 /// interval; the exact record is re-read from the (read-only) dataset at
@@ -77,24 +77,6 @@ struct Pending {
   std::vector<BufferedRecord> buffer;
   int64_t MemoryBytes() const;
 };
-
-// ---------------------------------------------------------------------
-// Per-shard scan state. A parallel scan hands each shard a contiguous,
-// ascending record range and a private empty mirror of every histogram
-// the scan accumulates; the mirrors are merged back in a fixed order.
-// All merged state is integer counts (commutative, exact) or buffers
-// concatenated in ascending-shard = ascending-record order, so the
-// merged result is byte-for-byte the serial scan's — the root of the
-// bit-identical-for-any-thread-count contract.
-
-/// Empty structural mirror of `p`: same plan tree, zeroed counts, empty
-/// buffers; bundles that accumulate during a scan are cloned empty,
-/// derived (pre-filled, bundle_fresh == false) bundles are left empty
-/// because RoutePending never touches them. `nc` is the class count.
-std::unique_ptr<Pending> ClonePendingEmpty(const Pending& p, int nc);
-
-/// Merges a shard mirror back into the master pending.
-void MergePendingInto(Pending* dst, const Pending& src);
 
 /// Sorts a pending buffer by (value, rid). The record id tiebreak makes
 /// the order a total one — equal-valued records always route to the same
@@ -157,9 +139,13 @@ struct FrontierQueues {
 };
 
 // ---------------------------------------------------------------------
-// Record routing through a pending split. Templated over the record
-// store (record_store.h) like the rest of the pipeline; all reads are
-// const, so shards can route concurrently into private mirrors.
+// Record-major routing through a resolved pending split's segments.
+// Templated over the record store (record_store.h) like the rest of the
+// pipeline. The scan routes records through the same plan tree
+// (ScanPass), but as a route phase over a tile followed by a
+// per-histogram fill; these one-record-at-a-time forms serve the
+// resolve-time buffer flushes, where records arrive in sorted-value
+// order interleaved with routing.
 
 /// Routes record `r` through a pending split (at most one nested
 /// level). Returns true if the record was set aside in a (possibly

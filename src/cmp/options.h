@@ -43,16 +43,15 @@ struct CmpOptions {
   /// which relationships are detected).
   int linear_grid = 32;
   /// Build the pass-invariant bin-code cache after grid construction and
-  /// accumulate histograms from the 1-2 byte codes with attribute-major
-  /// batch kernels (hist/bin_codes.h, hist/hist_kernels.h). Off falls
-  /// back to the record-major IntervalOf path; the tree is byte-identical
-  /// either way. The cache also disables itself when an attribute needs
+  /// accumulate histograms from the 1-2 byte codes with the per-attribute
+  /// kernels (hist/bin_codes.h, hist/hist_kernels.h). Off reads
+  /// IntervalOf on the resident records instead; the tree is
+  /// byte-identical either way. The cache also disables itself when an attribute needs
   /// more than 16 bits per code.
   bool bin_code_cache = true;
-  /// Shard count for parallel scan passes. 0 = auto: the pool's
-  /// parallelism, additionally capped at the hardware thread count so an
-  /// oversubscribed pool on a small machine does not pay mirror-merge
-  /// overhead for shards that cannot run concurrently. The tree is
+  /// Shard count of a scan pass's route phase. 0 = auto: four shards per
+  /// worker, counting the pool's parallelism capped at the hardware
+  /// thread count (one shard on an inline pool). The tree is
   /// byte-identical for every value.
   int scan_shards = 0;
   /// Extension beyond the paper (addressing its Section 2.3 limitation):

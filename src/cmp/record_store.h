@@ -49,7 +49,7 @@ class InMemoryStore {
 /// Bounded-memory store for a streamed build. Reads inside the resident
 /// block window hit the block's columns; reads outside it hit the stash
 /// of explicitly retained records. Block columns are read concurrently
-/// by scan shards; Stash() must only be called between blocks (no
+/// by scan tasks; Stash() must only be called between tiles (no
 /// concurrent readers), and the stash is cleared once per round after
 /// the resolve phase has consumed it.
 class StreamStore {

@@ -1,22 +1,75 @@
 #include "cmp/scan_pass.h"
 
+#include <utility>
+
 namespace cmp {
 
-SlotMaps BuildSlotMaps(int num_nodes, const FrontierQueues& work) {
-  SlotMaps slots;
-  slots.fresh.assign(num_nodes, -1);
-  slots.pending.assign(num_nodes, -1);
-  slots.collect.assign(num_nodes, -1);
-  for (size_t i = 0; i < work.fresh.size(); ++i) {
-    slots.fresh[work.fresh[i].node] = static_cast<int>(i);
+namespace {
+
+int AddSink(ScanPlan* plan, ScanSink sink) {
+  plan->sinks.push_back(std::move(sink));
+  return static_cast<int>(plan->sinks.size()) - 1;
+}
+
+// Flattens pending `p` (and its nested pendings) into `plan`. `chain`
+// holds the count arrays of the segments enclosing `p`: every record
+// routed below `p` increments them.
+int AddPendingRoute(ScanPlan* plan, Pending* p,
+                    const std::vector<int64_t*>& chain) {
+  ScanSink buffer;
+  buffer.buffer = p;
+  buffer.chain = chain;
+  const int index = static_cast<int>(plan->pendings.size());
+  const int first = static_cast<int>(plan->segments.size());
+  plan->segments.resize(first + p->segments.size());
+  plan->pendings.push_back(
+      {p->attr, &p->alive, AddSink(plan, std::move(buffer)), first});
+  for (size_t k = 0; k < p->segments.size(); ++k) {
+    Segment& seg = p->segments[k];
+    std::vector<int64_t*> seg_chain = chain;
+    seg_chain.push_back(seg.counts.data());
+    SegmentRoute route;
+    route.plan = seg.plan;
+    switch (seg.plan) {
+      case PlanKind::kGrow:
+        route.sink = AddSink(
+            plan, {seg.bundle_fresh ? &seg.bundle : nullptr, seg_chain});
+        break;
+      case PlanKind::kPending:
+        route.sub = AddPendingRoute(plan, seg.sub.get(), seg_chain);
+        break;
+      case PlanKind::kExact: {
+        route.split = &seg.exact_split;
+        std::vector<int64_t*> left = seg_chain;
+        left.push_back(seg.exact_left_counts.data());
+        route.left = AddSink(plan, {&seg.exact_left, std::move(left)});
+        seg_chain.push_back(seg.exact_right_counts.data());
+        route.right = AddSink(plan, {&seg.exact_right, std::move(seg_chain)});
+        break;
+      }
+    }
+    plan->segments[first + k] = route;
   }
-  for (size_t i = 0; i < work.pending.size(); ++i) {
-    slots.pending[work.pending[i].node] = static_cast<int>(i);
+  return index;
+}
+
+}  // namespace
+
+ScanPlan BuildScanPlan(int num_nodes, FrontierQueues& work) {
+  ScanPlan plan;
+  plan.nodes.assign(num_nodes, NodeRoute{});
+  for (FreshWork& w : work.fresh) {
+    plan.nodes[w.node].sink = AddSink(&plan, {&w.bundle, {}});
   }
-  for (size_t i = 0; i < work.collect.size(); ++i) {
-    slots.collect[work.collect[i].node] = static_cast<int>(i);
+  for (PendingWork& w : work.pending) {
+    plan.nodes[w.node].pending = AddPendingRoute(&plan, w.pending.get(), {});
   }
-  return slots;
+  for (CollectWork& w : work.collect) {
+    ScanSink sink;
+    sink.collect = &w.rids;
+    plan.nodes[w.node].sink = AddSink(&plan, std::move(sink));
+  }
+  return plan;
 }
 
 }  // namespace cmp

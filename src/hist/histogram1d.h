@@ -36,7 +36,7 @@ class Histogram1D {
   }
 
   /// Mutable row-major cell array (num_intervals × num_classes) for the
-  /// attribute-major batch kernels in hist/hist_kernels.h, which add
+  /// per-attribute kernels in hist/hist_kernels.h, which add
   /// straight into it.
   int64_t* data() { return counts_.data(); }
   const int64_t* data() const { return counts_.data(); }

@@ -72,7 +72,7 @@ class HistogramMatrix {
   /// Adds every cell of `other` (same shape) into this matrix.
   void Merge(const HistogramMatrix& other);
 
-  /// Mutable row-major cell array for the attribute-major batch kernels
+  /// Mutable row-major cell array for the per-attribute kernels
   /// in hist/hist_kernels.h.
   int64_t* data() { return counts_.data(); }
   const int64_t* data() const { return counts_.data(); }

@@ -28,6 +28,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "common/cpu_features.h"
@@ -143,6 +144,34 @@ bool HasFlag(int argc, char** argv, const std::string& name) {
     if (name == argv[i]) return true;
   }
   return false;
+}
+
+// Upper bound of --threads and --scan-shards: far above any machine this
+// runs on, far below the thread counts that stall or exhaust memory.
+constexpr int kMaxThreads = 1024;
+
+// Parses a thread or shard count flag (absent: `def`). Accepts only a
+// whole decimal number in [0, kMaxThreads] (0 = one per hardware
+// thread); a sign, fraction, trailing text or larger value is a bad
+// argument, so a typo never silently becomes "all cores" or thousands
+// of threads.
+bool ParseThreadCount(int argc, char** argv, const std::string& flag,
+                      int def, int* out) {
+  if (!HasFlag(argc, argv, flag)) {
+    *out = def;
+    return true;
+  }
+  const std::string v = GetFlag(argc, argv, flag);
+  int value = -1;
+  const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), value);
+  if (v.empty() || ec != std::errc() || end != v.data() + v.size() ||
+      value < 0 || value > kMaxThreads) {
+    std::cerr << flag << " must be a whole number in [0, " << kMaxThreads
+              << "] (got '" << v << "')\n";
+    return false;
+  }
+  *out = value;
+  return true;
 }
 
 bool ParseFunction(const std::string& s, AgrawalFunction* out) {
@@ -271,7 +300,8 @@ int CmdGen(int argc, char** argv) {
 // Out-of-core training: records flow from the .cmpt table through
 // block-pipelined scans instead of being loaded up front. Produces the
 // same tree bytes as the in-memory path (that equality is CI-enforced).
-int CmdTrainStreamed(int argc, char** argv, int intervals) {
+int CmdTrainStreamed(int argc, char** argv, int intervals, int threads,
+                     int scan_shards) {
   const std::string data = GetFlag(argc, argv, "--data");
   const std::string out = GetFlag(argc, argv, "--out");
   const std::string algo = GetFlag(argc, argv, "--algo", "cmp");
@@ -296,12 +326,10 @@ int CmdTrainStreamed(int argc, char** argv, int intervals) {
                       : algo == "cmp-b" ? cmp::CmpBOptions()
                                         : cmp::CmpSOptions();
   o.base.prune = !HasFlag(argc, argv, "--no-prune");
-  o.base.num_threads =
-      std::atoi(GetFlag(argc, argv, "--threads", "1").c_str());
+  o.base.num_threads = threads;
   o.intervals = intervals;
   o.bin_code_cache = !HasFlag(argc, argv, "--no-codes");
-  o.scan_shards =
-      std::atoi(GetFlag(argc, argv, "--scan-shards", "0").c_str());
+  o.scan_shards = scan_shards;
   const std::string stats_path = GetFlag(argc, argv, "--stats-json");
   cmp::TrainStatsCollector collector;
   if (!stats_path.empty()) o.base.observer = &collector;
@@ -335,13 +363,12 @@ int CmdTrainStreamed(int argc, char** argv, int intervals) {
 // otherwise the dataset is loaded and wrapped in a zero-copy block
 // source (same tree bytes either way — ingestion is a record-order fold
 // regardless of the source's block size).
-int CmdTrainCmpStream(int argc, char** argv, int intervals) {
+int CmdTrainCmpStream(int argc, char** argv, int intervals, int threads) {
   const std::string data = GetFlag(argc, argv, "--data");
   const std::string out = GetFlag(argc, argv, "--out");
   cmp::StreamOptions o;
   o.base.prune = !HasFlag(argc, argv, "--no-prune");
-  o.base.num_threads =
-      std::atoi(GetFlag(argc, argv, "--threads", "1").c_str());
+  o.base.num_threads = threads;
   o.intervals = intervals;
   o.sketch_capacity =
       std::atoi(GetFlag(argc, argv, "--sketch-capacity", "512").c_str());
@@ -450,8 +477,10 @@ int CmdRefit(int argc, char** argv) {
 
   cmp::RefitOptions o;
   o.stream.base.prune = !HasFlag(argc, argv, "--no-prune");
-  o.stream.base.num_threads =
-      std::atoi(GetFlag(argc, argv, "--threads", "1").c_str());
+  if (!ParseThreadCount(argc, argv, "--threads", 1,
+                        &o.stream.base.num_threads)) {
+    return kExitBadArgs;
+  }
   o.drift_threshold =
       std::atof(GetFlag(argc, argv, "--drift-threshold", "0.15").c_str());
   if (o.drift_threshold < 0.0 || o.drift_threshold > 1.0) {
@@ -539,15 +568,22 @@ int CmdTrain(int argc, char** argv) {
     std::cerr << "--intervals must be >= 1\n";
     return kExitBadArgs;
   }
+  int threads = 1;
+  int scan_shards = 0;
+  if (!ParseThreadCount(argc, argv, "--threads", 1, &threads) ||
+      !ParseThreadCount(argc, argv, "--scan-shards", 0, &scan_shards)) {
+    return kExitBadArgs;
+  }
   // cmp-stream owns its flag handling.
-  if (algo == "cmp-stream") return CmdTrainCmpStream(argc, argv, intervals);
+  if (algo == "cmp-stream") {
+    return CmdTrainCmpStream(argc, argv, intervals, threads);
+  }
   if (HasFlag(argc, argv, "--stream")) {
-    return CmdTrainStreamed(argc, argv, intervals);
+    return CmdTrainStreamed(argc, argv, intervals, threads, scan_shards);
   }
   cmp::BuilderConfig config;
   config.base.prune = !HasFlag(argc, argv, "--no-prune");
-  config.base.num_threads =
-      std::atoi(GetFlag(argc, argv, "--threads", "1").c_str());
+  config.base.num_threads = threads;
   config.intervals = intervals;
   config.boost.rounds =
       std::atoi(GetFlag(argc, argv, "--rounds", "50").c_str());
@@ -786,7 +822,9 @@ int CmdPredict(int argc, char** argv) {
   }
 
   cmp::PredictOptions opts;
-  opts.num_threads = std::atoi(GetFlag(argc, argv, "--threads", "1").c_str());
+  if (!ParseThreadCount(argc, argv, "--threads", 1, &opts.num_threads)) {
+    return kExitBadArgs;
+  }
   opts.block_size = std::atoll(GetFlag(argc, argv, "--block", "2048").c_str());
   opts.want_probs = HasFlag(argc, argv, "--probs");
   opts.top_k = std::atoi(GetFlag(argc, argv, "--top-k", "1").c_str());

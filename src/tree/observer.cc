@@ -77,6 +77,7 @@ std::string TrainStatsCollector::ToJson() const {
        << ", \"buffered_records\": " << p.buffered_records
        << ", \"buffer_bytes\": " << p.buffer_bytes
        << ", \"tree_nodes\": " << p.tree_nodes
+       << ", \"route_seconds\": " << p.route_seconds
        << ", \"kernel_seconds\": " << p.kernel_seconds
        << ", \"code_cache_bytes\": " << p.code_cache_bytes
        << ", \"sibling_subtractions\": " << p.sibling_subtractions

@@ -20,8 +20,8 @@ struct PassObservation {
   /// Wall seconds analyzing bundles, planning and resolving splits.
   double plan_seconds = 0.0;
   /// CMP only (0 otherwise): the linear-split search inside plan. Seconds
-  /// of the coarse per-Y line searches, summed across threads like
-  /// kernel_seconds; seconds refining winning lines at full resolution;
+  /// of the coarse per-Y line searches, summed across the pool threads
+  /// they run on; seconds refining winning lines at full resolution;
   /// and candidate lines scored, which no thread count changes.
   double line_search_seconds = 0.0;
   double line_refine_seconds = 0.0;
@@ -45,9 +45,11 @@ struct PassObservation {
   int64_t buffer_bytes = 0;
   /// Nodes in the tree after the pass was applied.
   int64_t tree_nodes = 0;
-  /// Wall seconds spent inside the attribute-major histogram kernels
-  /// this pass, summed across shards (a subset of scan_seconds; 0 when
-  /// the bin-code cache is disabled).
+  /// CMP only (0 otherwise): wall seconds of the scan's two phases. The
+  /// route phase descends every record to its sink; the accumulate
+  /// (kernel) phase fills the sinks' histograms, buffers and collect
+  /// lists. Both are subsets of scan_seconds.
+  double route_seconds = 0.0;
   double kernel_seconds = 0.0;
   /// Resident bytes of the bin-code cache (0 when disabled).
   int64_t code_cache_bytes = 0;

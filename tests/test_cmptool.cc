@@ -217,6 +217,34 @@ TEST_F(CmptoolTest, ExitCodesDistinguishFailureKinds) {
           << out;
     }
   }
+  // Thread and shard counts are whole numbers in [0, 1024] on every
+  // path that takes them: no silent fallback to all cores, no inline run
+  // for a negative count, no thousands of threads or shards.
+  for (const char* bad : {"abc", "-2", "5000", "1025", "2.5", "4x", "+3", ""}) {
+    for (const std::string& cmd :
+         {"train --data " + data_ + " --algo cmp --out " + tree_,
+          "train --data " + data_ + " --algo cmp --stream --out " + tree_,
+          "train --data " + data_ + " --algo cmp-stream --out " + tree_,
+          "predict --data " + data_ + " --tree " + tree_}) {
+      EXPECT_EQ(RunTool(cmd + " --threads " + bad, &out), kBadArgs)
+          << cmd << " --threads '" << bad << "'";
+      EXPECT_NE(out.find("--threads must be a whole number in [0, 1024]"),
+                std::string::npos)
+          << out;
+    }
+    EXPECT_EQ(RunTool("train --data " + data_ + " --algo cmp --stream"
+                      " --scan-shards " + bad + " --out " + tree_,
+                      &out),
+              kBadArgs)
+        << "--scan-shards '" << bad << "'";
+    EXPECT_NE(out.find("--scan-shards must be a whole number in [0, 1024]"),
+              std::string::npos)
+        << out;
+  }
+  // The bounds themselves are valid.
+  EXPECT_EQ(RunTool("train --data " + data_ + " --algo cmp --stream"
+                    " --scan-shards 1024 --threads 0 --out " + tree_),
+            0);
   EXPECT_EQ(RunTool("explain --data " + data_ + " --tree " + tree_ +
                 " --record 99999999"),
             kBadArgs);
@@ -347,9 +375,19 @@ TEST_F(CmptoolTest, CompileAndBlobPredictFollowTheExitCodeContract) {
   }
 }
 
+// The number after `"key": ` in one line of --stats-json output, or -1
+// when the key is missing.
+double JsonNumber(const std::string& line, const std::string& key) {
+  const std::string needle = "\"" + key + "\": ";
+  const size_t at = line.find(needle);
+  if (at == std::string::npos) return -1.0;
+  return std::strtod(line.c_str() + at + needle.size(), nullptr);
+}
+
 TEST_F(CmptoolTest, StatsJsonEmitsObserverMetrics) {
   const std::string stats = TempPath("stats.json");
   std::string out;
+  std::string line;
   ASSERT_EQ(RunTool("train --data " + data_ + " --algo cmp --out " + tree_ +
                 " --stats-json " + stats,
                 &out),
@@ -366,6 +404,19 @@ TEST_F(CmptoolTest, StatsJsonEmitsObserverMetrics) {
   EXPECT_NE(json.find("\"frontier_fresh\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"tree_nodes\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"wall_seconds\""), std::string::npos) << json;
+  // The scan's two phases are reported per pass and fit inside it.
+  int pass_lines = 0;
+  for (std::istringstream lines(json); std::getline(lines, line);) {
+    if (line.find("{\"pass\": ") == std::string::npos) continue;
+    ++pass_lines;
+    const double scan = JsonNumber(line, "scan_seconds");
+    const double route = JsonNumber(line, "route_seconds");
+    const double kernel = JsonNumber(line, "kernel_seconds");
+    ASSERT_GE(route, 0.0) << line;
+    ASSERT_GE(kernel, 0.0) << line;
+    EXPECT_LE(route + kernel, scan * (1.0 + 1e-5) + 1e-9) << line;
+  }
+  EXPECT_GT(pass_lines, 0) << json;
   std::remove(stats.c_str());
 
   // The streamed path feeds the same observer (real I/O bytes included).

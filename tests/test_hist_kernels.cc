@@ -1,10 +1,10 @@
-// The attribute-major batch kernels must reproduce the record-major
-// counts EXACTLY — same integer cells, any batch split — because the
-// scan path swaps them in under the bit-identical-trees contract. Tested
-// bottom-up: raw kernels vs direct counting (both code widths, random
-// tables, every batch shape the scan produces), then
-// HistBundle::AccumulateBatch vs Add, then whole builds with and without
-// the code cache.
+// The per-attribute kernels must reproduce the record-major counts
+// EXACTLY — same integer cells, any tile base and offset list — because
+// the scan fills every histogram through them under the
+// bit-identical-trees contract. Tested bottom-up: raw kernels vs direct
+// counting (both code widths, random tables, every offset shape the scan
+// produces), then HistBundle::AccumulateCodedAttr / AccumulateAttr vs
+// Add, then whole builds with and without the code cache.
 //
 // The 511-record cases end at the last record of a column, so under ASan
 // (CMP_SANITIZE=address) any kernel read past the end of the unpadded
@@ -91,10 +91,9 @@ RandomColumn MakeWideColumn(int64_t n, int num_classes, uint64_t seed) {
   return out;
 }
 
-// Batch shapes the scan actually produces: a contiguous block, an
-// ascending subset with gaps, a shuffled batch (the kernels don't
-// require ascending order), and the full range ending at the last
-// record.
+// Record sets the scan actually produces: a contiguous run, an
+// ascending subset with gaps, a shuffled set (the kernels don't require
+// ascending order), and the full range ending at the last record.
 std::vector<std::vector<RecordId>> BatchShapes(int64_t n, uint64_t seed) {
   Rng rng(seed);
   std::vector<std::vector<RecordId>> batches;
@@ -118,13 +117,29 @@ std::vector<std::vector<RecordId>> BatchShapes(int64_t n, uint64_t seed) {
   return batches;
 }
 
+// The scan names records by offsets from a tile base; the tests use the
+// smallest record of the set as the base, so offsets start at 0.
+struct Offsets {
+  RecordId base = 0;
+  std::vector<uint32_t> offsets;
+};
+
+Offsets ToOffsets(const std::vector<RecordId>& rids) {
+  Offsets out;
+  if (rids.empty()) return out;
+  out.base = *std::min_element(rids.begin(), rids.end());
+  for (const RecordId r : rids) {
+    out.offsets.push_back(static_cast<uint32_t>(r - out.base));
+  }
+  return out;
+}
+
 std::vector<int64_t> Kernel1D(const RandomColumn& t,
                               const std::vector<RecordId>& rids, int nc) {
-  KernelScratch scratch;
-  GatherLabels(t.codes.labels(), rids.data(), rids.size(), &scratch.labels);
+  const Offsets o = ToOffsets(rids);
   std::vector<int64_t> cells(static_cast<size_t>(t.grid.num_intervals()) * nc);
-  AccumulateHist1D(t.codes.view(0), scratch.labels.data(), rids.data(),
-                   rids.size(), nc, cells.data());
+  AccumulateHist1D(t.codes.view(0), t.codes.labels(), o.base,
+                   o.offsets.data(), o.offsets.size(), nc, cells.data());
   return cells;
 }
 
@@ -139,14 +154,10 @@ std::vector<int64_t> Kernel2D(const RandomColumn& t,
   for (const RecordId r : rids) {
     if (t.codes.code(0, r) >= x_lo) inside.push_back(r);
   }
-  KernelScratch scratch;
-  GatherLabels(t.codes.labels(), inside.data(), inside.size(),
-               &scratch.labels);
-  GatherXRows(t.codes.view(0), x_lo, inside.data(), inside.size(),
-              &scratch.xrows);
+  const Offsets o = ToOffsets(inside);
   std::vector<int64_t> cells(static_cast<size_t>(q - x_lo) * q * nc);
-  AccumulateHist2D(scratch.xrows.data(), t.codes.view(0),
-                   scratch.labels.data(), inside.data(), inside.size(), q, nc,
+  AccumulateHist2D(t.codes.view(0), x_lo, t.codes.view(0), t.codes.labels(),
+                   o.base, o.offsets.data(), o.offsets.size(), q, nc,
                    cells.data());
   return cells;
 }
@@ -254,7 +265,16 @@ class HistKernelsTest : public ::testing::Test {
   }
 
   void ExpectSameCells(const HistBundle& got, const HistBundle& want) {
+    ASSERT_EQ(got.bivariate(), want.bivariate());
     for (AttrId a = 0; a < ds_.num_attrs(); ++a) {
+      if (got.bivariate() && a != got.x_attr()) {
+        const HistogramMatrix& mg = got.matrix(a);
+        const HistogramMatrix& mw = want.matrix(a);
+        const size_t cells = static_cast<size_t>(mg.x_intervals()) *
+                             mg.y_intervals() * mg.num_classes();
+        ASSERT_TRUE(std::equal(mg.data(), mg.data() + cells, mw.data()))
+            << "matrix of attr " << a;
+      }
       const Histogram1D hg = got.HistFor(a);
       const Histogram1D hw = want.HistFor(a);
       ASSERT_EQ(hg.num_intervals(), hw.num_intervals()) << "attr " << a;
@@ -262,6 +282,34 @@ class HistKernelsTest : public ::testing::Test {
         for (ClassId c = 0; c < hg.num_classes(); ++c) {
           ASSERT_EQ(hg.count(i, c), hw.count(i, c))
               << "attr " << a << " row " << i << " class " << c;
+        }
+      }
+    }
+  }
+
+  // Fills every histogram of `bundle` attribute by attribute, the way
+  // the scan's accumulate tasks do, in two uneven tiles — cell counts
+  // must not care where the tile boundary falls. `coded` picks the
+  // bin-code kernels or the IntervalOf path.
+  void FillPerAttribute(HistBundle* bundle, const std::vector<RecordId>& rids,
+                        bool coded) {
+    const size_t cut = rids.size() / 3;
+    for (const auto& [lo, hi] : {std::pair<size_t, size_t>{0, cut},
+                                 std::pair<size_t, size_t>{cut, rids.size()}}) {
+      if (lo == hi) continue;
+      const RecordId base = rids[lo];
+      std::vector<uint32_t> offsets;
+      for (size_t i = lo; i < hi; ++i) {
+        offsets.push_back(static_cast<uint32_t>(rids[i] - base));
+      }
+      for (AttrId a = 0; a < ds_.num_attrs(); ++a) {
+        if (!bundle->HasHistogram(a)) continue;
+        if (coded) {
+          bundle->AccumulateCodedAttr(codes_, a, base, offsets.data(),
+                                      offsets.size());
+        } else {
+          bundle->AccumulateAttr(ds_, grids_, a, base, offsets.data(),
+                                 offsets.size());
         }
       }
     }
@@ -275,12 +323,10 @@ class HistKernelsTest : public ::testing::Test {
 
 TEST_F(HistKernelsTest, Accumulate1DMatchesDirectCounts) {
   const AttrId salary = ds_.schema().FindAttr("salary");
-  KernelScratch scratch;
-  GatherLabels(codes_.labels(), rids_.data(), rids_.size(), &scratch.labels);
-
+  const Offsets o = ToOffsets(rids_);
   Histogram1D hist(grids_[salary].num_intervals(), 2);
-  AccumulateHist1D(codes_.view(salary), scratch.labels.data(), rids_.data(),
-                   rids_.size(), 2, hist.data());
+  AccumulateHist1D(codes_.view(salary), codes_.labels(), o.base,
+                   o.offsets.data(), o.offsets.size(), 2, hist.data());
 
   Histogram1D direct(grids_[salary].num_intervals(), 2);
   for (const RecordId r : rids_) {
@@ -315,15 +361,15 @@ TEST_F(HistKernelsTest, Accumulate1DSixteenBitCodes) {
   codes.SetLabels(labels);
   ASSERT_EQ(codes.width(0), 2);
 
-  std::vector<RecordId> all(n);
-  for (int64_t i = 0; i < n; ++i) all[i] = i;
-  KernelScratch scratch;
-  GatherLabels(codes.labels(), all.data(), all.size(), &scratch.labels);
+  // A tile base past record 0, as for the scan's second tile.
+  const RecordId base = 700;
+  std::vector<uint32_t> offsets(n - base);
+  for (int64_t i = 0; i < n - base; ++i) offsets[i] = i;
   Histogram1D hist(grid.num_intervals(), 2);
-  AccumulateHist1D(codes.view(0), scratch.labels.data(), all.data(),
-                   all.size(), 2, hist.data());
+  AccumulateHist1D(codes.view(0), codes.labels(), base, offsets.data(),
+                   offsets.size(), 2, hist.data());
   Histogram1D direct(grid.num_intervals(), 2);
-  for (int64_t i = 0; i < n; ++i) {
+  for (int64_t i = base; i < n; ++i) {
     direct.Add(grid.IntervalOf(column[i]), labels[i]);
   }
   for (int i = 0; i < hist.num_intervals(); ++i) {
@@ -333,35 +379,33 @@ TEST_F(HistKernelsTest, Accumulate1DSixteenBitCodes) {
   }
 }
 
-TEST_F(HistKernelsTest, BatchMatchesRecordMajorUnivariate) {
-  HistBundle batched = HistBundle::MakeUnivariate(ds_.schema(), grids_);
+TEST_F(HistKernelsTest, PerAttributeMatchesRecordMajorUnivariate) {
   HistBundle serial = HistBundle::MakeUnivariate(ds_.schema(), grids_);
   for (const RecordId r : rids_) serial.Add(ds_, grids_, r);
-  // Flush in two uneven batches — cell counts must not care where the
-  // batch boundary falls.
-  KernelScratch scratch;
-  const size_t cut = rids_.size() / 3;
-  batched.AccumulateBatch(codes_, rids_.data(), cut, &scratch);
-  batched.AccumulateBatch(codes_, rids_.data() + cut, rids_.size() - cut,
-                          &scratch);
-  ExpectSameCells(batched, serial);
+  for (const bool coded : {true, false}) {
+    HistBundle filled = HistBundle::MakeUnivariate(ds_.schema(), grids_);
+    FillPerAttribute(&filled, rids_, coded);
+    ExpectSameCells(filled, serial);
+  }
 }
 
-TEST_F(HistKernelsTest, BatchMatchesRecordMajorBivariate) {
+TEST_F(HistKernelsTest, PerAttributeMatchesRecordMajorBivariate) {
   const AttrId x = ds_.schema().FindAttr("age");
   const int qx = grids_[x].num_intervals();
-  HistBundle batched =
-      HistBundle::MakeBivariate(ds_.schema(), grids_, x, 0, qx);
   HistBundle serial =
       HistBundle::MakeBivariate(ds_.schema(), grids_, x, 0, qx);
   for (const RecordId r : rids_) serial.Add(ds_, grids_, r);
-  KernelScratch scratch;
-  batched.AccumulateBatch(codes_, rids_.data(), rids_.size(), &scratch);
-  ExpectSameCells(batched, serial);
+  EXPECT_FALSE(serial.HasHistogram(x));
+  for (const bool coded : {true, false}) {
+    HistBundle filled =
+        HistBundle::MakeBivariate(ds_.schema(), grids_, x, 0, qx);
+    FillPerAttribute(&filled, rids_, coded);
+    ExpectSameCells(filled, serial);
+  }
 }
 
-TEST_F(HistKernelsTest, BatchMatchesRecordMajorBivariateSubRange) {
-  // A child bundle covering only X-intervals [x_lo, x_hi): GatherXRows
+TEST_F(HistKernelsTest, PerAttributeMatchesRecordMajorBivariateSubRange) {
+  // A child bundle covering only X-intervals [x_lo, x_hi): the kernels
   // must rebase the X codes by x_lo exactly like Add does.
   const AttrId x = ds_.schema().FindAttr("age");
   const int qx = grids_[x].num_intervals();
@@ -373,14 +417,15 @@ TEST_F(HistKernelsTest, BatchMatchesRecordMajorBivariateSubRange) {
     if (gx >= x_lo && gx < x_hi) inside.push_back(r);
   }
   ASSERT_FALSE(inside.empty());
-  HistBundle batched =
-      HistBundle::MakeBivariate(ds_.schema(), grids_, x, x_lo, x_hi);
   HistBundle serial =
       HistBundle::MakeBivariate(ds_.schema(), grids_, x, x_lo, x_hi);
   for (const RecordId r : inside) serial.Add(ds_, grids_, r);
-  KernelScratch scratch;
-  batched.AccumulateBatch(codes_, inside.data(), inside.size(), &scratch);
-  ExpectSameCells(batched, serial);
+  for (const bool coded : {true, false}) {
+    HistBundle filled =
+        HistBundle::MakeBivariate(ds_.schema(), grids_, x, x_lo, x_hi);
+    FillPerAttribute(&filled, inside, coded);
+    ExpectSameCells(filled, serial);
+  }
 }
 
 // Build-level identity: the tree bytes must not depend on which scan
