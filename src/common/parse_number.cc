@@ -1,0 +1,22 @@
+#include "common/parse_number.h"
+
+#include <charconv>
+#include <system_error>
+
+namespace cmp {
+
+bool ParseWholeNumber(std::string_view text, int64_t lo, int64_t hi,
+                      int64_t* out) {
+  // from_chars alone would accept a leading '-', so "-0" would pass.
+  if (text.empty() || text[0] < '0' || text[0] > '9') return false;
+  int64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || value < lo || value > hi) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
+}  // namespace cmp

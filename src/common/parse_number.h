@@ -1,0 +1,20 @@
+#ifndef CMP_COMMON_PARSE_NUMBER_H_
+#define CMP_COMMON_PARSE_NUMBER_H_
+
+#include <cstdint>
+#include <string_view>
+
+namespace cmp {
+
+/// Parses `text` as a whole decimal number in [lo, hi]: one or more
+/// digits and nothing else, so a sign, space, fraction, trailing text
+/// or out-of-range value is rejected rather than read up to the first
+/// non-digit the way atoi/strtol do. Returns false and leaves `*out`
+/// untouched on rejection. Used for command-line counts and for the
+/// counts in serve protocol lines.
+bool ParseWholeNumber(std::string_view text, int64_t lo, int64_t hi,
+                      int64_t* out);
+
+}  // namespace cmp
+
+#endif  // CMP_COMMON_PARSE_NUMBER_H_

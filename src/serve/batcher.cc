@@ -1,111 +1,164 @@
 #include "serve/batcher.h"
 
 #include <algorithm>
+#include <iterator>
 #include <map>
+#include <span>
 #include <utility>
 
 namespace cmp {
 
 MicroBatcher::MicroBatcher(ThreadPool* pool, BatchPolicy policy,
                            ServeStats* stats)
-    : pool_(pool), policy_(policy), stats_(stats) {
-  flusher_ = std::thread([this] { FlusherLoop(); });
-}
+    : pool_(pool),
+      policy_{std::max(1, policy.max_rows)},
+      stats_(stats),
+      slots_(pool == nullptr ? 0 : pool->num_threads()) {}
 
 MicroBatcher::~MicroBatcher() { Stop(); }
 
 std::future<RowReply> MicroBatcher::Submit(
     std::shared_ptr<const ServedModel> model, std::vector<double> numeric,
     std::vector<int32_t> categorical, bool want_probs) {
-  Request req;
-  req.model = std::move(model);
-  req.numeric = std::move(numeric);
-  req.categorical = std::move(categorical);
-  req.want_probs = want_probs;
-  req.enqueued = std::chrono::steady_clock::now();
-  std::future<RowReply> fut = req.promise.get_future();
+  std::vector<Request> requests(1);
+  requests[0].model = std::move(model);
+  requests[0].values.numeric = std::move(numeric);
+  requests[0].values.categorical = std::move(categorical);
+  requests[0].want_probs = want_probs;
+  return std::move(Enqueue(std::move(requests))[0]);
+}
 
-  std::vector<Request> full;
+std::vector<std::future<RowReply>> MicroBatcher::SubmitMany(
+    std::shared_ptr<const ServedModel> model, std::vector<RowValues> rows,
+    bool want_probs) {
+  std::vector<Request> requests(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    requests[i].model = model;
+    requests[i].values = std::move(rows[i]);
+    requests[i].want_probs = want_probs;
+  }
+  return Enqueue(std::move(requests));
+}
+
+std::vector<std::future<RowReply>> MicroBatcher::Enqueue(
+    std::vector<Request> requests) {
+  std::vector<std::future<RowReply>> futures;
+  futures.reserve(requests.size());
+  const auto now = std::chrono::steady_clock::now();
+  for (Request& req : requests) {
+    req.enqueued = now;
+    futures.push_back(req.promise.get_future());
+  }
+  if (requests.empty()) return futures;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_) {
-      RowReply reply;
-      reply.error = "server shutting down";
-      req.promise.set_value(std::move(reply));
-      return fut;
+      for (Request& req : requests) {
+        RowReply reply;
+        reply.error = "server shutting down";
+        req.promise.set_value(std::move(reply));
+      }
+      return futures;
     }
-    pending_.push_back(std::move(req));
-    if (stats_ != nullptr) stats_->AddQueueDepth(1);
-    if (static_cast<int>(pending_.size()) >= policy_.max_rows) {
-      full.swap(pending_);
-    } else if (pending_.size() == 1) {
-      // First row of a fresh batch: arm the flusher's deadline.
-      cv_.notify_one();
+    if (stats_ != nullptr) {
+      stats_->AddQueueDepth(static_cast<int64_t>(requests.size()));
     }
+    if (slots_ > 0) {
+      if (pending_.empty()) {
+        pending_ = std::move(requests);
+      } else {
+        pending_.insert(pending_.end(),
+                        std::make_move_iterator(requests.begin()),
+                        std::make_move_iterator(requests.end()));
+      }
+      StartScorersLocked();
+      return futures;
+    }
+    ++in_flight_;
   }
-  if (!full.empty()) Dispatch(std::move(full), /*inline_run=*/false);
-  return fut;
+  ScoreInline(std::move(requests));
+  return futures;
 }
 
-void MicroBatcher::Flush() {
-  std::vector<Request> batch;
-  {
+void MicroBatcher::ScoreInline(std::vector<Request> batch) {
+  const size_t cap = static_cast<size_t>(policy_.max_rows);
+  try {
+    for (size_t begin = 0; begin < batch.size(); begin += cap) {
+      RunBatch(std::span<Request>(batch).subspan(
+          begin, std::min(cap, batch.size() - begin)));
+    }
+  } catch (...) {
     std::lock_guard<std::mutex> lock(mu_);
-    batch.swap(pending_);
+    ReleaseSlotLocked();
+    throw;
   }
-  Dispatch(std::move(batch), /*inline_run=*/false);
+  std::lock_guard<std::mutex> lock(mu_);
+  ReleaseSlotLocked();
 }
 
-void MicroBatcher::FlusherLoop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  while (true) {
-    cv_.wait(lock, [this] { return stopping_ || !pending_.empty(); });
-    if (stopping_) return;
-    const auto deadline =
-        pending_.front().enqueued + std::chrono::microseconds(policy_.max_delay_us);
-    // Sleep until the oldest row's deadline; Submit may flush a full
-    // batch out from under us in the meantime, which just re-arms us.
-    cv_.wait_until(lock, deadline, [this, deadline] {
-      return stopping_ || pending_.empty() ||
-             pending_.front().enqueued +
-                     std::chrono::microseconds(policy_.max_delay_us) !=
-                 deadline;
-    });
-    if (stopping_) return;
-    if (pending_.empty()) continue;
-    if (std::chrono::steady_clock::now() < deadline &&
-        static_cast<int>(pending_.size()) < policy_.max_rows) {
-      continue;  // woken early (new first row); re-evaluate
+void MicroBatcher::Drain(std::vector<Request> batch) {
+  for (;;) {
+    try {
+      RunBatch(batch);
+    } catch (...) {
+      // A throwing batch still gives its slot back, and rows that
+      // pended meanwhile go to a fresh scorer instead of being stranded.
+      std::lock_guard<std::mutex> lock(mu_);
+      ReleaseSlotLocked();
+      StartScorersLocked();
+      throw;
     }
-    std::vector<Request> batch;
+    batch.clear();  // free the scored rows outside the lock
+    std::lock_guard<std::mutex> lock(mu_);
+    batch = TakePendingLocked();
+    if (batch.empty()) {
+      // Released in the critical section that found nothing pending, so
+      // no row can pend in between and be left without a scorer.
+      ReleaseSlotLocked();
+      return;
+    }
+  }
+}
+
+void MicroBatcher::StartScorersLocked() {
+  while (in_flight_ < slots_ && !pending_.empty()) {
+    ++in_flight_;
+    // std::function needs a copyable callable, hence the shared_ptr.
+    auto batch = std::make_shared<std::vector<Request>>(TakePendingLocked());
+    pool_->Submit([this, batch] { Drain(std::move(*batch)); });
+  }
+}
+
+std::vector<MicroBatcher::Request> MicroBatcher::TakePendingLocked() {
+  std::vector<Request> batch;
+  const size_t cap = static_cast<size_t>(policy_.max_rows);
+  if (pending_.size() <= cap) {
     batch.swap(pending_);
-    lock.unlock();
-    Dispatch(std::move(batch), /*inline_run=*/false);
-    lock.lock();
+    return batch;
   }
+  const auto split = pending_.begin() + static_cast<ptrdiff_t>(cap);
+  batch.assign(std::make_move_iterator(pending_.begin()),
+               std::make_move_iterator(split));
+  pending_.erase(pending_.begin(), split);
+  return batch;
 }
 
-void MicroBatcher::Dispatch(std::vector<Request> batch, bool inline_run) {
-  if (batch.empty()) return;
-  if (inline_run || pool_ == nullptr || pool_->num_threads() == 0) {
-    RunBatch(&batch);
-    return;
-  }
-  auto shared = std::make_shared<std::vector<Request>>(std::move(batch));
-  pool_->Submit([this, shared] { RunBatch(shared.get()); });
+void MicroBatcher::ReleaseSlotLocked() {
+  --in_flight_;
+  if (stopping_ && in_flight_ == 0) idle_.notify_all();
 }
 
-void MicroBatcher::RunBatch(std::vector<Request>* batch) const {
+void MicroBatcher::RunBatch(std::span<Request> batch) const {
   const auto started = std::chrono::steady_clock::now();
   // Group row indices by model instance (pointer identity: two versions
   // of one name are distinct groups, which is exactly what a mid-queue
   // swap requires).
   std::map<const ServedModel*, std::vector<size_t>> groups;
-  for (size_t i = 0; i < batch->size(); ++i) {
-    groups[(*batch)[i].model.get()].push_back(i);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    groups[batch[i].model.get()].push_back(i);
     if (stats_ != nullptr) {
       stats_->stages().queue_wait.Record(
-          NanosBetween((*batch)[i].enqueued, started));
+          NanosBetween(batch[i].enqueued, started));
     }
   }
 
@@ -114,25 +167,25 @@ void MicroBatcher::RunBatch(std::vector<Request>* batch) const {
     const int32_t na = model->schema().num_attrs();
     const int32_t nc = model->num_classes();
     const int64_t n = static_cast<int64_t>(rows.size());
-    // One row-major -> SoA transpose per flushed batch: the group's rows
-    // are scattered attr-major into column buffers as they are gathered
+    // One row-major -> SoA transpose per batch: the group's rows are
+    // scattered attr-major into column buffers as they are gathered
     // from the requests, and the predictor descends the columns directly
     // (vector kernel tiers included) with no further copies.
     std::vector<double> numeric(static_cast<size_t>(n) * na);
     std::vector<int32_t> categorical;
     bool any_cat = false;
     for (int64_t r = 0; r < n && !any_cat; ++r) {
-      any_cat = !(*batch)[rows[r]].categorical.empty();
+      any_cat = !batch[rows[r]].values.categorical.empty();
     }
     if (any_cat) categorical.assign(static_cast<size_t>(n) * na, -1);
     for (int64_t r = 0; r < n; ++r) {
-      const Request& req = (*batch)[rows[r]];
+      const RowValues& row = batch[rows[r]].values;
       for (int32_t a = 0; a < na; ++a) {
-        numeric[static_cast<size_t>(a) * n + r] = req.numeric[a];
+        numeric[static_cast<size_t>(a) * n + r] = row.numeric[a];
       }
-      if (!req.categorical.empty()) {
+      if (!row.categorical.empty()) {
         for (int32_t a = 0; a < na; ++a) {
-          categorical[static_cast<size_t>(a) * n + r] = req.categorical[a];
+          categorical[static_cast<size_t>(a) * n + r] = row.categorical[a];
         }
       }
     }
@@ -154,7 +207,7 @@ void MicroBatcher::RunBatch(std::vector<Request>* batch) const {
       stats_->AddQueueDepth(-n);
     }
     for (int64_t r = 0; r < n; ++r) {
-      Request& req = (*batch)[rows[r]];
+      Request& req = batch[rows[r]];
       RowReply reply;
       reply.ok = true;
       reply.label = result.labels[r];
@@ -172,17 +225,9 @@ void MicroBatcher::RunBatch(std::vector<Request>* batch) const {
 }
 
 void MicroBatcher::Stop() {
-  std::vector<Request> leftovers;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) return;
-    stopping_ = true;
-    leftovers.swap(pending_);
-  }
-  cv_.notify_all();
-  if (flusher_.joinable()) flusher_.join();
-  // Score what was already accepted so no submitted future dangles.
-  Dispatch(std::move(leftovers), /*inline_run=*/true);
+  std::unique_lock<std::mutex> lock(mu_);
+  stopping_ = true;
+  idle_.wait(lock, [this] { return in_flight_ == 0 && pending_.empty(); });
 }
 
 }  // namespace cmp

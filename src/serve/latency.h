@@ -62,7 +62,7 @@ struct StageLatencies {
   LatencyHistogram parse;        // one CSV row -> dense slots, per row
   LatencyHistogram queue_wait;   // enqueue -> its batch starts scoring
   LatencyHistogram score;        // transpose + descent, per model group
-                                 // of a flushed batch
+                                 // of a batch
   LatencyHistogram reply_write;  // the send of one whole reply
 };
 

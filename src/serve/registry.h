@@ -46,7 +46,7 @@ class ServedModel {
 
   /// Scores `n` rows already in column-major form (one pointer per
   /// schema attribute, see RowColumnsView). This is what the batcher
-  /// feeds: it transposes each flushed micro-batch once, and the vector
+  /// feeds: it transposes each micro-batch once, and the vector
   /// kernels descend the columns with no further copying. Thread-safe.
   BatchResult PredictColumns(const double* const* numeric_cols,
                              const int32_t* const* categorical_cols,

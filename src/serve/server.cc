@@ -7,9 +7,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "common/net.h"
+#include "common/parse_number.h"
 
 namespace cmp {
 
@@ -56,7 +58,8 @@ bool ParseRow(const Schema& schema, const std::string& text,
     }
     pos = comma + 1;
   }
-  return na > 0;  // na == 0 is an unusable schema
+  *error = "model has no attributes";
+  return false;
 }
 
 /// ParseRow, timed into `hist`.
@@ -231,10 +234,10 @@ bool ServeDaemon::HandleBatch(int fd, LineReader* reader,
                               const std::string& rest) {
   const size_t sp = rest.find(' ');
   const std::string name = rest.substr(0, sp);
-  const long n = sp == std::string::npos
-                     ? -1
-                     : std::strtol(rest.c_str() + sp + 1, nullptr, 10);
-  if (name.empty() || n < 0 || n > (1 << 20)) {
+  int64_t n = 0;
+  if (name.empty() || sp == std::string::npos ||
+      !ParseWholeNumber(std::string_view(rest).substr(sp + 1), 0, 1 << 20,
+                        &n)) {
     stats_.AddProtocolError();
     return SendLine(fd, "err usage: batch <model> <num-rows>");
   }
@@ -250,7 +253,7 @@ bool ServeDaemon::HandleBatch(int fd, LineReader* reader,
     stats_.AddProtocolError();
     const std::string err = "err unknown model '" + name + "'\n";
     std::string discard;
-    for (long i = 0; i < n; ++i) {
+    for (int64_t i = 0; i < n; ++i) {
       if (!reader->ReadLine(&discard)) return false;
       out += err;
     }
@@ -259,51 +262,44 @@ bool ServeDaemon::HandleBatch(int fd, LineReader* reader,
   }
   const Schema& schema = model->schema();
 
-  // Read and enqueue rows one by one — the batcher coalesces them (and
-  // anything other connections submit meanwhile) into scoring batches
-  // while we are still parsing later rows. The connection's reader is
-  // shared so rows the client pipelined behind the verb line are not
-  // stranded in its buffer.
-  std::vector<std::future<RowReply>> futures;
-  futures.reserve(static_cast<size_t>(n));
-  std::vector<std::string> parse_errors(static_cast<size_t>(n));
+  // Read and parse every row, then enqueue them all in one call, so the
+  // batcher never splits the request into a lone first row plus the
+  // rest. The connection's reader is shared so rows the client
+  // pipelined behind the verb line are not stranded in its buffer.
+  const size_t count = static_cast<size_t>(n);
+  std::vector<RowValues> rows;
+  rows.reserve(count);
+  std::vector<std::string> parse_errors(count);
   std::string row;
-  for (long i = 0; i < n; ++i) {
+  for (size_t i = 0; i < count; ++i) {
     if (!reader->ReadLine(&row)) {
       SendLine(fd, "err short batch: got " + std::to_string(i) + " of " +
                        std::to_string(n) + " rows");
       return false;
     }
-    std::vector<double> numeric;
-    std::vector<int32_t> categorical;
-    std::string error;
-    if (!TimedParseRow(schema, row, &numeric, &categorical, &error,
-                       &stats_.stages().parse)) {
-      parse_errors[static_cast<size_t>(i)] = error;
-      futures.emplace_back();  // placeholder, never waited on
+    RowValues values;
+    if (!TimedParseRow(schema, row, &values.numeric, &values.categorical,
+                       &parse_errors[i], &stats_.stages().parse)) {
       continue;
     }
-    futures.push_back(batcher_->Submit(model, std::move(numeric),
-                                       std::move(categorical),
-                                       /*want_probs=*/false));
+    rows.push_back(std::move(values));
   }
-  // No more rows are coming from this request: score what is queued
-  // now instead of waiting out the batcher's deadline.
-  batcher_->Flush();
-  stats_.AddRequests(static_cast<uint64_t>(n));
+  std::vector<std::future<RowReply>> futures =
+      batcher_->SubmitMany(model, std::move(rows), /*want_probs=*/false);
+  stats_.AddRequests(count);
 
-  long ok_rows = 0;
-  for (long i = 0; i < n; ++i) {
-    if (!parse_errors[static_cast<size_t>(i)].empty()) {
-      out += "err " + parse_errors[static_cast<size_t>(i)];
+  // Futures are in the order of the rows that parsed; a row that failed
+  // keeps its reply position with its error.
+  size_t next = 0;
+  for (size_t i = 0; i < count; ++i) {
+    if (!parse_errors[i].empty()) {
+      out += "err " + parse_errors[i];
     } else {
-      out += ReplyLine(schema, futures[static_cast<size_t>(i)].get(),
-                       /*want_probs=*/false);
-      ++ok_rows;
+      out += ReplyLine(schema, futures[next++].get(), /*want_probs=*/false);
     }
     out += '\n';
   }
-  out += "done " + std::to_string(ok_rows) + "\n";
+  out += "done " + std::to_string(next) + "\n";
   return WriteReply(fd, out);
 }
 

@@ -27,7 +27,8 @@ struct ServeOptions {
   /// When non-empty, listen on a UNIX-domain socket at this path
   /// instead of TCP.
   std::string unix_path;
-  /// Scoring pool size; 0 means hardware concurrency.
+  /// Scoring pool size; 0 means hardware concurrency, 1 an inline pool
+  /// (each connection thread scores its own rows).
   int num_threads = 0;
   BatchPolicy batch;
 };
@@ -87,8 +88,8 @@ class ServeDaemon {
   /// Blocks until RequestShutdown, then tears the daemon down.
   void Wait();
 
-  /// Stops accepting, unblocks and joins every connection, flushes the
-  /// batcher. Idempotent; must not be called from a connection thread
+  /// Stops accepting, unblocks and joins every connection, stops the
+  /// batcher once it has scored every row it accepted. Idempotent; must not be called from a connection thread
   /// (it joins them) — connection handlers use RequestShutdown.
   void Shutdown();
 

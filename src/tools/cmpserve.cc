@@ -8,7 +8,7 @@
 // 3 I/O or socket failure.
 
 #include <csignal>
-#include <cstdlib>
+#include <cstdint>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -17,6 +17,7 @@
 
 #include "common/cpu_features.h"
 #include "common/net.h"
+#include "common/parse_number.h"
 #include "serve/server.h"
 
 namespace {
@@ -33,13 +34,19 @@ int Usage() {
   std::cerr
       << "usage: cmpserve --model NAME=PATH.cmpb [--model NAME2=PATH2 ...]\n"
          "                [--port P] [--unix PATH] [--threads N]\n"
-         "                [--batch-rows R] [--batch-delay-us D]\n"
-         "                [--port-file FILE] [--kernel auto|scalar|avx2]\n"
+         "                [--batch-rows R] [--port-file FILE]\n"
+         "                [--kernel auto|scalar|avx2]\n"
          "\n"
          "Serves predictions for compiled .cmpb models over a local TCP\n"
          "(default, port 0 = ephemeral) or UNIX socket. Line protocol:\n"
          "  predict <model> <csv-row> | predictp ... | batch <model> <n>\n"
          "  swap <model> <path.cmpb> | stats | quit\n"
+         "\n"
+         "--port is a whole number in [0, 65535], --threads in [0, 1024]\n"
+         "(0 = one per hardware thread; 1 scores on the connection\n"
+         "threads), --batch-rows in [1, 1048576]. Requests are scored as\n"
+         "soon as a scoring thread is free; rows that arrive while all\n"
+         "are busy go out together, at most R to a batch.\n"
          "\n"
          "--kernel pins the ISA tier of the batch tree-descent kernels\n"
          "(default auto-detects; predictions are identical across tiers).\n"
@@ -59,6 +66,19 @@ int main(int argc, char** argv) {
     auto value = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    // The flag's value as a whole number in [lo, hi]; false (after a
+    // message) when it is missing or anything else.
+    auto number = [&](int64_t lo, int64_t hi, int* out) {
+      const char* v = value();
+      int64_t n = 0;
+      if (v == nullptr || !cmp::ParseWholeNumber(v, lo, hi, &n)) {
+        std::cerr << arg << " must be a whole number in [" << lo << ", "
+                  << hi << "]\n";
+        return false;
+      }
+      *out = static_cast<int>(n);
+      return true;
+    };
     if (arg == "--model") {
       const char* v = value();
       if (v == nullptr) return Usage();
@@ -69,25 +89,15 @@ int main(int argc, char** argv) {
       }
       models.emplace_back(std::string(v, eq), std::string(eq + 1));
     } else if (arg == "--port") {
-      const char* v = value();
-      if (v == nullptr) return Usage();
-      opts.port = std::atoi(v);
+      if (!number(0, 65535, &opts.port)) return Usage();
     } else if (arg == "--unix") {
       const char* v = value();
       if (v == nullptr) return Usage();
       opts.unix_path = v;
     } else if (arg == "--threads") {
-      const char* v = value();
-      if (v == nullptr) return Usage();
-      opts.num_threads = std::atoi(v);
+      if (!number(0, 1024, &opts.num_threads)) return Usage();
     } else if (arg == "--batch-rows") {
-      const char* v = value();
-      if (v == nullptr) return Usage();
-      opts.batch.max_rows = std::atoi(v);
-    } else if (arg == "--batch-delay-us") {
-      const char* v = value();
-      if (v == nullptr) return Usage();
-      opts.batch.max_delay_us = std::atoi(v);
+      if (!number(1, 1 << 20, &opts.batch.max_rows)) return Usage();
     } else if (arg == "--port-file") {
       const char* v = value();
       if (v == nullptr) return Usage();
@@ -107,10 +117,6 @@ int main(int argc, char** argv) {
   }
   if (models.empty()) {
     std::cerr << "at least one --model NAME=PATH.cmpb is required\n";
-    return Usage();
-  }
-  if (opts.batch.max_rows < 1 || opts.batch.max_delay_us < 0 ||
-      opts.port < 0 || opts.port > 65535) {
     return Usage();
   }
 

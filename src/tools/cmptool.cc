@@ -28,10 +28,10 @@
 #include <sstream>
 #include <string>
 #include <string_view>
-#include <system_error>
 #include <vector>
 
 #include "common/cpu_features.h"
+#include "common/parse_number.h"
 #include "common/summary.h"
 #include "cmp/cmp.h"
 #include "datagen/agrawal.h"
@@ -162,15 +162,13 @@ bool ParseThreadCount(int argc, char** argv, const std::string& flag,
     return true;
   }
   const std::string v = GetFlag(argc, argv, flag);
-  int value = -1;
-  const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), value);
-  if (v.empty() || ec != std::errc() || end != v.data() + v.size() ||
-      value < 0 || value > kMaxThreads) {
+  int64_t value = 0;
+  if (!cmp::ParseWholeNumber(v, 0, kMaxThreads, &value)) {
     std::cerr << flag << " must be a whole number in [0, " << kMaxThreads
               << "] (got '" << v << "')\n";
     return false;
   }
-  *out = value;
+  *out = static_cast<int>(value);
   return true;
 }
 

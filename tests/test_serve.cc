@@ -1,7 +1,7 @@
 // In-process tests of the serving subsystem: the lock-free latency
 // histogram, ModelRegistry's RCU swap semantics (hammered from many
-// threads — this is a TSan target), MicroBatcher flush triggers and
-// correctness, and a real ServeDaemon on an ephemeral port driven
+// threads — this is a TSan target), MicroBatcher group-commit dispatch
+// and correctness, and a real ServeDaemon on an ephemeral port driven
 // through ServeClient, including a hot swap under concurrent traffic.
 
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -231,107 +232,308 @@ TEST(ModelRegistry, SwapUnderConcurrentScoring) {
   for (std::thread& t : scorers) t.join();
 }
 
-TEST(MicroBatcher, SizeTriggerFlushesImmediately) {
-  ThreadPool pool(1);
-  ServeStats stats;
-  BatchPolicy policy;
-  policy.max_rows = 4;
-  policy.max_delay_us = 10'000'000;  // deadline effectively off
-  MicroBatcher batcher(&pool, policy, &stats);
-  ModelRegistry registry(&pool);
-  std::string error;
-  ASSERT_NE(registry.Publish("m", MakeModel(0.0, false), "", &error), 0u);
-  std::shared_ptr<const ServedModel> model = registry.Get("m");
+// Occupies every worker of `pool` with a task that blocks until
+// Release() (or destruction), so rows submitted meanwhile pend in the
+// batcher on purpose. Declare it after the MicroBatcher it starves:
+// the batcher's Stop waits for the held workers.
+class WorkerHold {
+ public:
+  explicit WorkerHold(ThreadPool* pool) : gate_(open_.get_future().share()) {
+    for (int w = 0; w < pool->num_threads(); ++w) {
+      pool->Submit([gate = gate_] { gate.wait(); });
+    }
+  }
+  ~WorkerHold() { Release(); }
+  void Release() {
+    if (!released_) open_.set_value();
+    released_ = true;
+  }
 
-  std::vector<std::future<RowReply>> futures;
-  for (int i = 0; i < 4; ++i) {
-    futures.push_back(batcher.Submit(
-        model, {i < 2 ? -1.0 : 1.0, 0.0}, {}, /*want_probs=*/true));
+ private:
+  std::promise<void> open_;
+  std::shared_future<void> gate_;
+  bool released_ = false;
+};
+
+// Waits a bounded time for a batcher reply, so a stranded row fails the
+// test instead of hanging it.
+RowReply GetReply(std::future<RowReply>* fut) {
+  if (fut->wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
+    ADD_FAILURE() << "row was never scored";
+    return RowReply{};
   }
-  for (int i = 0; i < 4; ++i) {
-    RowReply reply = futures[i].get();
-    ASSERT_TRUE(reply.ok) << reply.error;
-    EXPECT_EQ(reply.label, i < 2 ? 0 : 1);
-    EXPECT_EQ(reply.model_version, 1u);
-    ASSERT_EQ(reply.probs.size(), 2u);
-    EXPECT_FLOAT_EQ(reply.probs[i < 2 ? 0 : 1], 0.9f);
-  }
-  EXPECT_EQ(stats.rows(), 4u);
-  EXPECT_EQ(stats.batches(), 1u);
+  return fut->get();
 }
 
-TEST(MicroBatcher, DeadlineTriggerReleasesALoneRow) {
-  ThreadPool pool(1);
-  ServeStats stats;
-  BatchPolicy policy;
-  policy.max_rows = 1'000'000;  // size trigger effectively off
-  policy.max_delay_us = 500;
-  MicroBatcher batcher(&pool, policy, &stats);
-  ModelRegistry registry(&pool);
-  std::string error;
-  ASSERT_NE(registry.Publish("m", MakeModel(0.0, false), "", &error), 0u);
+std::vector<RowValues> Rows(const std::vector<double>& xs) {
+  std::vector<RowValues> rows;
+  for (const double x : xs) rows.push_back({{x, 0.0}, {}});
+  return rows;
+}
 
-  std::future<RowReply> fut = batcher.Submit(registry.Get("m"), {3.0, 0.0},
-                                             {}, /*want_probs=*/false);
-  const RowReply reply = fut.get();  // must not hang
+class MicroBatcherTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    std::string error;
+    ASSERT_NE(registry_.Publish("m", MakeModel(0.0, false), "", &error), 0u);
+    v1_ = registry_.Get("m");
+    ASSERT_NE(registry_.Publish("m", MakeModel(0.0, true), "", &error), 0u);
+    v2_ = registry_.Get("m");
+  }
+  // Scoring pool for the registry's models; the batchers under test
+  // dispatch onto pools of their own.
+  ThreadPool model_pool_{1};
+  ModelRegistry registry_{&model_pool_};
+  std::shared_ptr<const ServedModel> v1_;  // x <= 0 -> neg (0)
+  std::shared_ptr<const ServedModel> v2_;  // flipped: x <= 0 -> pos (1)
+  ServeStats stats_;
+};
+
+// A lone row on an idle batcher is scored at once; its reply carries the
+// label, the probabilities and the version that scored it.
+TEST_F(MicroBatcherTest, ALoneRowIsScoredAtOnce) {
+  ThreadPool pool(2);
+  MicroBatcher batcher(&pool, BatchPolicy{}, &stats_);
+  std::future<RowReply> fut =
+      batcher.Submit(v1_, {3.0, 0.0}, {}, /*want_probs=*/true);
+  const RowReply reply = GetReply(&fut);
   ASSERT_TRUE(reply.ok) << reply.error;
   EXPECT_EQ(reply.label, 1);
-  EXPECT_TRUE(reply.probs.empty());
+  EXPECT_EQ(reply.model_version, 1u);
+  ASSERT_EQ(reply.probs.size(), 2u);
+  EXPECT_FLOAT_EQ(reply.probs[1], 0.9f);
+  EXPECT_EQ(stats_.batches(), 1u);
 }
 
-TEST(MicroBatcher, MixedModelsInOneFlushScoreOnTheirOwnVersion) {
-  ThreadPool pool(1);
-  ServeStats stats;
+// With both slots busy, later rows pend and go out together as one
+// batch on the first slot that frees.
+TEST_F(MicroBatcherTest, RowsPendingOnBusySlotsGoOutAsOneBatch) {
+  ThreadPool pool(2);
+  MicroBatcher batcher(&pool, BatchPolicy{}, &stats_);
+  WorkerHold hold(&pool);
+  std::vector<std::future<RowReply>> futures;
+  // The first two rows take the two slots (their scorers queue behind
+  // the held workers); the next three find no slot and pend.
+  for (int i = 0; i < 5; ++i) {
+    futures.push_back(
+        batcher.Submit(v1_, {i % 2 == 0 ? -1.0 : 1.0, 0.0}, {}, false));
+  }
+  EXPECT_EQ(stats_.queue_depth(), 5);
+  hold.Release();
+  for (int i = 0; i < 5; ++i) {
+    const RowReply reply = GetReply(&futures[i]);
+    ASSERT_TRUE(reply.ok) << reply.error;
+    EXPECT_EQ(reply.label, i % 2 == 0 ? 0 : 1) << i;
+    EXPECT_TRUE(reply.probs.empty());
+  }
+  batcher.Stop();
+  EXPECT_EQ(stats_.rows(), 5u);
+  EXPECT_EQ(stats_.batches(), 3u);  // {row 0}, {row 1}, {rows 2-4}
+  EXPECT_EQ(stats_.queue_depth(), 0);
+}
+
+// One SubmitMany of n <= max_rows rows is exactly one batch, whether a
+// slot is free or every slot is busy.
+TEST_F(MicroBatcherTest, SubmitManyIsOneBatch) {
+  ThreadPool pool(2);
+  BatchPolicy policy;
+  policy.max_rows = 8;
+  MicroBatcher batcher(&pool, policy, &stats_);
+  std::vector<std::future<RowReply>> futures = batcher.SubmitMany(
+      v1_, Rows({-1, 1, -2, 2, -3, 3, -4, 4}), /*want_probs=*/false);
+  ASSERT_EQ(futures.size(), 8u);
+  for (int i = 0; i < 8; ++i) {
+    const RowReply reply = GetReply(&futures[i]);
+    ASSERT_TRUE(reply.ok) << reply.error;
+    EXPECT_EQ(reply.label, i % 2) << i;
+  }
+  EXPECT_EQ(stats_.batches(), 1u);
+  EXPECT_EQ(stats_.rows(), 8u);
+
+  {
+    WorkerHold hold(&pool);
+    futures = batcher.SubmitMany(v1_, Rows({-1, 1}), false);  // slot 1
+    std::vector<std::future<RowReply>> more =
+        batcher.SubmitMany(v1_, Rows({-1, 1, -2}), false);  // slot 2
+    std::vector<std::future<RowReply>> pended =
+        batcher.SubmitMany(v1_, Rows({-1, 1, -2, 2}), false);
+    hold.Release();
+    for (auto* group : {&futures, &more, &pended}) {
+      for (std::future<RowReply>& f : *group) EXPECT_TRUE(GetReply(&f).ok);
+    }
+  }
+  batcher.Stop();
+  EXPECT_EQ(stats_.batches(), 4u);
+  EXPECT_EQ(stats_.rows(), 17u);
+}
+
+// max_rows caps a batch on both dispatch paths: a backlog of 10 rows at
+// max_rows 4 is 4 + 4 + 2.
+TEST_F(MicroBatcherTest, MaxRowsCapsABatch) {
   BatchPolicy policy;
   policy.max_rows = 4;
-  policy.max_delay_us = 10'000'000;
-  MicroBatcher batcher(&pool, policy, &stats);
-  ModelRegistry registry(&pool);
-  std::string error;
-  ASSERT_NE(registry.Publish("m", MakeModel(0.0, false), "", &error), 0u);
-  std::shared_ptr<const ServedModel> v1 = registry.Get("m");
-  ASSERT_NE(registry.Publish("m", MakeModel(0.0, true), "", &error), 0u);
-  std::shared_ptr<const ServedModel> v2 = registry.Get("m");
+  for (const int threads : {1, 2}) {
+    SCOPED_TRACE(threads);
+    ServeStats stats;
+    ThreadPool pool(threads);
+    MicroBatcher batcher(&pool, policy, &stats);
+    std::vector<std::future<RowReply>> futures =
+        batcher.SubmitMany(v1_, Rows({1, 1, 1, 1, 1, 1, 1, 1, 1, 1}), false);
+    for (std::future<RowReply>& f : futures) {
+      const RowReply reply = GetReply(&f);
+      ASSERT_TRUE(reply.ok) << reply.error;
+      EXPECT_EQ(reply.label, 1);
+    }
+    batcher.Stop();
+    EXPECT_EQ(stats.batches(), 3u);
+    EXPECT_EQ(stats.rows(), 10u);
+  }
+}
 
-  // Two rows against each version, interleaved, in one flush: the
-  // mid-queue swap scenario in miniature.
+// Rows of two versions of one model in the same batch each score on
+// their own version: the mid-queue swap scenario in miniature.
+TEST_F(MicroBatcherTest, MixedVersionsInOneBatchScoreOnTheirOwnVersion) {
+  ThreadPool pool(2);
+  MicroBatcher batcher(&pool, BatchPolicy{}, &stats_);
+  WorkerHold hold(&pool);
+  std::vector<std::future<RowReply>> fillers;  // take both slots
+  fillers.push_back(batcher.Submit(v1_, {0.0, 0.0}, {}, false));
+  fillers.push_back(batcher.Submit(v1_, {0.0, 0.0}, {}, false));
   std::vector<std::future<RowReply>> futures;
-  futures.push_back(batcher.Submit(v1, {-1.0, 0.0}, {}, false));
-  futures.push_back(batcher.Submit(v2, {-1.0, 0.0}, {}, false));
-  futures.push_back(batcher.Submit(v1, {1.0, 0.0}, {}, false));
-  futures.push_back(batcher.Submit(v2, {1.0, 0.0}, {}, false));
+  futures.push_back(batcher.Submit(v1_, {-1.0, 0.0}, {}, false));
+  futures.push_back(batcher.Submit(v2_, {-1.0, 0.0}, {}, false));
+  futures.push_back(batcher.Submit(v1_, {1.0, 0.0}, {}, false));
+  futures.push_back(batcher.Submit(v2_, {1.0, 0.0}, {}, false));
+  hold.Release();
+  for (std::future<RowReply>& f : fillers) EXPECT_TRUE(GetReply(&f).ok);
   const ClassId expect[] = {0, 1, 1, 0};
   for (int i = 0; i < 4; ++i) {
-    RowReply reply = futures[i].get();
-    ASSERT_TRUE(reply.ok);
+    const RowReply reply = GetReply(&futures[i]);
+    ASSERT_TRUE(reply.ok) << reply.error;
     EXPECT_EQ(reply.label, expect[i]) << i;
     EXPECT_EQ(reply.model_version, i % 2 == 0 ? 1u : 2u);
   }
+  batcher.Stop();
+  // Two filler batches, then one batch of four scored as one group per
+  // version.
+  EXPECT_EQ(stats_.batches(), 4u);
+  EXPECT_EQ(stats_.rows(), 6u);
 }
 
-TEST(MicroBatcher, StopFlushesPendingAndRejectsNewWork) {
+// With an inline pool every submitter scores its own rows; concurrent
+// submitters never wait on one another's rows, so nothing hangs.
+TEST_F(MicroBatcherTest, InlinePoolWithConcurrentSubmittersNeverHangs) {
   ThreadPool pool(1);
-  ServeStats stats;
+  ASSERT_EQ(pool.num_threads(), 0);
   BatchPolicy policy;
-  policy.max_rows = 1'000'000;
-  policy.max_delay_us = 60'000'000;  // neither trigger can fire
-  MicroBatcher batcher(&pool, policy, &stats);
-  ModelRegistry registry(&pool);
-  std::string error;
-  ASSERT_NE(registry.Publish("m", MakeModel(0.0, false), "", &error), 0u);
-  std::shared_ptr<const ServedModel> model = registry.Get("m");
-
-  std::future<RowReply> pending =
-      batcher.Submit(model, {-2.0, 0.0}, {}, false);
+  policy.max_rows = 3;
+  MicroBatcher batcher(&pool, policy, &stats_);
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 200;
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < kThreads; ++t) {
+    submitters.emplace_back([&, t] {
+      for (int i = 0; i < kRounds; ++i) {
+        const double x = (i + t) % 2 == 0 ? -1.0 : 1.0;
+        std::future<RowReply> one = batcher.Submit(v1_, {x, 0.0}, {}, false);
+        EXPECT_EQ(GetReply(&one).label, x < 0 ? 0 : 1);
+        std::vector<std::future<RowReply>> many =
+            batcher.SubmitMany(v2_, Rows({x, x, x, x}), false);
+        for (std::future<RowReply>& f : many) {
+          EXPECT_EQ(GetReply(&f).label, x < 0 ? 1 : 0);
+        }
+      }
+    });
+  }
+  for (std::thread& t : submitters) t.join();
   batcher.Stop();
-  const RowReply flushed = pending.get();
-  ASSERT_TRUE(flushed.ok) << flushed.error;
-  EXPECT_EQ(flushed.label, 0);
+  EXPECT_EQ(stats_.rows(), uint64_t{kThreads} * kRounds * 5);
+  // Each round: the lone row, then 4 rows capped at 3 -> 3 batches.
+  EXPECT_EQ(stats_.batches(), uint64_t{kThreads} * kRounds * 3);
+  EXPECT_EQ(stats_.queue_depth(), 0);
+}
 
-  const RowReply rejected =
-      batcher.Submit(model, {0.0, 0.0}, {}, false).get();
-  EXPECT_FALSE(rejected.ok);
-  EXPECT_FALSE(rejected.error.empty());
+// Stop rejects new work at once but scores every row it had already
+// accepted — pending ones included — before it returns.
+TEST_F(MicroBatcherTest, StopScoresEverythingAcceptedAndRejectsNewWork) {
+  ThreadPool pool(2);
+  MicroBatcher batcher(&pool, BatchPolicy{}, &stats_);
+  WorkerHold hold(&pool);
+  std::vector<std::future<RowReply>> accepted;
+  for (int i = 0; i < 4; ++i) {  // two take the slots, two pend
+    accepted.push_back(batcher.Submit(v1_, {-2.0, 0.0}, {}, false));
+  }
+  std::thread stopper([&] { batcher.Stop(); });
+  // Probe until Stop has begun: a rejected probe resolves at once, an
+  // accepted one pends like the rest.
+  bool rejected = false;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!rejected && std::chrono::steady_clock::now() < deadline) {
+    std::future<RowReply> probe = batcher.Submit(v1_, {-2.0, 0.0}, {}, false);
+    if (probe.wait_for(std::chrono::seconds(0)) == std::future_status::ready) {
+      const RowReply reply = probe.get();
+      EXPECT_FALSE(reply.ok);
+      EXPECT_EQ(reply.error, "server shutting down");
+      rejected = true;
+    } else {
+      accepted.push_back(std::move(probe));
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  EXPECT_TRUE(rejected);
+  hold.Release();
+  stopper.join();
+  for (std::future<RowReply>& f : accepted) {
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+    const RowReply reply = f.get();
+    ASSERT_TRUE(reply.ok) << reply.error;
+    EXPECT_EQ(reply.label, 0);
+  }
+  EXPECT_EQ(stats_.rows(), accepted.size());
+  EXPECT_FALSE(batcher.SubmitMany(v1_, Rows({1}), false)[0].get().ok);
+}
+
+// Many threads mixing Submit and SubmitMany across two versions on a
+// small pool: every future resolves with its own version's label.
+TEST_F(MicroBatcherTest, StressMixedSubmitAndSubmitManyResolveEveryRow) {
+  ThreadPool pool(3);
+  BatchPolicy policy;
+  policy.max_rows = 16;
+  MicroBatcher batcher(&pool, policy, &stats_);
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 150;
+  std::atomic<uint64_t> submitted{0};
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < kThreads; ++t) {
+    submitters.emplace_back([&, t] {
+      for (int i = 0; i < kRounds && !::testing::Test::HasFailure(); ++i) {
+        const bool use_v2 = (i + t) % 3 == 0;
+        const auto& model = use_v2 ? v2_ : v1_;
+        const double x = (i * 7 + t) % 2 == 0 ? -1.0 : 1.0;
+        const ClassId want = (x < 0) != use_v2 ? 0 : 1;
+        std::vector<std::future<RowReply>> futures;
+        if (i % 2 == 0) {
+          futures.push_back(batcher.Submit(model, {x, 0.0}, {}, false));
+        } else {
+          const int n = 1 + (i * 5 + t) % 24;  // sometimes > max_rows
+          futures = batcher.SubmitMany(
+              model, Rows(std::vector<double>(static_cast<size_t>(n), x)),
+              false);
+        }
+        submitted.fetch_add(futures.size(), std::memory_order_relaxed);
+        for (std::future<RowReply>& f : futures) {
+          const RowReply reply = GetReply(&f);
+          ASSERT_TRUE(reply.ok) << reply.error;
+          EXPECT_EQ(reply.label, want);
+          EXPECT_EQ(reply.model_version, use_v2 ? 2u : 1u);
+        }
+      }
+    });
+  }
+  for (std::thread& t : submitters) t.join();
+  batcher.Stop();
+  EXPECT_EQ(stats_.rows(), submitted.load());
+  EXPECT_EQ(stats_.queue_depth(), 0);
 }
 
 class ServeDaemonTest : public ::testing::Test {
@@ -355,7 +557,6 @@ class ServeDaemonTest : public ::testing::Test {
 
 TEST_F(ServeDaemonTest, ServesPredictionsOverTcp) {
   ServeOptions opts;
-  opts.batch.max_delay_us = 300;
   ServeDaemon daemon(opts);
   std::string error;
   ASSERT_NE(daemon.registry().PublishFromFile("m", blob_a_, &error), 0u)
@@ -398,7 +599,6 @@ TEST_F(ServeDaemonTest, ServesPredictionsOverTcp) {
 // step for the next request.
 TEST_F(ServeDaemonTest, BatchForAnUnknownModelKeepsTheConnectionInStep) {
   ServeOptions opts;
-  opts.batch.max_delay_us = 300;
   ServeDaemon daemon(opts);
   std::string error;
   ASSERT_NE(daemon.registry().PublishFromFile("m", blob_a_, &error), 0u);
@@ -419,12 +619,11 @@ TEST_F(ServeDaemonTest, BatchForAnUnknownModelKeepsTheConnectionInStep) {
   daemon.Shutdown();
 }
 
-// A `batch` flushes its own rows: with both batcher triggers out of
-// reach, a 3-row batch must still come back at once rather than after
-// the 10 s deadline. The stage histograms account for it.
-TEST_F(ServeDaemonTest, BatchDoesNotWaitForTheBatcherDeadline) {
+// A `batch` on an idle daemon is one enqueue and one scoring batch,
+// back at once even with a batch cap far above its size; the stage
+// histograms account for it.
+TEST_F(ServeDaemonTest, BatchIsScoredAsOneBatchWithoutWaiting) {
   ServeOptions opts;
-  opts.batch.max_delay_us = 10'000'000;
   opts.batch.max_rows = 1'000'000;
   ServeDaemon daemon(opts);
   std::string error;
@@ -447,9 +646,47 @@ TEST_F(ServeDaemonTest, BatchDoesNotWaitForTheBatcherDeadline) {
   EXPECT_EQ(stages.parse.Snap().count, 3u);
   EXPECT_EQ(stages.queue_wait.Snap().count, 3u);
   EXPECT_LT(stages.queue_wait.Snap().max_us, 1e6);
-  EXPECT_GE(stages.score.Snap().count, 1u);
+  EXPECT_EQ(stages.score.Snap().count, 1u);
+  EXPECT_EQ(daemon.stats().batches(), 1u);
   EXPECT_EQ(stages.reply_write.Snap().count, 1u);
   EXPECT_EQ(daemon.stats().queue_depth(), 0);
+  daemon.Shutdown();
+}
+
+// `batch <model> <n>` takes only a whole decimal count in [0, 1<<20]:
+// anything else is a usage error that counts as a protocol error and
+// reads no rows, leaving the connection in step.
+TEST_F(ServeDaemonTest, BatchRejectsCountsThatAreNotWholeNumbers) {
+  ServeOptions opts;
+  ServeDaemon daemon(opts);
+  std::string error;
+  ASSERT_NE(daemon.registry().PublishFromFile("m", blob_a_, &error), 0u);
+  ASSERT_TRUE(daemon.Start(&error)) << error;
+
+  ServeClient client;
+  ASSERT_TRUE(client.ConnectTcp("127.0.0.1", daemon.port(), &error)) << error;
+  const std::vector<std::string> bad = {
+      "batch m abc", "batch m -0",      "batch m 1x",  "batch m +1",
+      "batch m -3",  "batch m 1.5",     "batch m 1 ",  "batch m  1",
+      "batch m",     "batch m 1048577", "batch m 99999999999999999999"};
+  std::string reply;
+  for (const std::string& line : bad) {
+    ASSERT_TRUE(client.Rpc(line, &reply)) << line;
+    EXPECT_EQ(reply, "err usage: batch <model> <num-rows>") << line;
+    ASSERT_TRUE(client.Rpc("predict m 3,0", &reply)) << line;
+    EXPECT_EQ(reply, "ok pos") << line;
+  }
+  ASSERT_TRUE(client.Rpc("stats", &reply));
+  EXPECT_NE(reply.find("\"protocol_errors\":" + std::to_string(bad.size())),
+            std::string::npos)
+      << reply;
+
+  // The edges of the range are still served.
+  ASSERT_TRUE(client.Rpc("batch m 0", &reply));
+  EXPECT_EQ(reply, "done 0");
+  std::vector<std::string> replies;
+  ASSERT_TRUE(client.Batch("m", {"-1,0"}, &replies));
+  EXPECT_EQ(replies, std::vector<std::string>{"ok neg"});
   daemon.Shutdown();
 }
 
@@ -483,7 +720,6 @@ TEST_F(ServeDaemonTest, BatchRoundTripAvoidsTheDelayedAckStall) {
 TEST_F(ServeDaemonTest, ServesOverUnixSocket) {
   ServeOptions opts;
   opts.unix_path = std::string(::testing::TempDir()) + "/cmpserve_test.sock";
-  opts.batch.max_delay_us = 300;
   ServeDaemon daemon(opts);
   std::string error;
   ASSERT_NE(daemon.registry().PublishFromFile("m", blob_a_, &error), 0u);
@@ -521,7 +757,6 @@ TEST_F(ServeDaemonTest, QuitShutsTheDaemonDown) {
 TEST_F(ServeDaemonTest, HotSwapUnderConcurrentTraffic) {
   ServeOptions opts;
   opts.batch.max_rows = 8;
-  opts.batch.max_delay_us = 200;
   ServeDaemon daemon(opts);
   std::string error;
   ASSERT_NE(daemon.registry().PublishFromFile("m", blob_a_, &error), 0u);

@@ -189,7 +189,7 @@ class ServeE2eTest : public ::testing::Test {
 
 TEST_F(ServeE2eTest, ServedLabelsMatchCmptoolPredictAcrossHotSwap) {
   int port = 0;
-  FILE* daemon = StartDaemon("--batch-rows 16 --batch-delay-us 300", &port);
+  FILE* daemon = StartDaemon("--batch-rows 16", &port);
   ASSERT_NE(daemon, nullptr);
 
   auto served_labels = [&](ServeClient* client) {
@@ -275,6 +275,20 @@ TEST_F(ServeE2eTest, DaemonRejectsBadFlagsWithUsageExit) {
   EXPECT_EQ(RunCmd(std::string(CMPSERVE_PATH) + " --model m=" + blob_a_ +
                    " --frobnicate 2>/dev/null"),
             2);
+  // Numeric flags take whole numbers in range only: no sign, fraction,
+  // trailing text or out-of-range value, and a value must be present.
+  // The deadline flag is gone with the deadline.
+  for (const char* flags :
+       {"--threads abc", "--threads -3", "--threads 1.5", "--threads 1025",
+        "--threads", "--port abc", "--port -1", "--port 65536",
+        "--port 80x", "--batch-rows 4x", "--batch-rows 0",
+        "--batch-rows 1048577", "--batch-rows +4", "--batch-rows",
+        "--batch-delay-us 300"}) {
+    EXPECT_EQ(RunCmd(std::string(CMPSERVE_PATH) + " --model m=" + blob_a_ +
+                     " " + flags + " 2>/dev/null"),
+              2)
+        << flags;
+  }
 }
 
 }  // namespace
