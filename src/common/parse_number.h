@@ -15,6 +15,14 @@ namespace cmp {
 bool ParseWholeNumber(std::string_view text, int64_t lo, int64_t hi,
                       int64_t* out);
 
+/// Parses `text` as a plain decimal number in [lo, hi]: digits with at
+/// most one '.', at least one digit, and nothing else, so a sign,
+/// exponent, "inf", "nan", space or trailing text is rejected rather
+/// than read up to the first bad character the way atof/strtod do.
+/// Returns false and leaves `*out` untouched on rejection. Used for
+/// command-line fractions such as a probability threshold.
+bool ParseDecimal(std::string_view text, double lo, double hi, double* out);
+
 }  // namespace cmp
 
 #endif  // CMP_COMMON_PARSE_NUMBER_H_

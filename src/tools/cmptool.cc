@@ -20,14 +20,19 @@
 
 #include <algorithm>
 #include <charconv>
+#include <condition_variable>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "common/cpu_features.h"
@@ -150,22 +155,32 @@ bool HasFlag(int argc, char** argv, const std::string& name) {
 // runs on, far below the thread counts that stall or exhaust memory.
 constexpr int kMaxThreads = 1024;
 
-// Parses a thread or shard count flag (absent: `def`). Accepts only a
-// whole decimal number in [0, kMaxThreads] (0 = one per hardware
-// thread); a sign, fraction, trailing text or larger value is a bad
-// argument, so a typo never silently becomes "all cores" or thousands
-// of threads.
-bool ParseThreadCount(int argc, char** argv, const std::string& flag,
-                      int def, int* out) {
+// Parses a whole-number flag (absent: `def`). Accepts only a whole
+// decimal number in [lo, hi]; a sign, fraction, trailing text or value
+// out of range is a bad argument, reported here, rather than being read
+// up to its first bad character.
+bool ParseWholeFlag(int argc, char** argv, const std::string& flag,
+                    int64_t lo, int64_t hi, int64_t def, int64_t* out) {
   if (!HasFlag(argc, argv, flag)) {
     *out = def;
     return true;
   }
   const std::string v = GetFlag(argc, argv, flag);
-  int64_t value = 0;
-  if (!cmp::ParseWholeNumber(v, 0, kMaxThreads, &value)) {
-    std::cerr << flag << " must be a whole number in [0, " << kMaxThreads
+  if (!cmp::ParseWholeNumber(v, lo, hi, out)) {
+    std::cerr << flag << " must be a whole number in [" << lo << ", " << hi
               << "] (got '" << v << "')\n";
+    return false;
+  }
+  return true;
+}
+
+// Parses a thread or shard count flag: [0, kMaxThreads], where 0 means
+// one per hardware thread, so a typo never silently becomes "all cores"
+// or thousands of threads.
+bool ParseThreadCount(int argc, char** argv, const std::string& flag,
+                      int def, int* out) {
+  int64_t value = 0;
+  if (!ParseWholeFlag(argc, argv, flag, 0, kMaxThreads, def, &value)) {
     return false;
   }
   *out = static_cast<int>(value);
@@ -187,16 +202,80 @@ bool ParseFunction(const std::string& s, AgrawalFunction* out) {
   return false;
 }
 
+// True for the text formats LoadAnyDataset parses whole: .arff, .csv.
+bool IsTextDataset(const std::string& path) {
+  return path.ends_with(".arff") || path.ends_with(".csv");
+}
+
 // Loads a dataset by extension: .arff via the ARFF reader, .csv via
 // schema inference, anything else via the binary table format.
 bool LoadAnyDataset(const std::string& path, cmp::Dataset* out) {
-  if (path.size() > 5 && path.substr(path.size() - 5) == ".arff") {
-    return cmp::LoadArff(path, out);
-  }
-  if (path.size() > 4 && path.substr(path.size() - 4) == ".csv") {
-    return cmp::LoadCsvInferSchema(path, out);
-  }
+  if (path.ends_with(".arff")) return cmp::LoadArff(path, out);
+  if (path.ends_with(".csv")) return cmp::LoadCsvInferSchema(path, out);
   return cmp::LoadTableFile(path, out);
+}
+
+// A model reads columns by attribute id, so `data` can be scored only
+// when its attribute count and every attribute's kind equal the model's.
+// Classes are matched by name: a CSV numbers its classes in the order
+// its rows first name them and may name only some, so each class `data`
+// names must be one of the model's, and `to_model` maps its ids to the
+// model's. Otherwise reports why, naming `path`, and returns false.
+bool MatchSchema(const std::string& path, const cmp::Schema& data,
+                 const cmp::Schema& model,
+                 std::vector<cmp::ClassId>* to_model) {
+  std::ostringstream why;
+  if (data.num_attrs() != model.num_attrs()) {
+    why << "it has " << data.num_attrs() << " attributes, the model "
+        << model.num_attrs();
+  }
+  for (cmp::AttrId a = 0; why.str().empty() && a < data.num_attrs(); ++a) {
+    if (data.is_numeric(a) != model.is_numeric(a)) {
+      why << "attribute " << a << " (" << data.attr(a).name << ") is "
+          << (data.is_numeric(a) ? "numeric" : "categorical")
+          << ", the model's " << model.attr(a).name << " is "
+          << (model.is_numeric(a) ? "numeric" : "categorical");
+    }
+  }
+  const std::vector<std::string>& names = model.class_names();
+  to_model->clear();
+  for (cmp::ClassId c = 0; why.str().empty() && c < data.num_classes(); ++c) {
+    const auto it = std::find(names.begin(), names.end(), data.class_name(c));
+    if (it == names.end()) {
+      why << "class " << data.class_name(c) << " is not one of its "
+          << names.size() << " classes";
+    } else {
+      to_model->push_back(static_cast<cmp::ClassId>(it - names.begin()));
+    }
+  }
+  if (why.str().empty()) return true;
+  std::cerr << "schema of " << path << " does not match the model: "
+            << why.str() << "\n";
+  return false;
+}
+
+// `ds` with its labels renumbered by `to_model` and the model's class
+// names, so its labels and the model's predictions compare by id.
+cmp::Dataset WithModelClasses(const cmp::Dataset& ds,
+                              const cmp::Schema& model,
+                              const std::vector<cmp::ClassId>& to_model) {
+  const cmp::Schema& schema = ds.schema();
+  std::vector<std::vector<double>> numeric(schema.num_attrs());
+  std::vector<std::vector<int32_t>> categorical(schema.num_attrs());
+  for (cmp::AttrId a = 0; a < schema.num_attrs(); ++a) {
+    if (schema.is_numeric(a)) {
+      numeric[a] = ds.numeric_column(a);
+    } else {
+      categorical[a] = ds.categorical_column(a);
+    }
+  }
+  std::vector<cmp::ClassId> labels(ds.labels().size());
+  for (size_t r = 0; r < labels.size(); ++r) {
+    labels[r] = to_model[ds.labels()[r]];
+  }
+  return cmp::Dataset(cmp::Schema(schema.attrs(), model.class_names()),
+                      std::move(numeric), std::move(categorical),
+                      std::move(labels));
 }
 
 // Writes the observer's JSON to `path` ("-" for stdout). Returns an exit
@@ -667,6 +746,14 @@ int CmdEval(int argc, char** argv) {
     std::cerr << "failed to read " << tree_path << "\n";
     return kExitIo;
   }
+  const cmp::Schema& model_schema = trees.front().schema();
+  std::vector<cmp::ClassId> to_model;
+  if (!MatchSchema(data, ds.schema(), model_schema, &to_model)) {
+    return kExitIo;
+  }
+  if (ds.schema().class_names() != model_schema.class_names()) {
+    ds = WithModelClasses(ds, model_schema, to_model);
+  }
   if (trees.size() == 1) {
     std::cout << cmp::Evaluate(trees[0], ds).ToString(ds.schema());
     return kExitOk;
@@ -689,10 +776,6 @@ int CmdEval(int argc, char** argv) {
   return kExitOk;
 }
 
-// Batch scoring through the compiled inference path: one tree gives a
-// BatchPredictor, a comma-separated list gives a voting ensemble.
-// Predictions go to --out as CSV (stdout when omitted, with the summary
-// moved to stderr so the two streams stay separable).
 // Packs one or more text trees into a single .cmpb blob. The blob is
 // the serving format: cmpserve mmaps it, and predict accepts it
 // directly.
@@ -761,6 +844,8 @@ class CsvWriter {
     buf_.push_back('\n');
     if (buf_.size() >= kChunk) Drain();
   }
+  // False once a write to the stream has failed.
+  bool good() const { return os_.good(); }
   // Writes out the rest and flushes; false if any write failed.
   bool Finish() {
     Drain();
@@ -780,24 +865,264 @@ class CsvWriter {
   std::string buf_;
 };
 
+// Records per block of predict's pipeline: large enough that the
+// per-block hand-off costs nothing measurable, small enough that the few
+// blocks in flight take a few MB whatever the table's size.
+constexpr int64_t kPredictBlock = 16384;
+
+// One scored block on its way from the reading thread to the writer.
+struct ScoredBlock {
+  int64_t begin = 0;  // record id of the block's first row
+  std::vector<cmp::ClassId> actual;  // in the model's class ids
+  cmp::BatchResult result;
+};
+
+// Formats scored blocks into predict's CSV on a thread of its own, in
+// the order they are published. The reading thread fills one of kSlots
+// slots while the writer formats and writes the others, so scoring block
+// k overlaps with writing block k-1, and memory is bounded by kSlots
+// blocks instead of by the table.
+class PredictCsvWriter {
+ public:
+  // Formats the header row at once; `os` and `model_schema` must outlive
+  // the writer.
+  PredictCsvWriter(std::ostream& os, const cmp::Schema& model_schema,
+                   const cmp::PredictOptions& opts)
+      : csv_(os),
+        model_schema_(model_schema),
+        want_probs_(opts.want_probs),
+        top_k_(opts.top_k) {
+    PutHeader();
+    thread_ = std::thread([this] {
+      try {
+        Run();
+      } catch (const std::exception&) {  // e.g. out of memory mid-format
+        {
+          std::lock_guard<std::mutex> lock(mu_);
+          failed_ = true;
+        }
+        released_.notify_one();
+      }
+    });
+  }
+  ~PredictCsvWriter() { Stop(&aborted_); }
+
+  PredictCsvWriter(const PredictCsvWriter&) = delete;
+  PredictCsvWriter& operator=(const PredictCsvWriter&) = delete;
+
+  // The slot to fill next, once the writer has released it; null after
+  // a write failed.
+  ScoredBlock* Acquire() {
+    std::unique_lock<std::mutex> lock(mu_);
+    released_.wait(lock, [this] {
+      return published_ - written_ < kSlots || failed_;
+    });
+    return failed_ ? nullptr : &slots_[published_ % kSlots];
+  }
+
+  // Hands the slot Acquire returned to the writer.
+  void Publish() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++published_;
+    }
+    filled_.notify_one();
+  }
+
+  // Writes every published block, flushes and joins the writer; false if
+  // a write failed.
+  bool Finish() {
+    Stop(&closed_);
+    return !failed_;
+  }
+
+  // Joins the writer without writing the blocks still queued.
+  void Abort() { Stop(&aborted_); }
+
+  // Rows whose prediction equals their actual class; read after Finish.
+  int64_t correct() const { return correct_; }
+
+ private:
+  static constexpr int64_t kSlots = 3;
+
+  void Stop(bool* flag) {
+    if (!thread_.joinable()) return;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      *flag = true;
+    }
+    filled_.notify_one();
+    thread_.join();
+  }
+
+  void Run() {
+    for (;;) {
+      int64_t next = 0;
+      {
+        std::unique_lock<std::mutex> lock(mu_);
+        filled_.wait(lock, [this] {
+          return written_ < published_ || closed_ || aborted_;
+        });
+        if (aborted_) return;
+        if (written_ == published_) break;  // closed, all written
+        next = written_;
+      }
+      PutBlock(slots_[next % kSlots]);
+      const bool ok = csv_.good();
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        ++written_;
+        failed_ = !ok;
+      }
+      released_.notify_one();
+      if (!ok) return;
+    }
+    const bool ok = csv_.Finish();
+    std::lock_guard<std::mutex> lock(mu_);
+    failed_ = !ok;
+  }
+
+  // Class names are looked up in the model's schema, never built per row.
+  void PutClass(cmp::ClassId c) {
+    if (c == cmp::kInvalidClass) {
+      csv_.Put('?');
+    } else if (c < model_schema_.num_classes()) {
+      csv_.Put(model_schema_.class_name(c));
+    } else {
+      csv_.Put("class");
+      csv_.PutInt(c);
+    }
+  }
+
+  void PutHeader() {
+    csv_.Put("record,actual,predicted,correct");
+    if (want_probs_) {
+      for (cmp::ClassId c = 0; c < model_schema_.num_classes(); ++c) {
+        csv_.Put(",prob_");
+        csv_.Put(model_schema_.class_name(c));
+      }
+    }
+    if (top_k_ > 1) {
+      for (int k = 0; k < top_k_; ++k) {
+        csv_.Put(",top");
+        csv_.PutInt(k + 1);
+      }
+    }
+    csv_.EndRow();
+  }
+
+  void PutBlock(const ScoredBlock& block) {
+    const int32_t nc = model_schema_.num_classes();
+    const cmp::BatchResult& result = block.result;
+    for (size_t i = 0; i < block.actual.size(); ++i) {
+      const cmp::ClassId actual = block.actual[i];
+      const cmp::ClassId predicted = result.labels[i];
+      if (actual == predicted) ++correct_;
+      csv_.PutInt(block.begin + static_cast<int64_t>(i));
+      csv_.Put(',');
+      csv_.Put(model_schema_.class_name(actual));
+      csv_.Put(',');
+      PutClass(predicted);
+      csv_.Put(actual == predicted ? ",1" : ",0");
+      if (want_probs_) {
+        const float* probs = result.probs.data() + i * nc;
+        for (int32_t c = 0; c < nc; ++c) {
+          csv_.Put(',');
+          csv_.PutFloat(probs[c]);
+        }
+      }
+      if (top_k_ > 1) {
+        const cmp::ClassId* topk = result.topk.data() + i * top_k_;
+        for (int k = 0; k < top_k_; ++k) {
+          csv_.Put(',');
+          PutClass(topk[k]);
+        }
+      }
+      csv_.EndRow();
+    }
+  }
+
+  CsvWriter csv_;  // used by the writer thread only, once it runs
+  const cmp::Schema& model_schema_;
+  const bool want_probs_;
+  const int top_k_;
+  int64_t correct_ = 0;  // writer thread; read after the join
+
+  ScoredBlock slots_[kSlots];
+  std::mutex mu_;
+  std::condition_variable filled_;    // a block was published, or a stop
+  std::condition_variable released_;  // a slot was freed, or a failure
+  int64_t published_ = 0;             // guarded by mu_, as are the rest
+  int64_t written_ = 0;
+  bool closed_ = false;
+  bool aborted_ = false;
+  bool failed_ = false;
+  std::thread thread_;
+};
+
+// Batch scoring through the compiled inference path: one tree gives a
+// BatchPredictor, several (a comma-separated list, a forest or a
+// multi-tree blob) a voting ensemble. Predictions go to --out as CSV
+// (stdout when omitted, with the summary moved to stderr so the two
+// streams stay separable).
+//
+// The command is a block pipeline. A .cmpt table is streamed
+// kPredictBlock records at a time; CSV and ARFF are parsed whole and
+// then sliced the same way. This thread reads and scores each block and
+// hands it to a PredictCsvWriter, which formats and writes it while the
+// next block scores. The phases are charged on this thread:
+// io.holdout_load_s is time spent reading, infer.score_s scoring, and
+// predict.write_s waiting on the writer (for a free slot, then for the
+// final drain), so they sum to wall_s.
 int CmdPredict(int argc, char** argv) {
   const std::string data = GetFlag(argc, argv, "--data");
   const std::string tree_arg = GetFlag(argc, argv, "--tree");
   const std::string out_path = GetFlag(argc, argv, "--out");
   if (data.empty() || tree_arg.empty()) return Usage();
 
+  cmp::PredictOptions opts;
+  int64_t top_k = 1;
+  if (!ParseThreadCount(argc, argv, "--threads", 1, &opts.num_threads) ||
+      !ParseWholeFlag(argc, argv, "--block", 1, int64_t{1} << 24, 2048,
+                      &opts.block_size) ||
+      !ParseWholeFlag(argc, argv, "--top-k", 1, 65536, 1, &top_k)) {
+    return kExitBadArgs;
+  }
+  opts.want_probs = HasFlag(argc, argv, "--probs");
+  if (HasFlag(argc, argv, "--abstain")) {
+    const std::string v = GetFlag(argc, argv, "--abstain");
+    if (!cmp::ParseDecimal(v, 0.0, 1.0, &opts.abstain_threshold)) {
+      std::cerr << "--abstain must be a decimal number in [0, 1] (got '"
+                << v << "')\n";
+      return kExitBadArgs;
+    }
+  }
+  const std::string vote_name = GetFlag(argc, argv, "--vote", "majority");
+  if (vote_name != "majority" && vote_name != "prob") {
+    std::cerr << "unknown vote kind " << vote_name << "\n";
+    return kExitBadArgs;
+  }
+
   const cmp::Timer wall;
-  cmp::Dataset ds;
-  if (!LoadAnyDataset(data, &ds)) {
+  cmp::Dataset text_table;  // a CSV or ARFF input, parsed whole
+  std::unique_ptr<cmp::BlockSource> source;
+  if (IsTextDataset(data)) {
+    if (LoadAnyDataset(data, &text_table)) {
+      source = std::make_unique<cmp::DatasetBlockSource>(text_table,
+                                                         kPredictBlock);
+    }
+  } else {
+    source = cmp::TableBlockSource::Open(data, kPredictBlock);
+  }
+  if (source == nullptr) {
     std::cerr << "failed to read " << data << "\n";
     return kExitIo;
   }
-  const double load_seconds = wall.Seconds();
+  double load_seconds = wall.Seconds();
 
   // The model is either comma-separated text trees or one compiled
   // .cmpb blob (cmptool compile's output).
-  const bool is_blob = tree_arg.size() > 5 &&
-                       tree_arg.substr(tree_arg.size() - 5) == ".cmpb";
+  const bool is_blob = tree_arg.ends_with(".cmpb");
   std::vector<cmp::DecisionTree> trees;
   cmp::CompiledModel model;
   if (is_blob) {
@@ -818,48 +1143,37 @@ int CmdPredict(int argc, char** argv) {
     }
     if (trees.empty()) return Usage();
   }
-
-  cmp::PredictOptions opts;
-  if (!ParseThreadCount(argc, argv, "--threads", 1, &opts.num_threads)) {
-    return kExitBadArgs;
-  }
-  opts.block_size = std::atoll(GetFlag(argc, argv, "--block", "2048").c_str());
-  opts.want_probs = HasFlag(argc, argv, "--probs");
-  opts.top_k = std::atoi(GetFlag(argc, argv, "--top-k", "1").c_str());
-  opts.abstain_threshold =
-      std::atof(GetFlag(argc, argv, "--abstain", "0").c_str());
-  const std::string vote_name = GetFlag(argc, argv, "--vote", "majority");
-  if (vote_name != "majority" && vote_name != "prob") {
-    std::cerr << "unknown vote kind " << vote_name << "\n";
-    return kExitBadArgs;
-  }
-
   const cmp::Schema& model_schema =
       is_blob ? *model.schema : trees.front().schema();
-  // The predictors clamp top_k to the class count internally; clamp here
-  // too so the CSV writer below indexes the returned topk table with the
-  // same k the predictor sized it with.
-  opts.top_k = std::min(opts.top_k, model_schema.num_classes());
-  const cmp::VoteKind vote = vote_name == "prob"
-                                 ? cmp::VoteKind::kAverageProb
-                                 : cmp::VoteKind::kMajority;
-  cmp::Timer timer;
-  cmp::BatchResult result;
-  if (is_blob && model.num_trees() == 1) {
-    result = cmp::BatchPredictor(&model.trees.front(), opts).Predict(ds);
-  } else if (is_blob) {
-    result = cmp::EnsemblePredictor(model.trees, vote).Predict(ds, opts);
-  } else if (trees.size() == 1) {
-    const cmp::CompiledTree compiled = cmp::CompiledTree::Compile(trees[0]);
-    result = cmp::BatchPredictor(&compiled, opts).Predict(ds);
-  } else {
-    const cmp::EnsemblePredictor ensemble =
-        cmp::EnsemblePredictor::Compile(trees, vote);
-    result = ensemble.Predict(ds, opts);
+  std::vector<cmp::ClassId> to_model;
+  if (!MatchSchema(data, source->schema(), model_schema, &to_model)) {
+    return kExitIo;
   }
-  const double seconds = timer.Seconds();
 
-  const cmp::Timer write_timer;
+  // The predictors clamp top_k to the class count internally; clamp here
+  // too so the CSV writer indexes the returned topk table with the same k
+  // the predictor sized it with.
+  opts.top_k = static_cast<int>(
+      std::min<int64_t>(top_k, model_schema.num_classes()));
+  std::vector<cmp::CompiledTree> members;
+  if (is_blob) {
+    members = model.trees;
+  } else {
+    for (const cmp::DecisionTree& t : trees) {
+      members.push_back(cmp::CompiledTree::Compile(t));
+    }
+  }
+  const size_t num_trees = members.size();
+  std::optional<cmp::BatchPredictor> single;
+  std::optional<cmp::EnsemblePredictor> ensemble;
+  if (num_trees == 1) {
+    single.emplace(&members.front(), opts);
+  } else {
+    ensemble.emplace(std::move(members), vote_name == "prob"
+                                             ? cmp::VoteKind::kAverageProb
+                                             : cmp::VoteKind::kMajority);
+  }
+
   std::ofstream file;
   if (!out_path.empty()) {
     file.open(out_path);
@@ -869,94 +1183,86 @@ int CmdPredict(int argc, char** argv) {
     }
   }
   std::ostream& summary = out_path.empty() ? std::cerr : std::cout;
-  CsvWriter csv(out_path.empty() ? std::cout : file);
+  PredictCsvWriter writer(out_path.empty() ? std::cout : file, model_schema,
+                          opts);
 
-  // Class names are looked up in the schemas, never built per row.
-  const int32_t nc = model_schema.num_classes();
-  auto put_class = [&csv, &model_schema, nc](cmp::ClassId c) {
-    if (c == cmp::kInvalidClass) {
-      csv.Put('?');
-    } else if (c < nc) {
-      csv.Put(model_schema.class_name(c));
-    } else {
-      csv.Put("class");
-      csv.PutInt(c);
-    }
-  };
+  double score_seconds = 0.0;
+  double write_seconds = 0.0;
+  int64_t rows = 0;
+  int64_t abstained = 0;
+  cmp::BlockView view;
+  for (;;) {
+    cmp::Timer t;
+    const bool got = source->NextBlock(&view);
+    load_seconds += t.Seconds();
+    if (!got) break;
 
-  csv.Put("record,actual,predicted,correct");
-  if (opts.want_probs) {
-    for (cmp::ClassId c = 0; c < nc; ++c) {
-      csv.Put(",prob_");
-      csv.Put(model_schema.class_name(c));
+    t.Reset();
+    cmp::BatchResult result =
+        single ? single->PredictColumns(view.numeric.data(),
+                                        view.categorical.data(), view.count)
+               : ensemble->PredictColumns(view.numeric.data(),
+                                          view.categorical.data(),
+                                          view.count, opts);
+    score_seconds += t.Seconds();
+    rows += view.count;
+    abstained += result.num_abstained;
+
+    t.Reset();
+    ScoredBlock* slot = writer.Acquire();
+    if (slot != nullptr) {
+      slot->begin = view.begin;
+      slot->actual.resize(static_cast<size_t>(view.count));
+      for (int64_t i = 0; i < view.count; ++i) {
+        slot->actual[i] = to_model[view.labels[i]];
+      }
+      slot->result = std::move(result);
+      writer.Publish();
     }
+    write_seconds += t.Seconds();
+    if (slot == nullptr) break;  // a write failed: stop reading
   }
-  if (opts.top_k > 1) {
-    for (int k = 0; k < opts.top_k; ++k) {
-      csv.Put(",top");
-      csv.PutInt(k + 1);
-    }
-  }
-  csv.EndRow();
-  int64_t correct = 0;
-  for (cmp::RecordId r = 0; r < ds.num_records(); ++r) {
-    const cmp::ClassId actual = ds.label(r);
-    const cmp::ClassId predicted = result.labels[r];
-    if (actual == predicted) ++correct;
-    csv.PutInt(r);
-    csv.Put(',');
-    csv.Put(ds.schema().class_name(actual));
-    csv.Put(',');
-    put_class(predicted);
-    csv.Put(actual == predicted ? ",1" : ",0");
-    if (opts.want_probs) {
-      const float* probs = result.probs.data() + static_cast<size_t>(r) * nc;
-      for (int32_t c = 0; c < nc; ++c) {
-        csv.Put(',');
-        csv.PutFloat(probs[c]);
+  if (source->failed()) {
+    // A block failed its NaN or range check: no partial predictions.
+    writer.Abort();
+    if (!out_path.empty()) {
+      file.close();
+      std::error_code ec;
+      if (std::filesystem::is_regular_file(out_path, ec)) {
+        std::filesystem::remove(out_path, ec);
       }
     }
-    if (opts.top_k > 1) {
-      const cmp::ClassId* topk =
-          result.topk.data() + static_cast<size_t>(r) * opts.top_k;
-      for (int k = 0; k < opts.top_k; ++k) {
-        csv.Put(',');
-        put_class(topk[k]);
-      }
-    }
-    csv.EndRow();
+    std::cerr << "failed to read " << data << "\n";
+    return kExitIo;
   }
-  if (!csv.Finish()) {
+  const cmp::Timer drain;
+  const bool written = writer.Finish();
+  write_seconds += drain.Seconds();
+  if (!written) {
     std::cerr << "failed to write "
               << (out_path.empty() ? std::string("stdout") : out_path)
               << "\n";
     return kExitIo;
   }
-  const double write_seconds = write_timer.Seconds();
   const double wall_seconds = wall.Seconds();
 
+  const int64_t correct = writer.correct();
   const double accuracy =
-      ds.num_records() == 0
-          ? 0.0
-          : static_cast<double>(correct) /
-                static_cast<double>(ds.num_records());
+      rows == 0 ? 0.0
+                : static_cast<double>(correct) / static_cast<double>(rows);
   char acc_buf[32];
   std::snprintf(acc_buf, sizeof(acc_buf), "%.4f", accuracy);
-  summary << "accuracy: " << acc_buf << " (" << correct << "/"
-          << ds.num_records() << ")\n";
-  if (result.num_abstained > 0) {
-    summary << "abstained: " << result.num_abstained << "\n";
-  }
-  summary << "scored " << ds.num_records() << " records with "
-          << (is_blob ? static_cast<size_t>(model.num_trees())
-                      : trees.size())
-          << " tree(s) in " << seconds << "s ("
-          << static_cast<int64_t>(ds.num_records() / std::max(seconds, 1e-9))
+  summary << "accuracy: " << acc_buf << " (" << correct << "/" << rows
+          << ")\n";
+  if (abstained > 0) summary << "abstained: " << abstained << "\n";
+  summary << "scored " << rows << " records with " << num_trees
+          << " tree(s) in " << score_seconds << "s ("
+          << static_cast<int64_t>(rows / std::max(score_seconds, 1e-9))
           << " rows/s, " << opts.num_threads << " thread(s), "
           << cmp::KernelIsaName(cmp::ActiveKernelIsa()) << " kernel)\n";
   // The same layer names as the repository benchmark's predict ledger.
   summary << "phases: io.holdout_load_s=" << load_seconds
-          << " infer.score_s=" << seconds
+          << " infer.score_s=" << score_seconds
           << " predict.write_s=" << write_seconds
           << " wall_s=" << wall_seconds << "\n";
   return kExitOk;

@@ -14,14 +14,18 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <random>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "infer/batch_predictor.h"
 #include "infer/compiled_tree.h"
 #include "infer/ensemble.h"
+#include "io/arff.h"
+#include "io/csv.h"
 #include "io/table_file.h"
 #include "tree/serialize.h"
 
@@ -245,6 +249,46 @@ TEST_F(CmptoolTest, ExitCodesDistinguishFailureKinds) {
   EXPECT_EQ(RunTool("train --data " + data_ + " --algo cmp --stream"
                     " --scan-shards 1024 --threads 0 --out " + tree_),
             0);
+  // predict's other numeric flags are just as strict: --top-k and
+  // --block are whole numbers, --abstain a plain decimal in [0, 1].
+  const std::string predict = "predict --data " + data_ + " --tree " + tree_;
+  for (const auto& [flag, bad, message] :
+       std::vector<std::tuple<std::string, std::string, std::string>>{
+           {"--top-k", "2x", "--top-k must be a whole number in [1, 65536]"},
+           {"--top-k", "-3", "--top-k must be a whole number in [1, 65536]"},
+           {"--top-k", "0", "--top-k must be a whole number in [1, 65536]"},
+           {"--top-k", "65537",
+            "--top-k must be a whole number in [1, 65536]"},
+           {"--block", "-5", "--block must be a whole number in [1, 16777216]"},
+           {"--block", "0", "--block must be a whole number in [1, 16777216]"},
+           {"--block", "abc",
+            "--block must be a whole number in [1, 16777216]"},
+           {"--block", "16777217",
+            "--block must be a whole number in [1, 16777216]"},
+           {"--abstain", "abc", "--abstain must be a decimal number in [0, 1]"},
+           {"--abstain", "1.5", "--abstain must be a decimal number in [0, 1]"},
+           {"--abstain", "-0.1",
+            "--abstain must be a decimal number in [0, 1]"},
+           {"--abstain", "0.5x",
+            "--abstain must be a decimal number in [0, 1]"},
+           {"--abstain", "1e-3",
+            "--abstain must be a decimal number in [0, 1]"},
+           {"--abstain", "nan", "--abstain must be a decimal number in [0, 1]"},
+           {"--abstain", "inf", "--abstain must be a decimal number in [0, 1]"},
+           {"--abstain", "", "--abstain must be a decimal number in [0, 1]"}}) {
+    EXPECT_EQ(RunTool(predict + " " + flag + " " + bad, &out), kBadArgs)
+        << flag << " '" << bad << "'";
+    EXPECT_NE(out.find(message), std::string::npos) << out;
+  }
+  for (const char* good : {" --top-k 65536 --block 1 --abstain 1",
+                           " --top-k 1 --block 16777216 --abstain 0",
+                           " --abstain .5", " --abstain 0.25"}) {
+    EXPECT_EQ(RunTool(predict + good + " --out " + TempPath("flags.csv"),
+                      &out),
+              0)
+        << good << ": " << out;
+  }
+  std::remove(TempPath("flags.csv").c_str());
   EXPECT_EQ(RunTool("explain --data " + data_ + " --tree " + tree_ +
                 " --record 99999999"),
             kBadArgs);
@@ -1014,6 +1058,308 @@ TEST_F(CmptoolTest, PredictPhasesAccountForItsWallTime) {
   EXPECT_NEAR(load + score + write, wall, 0.05 * wall) << out;
   std::remove(data.c_str());
   std::remove(csv.c_str());
+}
+
+// cmptool predict streams its input in blocks of this many records.
+constexpr int64_t kPredictBlock = 16384;
+
+// The "accuracy: 0.1234 (correct/total)" line predict prints for `csv`,
+// counted from the CSV's own `correct` column.
+std::string ExpectedAccuracy(const std::string& csv) {
+  int64_t correct = 0;
+  int64_t total = 0;
+  std::istringstream rows(csv);
+  std::string line;
+  std::getline(rows, line);  // header
+  while (std::getline(rows, line)) {
+    const size_t c1 = line.find(',');
+    const size_t c2 = line.find(',', c1 + 1);
+    const size_t c3 = line.find(',', c2 + 1);
+    correct += line.compare(c3 + 1, 1, "1") == 0 ? 1 : 0;
+    ++total;
+  }
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.4f",
+                total == 0 ? 0.0
+                           : static_cast<double>(correct) /
+                                 static_cast<double>(total));
+  return "accuracy: " + std::string(buf);
+}
+
+// `rows` records of a numeric-only, three-class table with label noise,
+// so trees trained on it have impure leaves. Record 0 is class 2: a CSV
+// reader, which numbers classes in first-appearance order, then numbers
+// them differently from the table and the model.
+cmp::Dataset NoisyNumericTable(int64_t rows, uint64_t seed) {
+  cmp::Dataset ds(cmp::Schema(
+      {{"x0", cmp::AttrKind::kNumeric, 0}, {"x1", cmp::AttrKind::kNumeric, 0},
+       {"x2", cmp::AttrKind::kNumeric, 0}, {"x3", cmp::AttrKind::kNumeric, 0}},
+      {"low", "high", "top"}));
+  std::mt19937_64 rng(seed);
+  std::vector<double> x(4);
+  for (int64_t r = 0; r < rows; ++r) {
+    for (double& v : x) v = static_cast<double>(rng() % 1000);
+    cmp::ClassId label = x[2] > 700 ? 2 : (x[0] + x[1] > 1000 ? 1 : 0);
+    if (rng() % 100 < 15) label = static_cast<cmp::ClassId>(rng() % 3);
+    if (r == 0) label = 2;
+    ds.Append(x, {}, label);
+  }
+  return ds;
+}
+
+// The first `n` records of `ds`.
+cmp::Dataset Prefix(const cmp::Dataset& ds, int64_t n) {
+  cmp::Dataset out(ds.schema());
+  std::vector<double> x(ds.schema().num_attrs());
+  for (int64_t r = 0; r < n; ++r) {
+    for (cmp::AttrId a = 0; a < ds.schema().num_attrs(); ++a) {
+      x[a] = ds.numeric(a, r);
+    }
+    out.Append(x, {}, ds.label(r));
+  }
+  return out;
+}
+
+// The streamed pipeline writes the same bytes and accuracy as the
+// whole-table oracle at every block edge, from a .cmpt table, a CSV or
+// an ARFF file, on one scoring thread or four, for a single tree and for
+// a --probs --top-k 2 --abstain ensemble.
+TEST_F(CmptoolTest, PredictStreamMatchesTheOracleAtEveryBlockEdge) {
+  const std::string train = TempPath("edges_train.cmpt");
+  const std::string tree_a = TempPath("edges_a.tree");
+  const std::string tree_b = TempPath("edges_b.tree");
+  const std::string csv = TempPath("edges.csv");
+  ASSERT_TRUE(cmp::SaveTableFile(NoisyNumericTable(6000, 3), train));
+  ASSERT_EQ(RunTool("train --data " + train + " --algo cmp --out " + tree_a),
+            0);
+  ASSERT_EQ(RunTool("train --data " + train + " --algo sliq --out " + tree_b),
+            0);
+  std::vector<cmp::DecisionTree> trees, second;
+  ASSERT_TRUE(cmp::LoadTrees(tree_a, &trees));
+  ASSERT_TRUE(cmp::LoadTrees(tree_b, &second));
+  trees.push_back(std::move(second.at(0)));
+  const cmp::Schema& schema = trees[0].schema();
+  const cmp::CompiledTree compiled = cmp::CompiledTree::Compile(trees[0]);
+  const cmp::EnsemblePredictor ensemble =
+      cmp::EnsemblePredictor::Compile(trees, cmp::VoteKind::kAverageProb);
+  const cmp::PredictOptions defaults;
+  cmp::PredictOptions voted;
+  voted.want_probs = true;
+  voted.top_k = 2;
+  voted.abstain_threshold = 0.9;
+  const std::string voted_flags = " --tree " + tree_a + "," + tree_b +
+                                  " --vote prob --probs --top-k 2"
+                                  " --abstain 0.9";
+
+  const cmp::Dataset holdout = NoisyNumericTable(3 * kPredictBlock + 17, 4);
+  bool abstained = false;
+  for (const int64_t n :
+       {int64_t{0}, int64_t{1}, kPredictBlock - 1, kPredictBlock,
+        kPredictBlock + 1, 3 * kPredictBlock + 17}) {
+    const cmp::Dataset ds = Prefix(holdout, n);
+    const std::string single_csv = OstreamCsv(
+        ds, schema, defaults,
+        cmp::BatchPredictor(&compiled, defaults).Predict(ds));
+    const std::string voted_csv =
+        OstreamCsv(ds, schema, voted, ensemble.Predict(ds, voted));
+    abstained = abstained || voted_csv.find(",?,") != std::string::npos;
+
+    const std::string base = TempPath("edges_" + std::to_string(n));
+    const std::string table = base + ".cmpt";
+    const std::string text = base + ".csv";
+    const std::string arff = base + ".arff";
+    ASSERT_TRUE(cmp::SaveTableFile(ds, table));
+    ASSERT_TRUE(cmp::SaveCsv(ds, text));
+    ASSERT_TRUE(cmp::SaveArff(ds, "edges", arff));
+    for (const std::string& input : {table, text, arff}) {
+      std::string out;
+      if (input == text && n == 0) {
+        // A CSV's schema is inferred from its rows; with none it is
+        // unreadable.
+        EXPECT_EQ(RunTool("predict --data " + input + " --tree " + tree_a +
+                          " --out " + csv, &out),
+                  kIo)
+            << n << " rows: " << out;
+        continue;
+      }
+      for (const char* threads : {"1", "4"}) {
+        const std::string what = input + " --threads " + threads;
+        ASSERT_EQ(RunTool("predict --data " + input + " --tree " + tree_a +
+                          " --threads " + threads + " --out " + csv, &out),
+                  0)
+            << what << ": " << out;
+        EXPECT_TRUE(Slurp(csv) == single_csv) << what << " differs";
+        EXPECT_EQ(AccuracyLine(out), ExpectedAccuracy(single_csv)) << what;
+
+        ASSERT_EQ(RunTool("predict --data " + input + voted_flags +
+                          " --threads " + threads + " --out " + csv, &out),
+                  0)
+            << what << ": " << out;
+        EXPECT_TRUE(Slurp(csv) == voted_csv) << what << " --probs differs";
+        EXPECT_EQ(AccuracyLine(out), ExpectedAccuracy(voted_csv)) << what;
+      }
+    }
+    // eval matches the CSV's classes to the model's by name too.
+    std::string table_eval, text_eval;
+    if (n > 0) {
+      ASSERT_EQ(RunTool("eval --data " + table + " --tree " + tree_a,
+                        &table_eval),
+                0);
+      ASSERT_EQ(RunTool("eval --data " + text + " --tree " + tree_a,
+                        &text_eval),
+                0);
+      EXPECT_EQ(AccuracyLine(text_eval), AccuracyLine(table_eval));
+      EXPECT_EQ(AccuracyLine(table_eval), ExpectedAccuracy(single_csv));
+    }
+    for (const std::string& p : {table, text, arff}) std::remove(p.c_str());
+  }
+  EXPECT_TRUE(abstained) << "no ensemble row abstained";
+  for (const std::string& p : {train, tree_a, tree_b, csv}) {
+    std::remove(p.c_str());
+  }
+}
+
+// A block that fails its NaN or range check mid-stream fails the whole
+// command: exit 3, no summary, and no partial --out file. An unwritable
+// --out stops the stream and fails too, without hanging.
+TEST_F(CmptoolTest, PredictStreamFailsWholeOnALateBadBlock) {
+  const int64_t n = 3 * kPredictBlock + 17;
+  const std::string data = TempPath("late.cmpt");
+  const std::string bad = TempPath("late_bad.cmpt");
+  const std::string csv = TempPath("late.csv");
+  ASSERT_EQ(RunTool("gen --function F2 --records " + std::to_string(n) +
+                    " --seed 9 --out " + data),
+            0);
+  ASSERT_EQ(RunTool("train --data " + data_ + " --algo cmp --out " + tree_),
+            0);
+  cmp::Schema schema;
+  int64_t records = 0;
+  cmp::TableLayout layout;
+  ASSERT_TRUE(cmp::ReadTableHeader(data, &schema, &records));
+  ASSERT_TRUE(cmp::ComputeTableLayout(schema, records, &layout));
+  const std::string good = Slurp(data);
+
+  // Only the last record is bad, so only the last block fails.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const int32_t code = 100000000;
+  std::string nan_bytes = good;
+  std::memcpy(&nan_bytes[layout.column_offsets[schema.FindAttr("salary")] +
+                         (n - 1) * sizeof(double)],
+              &nan, sizeof(nan));
+  std::string code_bytes = good;
+  std::memcpy(&code_bytes[layout.column_offsets[schema.FindAttr("elevel")] +
+                          (n - 1) * sizeof(int32_t)],
+              &code, sizeof(code));
+  for (const std::string& bytes : {nan_bytes, code_bytes}) {
+    WriteFile(bad, bytes);
+    for (const char* threads : {"1", "4"}) {
+      WriteFile(csv, "stale");
+      std::string out;
+      EXPECT_EQ(RunTool("predict --data " + bad + " --tree " + tree_ +
+                        " --probs --threads " + threads + " --out " + csv,
+                        &out),
+                kIo)
+          << out;
+      EXPECT_NE(out.find("failed to read " + bad), std::string::npos) << out;
+      EXPECT_EQ(out.find("accuracy:"), std::string::npos) << out;
+      EXPECT_FALSE(std::ifstream(csv).good()) << "--out file left behind";
+    }
+  }
+
+  // /dev/full accepts the open and fails every write; the first ~1 MB
+  // drain fails mid-stream. `timeout` turns a hang into a failure.
+  if (std::ifstream("/dev/full").good()) {
+    const std::string capture = TempPath("late_full.txt");
+    const std::string cmd = "timeout 60 " + ToolPath() + " predict --data " +
+                            data + " --tree " + tree_ +
+                            " --probs --out /dev/full > " + capture + " 2>&1";
+    const int raw = std::system(cmd.c_str());
+    ASSERT_TRUE(WIFEXITED(raw));
+    EXPECT_EQ(WEXITSTATUS(raw), kIo);
+    EXPECT_NE(Slurp(capture).find("failed to write /dev/full"),
+              std::string::npos)
+        << Slurp(capture);
+    std::remove(capture.c_str());
+  }
+  for (const std::string& p : {data, bad, csv}) std::remove(p.c_str());
+}
+
+// Data whose attribute count or attribute kinds differ from the
+// model's, or that names a class the model lacks, fails predict and eval
+// with exit 3 and the reason, from a CSV or a .cmpt table, for a text
+// tree, a forest or a blob. It used to index columns or classes out of
+// range.
+TEST_F(CmptoolTest, SchemaMismatchFailsPredictAndEval) {
+  const std::string f7 = TempPath("mismatch_f7.cmpt");
+  const std::string tree = TempPath("mismatch.tree");
+  const std::string forest = TempPath("mismatch.forest");
+  const std::string blob = TempPath("mismatch.cmpb");
+  const std::string csv = TempPath("mismatch.csv");
+  ASSERT_EQ(RunTool("gen --function F7 --records 3000 --seed 2 --out " + f7),
+            0);
+  ASSERT_EQ(RunTool("train --data " + f7 + " --algo cmp --out " + tree), 0);
+  ASSERT_EQ(RunTool("compile --tree " + tree + " --out " + blob), 0);
+  std::vector<cmp::DecisionTree> trees;
+  ASSERT_TRUE(cmp::LoadTrees(tree, &trees));
+  trees.push_back(trees[0]);
+  ASSERT_TRUE(cmp::SaveForest(trees, forest));
+
+  // Three columns against nine attributes, in both input formats.
+  const std::string narrow_csv = TempPath("narrow.csv");
+  const std::string narrow_table = TempPath("narrow.cmpt");
+  WriteFile(narrow_csv, "a,b,class\n1,2,groupA\n3,4,groupB\n5,6,groupA\n");
+  ASSERT_TRUE(cmp::SaveTableFile(NoisyNumericTable(50, 1), narrow_table));
+  for (const std::string& data : {narrow_csv, narrow_table}) {
+    for (const std::string& model : {tree, forest, blob}) {
+      std::string out;
+      std::remove(csv.c_str());
+      EXPECT_EQ(RunTool("predict --data " + data + " --tree " + model +
+                        " --out " + csv, &out),
+                kIo)
+          << out;
+      EXPECT_NE(out.find("schema of " + data +
+                         " does not match the model: it has "),
+                std::string::npos)
+          << out;
+      EXPECT_FALSE(std::ifstream(csv).good()) << "--out opened";
+      if (model == blob) continue;  // eval reads text trees only
+      EXPECT_EQ(RunTool("eval --data " + data + " --tree " + model, &out),
+                kIo)
+          << out;
+      EXPECT_NE(out.find("schema of " + data + " does not match the model"),
+                std::string::npos)
+          << out;
+    }
+  }
+
+  // The same attribute count with a wrong kind or class count.
+  const std::string two = TempPath("two.csv");
+  const std::string two_tree = TempPath("two.tree");
+  WriteFile(two, "a,b,class\n1,2,yes\n3,4,no\n5,6,yes\n7,8,no\n");
+  ASSERT_EQ(RunTool("train --data " + two + " --algo cmp --out " + two_tree),
+            0);
+  const std::string kinds = TempPath("kinds.csv");
+  const std::string classes = TempPath("classes.csv");
+  WriteFile(kinds, "a,b,class\n1,x,yes\n3,y,no\n");
+  WriteFile(classes, "a,b,class\n1,2,yes\n3,4,no\n5,6,maybe\n");
+  for (const auto& [data, reason] :
+       {std::pair<std::string, std::string>{
+            kinds, "attribute 1 (b) is categorical, the model's b is numeric"},
+        {classes, "class maybe is not one of its 2 classes"}}) {
+    std::string out;
+    EXPECT_EQ(RunTool("predict --data " + data + " --tree " + two_tree, &out),
+              kIo)
+        << out;
+    EXPECT_NE(out.find(reason), std::string::npos) << out;
+    EXPECT_EQ(RunTool("eval --data " + data + " --tree " + two_tree, &out),
+              kIo)
+        << out;
+    EXPECT_NE(out.find(reason), std::string::npos) << out;
+  }
+  for (const std::string& p : {f7, tree, forest, blob, csv, narrow_csv,
+                               narrow_table, two, two_tree, kinds, classes}) {
+    std::remove(p.c_str());
+  }
 }
 
 }  // namespace
