@@ -97,41 +97,37 @@ class CmpBuild {
   FrontierQueues next_;
 };
 
-// Discretization pass: one column read per numeric attribute serves the
-// quantile grid, the interior-splittable marks and the bin codes, behind
-// the AttrGridBuilder seam (hist/grid_builder.h). The batch driver always
-// uses the exact builder, which selects the cuts without sorting: grids
-// depend only on the value multiset, so the streamed and in-memory
-// builds produce identical grids — the first link of the
-// streamed-equals-in-memory determinism argument. (The sketch builder
-// behind the same seam powers the cmp-stream trainer, which has its
-// own driver in src/stream/.)
+// Discretization pass: one visit per numeric value serves the grid's
+// interior-splittable marks and the bin codes. In-memory builds borrow
+// each column from the dataset; streamed builds read it once from the
+// table. The cuts are selected without sorting (IntervalGrid::EqualDepth),
+// so grids depend only on the value multiset and the streamed and
+// in-memory builds produce identical grids — the first link of the
+// streamed-equals-in-memory determinism argument. One loop then writes
+// each value's code and its interval's min and max (interior = min <
+// max); with the cache off it yields the marks alone. (The cmp-stream
+// trainer grows its grids from quantile sketches in its own driver,
+// src/stream/.)
 template <class Store>
 void CmpBuild<Store>::BuildGrids(int64_t n) {
   tracker_.ChargeScan(n, schema_);
   grids_.assign(schema_.num_attrs(), IntervalGrid());
   interior_.assign(schema_.num_attrs(), {});
+  const Dataset* const full = store_.dataset();
   auto build_attr = [&](AttrId a) {
-    std::vector<double> column;
-    if (!source_.ReadNumericColumn(a, &column)) {
+    std::vector<double> read;
+    if (full == nullptr && !source_.ReadNumericColumn(a, &read)) {
       throw std::runtime_error("cmp: failed to read numeric column");
     }
-    ExactAttrGridBuilder builder;
-    if (codes_.enabled()) {
-      // When the bin-code cache is on, the same column read feeds both
-      // the grid build (the builder's copy) and the code encoding
-      // (record order) — no extra pass over the data.
-      builder.Add(column.data(), static_cast<int64_t>(column.size()));
-    } else {
-      builder.AddOwned(std::move(column));
-    }
-    AttrGridResult built =
-        builder.Finish(options_.intervals, options_.discretization);
-    grids_[a] = std::move(built.grid);
-    interior_[a] = std::move(built.interior);
-    if (codes_.enabled()) {
-      codes_.EncodeNumericColumn(a, grids_[a], column);
-    }
+    const std::vector<double>& column =
+        full != nullptr ? full->numeric_column(a) : read;
+    grids_[a] = options_.discretization == Discretization::kEqualDepth
+                    ? IntervalGrid::EqualDepth(column, options_.intervals)
+                    : IntervalGrid::EqualWidth(column, options_.intervals);
+    interior_[a] =
+        codes_.enabled()
+            ? codes_.EncodeNumericColumnWithMarks(a, grids_[a], column.data())
+            : InteriorMarks(grids_[a], column.data(), n);
   };
   if (pool_->parallelism() > 1 && numeric_attrs_.size() > 1) {
     pool_->ParallelFor(static_cast<int64_t>(numeric_attrs_.size()), 1,
@@ -167,7 +163,12 @@ void CmpBuild<Store>::BuildCodes() {
     codes_.SetLabels(std::move(labels));
   }
   const std::vector<AttrId> cat_attrs = schema_.CategoricalAttrs();
+  const Dataset* const full = store_.dataset();
   auto encode_attr = [&](AttrId a) {
+    if (full != nullptr) {
+      codes_.EncodeCategoricalColumn(a, full->categorical_column(a));
+      return;
+    }
     std::vector<int32_t> column;
     if (!source_.ReadCategoricalColumn(a, &column)) {
       throw std::runtime_error("cmp: failed to read categorical column");
@@ -285,6 +286,7 @@ void CmpBuild<Store>::Run() {
         {root_id, HistBundle::MakeUnivariate(schema_, grids_)});
   }
 
+  result_->stats.setup_seconds = timer.Seconds();
   int pass_index = 0;
   while (!work_.Empty()) {
     PassObservation po;

@@ -28,6 +28,7 @@ void BuildStats::Accumulate(const BuildStats& other) {
   tree_depth = std::max(tree_depth, other.tree_depth);
   predictions_total += other.predictions_total;
   predictions_correct += other.predictions_correct;
+  setup_seconds += other.setup_seconds;
   wall_seconds += other.wall_seconds;
 }
 
@@ -41,7 +42,7 @@ std::string BuildStats::ToString() const {
      << " peak_mem_MB="
      << static_cast<double>(peak_memory_bytes) / (1024.0 * 1024.0)
      << " nodes=" << tree_nodes << " depth=" << tree_depth
-     << " wall_s=" << wall_seconds;
+     << " setup_s=" << setup_seconds << " wall_s=" << wall_seconds;
   return os.str();
 }
 

@@ -61,6 +61,10 @@ struct BuildStats {
   /// (Table 1 reports this per dataset/interval-count), or 0 when the
   /// root split was exact/categorical/linear.
   int64_t root_alive_intervals = 0;
+  /// CMP builds only: seconds from the start of the build to its first
+  /// scan pass (discretization, interior marks and bin codes); 0 for
+  /// the other builders.
+  double setup_seconds = 0.0;
   /// Wall-clock construction time measured on this host, seconds.
   double wall_seconds = 0.0;
 

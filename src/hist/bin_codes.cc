@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "hist/grid_builder.h"
+
 namespace cmp {
 
 namespace {
@@ -29,8 +31,13 @@ BinCodeCache::BinCodeCache(const Schema& schema, int64_t num_records,
 
 void BinCodeCache::EncodeNumericColumn(AttrId a, const IntervalGrid& grid,
                                        const std::vector<double>& column) {
-  assert(enabled_);
   assert(static_cast<int64_t>(column.size()) == n_);
+  EncodeNumericColumnWithMarks(a, grid, column.data());
+}
+
+std::vector<char> BinCodeCache::EncodeNumericColumnWithMarks(
+    AttrId a, const IntervalGrid& grid, const double* column) {
+  assert(enabled_);
   Column& col = cols_[a];
   // Width follows the ACTUAL interval count (collapsed duplicate cuts
   // can shrink a 300-interval request under 256), not the requested cap.
@@ -38,17 +45,12 @@ void BinCodeCache::EncodeNumericColumn(AttrId a, const IntervalGrid& grid,
   assert(rows <= kMaxRows16);
   if (rows <= kMaxRows8) {
     col.width = 1;
-    col.u8.resize(column.size());
-    for (size_t i = 0; i < column.size(); ++i) {
-      col.u8[i] = static_cast<uint8_t>(grid.IntervalOf(column[i]));
-    }
-  } else {
-    col.width = 2;
-    col.u16.resize(column.size());
-    for (size_t i = 0; i < column.size(); ++i) {
-      col.u16[i] = static_cast<uint16_t>(grid.IntervalOf(column[i]));
-    }
+    col.u8.resize(n_);
+    return InteriorMarks(grid, column, n_, col.u8.data());
   }
+  col.width = 2;
+  col.u16.resize(n_);
+  return InteriorMarks(grid, column, n_, col.u16.data());
 }
 
 void BinCodeCache::EncodeCategoricalColumn(AttrId a,

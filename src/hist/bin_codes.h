@@ -75,6 +75,14 @@ class BinCodeCache {
   void EncodeNumericColumn(AttrId a, const IntervalGrid& grid,
                            const std::vector<double>& column);
 
+  /// The same codes from a borrowed column of num_records() values, and
+  /// from the same visit per value the column's interior marks
+  /// (InteriorMarks in hist/grid_builder.h) — the build driver's setup
+  /// pass.
+  std::vector<char> EncodeNumericColumnWithMarks(AttrId a,
+                                                 const IntervalGrid& grid,
+                                                 const double* column);
+
   /// Encodes a categorical attribute's raw column (values are dense
   /// integers in [0, cardinality), validated by the loaders).
   void EncodeCategoricalColumn(AttrId a, const std::vector<int32_t>& column);

@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <limits>
+#include <type_traits>
 #include <utility>
 
 namespace cmp {
-
-void AttrGridBuilder::AddOwned(std::vector<double>&& values) {
-  Add(values.data(), static_cast<int64_t>(values.size()));
-}
 
 std::vector<char> InteriorMarksFromSorted(const std::vector<double>& sorted,
                                           const IntervalGrid& grid) {
@@ -31,17 +28,20 @@ std::vector<char> InteriorMarksFromSorted(const std::vector<double>& sorted,
 
 namespace {
 
-// The same marks as InteriorMarksFromSorted, from the values in any
-// order: interval i holds two distinct values iff its smallest value is
-// below its largest.
-std::vector<char> InteriorMarks(const std::vector<double>& values,
-                                const IntervalGrid& grid) {
+// The one visit per value behind every InteriorMarks overload; Code is
+// void when no codes are stored.
+template <class Code>
+std::vector<char> MarkIntervals(const IntervalGrid& grid,
+                                const double* values, int64_t n,
+                                Code* codes) {
   const int m = grid.num_intervals();
   constexpr double kInf = std::numeric_limits<double>::infinity();
   std::vector<double> lo(m, kInf);
   std::vector<double> hi(m, -kInf);
-  for (double v : values) {
+  for (int64_t r = 0; r < n; ++r) {
+    const double v = values[r];
     const int i = grid.IntervalOf(v);
+    if constexpr (!std::is_void_v<Code>) codes[r] = static_cast<Code>(i);
     lo[i] = std::min(lo[i], v);
     hi[i] = std::max(hi[i], v);
   }
@@ -52,21 +52,34 @@ std::vector<char> InteriorMarks(const std::vector<double>& values,
 
 }  // namespace
 
+std::vector<char> InteriorMarks(const IntervalGrid& grid,
+                                const double* values, int64_t n) {
+  return MarkIntervals<void>(grid, values, n, nullptr);
+}
+
+std::vector<char> InteriorMarks(const IntervalGrid& grid,
+                                const double* values, int64_t n,
+                                uint8_t* codes) {
+  return MarkIntervals(grid, values, n, codes);
+}
+
+std::vector<char> InteriorMarks(const IntervalGrid& grid,
+                                const double* values, int64_t n,
+                                uint16_t* codes) {
+  return MarkIntervals(grid, values, n, codes);
+}
+
 void ExactAttrGridBuilder::Add(const double* values, int64_t n) {
   values_.insert(values_.end(), values, values + n);
 }
 
-void ExactAttrGridBuilder::AddOwned(std::vector<double>&& values) {
-  if (values_.empty()) {
-    values_ = std::move(values);
-  } else {
-    Add(values.data(), static_cast<int64_t>(values.size()));
-  }
-}
-
 void ExactAttrGridBuilder::MergeFrom(AttrGridBuilder& other) {
   auto& src = static_cast<ExactAttrGridBuilder&>(other);
-  AddOwned(std::move(src.values_));
+  if (values_.empty()) {
+    values_ = std::move(src.values_);
+  } else {
+    Add(src.values_.data(), static_cast<int64_t>(src.values_.size()));
+  }
   src.values_.clear();
 }
 
@@ -75,7 +88,8 @@ AttrGridResult ExactAttrGridBuilder::Finish(int q, Discretization kind) {
   result.grid = kind == Discretization::kEqualDepth
                     ? IntervalGrid::EqualDepth(values_, q)
                     : IntervalGrid::EqualWidth(values_, q);
-  result.interior = InteriorMarks(values_, result.grid);
+  result.interior = InteriorMarks(result.grid, values_.data(),
+                                  static_cast<int64_t>(values_.size()));
   return result;
 }
 

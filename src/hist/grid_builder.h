@@ -51,10 +51,6 @@ class AttrGridBuilder {
   /// through the sketch's deterministic fold for the sketch method).
   virtual void Add(const double* values, int64_t n) = 0;
 
-  /// Like Add, but may take ownership of the buffer to avoid a copy
-  /// (the exact builder does when it is still empty).
-  virtual void AddOwned(std::vector<double>&& values);
-
   /// Folds another builder of the same concrete type into this one.
   /// Shard ingestion must merge in ascending shard order to stay
   /// deterministic.
@@ -72,11 +68,13 @@ class AttrGridBuilder {
 /// kEqualDepth) selects the cuts (IntervalGrid::EqualDepth), which is
 /// byte-identical to IntervalGrid::EqualDepthFromSorted on the sorted
 /// column; the interior marks come from one pass over the unsorted
-/// buffer and equal InteriorMarksFromSorted on the sorted column.
+/// buffer (InteriorMarks) and equal InteriorMarksFromSorted on the
+/// sorted column. The CMP build driver selects its grids directly over
+/// the borrowed column instead; this builder serves the benchmark's
+/// setup replay and the tests.
 class ExactAttrGridBuilder : public AttrGridBuilder {
  public:
   void Add(const double* values, int64_t n) override;
-  void AddOwned(std::vector<double>&& values) override;
   void MergeFrom(AttrGridBuilder& other) override;
   AttrGridResult Finish(int q, Discretization kind) override;
   int64_t MemoryBytes() const override;
@@ -111,6 +109,20 @@ class SketchAttrGridBuilder : public AttrGridBuilder {
 /// it as the oracle for the exact builder's one-pass marks.
 std::vector<char> InteriorMarksFromSorted(const std::vector<double>& sorted,
                                           const IntervalGrid& grid);
+
+/// The same marks from `n` values in any order, in one pass: interval i
+/// is interior iff its smallest value is below its largest. The
+/// overloads with `codes` also store each value's interval index
+/// (grid.IntervalOf(values[r])) in codes[r], so one visit per value
+/// yields both the marks and the bin codes; `codes` holds `n` entries.
+std::vector<char> InteriorMarks(const IntervalGrid& grid,
+                                const double* values, int64_t n);
+std::vector<char> InteriorMarks(const IntervalGrid& grid,
+                                const double* values, int64_t n,
+                                uint8_t* codes);
+std::vector<char> InteriorMarks(const IntervalGrid& grid,
+                                const double* values, int64_t n,
+                                uint16_t* codes);
 
 std::unique_ptr<AttrGridBuilder> MakeAttrGridBuilder(
     GridMethod method,

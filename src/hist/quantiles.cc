@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cassert>
+#include <cmath>
 #include <utility>
 
 namespace cmp {
@@ -185,6 +186,7 @@ IntervalGrid IntervalGrid::FromRankCuts(const std::vector<double>& rank_cuts,
   while (!grid.boundaries_.empty() && grid.boundaries_.back() >= max_value) {
     grid.boundaries_.pop_back();
   }
+  grid.BuildIndex();
   return grid;
 }
 
@@ -192,20 +194,42 @@ IntervalGrid IntervalGrid::EqualWidth(const std::vector<double>& values,
                                       int q) {
   IntervalGrid grid;
   if (values.empty()) return grid;
-  const auto [lo_key, hi_key] = KeyRange(
-      values.data(), static_cast<int64_t>(values.size()), OrderKey);
-  const double lo = FromOrderKey(lo_key);
-  const double hi = FromOrderKey(hi_key);
-  grid.min_value_ = lo;
-  grid.max_value_ = hi;
-  if (q <= 1 || lo == hi) return grid;  // constant column: one interval
-  grid.boundaries_.reserve(q - 1);
-  for (int i = 1; i < q; ++i) {
-    const double cut = lo + (hi - lo) * i / q;
-    if (grid.boundaries_.empty() || cut > grid.boundaries_.back()) {
-      grid.boundaries_.push_back(cut);
+  // The true extremes bound the grid's domain; the finite ones bound the
+  // span the cuts divide.
+  uint64_t lo_key = ~uint64_t{0};
+  uint64_t hi_key = 0;
+  uint64_t finite_lo_key = ~uint64_t{0};
+  uint64_t finite_hi_key = 0;
+  for (double v : values) {
+    const uint64_t key = OrderKey(v);
+    lo_key = std::min(lo_key, key);
+    hi_key = std::max(hi_key, key);
+    if (std::isfinite(v)) {
+      finite_lo_key = std::min(finite_lo_key, key);
+      finite_hi_key = std::max(finite_hi_key, key);
     }
   }
+  grid.min_value_ = FromOrderKey(lo_key);
+  grid.max_value_ = FromOrderKey(hi_key);
+  const double lo = FromOrderKey(finite_lo_key);
+  const double hi = FromOrderKey(finite_hi_key);
+  // A constant column (or no two distinct finite values): one interval.
+  if (q > 1 && finite_lo_key <= finite_hi_key && lo < hi) {
+    grid.boundaries_.reserve(q - 1);
+    const double span = hi - lo;
+    for (int i = 1; i < q; ++i) {
+      // A span that overflows has lo < 0 < hi, so the weighted sum of
+      // the two scaled extremes cannot.
+      const double cut = std::isfinite(span)
+                             ? lo + span * i / q
+                             : lo / q * (q - i) + hi / q * i;
+      if (std::isfinite(cut) && cut < grid.max_value_ &&
+          (grid.boundaries_.empty() || cut > grid.boundaries_.back())) {
+        grid.boundaries_.push_back(cut);
+      }
+    }
+  }
+  grid.BuildIndex();
   return grid;
 }
 
@@ -222,7 +246,31 @@ IntervalGrid IntervalGrid::FromBoundaries(std::vector<double> boundaries,
     grid.min_value_ = min_value;
     grid.max_value_ = max_value;
   }
+  grid.BuildIndex();
   return grid;
+}
+
+void IntervalGrid::BuildIndex() {
+  const size_t m = boundaries_.size();
+  int nb = 1;
+  while (nb < kMaxBuckets && static_cast<size_t>(nb) < 4 * m) nb *= 2;
+  origin_ = 0.0;
+  scale_ = 0.0;
+  if (m > 1) {
+    const double span = boundaries_.back() - boundaries_.front();
+    const double scale = nb / span;
+    if (std::isfinite(span) && std::isfinite(scale)) {
+      origin_ = boundaries_.front();
+      scale_ = scale;
+    }
+  }
+  if (scale_ == 0.0) nb = 1;
+  top_ = nb - 1;
+  first_.assign(nb + 1, 0);
+  for (double cut : boundaries_) ++first_[BucketOf(cut) + 1];
+  for (int b = 0; b < nb; ++b) first_[b + 1] += first_[b];
+  sentinel_cuts_ = boundaries_;
+  sentinel_cuts_.push_back(std::numeric_limits<double>::infinity());
 }
 
 }  // namespace cmp

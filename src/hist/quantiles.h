@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/types.h"
@@ -53,9 +54,12 @@ class IntervalGrid {
                                    double min_value, double max_value);
 
   /// Builds an equal-width grid: `q` intervals of identical value span
-  /// across [min, max] (the paper's other discretization option; one
-  /// min/max pass, no ordering work — but skewed data piles into few
-  /// intervals).
+  /// across the finite values' [min, max] (the paper's other
+  /// discretization option; one min/max pass, no ordering work — but
+  /// skewed data piles into few intervals). Infinite values fall in the
+  /// outer intervals, a span too wide for a double is divided without
+  /// overflow, and only finite cuts below the largest value are kept.
+  /// The grid's min/max are the true extremes, infinities included.
   static IntervalGrid EqualWidth(const std::vector<double>& values, int q);
 
   /// Builds a grid from explicit, strictly increasing cut values and
@@ -69,19 +73,23 @@ class IntervalGrid {
   }
 
   /// Index of the interval containing `v`, in [0, num_intervals()):
-  /// the first cut >= v (std::lower_bound). A branchless search whose
-  /// trip count depends only on the cut count; the multiply keeps GCC
-  /// from turning the select back into a branch.
+  /// the first cut >= v (std::lower_bound), for every non-NaN double; a
+  /// NaN gives 0. One multiply maps `v` to a bucket of the grid's bucket
+  /// index, whose range of cuts (usually empty or one cut) is then
+  /// searched without branching on the data. The range ends at a cut of
+  /// a higher bucket, which is above `v`, or at the +inf sentinel, so the
+  /// final compare may read one past it.
   int IntervalOf(double v) const {
-    const double* base = boundaries_.data();
-    size_t len = boundaries_.size();
-    if (len == 0) return 0;
+    const int b = BucketOf(v);
+    const double* const cuts = sentinel_cuts_.data();
+    const double* base = cuts + first_[b];
+    size_t len = static_cast<size_t>(first_[b + 1] - first_[b]);
     while (len > 1) {
       const size_t half = len / 2;
       base += static_cast<size_t>(base[half - 1] < v) * half;
       len -= half;
     }
-    return static_cast<int>(base - boundaries_.data()) + (*base < v);
+    return static_cast<int>(base - cuts) + (*base < v);
   }
 
   /// The cut value at the *upper* edge of interval `i`; only valid for
@@ -97,15 +105,43 @@ class IntervalGrid {
   double min_value() const { return min_value_; }
   double max_value() const { return max_value_; }
 
-  /// Bytes used by the grid (for memory accounting).
+  /// Bytes used by the grid and its bucket index (for memory
+  /// accounting).
   int64_t MemoryBytes() const {
-    return static_cast<int64_t>(boundaries_.size()) * sizeof(double);
+    return static_cast<int64_t>(boundaries_.size()) * sizeof(double) +
+           static_cast<int64_t>(first_.size()) * sizeof(int32_t) +
+           static_cast<int64_t>(sentinel_cuts_.size()) * sizeof(double);
   }
 
  private:
+  // Bucket of `v` in the bucket index: (v - origin) * scale, clamped to
+  // [0, nb - 1] before the integer conversion. Monotone in `v`, so a cut
+  // in a lower bucket is below every value of a higher one. Cuts and
+  // probes both get their bucket here; a NaN lands in bucket 0.
+  int BucketOf(double v) const {
+    const double x = std::min(std::max(0.0, (v - origin_) * scale_), top_);
+    return static_cast<int>(x);
+  }
+
+  // Builds the bucket index over [cuts.front(), cuts.back()]; every
+  // factory calls it once the cuts are final.
+  void BuildIndex();
+
   std::vector<double> boundaries_;
   double min_value_ = 0.0;
   double max_value_ = 0.0;
+  // The bucket index: nb buckets, nb the smallest power of two >= 4 x
+  // the cut count, capped at kMaxBuckets. first_[b] is the number of cuts
+  // whose bucket is below b, and first_[nb] is the cut count. A span or
+  // scale that is not finite leaves one bucket: a plain binary search.
+  static constexpr int kMaxBuckets = 4096;
+  double origin_ = 0.0;
+  double scale_ = 0.0;
+  double top_ = 0.0;  // nb - 1
+  std::vector<int32_t> first_ = std::vector<int32_t>(2, 0);
+  // The cuts followed by +inf, which IntervalOf searches.
+  std::vector<double> sentinel_cuts_ = {
+      std::numeric_limits<double>::infinity()};
 };
 
 }  // namespace cmp

@@ -26,6 +26,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -154,6 +155,17 @@ bool HasFlag(int argc, char** argv, const std::string& name) {
 // Upper bound of --threads and --scan-shards: far above any machine this
 // runs on, far below the thread counts that stall or exhaust memory.
 constexpr int kMaxThreads = 1024;
+
+// Upper bound of every --block flag (records per block).
+constexpr int64_t kMaxBlock = int64_t{1} << 24;
+
+// Upper bound of gen's --records: 2^32 records, far beyond any table
+// this writes, well short of sizes whose allocation fails.
+constexpr int64_t kMaxGenRecords = int64_t{1} << 32;
+
+// Upper bound of train's --intervals: the most grid rows a bin code can
+// address (hist/bin_codes.h).
+constexpr int64_t kMaxIntervals = 65536;
 
 // Parses a whole-number flag (absent: `def`). Accepts only a whole
 // decimal number in [lo, hi]; a sign, fraction, trailing text or value
@@ -302,9 +314,22 @@ int CmdGen(int argc, char** argv) {
   }
   cmp::AgrawalOptions o;
   o.function = function;
-  o.num_records = std::atoll(GetFlag(argc, argv, "--records", "100000").c_str());
-  o.seed = std::atoll(GetFlag(argc, argv, "--seed", "42").c_str());
-  o.perturbation = std::atof(GetFlag(argc, argv, "--perturb", "0").c_str());
+  int64_t seed = 0;
+  if (!ParseWholeFlag(argc, argv, "--records", 0, kMaxGenRecords, 100000,
+                      &o.num_records) ||
+      !ParseWholeFlag(argc, argv, "--seed", 0,
+                      std::numeric_limits<int64_t>::max(), 42, &seed)) {
+    return kExitBadArgs;
+  }
+  o.seed = static_cast<uint64_t>(seed);
+  if (HasFlag(argc, argv, "--perturb")) {
+    const std::string v = GetFlag(argc, argv, "--perturb");
+    if (!cmp::ParseDecimal(v, 0.0, 1.0, &o.perturbation)) {
+      std::cerr << "--perturb must be a decimal number in [0, 1] (got '" << v
+                << "')\n";
+      return kExitBadArgs;
+    }
+  }
   const std::string out = GetFlag(argc, argv, "--out");
   if (out.empty()) return Usage();
   cmp::Dataset ds;
@@ -324,9 +349,8 @@ int CmdGen(int argc, char** argv) {
       std::cerr << "unknown drift function\n";
       return kExitBadArgs;
     }
-    d.drift_at = std::atoll(GetFlag(argc, argv, "--drift-at").c_str());
-    if (d.drift_at < 0 || d.drift_at > o.num_records) {
-      std::cerr << "--drift-at must be in [0, --records]\n";
+    if (!ParseWholeFlag(argc, argv, "--drift-at", 0, o.num_records, 0,
+                        &d.drift_at)) {
       return kExitBadArgs;
     }
     d.num_records = o.num_records;
@@ -340,10 +364,8 @@ int CmdGen(int argc, char** argv) {
   // shell script can split one seeded stream into an exact prefix
   // (gen --records S) and suffix (gen --records N --skip S) — the
   // train-then-refit workflow without a separate slicing tool.
-  const int64_t skip =
-      std::atoll(GetFlag(argc, argv, "--skip", "0").c_str());
-  if (skip < 0 || skip > o.num_records) {
-    std::cerr << "--skip must be in [0, --records]\n";
+  int64_t skip = 0;
+  if (!ParseWholeFlag(argc, argv, "--skip", 0, o.num_records, 0, &skip)) {
     return kExitBadArgs;
   }
   if (skip > 0) {
@@ -387,10 +409,8 @@ int CmdTrainStreamed(int argc, char** argv, int intervals, int threads,
               << ")\n";
     return kExitBadArgs;
   }
-  const int64_t block =
-      std::atoll(GetFlag(argc, argv, "--block", "65536").c_str());
-  if (block <= 0) {
-    std::cerr << "--block must be > 0\n";
+  int64_t block = 0;
+  if (!ParseWholeFlag(argc, argv, "--block", 1, kMaxBlock, 65536, &block)) {
     return kExitBadArgs;
   }
   auto source = cmp::TableBlockSource::Open(data, block);
@@ -462,10 +482,8 @@ int CmdTrainCmpStream(int argc, char** argv, int intervals, int threads) {
   std::unique_ptr<cmp::DatasetBlockSource> mem_source;
   cmp::BlockSource* source = nullptr;
   if (HasFlag(argc, argv, "--stream")) {
-    const int64_t block =
-        std::atoll(GetFlag(argc, argv, "--block", "65536").c_str());
-    if (block <= 0) {
-      std::cerr << "--block must be > 0\n";
+    int64_t block = 0;
+    if (!ParseWholeFlag(argc, argv, "--block", 1, kMaxBlock, 65536, &block)) {
       return kExitBadArgs;
     }
     table_source = cmp::TableBlockSource::Open(data, block);
@@ -573,10 +591,8 @@ int CmdRefit(int argc, char** argv) {
   std::unique_ptr<cmp::DatasetBlockSource> mem_source;
   cmp::BlockSource* source = nullptr;
   if (HasFlag(argc, argv, "--stream")) {
-    const int64_t block =
-        std::atoll(GetFlag(argc, argv, "--block", "65536").c_str());
-    if (block <= 0) {
-      std::cerr << "--block must be > 0\n";
+    int64_t block = 0;
+    if (!ParseWholeFlag(argc, argv, "--block", 1, kMaxBlock, 65536, &block)) {
       return kExitBadArgs;
     }
     table_source = cmp::TableBlockSource::Open(data, block);
@@ -639,12 +655,16 @@ int CmdTrain(int argc, char** argv) {
   const std::string out = GetFlag(argc, argv, "--out");
   const std::string algo = GetFlag(argc, argv, "--algo", "cmp");
   if (data.empty() || out.empty()) return Usage();
-  const int intervals =
-      std::atoi(GetFlag(argc, argv, "--intervals", "100").c_str());
-  if (intervals < 1) {
-    std::cerr << "--intervals must be >= 1\n";
-    return kExitBadArgs;
+  int64_t q = 100;
+  if (HasFlag(argc, argv, "--intervals")) {
+    const std::string v = GetFlag(argc, argv, "--intervals");
+    if (!cmp::ParseWholeNumber(v, 1, kMaxIntervals, &q)) {
+      std::cerr << "--intervals must be >= 1: a whole number in [1, "
+                << kMaxIntervals << "] (got '" << v << "')\n";
+      return kExitBadArgs;
+    }
   }
+  const int intervals = static_cast<int>(q);
   int threads = 1;
   int scan_shards = 0;
   if (!ParseThreadCount(argc, argv, "--threads", 1, &threads) ||
@@ -1083,7 +1103,7 @@ int CmdPredict(int argc, char** argv) {
   cmp::PredictOptions opts;
   int64_t top_k = 1;
   if (!ParseThreadCount(argc, argv, "--threads", 1, &opts.num_threads) ||
-      !ParseWholeFlag(argc, argv, "--block", 1, int64_t{1} << 24, 2048,
+      !ParseWholeFlag(argc, argv, "--block", 1, kMaxBlock, 2048,
                       &opts.block_size) ||
       !ParseWholeFlag(argc, argv, "--top-k", 1, 65536, 1, &top_k)) {
     return kExitBadArgs;

@@ -100,6 +100,7 @@ std::string TrainStatsCollector::ToJson() const {
   os << "    \"predictions_total\": " << s.predictions_total << ",\n";
   os << "    \"predictions_correct\": " << s.predictions_correct << ",\n";
   os << "    \"root_alive_intervals\": " << s.root_alive_intervals << ",\n";
+  os << "    \"setup_seconds\": " << s.setup_seconds << ",\n";
   os << "    \"wall_seconds\": " << s.wall_seconds << "\n";
   os << "  }\n";
   os << "}\n";

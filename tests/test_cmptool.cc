@@ -289,6 +289,67 @@ TEST_F(CmptoolTest, ExitCodesDistinguishFailureKinds) {
         << good << ": " << out;
   }
   std::remove(TempPath("flags.csv").c_str());
+  // gen's counts, seed and perturbation, and train's interval and block
+  // counts, are read whole or rejected, never up to a bad character.
+  const std::string gen_out = " --out " + TempPath("gen_flags.cmpt");
+  for (const auto& [args, message] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"--records -5",
+            "--records must be a whole number in [0, 4294967296]"},
+           {"--records abc",
+            "--records must be a whole number in [0, 4294967296]"},
+           {"--records 1000x",
+            "--records must be a whole number in [0, 4294967296]"},
+           {"--records 4294967297",
+            "--records must be a whole number in [0, 4294967296]"},
+           {"--records 1000 --seed 7q",
+            "--seed must be a whole number in [0, 9223372036854775807]"},
+           {"--records 1000 --seed -1",
+            "--seed must be a whole number in [0, 9223372036854775807]"},
+           {"--records 1000 --skip 1001",
+            "--skip must be a whole number in [0, 1000]"},
+           {"--records 1000 --skip 5x",
+            "--skip must be a whole number in [0, 1000]"},
+           {"--records 1000 --drift-at 1001 --drift-function F7",
+            "--drift-at must be a whole number in [0, 1000]"},
+           {"--records 1000 --drift-at -1 --drift-function F7",
+            "--drift-at must be a whole number in [0, 1000]"},
+           {"--records 1000 --perturb 1.5",
+            "--perturb must be a decimal number in [0, 1]"},
+           {"--records 1000 --perturb 0.1x",
+            "--perturb must be a decimal number in [0, 1]"},
+           {"--records 1000 --perturb -0.1",
+            "--perturb must be a decimal number in [0, 1]"}}) {
+    EXPECT_EQ(RunTool("gen --function F2 " + args + gen_out, &out), kBadArgs)
+        << args;
+    EXPECT_NE(out.find(message), std::string::npos) << args << ": " << out;
+  }
+  EXPECT_EQ(RunTool("gen --function F2 --records 1000 --seed 7 --skip 1000"
+                    " --perturb 0.05 --drift-at 1000 --drift-function F7" +
+                    gen_out, &out),
+            0)
+      << out;
+  std::remove(TempPath("gen_flags.cmpt").c_str());
+  for (const char* q : {"1x", "65537", "abc", "2.5"}) {
+    EXPECT_EQ(RunTool("train --data " + data_ + " --algo cmp --intervals " +
+                      q + " --out " + tree_, &out),
+              kBadArgs)
+        << "--intervals " << q;
+    EXPECT_NE(out.find("--intervals must be >= 1"), std::string::npos)
+        << out;
+  }
+  for (const char* mode :
+       {" --algo cmp --stream", " --algo cmp-stream --stream"}) {
+    for (const char* block : {"-5", "1x", "16777217"}) {
+      EXPECT_EQ(RunTool("train --data " + data_ + mode + " --block " + block +
+                        " --out " + tree_, &out),
+                kBadArgs)
+          << mode << " --block " << block;
+      EXPECT_NE(out.find("--block must be a whole number in [1, 16777216]"),
+                std::string::npos)
+          << out;
+    }
+  }
   EXPECT_EQ(RunTool("explain --data " + data_ + " --tree " + tree_ +
                 " --record 99999999"),
             kBadArgs);
@@ -448,6 +509,21 @@ TEST_F(CmptoolTest, StatsJsonEmitsObserverMetrics) {
   EXPECT_NE(json.find("\"frontier_fresh\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"tree_nodes\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"wall_seconds\""), std::string::npos) << json;
+  // Setup (grids, marks, bin codes) is the time before the first pass:
+  // part of the build's wall time, and printed on the summary line.
+  double setup = -1.0;
+  double wall = -1.0;
+  for (std::istringstream lines(json); std::getline(lines, line);) {
+    if (line.find("\"setup_seconds\": ") != std::string::npos) {
+      setup = JsonNumber(line, "setup_seconds");
+    }
+    if (line.find("\"wall_seconds\": ") != std::string::npos) {
+      wall = JsonNumber(line, "wall_seconds");
+    }
+  }
+  EXPECT_GT(setup, 0.0) << json;
+  EXPECT_LE(setup, wall) << json;
+  EXPECT_NE(out.find(" setup_s="), std::string::npos) << out;
   // The scan's two phases are reported per pass and fit inside it.
   int pass_lines = 0;
   for (std::istringstream lines(json); std::getline(lines, line);) {
@@ -475,6 +551,21 @@ TEST_F(CmptoolTest, StatsJsonEmitsObserverMetrics) {
   const std::string json2 = buffer2.str();
   EXPECT_NE(json2.find("\"builder\": \"CMP-B\""), std::string::npos) << json2;
   EXPECT_NE(json2.find("\"bytes_read\""), std::string::npos) << json2;
+  EXPECT_EQ(json2.find("\"setup_seconds\": 0,"), std::string::npos) << json2;
+  std::remove(stats.c_str());
+
+  // Builders outside the CMP family report no setup.
+  ASSERT_EQ(RunTool("train --data " + data_ + " --algo sliq --out " + tree_ +
+                    " --stats-json " + stats,
+                    &out),
+            0);
+  std::ifstream is_sliq(stats);
+  std::ostringstream buffer_sliq;
+  buffer_sliq << is_sliq.rdbuf();
+  EXPECT_NE(buffer_sliq.str().find("\"setup_seconds\": 0,"),
+            std::string::npos)
+      << buffer_sliq.str();
+  EXPECT_NE(out.find(" setup_s=0 "), std::string::npos) << out;
   std::remove(stats.c_str());
 
   // The line-search split of plan is reported per pass; CMP-S searches

@@ -14,6 +14,7 @@
 
 #include "common/random.h"
 #include "hist/grid_builder.h"
+#include "hist/sketch.h"
 
 namespace cmp {
 namespace {
@@ -171,6 +172,9 @@ std::vector<std::pair<std::string, std::vector<double>>> SelectionColumns() {
   add("1e300 outlier", [&](int i) {
     return i == 7 ? 1e300 : rng.Uniform(20000, 150000);
   });
+  add("1e308 extremes", [&](int i) {
+    return i == 3 ? -1e308 : i == 5 ? 1e308 : rng.Uniform(-50, 50);
+  });
   add("signed zeros", [&](int i) {
     return i % 4 == 0 ? -0.0 : i % 4 == 2 ? 0.0 : rng.Uniform(-3, 3);
   });
@@ -217,10 +221,6 @@ TEST(EqualDepthSelection, ExactBuilderMarksMatchSortedScan) {
     const std::vector<double> sorted = TotalOrderSorted(values);
     for (const Discretization kind :
          {Discretization::kEqualDepth, Discretization::kEqualWidth}) {
-      // Equal-width cuts between infinite extremes are NaN.
-      if (kind == Discretization::kEqualWidth && name == "infinities") {
-        continue;
-      }
       for (const int q : {2, 100, 300}) {
         const std::string what =
             name + (kind == Discretization::kEqualDepth ? " depth" : " width") +
@@ -240,7 +240,131 @@ TEST(EqualDepthSelection, ExactBuilderMarksMatchSortedScan) {
   }
 }
 
-// -- The branchless search against std::lower_bound ----------------------
+// -- Equal-width grids over infinite and huge extremes --------------------
+
+// Every finite value of the column must not pile into interval 0: the
+// cuts divide the finite values' span, are finite, ascend strictly and
+// stay below the largest value.
+void ExpectFiniteCutsSpreadValues(const std::vector<double>& values, int q,
+                                  const std::string& what) {
+  const IntervalGrid grid = IntervalGrid::EqualWidth(values, q);
+  const std::vector<double>& cuts = grid.boundaries();
+  ASSERT_FALSE(cuts.empty()) << what;
+  for (size_t i = 0; i < cuts.size(); ++i) {
+    EXPECT_TRUE(std::isfinite(cuts[i])) << what << " cut " << i;
+    EXPECT_LT(cuts[i], grid.max_value()) << what << " cut " << i;
+    if (i > 0) {
+      EXPECT_LT(cuts[i - 1], cuts[i]) << what << " cut " << i;
+    }
+  }
+  int last_finite = 0;
+  for (double v : values) {
+    if (std::isfinite(v)) {
+      last_finite = std::max(last_finite, grid.IntervalOf(v));
+    }
+  }
+  EXPECT_GT(last_finite, 0) << what;
+}
+
+TEST(EqualWidthExtremes, InfiniteAndHugeExtremesKeepFiniteCuts) {
+  ExpectFiniteCutsSpreadValues({-kInf, 1, 2, 3, kInf}, 4, "-inf..inf");
+  ExpectFiniteCutsSpreadValues({1, 2, 3, kInf}, 4, "..inf");
+  ExpectFiniteCutsSpreadValues({-kInf, 1, 2, 3}, 4, "-inf..");
+  ExpectFiniteCutsSpreadValues({-1e308, 0, 1e308}, 4, "+-1e308");
+  ExpectFiniteCutsSpreadValues({-1.7e308, 1.7e308}, 300, "+-1.7e308");
+  // The divided span runs over the finite values only.
+  const IntervalGrid grid = IntervalGrid::EqualWidth({-kInf, 1, 2, 3, kInf}, 4);
+  EXPECT_EQ(grid.boundaries(), (std::vector<double>{1.5, 2.0, 2.5}));
+  EXPECT_EQ(grid.min_value(), -kInf);
+  EXPECT_EQ(grid.max_value(), kInf);
+  const IntervalGrid huge = IntervalGrid::EqualWidth({-1e308, 1e308}, 4);
+  ASSERT_EQ(huge.boundaries().size(), 3u);
+  EXPECT_NEAR(huge.boundaries()[0] / 5e307, -1.0, 1e-12);
+  EXPECT_EQ(huge.boundaries()[1], 0.0);
+  EXPECT_NEAR(huge.boundaries()[2] / 5e307, 1.0, 1e-12);
+  // No two distinct finite values: nothing to divide.
+  EXPECT_EQ(IntervalGrid::EqualWidth({-kInf, 5, kInf}, 4).num_intervals(), 1);
+  EXPECT_EQ(IntervalGrid::EqualWidth({-kInf, kInf}, 4).num_intervals(), 1);
+}
+
+// -- The bucketed lookup against std::lower_bound -------------------------
+
+int LowerBound(const std::vector<double>& cuts, double v) {
+  return static_cast<int>(std::lower_bound(cuts.begin(), cuts.end(), v) -
+                          cuts.begin());
+}
+
+// Probes `grid` with every value, every cut and both of its neighbours,
+// and the special values; each must land where std::lower_bound puts it,
+// and NaN in interval 0.
+void ExpectLowerBoundEverywhere(const IntervalGrid& grid,
+                                const std::vector<double>& values,
+                                const std::string& what) {
+  const std::vector<double>& cuts = grid.boundaries();
+  std::vector<double> probes = values;
+  for (double cut : cuts) {
+    probes.push_back(cut);
+    probes.push_back(std::nextafter(cut, -kInf));
+    probes.push_back(std::nextafter(cut, kInf));
+  }
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  for (double v : {0.0, -0.0, kInf, -kInf, 1e308, -1e308, tiny, -tiny}) {
+    probes.push_back(v);
+  }
+  for (double v : probes) {
+    ASSERT_EQ(grid.IntervalOf(v), LowerBound(cuts, v))
+        << what << " v=" << v << " cuts=" << cuts.size();
+  }
+  EXPECT_EQ(grid.IntervalOf(std::numeric_limits<double>::quiet_NaN()), 0)
+      << what;
+}
+
+TEST(IntervalOf, EqualsLowerBoundOnEveryGridKind) {
+  for (const auto& [name, values] : SelectionColumns()) {
+    const int n = static_cast<int>(values.size());
+    for (const int q : {1, 2, 100, 300, n + 5}) {
+      const std::string what = name + " q=" + std::to_string(q);
+      ExpectLowerBoundEverywhere(IntervalGrid::EqualDepth(values, q), values,
+                                 what + " depth");
+      ExpectLowerBoundEverywhere(IntervalGrid::EqualWidth(values, q), values,
+                                 what + " width");
+      QuantileSketch sketch(64);
+      sketch.AddN(values.data(), n);
+      ExpectLowerBoundEverywhere(sketch.ToEqualDepthGrid(q), values,
+                                 what + " sketch");
+    }
+  }
+}
+
+TEST(IntervalOf, EqualsLowerBoundOnClusteredCuts) {
+  // 50 cuts one ulp apart, then a jump of 1e6: the cluster shares one
+  // bucket, which the lookup must search in full.
+  std::vector<double> cuts = {1.0};
+  for (int i = 1; i < 50; ++i) {
+    cuts.push_back(std::nextafter(cuts.back(), kInf));
+  }
+  for (int i = 0; i < 10; ++i) cuts.push_back(cuts.back() + 1e6);
+  std::vector<double> values;
+  Rng rng(78);
+  for (int i = 0; i < 200; ++i) values.push_back(rng.Uniform(-1e6, 2e7));
+  ExpectLowerBoundEverywhere(IntervalGrid::FromBoundaries(cuts), values,
+                             "clustered");
+  // The same cluster with infinite and huge outer cuts: a span that is
+  // not finite falls back to one bucket.
+  std::vector<double> wide = cuts;
+  wide.insert(wide.begin(), -kInf);
+  wide.push_back(kInf);
+  ExpectLowerBoundEverywhere(IntervalGrid::FromBoundaries(wide), values,
+                             "clustered, infinite ends");
+  std::vector<double> huge = cuts;
+  huge.insert(huge.begin(), -1e308);
+  huge.push_back(1e308);
+  ExpectLowerBoundEverywhere(IntervalGrid::FromBoundaries(huge), values,
+                             "clustered, +-1e308 ends");
+  ExpectLowerBoundEverywhere(IntervalGrid(), values, "default grid");
+}
+
+// -- The lookup against std::lower_bound for every cut count ---------------
 
 TEST(IntervalOf, EqualsLowerBoundForEveryCutCount) {
   Rng rng(77);
