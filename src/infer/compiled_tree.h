@@ -206,17 +206,6 @@ class CompiledTree {
                  [&ds](RecordId r) { return DatasetRow{&ds, r}; });
   }
 
-  /// Same over raw dense rows (layout as in LeafIndexOfRow, rows
-  /// row-major with one slot per schema attribute).
-  void LeafIndicesOfRows(const double* numeric, const int32_t* categorical,
-                         int64_t begin, int64_t end, int32_t* out) const {
-    const int32_t na = schema_->num_attrs();
-    DescendRange(begin, end, out, [=](int64_t i) {
-      return RawRow{numeric + i * na,
-                    categorical == nullptr ? nullptr : categorical + i * na};
-    });
-  }
-
   /// Same descent over a raw dense row: both arrays are indexed by AttrId
   /// and sized schema().num_attrs(); only the slot matching each
   /// attribute's kind is ever read. `categorical` may be null for an

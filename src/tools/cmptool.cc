@@ -25,6 +25,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <limits>
 #include <memory>
@@ -32,7 +33,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
-#include <string_view>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -46,6 +47,7 @@
 #include "io/block_source.h"
 #include "io/csv.h"
 #include "io/sketch_sidecar.h"
+#include "io/stream.h"
 #include "stream/refit.h"
 #include "stream/stream_train.h"
 #include "common/timer.h"
@@ -126,6 +128,9 @@ int Usage() {
       "                (--tree also accepts one compiled .cmpb blob)\n"
       "                [--threads N] [--block B] [--probs] [--top-k K]\n"
       "                [--abstain P] [--vote majority|prob]\n"
+      "                (--threads N workers read, score and format\n"
+      "                 blocks; default 0 = one per hardware thread, as\n"
+      "                 in cmpserve. The output does not depend on it.)\n"
       "  cmptool show  --tree FILE\n"
       "  cmptool dot   --tree FILE\n"
       "  cmptool explain --data FILE --tree FILE --record N\n"
@@ -839,245 +844,370 @@ int CmdCompile(int argc, char** argv) {
   return kExitOk;
 }
 
-// Buffers predict's CSV and hands it to the stream in ~1 MB writes.
-// Numbers go through std::to_chars; a float prints in the general format
-// at precision 6, the same bytes `ostream << float` gives by default.
-class CsvWriter {
- public:
-  explicit CsvWriter(std::ostream& os) : os_(os) {
-    buf_.reserve(kChunk + 4096);
-  }
-
-  void Put(char c) { buf_.push_back(c); }
-  void Put(std::string_view s) { buf_.append(s); }
-  void PutInt(int64_t v) {
-    char tmp[24];
-    buf_.append(tmp, std::to_chars(tmp, tmp + sizeof(tmp), v).ptr);
-  }
-  void PutFloat(float v) {
-    char tmp[32];
-    buf_.append(tmp, std::to_chars(tmp, tmp + sizeof(tmp), v,
-                                   std::chars_format::general, 6)
-                         .ptr);
-  }
-  void EndRow() {
-    buf_.push_back('\n');
-    if (buf_.size() >= kChunk) Drain();
-  }
-  // False once a write to the stream has failed.
-  bool good() const { return os_.good(); }
-  // Writes out the rest and flushes; false if any write failed.
-  bool Finish() {
-    Drain();
-    os_.flush();
-    return os_.good();
-  }
-
- private:
-  static constexpr size_t kChunk = size_t{1} << 20;
-
-  void Drain() {
-    os_.write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
-    buf_.clear();
-  }
-
-  std::ostream& os_;
-  std::string buf_;
-};
-
 // Records per block of predict's pipeline: large enough that the
-// per-block hand-off costs nothing measurable, small enough that the few
+// per-block hand-off costs nothing measurable, small enough that the
 // blocks in flight take a few MB whatever the table's size.
 constexpr int64_t kPredictBlock = 16384;
 
-// One scored block on its way from the reading thread to the writer.
-struct ScoredBlock {
-  int64_t begin = 0;  // record id of the block's first row
-  std::vector<cmp::ClassId> actual;  // in the model's class ids
-  cmp::BatchResult result;
-};
+void AppendInt(int64_t v, std::string* out) {
+  char tmp[24];
+  out->append(tmp, std::to_chars(tmp, tmp + sizeof(tmp), v).ptr);
+}
 
-// Formats scored blocks into predict's CSV on a thread of its own, in
-// the order they are published. The reading thread fills one of kSlots
-// slots while the writer formats and writes the others, so scoring block
-// k overlaps with writing block k-1, and memory is bounded by kSlots
-// blocks instead of by the table.
-class PredictCsvWriter {
+// The general format at precision 6: the bytes `ostream << float` gives
+// by default.
+void AppendFloat(float v, std::string* out) {
+  char tmp[32];
+  out->append(tmp, std::to_chars(tmp, tmp + sizeof(tmp), v,
+                                 std::chars_format::general, 6)
+                       .ptr);
+}
+
+// Formats predict's CSV. Class names are looked up in the model's
+// schema, never built per row. Rows is safe to call from several
+// threads at once.
+class PredictCsv {
  public:
-  // Formats the header row at once; `os` and `model_schema` must outlive
-  // the writer.
-  PredictCsvWriter(std::ostream& os, const cmp::Schema& model_schema,
-                   const cmp::PredictOptions& opts)
-      : csv_(os),
-        model_schema_(model_schema),
+  // `model_schema` must outlive the formatter.
+  PredictCsv(const cmp::Schema& model_schema, const cmp::PredictOptions& opts)
+      : schema_(model_schema),
         want_probs_(opts.want_probs),
-        top_k_(opts.top_k) {
-    PutHeader();
-    thread_ = std::thread([this] {
-      try {
-        Run();
-      } catch (const std::exception&) {  // e.g. out of memory mid-format
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          failed_ = true;
-        }
-        released_.notify_one();
-      }
-    });
-  }
-  ~PredictCsvWriter() { Stop(&aborted_); }
+        top_k_(opts.top_k) {}
 
-  PredictCsvWriter(const PredictCsvWriter&) = delete;
-  PredictCsvWriter& operator=(const PredictCsvWriter&) = delete;
-
-  // The slot to fill next, once the writer has released it; null after
-  // a write failed.
-  ScoredBlock* Acquire() {
-    std::unique_lock<std::mutex> lock(mu_);
-    released_.wait(lock, [this] {
-      return published_ - written_ < kSlots || failed_;
-    });
-    return failed_ ? nullptr : &slots_[published_ % kSlots];
-  }
-
-  // Hands the slot Acquire returned to the writer.
-  void Publish() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++published_;
-    }
-    filled_.notify_one();
-  }
-
-  // Writes every published block, flushes and joins the writer; false if
-  // a write failed.
-  bool Finish() {
-    Stop(&closed_);
-    return !failed_;
-  }
-
-  // Joins the writer without writing the blocks still queued.
-  void Abort() { Stop(&aborted_); }
-
-  // Rows whose prediction equals their actual class; read after Finish.
-  int64_t correct() const { return correct_; }
-
- private:
-  static constexpr int64_t kSlots = 3;
-
-  void Stop(bool* flag) {
-    if (!thread_.joinable()) return;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      *flag = true;
-    }
-    filled_.notify_one();
-    thread_.join();
-  }
-
-  void Run() {
-    for (;;) {
-      int64_t next = 0;
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        filled_.wait(lock, [this] {
-          return written_ < published_ || closed_ || aborted_;
-        });
-        if (aborted_) return;
-        if (written_ == published_) break;  // closed, all written
-        next = written_;
-      }
-      PutBlock(slots_[next % kSlots]);
-      const bool ok = csv_.good();
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++written_;
-        failed_ = !ok;
-      }
-      released_.notify_one();
-      if (!ok) return;
-    }
-    const bool ok = csv_.Finish();
-    std::lock_guard<std::mutex> lock(mu_);
-    failed_ = !ok;
-  }
-
-  // Class names are looked up in the model's schema, never built per row.
-  void PutClass(cmp::ClassId c) {
-    if (c == cmp::kInvalidClass) {
-      csv_.Put('?');
-    } else if (c < model_schema_.num_classes()) {
-      csv_.Put(model_schema_.class_name(c));
-    } else {
-      csv_.Put("class");
-      csv_.PutInt(c);
-    }
-  }
-
-  void PutHeader() {
-    csv_.Put("record,actual,predicted,correct");
+  void Header(std::string* out) const {
+    out->append("record,actual,predicted,correct");
     if (want_probs_) {
-      for (cmp::ClassId c = 0; c < model_schema_.num_classes(); ++c) {
-        csv_.Put(",prob_");
-        csv_.Put(model_schema_.class_name(c));
+      for (cmp::ClassId c = 0; c < schema_.num_classes(); ++c) {
+        out->append(",prob_");
+        out->append(schema_.class_name(c));
       }
     }
     if (top_k_ > 1) {
       for (int k = 0; k < top_k_; ++k) {
-        csv_.Put(",top");
-        csv_.PutInt(k + 1);
+        out->append(",top");
+        AppendInt(k + 1, out);
       }
     }
-    csv_.EndRow();
+    out->push_back('\n');
   }
 
-  void PutBlock(const ScoredBlock& block) {
-    const int32_t nc = model_schema_.num_classes();
-    const cmp::BatchResult& result = block.result;
-    for (size_t i = 0; i < block.actual.size(); ++i) {
-      const cmp::ClassId actual = block.actual[i];
+  // Appends the rows of a scored block whose first record is `begin`.
+  // `labels` are the data's class ids, which `to_model` maps to the
+  // model's. Returns how many rows were predicted correctly.
+  int64_t Rows(int64_t begin, const cmp::ClassId* labels,
+               const std::vector<cmp::ClassId>& to_model,
+               const cmp::BatchResult& result, std::string* out) const {
+    const int32_t nc = schema_.num_classes();
+    int64_t correct = 0;
+    for (size_t i = 0; i < result.labels.size(); ++i) {
+      const cmp::ClassId actual = to_model[labels[i]];
       const cmp::ClassId predicted = result.labels[i];
-      if (actual == predicted) ++correct_;
-      csv_.PutInt(block.begin + static_cast<int64_t>(i));
-      csv_.Put(',');
-      csv_.Put(model_schema_.class_name(actual));
-      csv_.Put(',');
-      PutClass(predicted);
-      csv_.Put(actual == predicted ? ",1" : ",0");
+      if (actual == predicted) ++correct;
+      AppendInt(begin + static_cast<int64_t>(i), out);
+      out->push_back(',');
+      out->append(schema_.class_name(actual));
+      out->push_back(',');
+      PutClass(predicted, out);
+      out->append(actual == predicted ? ",1" : ",0");
       if (want_probs_) {
         const float* probs = result.probs.data() + i * nc;
         for (int32_t c = 0; c < nc; ++c) {
-          csv_.Put(',');
-          csv_.PutFloat(probs[c]);
+          out->push_back(',');
+          AppendFloat(probs[c], out);
         }
       }
       if (top_k_ > 1) {
         const cmp::ClassId* topk = result.topk.data() + i * top_k_;
         for (int k = 0; k < top_k_; ++k) {
-          csv_.Put(',');
-          PutClass(topk[k]);
+          out->push_back(',');
+          PutClass(topk[k], out);
         }
       }
-      csv_.EndRow();
+      out->push_back('\n');
+    }
+    return correct;
+  }
+
+ private:
+  void PutClass(cmp::ClassId c, std::string* out) const {
+    if (c == cmp::kInvalidClass) {
+      out->push_back('?');
+    } else if (c < schema_.num_classes()) {
+      out->append(schema_.class_name(c));
+    } else {
+      out->append("class");
+      AppendInt(c, out);
     }
   }
 
-  CsvWriter csv_;  // used by the writer thread only, once it runs
-  const cmp::Schema& model_schema_;
+  const cmp::Schema& schema_;
   const bool want_probs_;
   const int top_k_;
-  int64_t correct_ = 0;  // writer thread; read after the join
+};
 
-  ScoredBlock slots_[kSlots];
+// Predict's input: a .cmpt table, read a block at a time, or a CSV or
+// ARFF file parsed whole into `text`. Read may run on several threads at
+// once, each with its own Reader.
+struct PredictInput {
+  // One thread's read state. A table gets its own scanner and staging
+  // block per thread, so every thread reads, and runs ReadBlock's NaN
+  // and range checks, on its own.
+  struct Reader {
+    std::unique_ptr<cmp::TableScanner> scanner;
+    cmp::ColumnBlock block;
+    cmp::BlockView view;
+  };
+
+  // Points `r->view` at records [begin, begin + count): zero-copy slices
+  // of `text`, or a block read from the table. False if the block cannot
+  // be read or fails a check.
+  bool Read(int64_t begin, int64_t count, Reader* r) const {
+    if (text == nullptr) {
+      if (r->scanner == nullptr) {
+        r->scanner = cmp::TableScanner::Open(path, kPredictBlock);
+      }
+      if (r->scanner == nullptr ||
+          !r->scanner->ReadBlock(begin, count, &r->block)) {
+        return false;
+      }
+    }
+    cmp::BlockView& view = r->view;
+    const int32_t na = schema.num_attrs();
+    view.begin = begin;
+    view.count = count;
+    view.numeric.assign(na, nullptr);
+    view.categorical.assign(na, nullptr);
+    for (cmp::AttrId a = 0; a < na; ++a) {
+      if (schema.is_numeric(a)) {
+        view.numeric[a] = text != nullptr
+                              ? text->numeric_column(a).data() + begin
+                              : r->block.numeric_col(a);
+      } else {
+        view.categorical[a] = text != nullptr
+                                  ? text->categorical_column(a).data() + begin
+                                  : r->block.categorical_col(a);
+      }
+    }
+    view.labels = text != nullptr ? text->labels().data() + begin
+                                  : r->block.labels();
+    return true;
+  }
+
+  std::string path;
+  cmp::Schema schema;
+  const cmp::Dataset* text = nullptr;  // set for CSV and ARFF
+};
+
+// One block of predict's output on its way from the thread that made it
+// to the thread that writes it. The times are on the command's clock:
+// when the block was started, and when its reading, scoring and
+// formatting ended.
+struct PredictSlot {
+  std::string csv;
+  int64_t correct = 0;
+  int64_t abstained = 0;
+  bool ok = false;
+  std::string error;  // what a failed block threw; empty for a bad read
+  double start = 0.0;
+  double read_end = 0.0;
+  double score_end = 0.0;
+  double format_end = 0.0;
+};
+
+// Predict's ordered block pipeline. Block k is one unit of work: a
+// thread takes it, reads, checks, scores and formats it into slot
+// k % slots, and the calling thread writes the slots out strictly in
+// block order. Blocks are taken at most `slots` ahead of the next one to
+// write, so memory is bounded by the slots, not by the table.
+//
+// There are `workers` worker threads. When they leave a hardware thread
+// free, the calling thread takes blocks too: whenever the block it must
+// write next is unfinished, it runs the next untaken block itself
+// instead of waiting. With one worker two blocks are therefore in
+// flight, which is what keeps --threads 1 as fast as the older
+// read-on-one-thread, write-on-another pipeline. With a worker per
+// hardware thread it only writes, because a block it ran would hold up
+// the writes behind it. The workers are plain threads rather than
+// ThreadPool tasks because each keeps its own reader for the whole run,
+// and ThreadPool(1) would start none.
+class PredictPipeline {
+ public:
+  // `run(k, slot, reader)` fills `slot` with block k and returns false if
+  // the block could not be read; it may throw. It and `clock` must
+  // outlive the pipeline.
+  using RunFn = std::function<bool(int64_t, PredictSlot*,
+                                   PredictInput::Reader*)>;
+
+  PredictPipeline(int workers, int64_t num_blocks, const cmp::Timer& clock,
+                  RunFn run)
+      : workers_(workers),
+        num_blocks_(num_blocks),
+        clock_(clock),
+        run_(std::move(run)),
+        helps_(static_cast<unsigned>(workers) <
+               std::max(2u, std::thread::hardware_concurrency())),
+        slots_(static_cast<size_t>(2 * workers + 2)),
+        done_(slots_.size(), false) {}
+  ~PredictPipeline() { Stop(); }
+
+  PredictPipeline(const PredictPipeline&) = delete;
+  PredictPipeline& operator=(const PredictPipeline&) = delete;
+
+  // Hands each finished block's slot, in block order, to `commit` until
+  // every block is committed or `commit` returns false, then stops the
+  // workers. Returns whether every block was committed. `reader` is the
+  // calling thread's own.
+  bool Run(const std::function<bool(const PredictSlot&)>& commit,
+           PredictInput::Reader* reader) {
+    double mark = clock_.Seconds();
+    for (int i = 0; i < workers_; ++i) {
+      try {
+        threads_.emplace_back([this] { Work(); });
+      } catch (const std::system_error&) {
+        helps_ = true;  // the calling thread runs what no worker takes
+        break;
+      }
+    }
+    bool all = true;
+    for (int64_t k = 0; k < num_blocks_ && all; ++k) {
+      const size_t s = static_cast<size_t>(k) % slots_.size();
+      std::unique_lock<std::mutex> lock(mu_);
+      while (!done_[s]) {
+        if (helps_ && Untaken()) {
+          const int64_t j = taken_++;
+          lock.unlock();
+          RunBlock(j, reader);
+          Charge(slots_[static_cast<size_t>(j) % slots_.size()], &mark);
+          lock.lock();
+        } else {
+          finished_.wait(lock, [this, s] { return done_[s]; });
+        }
+      }
+      lock.unlock();
+      const PredictSlot& slot = slots_[s];
+      Charge(slot, &mark);
+      busy_read_s_ += slot.read_end - slot.start;
+      busy_score_s_ += slot.score_end - slot.read_end;
+      busy_format_s_ += slot.format_end - slot.score_end;
+      all = commit(slot);
+      const double now = clock_.Seconds();
+      write_s_ += now - mark;
+      busy_write_s_ += now - mark;
+      mark = now;
+      lock.lock();
+      done_[s] = false;
+      ++written_;
+      lock.unlock();
+      space_.notify_one();
+    }
+    Stop();
+    write_s_ += clock_.Seconds() - mark;
+    return all;
+  }
+
+  // The calling thread's time in Run, by the stage it ran or waited on:
+  // reading, scoring, or formatting and writing.
+  double load_s() const { return load_s_; }
+  double score_s() const { return score_s_; }
+  double write_s() const { return write_s_; }
+  // Each stage's seconds summed over every block committed, whichever
+  // thread ran it; writing is the calling thread's alone.
+  double busy_read_s() const { return busy_read_s_; }
+  double busy_score_s() const { return busy_score_s_; }
+  double busy_format_s() const { return busy_format_s_; }
+  double busy_write_s() const { return busy_write_s_; }
+
+ private:
+  // True when a block is left and there is a slot for it; needs mu_.
+  bool Untaken() const {
+    return !stop_ && taken_ < num_blocks_ &&
+           taken_ - written_ < static_cast<int64_t>(slots_.size());
+  }
+
+  void Work() {
+    PredictInput::Reader reader;
+    for (;;) {
+      int64_t k = 0;
+      {
+        std::unique_lock<std::mutex> lock(mu_);
+        space_.wait(lock, [this] {
+          return Untaken() || stop_ || taken_ == num_blocks_;
+        });
+        if (!Untaken()) return;
+        k = taken_++;
+      }
+      RunBlock(k, &reader);
+    }
+  }
+
+  void RunBlock(int64_t k, PredictInput::Reader* reader) {
+    const size_t s = static_cast<size_t>(k) % slots_.size();
+    PredictSlot& slot = slots_[s];
+    slot.start = clock_.Seconds();
+    slot.read_end = slot.score_end = slot.format_end = slot.start;
+    slot.error.clear();
+    try {
+      slot.ok = run_(k, &slot, reader);
+    } catch (const std::exception& e) {  // e.g. out of memory
+      slot.ok = false;
+      slot.error = e.what();
+    }
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      done_[s] = true;
+    }
+    finished_.notify_one();
+  }
+
+  // Stops handing out blocks and joins the workers, which finish the
+  // block they hold first.
+  void Stop() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stop_ = true;
+    }
+    space_.notify_all();
+    for (std::thread& t : threads_) t.join();
+    threads_.clear();
+  }
+
+  // Charges the calling thread's time since `*mark` to the stages of
+  // `slot`, the block it ran or waited on: up to the end of reading to
+  // load, then to score, and from the end of scoring on to write.
+  void Charge(const PredictSlot& slot, double* mark) {
+    const double now = clock_.Seconds();
+    auto within = [&](double lo, double hi) {
+      return std::max(0.0, std::min(now, hi) - std::max(*mark, lo));
+    };
+    const double to_read = within(*mark, slot.read_end);
+    const double to_score = within(slot.read_end, slot.score_end);
+    load_s_ += to_read;
+    score_s_ += to_score;
+    write_s_ += now - *mark - to_read - to_score;
+    *mark = now;
+  }
+
+  const int workers_;
+  const int64_t num_blocks_;
+  const cmp::Timer& clock_;
+  const RunFn run_;
+  bool helps_;  // whether the calling thread runs blocks too
+  std::vector<PredictSlot> slots_;
+  std::vector<bool> done_;  // per slot; guarded by mu_, as are the rest
+  int64_t taken_ = 0;       // blocks handed to a thread
+  int64_t written_ = 0;     // blocks committed
+  bool stop_ = false;
   std::mutex mu_;
-  std::condition_variable filled_;    // a block was published, or a stop
-  std::condition_variable released_;  // a slot was freed, or a failure
-  int64_t published_ = 0;             // guarded by mu_, as are the rest
-  int64_t written_ = 0;
-  bool closed_ = false;
-  bool aborted_ = false;
-  bool failed_ = false;
-  std::thread thread_;
+  std::condition_variable space_;     // a slot was freed, or a stop
+  std::condition_variable finished_;  // a block was finished
+  std::vector<std::thread> threads_;
+  double load_s_ = 0.0;  // calling thread only, as are the rest
+  double score_s_ = 0.0;
+  double write_s_ = 0.0;
+  double busy_read_s_ = 0.0;
+  double busy_score_s_ = 0.0;
+  double busy_format_s_ = 0.0;
+  double busy_write_s_ = 0.0;
 };
 
 // Batch scoring through the compiled inference path: one tree gives a
@@ -1086,14 +1216,19 @@ class PredictCsvWriter {
 // (stdout when omitted, with the summary moved to stderr so the two
 // streams stay separable).
 //
-// The command is a block pipeline. A .cmpt table is streamed
-// kPredictBlock records at a time; CSV and ARFF are parsed whole and
-// then sliced the same way. This thread reads and scores each block and
-// hands it to a PredictCsvWriter, which formats and writes it while the
-// next block scores. The phases are charged on this thread:
-// io.holdout_load_s is time spent reading, infer.score_s scoring, and
-// predict.write_s waiting on the writer (for a free slot, then for the
-// final drain), so they sum to wall_s.
+// The command is a PredictPipeline over blocks of kPredictBlock records.
+// A .cmpt table is read a block at a time by whichever thread takes the
+// block; CSV and ARFF are parsed whole first and then sliced. --threads
+// sets the worker count (0, the default, is one per hardware thread);
+// the bytes written do not depend on it.
+//
+// The phases line charges this thread's wall time, so the three sum to
+// wall_s. io.holdout_load_s is the setup before the first block (opening
+// or parsing the input, loading the model) plus the time this thread
+// spent reading blocks or waiting on blocks being read; infer.score_s is
+// the same for scoring; predict.write_s for formatting, its own writes
+// and the final flush. The busy line sums each stage's seconds over all
+// threads, so it shows what ran in parallel.
 int CmdPredict(int argc, char** argv) {
   const std::string data = GetFlag(argc, argv, "--data");
   const std::string tree_arg = GetFlag(argc, argv, "--tree");
@@ -1102,12 +1237,18 @@ int CmdPredict(int argc, char** argv) {
 
   cmp::PredictOptions opts;
   int64_t top_k = 1;
-  if (!ParseThreadCount(argc, argv, "--threads", 1, &opts.num_threads) ||
+  if (!ParseThreadCount(argc, argv, "--threads", 0, &opts.num_threads) ||
       !ParseWholeFlag(argc, argv, "--block", 1, kMaxBlock, 2048,
                       &opts.block_size) ||
       !ParseWholeFlag(argc, argv, "--top-k", 1, 65536, 1, &top_k)) {
     return kExitBadArgs;
   }
+  const int workers =
+      opts.num_threads > 0
+          ? opts.num_threads
+          : std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  // Each block is scored whole on the thread that holds it.
+  opts.num_threads = 1;
   opts.want_probs = HasFlag(argc, argv, "--probs");
   if (HasFlag(argc, argv, "--abstain")) {
     const std::string v = GetFlag(argc, argv, "--abstain");
@@ -1124,21 +1265,29 @@ int CmdPredict(int argc, char** argv) {
   }
 
   const cmp::Timer wall;
-  cmp::Dataset text_table;  // a CSV or ARFF input, parsed whole
-  std::unique_ptr<cmp::BlockSource> source;
+  cmp::Dataset text_table;
+  PredictInput input;
+  input.path = data;
+  PredictInput::Reader reader;  // this thread's
+  int64_t rows = 0;
+  bool opened = false;
   if (IsTextDataset(data)) {
-    if (LoadAnyDataset(data, &text_table)) {
-      source = std::make_unique<cmp::DatasetBlockSource>(text_table,
-                                                         kPredictBlock);
-    }
+    opened = LoadAnyDataset(data, &text_table);
+    input.text = &text_table;
+    input.schema = text_table.schema();
+    rows = text_table.num_records();
   } else {
-    source = cmp::TableBlockSource::Open(data, kPredictBlock);
+    reader.scanner = cmp::TableScanner::Open(data, kPredictBlock);
+    opened = reader.scanner != nullptr;
+    if (opened) {
+      input.schema = reader.scanner->schema();
+      rows = reader.scanner->num_records();
+    }
   }
-  if (source == nullptr) {
+  if (!opened) {
     std::cerr << "failed to read " << data << "\n";
     return kExitIo;
   }
-  double load_seconds = wall.Seconds();
 
   // The model is either comma-separated text trees or one compiled
   // .cmpb blob (cmptool compile's output).
@@ -1166,13 +1315,13 @@ int CmdPredict(int argc, char** argv) {
   const cmp::Schema& model_schema =
       is_blob ? *model.schema : trees.front().schema();
   std::vector<cmp::ClassId> to_model;
-  if (!MatchSchema(data, source->schema(), model_schema, &to_model)) {
+  if (!MatchSchema(data, input.schema, model_schema, &to_model)) {
     return kExitIo;
   }
 
   // The predictors clamp top_k to the class count internally; clamp here
-  // too so the CSV writer indexes the returned topk table with the same k
-  // the predictor sized it with.
+  // too so the CSV formatter indexes the returned topk table with the
+  // same k the predictor sized it with.
   opts.top_k = static_cast<int>(
       std::min<int64_t>(top_k, model_schema.num_classes()));
   std::vector<cmp::CompiledTree> members;
@@ -1202,49 +1351,55 @@ int CmdPredict(int argc, char** argv) {
       return kExitIo;
     }
   }
+  std::ostream& out = out_path.empty() ? std::cout : file;
   std::ostream& summary = out_path.empty() ? std::cerr : std::cout;
-  PredictCsvWriter writer(out_path.empty() ? std::cout : file, model_schema,
-                          opts);
+  const PredictCsv csv(model_schema, opts);
+  std::string header;
+  csv.Header(&header);
+  out.write(header.data(), static_cast<std::streamsize>(header.size()));
 
-  double score_seconds = 0.0;
-  double write_seconds = 0.0;
-  int64_t rows = 0;
-  int64_t abstained = 0;
-  cmp::BlockView view;
-  for (;;) {
-    cmp::Timer t;
-    const bool got = source->NextBlock(&view);
-    load_seconds += t.Seconds();
-    if (!got) break;
-
-    t.Reset();
-    cmp::BatchResult result =
+  const auto run = [&](int64_t k, PredictSlot* slot,
+                       PredictInput::Reader* r) {
+    const int64_t begin = k * kPredictBlock;
+    const int64_t count = std::min(kPredictBlock, rows - begin);
+    if (!input.Read(begin, count, r)) return false;
+    const cmp::BlockView& view = r->view;
+    slot->read_end = wall.Seconds();
+    const cmp::BatchResult result =
         single ? single->PredictColumns(view.numeric.data(),
-                                        view.categorical.data(), view.count)
+                                        view.categorical.data(), count)
                : ensemble->PredictColumns(view.numeric.data(),
-                                          view.categorical.data(),
-                                          view.count, opts);
-    score_seconds += t.Seconds();
-    rows += view.count;
-    abstained += result.num_abstained;
-
-    t.Reset();
-    ScoredBlock* slot = writer.Acquire();
-    if (slot != nullptr) {
-      slot->begin = view.begin;
-      slot->actual.resize(static_cast<size_t>(view.count));
-      for (int64_t i = 0; i < view.count; ++i) {
-        slot->actual[i] = to_model[view.labels[i]];
-      }
-      slot->result = std::move(result);
-      writer.Publish();
+                                          view.categorical.data(), count,
+                                          opts);
+    slot->score_end = wall.Seconds();
+    slot->abstained = result.num_abstained;
+    slot->csv.clear();
+    slot->correct = csv.Rows(begin, view.labels, to_model, result, &slot->csv);
+    slot->format_end = wall.Seconds();
+    return true;
+  };
+  std::string failure;  // why a block failed
+  int64_t correct = 0;
+  int64_t abstained = 0;
+  const auto commit = [&](const PredictSlot& slot) {
+    if (!slot.ok) {
+      failure = slot.error.empty()
+                    ? "failed to read " + data
+                    : "failed to score " + data + ": " + slot.error;
+      return false;
     }
-    write_seconds += t.Seconds();
-    if (slot == nullptr) break;  // a write failed: stop reading
-  }
-  if (source->failed()) {
-    // A block failed its NaN or range check: no partial predictions.
-    writer.Abort();
+    out.write(slot.csv.data(), static_cast<std::streamsize>(slot.csv.size()));
+    correct += slot.correct;
+    abstained += slot.abstained;
+    return out.good();
+  };
+  PredictPipeline pipeline(workers, (rows + kPredictBlock - 1) / kPredictBlock,
+                           wall, run);
+  const double setup_seconds = wall.Seconds();
+  const bool committed = pipeline.Run(commit, &reader);
+  if (!failure.empty()) {
+    // A block failed its NaN or range check, or threw: no partial
+    // predictions.
     if (!out_path.empty()) {
       file.close();
       std::error_code ec;
@@ -1252,12 +1407,12 @@ int CmdPredict(int argc, char** argv) {
         std::filesystem::remove(out_path, ec);
       }
     }
-    std::cerr << "failed to read " << data << "\n";
+    std::cerr << failure << "\n";
     return kExitIo;
   }
   const cmp::Timer drain;
-  const bool written = writer.Finish();
-  write_seconds += drain.Seconds();
+  const bool written = committed && out.flush().good();
+  const double flush_seconds = drain.Seconds();
   if (!written) {
     std::cerr << "failed to write "
               << (out_path.empty() ? std::string("stdout") : out_path)
@@ -1266,7 +1421,6 @@ int CmdPredict(int argc, char** argv) {
   }
   const double wall_seconds = wall.Seconds();
 
-  const int64_t correct = writer.correct();
   const double accuracy =
       rows == 0 ? 0.0
                 : static_cast<double>(correct) / static_cast<double>(rows);
@@ -1275,16 +1429,22 @@ int CmdPredict(int argc, char** argv) {
   summary << "accuracy: " << acc_buf << " (" << correct << "/" << rows
           << ")\n";
   if (abstained > 0) summary << "abstained: " << abstained << "\n";
+  const double score_busy = pipeline.busy_score_s();
   summary << "scored " << rows << " records with " << num_trees
-          << " tree(s) in " << score_seconds << "s ("
-          << static_cast<int64_t>(rows / std::max(score_seconds, 1e-9))
-          << " rows/s, " << opts.num_threads << " thread(s), "
+          << " tree(s) in " << score_busy << "s ("
+          << static_cast<int64_t>(rows / std::max(score_busy, 1e-9))
+          << " rows/s per thread, " << workers << " thread(s), "
           << cmp::KernelIsaName(cmp::ActiveKernelIsa()) << " kernel)\n";
   // The same layer names as the repository benchmark's predict ledger.
-  summary << "phases: io.holdout_load_s=" << load_seconds
-          << " infer.score_s=" << score_seconds
-          << " predict.write_s=" << write_seconds
+  summary << "phases: io.holdout_load_s=" << setup_seconds + pipeline.load_s()
+          << " infer.score_s=" << pipeline.score_s()
+          << " predict.write_s=" << pipeline.write_s() + flush_seconds
           << " wall_s=" << wall_seconds << "\n";
+  summary << "busy: io.holdout_load_s=" << pipeline.busy_read_s()
+          << " infer.score_s=" << score_busy
+          << " predict.format_s=" << pipeline.busy_format_s()
+          << " predict.write_s=" << pipeline.busy_write_s() + flush_seconds
+          << " workers=" << workers << "\n";
   return kExitOk;
 }
 

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -17,6 +18,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -1373,6 +1375,186 @@ TEST_F(CmptoolTest, PredictStreamFailsWholeOnALateBadBlock) {
     std::remove(capture.c_str());
   }
   for (const std::string& p : {data, bad, csv}) std::remove(p.c_str());
+}
+
+// The summary's thread count for `--threads <flag>`: the flag itself,
+// or one per hardware thread when it is 0 or absent.
+std::string ResolvedThreads(const std::string& flag) {
+  const int n = flag.empty() || flag == "0"
+                    ? static_cast<int>(std::thread::hardware_concurrency())
+                    : std::atoi(flag.c_str());
+  return std::to_string(std::max(n, 1));
+}
+
+// The pipeline's bytes are the oracle's at every worker count, from a
+// .cmpt table and from a CSV, for a single tree and for a --probs
+// --top-k 2 --abstain ensemble, and the summary names the worker count
+// the flag resolved to.
+TEST_F(CmptoolTest, PredictBytesDoNotDependOnThreads) {
+  const std::string train = TempPath("threads_train.cmpt");
+  const std::string tree_a = TempPath("threads_a.tree");
+  const std::string tree_b = TempPath("threads_b.tree");
+  const std::string table = TempPath("threads.cmpt");
+  const std::string text = TempPath("threads.csv");
+  const std::string long_table = TempPath("threads_long.cmpt");
+  const std::string csv = TempPath("threads_out.csv");
+  ASSERT_TRUE(cmp::SaveTableFile(NoisyNumericTable(6000, 5), train));
+  ASSERT_EQ(RunTool("train --data " + train + " --algo cmp --out " + tree_a),
+            0);
+  ASSERT_EQ(RunTool("train --data " + train + " --algo sliq --out " + tree_b),
+            0);
+  std::vector<cmp::DecisionTree> trees, second;
+  ASSERT_TRUE(cmp::LoadTrees(tree_a, &trees));
+  ASSERT_TRUE(cmp::LoadTrees(tree_b, &second));
+  trees.push_back(std::move(second.at(0)));
+  const cmp::Schema& schema = trees[0].schema();
+  const cmp::CompiledTree compiled = cmp::CompiledTree::Compile(trees[0]);
+  const cmp::EnsemblePredictor ensemble =
+      cmp::EnsemblePredictor::Compile(trees, cmp::VoteKind::kAverageProb);
+  const cmp::PredictOptions defaults;
+  cmp::PredictOptions voted;
+  voted.want_probs = true;
+  voted.top_k = 2;
+  voted.abstain_threshold = 0.9;
+  const std::string voted_flags = " --tree " + tree_a + "," + tree_b +
+                                  " --vote prob --probs --top-k 2"
+                                  " --abstain 0.9";
+
+  // The long table has more blocks than one or two workers have slots,
+  // so slots are reused.
+  const cmp::Dataset ds = NoisyNumericTable(3 * kPredictBlock + 17, 6);
+  const cmp::Dataset long_ds = NoisyNumericTable(10 * kPredictBlock + 17, 7);
+  ASSERT_TRUE(cmp::SaveTableFile(ds, table));
+  ASSERT_TRUE(cmp::SaveCsv(ds, text));
+  ASSERT_TRUE(cmp::SaveTableFile(long_ds, long_table));
+  for (const auto& [input, data] :
+       {std::pair<std::string, const cmp::Dataset*>{table, &ds},
+        {text, &ds},
+        {long_table, &long_ds}}) {
+    const std::string single_csv = OstreamCsv(
+        *data, schema, defaults,
+        cmp::BatchPredictor(&compiled, defaults).Predict(*data));
+    const std::string voted_csv =
+        OstreamCsv(*data, schema, voted, ensemble.Predict(*data, voted));
+    ASSERT_NE(voted_csv.find(",?,"), std::string::npos);
+    const std::string scored =
+        "scored " + std::to_string(data->num_records()) + " records with ";
+    for (const std::string threads : {"1", "2", "3", "4", ""}) {
+      const std::string flag = threads.empty() ? "" : " --threads " + threads;
+      const std::string what = input + flag;
+      const std::string count = ResolvedThreads(threads);
+      for (const auto& [flags, expected, num_trees] :
+           {std::tuple<std::string, std::string, int>{" --tree " + tree_a,
+                                                      single_csv, 1},
+            {voted_flags, voted_csv, 2}}) {
+        std::string out;
+        ASSERT_EQ(RunTool("predict --data " + input + flags + flag +
+                          " --out " + csv, &out),
+                  0)
+            << what << ": " << out;
+        EXPECT_TRUE(Slurp(csv) == expected) << what << flags << " differs";
+        EXPECT_EQ(AccuracyLine(out), ExpectedAccuracy(expected)) << what;
+        EXPECT_NE(out.find(scored + std::to_string(num_trees) + " tree(s)"),
+                  std::string::npos)
+            << out;
+        EXPECT_NE(out.find(", " + count + " thread(s), "), std::string::npos)
+            << what << ": " << out;
+        EXPECT_NE(out.find("\nbusy: io.holdout_load_s="), std::string::npos)
+            << out;
+        EXPECT_NE(out.find(" workers=" + count + "\n"), std::string::npos)
+            << what << ": " << out;
+      }
+    }
+  }
+  for (const std::string& p :
+       {train, tree_a, tree_b, table, text, long_table, csv}) {
+    std::remove(p.c_str());
+  }
+}
+
+// A bad block early in the table, while later blocks are already being
+// read and scored, fails the whole command as a late one does: exit 3,
+// no summary, no --out file, and on stdout no row of the bad block or
+// any block after it. An unwritable --out fails too, without hanging.
+// Repeated to give a race in the pipeline's shutdown a chance to show.
+TEST_F(CmptoolTest, PredictStreamFailsWholeOnAnEarlyBadBlock) {
+  const int64_t n = 3 * kPredictBlock + 17;
+  const std::string data = TempPath("early.cmpt");
+  const std::string bad = TempPath("early_bad.cmpt");
+  const std::string csv = TempPath("early.csv");
+  const std::string err = TempPath("early.err");
+  ASSERT_EQ(RunTool("gen --function F2 --records " + std::to_string(n) +
+                    " --seed 10 --out " + data),
+            0);
+  ASSERT_EQ(RunTool("train --data " + data_ + " --algo cmp --out " + tree_),
+            0);
+  cmp::Schema schema;
+  int64_t records = 0;
+  cmp::TableLayout layout;
+  ASSERT_TRUE(cmp::ReadTableHeader(data, &schema, &records));
+  ASSERT_TRUE(cmp::ComputeTableLayout(schema, records, &layout));
+  const std::string good = Slurp(data);
+
+  // The bad value sits in the middle of block 1.
+  const int64_t at = kPredictBlock + kPredictBlock / 2;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const int32_t code = 100000000;
+  std::string nan_bytes = good;
+  std::memcpy(&nan_bytes[layout.column_offsets[schema.FindAttr("salary")] +
+                         at * sizeof(double)],
+              &nan, sizeof(nan));
+  std::string code_bytes = good;
+  std::memcpy(&code_bytes[layout.column_offsets[schema.FindAttr("elevel")] +
+                          at * sizeof(int32_t)],
+              &code, sizeof(code));
+  const bool dev_full = std::ifstream("/dev/full").good();
+  for (int round = 0; round < 20; ++round) {
+    for (const std::string& bytes : {nan_bytes, code_bytes}) {
+      WriteFile(bad, bytes);
+      for (const std::string threads : {" --threads 1", " --threads 4", ""}) {
+        const std::string what =
+            "round " + std::to_string(round) + threads + ": ";
+        const std::string predict = "predict --data " + bad + " --tree " +
+                                    tree_ + " --probs" + threads;
+        WriteFile(csv, "stale");
+        std::string out;
+        ASSERT_EQ(RunTool(predict + " --out " + csv, &out), kIo)
+            << what << out;
+        EXPECT_NE(out.find("failed to read " + bad), std::string::npos)
+            << what << out;
+        EXPECT_EQ(out.find("accuracy:"), std::string::npos) << what << out;
+        EXPECT_FALSE(std::ifstream(csv).good())
+            << what << "--out file left behind";
+
+        // To stdout: whatever was written holds only block 0's rows.
+        const std::string cmd = ToolPath() + " " + predict + " > " + csv +
+                                " 2> " + err;
+        const int raw = std::system(cmd.c_str());
+        ASSERT_TRUE(WIFEXITED(raw)) << what;
+        EXPECT_EQ(WEXITSTATUS(raw), kIo) << what;
+        EXPECT_NE(Slurp(err).find("failed to read " + bad), std::string::npos)
+            << what << Slurp(err);
+        std::istringstream lines(Slurp(csv));
+        std::string line;
+        int64_t last = -1;
+        while (std::getline(lines, line)) {
+          if (line.rfind("record,", 0) == 0) continue;  // the header
+          last = std::max<int64_t>(last, std::atoll(line.c_str()));
+        }
+        EXPECT_LT(last, kPredictBlock) << what << "row " << last << " written";
+      }
+    }
+    if (dev_full) {
+      const std::string cmd = "timeout 60 " + ToolPath() + " predict --data " +
+                              data + " --tree " + tree_ +
+                              " --probs --threads 4 --out /dev/full > " + err +
+                              " 2>&1";
+      const int raw = std::system(cmd.c_str());
+      ASSERT_TRUE(WIFEXITED(raw));
+      EXPECT_EQ(WEXITSTATUS(raw), kIo) << Slurp(err);
+    }
+  }
+  for (const std::string& p : {data, bad, csv, err}) std::remove(p.c_str());
 }
 
 // Data whose attribute count or attribute kinds differ from the
