@@ -7,15 +7,12 @@
 //   compiled      CompiledTree + BatchPredictor, single thread
 //   compiled-mt   BatchPredictor across a ThreadPool (1, 2, 4 threads)
 //   descent       raw leaf descent per kernel tier (scalar gang, AVX2)
-//                 x node layout (preorder, cache-blocked), plus the
-//                 pre-SIMD gang walker as the PR 1 baseline
 //   ensemble      EnsemblePredictor majority-voting 5 cross-val trees,
 //                 per kernel tier
 //
-// Every tier/layout combination is verified byte-identical to the
-// scalar PredictRow walker before it is timed; the bench aborts on the
-// first divergent leaf rather than publishing a number for a wrong
-// kernel.
+// Every tier is verified byte-identical to the scalar PredictRow walker
+// before it is timed; the bench aborts on the first divergent leaf
+// rather than publishing a number for a wrong kernel.
 //
 // Results go to stdout as a table and to BENCH_predict.json (or argv[1])
 // for trend tracking. CMP_BENCH_SCALE scales the scored record count
@@ -40,21 +37,17 @@
 #include "infer/compiled_tree.h"
 #include "infer/ensemble.h"
 #include "infer/infer_kernels.h"
-#include "infer/layout.h"
-#include "infer/model_io.h"
 #include "tree/crossval.h"
 #include "tree/evaluate.h"
 
 namespace {
 
 using cmp::BatchPredictor;
-using cmp::CompiledModel;
 using cmp::CompiledTree;
 using cmp::Dataset;
 using cmp::DecisionTree;
 using cmp::InferKernelOps;
 using cmp::KernelIsa;
-using cmp::NodeLayout;
 using cmp::PredictOptions;
 using cmp::RowColumnsView;
 
@@ -177,15 +170,14 @@ int main(int argc, char** argv) {
                        })
           ->second;
 
-  // ---- Raw descent: kernel tier x node layout ------------------------
+  // ---- Raw descent per kernel tier -----------------------------------
   // Times LeafIndicesOfColumns alone (no vote/probs bookkeeping) so the
   // numbers isolate the traversal kernels the tiers differ in. The
-  // scalar walker's leaves are the reference every combination must
-  // reproduce exactly.
+  // scalar walker's leaves are the reference every tier must reproduce
+  // exactly.
   const DatasetColumns cols(test);
   const auto tiers = RunnableTiers();
 
-  std::vector<cmp::ClassId> reference_labels(test.num_records());
   std::vector<int32_t> reference(test.num_records());
   {
     std::vector<double> raw_n;
@@ -202,65 +194,25 @@ int main(int argc, char** argv) {
         }
       }
       reference[r] = compiled.LeafIndexOfRow(raw_n.data(), raw_c.data());
-      reference_labels[r] = compiled.leaf_class(reference[r]);
     }
   }
 
-  std::string pack_error;
-  cmp::PackOptions pre_pack;
-  pre_pack.layout = NodeLayout::kPreorder;
-  cmp::PackOptions blk_pack;
-  blk_pack.layout = NodeLayout::kBlocked;
-  const CompiledModel preorder_model =
-      cmp::CompileModel({&tree}, pre_pack, &pack_error);
-  const CompiledModel blocked_model =
-      cmp::CompileModel({&tree}, blk_pack, &pack_error);
-  if (preorder_model.empty() || blocked_model.empty()) {
-    std::cerr << "model compile failed: " << pack_error << "\n";
-    return 1;
-  }
-
-  // PR 1 baseline: the original gang-descent walker on the original
-  // preorder layout — the path every tier/layout combination has to beat
-  // to justify existing.
   std::vector<int32_t> leaves(test.num_records());
-  const CompiledTree& pre_tree = preorder_model.trees.front();
-  const CompiledTree& blk_tree = blocked_model.trees.front();
-  pre_tree.LeafIndicesOfGang(test, 0, test.num_records(), leaves.data());
-  bool identical = leaves == reference;
-  const double pr1_gang = MeasureRowsPerSec(score_n, [&] {
-    pre_tree.LeafIndicesOfGang(test, 0, test.num_records(), leaves.data());
-    sink = sink + leaves.back();
-  });
-
-  // (tier, layout, rows/sec) for the table and JSON.
-  std::vector<std::pair<std::string, double>> descent;
+  std::vector<std::pair<std::string, double>> descent;  // (tier, rows/sec)
   for (const auto& [tier, ops] : tiers) {
-    for (const NodeLayout layout :
-         {NodeLayout::kPreorder, NodeLayout::kBlocked}) {
-      const CompiledTree& t =
-          layout == NodeLayout::kPreorder ? pre_tree : blk_tree;
-      std::fill(leaves.begin(), leaves.end(), -1);
-      t.LeafIndicesOfColumns(cols.view(), 0, test.num_records(),
-                             leaves.data(), ops);
-      for (cmp::RecordId r = 0; r < test.num_records(); ++r) {
-        if (t.leaf_class(leaves[r]) != reference_labels[r]) {
-          std::cerr << "DIVERGENCE: tier " << tier << " layout "
-                    << cmp::NodeLayoutName(layout) << " row " << r << "\n";
-          return 1;
-        }
-      }
-      if (layout == NodeLayout::kPreorder && leaves != reference) {
-        identical = false;  // preorder leaves must match index-for-index
-      }
-      descent.emplace_back(
-          tier + std::string("_") + cmp::NodeLayoutName(layout),
-          MeasureRowsPerSec(score_n, [&] {
-            t.LeafIndicesOfColumns(cols.view(), 0, test.num_records(),
-                                   leaves.data(), ops);
-            sink = sink + leaves.back();
-          }));
+    std::fill(leaves.begin(), leaves.end(), -1);
+    compiled.LeafIndicesOfColumns(cols.view(), 0, test.num_records(),
+                                  leaves.data(), ops);
+    if (leaves != reference) {
+      std::cerr << "DIVERGENCE: tier " << tier << "\n";
+      return 1;
     }
+    descent.emplace_back(tier, MeasureRowsPerSec(score_n, [&] {
+                           compiled.LeafIndicesOfColumns(
+                               cols.view(), 0, test.num_records(),
+                               leaves.data(), ops);
+                           sink = sink + leaves.back();
+                         }));
   }
 
   cmp::CmpBuilder fold_builder(cmp::CmpFullOptions());
@@ -302,8 +254,6 @@ int main(int argc, char** argv) {
     std::cout << "compiled x" << threads << "       "
               << static_cast<int64_t>(rps) << "\n";
   }
-  std::cout << "gang (pr1) x1     " << static_cast<int64_t>(pr1_gang)
-            << "\n";
   for (const auto& [name, rps] : descent) {
     std::cout << "descent " << name << std::string(
                      name.size() < 18 ? 18 - name.size() : 1, ' ')
@@ -316,28 +266,11 @@ int main(int argc, char** argv) {
                      name.size() < 14 ? 14 - name.size() : 1, ' ')
               << static_cast<int64_t>(rps) << "\n";
   }
-  std::cout << "\npredictions byte-identical across tiers/layouts: "
-            << (identical ? "yes" : "NO — KERNEL DIVERGENCE") << "\n";
+  std::cout << "\npredictions byte-identical across tiers: yes\n";
   std::cout << "compiled/interpreted speedup: " << compiled_st / interpreted
             << "\n";
   std::cout << "multithread scaling (best/x1): " << compiled_mt / compiled_st
             << " on " << hw << " hardware thread(s)\n";
-
-  // Best vectorized descent (any SIMD tier, any layout) vs the PR 1
-  // gang walker; the headline number of this bench.
-  double best_vector = 0.0;
-  std::string best_vector_name;
-  for (const auto& [name, rps] : descent) {
-    if (name.rfind("scalar", 0) == 0) continue;
-    if (rps > best_vector) {
-      best_vector = rps;
-      best_vector_name = name;
-    }
-  }
-  if (!best_vector_name.empty()) {
-    std::cout << "vector vs pr1 gang: " << best_vector / pr1_gang << " ("
-              << best_vector_name << ")\n";
-  }
 
   std::ofstream json(json_path);
   json << "{\n"
@@ -347,15 +280,13 @@ int main(int argc, char** argv) {
        << "  \"hardware_threads\": " << hw << ",\n"
        << "  \"kernel_isa\": \"" << cmp::KernelIsaName(cmp::ActiveKernelIsa())
        << "\",\n"
-       << "  \"verified_byte_identical\": " << (identical ? "true" : "false")
-       << ",\n"
+       << "  \"verified_byte_identical\": true,\n"
        << "  \"interpreted_rows_per_sec\": " << interpreted << ",\n"
        << "  \"compiled_rows_per_sec\": " << compiled_st << ",\n";
   for (const auto& [threads, rps] : threaded) {
     json << "  \"compiled_mt" << threads << "_rows_per_sec\": " << rps
          << ",\n";
   }
-  json << "  \"pr1_gang_rows_per_sec\": " << pr1_gang << ",\n";
   for (const auto& [name, rps] : descent) {
     json << "  \"descent_" << name << "_rows_per_sec\": " << rps << ",\n";
   }
@@ -363,24 +294,9 @@ int main(int argc, char** argv) {
   for (const auto& [name, rps] : ensemble_tiers) {
     json << "  \"ensemble5_" << name << "_rows_per_sec\": " << rps << ",\n";
   }
-  // The headline: best SIMD descent over the PR 1 gang walker. On a
-  // host whose toolchain/CPU can't run a vector tier the ratio would
-  // compare scalar against scalar, so it gets a reason instead of a
-  // number (same convention as bench_train_parallel's mt_scaling).
-  if (!best_vector_name.empty()) {
-    json << "  \"vector_vs_pr1_speedup\": " << best_vector / pr1_gang
-         << ",\n"
-         << "  \"vector_vs_pr1_reason\": \"best vector tier "
-         << best_vector_name << " vs gang walker on preorder layout\",\n";
-  } else {
-    json << "  \"vector_vs_pr1_speedup\": null,\n"
-         << "  \"vector_vs_pr1_reason\": \"no SIMD tier runnable on this "
-            "host (scalar-only build or CPU): ratio would compare scalar "
-            "to scalar\",\n";
-  }
   json << "  \"compiled_speedup\": " << compiled_st / interpreted << ",\n"
        << "  \"mt_scaling\": " << compiled_mt / compiled_st << "\n"
        << "}\n";
   std::cout << "wrote " << json_path << "\n";
-  return identical ? 0 : 1;
+  return 0;
 }

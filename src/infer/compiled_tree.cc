@@ -1,5 +1,6 @@
 #include "infer/compiled_tree.h"
 
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -21,6 +22,21 @@ bool FloatRoundTrips(double t) {
   }
   return static_cast<double>(static_cast<float>(t)) == t;
 }
+
+/// Row types of the per-row lookups, for infer_impl::DescendFrom.
+struct DatasetRow {
+  const Dataset* ds;
+  RecordId r;
+  double Numeric(int32_t a) const { return ds->numeric(a, r); }
+  int32_t Categorical(int32_t a) const { return ds->categorical(a, r); }
+};
+
+struct RawRow {
+  const double* numeric;
+  const int32_t* categorical;
+  double Numeric(int32_t a) const { return numeric[a]; }
+  int32_t Categorical(int32_t a) const { return categorical[a]; }
+};
 
 bool BindFail(std::string* error, const std::string& what) {
   if (error != nullptr) *error = what;
@@ -232,19 +248,20 @@ bool CompiledTree::FromBlob(std::shared_ptr<const ModelBlob> blob,
   t.num_classes_ = num_classes;
   t.num_nodes_ = static_cast<int32_t>(n);
   t.num_leaves_ = static_cast<int32_t>(num_leaves);
-  t.attr_ = b.SectionData<int16_t>(*attr);
-  t.threshold_ = b.SectionData<float>(*threshold);
-  t.children_ = b.SectionData<int32_t>(*children);
-  t.cat_splits_ = cats != nullptr ? b.SectionData<CatSplit>(*cats) : nullptr;
+  NodesView& v = t.nodes_;
+  v.attr = b.SectionData<int16_t>(*attr);
+  v.threshold = b.SectionData<float>(*threshold);
+  v.children = b.SectionData<int32_t>(*children);
+  v.cat_splits = cats != nullptr ? b.SectionData<CatSplit>(*cats) : nullptr;
   t.num_cat_ = cats != nullptr ? static_cast<int32_t>(cats->count) : 0;
-  t.cat_bits_ = cat_bits != nullptr ? b.SectionData<uint8_t>(*cat_bits)
-                                    : nullptr;
+  v.cat_bits = cat_bits != nullptr ? b.SectionData<uint8_t>(*cat_bits)
+                                   : nullptr;
   t.num_cat_bits_ = cat_bits != nullptr
                         ? static_cast<int64_t>(cat_bits->count)
                         : 0;
-  t.lin_splits_ = lins != nullptr ? b.SectionData<LinSplit>(*lins) : nullptr;
+  v.lin_splits = lins != nullptr ? b.SectionData<LinSplit>(*lins) : nullptr;
   t.num_lin_ = lins != nullptr ? static_cast<int32_t>(lins->count) : 0;
-  t.wide_splits_ =
+  v.wide_splits =
       wides != nullptr ? b.SectionData<WideSplit>(*wides) : nullptr;
   t.num_wide_ = wides != nullptr ? static_cast<int32_t>(wides->count) : 0;
   t.leaf_class_ = b.SectionData<ClassId>(*leaf_class);
@@ -255,9 +272,9 @@ bool CompiledTree::FromBlob(std::shared_ptr<const ModelBlob> blob,
   // strictly forward, so `id` increases every step).
   const int32_t nn = t.num_nodes_;
   for (int32_t i = 0; i < nn; ++i) {
-    const int16_t a = t.attr_[i];
-    const int32_t left = t.children_[2 * i];
-    const int32_t right = t.children_[2 * i + 1];
+    const int16_t a = v.attr[i];
+    const int32_t left = v.children[2 * i];
+    const int32_t right = v.children[2 * i + 1];
     if (a == kLeaf) {
       if (left < 0 || left >= num_classes) {
         return BindFail(error, "leaf class out of range");
@@ -278,31 +295,31 @@ bool CompiledTree::FromBlob(std::shared_ptr<const ModelBlob> blob,
         return BindFail(error, "numeric split on invalid attribute");
       }
     } else if (a == kWide) {
-      const int32_t idx = SideIndex(t.threshold_[i]);
+      const int32_t idx = infer_impl::SideIndex(v.threshold[i]);
       if (idx < 0 || idx >= t.num_wide_) {
         return BindFail(error, "wide-split index out of range");
       }
-      const WideSplit& w = t.wide_splits_[idx];
+      const WideSplit& w = v.wide_splits[idx];
       if (w.attr < 0 || w.attr >= num_attrs ||
           !t.schema_->is_numeric(w.attr)) {
         return BindFail(error, "wide split on invalid attribute");
       }
     } else if (a == kLin) {
-      const int32_t idx = SideIndex(t.threshold_[i]);
+      const int32_t idx = infer_impl::SideIndex(v.threshold[i]);
       if (idx < 0 || idx >= t.num_lin_) {
         return BindFail(error, "linear-split index out of range");
       }
-      const LinSplit& l = t.lin_splits_[idx];
+      const LinSplit& l = v.lin_splits[idx];
       if (l.x < 0 || l.x >= num_attrs || !t.schema_->is_numeric(l.x) ||
           l.y < 0 || l.y >= num_attrs || !t.schema_->is_numeric(l.y)) {
         return BindFail(error, "linear split on invalid attribute");
       }
     } else if (a == kCat) {
-      const int32_t idx = SideIndex(t.threshold_[i]);
+      const int32_t idx = infer_impl::SideIndex(v.threshold[i]);
       if (idx < 0 || idx >= t.num_cat_) {
         return BindFail(error, "categorical-split index out of range");
       }
-      const CatSplit& c = t.cat_splits_[idx];
+      const CatSplit& c = v.cat_splits[idx];
       if (c.attr < 0 || c.attr >= num_attrs ||
           t.schema_->is_numeric(c.attr)) {
         return BindFail(error, "categorical split on invalid attribute");
@@ -330,26 +347,27 @@ bool CompiledTree::FromBlob(std::shared_ptr<const ModelBlob> blob,
         static_cast<size_t>(nn));
     for (int32_t i = 0; i < nn; ++i) {
       FusedNode& f = (*fused)[i];
-      const int16_t a = t.attr_[i];
-      f.left = t.children_[2 * i];
-      f.right = t.children_[2 * i + 1];
+      const int16_t a = v.attr[i];
+      f.left = v.children[2 * i];
+      f.right = v.children[2 * i + 1];
       if (a >= 0) {
         (*fattr)[i] = a;
-        f.threshold = static_cast<double>(t.threshold_[i]);
-        t.fused_attr_slots_ = std::max(t.fused_attr_slots_, a + 1);
+        f.threshold = static_cast<double>(v.threshold[i]);
       } else if (a == kWide) {
-        const WideSplit& w = t.wide_splits_[SideIndex(t.threshold_[i])];
+        const WideSplit& w =
+            v.wide_splits[infer_impl::SideIndex(v.threshold[i])];
         (*fattr)[i] = w.attr;
         f.threshold = w.threshold;
-        t.fused_attr_slots_ = std::max(t.fused_attr_slots_, w.attr + 1);
       } else if (a == kLeaf) {
         (*fattr)[i] = a;
       } else {  // kCat / kLin: side-table index rides the threshold slot
         (*fattr)[i] = a;
         f.threshold = std::bit_cast<double>(
-            static_cast<int64_t>(SideIndex(t.threshold_[i])));
+            static_cast<int64_t>(infer_impl::SideIndex(v.threshold[i])));
       }
     }
+    v.fused = fused->data();
+    v.fused_attr = fattr->data();
     t.fused_store_ = std::move(fused);
     t.fused_attr_store_ = std::move(fattr);
   }
@@ -358,25 +376,13 @@ bool CompiledTree::FromBlob(std::shared_ptr<const ModelBlob> blob,
   return true;
 }
 
-void CompiledTree::LeafIndicesOf(const Dataset& ds, RecordId begin,
-                                 RecordId end, int32_t* out) const {
-  if (end <= begin) return;
-  // The dataset is already column-major; the view is just one pointer
-  // per attribute (only the matching-kind slot is ever read).
-  const int32_t na = schema_->num_attrs();
-  std::vector<const double*> num(na, nullptr);
-  std::vector<const int32_t*> cat(na, nullptr);
-  bool any_cat = false;
-  for (int32_t a = 0; a < na; ++a) {
-    if (schema_->is_numeric(a)) {
-      num[a] = ds.numeric_column(a).data();
-    } else {
-      cat[a] = ds.categorical_column(a).data();
-      any_cat = true;
-    }
-  }
-  const RowColumnsView view{num.data(), any_cat ? cat.data() : nullptr};
-  LeafIndicesOfColumns(view, begin, end, out);
+int32_t CompiledTree::LeafIndexOf(const Dataset& ds, RecordId r) const {
+  return infer_impl::DescendFrom(nodes_, DatasetRow{&ds, r});
+}
+
+int32_t CompiledTree::LeafIndexOfRow(const double* numeric,
+                                     const int32_t* categorical) const {
+  return infer_impl::DescendFrom(nodes_, RawRow{numeric, categorical});
 }
 
 void CompiledTree::LeafIndicesOfColumns(const RowColumnsView& rows,
@@ -385,7 +391,7 @@ void CompiledTree::LeafIndicesOfColumns(const RowColumnsView& rows,
                                         const InferKernelOps* ops) const {
   if (end <= begin) return;
   const InferKernelOps& k = ops != nullptr ? *ops : ActiveInferKernelOps();
-  k.descend_block(nodes_view(), rows, begin, end, out);
+  k.descend_block(nodes_, rows, begin, end, out);
 }
 
 }  // namespace cmp

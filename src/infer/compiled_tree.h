@@ -2,7 +2,6 @@
 #define CMP_INFER_COMPILED_TREE_H_
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -18,7 +17,6 @@
 
 namespace cmp {
 
-struct TreeNodesView;
 struct InferKernelOps;
 
 /// Column-major (structure-of-arrays) view of a row block for the batch
@@ -42,10 +40,10 @@ struct RowColumnsView {
 /// `int32 left/right`) drive the descent loop, and everything rare —
 /// categorical subsets, linear-combination splits, thresholds that do not
 /// round-trip through float — lives in small side tables reached through a
-/// sentinel in `attr`. Node order is a layout choice (infer/layout.h):
-/// depth-first preorder or cache-blocked breadth-first superblocks — the
+/// sentinel in `attr`. Nodes are written in depth-first preorder; the
 /// only ordering invariant descent relies on is that children point
-/// strictly forward, which FromBlob validates.
+/// strictly forward, which FromBlob validates, so blobs whose nodes were
+/// written in another order load and score the same.
 ///
 /// Storage: a CompiledTree is a *view*. All of its arrays live inside one
 /// relocatable `.cmpb` blob (io/model_blob.h) which the tree keeps alive
@@ -99,17 +97,13 @@ class CompiledTree {
   ///     against `threshold` are byte-identical to the array walk.
   /// kCat/kLin keep their sentinel in the parallel attr and smuggle
   /// their side-table index through the (otherwise unused) threshold
-  /// slot as a bit-cast int64. The vector tiers both service lanes and
-  /// gather from these arrays; the scalar walkers stay on the blob
-  /// sections (they are the reference).
+  /// slot as a bit-cast int64. The vector tier both services lanes and
+  /// gathers from these arrays; the scalar walker stays on the blob
+  /// sections (it is the reference).
   struct FusedNode {
     double threshold = 0.0;
     int32_t left = 0;
     int32_t right = 0;
-
-    int32_t SideIndex() const {
-      return static_cast<int32_t>(std::bit_cast<int64_t>(threshold));
-    }
   };
 
   /// Categorical side entry: attribute plus a [offset, offset+card) slice
@@ -140,6 +134,22 @@ class CompiledTree {
     int32_t attr = 0;
     int32_t reserved = 0;
     double threshold = 0.0;
+  };
+
+  /// The hot arrays of one tree as plain pointers into its blob (plus
+  /// the bind-time fused records): what the scalar walker and the
+  /// per-ISA batch kernels (infer/infer_kernels.h) traverse. Aliased as
+  /// cmp::TreeNodesView below.
+  struct NodesView {
+    const int16_t* attr = nullptr;
+    const float* threshold = nullptr;
+    const int32_t* children = nullptr;
+    const CatSplit* cat_splits = nullptr;
+    const uint8_t* cat_bits = nullptr;
+    const LinSplit* lin_splits = nullptr;
+    const WideSplit* wide_splits = nullptr;
+    const FusedNode* fused = nullptr;
+    const int32_t* fused_attr = nullptr;
   };
 
   CompiledTree() = default;
@@ -175,16 +185,7 @@ class CompiledTree {
   const std::shared_ptr<const ModelBlob>& storage() const { return storage_; }
 
   /// Index (into the leaf tables) of the leaf record `r` of `ds` lands in.
-  int32_t LeafIndexOf(const Dataset& ds, RecordId r) const {
-    return Descend(DatasetRow{&ds, r});
-  }
-
-  /// Batch descent: fills `out[0 .. end-begin)` with the leaf index of
-  /// records [begin, end) of `ds`. Routes through the active vector tier
-  /// (LeafIndicesOfColumns) — the dataset already stores columns, so the
-  /// adapter is just an array of column pointers.
-  void LeafIndicesOf(const Dataset& ds, RecordId begin, RecordId end,
-                     int32_t* out) const;
+  int32_t LeafIndexOf(const Dataset& ds, RecordId r) const;
 
   /// Batch descent over a column-major row block: fills
   /// `out[0 .. end-begin)` with the leaf index rows [begin, end) of
@@ -196,24 +197,12 @@ class CompiledTree {
                             int64_t end, int32_t* out,
                             const InferKernelOps* ops = nullptr) const;
 
-  /// The pre-SIMD batch path: template gang descent straight off the
-  /// Dataset accessors, kept intact as the differential and benchmark
-  /// baseline for the vector tiers (this was LeafIndicesOf before they
-  /// existed).
-  void LeafIndicesOfGang(const Dataset& ds, RecordId begin, RecordId end,
-                         int32_t* out) const {
-    DescendRange(begin, end, out,
-                 [&ds](RecordId r) { return DatasetRow{&ds, r}; });
-  }
-
   /// Same descent over a raw dense row: both arrays are indexed by AttrId
   /// and sized schema().num_attrs(); only the slot matching each
   /// attribute's kind is ever read. `categorical` may be null for an
   /// all-numeric schema.
   int32_t LeafIndexOfRow(const double* numeric,
-                         const int32_t* categorical) const {
-    return Descend(RawRow{numeric, categorical});
-  }
+                         const int32_t* categorical) const;
 
   /// Predicted class for record `r` of `ds`; identical to
   /// DecisionTree::Classify on the source tree.
@@ -238,126 +227,20 @@ class CompiledTree {
   }
 
   std::span<const CatSplit> cat_splits() const {
-    return {cat_splits_, static_cast<size_t>(num_cat_)};
+    return {nodes_.cat_splits, static_cast<size_t>(num_cat_)};
   }
   std::span<const LinSplit> lin_splits() const {
-    return {lin_splits_, static_cast<size_t>(num_lin_)};
+    return {nodes_.lin_splits, static_cast<size_t>(num_lin_)};
   }
   std::span<const WideSplit> wide_splits() const {
-    return {wide_splits_, static_cast<size_t>(num_wide_)};
+    return {nodes_.wide_splits, static_cast<size_t>(num_wide_)};
   }
 
-  /// Rows descended in lockstep by the batch path.
-  static constexpr int kLanes = 8;
-
-  /// Raw-pointer snapshot of this tree's arrays, the form the per-ISA
-  /// batch kernels (infer/infer_kernels.h) traverse. Defined inline
-  /// after the class.
-  TreeNodesView nodes_view() const;
+  /// This tree's node arrays as plain pointers, the form the walker
+  /// and the batch kernels take.
+  const NodesView& nodes_view() const { return nodes_; }
 
  private:
-  struct DatasetRow {
-    const Dataset* ds;
-    RecordId r;
-    double Numeric(int32_t a) const { return ds->numeric(a, r); }
-    int32_t Categorical(int32_t a) const { return ds->categorical(a, r); }
-  };
-  struct RawRow {
-    const double* numeric;
-    const int32_t* categorical;
-    double Numeric(int32_t a) const { return numeric[a]; }
-    int32_t Categorical(int32_t a) const { return categorical[a]; }
-  };
-
-  static int32_t SideIndex(float threshold) {
-    return std::bit_cast<int32_t>(threshold);
-  }
-
-  /// One descent step of lane `id`; leaves hold still, so lanes that
-  /// finish early are harmless no-ops until the whole gang is done. The
-  /// child select is arithmetic (`2*id + went_right`), never a branch:
-  /// only the split-kind dispatch branches, and that is near-perfectly
-  /// predicted on trees dominated by one split kind. NaN feature values
-  /// fail `<=` and route right, matching Split::RoutesLeft.
-  template <typename Row>
-  int32_t Step(int32_t id, const Row& row) const {
-    const int16_t a = attr_[id];
-    double x, t;
-    if (a >= 0) {
-      x = row.Numeric(a);
-      t = static_cast<double>(threshold_[id]);
-    } else if (a == kLeaf) {
-      return id;
-    } else if (a == kWide) {
-      const WideSplit& s = wide_splits_[SideIndex(threshold_[id])];
-      x = row.Numeric(s.attr);
-      t = s.threshold;
-    } else if (a == kLin) {
-      const LinSplit& s = lin_splits_[SideIndex(threshold_[id])];
-      x = s.a * row.Numeric(s.x) + s.b * row.Numeric(s.y);
-      t = s.c;
-    } else {
-      const CatSplit& s = cat_splits_[SideIndex(threshold_[id])];
-      const int32_t v = row.Categorical(s.attr);
-      const bool in_left = v >= 0 && v < s.card && cat_bits_[s.offset + v];
-      return children_[2 * id + static_cast<int32_t>(!in_left)];
-    }
-    return children_[2 * id + static_cast<int32_t>(!(x <= t))];
-  }
-
-  /// Single-row descent, used by Predict and for batch remainders.
-  template <typename Row>
-  int32_t Descend(const Row& row) const {
-    int32_t id = 0;
-    while (attr_[id] != kLeaf) id = Step(id, row);
-    return children_[2 * id + 1];
-  }
-
-  /// Gang descent: kLanes rows walk the tree concurrently. Each lane's
-  /// step is a short chain of dependent loads ending in a branchless
-  /// select, so the lanes' chains overlap in the memory pipeline instead
-  /// of serializing behind one row's cache misses. A lane that reaches a
-  /// leaf immediately refills with the next row (no lockstep: short
-  /// descents never wait for deep ones), until the range runs dry and the
-  /// last in-flight lanes drain scalar.
-  template <typename Index, typename RowAt>
-  void DescendRange(Index begin, Index end, int32_t* out,
-                    const RowAt& row_at) const {
-    if (end - begin < static_cast<Index>(kLanes)) {
-      for (Index i = begin; i < end; ++i) out[i - begin] = Descend(row_at(i));
-      return;
-    }
-    int32_t ids[kLanes];
-    Index rows[kLanes];
-    Index next = begin;
-    for (int l = 0; l < kLanes; ++l) {
-      ids[l] = 0;
-      rows[l] = next++;
-    }
-    bool done_lane[kLanes] = {};
-    int retired = 0;  // lanes that found the range dry on refill
-    while (retired == 0) {
-      for (int l = 0; l < kLanes; ++l) ids[l] = Step(ids[l], row_at(rows[l]));
-      for (int l = 0; l < kLanes; ++l) {
-        if (attr_[ids[l]] != kLeaf) continue;
-        out[rows[l] - begin] = children_[2 * ids[l] + 1];
-        if (next < end) {
-          ids[l] = 0;
-          rows[l] = next++;
-        } else {
-          done_lane[l] = true;
-          ++retired;
-        }
-      }
-    }
-    for (int l = 0; l < kLanes; ++l) {
-      if (done_lane[l]) continue;
-      int32_t id = ids[l];
-      while (attr_[id] != kLeaf) id = Step(id, row_at(rows[l]));
-      out[rows[l] - begin] = children_[2 * id + 1];
-    }
-  }
-
   // Cold identity; the schema is shared with every other tree bound to
   // the same blob.
   std::shared_ptr<const Schema> schema_;
@@ -366,19 +249,13 @@ class CompiledTree {
   int32_t num_nodes_ = 0;
   int32_t num_leaves_ = 0;
 
-  // Hot structure-of-arrays node views into the blob (preorder, root at
-  // 0). Children are interleaved: children_[2i] left, children_[2i+1]
-  // right — for leaves, the class id and the leaf-table index
-  // respectively.
-  const int16_t* attr_ = nullptr;
-  const float* threshold_ = nullptr;
-  const int32_t* children_ = nullptr;
+  // Node views into the blob (preorder, root at 0) and the fused
+  // records. Children are interleaved: children[2i] left,
+  // children[2i+1] right — for leaves, the class id and the leaf-table
+  // index respectively.
+  NodesView nodes_;
 
-  // Cold side-table views.
-  const CatSplit* cat_splits_ = nullptr;
-  const uint8_t* cat_bits_ = nullptr;
-  const LinSplit* lin_splits_ = nullptr;
-  const WideSplit* wide_splits_ = nullptr;
+  // Side-table sizes, for the spans and the bind-time validation.
   int32_t num_cat_ = 0;
   int64_t num_cat_bits_ = 0;
   int32_t num_lin_ = 0;
@@ -388,52 +265,96 @@ class CompiledTree {
   const ClassId* leaf_class_ = nullptr;
   const float* leaf_probs_ = nullptr;  // num_leaves x num_classes, row-major
 
-  // Bind-time fused node records and their parallel attribute array
-  // (see FusedNode); shared so tree copies stay cheap. Null only for an
-  // empty (default-constructed) tree. fused_attr_slots_ is one past the
-  // largest numeric attribute any fused record references — the width a
-  // kernel needs for a row-major feature staging buffer.
+  // Owners of the bind-time fused node records and their parallel
+  // attribute array (see FusedNode) that nodes_ points into; shared so
+  // tree copies stay cheap. Null only for an empty (default-constructed)
+  // tree.
   std::shared_ptr<const std::vector<FusedNode>> fused_store_;
   std::shared_ptr<const std::vector<int32_t>> fused_attr_store_;
-  int32_t fused_attr_slots_ = 0;
 };
 
-/// The hot arrays of one CompiledTree as plain pointers. This is what
-/// the per-ISA kernels take: a translation unit compiled with -mavx2
-/// must never inline CompiledTree methods (they would pick up AVX2
-/// codegen and get called from non-AVX2 hosts via the baseline build),
-/// so the kernels see only this POD view.
-struct TreeNodesView {
-  const int16_t* attr = nullptr;
-  const float* threshold = nullptr;
-  const int32_t* children = nullptr;
-  const CompiledTree::CatSplit* cat_splits = nullptr;
-  const uint8_t* cat_bits = nullptr;
-  const CompiledTree::LinSplit* lin_splits = nullptr;
-  const CompiledTree::WideSplit* wide_splits = nullptr;
-  const CompiledTree::FusedNode* fused = nullptr;
-  const int32_t* fused_attr = nullptr;
-  // One past the largest numeric attribute id in `fused_attr`: the row
-  // width of a row-major feature staging buffer covering every numeric
-  // split in this tree.
-  int32_t fused_attr_slots = 0;
-};
+/// The per-ISA kernels take this POD view rather than a CompiledTree: a
+/// translation unit compiled with -mavx2 must never inline CompiledTree
+/// methods (they would pick up AVX2 codegen and get called from
+/// non-AVX2 hosts via the baseline build).
+using TreeNodesView = CompiledTree::NodesView;
 
-inline TreeNodesView CompiledTree::nodes_view() const {
-  return TreeNodesView{attr_,
-                       threshold_,
-                       children_,
-                       cat_splits_,
-                       cat_bits_,
-                       lin_splits_,
-                       wide_splits_,
-                       fused_store_ != nullptr ? fused_store_->data()
-                                               : nullptr,
-                       fused_attr_store_ != nullptr
-                           ? fused_attr_store_->data()
-                           : nullptr,
-                       fused_attr_slots_};
+namespace infer_impl {
+
+// The one scalar descent walker, generic over its row type (a Row
+// provides `double Numeric(int32_t attr)` and
+// `int32_t Categorical(int32_t attr)`). CompiledTree's per-row lookups,
+// the scalar tier and the AVX2 tier's fallbacks all call it, which is
+// what keeps every tier byte-identical to PredictRow.
+//
+// Everything here has internal linkage, in every translation unit that
+// includes this header: infer_kernels_avx2.cc is compiled with -mavx2,
+// and an inline function or template it instantiated with external
+// linkage would be a weak definition the linker may keep for every
+// caller, putting AVX code on the scalar path of a host without AVX2.
+// For the same reason the walker uses builtins, not library templates.
+namespace {
+
+/// Side-table index smuggled through a kCat/kLin/kWide node's float
+/// threshold slot.
+inline int32_t SideIndex(float threshold) {
+  return __builtin_bit_cast(int32_t, threshold);
 }
+
+/// Row `r` of a column-major block.
+struct ColumnRow {
+  const RowColumnsView* rows;
+  int64_t r;
+  double Numeric(int32_t a) const { return rows->numeric[a][r]; }
+  int32_t Categorical(int32_t a) const { return rows->categorical[a][r]; }
+};
+
+/// One descent step from node `id`; leaves hold still, so lanes that
+/// finish early are harmless no-ops until a whole gang is done. The
+/// child select is arithmetic (`2*id + went_right`), never a branch:
+/// only the split-kind dispatch branches, and that is near-perfectly
+/// predicted on trees dominated by one split kind. NaN feature values
+/// fail `<=` and route right, matching Split::RoutesLeft.
+template <typename Row>
+int32_t Step(const TreeNodesView& t, const Row& row, int32_t id) {
+  const int16_t a = t.attr[id];
+  double x, cut;
+  if (a >= 0) {
+    x = row.Numeric(a);
+    cut = static_cast<double>(t.threshold[id]);
+  } else if (a == CompiledTree::kLeaf) {
+    return id;
+  } else if (a == CompiledTree::kWide) {
+    const CompiledTree::WideSplit& s =
+        t.wide_splits[SideIndex(t.threshold[id])];
+    x = row.Numeric(s.attr);
+    cut = s.threshold;
+  } else if (a == CompiledTree::kLin) {
+    const CompiledTree::LinSplit& s =
+        t.lin_splits[SideIndex(t.threshold[id])];
+    x = s.a * row.Numeric(s.x) + s.b * row.Numeric(s.y);
+    cut = s.c;
+  } else {
+    const CompiledTree::CatSplit& s =
+        t.cat_splits[SideIndex(t.threshold[id])];
+    const int32_t v = row.Categorical(s.attr);
+    const bool in_left = v >= 0 && v < s.card && t.cat_bits[s.offset + v];
+    return t.children[2 * id + static_cast<int32_t>(!in_left)];
+  }
+  return t.children[2 * id + static_cast<int32_t>(!(x <= cut))];
+}
+
+/// Full descent of `row` from node `id` (the root by default; the batch
+/// tiers hand over their in-flight lanes here when the range runs dry).
+/// Returns the leaf index.
+template <typename Row>
+int32_t DescendFrom(const TreeNodesView& t, const Row& row, int32_t id = 0) {
+  while (t.attr[id] != CompiledTree::kLeaf) id = Step(t, row, id);
+  return t.children[2 * id + 1];
+}
+
+}  // namespace
+}  // namespace infer_impl
 
 // The blob stores these structs raw; pin their layout so a blob written
 // by any build of this library parses in any other.

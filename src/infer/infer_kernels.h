@@ -21,7 +21,7 @@ namespace cmp {
 struct InferKernelOps {
   /// Fills `out[i - begin]` with the leaf index row i of `rows` lands in,
   /// for i in [begin, end). Must be byte-identical to
-  /// CompiledTree::Descend on every row.
+  /// infer_impl::DescendFrom (infer/compiled_tree.h) on every row.
   void (*descend_block)(const TreeNodesView& tree, const RowColumnsView& rows,
                         int64_t begin, int64_t end, int32_t* out);
 };

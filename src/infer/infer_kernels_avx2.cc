@@ -43,9 +43,14 @@
 //    independent rows for free in the out-of-order window; eight gangs'
 //    independent record loads (64 rows in flight) push the level cost
 //    toward L2 load throughput on trees that outgrow L1.
-// The cache-blocked node layout (infer/layout.h) additionally clusters
-// the lanes' nodes into few cache lines near the top of the tree, where
-// every descent spends its first several levels.
+// Nodes stay in compile order (preorder): a cache-blocked reordering
+// tied it on every benchmark workload (DESIGN.md §4k).
+//
+// Linkage: everything this file defines or instantiates, apart from
+// Avx2InferKernelOpsOrNull, is TU-local — the shared walker has internal
+// linkage, and builtins stand in for inline library functions — so no
+// weak definition compiled with -mavx2 can be picked by the linker for a
+// caller in another translation unit.
 //
 // Gather safety: all gathers read whole words of in-bounds arrays (ids
 // are validated child pointers, and node counts are capped at INT32_MAX
@@ -58,25 +63,30 @@
 
 #include <immintrin.h>
 
-#include <bit>
 #include <cstdint>
-
-#include "infer/infer_kernels_impl.h"
 
 namespace cmp {
 
 namespace {
 
+using infer_impl::ColumnRow;
+
 constexpr int kLanes = 8;   // rows per gang (one __m256d pair)
 constexpr int kGroups = 8;  // concurrent gangs whose gathers overlap
 constexpr int kMaxLanes = kLanes * kGroups;
+
+// Side-table index a kCat/kLin fused record carries in its threshold
+// slot (see CompiledTree::FusedNode).
+int32_t SideIndex(const CompiledTree::FusedNode& nd) {
+  return static_cast<int32_t>(__builtin_bit_cast(int64_t, nd.threshold));
+}
 
 void DescendBlockAvx2(const TreeNodesView& t, const RowColumnsView& rows,
                       int64_t begin, int64_t end, int32_t* out) {
   const int64_t n = end - begin;
   if (n < kLanes) {
     for (int64_t i = begin; i < end; ++i) {
-      out[i - begin] = infer_impl::Descend(t, rows, i);
+      out[i - begin] = infer_impl::DescendFrom(t, ColumnRow{&rows, i});
     }
     return;
   }
@@ -127,7 +137,7 @@ void DescendBlockAvx2(const TreeNodesView& t, const RowColumnsView& rows,
       // gathered in the vector step; start the record's line toward L1
       // now — that gather lands tens of cycles from here.
       for (uint32_t m = ~exc & 0xffu; m != 0; m &= m - 1) {
-        const int l = base + std::countr_zero(m);
+        const int l = base + __builtin_ctz(m);
         _mm_prefetch(reinterpret_cast<const char*>(t.fused + ids[l]),
                      _MM_HINT_T0);
         x[l] = rows.numeric[attrs[l]][rws[l]];
@@ -136,7 +146,7 @@ void DescendBlockAvx2(const TreeNodesView& t, const RowColumnsView& rows,
       // resolve categorical/linear splits scalar. A lane chains until it
       // parks on a numeric node again (or the range runs dry).
       for (uint32_t m = exc; m != 0 && !dry; m &= m - 1) {
-        const int l = base + std::countr_zero(m);
+        const int l = base + __builtin_ctz(m);
         int32_t a = attrs[l];
         for (;;) {
           if (a >= 0) {
@@ -159,7 +169,7 @@ void DescendBlockAvx2(const TreeNodesView& t, const RowColumnsView& rows,
             break;
           }
           if (a == CompiledTree::kLin) {
-            const CompiledTree::LinSplit& s = t.lin_splits[nd.SideIndex()];
+            const CompiledTree::LinSplit& s = t.lin_splits[SideIndex(nd)];
             x[l] = s.a * rows.numeric[s.x][rws[l]] +
                    s.b * rows.numeric[s.y][rws[l]];
             cut[l] = s.c;
@@ -168,7 +178,7 @@ void DescendBlockAvx2(const TreeNodesView& t, const RowColumnsView& rows,
           }
           // Categorical: resolved fully here (same tests as the scalar
           // Step), reading only the fused record and the side tables.
-          const CompiledTree::CatSplit& s = t.cat_splits[nd.SideIndex()];
+          const CompiledTree::CatSplit& s = t.cat_splits[SideIndex(nd)];
           const int32_t v = rows.categorical[s.attr][rws[l]];
           const bool go_left =
               v >= 0 && v < s.card && t.cat_bits[s.offset + v] != 0;
@@ -258,7 +268,8 @@ void DescendBlockAvx2(const TreeNodesView& t, const RowColumnsView& rows,
   // child blend) finish scalar, exactly like the gang walker's drain.
   for (int l = 0; l < lanes; ++l) {
     if (done_lane[l]) continue;
-    out[rws[l] - begin] = infer_impl::DescendFrom(t, rows, ids[l], rws[l]);
+    out[rws[l] - begin] =
+        infer_impl::DescendFrom(t, ColumnRow{&rows, rws[l]}, ids[l]);
   }
 }
 

@@ -13,6 +13,10 @@ constexpr uint32_t kMaxSchemaAttrs = 1u << 20;
 constexpr uint32_t kMaxSchemaClasses = 1u << 20;
 constexpr uint32_t kMaxNameBytes = 1u << 16;
 
+// Node orders an older writer may name in a kNodeLayout section: 0 is
+// preorder, 1 breadth-first cache-blocked.
+constexpr uint32_t kKnownNodeLayouts = 2;
+
 void PutU32(std::vector<uint8_t>* out, uint32_t v) {
   const size_t at = out->size();
   out->resize(at + sizeof(v));
@@ -116,8 +120,7 @@ bool PackFail(std::string* error, const std::string& what) {
 }  // namespace
 
 std::vector<uint8_t> PackModelBlob(
-    const std::vector<const DecisionTree*>& trees, const PackOptions& pack,
-    std::string* error) {
+    const std::vector<const DecisionTree*>& trees, std::string* error) {
   if (trees.empty()) {
     PackFail(error, "no trees to pack");
     return {};
@@ -140,13 +143,8 @@ std::vector<uint8_t> PackModelBlob(
   const std::vector<uint8_t> schema_bytes = EncodeSchema(schema);
   writer.Add(kGlobalSection, SectionKind::kSchema, schema_bytes.data(),
              schema_bytes.size(), 1);
-  const uint32_t layout_payload[2] = {static_cast<uint32_t>(pack.layout),
-                                      kNodeLayoutVersion};
-  writer.Add(kGlobalSection, SectionKind::kNodeLayout, layout_payload, 2,
-             sizeof(uint32_t));
   for (uint32_t i = 0; i < trees.size(); ++i) {
-    CompiledTreeArrays a = CompileTreeToArrays(*trees[i]);
-    if (pack.layout == NodeLayout::kBlocked) ApplyBlockedLayout(&a);
+    const CompiledTreeArrays a = CompileTreeToArrays(*trees[i]);
     writer.Add(i, SectionKind::kNodeAttr, a.attr.data(), a.attr.size(),
                sizeof(int16_t));
     writer.Add(i, SectionKind::kThreshold, a.threshold.data(),
@@ -169,15 +167,10 @@ std::vector<uint8_t> PackModelBlob(
   return writer.Finish();
 }
 
-std::vector<uint8_t> PackModelBlob(
-    const std::vector<const DecisionTree*>& trees, std::string* error) {
-  return PackModelBlob(trees, PackOptions{}, error);
-}
-
 CompiledModel CompileModel(const std::vector<const DecisionTree*>& trees,
-                           const PackOptions& pack, std::string* error) {
+                           std::string* error) {
   CompiledModel out;
-  std::vector<uint8_t> bytes = PackModelBlob(trees, pack, error);
+  std::vector<uint8_t> bytes = PackModelBlob(trees, error);
   if (bytes.empty()) return out;
   std::shared_ptr<const ModelBlob> blob =
       ModelBlob::FromBytes(std::move(bytes), error);
@@ -186,15 +179,9 @@ CompiledModel CompileModel(const std::vector<const DecisionTree*>& trees,
   return out;
 }
 
-CompiledModel CompileModel(const std::vector<const DecisionTree*>& trees,
-                           std::string* error) {
-  return CompileModel(trees, PackOptions{}, error);
-}
-
 bool SaveModelBlob(const std::vector<const DecisionTree*>& trees,
-                   const PackOptions& pack, const std::string& path,
-                   std::string* error) {
-  const std::vector<uint8_t> bytes = PackModelBlob(trees, pack, error);
+                   const std::string& path, std::string* error) {
+  const std::vector<uint8_t> bytes = PackModelBlob(trees, error);
   if (bytes.empty()) return false;
   std::ofstream os(path, std::ios::binary | std::ios::trunc);
   if (!os.is_open()) return PackFail(error, "cannot write " + path);
@@ -202,11 +189,6 @@ bool SaveModelBlob(const std::vector<const DecisionTree*>& trees,
            static_cast<std::streamsize>(bytes.size()));
   if (!os.good()) return PackFail(error, "short write on " + path);
   return true;
-}
-
-bool SaveModelBlob(const std::vector<const DecisionTree*>& trees,
-                   const std::string& path, std::string* error) {
-  return SaveModelBlob(trees, PackOptions{}, path, error);
 }
 
 bool ModelFromBlob(std::shared_ptr<const ModelBlob> blob, CompiledModel* out,
@@ -230,25 +212,26 @@ bool ModelFromBlob(std::shared_ptr<const ModelBlob> blob, CompiledModel* out,
   }
   auto shared_schema = std::make_shared<const Schema>(std::move(schema));
 
-  NodeLayout layout = NodeLayout::kPreorder;  // pre-layout blobs
+  // Older writers named their node order in a u32 value + u32 version
+  // section. Descent only needs strictly forward children, which
+  // FromBlob checks, so any known order loads; the section is still
+  // outside input and must be well formed.
   if (const BlobSection* layout_section =
           blob->Find(kGlobalSection, SectionKind::kNodeLayout)) {
     if (layout_section->bytes < 2 * sizeof(uint32_t)) {
       return PackFail(error, "malformed node-layout section");
     }
-    uint32_t vals[2];
-    std::memcpy(vals, blob->SectionData<uint8_t>(*layout_section),
-                sizeof(vals));
-    if (vals[0] > static_cast<uint32_t>(NodeLayout::kBlocked)) {
+    uint32_t layout = 0;
+    std::memcpy(&layout, blob->SectionData<uint8_t>(*layout_section),
+                sizeof(layout));
+    if (layout >= kKnownNodeLayouts) {
       return PackFail(error, "unknown node layout");
     }
-    layout = static_cast<NodeLayout>(vals[0]);
   }
 
   CompiledModel model;
   model.schema = shared_schema;
   model.blob = blob;
-  model.layout = layout;
   model.trees.resize(blob->num_trees());
   for (uint32_t i = 0; i < blob->num_trees(); ++i) {
     if (!CompiledTree::FromBlob(blob, shared_schema, i, &model.trees[i],

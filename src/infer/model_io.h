@@ -7,20 +7,10 @@
 
 #include "common/schema.h"
 #include "infer/compiled_tree.h"
-#include "infer/layout.h"
 #include "io/model_blob.h"
 #include "tree/tree.h"
 
 namespace cmp {
-
-/// Packing knobs for PackModelBlob / CompileModel / SaveModelBlob.
-struct PackOptions {
-  /// Node ordering written for each tree. Blocked is the default since
-  /// the vectorized batch path landed; preorder reproduces the original
-  /// layout. Readers load either, and the choice never changes
-  /// predictions — only cache behavior.
-  NodeLayout layout = NodeLayout::kBlocked;
-};
 
 /// A compiled model ready to score: the shared schema plus one
 /// CompiledTree view per member tree, all pointing into one `.cmpb`
@@ -32,9 +22,6 @@ struct CompiledModel {
   std::shared_ptr<const Schema> schema;
   std::shared_ptr<const ModelBlob> blob;
   std::vector<CompiledTree> trees;
-  /// Node ordering recorded in the blob's kNodeLayout section; blobs
-  /// written before that section existed load as kPreorder.
-  NodeLayout layout = NodeLayout::kPreorder;
 
   bool empty() const { return trees.empty(); }
   int num_trees() const { return static_cast<int>(trees.size()); }
@@ -44,9 +31,8 @@ struct CompiledModel {
 };
 
 /// Packs `trees` (at least one, all non-empty, sharing one schema) into
-/// `.cmpb` blob bytes. Returns empty and fills `error` on invalid input.
-std::vector<uint8_t> PackModelBlob(const std::vector<const DecisionTree*>& trees,
-                                   const PackOptions& pack, std::string* error);
+/// `.cmpb` blob bytes, nodes in preorder. Returns empty and fills `error`
+/// on invalid input.
 std::vector<uint8_t> PackModelBlob(const std::vector<const DecisionTree*>& trees,
                                    std::string* error);
 
@@ -55,20 +41,17 @@ std::vector<uint8_t> PackModelBlob(const std::vector<const DecisionTree*>& trees
 /// SaveModelBlob writes), so "compiled in process" and "loaded from
 /// disk" are the same model byte for byte.
 CompiledModel CompileModel(const std::vector<const DecisionTree*>& trees,
-                           const PackOptions& pack, std::string* error);
-CompiledModel CompileModel(const std::vector<const DecisionTree*>& trees,
                            std::string* error);
 
 /// Writes `trees` as a `.cmpb` file.
 bool SaveModelBlob(const std::vector<const DecisionTree*>& trees,
-                   const PackOptions& pack, const std::string& path,
-                   std::string* error);
-bool SaveModelBlob(const std::vector<const DecisionTree*>& trees,
                    const std::string& path, std::string* error);
 
 /// Binds a CompiledModel onto an already-parsed blob: decodes the schema
-/// section and validates + binds every tree view. On failure returns
-/// false with `out` empty.
+/// section and validates + binds every tree view. A kNodeLayout section,
+/// which older writers added to name their node order, is checked for
+/// shape and a known value, then ignored: descent does not depend on the
+/// order. On failure returns false with `out` empty.
 bool ModelFromBlob(std::shared_ptr<const ModelBlob> blob, CompiledModel* out,
                    std::string* error);
 

@@ -192,31 +192,12 @@ void BlobWriter::Add(uint32_t tree, SectionKind kind, const void* data,
   pending_.push_back(std::move(p));
 }
 
-namespace {
-
-// The descent-hot node arrays get cache-line alignment (they are the
-// ones the blocked layout tiles into 64-byte superblock slices); every
-// other section keeps the container's 8-byte minimum.
-uint64_t SectionAlignment(uint32_t kind) {
-  switch (static_cast<SectionKind>(kind)) {
-    case SectionKind::kNodeAttr:
-    case SectionKind::kThreshold:
-    case SectionKind::kChildren:
-      return 64;
-    default:
-      return 8;
-  }
-}
-
-}  // namespace
-
 std::vector<uint8_t> BlobWriter::Finish() {
   const uint64_t table_end =
       kHeaderBytes + pending_.size() * kSectionEntryBytes;
   uint64_t offset = table_end;
   for (Pending& p : pending_) {
-    const uint64_t align = SectionAlignment(p.section.kind);
-    offset = (offset + align - 1) & ~(align - 1);
+    offset = (offset + 7) & ~uint64_t{7};
     p.section.offset = offset;
     offset += p.section.bytes;
   }

@@ -20,10 +20,8 @@ namespace cmp {
 ///               u64 total byte size
 ///   section     num_sections entries of BlobSection (tree id, kind,
 ///   table       offset, element count, byte size)
-///   payload     the sections' raw bytes, each at least 8-byte aligned
-///               (the hot node arrays — attr, threshold, children — are
-///               64-byte aligned so an mmap'd descent superblock sits on
-///               cache-line boundaries), zero-padded in between
+///   payload     the sections' raw bytes, each 8-byte aligned,
+///               zero-padded in between
 ///
 /// The container is deliberately dumb: it knows sections and bounds, not
 /// tree semantics. What each section *means* (element sizes, per-node
@@ -65,9 +63,10 @@ enum class SectionKind : uint32_t {
   kWideSplits = 8,  // CompiledTree::WideSplit
   kLeafClass = 9,   // ClassId per leaf
   kLeafProbs = 10,  // float, num_leaves x num_classes
-  kNodeLayout = 11,  // u32 NodeLayout value + u32 layout version (global);
-                     // absent in blobs written before layouts existed
-                     // (those are preorder)
+  kNodeLayout = 11,  // u32 node order + u32 version (global): written by
+                     // older versions (0 preorder, 1 cache-blocked),
+                     // validated and ignored on read, never written now;
+                     // the value stays reserved
 };
 
 inline constexpr uint32_t kGlobalSection = 0xffffffffu;
@@ -127,8 +126,7 @@ class ModelBlob {
 };
 
 /// Incrementally builds a `.cmpb` byte image: add sections in any order,
-/// then Finish() lays them out aligned behind the header + table (64
-/// bytes for the hot node arrays, 8 otherwise).
+/// then Finish() lays them out 8-byte aligned behind the header + table.
 /// Section payloads are copied at Add time, so callers may reuse their
 /// scratch buffers.
 class BlobWriter {

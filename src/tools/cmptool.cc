@@ -121,12 +121,11 @@ int Usage() {
       "                 nodes are untouched)\n"
       "  cmptool eval  --data FILE --tree FILE\n"
       "  cmptool compile --tree FILE[,FILE...] --out FILE.cmpb\n"
-      "                [--layout blocked|preorder]\n"
       "                (packs text trees into one mmap-able blob for\n"
       "                 cmpserve / predict)\n"
       "  cmptool predict --data FILE --tree FILE[,FILE...] [--out FILE]\n"
       "                (--tree also accepts one compiled .cmpb blob)\n"
-      "                [--threads N] [--block B] [--probs] [--top-k K]\n"
+      "                [--threads N] [--probs] [--top-k K]\n"
       "                [--abstain P] [--vote majority|prob]\n"
       "                (--threads N workers read, score and format\n"
       "                 blocks; default 0 = one per hardware thread, as\n"
@@ -826,21 +825,12 @@ int CmdCompile(int argc, char** argv) {
   std::vector<const cmp::DecisionTree*> ptrs;
   ptrs.reserve(trees.size());
   for (const cmp::DecisionTree& t : trees) ptrs.push_back(&t);
-  cmp::PackOptions pack;
-  const std::string layout = GetFlag(argc, argv, "--layout", "blocked");
-  if (layout == "preorder") {
-    pack.layout = cmp::NodeLayout::kPreorder;
-  } else if (layout != "blocked") {
-    std::cerr << "--layout wants blocked|preorder, got '" << layout << "'\n";
-    return Usage();
-  }
   std::string error;
-  if (!cmp::SaveModelBlob(ptrs, pack, out, &error)) {
+  if (!cmp::SaveModelBlob(ptrs, out, &error)) {
     std::cerr << "failed to compile " << out << ": " << error << "\n";
     return kExitIo;
   }
-  std::cerr << "compiled " << trees.size() << " tree(s) -> " << out << " ("
-            << cmp::NodeLayoutName(pack.layout) << " layout)\n";
+  std::cerr << "compiled " << trees.size() << " tree(s) -> " << out << "\n";
   return kExitOk;
 }
 
@@ -1238,8 +1228,6 @@ int CmdPredict(int argc, char** argv) {
   cmp::PredictOptions opts;
   int64_t top_k = 1;
   if (!ParseThreadCount(argc, argv, "--threads", 0, &opts.num_threads) ||
-      !ParseWholeFlag(argc, argv, "--block", 1, kMaxBlock, 2048,
-                      &opts.block_size) ||
       !ParseWholeFlag(argc, argv, "--top-k", 1, 65536, 1, &top_k)) {
     return kExitBadArgs;
   }

@@ -251,8 +251,8 @@ TEST_F(CmptoolTest, ExitCodesDistinguishFailureKinds) {
   EXPECT_EQ(RunTool("train --data " + data_ + " --algo cmp --stream"
                     " --scan-shards 1024 --threads 0 --out " + tree_),
             0);
-  // predict's other numeric flags are just as strict: --top-k and
-  // --block are whole numbers, --abstain a plain decimal in [0, 1].
+  // predict's other numeric flags are just as strict: --top-k is a
+  // whole number, --abstain a plain decimal in [0, 1].
   const std::string predict = "predict --data " + data_ + " --tree " + tree_;
   for (const auto& [flag, bad, message] :
        std::vector<std::tuple<std::string, std::string, std::string>>{
@@ -261,12 +261,6 @@ TEST_F(CmptoolTest, ExitCodesDistinguishFailureKinds) {
            {"--top-k", "0", "--top-k must be a whole number in [1, 65536]"},
            {"--top-k", "65537",
             "--top-k must be a whole number in [1, 65536]"},
-           {"--block", "-5", "--block must be a whole number in [1, 16777216]"},
-           {"--block", "0", "--block must be a whole number in [1, 16777216]"},
-           {"--block", "abc",
-            "--block must be a whole number in [1, 16777216]"},
-           {"--block", "16777217",
-            "--block must be a whole number in [1, 16777216]"},
            {"--abstain", "abc", "--abstain must be a decimal number in [0, 1]"},
            {"--abstain", "1.5", "--abstain must be a decimal number in [0, 1]"},
            {"--abstain", "-0.1",
@@ -282,8 +276,8 @@ TEST_F(CmptoolTest, ExitCodesDistinguishFailureKinds) {
         << flag << " '" << bad << "'";
     EXPECT_NE(out.find(message), std::string::npos) << out;
   }
-  for (const char* good : {" --top-k 65536 --block 1 --abstain 1",
-                           " --top-k 1 --block 16777216 --abstain 0",
+  for (const char* good : {" --top-k 65536 --abstain 1",
+                           " --top-k 1 --abstain 0",
                            " --abstain .5", " --abstain 0.25"}) {
     EXPECT_EQ(RunTool(predict + good + " --out " + TempPath("flags.csv"),
                       &out),

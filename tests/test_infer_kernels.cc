@@ -1,11 +1,14 @@
 // Differential fuzz suite for the vectorized batch-inference engine:
 // every runnable kernel tier (scalar gang, AVX2) must produce
-// predictions byte-identical to the scalar PredictRow walker, across
-// batch remainders smaller than a vector, both `.cmpb` node layouts
-// (preorder and cache-blocked), random ensembles, and a trained boost
-// forest. Also covers the kNodeLayout blob section: old blobs (no
-// section) load as preorder, malformed sections fail cleanly, and every
-// prefix truncation of a blocked blob is rejected at parse.
+// predictions byte-identical to the scalar PredictRow walker and to
+// DecisionTree::Classify (the independent reference: the scalar tier and
+// PredictRow share one step function), across batch remainders smaller
+// than a vector, random ensembles, and a trained boost forest. Also
+// covers the blob's node order: new blobs carry no kNodeLayout section,
+// a blocked-order blob written by an older version (a committed
+// fixture) still loads and scores the same, malformed kNodeLayout
+// sections fail cleanly, and every prefix truncation of a blob is
+// rejected at parse.
 
 #include <gtest/gtest.h>
 
@@ -22,13 +25,14 @@
 #include "common/dataset.h"
 #include "common/random.h"
 #include "common/schema.h"
+#include "datagen/agrawal.h"
 #include "infer/batch_predictor.h"
 #include "infer/compiled_tree.h"
 #include "infer/ensemble.h"
 #include "infer/infer_kernels.h"
-#include "infer/layout.h"
 #include "infer/model_io.h"
 #include "io/model_blob.h"
+#include "tree/serialize.h"
 #include "tree/tree.h"
 
 namespace cmp {
@@ -167,7 +171,7 @@ Dataset RandomDataset(const Schema& schema, Rng* rng, const ValuePool& pool,
 }
 
 /// Per-attribute column-pointer view over a dataset (the adapter
-/// LeafIndicesOf builds internally, rebuilt here so tests can drive
+/// BatchPredictor builds internally, rebuilt here so tests can drive
 /// LeafIndicesOfColumns with explicit kernel tiers).
 struct DatasetColumns {
   std::vector<const double*> num;
@@ -219,19 +223,9 @@ void FillRawRow(const Dataset& ds, RecordId r, std::vector<double>* numeric,
   }
 }
 
-CompiledModel CompileWithLayout(const DecisionTree& tree, NodeLayout layout) {
-  PackOptions pack;
-  pack.layout = layout;
-  std::string error;
-  CompiledModel model = CompileModel({&tree}, pack, &error);
-  EXPECT_FALSE(model.empty()) << error;
-  EXPECT_EQ(model.layout, layout);
-  return model;
-}
-
-// Every runnable tier x both layouts x batch sizes spanning all vector
-// remainders must byte-match the scalar PredictRow walker.
-TEST(InferKernels, TiersMatchPredictRowAcrossLayoutsAndRemainders) {
+// Every runnable tier x batch sizes spanning all vector remainders must
+// byte-match the scalar PredictRow walker.
+TEST(InferKernels, TiersMatchPredictRowAcrossRemainders) {
   Rng rng(20260808);
   const auto tiers = RunnableTiers();
   ASSERT_FALSE(tiers.empty());
@@ -241,51 +235,41 @@ TEST(InferKernels, TiersMatchPredictRowAcrossLayoutsAndRemainders) {
     const DecisionTree tree = RandomTree(schema, &rng, pool);
     const Dataset ds = RandomDataset(schema, &rng, pool, 547);
     const DatasetColumns cols(ds);
+    const CompiledTree compiled = CompiledTree::Compile(tree);
 
-    // Scalar per-row reference (PredictRow semantics via LeafIndexOf).
+    // Scalar per-row reference (PredictRow semantics via LeafIndexOfRow),
+    // itself checked against the interpreter.
     std::vector<double> raw_numeric;
     std::vector<int32_t> raw_cat;
+    std::vector<int32_t> reference(ds.num_records());
+    for (RecordId r = 0; r < ds.num_records(); ++r) {
+      FillRawRow(ds, r, &raw_numeric, &raw_cat);
+      reference[r] =
+          compiled.LeafIndexOfRow(raw_numeric.data(), raw_cat.data());
+      ASSERT_EQ(compiled.leaf_class(reference[r]), tree.Classify(ds, r));
+      ASSERT_EQ(compiled.LeafIndexOf(ds, r), reference[r]);
+    }
 
-    for (const NodeLayout layout :
-         {NodeLayout::kPreorder, NodeLayout::kBlocked}) {
-      const CompiledModel model = CompileWithLayout(tree, layout);
-      const CompiledTree& compiled = model.trees.front();
-
-      std::vector<int32_t> reference(ds.num_records());
-      for (RecordId r = 0; r < ds.num_records(); ++r) {
-        FillRawRow(ds, r, &raw_numeric, &raw_cat);
-        reference[r] = compiled.LeafIndexOfRow(raw_numeric.data(),
-                                               raw_cat.data());
-        ASSERT_EQ(compiled.leaf_class(reference[r]), tree.Classify(ds, r));
-      }
-
-      // The retained pre-SIMD gang path is its own reference.
-      std::vector<int32_t> gang(ds.num_records());
-      compiled.LeafIndicesOfGang(ds, 0, ds.num_records(), gang.data());
-      ASSERT_EQ(gang, reference);
-
-      for (const auto& [name, ops] : tiers) {
-        // Batch sizes 0..17 cover every remainder of the 8-lane tier
-        // (and the sub-vector scalar fallback) at both ends of
-        // the range; two larger sizes exercise refill and drain.
-        std::vector<int64_t> sizes;
-        for (int64_t s = 0; s <= 17; ++s) sizes.push_back(s);
-        sizes.push_back(100);
-        sizes.push_back(ds.num_records());
-        for (const int64_t size : sizes) {
-          const int64_t begin = size == ds.num_records()
-                                    ? 0
-                                    : rng.UniformInt(
-                                          0, ds.num_records() - size);
-          std::vector<int32_t> got(static_cast<size_t>(size), -99);
-          compiled.LeafIndicesOfColumns(cols.view(), begin, begin + size,
-                                        got.data(), ops);
-          for (int64_t i = 0; i < size; ++i) {
-            ASSERT_EQ(got[i], reference[begin + i])
-                << "tier=" << name
-                << " layout=" << NodeLayoutName(layout) << " size=" << size
-                << " row=" << begin + i;
-          }
+    for (const auto& [name, ops] : tiers) {
+      // Batch sizes 0..17 cover every remainder of the 8-lane tier
+      // (and the sub-vector scalar fallback) at both ends of
+      // the range; two larger sizes exercise refill and drain.
+      std::vector<int64_t> sizes;
+      for (int64_t s = 0; s <= 17; ++s) sizes.push_back(s);
+      sizes.push_back(100);
+      sizes.push_back(ds.num_records());
+      for (const int64_t size : sizes) {
+        const int64_t begin =
+            size == ds.num_records()
+                ? 0
+                : rng.UniformInt(0, ds.num_records() - size);
+        std::vector<int32_t> got(static_cast<size_t>(size), -99);
+        compiled.LeafIndicesOfColumns(cols.view(), begin, begin + size,
+                                      got.data(), ops);
+        for (int64_t i = 0; i < size; ++i) {
+          ASSERT_EQ(got[i], reference[begin + i])
+              << "tier=" << name << " size=" << size
+              << " row=" << begin + i;
         }
       }
     }
@@ -403,8 +387,8 @@ TEST(InferKernels, EnsembleInterleavingMatchesPerRowReference) {
 }
 
 // A trained boost forest (kAverageProb additive scoring) must serve the
-// same labels under every tier and both blob layouts.
-TEST(InferKernels, BoostForestIdenticalAcrossTiersAndLayouts) {
+// same labels under every tier.
+TEST(InferKernels, BoostForestIdenticalAcrossTiers) {
   // Small separable-ish binary problem.
   std::vector<AttrInfo> attrs = {{"x", AttrKind::kNumeric, 0},
                                  {"y", AttrKind::kNumeric, 0}};
@@ -427,66 +411,110 @@ TEST(InferKernels, BoostForestIdenticalAcrossTiersAndLayouts) {
   std::vector<const DecisionTree*> ptrs;
   for (const DecisionTree& t : built.forest) ptrs.push_back(&t);
 
+  std::string error;
+  const CompiledModel model = CompileModel(ptrs, &error);
+  ASSERT_FALSE(model.empty()) << error;
   const KernelIsa before = ActiveKernelIsa();
   std::vector<ClassId> reference;
-  for (const NodeLayout layout :
-       {NodeLayout::kPreorder, NodeLayout::kBlocked}) {
-    PackOptions pack;
-    pack.layout = layout;
-    std::string error;
-    const CompiledModel model = CompileModel(ptrs, pack, &error);
-    ASSERT_FALSE(model.empty()) << error;
-    ASSERT_EQ(model.layout, layout);
-    for (const KernelIsa isa : {KernelIsa::kScalar, KernelIsa::kAvx2}) {
-      if (!SetKernelIsa(isa)) continue;
-      const EnsemblePredictor ensemble(model.trees, VoteKind::kAverageProb);
-      const BatchResult got = ensemble.Predict(train);
-      if (reference.empty()) {
-        reference = got.labels;
-      } else {
-        EXPECT_EQ(got.labels, reference)
-            << NodeLayoutName(layout) << "/" << KernelIsaName(isa);
-      }
+  for (const KernelIsa isa : {KernelIsa::kScalar, KernelIsa::kAvx2}) {
+    if (!SetKernelIsa(isa)) continue;
+    const EnsemblePredictor ensemble(model.trees, VoteKind::kAverageProb);
+    const BatchResult got = ensemble.Predict(train);
+    if (reference.empty()) {
+      reference = got.labels;
+    } else {
+      EXPECT_EQ(got.labels, reference) << KernelIsaName(isa);
     }
   }
   ASSERT_TRUE(SetKernelIsa(before));
 }
 
-// Blobs written before the kNodeLayout section existed carry no layout
-// section; they must load as preorder and predict identically.
-TEST(InferKernels, BlobWithoutLayoutSectionLoadsAsPreorder) {
+// New blobs name no node order: they carry no kNodeLayout section (the
+// nodes are in compile order, preorder) and bind and score like the
+// interpreter.
+TEST(InferKernels, NewBlobsCarryNoLayoutSection) {
   Rng rng(5150);
   const ValuePool pool(&rng);
   const Schema schema = RandomSchema(&rng);
   const DecisionTree tree = RandomTree(schema, &rng, pool);
   const Dataset ds = RandomDataset(schema, &rng, pool, 64);
 
-  // Hand-pack the way PR 1..9 binaries did: schema + per-tree sections,
-  // no kNodeLayout.
   std::string error;
-  std::vector<uint8_t> with = PackModelBlob({&tree}, &error);
-  ASSERT_FALSE(with.empty()) << error;
-  auto parsed = ModelBlob::FromBytes(std::move(with), &error);
-  ASSERT_NE(parsed, nullptr) << error;
-  BlobWriter writer(1, parsed->num_classes());
-  for (const BlobSection& s : parsed->sections()) {
-    if (static_cast<SectionKind>(s.kind) == SectionKind::kNodeLayout) {
-      continue;
-    }
-    writer.Add(s.tree, static_cast<SectionKind>(s.kind),
-               parsed->SectionData<uint8_t>(s), s.count,
-               s.count > 0 ? s.bytes / s.count : 1);
-  }
-  auto old_style = ModelBlob::FromBytes(writer.Finish(), &error);
-  ASSERT_NE(old_style, nullptr) << error;
-  ASSERT_EQ(old_style->Find(kGlobalSection, SectionKind::kNodeLayout),
-            nullptr);
+  auto blob = ModelBlob::FromBytes(PackModelBlob({&tree}, &error), &error);
+  ASSERT_NE(blob, nullptr) << error;
+  EXPECT_EQ(blob->Find(kGlobalSection, SectionKind::kNodeLayout), nullptr);
 
   CompiledModel model;
-  ASSERT_TRUE(ModelFromBlob(old_style, &model, &error)) << error;
-  EXPECT_EQ(model.layout, NodeLayout::kPreorder);
+  ASSERT_TRUE(ModelFromBlob(blob, &model, &error)) << error;
   for (RecordId r = 0; r < ds.num_records(); ++r) {
     ASSERT_EQ(model.trees.front().Predict(ds, r), tree.Classify(ds, r));
+  }
+}
+
+// tests/golden/cmp_full_default_blocked.cmpb is what `cmptool compile
+// --tree tests/golden/cmp_full_default.tree` wrote while the compiler
+// still defaulted to the breadth-first cache-blocked node order: nodes
+// reordered, hot sections 64-byte aligned, and a kNodeLayout section
+// naming the order. Such a blob must still load, and every row must get
+// the label and probabilities of a fresh compile of the same tree and
+// the label of DecisionTree::Classify, under every tier.
+TEST(InferKernels, BlockedBlobFromOlderCompilerStillLoads) {
+  const std::string dir = CMP_GOLDEN_DIR;
+  std::vector<DecisionTree> trees;
+  ASSERT_TRUE(LoadTrees(dir + "/cmp_full_default.tree", &trees));
+  ASSERT_EQ(trees.size(), 1u);
+  const DecisionTree& tree = trees.front();
+
+  std::string error;
+  CompiledModel old_model;
+  ASSERT_TRUE(LoadCompiledModel(dir + "/cmp_full_default_blocked.cmpb",
+                                &old_model, &error))
+      << error;
+  const BlobSection* layout =
+      old_model.blob->Find(kGlobalSection, SectionKind::kNodeLayout);
+  ASSERT_NE(layout, nullptr);
+  ASSERT_EQ(layout->bytes, 2 * sizeof(uint32_t));
+  uint32_t layout_value[2];
+  std::memcpy(layout_value, old_model.blob->SectionData<uint8_t>(*layout),
+              sizeof(layout_value));
+  ASSERT_EQ(layout_value[0], 1u) << "fixture is not in blocked order";
+
+  const CompiledModel fresh = CompileModel({&tree}, &error);
+  ASSERT_FALSE(fresh.empty()) << error;
+  ASSERT_EQ(old_model.num_trees(), 1);
+  const CompiledTree& old_tree = old_model.trees.front();
+  const CompiledTree& new_tree = fresh.trees.front();
+  ASSERT_EQ(old_tree.num_nodes(), new_tree.num_nodes());
+  ASSERT_EQ(old_tree.num_classes(), new_tree.num_classes());
+  // The two node orders really differ, or this test checks nothing.
+  ASSERT_FALSE(std::equal(old_tree.nodes_view().attr,
+                          old_tree.nodes_view().attr + old_tree.num_nodes(),
+                          new_tree.nodes_view().attr));
+
+  AgrawalOptions gen;
+  gen.function = AgrawalFunction::kF2;
+  gen.num_records = 5000;
+  gen.seed = 72;
+  const Dataset ds = GenerateAgrawal(gen);
+  ASSERT_TRUE(ds.schema() == tree.schema());
+  const DatasetColumns cols(ds);
+  const int32_t nc = new_tree.num_classes();
+  const int64_t n = ds.num_records();
+  for (const auto& [name, ops] : RunnableTiers()) {
+    std::vector<int32_t> old_leaves(n);
+    std::vector<int32_t> new_leaves(n);
+    old_tree.LeafIndicesOfColumns(cols.view(), 0, n, old_leaves.data(), ops);
+    new_tree.LeafIndicesOfColumns(cols.view(), 0, n, new_leaves.data(), ops);
+    for (RecordId r = 0; r < n; ++r) {
+      const ClassId label = old_tree.leaf_class(old_leaves[r]);
+      ASSERT_EQ(label, new_tree.leaf_class(new_leaves[r]))
+          << name << " row " << r;
+      ASSERT_EQ(label, tree.Classify(ds, r)) << name << " row " << r;
+      ASSERT_TRUE(std::equal(old_tree.leaf_probs(old_leaves[r]),
+                             old_tree.leaf_probs(old_leaves[r]) + nc,
+                             new_tree.leaf_probs(new_leaves[r])))
+          << name << " row " << r;
+    }
   }
 }
 
@@ -507,15 +535,13 @@ TEST(InferKernels, MalformedLayoutSectionFailsCleanly) {
   const auto rebuild = [&](const std::vector<uint32_t>& layout_payload) {
     BlobWriter writer(1, parsed->num_classes());
     for (const BlobSection& s : parsed->sections()) {
-      if (static_cast<SectionKind>(s.kind) == SectionKind::kNodeLayout) {
-        writer.Add(s.tree, SectionKind::kNodeLayout, layout_payload.data(),
-                   layout_payload.size(), sizeof(uint32_t));
-      } else {
-        writer.Add(s.tree, static_cast<SectionKind>(s.kind),
-                   parsed->SectionData<uint8_t>(s), s.count,
-                   s.count > 0 ? s.bytes / s.count : 1);
-      }
+      writer.Add(s.tree, static_cast<SectionKind>(s.kind),
+                 parsed->SectionData<uint8_t>(s), s.count,
+                 s.count > 0 ? s.bytes / s.count : 1);
     }
+    writer.Add(kGlobalSection, SectionKind::kNodeLayout,
+               layout_payload.data(), layout_payload.size(),
+               sizeof(uint32_t));
     return ModelBlob::FromBytes(writer.Finish(), &error);
   };
 
@@ -525,25 +551,23 @@ TEST(InferKernels, MalformedLayoutSectionFailsCleanly) {
   EXPECT_FALSE(ModelFromBlob(short_section, &model, &error));
   EXPECT_NE(error.find("node-layout"), std::string::npos) << error;
 
-  auto unknown_value = rebuild({7, kNodeLayoutVersion});
+  auto unknown_value = rebuild({7, 1});
   ASSERT_NE(unknown_value, nullptr) << error;
   EXPECT_FALSE(ModelFromBlob(unknown_value, &model, &error));
   EXPECT_NE(error.find("layout"), std::string::npos) << error;
 }
 
-// Every prefix truncation of a blocked-layout blob must be rejected at
-// FromBytes — the container's total-size check makes a partial download
-// or short write fail loudly instead of binding garbage views.
-TEST(InferKernels, EveryPrefixTruncationOfBlockedBlobFails) {
+// Every prefix truncation of a blob must be rejected at FromBytes — the
+// container's total-size check makes a partial download or short write
+// fail loudly instead of binding garbage views.
+TEST(InferKernels, EveryPrefixTruncationOfBlobFails) {
   Rng rng(8086);
   const ValuePool pool(&rng);
   const Schema schema = RandomSchema(&rng);
   const DecisionTree tree = RandomTree(schema, &rng, pool);
 
-  PackOptions pack;
-  pack.layout = NodeLayout::kBlocked;
   std::string error;
-  const std::vector<uint8_t> bytes = PackModelBlob({&tree}, pack, &error);
+  const std::vector<uint8_t> bytes = PackModelBlob({&tree}, &error);
   ASSERT_FALSE(bytes.empty()) << error;
 
   for (size_t len = 0; len < bytes.size(); ++len) {
@@ -556,7 +580,6 @@ TEST(InferKernels, EveryPrefixTruncationOfBlockedBlobFails) {
   ASSERT_NE(blob, nullptr) << error;
   CompiledModel model;
   ASSERT_TRUE(ModelFromBlob(blob, &model, &error)) << error;
-  EXPECT_EQ(model.layout, NodeLayout::kBlocked);
 }
 
 // Repeated and concurrent Predict calls on one predictor must agree:
@@ -590,56 +613,6 @@ TEST(InferKernels, ScratchReuseIsDeterministicAndThreadSafe) {
   for (const BatchResult& r : results) {
     EXPECT_EQ(r.labels, first.labels);
     EXPECT_EQ(r.probs, first.probs);
-  }
-}
-
-// Pack-level check: blocked and preorder blobs of the same tree differ
-// in bytes but agree on every leaf table, and the hot node sections of
-// both land 64-byte aligned.
-TEST(InferKernels, BlockedLayoutRespectsAlignmentAndLeafTables) {
-  Rng rng(271828);
-  const ValuePool pool(&rng);
-  const Schema schema = RandomSchema(&rng);
-  const DecisionTree tree = RandomTree(schema, &rng, pool);
-
-  std::string error;
-  PackOptions pre;
-  pre.layout = NodeLayout::kPreorder;
-  const std::vector<uint8_t> a = PackModelBlob({&tree}, pre, &error);
-  PackOptions blk;
-  blk.layout = NodeLayout::kBlocked;
-  const std::vector<uint8_t> b = PackModelBlob({&tree}, blk, &error);
-  ASSERT_FALSE(a.empty());
-  ASSERT_FALSE(b.empty());
-
-  auto blob = ModelBlob::FromBytes(b, &error);
-  ASSERT_NE(blob, nullptr) << error;
-  for (const BlobSection& s : blob->sections()) {
-    const SectionKind kind = static_cast<SectionKind>(s.kind);
-    if (kind == SectionKind::kNodeAttr || kind == SectionKind::kThreshold ||
-        kind == SectionKind::kChildren) {
-      EXPECT_EQ(s.offset % 64, 0u) << "kind " << s.kind;
-    } else {
-      EXPECT_EQ(s.offset % 8, 0u) << "kind " << s.kind;
-    }
-  }
-
-  // The leaf tables are layout-invariant (leaves are renumbered only
-  // through the node payloads, never the tables).
-  auto blob_a = ModelBlob::FromBytes(a, &error);
-  ASSERT_NE(blob_a, nullptr) << error;
-  for (const SectionKind kind :
-       {SectionKind::kLeafClass, SectionKind::kLeafProbs,
-        SectionKind::kCatSplits, SectionKind::kLinSplits,
-        SectionKind::kWideSplits}) {
-    const BlobSection* sa = blob_a->Find(0, kind);
-    const BlobSection* sb = blob->Find(0, kind);
-    ASSERT_NE(sa, nullptr);
-    ASSERT_NE(sb, nullptr);
-    ASSERT_EQ(sa->bytes, sb->bytes);
-    EXPECT_EQ(std::memcmp(blob_a->SectionData<uint8_t>(*sa),
-                          blob->SectionData<uint8_t>(*sb), sa->bytes),
-              0);
   }
 }
 
