@@ -2,7 +2,6 @@
 #define CMP_CMP_BUILD_DRIVER_H_
 
 #include <algorithm>
-#include <memory>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -320,51 +319,11 @@ void CmpBuild<Store>::Run() {
     executor.FinishCollects(work_.collect);
     po.finish_seconds = finish_timer.Seconds();
 
+    // Grow the fresh nodes and resolve the pendings, each node a task
+    // on a private tree (see SplitExecutor::PlanRound).
     next_.Clear();
     Timer plan_timer;
-
-    // Frontier phase A: every fresh node's analysis is a pure function
-    // of its (now complete) bundle, so the frontier analyzes in
-    // parallel. Phase B below applies the results serially in work-list
-    // order — node creation order, stats, and tie-breaking are exactly
-    // the serial build's.
-    std::vector<std::unique_ptr<BundleAnalysis>> pre(work_.fresh.size());
-    if (pool_->parallelism() > 1 && work_.fresh.size() > 1) {
-      pool_->ParallelFor(work_.fresh.size(), 1, [&](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i) {
-          const std::vector<int64_t> totals =
-              work_.fresh[i].bundle.ClassTotals();
-          if (executor.WouldAnalyze(work_.fresh[i].node, totals)) {
-            pre[i] = std::make_unique<BundleAnalysis>(
-                planner.Analyze(work_.fresh[i].bundle, totals));
-          }
-        }
-      });
-    }
-    // Pending buffers sort to a unique (value, rid) order, so the sorts
-    // — the bulk of resolution cost — fan out ahead of the serial
-    // resolve walk, which then re-sorts already-sorted buffers for free.
-    if (pool_->parallelism() > 1 && !work_.pending.empty()) {
-      std::vector<Pending*> all_pendings;
-      for (PendingWork& w : work_.pending) {
-        CollectPendings(w.pending.get(), &all_pendings);
-      }
-      pool_->ParallelFor(all_pendings.size(), 1,
-                         [&](int64_t lo, int64_t hi) {
-                           for (int64_t i = lo; i < hi; ++i) {
-                             SortBuffer(&all_pendings[i]->buffer);
-                           }
-                         });
-    }
-
-    for (size_t i = 0; i < work_.fresh.size(); ++i) {
-      executor.GrowNode(work_.fresh[i].node, std::move(work_.fresh[i].bundle),
-                        /*predicted=*/true, pre[i].get());
-    }
-    for (PendingWork& w : work_.pending) {
-      const int depth = result_->tree.node(w.node).depth;
-      executor.ResolvePending(w.node, w.pending.get(), depth);
-    }
+    executor.PlanRound(work_);
     po.plan_seconds = plan_timer.Seconds();
     const LineSearchStats line_search = executor.TakeLineSearchStats();
     po.line_search_seconds = line_search.search_seconds;

@@ -14,14 +14,33 @@ int YRows(const Schema& schema, const std::vector<IntervalGrid>& grids,
 
 }  // namespace
 
+HistBundle::HistBundle(const HistBundle& other)
+    : bivariate_(other.bivariate_),
+      shape_only_(other.shape_only_),
+      x_attr_(other.x_attr_),
+      x_lo_(other.x_lo_),
+      x_hi_(other.x_hi_),
+      schema_(other.schema_),
+      hists_(other.hists_),
+      matrices_(other.matrices_) {
+  if (shape_only_) EnsureStorage();
+}
+
+HistBundle& HistBundle::operator=(const HistBundle& other) {
+  if (this != &other) *this = HistBundle(other);
+  return *this;
+}
+
 HistBundle HistBundle::MakeUnivariate(const Schema& schema,
                                       const std::vector<IntervalGrid>& grids) {
   HistBundle b;
   b.bivariate_ = false;
+  b.shape_only_ = true;
   b.schema_ = &schema;
   b.hists_.resize(schema.num_attrs());
   for (AttrId a = 0; a < schema.num_attrs(); ++a) {
-    b.hists_[a] = Histogram1D(YRows(schema, grids, a), schema.num_classes());
+    b.hists_[a] =
+        Histogram1D::Shape(YRows(schema, grids, a), schema.num_classes());
   }
   return b;
 }
@@ -32,6 +51,7 @@ HistBundle HistBundle::MakeBivariate(const Schema& schema,
   assert(schema.is_numeric(x_attr));
   HistBundle b;
   b.bivariate_ = true;
+  b.shape_only_ = true;
   b.schema_ = &schema;
   b.x_attr_ = x_attr;
   b.x_lo_ = x_lo;
@@ -39,15 +59,31 @@ HistBundle HistBundle::MakeBivariate(const Schema& schema,
   b.matrices_.resize(schema.num_attrs());
   for (AttrId a = 0; a < schema.num_attrs(); ++a) {
     if (a == x_attr) continue;
-    b.matrices_[a] = HistogramMatrix(x_hi - x_lo, YRows(schema, grids, a),
-                                     schema.num_classes());
+    b.matrices_[a] = HistogramMatrix::Shape(
+        x_hi - x_lo, YRows(schema, grids, a), schema.num_classes());
   }
   return b;
 }
 
+void HistBundle::ReserveStorage() {
+  for (Histogram1D& h : hists_) h.ReserveStorage();
+  for (HistogramMatrix& m : matrices_) m.ReserveStorage();
+}
+
+void HistBundle::ZeroStorage() {
+  for (Histogram1D& h : hists_) h.ZeroStorage();
+  for (HistogramMatrix& m : matrices_) m.ZeroStorage();
+  shape_only_ = false;
+}
+
+void HistBundle::EnsureStorage() {
+  ReserveStorage();
+  ZeroStorage();
+}
+
 HistBundle HistBundle::DeriveXRange(int x_lo, int x_hi, int full_lo,
                                     int full_hi) const {
-  assert(bivariate_);
+  assert(bivariate_ && !shape_only_);
   assert(x_lo_ <= x_lo && x_hi <= x_hi_);
   assert(x_lo <= full_lo && full_hi <= x_hi);
   HistBundle b;
@@ -80,6 +116,8 @@ HistBundle HistBundle::DeriveXRange(int x_lo, int x_hi, int full_lo,
 void HistBundle::MergeSameShape(const HistBundle& other) {
   assert(bivariate_ == other.bivariate_ && x_attr_ == other.x_attr_ &&
          x_lo_ == other.x_lo_ && x_hi_ == other.x_hi_);
+  if (other.shape_only_) return;  // all zeros
+  if (shape_only_) EnsureStorage();
   for (size_t i = 0; i < hists_.size(); ++i) hists_[i].Merge(other.hists_[i]);
   for (size_t i = 0; i < matrices_.size(); ++i) {
     if (static_cast<AttrId>(i) == x_attr_) continue;
@@ -91,6 +129,7 @@ void HistBundle::AccumulateCodedAttr(const BinCodeCache& codes, AttrId a,
                                      RecordId base, const uint32_t* offsets,
                                      size_t n) {
   assert(HasHistogram(a));
+  if (shape_only_) EnsureStorage();
   const int nc = schema_->num_classes();
   if (!bivariate_) {
     AccumulateHist1D(codes.view(a), codes.labels(), base, offsets, n, nc,
@@ -103,6 +142,7 @@ void HistBundle::AccumulateCodedAttr(const BinCodeCache& codes, AttrId a,
 }
 
 Histogram1D HistBundle::HistFor(AttrId a) const {
+  assert(!shape_only_);
   if (!bivariate_) return hists_[a];
   if (a == x_attr_) {
     // Any matrix's X marginal works; pick the first existing one.
@@ -116,6 +156,7 @@ Histogram1D HistBundle::HistFor(AttrId a) const {
 }
 
 std::vector<int64_t> HistBundle::ClassTotals() const {
+  assert(!shape_only_);
   if (!bivariate_) {
     if (hists_.empty()) return {};
     return hists_[0].ClassTotals();

@@ -26,9 +26,22 @@ namespace cmp {
 /// cover only a sub-range [x_lo, x_hi) of the global grid: bundles of
 /// children created by an X split are sub-matrices of the parent's
 /// matrices, which is what lets CMP-B grow several levels per scan.
+///
+/// A fresh bundle (MakeUnivariate / MakeBivariate) carries only its
+/// shape. Its storage comes in two steps: ReserveStorage allocates, and
+/// ZeroStorage zero-fills what was reserved. The scan that fills a
+/// bundle reserves on its own thread and zero-fills on the pool, so
+/// bundles planned on pool threads never allocate there (a worker's
+/// malloc arena keeps what it allocates). Every write and every copy
+/// gives a shape-only bundle its storage first, so a direct user can
+/// ignore the two steps.
 class HistBundle {
  public:
   HistBundle() = default;
+  HistBundle(const HistBundle& other);
+  HistBundle& operator=(const HistBundle& other);
+  HistBundle(HistBundle&&) = default;
+  HistBundle& operator=(HistBundle&&) = default;
 
   /// Creates an empty univariate (CMP-S) bundle over the global grids.
   static HistBundle MakeUnivariate(const Schema& schema,
@@ -40,6 +53,13 @@ class HistBundle {
   static HistBundle MakeBivariate(const Schema& schema,
                                   const std::vector<IntervalGrid>& grids,
                                   AttrId x_attr, int x_lo, int x_hi);
+
+  /// False until a shape-only bundle's storage is zero-filled.
+  bool has_storage() const { return !shape_only_; }
+  /// Allocates every histogram's cells without touching them.
+  void ReserveStorage();
+  /// Zero-fills the reserved cells; the bundle then has storage.
+  void ZeroStorage();
 
   /// Derives a child bundle after a split on the X axis: the child covers
   /// global X-intervals [x_lo, x_hi); columns in [full_lo, full_hi) are
@@ -60,6 +80,7 @@ class HistBundle {
   /// the block/stash stores of the out-of-core training path.
   template <class DS>
   void Add(const DS& ds, const std::vector<IntervalGrid>& grids, RecordId r) {
+    if (shape_only_) EnsureStorage();
     const Schema& schema = *schema_;
     const ClassId label = ds.label(r);
     if (!bivariate_) {
@@ -88,6 +109,7 @@ class HistBundle {
   /// Used where records arrive one at a time with interleaved routing
   /// (pending-buffer flushes at resolve time).
   void AddCoded(const BinCodeCache& codes, RecordId r) {
+    if (shape_only_) EnsureStorage();
     const Schema& schema = *schema_;
     const ClassId label = codes.label(r);
     if (!bivariate_) {
@@ -115,7 +137,8 @@ class HistBundle {
   /// exist: HasHistogram(a)), with the hist/hist_kernels.h kernels.
   /// Distinct attributes touch distinct histograms, so one bundle's
   /// attributes may be filled concurrently. Byte-for-byte the counts of
-  /// calling Add record by record.
+  /// calling Add record by record. Concurrent calls need a bundle that
+  /// has storage: only a single caller may give it its storage.
   void AccumulateCodedAttr(const BinCodeCache& codes, AttrId a, RecordId base,
                            const uint32_t* offsets, size_t n);
 
@@ -127,6 +150,7 @@ class HistBundle {
                       AttrId a, RecordId base, const uint32_t* offsets,
                       size_t n) {
     assert(HasHistogram(a));
+    if (shape_only_) EnsureStorage();
     const bool numeric = schema_->is_numeric(a);
     auto row_of = [&](RecordId r) {
       return numeric ? grids[a].IntervalOf(ds.numeric(a, r))
@@ -161,7 +185,10 @@ class HistBundle {
 
   /// Bivariate only: the matrix pairing X with attribute `a` (a !=
   /// x_attr).
-  const HistogramMatrix& matrix(AttrId a) const { return matrices_[a]; }
+  const HistogramMatrix& matrix(AttrId a) const {
+    assert(!shape_only_);
+    return matrices_[a];
+  }
 
   /// Adds every histogram of `other` into this bundle. Both bundles must
   /// have identical shape (same variant, X attribute and X range).
@@ -170,10 +197,14 @@ class HistBundle {
   /// Per-class record counts of the whole bundle.
   std::vector<int64_t> ClassTotals() const;
 
+  /// Bytes of every histogram, storage or not yet.
   int64_t MemoryBytes() const;
 
  private:
+  void EnsureStorage();
+
   bool bivariate_ = false;
+  bool shape_only_ = false;
   AttrId x_attr_ = kInvalidAttr;
   int x_lo_ = 0;
   int x_hi_ = 0;

@@ -28,13 +28,6 @@ void SortBuffer(std::vector<BufferedRecord>* buffer) {
             });
 }
 
-void CollectPendings(Pending* p, std::vector<Pending*>* out) {
-  out->push_back(p);
-  for (Segment& seg : p->segments) {
-    if (seg.plan == PlanKind::kPending) CollectPendings(seg.sub.get(), out);
-  }
-}
-
 int64_t CountAliveIntervals(const Pending& p) {
   int64_t n = static_cast<int64_t>(p.alive.size());
   for (const Segment& seg : p.segments) {

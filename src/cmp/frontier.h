@@ -79,16 +79,11 @@ struct Pending {
 };
 
 /// Sorts a pending buffer by (value, rid). The record id tiebreak makes
-/// the order a total one — equal-valued records always route to the same
-/// side of the resolved split, so the tree is unchanged, but the sorted
-/// buffer is now a unique permutation: re-sorting an already-sorted
-/// buffer is a no-op, which lets the per-pending sorts run as a parallel
-/// pre-pass without perturbing anything downstream.
+/// the order a total one: equal-valued records always route to the same
+/// side of the resolved split, so the tree is unchanged, and the sorted
+/// buffer is a unique permutation whatever order the scan appended it
+/// in and whatever sort algorithm runs.
 void SortBuffer(std::vector<BufferedRecord>* buffer);
-
-/// Flattens a pending tree (the top-level split plus any nested
-/// sub-pendings) into a work list, so every buffer sort can fan out.
-void CollectPendings(Pending* p, std::vector<Pending*>* out);
 
 /// Alive intervals across `p` and its nested sub-pendings (observer
 /// metric).

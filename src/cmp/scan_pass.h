@@ -165,13 +165,30 @@ class ScanPass {
     const int nc = schema_.num_classes();
     fill_sinks_.clear();
     drain_sinks_.clear();
+    zero_fill_.clear();
     for (int s = 0; s < num_sinks; ++s) {
       const ScanSink& sink = plan_.sinks[s];
-      if (sink.bundle != nullptr) fill_sinks_.push_back(s);
+      if (sink.bundle != nullptr) {
+        fill_sinks_.push_back(s);
+        if (!sink.bundle->has_storage()) {
+          sink.bundle->ReserveStorage();
+          zero_fill_.push_back(sink.bundle);
+        }
+      }
       if (sink.buffer != nullptr || sink.collect != nullptr) {
         drain_sinks_.push_back(s);
       }
     }
+    // Fresh bundles arrive shape-only: the plan that made them ran on
+    // pool threads. Their storage was reserved just above, on this
+    // thread, for the same reason as the scratch below; the pool then
+    // writes the zeros.
+    pool_->ParallelFor(static_cast<int64_t>(zero_fill_.size()), 1,
+                       [&](int64_t lo, int64_t hi) {
+                         for (int64_t i = lo; i < hi; ++i) {
+                           zero_fill_[i]->ZeroStorage();
+                         }
+                       });
 
     int shard_limit = scan_shards_;
     if (shard_limit <= 0) {
@@ -459,6 +476,7 @@ class ScanPass {
   std::vector<int32_t> tile_sink_;      // tile offset -> sink
   std::vector<uint32_t> tile_offsets_;  // grouped by shard, then sink
   std::vector<FillTask> tasks_;
+  std::vector<HistBundle*> zero_fill_;  // bundles given storage this pass
   std::vector<RecordId> retain_;  // streamed: records to stash
   double route_seconds_ = 0.0;
   double kernel_seconds_ = 0.0;

@@ -3,8 +3,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <memory>
 #include <numeric>
@@ -94,7 +92,7 @@ struct ChildRestriction {
 
 /// Read-only split analysis over the discretized grids. Everything here
 /// is a pure function of histogram state (plus the build options), so
-/// the frontier pre-analysis phase can call Analyze from worker threads.
+/// the plan tasks of a round call it from pool threads concurrently.
 class SplitPlanner {
  public:
   /// All references are borrowed and must outlive the planner; `pool`
@@ -180,6 +178,8 @@ class SplitPlanner {
 /// in-memory partitions with the exact builder. Emits next-round work
 /// into `next`. Templated over the record store because buffer flushes
 /// and exact finishing re-read records; all store access is const.
+/// PlanRound and FinishCollects run each node of a round as a pool
+/// task on a private tree and graft the trees back in work-list order.
 template <class Store>
 class SplitExecutor {
  public:
@@ -204,32 +204,89 @@ class SplitExecutor {
     root_relations_ = relations;
   }
 
-  /// Whether GrowNode would reach Analyze for a node with these totals
-  /// (mirrors its early-out chain); used to skip useless pre-analyses.
-  bool WouldAnalyze(NodeId id, const std::vector<int64_t>& totals) const {
-    const Schema& schema = planner_.schema();
-    const int64_t n = CountSum(totals);
-    const int depth = result_->tree.node(id).depth;
-    if (n == 0 || IsPure(totals) || n < options_.base.min_split_records ||
-        depth >= options_.base.max_depth ||
-        (options_.base.prune &&
-         ShouldPruneBeforeExpand(totals, schema.num_attrs()))) {
-      return false;
+  /// Plans one round: grows every fresh node of `work` from its bundle
+  /// and resolves every pending split, in work-list order (fresh nodes
+  /// first), emitting the next round's work. Until they are numbered
+  /// into the tree the nodes do not depend on each other, so with a real
+  /// pool each node is its own task: it copies the node into a private
+  /// tree as local root 0 and runs GrowNode or ResolvePending there
+  /// through an executor with its own stats, tracker, work queues and
+  /// line-search sums. The tasks are then applied in work-list order:
+  /// stats added, tree grafted at the node, next-round work appended
+  /// with Graft's id map. The serial walk appends each node's tree
+  /// nodes and queue entries contiguously in that same order, so tree,
+  /// queues and counters match it exactly (the argument of
+  /// FinishCollects).
+  void PlanRound(FrontierQueues& work) {
+    const size_t num_fresh = work.fresh.size();
+    const size_t num_tasks = num_fresh + work.pending.size();
+    auto node_of = [&](size_t i) {
+      return i < num_fresh ? work.fresh[i].node
+                           : work.pending[i - num_fresh].node;
+    };
+    // Plans task i on `ex`'s tree, where the node is `id`.
+    auto plan = [&](SplitExecutor& ex, size_t i, NodeId id) {
+      if (i < num_fresh) {
+        ex.GrowNode(id, std::move(work.fresh[i].bundle));
+      } else {
+        ex.ResolvePending(id, work.pending[i - num_fresh].pending.get(),
+                          ex.result_->tree.node(id).depth);
+      }
+    };
+    if (pool_->parallelism() <= 1 || num_tasks <= 1) {
+      for (size_t i = 0; i < num_tasks; ++i) plan(*this, i, node_of(i));
+      return;
     }
-    return options_.base.in_memory_threshold <= 0 ||
-           n > options_.base.in_memory_threshold;
+    struct NodeTask {
+      BuildResult result;
+      FrontierQueues next;
+      LineSearchStats line_search;
+    };
+    std::vector<NodeTask> tasks(num_tasks);
+    pool_->ParallelFor(num_tasks, 1, [&](int64_t lo, int64_t hi) {
+      for (int64_t i = lo; i < hi; ++i) {
+        NodeTask& t = tasks[i];
+        t.result.tree = DecisionTree(planner_.schema());
+        t.result.tree.AddNode(result_->tree.node(node_of(i)));
+        ScanTracker tracker(&t.result.stats);
+        tracker.set_real_io(tracker_->real_io());
+        SplitExecutor local(planner_, store_, options_, &t.result, &tracker,
+                            pool_, &t.next, codes_);
+        local.root_relations_ = root_relations_;
+        local.tree_root_ = node_of(i);
+        plan(local, i, 0);
+        t.line_search = local.line_search_;
+      }
+    });
+    for (size_t i = 0; i < num_tasks; ++i) {
+      NodeTask& t = tasks[i];
+      const NodeId at = node_of(i);
+      result_->stats.Accumulate(t.result.stats);
+      // Accumulate leaves it alone; only the build root's plan sets it.
+      if (at == 0) {
+        result_->stats.root_alive_intervals =
+            t.result.stats.root_alive_intervals;
+      }
+      line_search_.Add(t.line_search);
+      const DecisionTree::GraftMap map = result_->tree.Graft(at, t.result.tree);
+      for (FreshWork& w : t.next.fresh) {
+        next_->fresh.push_back({map(w.node), std::move(w.bundle)});
+      }
+      for (PendingWork& w : t.next.pending) {
+        next_->pending.push_back({map(w.node), std::move(w.pending)});
+      }
+      for (CollectWork& w : t.next.collect) {
+        next_->collect.push_back({map(w.node), std::move(w.rids)});
+      }
+    }
   }
 
   /// Applies stop tests + Analyze to a real tree node whose bundle is
   /// complete, materializing children / pendings / collect work.
   /// `predicted` marks bundles whose X axis was chosen by predictSplit
   /// (fresh bundles); derived sub-matrix bundles inherit their X axis and
-  /// do not count toward the prediction hit-rate. `pre` optionally hands
-  /// in the node's analysis when it was computed ahead of time (frontier
-  /// nodes of one level are analyzed in parallel before their serial,
-  /// order-preserving application to the tree).
-  void GrowNode(NodeId id, HistBundle&& bundle, bool predicted = true,
-                const BundleAnalysis* pre = nullptr) {
+  /// do not count toward the prediction hit-rate.
+  void GrowNode(NodeId id, HistBundle&& bundle, bool predicted = true) {
     const Schema& schema = planner_.schema();
     const std::vector<IntervalGrid>& grids = planner_.grids();
     const std::vector<int64_t> totals = bundle.ClassTotals();
@@ -258,18 +315,14 @@ class SplitExecutor {
       return;
     }
 
-    // A pre-computed analysis (parallel frontier phase) substitutes for
-    // the inline call bit-for-bit: Analyze is a pure function of the
-    // bundle and totals.
-    BundleAnalysis local_an;
-    if (pre == nullptr) local_an = planner_.Analyze(bundle, totals);
-    const BundleAnalysis& an = pre != nullptr ? *pre : local_an;
+    const BundleAnalysis an = planner_.Analyze(bundle, totals);
     line_search_.Add(an.line_search);
 
     // All-pairs extension: if the initial pass found a pairwise linear
     // relation at the root that the shared-X matrices cannot see, adopt it
     // when it beats the best univariate split by the usual margin.
-    if (id == 0 && root_relations_ != nullptr && !root_relations_->empty()) {
+    if (IsBuildRoot(id) && root_relations_ != nullptr &&
+        !root_relations_->empty()) {
       double best_uni = std::numeric_limits<double>::infinity();
       for (double est : an.attr_est) best_uni = std::min(best_uni, est);
       const PairRelation& rel = root_relations_->front();
@@ -303,11 +356,6 @@ class SplitExecutor {
         an.decision != BundleAnalysis::Decision::kNone) {
       result_->stats.predictions_total++;
       if (an.attr == bundle.x_attr()) result_->stats.predictions_correct++;
-      if (std::getenv("CMP_TRACE_PREDICT") != nullptr) {
-        std::fprintf(stderr,
-                     "PREDICT node=%d n=%lld predicted=%d chosen=%d\n", id,
-                     static_cast<long long>(n), bundle.x_attr(), an.attr);
-      }
     }
 
     switch (an.decision) {
@@ -316,7 +364,7 @@ class SplitExecutor {
         return;
 
       case BundleAnalysis::Decision::kNumericPending: {
-        if (id == 0) {
+        if (IsBuildRoot(id)) {
           result_->stats.root_alive_intervals =
               static_cast<int64_t>(an.alive.size());
         }
@@ -678,6 +726,10 @@ class SplitExecutor {
 
   void MakeLeaf(NodeId id) { result_->tree.MakeLeaf(id); }
 
+  /// Whether `id` of this executor's tree is the root of the whole build
+  /// (a plan task's local root is the node it plans).
+  bool IsBuildRoot(NodeId id) const { return id == 0 && tree_root_ == 0; }
+
   // Finishes one collect partition with the exact in-memory builder:
   // directly on the dataset when there is one, otherwise on a Dataset
   // materialized from the stash (rids ascending, so local record i is
@@ -711,6 +763,9 @@ class SplitExecutor {
   FrontierQueues* next_;
   const BinCodeCache* codes_;  // null when the cache is disabled
   const std::vector<PairRelation>* root_relations_ = nullptr;
+  // Build-tree id of this executor's node 0: 0 for the build's own tree,
+  // the planned node for a plan task's private tree.
+  NodeId tree_root_ = 0;
   LineSearchStats line_search_;
 };
 

@@ -19,6 +19,19 @@ class Histogram1D {
         num_classes_(num_classes),
         counts_(static_cast<size_t>(num_intervals) * num_classes, 0) {}
 
+  /// A histogram of this shape that holds no cells yet. Its storage
+  /// comes in two steps, so one thread can allocate it and another
+  /// write the pages: ReserveStorage allocates the cells, ZeroStorage
+  /// zero-fills them without reallocating.
+  static Histogram1D Shape(int num_intervals, int num_classes) {
+    Histogram1D h;
+    h.num_intervals_ = num_intervals;
+    h.num_classes_ = num_classes;
+    return h;
+  }
+  void ReserveStorage() { counts_.reserve(cells()); }
+  void ZeroStorage() { counts_.assign(cells(), 0); }
+
   int num_intervals() const { return num_intervals_; }
   int num_classes() const { return num_classes_; }
 
@@ -57,11 +70,17 @@ class Histogram1D {
   /// interval i). Convenience for split scans and tests.
   std::vector<int64_t> PrefixBefore(int i) const;
 
+  /// Bytes of the cells, counted from the shape (a Shape() histogram
+  /// counts the storage it will hold).
   int64_t MemoryBytes() const {
-    return static_cast<int64_t>(counts_.size()) * sizeof(int64_t);
+    return static_cast<int64_t>(cells()) * sizeof(int64_t);
   }
 
  private:
+  size_t cells() const {
+    return static_cast<size_t>(num_intervals_) * num_classes_;
+  }
+
   int num_intervals_ = 0;
   int num_classes_ = 0;
   std::vector<int64_t> counts_;

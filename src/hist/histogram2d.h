@@ -25,6 +25,19 @@ class HistogramMatrix {
         counts_(static_cast<size_t>(x_intervals) * y_intervals * num_classes,
                 0) {}
 
+  /// A matrix of this shape that holds no cells yet; see
+  /// Histogram1D::Shape for the two-step storage.
+  static HistogramMatrix Shape(int x_intervals, int y_intervals,
+                               int num_classes) {
+    HistogramMatrix m;
+    m.nx_ = x_intervals;
+    m.ny_ = y_intervals;
+    m.nc_ = num_classes;
+    return m;
+  }
+  void ReserveStorage() { counts_.reserve(cells()); }
+  void ZeroStorage() { counts_.assign(cells(), 0); }
+
   int x_intervals() const { return nx_; }
   int y_intervals() const { return ny_; }
   int num_classes() const { return nc_; }
@@ -77,11 +90,13 @@ class HistogramMatrix {
   int64_t* data() { return counts_.data(); }
   const int64_t* data() const { return counts_.data(); }
 
+  /// Bytes of the cells, counted from the shape.
   int64_t MemoryBytes() const {
-    return static_cast<int64_t>(counts_.size()) * sizeof(int64_t);
+    return static_cast<int64_t>(cells()) * sizeof(int64_t);
   }
 
  private:
+  size_t cells() const { return static_cast<size_t>(nx_) * ny_ * nc_; }
   size_t Index(int x, int y, ClassId c) const {
     return (static_cast<size_t>(x) * ny_ + y) * nc_ + c;
   }

@@ -12,14 +12,11 @@ NodeId DecisionTree::AddNode(TreeNode node) {
   return static_cast<NodeId>(nodes_.size()) - 1;
 }
 
-void DecisionTree::Graft(NodeId at, const DecisionTree& sub) {
+DecisionTree::GraftMap DecisionTree::Graft(NodeId at,
+                                           const DecisionTree& sub) {
   assert(!sub.empty());
-  const NodeId base = static_cast<NodeId>(nodes_.size());
+  const GraftMap remap{at, static_cast<NodeId>(nodes_.size())};
   const int depth_delta = nodes_[at].depth - sub.node(0).depth;
-  auto remap = [&](NodeId id) -> NodeId {
-    if (id == kInvalidNode) return kInvalidNode;
-    return id == 0 ? at : base + id - 1;
-  };
   for (NodeId id = 1; id < sub.num_nodes(); ++id) {
     TreeNode n = sub.node(id);
     n.left = remap(n.left);
@@ -32,6 +29,7 @@ void DecisionTree::Graft(NodeId at, const DecisionTree& sub) {
   root.right = remap(root.right);
   root.depth += depth_delta;
   nodes_[at] = std::move(root);
+  return remap;
 }
 
 ClassId DecisionTree::Classify(const Dataset& ds, RecordId r) const {

@@ -40,12 +40,24 @@ class DecisionTree {
   /// Appends a node and returns its id.
   NodeId AddNode(TreeNode node);
 
+  /// Where Graft puts a subtree's nodes: local node 0 becomes `at`, and
+  /// local node k > 0 becomes `base + k - 1`.
+  struct GraftMap {
+    NodeId at = kInvalidNode;
+    NodeId base = kInvalidNode;
+    NodeId operator()(NodeId local) const {
+      if (local == kInvalidNode) return kInvalidNode;
+      return local == 0 ? at : base + local - 1;
+    }
+  };
+
   /// Splices a detached tree in place of node `at`: `sub`'s root
   /// overwrites `at` (depths shifted so sub's root keeps `at`'s depth)
   /// and the remaining nodes are appended in sub's id order, so grafting
   /// subtrees built in parallel in a fixed order reproduces the exact
-  /// node numbering a serial build would have produced.
-  void Graft(NodeId at, const DecisionTree& sub);
+  /// node numbering a serial build would have produced. Returns the
+  /// local-to-tree id map it applied.
+  GraftMap Graft(NodeId at, const DecisionTree& sub);
 
   /// Classifies record `r` of `ds` (which must share the schema).
   ClassId Classify(const Dataset& ds, RecordId r) const;

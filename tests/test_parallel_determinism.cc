@@ -10,12 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cmp/cmp.h"
 #include "common/thread_pool.h"
 #include "datagen/agrawal.h"
 #include "exact/exact.h"
+#include "io/block_source.h"
 #include "tree/observer.h"
 #include "tree/serialize.h"
 
@@ -169,6 +171,112 @@ TEST(ParallelDeterminism, LinearSplitSearchBitIdentical) {
       EXPECT_EQ(lines, reference_lines) << threads << " threads";
     }
   }
+}
+
+// Every counter of a build other than its seconds is a property of the
+// data and the tree, not of the thread count: the final BuildStats and
+// each pass's observation must equal the 1-thread build's, in memory and
+// streamed. The plan of a round runs each node as a task with its own
+// stats, folded back in work-list order; only the build root's plan may
+// set root_alive_intervals, so a fold that takes it from any other task
+// shows up here.
+TEST(ParallelDeterminism, BuildCountersIndependentOfThreadCount) {
+  using Counters = std::vector<std::pair<std::string, int64_t>>;
+  auto final_counters = [](const BuildStats& s) {
+    return Counters{{"dataset_scans", s.dataset_scans},
+                    {"records_read", s.records_read},
+                    {"bytes_read", s.bytes_read},
+                    {"bytes_written", s.bytes_written},
+                    {"buffered_records", s.buffered_records},
+                    {"sort_comparisons", s.sort_comparisons},
+                    {"peak_memory_bytes", s.peak_memory_bytes},
+                    {"tree_nodes", s.tree_nodes},
+                    {"tree_depth", s.tree_depth},
+                    {"predictions_total", s.predictions_total},
+                    {"predictions_correct", s.predictions_correct},
+                    {"root_alive_intervals", s.root_alive_intervals}};
+  };
+  auto pass_counters = [](const PassObservation& p) {
+    return Counters{{"pass", p.pass},
+                    {"records_scanned", p.records_scanned},
+                    {"bytes_read", p.bytes_read},
+                    {"frontier_fresh", p.frontier_fresh},
+                    {"frontier_pending", p.frontier_pending},
+                    {"frontier_collect", p.frontier_collect},
+                    {"alive_intervals", p.alive_intervals},
+                    {"buffered_records", p.buffered_records},
+                    {"buffer_bytes", p.buffer_bytes},
+                    {"tree_nodes", p.tree_nodes},
+                    {"lines_evaluated", p.lines_evaluated},
+                    {"code_cache_bytes", p.code_cache_bytes},
+                    {"sibling_subtractions", p.sibling_subtractions},
+                    {"sketch_bytes", p.sketch_bytes},
+                    {"refit_leaves_regrown", p.refit_leaves_regrown}};
+  };
+  struct Run {
+    std::string tree;
+    Counters final_stats;
+    std::vector<Counters> passes;
+  };
+  auto build = [&](CmpOptions o, const Dataset& train, int threads,
+                   bool streamed) {
+    o.base.num_threads = threads;
+    o.scan_shards = threads;
+    TrainStatsCollector collector;
+    o.base.observer = &collector;
+    CmpBuilder builder(o);
+    BuildResult result;
+    if (streamed) {
+      DatasetBlockSource source(train, 777);
+      result = builder.BuildStreamed(source);
+    } else {
+      result = builder.Build(train);
+    }
+    Run run{SerializeTree(result.tree), final_counters(result.stats), {}};
+    for (const PassObservation& p : collector.passes()) {
+      run.passes.push_back(pass_counters(p));
+    }
+    return run;
+  };
+
+  // F7 at 60k rows takes linear splits; F2 resolves pendings deeply.
+  const std::pair<AgrawalFunction, int64_t> data_cases[] = {
+      {AgrawalFunction::kF7, 60000}, {AgrawalFunction::kF2, 20000}};
+  int64_t roots_with_alive = 0;
+  for (const auto& [function, rows] : data_cases) {
+    const Dataset train = MakeData(function, rows, 241);
+    for (const auto& [variant, name] :
+         {std::pair<CmpVariant, const char*>{CmpVariant::kS, "CMP-S"},
+          std::pair<CmpVariant, const char*>{CmpVariant::kB, "CMP-B"},
+          std::pair<CmpVariant, const char*>{CmpVariant::kFull, "CMP"}}) {
+      CmpOptions o;
+      o.variant = variant;
+      for (const bool streamed : {false, true}) {
+        const Run reference = build(o, train, 1, streamed);
+        ASSERT_GT(reference.passes.size(), 1u);
+        // root_alive_intervals is the last final counter.
+        if (reference.final_stats.back().second > 0) ++roots_with_alive;
+        for (const int threads : {2, 4, 8}) {
+          std::string where = "F";
+          where += std::to_string(static_cast<int>(function));
+          where += std::string(" ") + name;
+          where += streamed ? " streamed, " : " in memory, ";
+          where += std::to_string(threads) + " threads";
+          const Run run = build(o, train, threads, streamed);
+          EXPECT_EQ(run.tree, reference.tree) << where;
+          EXPECT_EQ(run.final_stats, reference.final_stats) << where;
+          ASSERT_EQ(run.passes.size(), reference.passes.size()) << where;
+          for (size_t i = 0; i < run.passes.size(); ++i) {
+            EXPECT_EQ(run.passes[i], reference.passes[i])
+                << where << " pass " << i;
+          }
+        }
+      }
+    }
+  }
+  // The root-id rule is on the path: some roots resolve with alive
+  // intervals.
+  EXPECT_GT(roots_with_alive, 0);
 }
 
 // An injected shared pool (the no-oversubscription path) must behave
