@@ -671,7 +671,9 @@ class SplitExecutor {
   /// grafted back in work-list order; Graft appends the subtree's nodes
   /// in their local id order, which is exactly the order the serial
   /// in-place build would have appended them, so node ids — and the
-  /// serialized tree — match the serial build byte for byte.
+  /// serialized tree — match the serial build byte for byte. A partition
+  /// fans its own attribute work out over the pool only when it runs
+  /// alone; inside a collect task it runs serially.
   void FinishCollects(std::vector<CollectWork>& collect) {
     const Schema& schema = planner_.schema();
     if (pool_->parallelism() > 1 && collect.size() > 1) {
@@ -688,7 +690,7 @@ class SplitExecutor {
           b.tree.AddNode(std::move(root));
           ScanTracker local(&b.stats);
           local.set_real_io(tracker_->real_io());
-          FinishCollect(collect[i].rids, &b.tree, 0, &local);
+          FinishCollect(collect[i].rids, &b.tree, 0, &local, nullptr);
         }
       });
       for (size_t i = 0; i < collect.size(); ++i) {
@@ -699,7 +701,7 @@ class SplitExecutor {
     } else {
       for (CollectWork& w : collect) {
         tracker_->ChargeBuffered(static_cast<int64_t>(w.rids.size()));
-        FinishCollect(w.rids, &result_->tree, w.node, tracker_);
+        FinishCollect(w.rids, &result_->tree, w.node, tracker_, pool_);
       }
     }
     collect.clear();
@@ -734,12 +736,13 @@ class SplitExecutor {
   // directly on the dataset when there is one, otherwise on a Dataset
   // materialized from the stash (rids ascending, so local record i is
   // global record rids[i] — BuildExactSubtree depends only on the
-  // record sequence, so the subtree is identical either way).
+  // record sequence, so the subtree is identical either way). `pool`
+  // (null for none) fans the partition's attribute work out.
   void FinishCollect(const std::vector<RecordId>& rids, DecisionTree* tree,
-                     NodeId node, ScanTracker* tracker) {
+                     NodeId node, ScanTracker* tracker, ThreadPool* pool) {
     if constexpr (!Store::kStreaming) {
       BuildExactSubtree(*store_.dataset(), rids, options_.base, tree, node,
-                        tracker, pool_);
+                        tracker, pool);
     } else {
       // Streamed: the records live in the stash. Materialize them in
       // ascending rid order, so local record i is global record rids[i];
@@ -750,7 +753,7 @@ class SplitExecutor {
       std::vector<RecordId> lrids(static_cast<size_t>(local.num_records()));
       std::iota(lrids.begin(), lrids.end(), 0);
       BuildExactSubtree(local, lrids, options_.base, tree, node, tracker,
-                        pool_);
+                        pool);
     }
   }
 

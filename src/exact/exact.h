@@ -22,21 +22,43 @@ struct ExactSplit {
 /// Finds the exact gini-optimal binary split over ALL attributes for the
 /// records `rids` of `ds` (numeric: every distinct-value boundary;
 /// categorical: best subset). This is the reference splitter Table 1
-/// compares CMP against. Sort work is charged to `tracker` when provided.
-/// A `pool` fans the per-attribute searches across worker threads; the
-/// winning split is reduced in ascending attribute order afterwards, so
+/// compares CMP against. It is the root-segment search of
+/// BuildExactSubtree: the records are laid out as presorted attribute
+/// lists and scored by the same loop. Boundaries are scored in ascending
+/// value order and attributes in ascending order; the first lowest gini
+/// wins, so ties go to the lower boundary, then the lower attribute. A
+/// `pool` fans the attribute sorts and searches across worker threads;
 /// the result is identical for any thread count.
+///
+/// Sort work is charged to `tracker` when provided, as the paper's cost
+/// model: one ChargeSort(|rids|) per numeric attribute. The
+/// `sort_comparisons` counter is modeled, not counted; it does not
+/// depend on how the lists are actually sorted.
 ExactSplit FindBestSplitExact(const Dataset& ds,
                               const std::vector<RecordId>& rids,
                               ScanTracker* tracker = nullptr,
                               ThreadPool* pool = nullptr);
 
-/// Recursively grows an exact greedy subtree for `rids` under the node
-/// `root_id` of `tree` (whose class_counts must already describe `rids`).
-/// Used by every builder once a partition fits in memory
-/// (BuilderOptions::in_memory_threshold) — the standard switch RF-Hybrid
-/// makes explicit. Honors min_split_records, max_depth and, when
-/// `options.prune` is set, the PUBLIC(1) stop test.
+/// Grows an exact greedy subtree for `rids` under the node `root_id` of
+/// `tree` (whose class_counts must already describe `rids`). Used by
+/// every builder once a partition fits in memory
+/// (BuilderOptions::in_memory_threshold) — the standard switch
+/// RF-Hybrid makes explicit. Honors min_split_records, max_depth and,
+/// when `options.prune` is set, the PUBLIC(1) stop test.
+///
+/// The partition is sorted once per numeric attribute, on (value, label,
+/// position in `rids`), as SLIQ's and SPRINT's attribute lists are. Each
+/// node is a segment of every list, and a split partitions the segments
+/// stably, so each child's lists stay sorted without a re-sort. Every
+/// node's split, and so the subtree, equals what sorting the node's
+/// records afresh would give (DESIGN.md §4c, "Presorted finish"); the
+/// one exception is a −0.0 and a 0.0 with the same label, whose order a
+/// fresh sort leaves unspecified. Scratch is one set of lists per call,
+/// about 16 bytes per record per numeric attribute; nothing is allocated
+/// per boundary or subset. A `pool` fans the attribute sorts and node
+/// searches out; pass one only when this partition runs alone on it.
+/// Each searched node charges one modeled ChargeSort(node size) per
+/// numeric attribute, as FindBestSplitExact does.
 void BuildExactSubtree(const Dataset& ds, const std::vector<RecordId>& rids,
                        const BuilderOptions& options, DecisionTree* tree,
                        NodeId root_id, ScanTracker* tracker = nullptr,

@@ -1,32 +1,11 @@
 #include "gini/categorical.h"
 
-#include <algorithm>
+#include <bit>
 #include <limits>
 
 #include "gini/gini.h"
 
 namespace cmp {
-
-namespace {
-
-// Evaluates gini^D for the subset encoded in `mask` (bit v set => value v
-// goes left).
-double SubsetGini(const Histogram1D& hist, uint64_t mask,
-                  const std::vector<int64_t>& totals) {
-  const int nc = hist.num_classes();
-  std::vector<int64_t> left(nc, 0);
-  for (int v = 0; v < hist.num_intervals(); ++v) {
-    if ((mask >> v) & 1u) {
-      const int64_t* r = hist.row(v);
-      for (int c = 0; c < nc; ++c) left[c] += r[c];
-    }
-  }
-  std::vector<int64_t> right(nc);
-  for (int c = 0; c < nc; ++c) right[c] = totals[c] - left[c];
-  return SplitGini(left, right);
-}
-
-}  // namespace
 
 CategoricalSplit BestCategoricalSplit(const Histogram1D& hist,
                                       int exhaustive_limit) {
@@ -38,11 +17,14 @@ CategoricalSplit BestCategoricalSplit(const Histogram1D& hist,
   for (int64_t t : totals) n += t;
   if (n == 0) return out;
 
-  auto empty_side = [&](uint64_t mask) {
+  // Each subset's left counts are built incrementally and scored with
+  // BoundaryGini(left, totals), which is bit-identical to SplitGini over
+  // (left, totals - left): no per-subset vectors.
+  const size_t nc = totals.size();
+  std::vector<int64_t> left(nc, 0);
+  auto empty_side = [&](const int64_t* counts) {
     int64_t left_n = 0;
-    for (int v = 0; v < card; ++v) {
-      if ((mask >> v) & 1u) left_n += hist.IntervalTotal(v);
-    }
+    for (size_t c = 0; c < nc; ++c) left_n += counts[c];
     return left_n == 0 || left_n == n;
   };
 
@@ -50,12 +32,24 @@ CategoricalSplit BestCategoricalSplit(const Histogram1D& hist,
   double best_gini = std::numeric_limits<double>::infinity();
 
   if (card <= exhaustive_limit && card < 63) {
-    // Enumerate half of the subsets (complement symmetric); skip empty /
-    // full splits.
+    // Enumerate half of the subsets (complement symmetric) in ascending
+    // mask order; skip empty / full splits. Going from mask - 1 to mask
+    // sets bit t = ctz(mask) and clears every bit below it, so the left
+    // counts gain row t and lose below[t], the sum of rows [0, t).
+    std::vector<int64_t> below(static_cast<size_t>(card) * nc, 0);
+    for (int v = 1; v < card; ++v) {
+      const int64_t* r = hist.row(v - 1);
+      for (size_t c = 0; c < nc; ++c) {
+        below[v * nc + c] = below[(v - 1) * nc + c] + r[c];
+      }
+    }
     const uint64_t limit = 1ull << (card - 1);
     for (uint64_t mask = 1; mask < limit; ++mask) {
-      if (empty_side(mask)) continue;
-      const double g = SubsetGini(hist, mask, totals);
+      const int t = std::countr_zero(mask);
+      const int64_t* r = hist.row(t);
+      for (size_t c = 0; c < nc; ++c) left[c] += r[c] - below[t * nc + c];
+      if (empty_side(left.data())) continue;
+      const double g = BoundaryGini(left, totals);
       if (g < best_gini) {
         best_gini = g;
         best_mask = mask;
@@ -63,26 +57,31 @@ CategoricalSplit BestCategoricalSplit(const Histogram1D& hist,
     }
   } else {
     // Greedy hill-climbing: start from the single best value, then keep
-    // adding the value that lowers gini most until no improvement.
+    // adding the value that lowers gini most until no improvement. `left`
+    // holds the counts of `mask`; `cand` those of mask + one value.
+    std::vector<int64_t> cand(nc);
     uint64_t mask = 0;
     double cur = std::numeric_limits<double>::infinity();
     bool improved = true;
     while (improved) {
       improved = false;
-      uint64_t next_mask = mask;
+      int next_v = -1;
       double next_gini = cur;
       for (int v = 0; v < card && v < 63; ++v) {
         if ((mask >> v) & 1u) continue;
-        const uint64_t cand = mask | (1ull << v);
-        if (empty_side(cand)) continue;
-        const double g = SubsetGini(hist, cand, totals);
+        const int64_t* r = hist.row(v);
+        for (size_t c = 0; c < nc; ++c) cand[c] = left[c] + r[c];
+        if (empty_side(cand.data())) continue;
+        const double g = BoundaryGini(cand, totals);
         if (g < next_gini) {
           next_gini = g;
-          next_mask = cand;
+          next_v = v;
         }
       }
-      if (next_mask != mask) {
-        mask = next_mask;
+      if (next_v >= 0) {
+        mask |= 1ull << next_v;
+        const int64_t* r = hist.row(next_v);
+        for (size_t c = 0; c < nc; ++c) left[c] += r[c];
         cur = next_gini;
         improved = true;
       }

@@ -96,9 +96,13 @@ void ScanRows(const int64_t* prefix, int b, int num_boundaries, int nc,
 
 #if defined(__SSE2__)
 
-// Lane k <- row (b + k), class c of the converted prefix matrix.
-inline __m128d Lanes2(const double* p0, int c, int nc) {
-  return _mm_set_pd(p0[nc + c], p0[c]);
+// Lane k <- row (b + k), class c of the prefix matrix. Every count is
+// far below 2^53, so the conversions — and any sums of converted counts —
+// are exact: the arithmetic sees the very values the scalar path's
+// int64 -> double casts produce.
+inline __m128d Lanes2(const int64_t* p0, int c, int nc) {
+  return _mm_set_pd(static_cast<double>(p0[nc + c]),
+                    static_cast<double>(p0[c]));
 }
 
 #endif
@@ -109,19 +113,8 @@ void ScanBoundaryGinis(const int64_t* prefix, int num_boundaries, int nc,
                        const int64_t* totals, double* out) {
   if (num_boundaries <= 0) return;
 #if defined(__SSE2__)
-  // Convert the integer counts to doubles up front: every count is far
-  // below 2^53, so the conversions — and any sums of converted counts —
-  // are exact, and the arithmetic below sees the very values the scalar
-  // path's int64 -> double casts produce.
-  const size_t cells = static_cast<size_t>(num_boundaries) * nc;
-  std::vector<double> dp(cells);
-  for (size_t i = 0; i < cells; ++i) dp[i] = static_cast<double>(prefix[i]);
-  std::vector<double> dt(static_cast<size_t>(nc));
   int64_t n = 0;
-  for (int c = 0; c < nc; ++c) {
-    n += totals[c];
-    dt[c] = static_cast<double>(totals[c]);
-  }
+  for (int c = 0; c < nc; ++c) n += totals[c];
   if (n == 0) {  // SplitGini of an empty node is 0.
     for (int b = 0; b < num_boundaries; ++b) out[b] = 0.0;
     return;
@@ -131,7 +124,7 @@ void ScanBoundaryGinis(const int64_t* prefix, int num_boundaries, int nc,
   const __m128d vzero = _mm_setzero_pd();
   int b = 0;
   for (; b + 2 <= num_boundaries; b += 2) {
-    const double* p0 = dp.data() + static_cast<size_t>(b) * nc;
+    const int64_t* p0 = prefix + static_cast<size_t>(b) * nc;
     __m128d vnl = vzero;
     for (int c = 0; c < nc; ++c) {
       vnl = _mm_add_pd(vnl, Lanes2(p0, c, nc));
@@ -141,7 +134,8 @@ void ScanBoundaryGinis(const int64_t* prefix, int num_boundaries, int nc,
     __m128d sr = vzero;
     for (int c = 0; c < nc; ++c) {
       const __m128d x = Lanes2(p0, c, nc);
-      const __m128d r = _mm_sub_pd(_mm_set1_pd(dt[c]), x);
+      const __m128d r =
+          _mm_sub_pd(_mm_set1_pd(static_cast<double>(totals[c])), x);
       const __m128d pl = _mm_div_pd(x, vnl);
       const __m128d pr = _mm_div_pd(r, vnr);
       sl = _mm_add_pd(sl, _mm_mul_pd(pl, pl));

@@ -39,7 +39,8 @@ double BoundaryGini(std::span<const int64_t> below,
 /// boundaries, the class loop stays sequential inside each lane, every
 /// IEEE op (convert, div, mul, add, sub) is elementwise in the scalar op
 /// order, and SSE2 has no FMA to contract into — so golden trees are
-/// byte-identical on every architecture (tests/test_gini.cc).
+/// byte-identical on every architecture (tests/test_gini.cc). The scan
+/// allocates nothing, so callers may score boundaries in small chunks.
 void ScanBoundaryGinis(const int64_t* prefix, int num_boundaries, int nc,
                        const int64_t* totals, double* out);
 

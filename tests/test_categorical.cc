@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <limits>
+
 #include "common/random.h"
 #include "gini/gini.h"
 
@@ -91,6 +94,141 @@ TEST(CategoricalSplit, SkipsEmptySideSubsets) {
   hist.Add(1, 0, 5);
   hist.Add(1, 1, 5);
   EXPECT_FALSE(BestCategoricalSplit(hist).valid);
+}
+
+// The subset search as it was before the incremental left counts: every
+// subset's counts are summed afresh into new vectors and scored with
+// SplitGini. BestCategoricalSplit must reproduce it bit for bit.
+double ReferenceSubsetGini(const Histogram1D& hist, uint64_t mask,
+                           const std::vector<int64_t>& totals) {
+  const int nc = hist.num_classes();
+  std::vector<int64_t> left(nc, 0);
+  for (int v = 0; v < hist.num_intervals(); ++v) {
+    if ((mask >> v) & 1u) {
+      const int64_t* r = hist.row(v);
+      for (int c = 0; c < nc; ++c) left[c] += r[c];
+    }
+  }
+  std::vector<int64_t> right(nc);
+  for (int c = 0; c < nc; ++c) right[c] = totals[c] - left[c];
+  return SplitGini(left, right);
+}
+
+CategoricalSplit ReferenceBestCategoricalSplit(const Histogram1D& hist,
+                                               int exhaustive_limit = 12) {
+  CategoricalSplit out;
+  const int card = hist.num_intervals();
+  if (card < 2) return out;
+  const std::vector<int64_t> totals = hist.ClassTotals();
+  int64_t n = 0;
+  for (int64_t t : totals) n += t;
+  if (n == 0) return out;
+  auto empty_side = [&](uint64_t mask) {
+    int64_t left_n = 0;
+    for (int v = 0; v < card; ++v) {
+      if ((mask >> v) & 1u) left_n += hist.IntervalTotal(v);
+    }
+    return left_n == 0 || left_n == n;
+  };
+  uint64_t best_mask = 0;
+  double best_gini = std::numeric_limits<double>::infinity();
+  if (card <= exhaustive_limit && card < 63) {
+    const uint64_t limit = 1ull << (card - 1);
+    for (uint64_t mask = 1; mask < limit; ++mask) {
+      if (empty_side(mask)) continue;
+      const double g = ReferenceSubsetGini(hist, mask, totals);
+      if (g < best_gini) {
+        best_gini = g;
+        best_mask = mask;
+      }
+    }
+  } else {
+    uint64_t mask = 0;
+    double cur = std::numeric_limits<double>::infinity();
+    bool improved = true;
+    while (improved) {
+      improved = false;
+      uint64_t next_mask = mask;
+      double next_gini = cur;
+      for (int v = 0; v < card && v < 63; ++v) {
+        if ((mask >> v) & 1u) continue;
+        const uint64_t cand = mask | (1ull << v);
+        if (empty_side(cand)) continue;
+        const double g = ReferenceSubsetGini(hist, cand, totals);
+        if (g < next_gini) {
+          next_gini = g;
+          next_mask = cand;
+        }
+      }
+      if (next_mask != mask) {
+        mask = next_mask;
+        cur = next_gini;
+        improved = true;
+      }
+    }
+    best_mask = mask;
+    best_gini = cur;
+  }
+  if (best_mask == 0 ||
+      best_gini == std::numeric_limits<double>::infinity()) {
+    return out;
+  }
+  out.left_subset.assign(card, 0);
+  for (int v = 0; v < card && v < 63; ++v) {
+    out.left_subset[v] = static_cast<uint8_t>((best_mask >> v) & 1u);
+  }
+  out.gini = best_gini;
+  out.valid = true;
+  return out;
+}
+
+void ExpectSameSplit(const Histogram1D& hist) {
+  const CategoricalSplit want = ReferenceBestCategoricalSplit(hist);
+  const CategoricalSplit got = BestCategoricalSplit(hist);
+  ASSERT_EQ(got.valid, want.valid);
+  if (!want.valid) return;
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.gini),
+            std::bit_cast<uint64_t>(want.gini));
+  EXPECT_EQ(got.left_subset, want.left_subset);
+}
+
+// Cardinalities 2-12 take the exhaustive path and 13-25 the greedy one
+// (default limit 12). Small counts make many subsets tie, so the
+// first-lowest rule is exercised; some value rows are empty.
+TEST(CategoricalSplit, MatchesReferenceEnumerationBitForBit) {
+  Rng rng(43);
+  for (int card = 2; card <= 25; ++card) {
+    for (int nc = 2; nc <= 7; ++nc) {
+      for (int trial = 0; trial < 4; ++trial) {
+        SCOPED_TRACE(testing::Message() << "card " << card << " classes "
+                                        << nc << " trial " << trial);
+        Histogram1D hist(card, nc);
+        const int64_t max_count = trial % 2 == 0 ? 3 : 40;
+        for (int v = 0; v < card; ++v) {
+          if (rng.Bernoulli(0.25)) continue;  // an empty value row
+          for (int c = 0; c < nc; ++c) {
+            hist.Add(v, c, rng.UniformInt(0, max_count));
+          }
+        }
+        ExpectSameSplit(hist);
+      }
+    }
+  }
+}
+
+// Every bipartition puts all records on one side: both searches find
+// no valid split, whichever value holds the records.
+TEST(CategoricalSplit, EverySplitOneSidedMatchesReference) {
+  for (int card : {2, 7, 12, 13, 25}) {
+    for (int nc : {2, 5}) {
+      for (int v : {0, card / 2, card - 1}) {
+        Histogram1D hist(card, nc);
+        for (int c = 0; c < nc; ++c) hist.Add(v, c, 3 + c);
+        ExpectSameSplit(hist);
+        EXPECT_FALSE(BestCategoricalSplit(hist).valid);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -2,10 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <string>
+
+#include "common/class_counts.h"
+#include "common/random.h"
 #include "datagen/agrawal.h"
 #include "datagen/loan_example.h"
+#include "gini/categorical.h"
 #include "gini/gini.h"
+#include "hist/histogram1d.h"
+#include "pruning/mdl.h"
 #include "tree/evaluate.h"
+#include "tree/serialize.h"
 
 namespace cmp {
 namespace {
@@ -145,6 +155,216 @@ TEST(BuildExactSubtree, EmptyRidsMakesLeaf) {
   const NodeId root_id = tree.AddNode(root);
   BuildExactSubtree(ds, {}, BuilderOptions{}, &tree, root_id);
   EXPECT_TRUE(tree.node(root_id).is_leaf);
+}
+
+// The per-node-sort exact builder that presorted attribute lists
+// replaced: every node gathers (value, label) pairs for each numeric
+// attribute, sorts them and scores each distinct-value boundary with
+// BoundaryGini; children get fresh rid vectors. BuildExactSubtree must
+// grow the same subtree and charge the same modeled sort work.
+ExactSplit OracleSplit(const Dataset& ds, const std::vector<RecordId>& rids,
+                       ScanTracker* tracker) {
+  const Schema& schema = ds.schema();
+  const int nc = schema.num_classes();
+  std::vector<int64_t> totals(nc, 0);
+  for (RecordId r : rids) totals[ds.label(r)]++;
+  ExactSplit best;
+  best.gini = std::numeric_limits<double>::infinity();
+  for (AttrId a = 0; a < schema.num_attrs(); ++a) {
+    ExactSplit cur;
+    cur.gini = std::numeric_limits<double>::infinity();
+    if (schema.is_numeric(a)) {
+      if (tracker != nullptr) {
+        tracker->ChargeSort(static_cast<int64_t>(rids.size()));
+      }
+      std::vector<std::pair<double, ClassId>> column;
+      for (RecordId r : rids) {
+        column.emplace_back(ds.numeric(a, r), ds.label(r));
+      }
+      std::sort(column.begin(), column.end());
+      std::vector<int64_t> below(nc, 0);
+      for (size_t i = 0; i + 1 < column.size(); ++i) {
+        below[column[i].second]++;
+        if (column[i].first == column[i + 1].first) continue;
+        const double g = BoundaryGini(below, totals);
+        if (g < cur.gini) {
+          cur.gini = g;
+          cur.split = Split::Numeric(a, column[i].first);
+          cur.valid = true;
+        }
+      }
+    } else {
+      Histogram1D hist(schema.attr(a).cardinality, nc);
+      for (RecordId r : rids) hist.Add(ds.categorical(a, r), ds.label(r));
+      const CategoricalSplit cs = BestCategoricalSplit(hist);
+      if (cs.valid) {
+        cur.gini = cs.gini;
+        cur.split = Split::Categorical(a, cs.left_subset);
+        cur.valid = true;
+      }
+    }
+    if (cur.valid && cur.gini < best.gini) best = cur;
+  }
+  if (!best.valid) best.gini = Gini(totals);
+  return best;
+}
+
+void OracleSubtree(const Dataset& ds, const std::vector<RecordId>& rids,
+                   const BuilderOptions& options, DecisionTree* tree,
+                   NodeId id, ScanTracker* tracker) {
+  const std::vector<int64_t> counts = tree->node(id).class_counts;
+  const int depth = tree->node(id).depth;
+  const bool stop =
+      IsPure(counts) ||
+      static_cast<int64_t>(rids.size()) < options.min_split_records ||
+      depth >= options.max_depth ||
+      (options.prune &&
+       ShouldPruneBeforeExpand(counts, ds.schema().num_attrs()));
+  if (!stop) {
+    const ExactSplit best = OracleSplit(ds, rids, tracker);
+    if (best.valid && best.gini < Gini(counts) - 1e-12) {
+      std::vector<RecordId> side[2];
+      for (RecordId r : rids) {
+        side[best.split.RoutesLeft(ds, r) ? 0 : 1].push_back(r);
+      }
+      if (!side[0].empty() && !side[1].empty()) {
+        NodeId child[2];
+        for (int k = 0; k < 2; ++k) {
+          TreeNode node;
+          node.depth = depth + 1;
+          node.class_counts.assign(ds.num_classes(), 0);
+          for (RecordId r : side[k]) node.class_counts[ds.label(r)]++;
+          node.leaf_class = Majority(node.class_counts);
+          child[k] = tree->AddNode(std::move(node));
+        }
+        TreeNode& node = tree->mutable_node(id);
+        node.is_leaf = false;
+        node.split = best.split;
+        node.left = child[0];
+        node.right = child[1];
+        OracleSubtree(ds, side[0], options, tree, child[0], tracker);
+        OracleSubtree(ds, side[1], options, tree, child[1], tracker);
+        return;
+      }
+    }
+  }
+  TreeNode& node = tree->mutable_node(id);
+  node.is_leaf = true;
+  node.leaf_class = Majority(node.class_counts);
+}
+
+// A table built to stress the presorted lists: heavy value ties, ±inf
+// and ±1e308, categorical cardinalities on both sides of the exhaustive
+// limit (12), and labels that depend on several attributes plus noise.
+Dataset TieHeavyTable(int num_classes, int64_t num_records, uint64_t seed) {
+  std::vector<AttrInfo> attrs = {{"ties", AttrKind::kNumeric, 0},
+                                 {"extremes", AttrKind::kNumeric, 0},
+                                 {"smooth", AttrKind::kNumeric, 0}};
+  for (int card : {2, 9, 12, 13, 20}) {
+    std::string name = "cat";
+    name += std::to_string(card);
+    attrs.push_back({name, AttrKind::kCategorical, card});
+  }
+  std::vector<std::string> classes;
+  for (int c = 0; c < num_classes; ++c) {
+    std::string name = "c";
+    name += std::to_string(c);
+    classes.push_back(name);
+  }
+  Dataset ds(Schema(attrs, classes));
+  const double kExtremes[] = {-std::numeric_limits<double>::infinity(),
+                              -1e308, -1.0, 0.0, 0.5, 1e308,
+                              std::numeric_limits<double>::infinity()};
+  Rng rng(seed);
+  for (int64_t i = 0; i < num_records; ++i) {
+    const double ties = static_cast<double>(rng.UniformInt(0, 6));
+    const double extreme = kExtremes[rng.UniformInt(0, 6)];
+    const double smooth = rng.Uniform(-3.0, 3.0);
+    std::vector<int32_t> cats;
+    for (int card : {2, 9, 12, 13, 20}) {
+      cats.push_back(static_cast<int32_t>(rng.UniformInt(0, card - 1)));
+    }
+    int64_t signal = static_cast<int64_t>(ties) + cats[1] / 3 + cats[4] % 4 +
+                     (extreme > 0.0 ? 2 : 0) + (smooth > 1.0 ? 1 : 0);
+    if (rng.Bernoulli(0.15)) signal += rng.UniformInt(0, num_classes - 1);
+    ds.Append({ties, extreme, smooth}, cats,
+              static_cast<ClassId>(signal % num_classes));
+  }
+  return ds;
+}
+
+struct SubtreeRun {
+  std::string tree;
+  int num_nodes = 0;
+  int64_t sort_comparisons = 0;
+};
+
+// Grows the subtree of `rids` under a root at depth `root_depth` that is
+// node 1 of its tree, with BuildExactSubtree or with the oracle.
+SubtreeRun GrowSubtree(const Dataset& ds, const std::vector<RecordId>& rids,
+                       const BuilderOptions& options, int root_depth,
+                       ThreadPool* pool, bool oracle) {
+  DecisionTree tree(ds.schema());
+  TreeNode parent;
+  parent.class_counts.assign(ds.num_classes(), 0);
+  tree.AddNode(parent);
+  TreeNode root;
+  root.depth = root_depth;
+  root.class_counts.assign(ds.num_classes(), 0);
+  for (RecordId r : rids) root.class_counts[ds.label(r)]++;
+  root.leaf_class = Majority(root.class_counts);
+  const NodeId root_id = tree.AddNode(std::move(root));
+  BuildStats stats;
+  ScanTracker tracker(&stats);
+  if (oracle) {
+    OracleSubtree(ds, rids, options, &tree, root_id, &tracker);
+  } else {
+    BuildExactSubtree(ds, rids, options, &tree, root_id, &tracker, pool);
+  }
+  return {SerializeTree(tree), tree.num_nodes(), stats.sort_comparisons};
+}
+
+TEST(BuildExactSubtree, PresortedListsMatchPerNodeSortOracle) {
+  ThreadPool serial(1);
+  ThreadPool four(4);
+  int grown = 0;
+  for (int num_classes : {2, 3, 7, 11}) {
+    const Dataset ds = TieHeavyTable(num_classes, 700, 100 + num_classes);
+    // Every record, then an ascending non-contiguous subset.
+    std::vector<std::vector<RecordId>> subsets(2);
+    Rng pick(num_classes);
+    for (RecordId r = 0; r < ds.num_records(); ++r) {
+      subsets[0].push_back(r);
+      if (pick.Bernoulli(0.6)) subsets[1].push_back(r);
+    }
+    std::vector<BuilderOptions> configs(4);
+    configs[0].prune = false;
+    configs[1].min_split_records = 40;
+    configs[1].prune = false;
+    configs[2].max_depth = 5;
+    configs[2].prune = false;
+    configs[3].prune = true;
+    for (size_t s = 0; s < subsets.size(); ++s) {
+      for (size_t c = 0; c < configs.size(); ++c) {
+        const int root_depth = static_cast<int>(c % 2) * 2;
+        const SubtreeRun want = GrowSubtree(ds, subsets[s], configs[c],
+                                            root_depth, nullptr, true);
+        for (ThreadPool* pool : {&serial, &four}) {
+          SCOPED_TRACE(testing::Message()
+                       << "classes " << num_classes << " subset " << s
+                       << " config " << c << " threads "
+                       << pool->parallelism());
+          const SubtreeRun got = GrowSubtree(ds, subsets[s], configs[c],
+                                             root_depth, pool, false);
+          EXPECT_EQ(got.tree, want.tree);
+          EXPECT_EQ(got.sort_comparisons, want.sort_comparisons);
+        }
+        if (want.num_nodes > 9) ++grown;
+      }
+    }
+  }
+  // The tables are hard enough that every configuration grows a real tree.
+  EXPECT_EQ(grown, 32);
 }
 
 }  // namespace
