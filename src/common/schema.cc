@@ -7,6 +7,11 @@ namespace cmp {
 Schema::Schema(std::vector<AttrInfo> attrs, std::vector<std::string> class_names)
     : attrs_(std::move(attrs)), class_names_(std::move(class_names)) {}
 
+bool ValidAttrEntry(int64_t kind, int64_t cardinality) {
+  if (kind == 0) return cardinality == 0;
+  return kind == 1 && cardinality >= 0 && cardinality <= kMaxCardinality;
+}
+
 std::vector<AttrId> Schema::NumericAttrs() const {
   std::vector<AttrId> out;
   for (AttrId a = 0; a < num_attrs(); ++a) {

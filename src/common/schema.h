@@ -1,6 +1,8 @@
 #ifndef CMP_COMMON_SCHEMA_H_
 #define CMP_COMMON_SCHEMA_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -23,6 +25,22 @@ struct AttrInfo {
   /// dense integers in [0, cardinality)). Ignored for numeric attributes.
   int32_t cardinality = 0;
 };
+
+/// Caps every schema decoder (the `.cmpt` header, the `.cmpb` schema
+/// section, the `.cmps` signature and the text tree parser) applies to
+/// what it reads, so a hostile count or length fails the decode instead
+/// of reaching the allocator.
+inline constexpr int64_t kMaxSchemaAttrs = int64_t{1} << 20;
+inline constexpr int64_t kMaxSchemaClasses = int64_t{1} << 20;
+inline constexpr size_t kMaxNameBytes = size_t{1} << 16;
+inline constexpr int64_t kMaxCardinality = int64_t{1} << 24;
+
+/// The one validity rule for a decoded attribute entry. `kind` is the
+/// stored kind code (0 numeric, 1 categorical; anything else is
+/// invalid). A numeric attribute's cardinality must be 0, as every
+/// writer writes it; a categorical one's must lie in [0,
+/// kMaxCardinality].
+bool ValidAttrEntry(int64_t kind, int64_t cardinality);
 
 /// Schema of a training set: the attribute descriptions plus the names of
 /// the class labels. Class labels are dense integers in [0, num_classes).

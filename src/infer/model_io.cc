@@ -1,113 +1,44 @@
 #include "infer/model_io.h"
 
 #include <cstring>
-#include <fstream>
+#include <span>
+
+#include "io/codec.h"
 
 namespace cmp {
 
 namespace {
 
-// Caps for the schema decoder: a corrupt length prefix must fail the
-// parse, not drive a multi-GB allocation.
-constexpr uint32_t kMaxSchemaAttrs = 1u << 20;
-constexpr uint32_t kMaxSchemaClasses = 1u << 20;
-constexpr uint32_t kMaxNameBytes = 1u << 16;
-
 // Node orders an older writer may name in a kNodeLayout section: 0 is
 // preorder, 1 breadth-first cache-blocked.
 constexpr uint32_t kKnownNodeLayouts = 2;
 
-void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  const size_t at = out->size();
-  out->resize(at + sizeof(v));
-  std::memcpy(out->data() + at, &v, sizeof(v));
-}
-
-void PutI32(std::vector<uint8_t>* out, int32_t v) {
-  const size_t at = out->size();
-  out->resize(at + sizeof(v));
-  std::memcpy(out->data() + at, &v, sizeof(v));
-}
-
-void PutString(std::vector<uint8_t>* out, const std::string& s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->insert(out->end(), s.begin(), s.end());
-}
-
-/// Bounds-checked cursor over the schema section's bytes.
-struct Reader {
-  const uint8_t* p;
-  uint64_t left;
-
-  bool U32(uint32_t* v) {
-    if (left < sizeof(*v)) return false;
-    std::memcpy(v, p, sizeof(*v));
-    p += sizeof(*v);
-    left -= sizeof(*v);
-    return true;
-  }
-  bool I32(int32_t* v) {
-    if (left < sizeof(*v)) return false;
-    std::memcpy(v, p, sizeof(*v));
-    p += sizeof(*v);
-    left -= sizeof(*v);
-    return true;
-  }
-  bool U8(uint8_t* v) {
-    if (left < 1) return false;
-    *v = *p++;
-    --left;
-    return true;
-  }
-  bool Str(std::string* s) {
-    uint32_t len = 0;
-    if (!U32(&len) || len > kMaxNameBytes || left < len) return false;
-    s->assign(reinterpret_cast<const char*>(p), len);
-    p += len;
-    left -= len;
-    return true;
-  }
-};
-
+// The schema section: u32 attribute count, the attribute entries, u32
+// class count, the class names (io/codec.h).
 std::vector<uint8_t> EncodeSchema(const Schema& schema) {
-  std::vector<uint8_t> out;
-  PutU32(&out, static_cast<uint32_t>(schema.num_attrs()));
-  for (AttrId a = 0; a < schema.num_attrs(); ++a) {
-    const AttrInfo& info = schema.attr(a);
-    PutString(&out, info.name);
-    out.push_back(info.kind == AttrKind::kNumeric ? 0 : 1);
-    PutI32(&out, info.cardinality);
-  }
-  PutU32(&out, static_cast<uint32_t>(schema.num_classes()));
-  for (ClassId c = 0; c < schema.num_classes(); ++c) {
-    PutString(&out, schema.class_name(c));
-  }
-  return out;
+  ByteWriter w;
+  w.U32(static_cast<uint32_t>(schema.num_attrs()));
+  for (const AttrInfo& info : schema.attrs()) PutAttrEntry(&w, info);
+  w.U32(static_cast<uint32_t>(schema.num_classes()));
+  for (const std::string& name : schema.class_names()) w.Name(name);
+  return w.Take();
 }
 
 bool DecodeSchema(const uint8_t* data, uint64_t bytes, Schema* out) {
-  Reader r{data, bytes};
-  uint32_t num_attrs = 0;
-  if (!r.U32(&num_attrs) || num_attrs > kMaxSchemaAttrs) return false;
-  std::vector<AttrInfo> attrs(num_attrs);
-  for (AttrInfo& info : attrs) {
-    uint8_t kind = 0;
-    if (!r.Str(&info.name) || !r.U8(&kind) || kind > 1 ||
-        !r.I32(&info.cardinality)) {
-      return false;
-    }
-    info.kind = kind == 0 ? AttrKind::kNumeric : AttrKind::kCategorical;
-    if (info.kind == AttrKind::kCategorical && info.cardinality < 0) {
-      return false;
-    }
+  ByteReader r(data, bytes);
+  const uint32_t num_attrs = r.U32();
+  if (num_attrs > kMaxSchemaAttrs) return false;
+  std::vector<AttrInfo> attrs;
+  for (uint32_t i = 0; r.ok() && i < num_attrs; ++i) {
+    attrs.push_back(GetAttrEntry(&r));
   }
-  uint32_t num_classes = 0;
-  if (!r.U32(&num_classes) || num_classes > kMaxSchemaClasses) return false;
-  std::vector<std::string> class_names(num_classes);
-  for (std::string& name : class_names) {
-    if (!r.Str(&name)) return false;
+  const uint32_t num_classes = r.U32();
+  if (num_classes > kMaxSchemaClasses) return false;
+  std::vector<std::string> class_names;
+  for (uint32_t i = 0; r.ok() && i < num_classes; ++i) {
+    class_names.push_back(r.Name());
   }
-  if (r.left != 0) return false;  // trailing garbage
+  if (!r.AtEnd()) return false;  // malformed, truncated or trailing bytes
   *out = Schema(std::move(attrs), std::move(class_names));
   return true;
 }
@@ -183,12 +114,7 @@ bool SaveModelBlob(const std::vector<const DecisionTree*>& trees,
                    const std::string& path, std::string* error) {
   const std::vector<uint8_t> bytes = PackModelBlob(trees, error);
   if (bytes.empty()) return false;
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  if (!os.is_open()) return PackFail(error, "cannot write " + path);
-  os.write(reinterpret_cast<const char*>(bytes.data()),
-           static_cast<std::streamsize>(bytes.size()));
-  if (!os.good()) return PackFail(error, "short write on " + path);
-  return true;
+  return WriteWholeFile(path, {std::as_bytes(std::span(bytes))}, error);
 }
 
 bool ModelFromBlob(std::shared_ptr<const ModelBlob> blob, CompiledModel* out,
@@ -232,12 +158,14 @@ bool ModelFromBlob(std::shared_ptr<const ModelBlob> blob, CompiledModel* out,
   CompiledModel model;
   model.schema = shared_schema;
   model.blob = blob;
-  model.trees.resize(blob->num_trees());
+  // Trees join as they bind, so a hostile tree count fails at the first
+  // tree the blob lacks instead of sizing the list.
   for (uint32_t i = 0; i < blob->num_trees(); ++i) {
-    if (!CompiledTree::FromBlob(blob, shared_schema, i, &model.trees[i],
-                                error)) {
+    CompiledTree tree;
+    if (!CompiledTree::FromBlob(blob, shared_schema, i, &tree, error)) {
       return false;
     }
+    model.trees.push_back(std::move(tree));
   }
   *out = std::move(model);
   return true;

@@ -149,47 +149,4 @@ bool LoadCsvInferSchema(const std::string& path, Dataset* out,
   return true;
 }
 
-bool LoadCsv(const std::string& path, const Schema& schema, Dataset* out) {
-  std::ifstream is(path);
-  if (!is.is_open()) return false;
-  std::string line;
-  if (!std::getline(is, line)) return false;  // header, ignored
-
-  Dataset ds(schema);
-  std::vector<double> nvals;
-  std::vector<int32_t> cvals;
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    nvals.clear();
-    cvals.clear();
-    std::stringstream ss(line);
-    std::string field;
-    for (AttrId a = 0; a < schema.num_attrs(); ++a) {
-      if (!std::getline(ss, field, ',')) return false;
-      try {
-        if (schema.is_numeric(a)) {
-          nvals.push_back(std::stod(field));
-          if (!NoNaN(&nvals.back(), 1)) return false;
-        } else {
-          cvals.push_back(static_cast<int32_t>(std::stol(field)));
-        }
-      } catch (...) {
-        return false;
-      }
-    }
-    if (!std::getline(ss, field, ',')) return false;
-    ClassId label = kInvalidClass;
-    for (ClassId c = 0; c < schema.num_classes(); ++c) {
-      if (schema.class_name(c) == field) {
-        label = c;
-        break;
-      }
-    }
-    if (label == kInvalidClass) return false;
-    ds.Append(nvals, cvals, label);
-  }
-  *out = std::move(ds);
-  return true;
-}
-
 }  // namespace cmp

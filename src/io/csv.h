@@ -11,12 +11,6 @@ namespace cmp {
 /// Categorical values are written as integers, class labels by name.
 bool SaveCsv(const Dataset& ds, const std::string& path);
 
-/// Loads a CSV previously produced by SaveCsv (or hand-written with the
-/// same conventions) against a known schema. Rows whose class name is not
-/// in the schema cause a failure. Returns false on any parse error or
-/// NaN value.
-bool LoadCsv(const std::string& path, const Schema& schema, Dataset* out);
-
 /// Loads a CSV with schema inference, for real-world files: the header
 /// row names the attributes (last column is the class), and each data
 /// column is classified by content — all-numeric columns become numeric

@@ -6,14 +6,14 @@
 #include <unistd.h>
 
 #include <cstring>
-#include <fstream>
+
+#include "io/codec.h"
 
 namespace cmp {
 
 namespace {
 
-constexpr char kMagic[4] = {'C', 'M', 'P', 'B'};
-constexpr uint32_t kEndianProbe = 0x01020304u;
+constexpr FormatTag kBlobTag = {{'C', 'M', 'P', 'B'}, kModelBlobVersion, true};
 // header: magic + 6 u32 fields + u64 total size
 constexpr uint64_t kHeaderBytes = 4 + 6 * 4 + 8;
 constexpr uint64_t kSectionEntryBytes = 4 + 4 + 8 + 8 + 8;
@@ -21,30 +21,8 @@ constexpr uint64_t kSectionEntryBytes = 4 + 4 + 8 + 8 + 8;
 // before any payload validation runs.
 constexpr uint32_t kMaxSections = 1u << 20;
 constexpr uint32_t kMaxTrees = 1u << 20;
-
-void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  const size_t at = out->size();
-  out->resize(at + sizeof(v));
-  std::memcpy(out->data() + at, &v, sizeof(v));
-}
-
-void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  const size_t at = out->size();
-  out->resize(at + sizeof(v));
-  std::memcpy(out->data() + at, &v, sizeof(v));
-}
-
-uint32_t GetU32(const uint8_t* p) {
-  uint32_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-uint64_t GetU64(const uint8_t* p) {
-  uint64_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
+// The bulk-read fallback's ceiling on a blob file.
+constexpr uint64_t kMaxBlobFileBytes = uint64_t{1} << 40;
 
 bool Fail(std::string* error, const std::string& what) {
   if (error != nullptr) *error = what;
@@ -60,29 +38,14 @@ ModelBlob::~ModelBlob() {
 }
 
 bool ModelBlob::Parse(std::string* error) {
-  if (size_ < kHeaderBytes) return Fail(error, "blob shorter than header");
-  const uint8_t* p = data_;
-  if (std::memcmp(p, kMagic, 4) != 0) return Fail(error, "bad magic");
-  p += 4;
-  const uint32_t version = GetU32(p);
-  p += 4;
-  if (version != kModelBlobVersion) {
-    return Fail(error, "unsupported blob version " + std::to_string(version));
-  }
-  const uint32_t endian = GetU32(p);
-  p += 4;
-  if (endian != kEndianProbe) {
-    return Fail(error, "endianness mismatch (blob written on a machine of "
-                       "different byte order)");
-  }
-  const uint32_t num_sections = GetU32(p);
-  p += 4;
-  num_trees_ = GetU32(p);
-  p += 4;
-  num_classes_ = GetU32(p);
-  p += 4;
-  p += 4;  // reserved
-  const uint64_t total = GetU64(p);
+  ByteReader r(data_, size_);
+  if (!CheckFormatTag(&r, kBlobTag, error)) return false;
+  const uint32_t num_sections = r.U32();
+  num_trees_ = r.U32();
+  num_classes_ = r.U32();
+  r.U32();  // reserved
+  const uint64_t total = r.U64();
+  if (!r.ok()) return Fail(error, "blob shorter than header");
   if (total != size_) return Fail(error, "blob size does not match header");
   if (num_sections > kMaxSections) return Fail(error, "section count absurd");
   if (num_trees_ == 0 || num_trees_ > kMaxTrees) {
@@ -93,14 +56,12 @@ bool ModelBlob::Parse(std::string* error) {
   if (table_end > size_) return Fail(error, "section table truncated");
 
   sections_.resize(num_sections);
-  const uint8_t* e = data_ + kHeaderBytes;
   for (BlobSection& s : sections_) {
-    s.tree = GetU32(e);
-    s.kind = GetU32(e + 4);
-    s.offset = GetU64(e + 8);
-    s.count = GetU64(e + 16);
-    s.bytes = GetU64(e + 24);
-    e += kSectionEntryBytes;
+    s.tree = r.U32();
+    s.kind = r.U32();
+    s.offset = r.U64();
+    s.count = r.U64();
+    s.bytes = r.U64();
     if (s.offset % 8 != 0) return Fail(error, "misaligned section");
     if (s.offset < table_end || s.offset > size_ ||
         s.bytes > size_ - s.offset) {
@@ -156,18 +117,8 @@ std::shared_ptr<const ModelBlob> ModelBlob::Load(const std::string& path,
   ::close(fd);
 
   // Fallback: one bulk read (e.g. filesystems without mmap support).
-  std::ifstream is(path, std::ios::binary);
-  if (!is.is_open()) {
-    if (error != nullptr) *error = "cannot open " + path;
-    return nullptr;
-  }
-  std::vector<uint8_t> bytes(size);
-  is.read(reinterpret_cast<char*>(bytes.data()),
-          static_cast<std::streamsize>(size));
-  if (!is.good() && size > 0) {
-    if (error != nullptr) *error = "short read on " + path;
-    return nullptr;
-  }
+  std::vector<uint8_t> bytes;
+  if (!ReadWholeFile(path, kMaxBlobFileBytes, &bytes, error)) return nullptr;
   return FromBytes(std::move(bytes), error);
 }
 
@@ -203,29 +154,27 @@ std::vector<uint8_t> BlobWriter::Finish() {
   }
   const uint64_t total = (offset + 7) & ~uint64_t{7};
 
-  std::vector<uint8_t> out;
-  out.reserve(total);
-  for (const char c : kMagic) out.push_back(static_cast<uint8_t>(c));
-  PutU32(&out, kModelBlobVersion);
-  PutU32(&out, kEndianProbe);
-  PutU32(&out, static_cast<uint32_t>(pending_.size()));
-  PutU32(&out, num_trees_);
-  PutU32(&out, num_classes_);
-  PutU32(&out, 0);  // reserved
-  PutU64(&out, total);
+  ByteWriter out;
+  out.Reserve(total);
+  PutFormatTag(&out, kBlobTag);
+  out.U32(static_cast<uint32_t>(pending_.size()));
+  out.U32(num_trees_);
+  out.U32(num_classes_);
+  out.U32(0);  // reserved
+  out.U64(total);
   for (const Pending& p : pending_) {
-    PutU32(&out, p.section.tree);
-    PutU32(&out, p.section.kind);
-    PutU64(&out, p.section.offset);
-    PutU64(&out, p.section.count);
-    PutU64(&out, p.section.bytes);
+    out.U32(p.section.tree);
+    out.U32(p.section.kind);
+    out.U64(p.section.offset);
+    out.U64(p.section.count);
+    out.U64(p.section.bytes);
   }
   for (const Pending& p : pending_) {
-    out.resize(p.section.offset, 0);  // alignment padding
-    out.insert(out.end(), p.payload.begin(), p.payload.end());
+    out.PadTo(p.section.offset);  // alignment padding
+    out.Raw(p.payload.data(), p.payload.size());
   }
-  out.resize(total, 0);
-  return out;
+  out.PadTo(total);
+  return out.Take();
 }
 
 }  // namespace cmp

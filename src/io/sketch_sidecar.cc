@@ -1,130 +1,40 @@
 #include "io/sketch_sidecar.h"
 
-#include <cstring>
-#include <fstream>
-#include <limits>
+#include <span>
 #include <utility>
+
+#include "io/codec.h"
 
 namespace cmp {
 namespace {
 
-// The `.cmpb`/`.cmpw` header discipline: fixed magic, explicit version,
-// an endianness probe a cross-endian reader cannot misread as valid,
-// and bounds-checked varint decoding with size caps validated before
-// any allocation.
-constexpr char kMagic[4] = {'C', 'M', 'P', 'S'};
-constexpr uint32_t kVersion = 1;
-constexpr uint32_t kEndianProbe = 0x01020304u;
+constexpr FormatTag kSidecarTag = {{'C', 'M', 'P', 'S'}, 1, true};
 constexpr uint64_t kMaxSidecarBytes = 1ull << 32;
 
-class Writer {
- public:
-  void PutU32(uint32_t v) { PutRaw(&v, sizeof(v)); }
-  void PutF64(double v) { PutRaw(&v, sizeof(v)); }
-  void PutVar(uint64_t v) {
-    while (v >= 0x80) {
-      buf_.push_back(static_cast<uint8_t>(v) | 0x80);
-      v >>= 7;
-    }
-    buf_.push_back(static_cast<uint8_t>(v));
-  }
-  void PutVarSigned(int64_t v) {
-    PutVar((static_cast<uint64_t>(v) << 1) ^
-           static_cast<uint64_t>(v >> 63));
-  }
-  void PutRaw(const void* data, size_t size) {
-    const uint8_t* p = static_cast<const uint8_t*>(data);
-    buf_.insert(buf_.end(), p, p + size);
-  }
-  std::vector<uint8_t> Take() { return std::move(buf_); }
-
- private:
-  std::vector<uint8_t> buf_;
-};
-
-// Sticky-failure bounds-checked reader: after the first short read every
-// Get* returns zero and ok() stays false.
-class Reader {
- public:
-  Reader(const uint8_t* data, size_t size) : p_(data), n_(size) {}
-
-  uint32_t GetU32() {
-    uint32_t v = 0;
-    Take(&v, sizeof(v));
-    return v;
-  }
-  double GetF64() {
-    double v = 0;
-    Take(&v, sizeof(v));
-    return v;
-  }
-  uint64_t GetVar() {
-    uint64_t v = 0;
-    int shift = 0;
-    while (ok_) {
-      if (off_ >= n_ || shift > 63) {
-        ok_ = false;
-        break;
-      }
-      const uint8_t b = p_[off_++];
-      v |= static_cast<uint64_t>(b & 0x7f) << shift;
-      if ((b & 0x80) == 0) break;
-      shift += 7;
-    }
-    return ok_ ? v : 0;
-  }
-  int64_t GetVarSigned() {
-    const uint64_t u = GetVar();
-    return static_cast<int64_t>((u >> 1) ^ (~(u & 1) + 1));
-  }
-
-  bool ok() const { return ok_; }
-  size_t remaining() const { return n_ - off_; }
-  bool AtEnd() const { return ok_ && off_ == n_; }
-  void Fail() { ok_ = false; }
-
- private:
-  bool Take(void* out, size_t size) {
-    if (!ok_ || n_ - off_ < size) {
-      ok_ = false;
-      std::memset(out, 0, size);
-      return false;
-    }
-    std::memcpy(out, p_ + off_, size);
-    off_ += size;
-    return true;
-  }
-
-  const uint8_t* p_;
-  size_t n_;
-  size_t off_ = 0;
-  bool ok_ = true;
-};
-
-void WriteSketch(Writer* w, const QuantileSketch& sketch) {
-  w->PutVar(static_cast<uint64_t>(sketch.capacity()));
-  w->PutVar(static_cast<uint64_t>(sketch.count()));
-  w->PutVar(static_cast<uint64_t>(sketch.rank_error_bound()));
+void WriteSketch(ByteWriter* w, const QuantileSketch& sketch) {
+  w->Var(static_cast<uint64_t>(sketch.capacity()));
+  w->Var(static_cast<uint64_t>(sketch.count()));
+  w->Var(static_cast<uint64_t>(sketch.rank_error_bound()));
   if (sketch.count() > 0) {
-    w->PutF64(sketch.min_value());
-    w->PutF64(sketch.max_value());
+    w->F64(sketch.min_value());
+    w->F64(sketch.max_value());
   }
   const std::vector<std::vector<double>>& levels = sketch.levels();
   // Trailing empty levels carry no information; trimming them keeps the
   // image canonical (byte-identical for equal sketch states).
   size_t num_levels = levels.size();
   while (num_levels > 0 && levels[num_levels - 1].empty()) --num_levels;
-  w->PutVar(num_levels);
+  w->Var(num_levels);
   for (size_t h = 0; h < num_levels; ++h) {
-    w->PutVar(levels[h].size());
-    for (double v : levels[h]) w->PutF64(v);
+    w->Var(levels[h].size());
+    for (double v : levels[h]) w->F64(v);
   }
 }
 
-bool ReadSketch(Reader* r, QuantileSketch* sketch) {
-  const uint64_t capacity = r->GetVar();
-  const uint64_t count = r->GetVar();
-  const uint64_t error_bound = r->GetVar();
+bool ReadSketch(ByteReader* r, QuantileSketch* sketch) {
+  const uint64_t capacity = r->Var();
+  const uint64_t count = r->Var();
+  const uint64_t error_bound = r->Var();
   if (!r->ok() || capacity < 8 || capacity > (1u << 24) ||
       count > (uint64_t{1} << 62) || error_bound > (uint64_t{1} << 62)) {
     r->Fail();
@@ -133,17 +43,17 @@ bool ReadSketch(Reader* r, QuantileSketch* sketch) {
   double min_value = 0.0;
   double max_value = 0.0;
   if (count > 0) {
-    min_value = r->GetF64();
-    max_value = r->GetF64();
+    min_value = r->F64();
+    max_value = r->F64();
   }
-  const uint64_t num_levels = r->GetVar();
+  const uint64_t num_levels = r->Var();
   if (!r->ok() || num_levels > 63) {
     r->Fail();
     return false;
   }
   std::vector<std::vector<double>> levels(num_levels);
   for (uint64_t h = 0; h < num_levels; ++h) {
-    const uint64_t size = r->GetVar();
+    const uint64_t size = r->Var();
     // Every stored value is 8 bytes, so a count beyond remaining()/8 is
     // corruption, not an allocation request.
     if (!r->ok() || size > r->remaining() / sizeof(double)) {
@@ -151,7 +61,7 @@ bool ReadSketch(Reader* r, QuantileSketch* sketch) {
       return false;
     }
     levels[h].resize(size);
-    for (uint64_t i = 0; i < size; ++i) levels[h][i] = r->GetF64();
+    r->Raw(levels[h].data(), size * sizeof(double));
   }
   if (!r->ok() ||
       !QuantileSketch::FromState(static_cast<int>(capacity),
@@ -195,30 +105,28 @@ bool SketchSidecar::MatchesSchema(const Schema& schema) const {
 }
 
 std::vector<uint8_t> SerializeSketchSidecar(const SketchSidecar& sidecar) {
-  Writer w;
-  w.PutRaw(kMagic, sizeof(kMagic));
-  w.PutU32(kVersion);
-  w.PutU32(kEndianProbe);
-  w.PutVar(static_cast<uint64_t>(sidecar.sketch_capacity));
-  w.PutVar(static_cast<uint64_t>(sidecar.intervals));
-  w.PutVar(static_cast<uint64_t>(sidecar.records_seen));
-  w.PutVar(static_cast<uint64_t>(sidecar.num_classes));
-  w.PutVar(sidecar.attr_is_numeric.size());
+  ByteWriter w;
+  PutFormatTag(&w, kSidecarTag);
+  w.Var(static_cast<uint64_t>(sidecar.sketch_capacity));
+  w.Var(static_cast<uint64_t>(sidecar.intervals));
+  w.Var(static_cast<uint64_t>(sidecar.records_seen));
+  w.Var(static_cast<uint64_t>(sidecar.num_classes));
+  w.Var(sidecar.attr_is_numeric.size());
   for (size_t a = 0; a < sidecar.attr_is_numeric.size(); ++a) {
-    w.PutVar(sidecar.attr_is_numeric[a]);
-    w.PutVarSigned(sidecar.attr_cardinality[a]);
+    w.Var(sidecar.attr_is_numeric[a]);
+    w.VarSigned(sidecar.attr_cardinality[a]);
   }
-  w.PutVar(sidecar.leaves.size());
+  w.Var(sidecar.leaves.size());
   for (const LeafSketchState& leaf : sidecar.leaves) {
-    w.PutVarSigned(leaf.node);
-    w.PutVar(leaf.class_counts.size());
-    for (int64_t c : leaf.class_counts) w.PutVarSigned(c);
-    w.PutVar(leaf.sketches.size());
+    w.VarSigned(leaf.node);
+    w.Var(leaf.class_counts.size());
+    for (int64_t c : leaf.class_counts) w.VarSigned(c);
+    w.Var(leaf.sketches.size());
     for (const QuantileSketch& s : leaf.sketches) WriteSketch(&w, s);
-    w.PutVar(leaf.cat_counts.size());
+    w.Var(leaf.cat_counts.size());
     for (const std::vector<int64_t>& table : leaf.cat_counts) {
-      w.PutVar(table.size());
-      for (int64_t c : table) w.PutVarSigned(c);
+      w.Var(table.size());
+      for (int64_t c : table) w.VarSigned(c);
     }
   }
   return w.Take();
@@ -226,109 +134,92 @@ std::vector<uint8_t> SerializeSketchSidecar(const SketchSidecar& sidecar) {
 
 bool ParseSketchSidecar(const std::vector<uint8_t>& bytes,
                         SketchSidecar* sidecar, std::string* error) {
-  auto fail = [&](const char* msg) {
-    if (error != nullptr) *error = msg;
+  auto fail = [&](const std::string& msg) {
+    if (error != nullptr) *error = "sketch sidecar: " + msg;
     return false;
   };
-  if (bytes.size() < sizeof(kMagic) + 2 * sizeof(uint32_t)) {
-    return fail("sketch sidecar: truncated header");
-  }
-  if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
-    return fail("sketch sidecar: bad magic (not a .cmps file)");
-  }
-  Reader r(bytes.data() + sizeof(kMagic), bytes.size() - sizeof(kMagic));
-  if (r.GetU32() != kVersion) {
-    return fail("sketch sidecar: unsupported version");
-  }
-  if (r.GetU32() != kEndianProbe) {
-    return fail("sketch sidecar: endianness mismatch");
-  }
+  ByteReader r(bytes);
+  std::string tag_error;
+  if (!CheckFormatTag(&r, kSidecarTag, &tag_error)) return fail(tag_error);
   SketchSidecar out;
-  out.sketch_capacity = static_cast<int>(r.GetVar());
-  out.intervals = static_cast<int>(r.GetVar());
-  out.records_seen = static_cast<int64_t>(r.GetVar());
-  out.num_classes = static_cast<int>(r.GetVar());
+  out.sketch_capacity = static_cast<int>(r.Var());
+  out.intervals = static_cast<int>(r.Var());
+  out.records_seen = static_cast<int64_t>(r.Var());
+  out.num_classes = static_cast<int>(r.Var());
   if (!r.ok() || out.sketch_capacity < 8 || out.intervals < 1 ||
       out.records_seen < 0 || out.num_classes < 1 ||
-      out.num_classes > (1 << 20)) {
-    return fail("sketch sidecar: corrupt header fields");
+      out.num_classes > kMaxSchemaClasses) {
+    return fail("corrupt header fields");
   }
-  const uint64_t num_attrs = r.GetVar();
-  if (!r.ok() || num_attrs > r.remaining()) {
-    return fail("sketch sidecar: corrupt attribute table");
+  // Every list below grows as its entries decode, and each count is
+  // checked against the bytes left (every entry takes at least one), so
+  // a hostile count fails at the end of the input, not in the allocator.
+  const uint64_t num_attrs = r.Var();
+  if (!r.ok() || num_attrs > kMaxSchemaAttrs || num_attrs > r.remaining()) {
+    return fail("corrupt attribute table");
   }
-  out.attr_is_numeric.resize(num_attrs);
-  out.attr_cardinality.resize(num_attrs);
-  int num_numeric = 0;
-  int num_categorical = 0;
+  // Categorical cardinalities in AttrId order: each leaf's count tables.
+  std::vector<int64_t> table_rows;
   for (uint64_t a = 0; a < num_attrs; ++a) {
-    const uint64_t numeric = r.GetVar();
-    const int64_t cardinality = r.GetVarSigned();
-    if (!r.ok() || numeric > 1 || cardinality < 0 ||
-        cardinality > (int64_t{1} << 24) ||
-        (numeric == 1) != (cardinality == 0)) {
-      return fail("sketch sidecar: corrupt attribute entry");
+    const uint64_t numeric = r.Var();
+    const int64_t cardinality = r.VarSigned();
+    // The flag stores 1 for numeric; the schema rule's kind code is 0.
+    const int64_t kind = numeric == 1 ? 0 : numeric == 0 ? 1 : 2;
+    if (!r.ok() || !ValidAttrEntry(kind, cardinality)) {
+      return fail("corrupt attribute entry");
     }
-    out.attr_is_numeric[a] = static_cast<uint8_t>(numeric);
-    out.attr_cardinality[a] = static_cast<int32_t>(cardinality);
-    if (numeric != 0) {
-      ++num_numeric;
-    } else {
-      ++num_categorical;
-    }
+    out.attr_is_numeric.push_back(static_cast<uint8_t>(numeric));
+    out.attr_cardinality.push_back(static_cast<int32_t>(cardinality));
+    if (numeric == 0) table_rows.push_back(cardinality);
   }
-  const uint64_t num_leaves = r.GetVar();
+  const uint64_t num_numeric = num_attrs - table_rows.size();
+  const uint64_t num_leaves = r.Var();
   if (!r.ok() || num_leaves > r.remaining()) {
-    return fail("sketch sidecar: corrupt leaf count");
+    return fail("corrupt leaf count");
   }
-  out.leaves.resize(num_leaves);
   for (uint64_t l = 0; l < num_leaves; ++l) {
-    LeafSketchState& leaf = out.leaves[l];
-    leaf.node = static_cast<NodeId>(r.GetVarSigned());
-    const uint64_t nc = r.GetVar();
+    LeafSketchState leaf;
+    leaf.node = static_cast<NodeId>(r.VarSigned());
+    const uint64_t nc = r.Var();
     if (!r.ok() || leaf.node < 0 ||
-        nc != static_cast<uint64_t>(out.num_classes)) {
-      return fail("sketch sidecar: corrupt leaf header");
+        nc != static_cast<uint64_t>(out.num_classes) || nc > r.remaining()) {
+      return fail("corrupt leaf header");
     }
-    leaf.class_counts.resize(nc);
     for (uint64_t c = 0; c < nc; ++c) {
-      leaf.class_counts[c] = r.GetVarSigned();
-      if (leaf.class_counts[c] < 0) {
-        return fail("sketch sidecar: negative class count");
+      leaf.class_counts.push_back(r.VarSigned());
+      if (leaf.class_counts.back() < 0) return fail("negative class count");
+    }
+    const uint64_t num_sketches = r.Var();
+    if (!r.ok() || num_sketches != nc * num_numeric ||
+        num_sketches > r.remaining()) {
+      return fail("sketch count does not match schema");
+    }
+    for (uint64_t i = 0; i < num_sketches; ++i) {
+      QuantileSketch sketch;
+      if (!ReadSketch(&r, &sketch)) return fail("corrupt sketch state");
+      leaf.sketches.push_back(std::move(sketch));
+    }
+    const uint64_t num_tables = r.Var();
+    if (!r.ok() || num_tables != table_rows.size()) {
+      return fail("table count does not match schema");
+    }
+    for (const int64_t rows : table_rows) {
+      // Refit adds fresh counts into these tables cell by cell, so each
+      // must be exactly cardinality x num_classes.
+      const uint64_t cells = r.Var();
+      if (!r.ok() || cells != static_cast<uint64_t>(rows) * nc ||
+          cells > r.remaining()) {
+        return fail("corrupt categorical table");
       }
-    }
-    const uint64_t num_sketches = r.GetVar();
-    if (!r.ok() ||
-        num_sketches !=
-            static_cast<uint64_t>(out.num_classes) * num_numeric) {
-      return fail("sketch sidecar: sketch count does not match schema");
-    }
-    leaf.sketches.resize(num_sketches);
-    for (uint64_t s = 0; s < num_sketches; ++s) {
-      if (!ReadSketch(&r, &leaf.sketches[s])) {
-        return fail("sketch sidecar: corrupt sketch state");
-      }
-    }
-    const uint64_t num_tables = r.GetVar();
-    if (!r.ok() || num_tables != static_cast<uint64_t>(num_categorical)) {
-      return fail("sketch sidecar: table count does not match schema");
-    }
-    leaf.cat_counts.resize(num_tables);
-    for (uint64_t t = 0; t < num_tables; ++t) {
-      const uint64_t cells = r.GetVar();
-      if (!r.ok() || cells > r.remaining()) {
-        return fail("sketch sidecar: corrupt categorical table");
-      }
-      leaf.cat_counts[t].resize(cells);
+      std::vector<int64_t>& table = leaf.cat_counts.emplace_back();
       for (uint64_t i = 0; i < cells; ++i) {
-        leaf.cat_counts[t][i] = r.GetVarSigned();
-        if (leaf.cat_counts[t][i] < 0) {
-          return fail("sketch sidecar: negative categorical count");
-        }
+        table.push_back(r.VarSigned());
+        if (table.back() < 0) return fail("negative categorical count");
       }
     }
+    out.leaves.push_back(std::move(leaf));
   }
-  if (!r.AtEnd()) return fail("sketch sidecar: trailing or truncated bytes");
+  if (!r.AtEnd()) return fail("trailing or truncated bytes");
   *sidecar = std::move(out);
   return true;
 }
@@ -336,41 +227,14 @@ bool ParseSketchSidecar(const std::vector<uint8_t>& bytes,
 bool SaveSketchSidecar(const SketchSidecar& sidecar, const std::string& path,
                        std::string* error) {
   const std::vector<uint8_t> bytes = SerializeSketchSidecar(sidecar);
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    if (error != nullptr) *error = "cannot open for write: " + path;
-    return false;
-  }
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-  out.flush();
-  if (!out) {
-    if (error != nullptr) *error = "short write: " + path;
-    return false;
-  }
-  return true;
+  return WriteWholeFile(path, {std::as_bytes(std::span(bytes))}, error);
 }
 
 bool LoadSketchSidecar(const std::string& path, SketchSidecar* sidecar,
                        std::string* error) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) {
-    if (error != nullptr) *error = "cannot open: " + path;
-    return false;
-  }
-  const std::streamsize size = in.tellg();
-  if (size < 0 || static_cast<uint64_t>(size) > kMaxSidecarBytes) {
-    if (error != nullptr) *error = "sketch sidecar: implausible file size";
-    return false;
-  }
-  std::vector<uint8_t> bytes(static_cast<size_t>(size));
-  in.seekg(0);
-  in.read(reinterpret_cast<char*>(bytes.data()), size);
-  if (!in) {
-    if (error != nullptr) *error = "short read: " + path;
-    return false;
-  }
-  return ParseSketchSidecar(bytes, sidecar, error);
+  std::vector<uint8_t> bytes;
+  return ReadWholeFile(path, kMaxSidecarBytes, &bytes, error) &&
+         ParseSketchSidecar(bytes, sidecar, error);
 }
 
 }  // namespace cmp

@@ -15,6 +15,21 @@ constexpr int64_t kAlign = 64;
 
 int64_t AlignUp(int64_t bytes) { return (bytes + kAlign - 1) & ~(kAlign - 1); }
 
+// Reads `n` doubles from the stream's position into `dst` and checks them
+// with NoNaN one cache-sized chunk at a time, so the check reads values
+// that are still in cache rather than a second pass over the column.
+// Returns false on a short read or a NaN.
+bool ReadNumbers(std::istream& is, double* dst, int64_t n) {
+  constexpr int64_t kChunk = int64_t{1} << 15;  // 256 KB
+  for (int64_t done = 0; done < n; done += kChunk) {
+    const int64_t m = std::min(kChunk, n - done);
+    is.read(reinterpret_cast<char*>(dst + done),
+            m * static_cast<int64_t>(sizeof(double)));
+    if (!is.good() || !NoNaN(dst + done, m)) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 ColumnBlock::~ColumnBlock() { ::operator delete(storage_, std::align_val_t(kAlign)); }
@@ -72,33 +87,21 @@ void ColumnBlock::Configure(const Schema& schema, int64_t capacity) {
 
 std::unique_ptr<TableScanner> TableScanner::Open(const std::string& path,
                                                  int64_t block_records) {
-  // Parse the header with the existing reader, then locate the column
-  // payloads through the format's one layout function.
-  Schema schema;
-  int64_t n = 0;
-  TableLayout layout;
-  if (!ReadTableHeader(path, &schema, &n) || block_records <= 0 ||
-      !ComputeTableLayout(schema, n, &layout)) {
-    return nullptr;
-  }
-
+  if (block_records <= 0) return nullptr;
   std::unique_ptr<TableScanner> scanner(new TableScanner());
-  scanner->schema_ = schema;
-  scanner->num_records_ = n;
   scanner->block_records_ = block_records;
   scanner->file_.open(path, std::ios::binary);
-  if (!scanner->file_.is_open()) return nullptr;
+  // The header promises `n` records; ReadTableHeader rejects a file whose
+  // payload cannot hold them (or trails garbage), so a truncated table
+  // fails at Open instead of mid-pass.
+  TableLayout layout;
+  if (!scanner->file_.is_open() ||
+      !ReadTableHeader(scanner->file_, &scanner->schema_,
+                       &scanner->num_records_, &layout)) {
+    return nullptr;
+  }
   scanner->column_offsets_ = std::move(layout.column_offsets);
   scanner->label_offset_ = layout.label_offset;
-
-  // The header promises `n` records; reject a file whose payload cannot
-  // hold them (or trails garbage), so a truncated table fails at Open
-  // instead of mid-pass.
-  scanner->file_.seekg(0, std::ios::end);
-  const int64_t file_size = static_cast<int64_t>(scanner->file_.tellg());
-  scanner->file_.seekg(0);
-  if (file_size != layout.file_size) return nullptr;
-
   return scanner;
 }
 

@@ -86,10 +86,11 @@ class ColumnBlock {
 /// (ReadBlock), and counts the real bytes it pulls from the file.
 class TableScanner {
  public:
-  /// Opens `path`; returns null on open/parse failure, on a non-positive
-  /// block size, and on a file whose size does not match the record
-  /// count and schema in its own header (truncated or padded files are
-  /// rejected up front instead of failing mid-scan).
+  /// Opens `path`; returns null on open/parse failure (ReadTableHeader in
+  /// table_file.h), on a non-positive block size, and on a file whose
+  /// size does not match the record count and schema in its own header
+  /// (truncated or padded files are rejected up front instead of failing
+  /// mid-scan).
   static std::unique_ptr<TableScanner> Open(const std::string& path,
                                             int64_t block_records = 65536);
 
@@ -115,8 +116,9 @@ class TableScanner {
   bool NextBlock(ColumnBlock* block);
 
   /// Reads one whole column in bulk (columns are stored contiguously
-  /// precisely so discretization passes can do this); rejects NaN
-  /// (ReadNumbers in table_file.h). `a` must be a numeric attribute.
+  /// precisely so discretization passes can do this); rejects NaN,
+  /// checking each cache-sized chunk as it lands. `a` must be a numeric
+  /// attribute.
   /// Does not move the sequential cursor.
   bool ReadNumericColumn(AttrId a, std::vector<double>* out);
 

@@ -5,87 +5,43 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <memory>
+#include <span>
 #include <utility>
 #include <vector>
+
+#include "io/codec.h"
+#include "io/stream.h"
 
 namespace cmp {
 
 namespace {
 
-constexpr char kMagic[4] = {'C', 'M', 'P', 'T'};
-constexpr uint32_t kVersion = 1;
+constexpr FormatTag kTableTag = {{'C', 'M', 'P', 'T'}, 1, false};
 
-void WriteU32(std::ofstream& os, uint32_t v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
+// The first header read; a longer header doubles it until it fits.
+constexpr int64_t kHeaderProbeBytes = 4096;
 
-void WriteI32(std::ofstream& os, int32_t v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void WriteI64(std::ofstream& os, int64_t v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void WriteString(std::ofstream& os, const std::string& s) {
-  WriteU32(os, static_cast<uint32_t>(s.size()));
-  os.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-bool ReadU32(std::ifstream& is, uint32_t* v) {
-  is.read(reinterpret_cast<char*>(v), sizeof(*v));
-  return is.good();
-}
-
-bool ReadI32(std::ifstream& is, int32_t* v) {
-  is.read(reinterpret_cast<char*>(v), sizeof(*v));
-  return is.good();
-}
-
-bool ReadI64(std::ifstream& is, int64_t* v) {
-  is.read(reinterpret_cast<char*>(v), sizeof(*v));
-  return is.good();
-}
-
-bool ReadString(std::ifstream& is, std::string* s) {
-  uint32_t len = 0;
-  if (!ReadU32(is, &len)) return false;
-  if (len > (1u << 20)) return false;  // implausible name length
-  s->resize(len);
-  is.read(s->data(), len);
-  return is.good();
-}
-
-bool ReadHeaderInternal(std::ifstream& is, Schema* schema,
-                        int64_t* num_records) {
-  char magic[4];
-  is.read(magic, 4);
-  if (!is.good() || std::memcmp(magic, kMagic, 4) != 0) return false;
-  uint32_t version = 0;
-  if (!ReadU32(is, &version) || version != kVersion) return false;
-  uint32_t num_attrs = 0;
-  uint32_t num_classes = 0;
-  if (!ReadU32(is, &num_attrs) || !ReadU32(is, &num_classes)) return false;
+bool DecodeHeader(ByteReader* r, Schema* schema, int64_t* num_records) {
+  if (!CheckFormatTag(r, kTableTag, nullptr)) return false;
+  const uint32_t num_attrs = r->U32();
+  const uint32_t num_classes = r->U32();
+  if (num_attrs > kMaxSchemaAttrs || num_classes > kMaxSchemaClasses) {
+    r->Fail();
+  }
   // Grow the lists as entries arrive instead of sizing them from the
-  // header, so a hostile count fails at end of file, not in the allocator.
+  // header, so a count the file cannot back fails at its end, not in the
+  // allocator.
   std::vector<AttrInfo> attrs;
-  for (uint32_t i = 0; i < num_attrs; ++i) {
-    AttrInfo a;
-    if (!ReadString(is, &a.name)) return false;
-    char kind = 0;
-    is.read(&kind, 1);
-    if (!is.good()) return false;
-    a.kind = kind == 0 ? AttrKind::kNumeric : AttrKind::kCategorical;
-    if (!ReadI32(is, &a.cardinality)) return false;
-    attrs.push_back(std::move(a));
+  for (uint32_t i = 0; r->ok() && i < num_attrs; ++i) {
+    attrs.push_back(GetAttrEntry(r));
   }
   std::vector<std::string> class_names;
-  for (uint32_t i = 0; i < num_classes; ++i) {
-    std::string cn;
-    if (!ReadString(is, &cn)) return false;
-    class_names.push_back(std::move(cn));
+  for (uint32_t i = 0; r->ok() && i < num_classes; ++i) {
+    class_names.push_back(r->Name());
   }
-  if (!ReadI64(is, num_records) || *num_records < 0) return false;
+  *num_records = r->I64();
+  if (!r->ok() || *num_records < 0) return false;
   *schema = Schema(std::move(attrs), std::move(class_names));
   return true;
 }
@@ -148,104 +104,80 @@ bool NoNaN(const double* values, int64_t n) {
   return (any >> 63) == 0;
 }
 
-bool ReadNumbers(std::istream& is, double* dst, int64_t n) {
-  constexpr int64_t kChunk = int64_t{1} << 15;  // 256 KB
-  for (int64_t done = 0; done < n; done += kChunk) {
-    const int64_t m = std::min(kChunk, n - done);
-    is.read(reinterpret_cast<char*>(dst + done),
-            m * static_cast<int64_t>(sizeof(double)));
-    if (!is.good() || !NoNaN(dst + done, m)) return false;
-  }
-  return true;
-}
-
 bool SaveTableFile(const Dataset& ds, const std::string& path) {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  if (!os.is_open()) return false;
-  os.write(kMagic, 4);
-  WriteU32(os, kVersion);
   const Schema& schema = ds.schema();
-  WriteU32(os, static_cast<uint32_t>(schema.num_attrs()));
-  WriteU32(os, static_cast<uint32_t>(schema.num_classes()));
+  ByteWriter header;
+  PutFormatTag(&header, kTableTag);
+  header.U32(static_cast<uint32_t>(schema.num_attrs()));
+  header.U32(static_cast<uint32_t>(schema.num_classes()));
   for (AttrId a = 0; a < schema.num_attrs(); ++a) {
-    const AttrInfo& info = schema.attr(a);
-    WriteString(os, info.name);
-    const char kind = info.kind == AttrKind::kNumeric ? 0 : 1;
-    os.write(&kind, 1);
-    WriteI32(os, info.cardinality);
+    PutAttrEntry(&header, schema.attr(a));
   }
   for (ClassId c = 0; c < schema.num_classes(); ++c) {
-    WriteString(os, schema.class_name(c));
+    header.Name(schema.class_name(c));
   }
-  WriteI64(os, ds.num_records());
+  header.I64(ds.num_records());
+  const std::vector<uint8_t> header_bytes = header.Take();
+
+  std::vector<std::span<const std::byte>> parts = {
+      std::as_bytes(std::span(header_bytes))};
   for (AttrId a = 0; a < schema.num_attrs(); ++a) {
-    if (schema.is_numeric(a)) {
-      const auto& col = ds.numeric_column(a);
-      os.write(reinterpret_cast<const char*>(col.data()),
-               static_cast<std::streamsize>(col.size() * sizeof(double)));
-    } else {
-      const auto& col = ds.categorical_column(a);
-      os.write(reinterpret_cast<const char*>(col.data()),
-               static_cast<std::streamsize>(col.size() * sizeof(int32_t)));
-    }
+    parts.push_back(schema.is_numeric(a)
+                        ? std::as_bytes(std::span(ds.numeric_column(a)))
+                        : std::as_bytes(std::span(ds.categorical_column(a))));
   }
-  const auto& labels = ds.labels();
-  os.write(reinterpret_cast<const char*>(labels.data()),
-           static_cast<std::streamsize>(labels.size() * sizeof(ClassId)));
-  return os.good();
+  parts.push_back(std::as_bytes(std::span(ds.labels())));
+  return WriteWholeFile(path, parts, nullptr);
 }
 
 bool LoadTableFile(const std::string& path, Dataset* out) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is.is_open()) return false;
-  Schema schema;
-  int64_t n = 0;
-  TableLayout layout;
-  if (!ReadHeaderInternal(is, &schema, &n) ||
-      !ComputeTableLayout(schema, n, &layout)) {
-    return false;
-  }
-  // The header's record count is only trusted once the file size agrees
-  // with it; nothing below allocates before this check.
-  is.seekg(0, std::ios::end);
-  if (static_cast<int64_t>(is.tellg()) != layout.file_size) return false;
-
-  auto read_at = [&is](int64_t offset, void* dst, int64_t bytes) {
-    is.seekg(offset);
-    is.read(static_cast<char*>(dst), bytes);
-    return is.good();
-  };
+  std::unique_ptr<TableScanner> scanner = TableScanner::Open(path);
+  if (scanner == nullptr) return false;
+  const Schema& schema = scanner->schema();
   std::vector<std::vector<double>> ncols(schema.num_attrs());
   std::vector<std::vector<int32_t>> ccols(schema.num_attrs());
   for (AttrId a = 0; a < schema.num_attrs(); ++a) {
-    const int64_t offset = layout.column_offsets[a];
-    if (schema.is_numeric(a)) {
-      ncols[a].resize(n);
-      is.seekg(offset);
-      if (!ReadNumbers(is, ncols[a].data(), n)) return false;
-    } else {
-      ccols[a].resize(n);
-      if (!read_at(offset, ccols[a].data(), n * sizeof(int32_t)) ||
-          !ValuesInRange(ccols[a].data(), n, schema.attr(a).cardinality)) {
-        return false;
-      }
-    }
+    const bool read = schema.is_numeric(a)
+                          ? scanner->ReadNumericColumn(a, &ncols[a])
+                          : scanner->ReadCategoricalColumn(a, &ccols[a]);
+    if (!read) return false;
   }
-  std::vector<ClassId> labels(n);
-  if (!read_at(layout.label_offset, labels.data(), n * sizeof(ClassId)) ||
-      !ValuesInRange(labels.data(), n, schema.num_classes())) {
-    return false;
-  }
-  *out = Dataset(std::move(schema), std::move(ncols), std::move(ccols),
+  std::vector<ClassId> labels;
+  if (!scanner->ReadLabelColumn(&labels)) return false;
+  *out = Dataset(schema, std::move(ncols), std::move(ccols),
                  std::move(labels));
   return true;
+}
+
+bool ReadTableHeader(std::istream& is, Schema* schema, int64_t* num_records,
+                     TableLayout* layout) {
+  is.seekg(0, std::ios::end);
+  const int64_t file_size = static_cast<int64_t>(is.tellg());
+  if (file_size < 0) return false;
+  // Decode from a prefix of the file, doubling it only while the header
+  // runs past its end.
+  std::vector<uint8_t> prefix;
+  for (int64_t want = std::min(kHeaderProbeBytes, file_size);;
+       want = std::min(2 * want, file_size)) {
+    prefix.resize(static_cast<size_t>(want));
+    is.seekg(0);
+    is.read(reinterpret_cast<char*>(prefix.data()), want);
+    if (!is.good()) return false;
+    ByteReader r(prefix);
+    if (DecodeHeader(&r, schema, num_records)) break;
+    if (!r.truncated() || want == file_size) return false;
+  }
+  // The header's record count is only trusted once the file size agrees
+  // with it; nothing allocates a column before this check.
+  return ComputeTableLayout(*schema, *num_records, layout) &&
+         layout->file_size == file_size;
 }
 
 bool ReadTableHeader(const std::string& path, Schema* schema,
                      int64_t* num_records) {
   std::ifstream is(path, std::ios::binary);
-  if (!is.is_open()) return false;
-  return ReadHeaderInternal(is, schema, num_records);
+  TableLayout layout;
+  return is.is_open() && ReadTableHeader(is, schema, num_records, &layout);
 }
 
 }  // namespace cmp

@@ -29,9 +29,13 @@ namespace cmp {
 /// `out_of_core` example, `cmptool train --stream`, and the block
 /// sources in io/block_source.h operate on.
 
+/// The header is encoded through io/codec.h, and every attribute entry
+/// must pass ValidAttrEntry (common/schema.h), the schema rule `.cmpb`
+/// and `.cmps` apply too.
+
 /// Where the columns of a table file sit, derived from its header alone
-/// (schema + record count). Both readers — LoadTableFile and
-/// TableScanner — locate columns and check the file size through it.
+/// (schema + record count). TableScanner, and LoadTableFile through it,
+/// locate columns and check the file size through it.
 struct TableLayout {
   /// Absolute file offset of each attribute column, indexed by AttrId.
   std::vector<int64_t> column_offsets;
@@ -47,40 +51,42 @@ struct TableLayout {
 bool ComputeTableLayout(const Schema& schema, int64_t num_records,
                         TableLayout* out);
 
-/// True when every value in values[0, n) lies in [0, limit). Both readers
+/// True when every value in values[0, n) lies in [0, limit). The readers
 /// apply it to labels (limit = class count) and to categorical codes
 /// (limit = cardinality) before any builder indexes a histogram with them.
 bool ValuesInRange(const int32_t* values, int64_t n, int32_t limit);
 
-/// True when no value in values[0, n) is NaN. Every reader (both table
-/// readers, CSV and ARFF) applies it to numeric columns: the formats have
+/// True when no value in values[0, n) is NaN. Every reader (the table
+/// scanner, CSV and ARFF) applies it to numeric columns: the formats have
 /// no missing-value encoding, and the grids and split searches need a
 /// total order. Infinities are ordinary values and pass.
 bool NoNaN(const double* values, int64_t n);
 
-/// Reads `n` doubles from the stream's position into `dst` and checks
-/// them with NoNaN one cache-sized chunk at a time, so the check reads
-/// values that are still in cache rather than a second pass over the
-/// column. Returns false on a short read or a NaN.
-bool ReadNumbers(std::istream& is, double* dst, int64_t n);
-
 /// Writes `ds` to `path`. Returns false (and leaves a partial file) on I/O
-/// failure.
+/// failure, including a failure to flush the last bytes.
 bool SaveTableFile(const Dataset& ds, const std::string& path);
 
 /// Reads a table previously written by SaveTableFile. Returns false on
 /// open/parse failure; `out` is unspecified in that case.
 ///
-/// Validates before it allocates a column: the file size must equal the
-/// layout its header implies, so a truncated file, trailing bytes or a
-/// hostile record count fail without allocating the claimed size. After
-/// the bulk column reads, every label must lie in [0, num_classes),
-/// every categorical code in [0, cardinality) and no numeric value may
-/// be NaN. Each column is read once, straight into the vector the
-/// Dataset then adopts, so the load holds a single copy of the table.
+/// Opens a TableScanner (io/stream.h), which validates before anything
+/// allocates a column: the file size must equal the layout its header
+/// implies, so a truncated file, trailing bytes or a hostile record
+/// count fail without allocating the claimed size. Then the scanner's
+/// whole-column reads check that every label lies in [0, num_classes),
+/// every categorical code in [0, cardinality) and no numeric value is
+/// NaN. Each column is read once, straight into the vector the Dataset
+/// then adopts, so the load holds a single copy of the table.
 bool LoadTableFile(const std::string& path, Dataset* out);
 
-/// Reads only the schema and record count from a table file header.
+/// Decodes the header at the start of `is` and computes the table's
+/// layout. Fails on a malformed header and on a stream whose size is not
+/// exactly `layout->file_size`. Reads only the header bytes.
+bool ReadTableHeader(std::istream& is, Schema* schema, int64_t* num_records,
+                     TableLayout* layout);
+
+/// The same from a path: the schema and record count of a well-formed
+/// table file.
 bool ReadTableHeader(const std::string& path, Schema* schema,
                      int64_t* num_records);
 

@@ -2,16 +2,19 @@
 
 #include <algorithm>
 #include <fstream>
+#include <span>
 #include <sstream>
+
+#include "io/codec.h"
 
 namespace cmp {
 
 namespace {
 
 // Caps on header-declared counts: a corrupt or hostile count must fail
-// the parse, not drive a giant allocation before any content check.
-constexpr int kMaxAttrs = 1 << 20;
-constexpr int kMaxClasses = 1 << 20;
+// the parse, not drive a giant allocation before any content check. The
+// schema's own caps and entry rule are common/schema.h's, shared with the
+// binary formats.
 constexpr int kMaxNodes = 1 << 28;
 constexpr size_t kMaxClassCounts = 1 << 20;
 constexpr int64_t kMaxForestTrees = 1 << 20;
@@ -104,36 +107,39 @@ bool DeserializeTree(const std::string& text, DecisionTree* out) {
   if (!next_line(&ls)) return false;
   int num_attrs = 0;
   if (!(ls >> tag >> num_attrs) || tag != "attrs" || num_attrs < 0 ||
-      num_attrs > kMaxAttrs) {
+      num_attrs > kMaxSchemaAttrs) {
     return false;
   }
-  std::vector<AttrInfo> attrs(num_attrs);
-  for (auto& info : attrs) {
+  // Lists grow line by line, so a count the text cannot back fails at
+  // its end, not in the allocator.
+  std::vector<AttrInfo> attrs;
+  for (int a = 0; a < num_attrs; ++a) {
+    AttrInfo& info = attrs.emplace_back();
     if (!next_line(&ls)) return false;
     std::string kind;
     if (!(ls >> kind >> info.cardinality)) return false;
-    if (kind == "num") {
-      info.kind = AttrKind::kNumeric;
-    } else if (kind == "cat") {
-      info.kind = AttrKind::kCategorical;
-    } else {
-      return false;
-    }
+    const int kind_code = kind == "num" ? 0 : kind == "cat" ? 1 : -1;
+    if (!ValidAttrEntry(kind_code, info.cardinality)) return false;
+    info.kind = kind_code == 0 ? AttrKind::kNumeric : AttrKind::kCategorical;
     std::getline(ls, info.name);
     if (!info.name.empty() && info.name.front() == ' ') {
       info.name.erase(0, 1);
     }
+    if (info.name.size() > kMaxNameBytes) return false;
   }
 
   if (!next_line(&ls)) return false;
   int num_classes = 0;
   if (!(ls >> tag >> num_classes) || tag != "classes" || num_classes <= 0 ||
-      num_classes > kMaxClasses) {
+      num_classes > kMaxSchemaClasses) {
     return false;
   }
-  std::vector<std::string> class_names(num_classes);
-  for (auto& name : class_names) {
-    if (!std::getline(lines, name)) return false;
+  std::vector<std::string> class_names;
+  for (int c = 0; c < num_classes; ++c) {
+    std::string& name = class_names.emplace_back();
+    if (!std::getline(lines, name) || name.size() > kMaxNameBytes) {
+      return false;
+    }
   }
 
   if (!next_line(&ls)) return false;
@@ -246,10 +252,8 @@ bool DeserializeTree(const std::string& text, DecisionTree* out) {
 }
 
 bool SaveTree(const DecisionTree& tree, const std::string& path) {
-  std::ofstream os(path, std::ios::trunc);
-  if (!os.is_open()) return false;
-  os << SerializeTree(tree);
-  return os.good();
+  const std::string text = SerializeTree(tree);
+  return WriteWholeFile(path, {std::as_bytes(std::span(text))}, nullptr);
 }
 
 bool LoadTree(const std::string& path, DecisionTree* out) {
@@ -324,10 +328,8 @@ bool DeserializeForest(const std::string& text,
 bool SaveForest(const std::vector<DecisionTree>& trees,
                 const std::string& path) {
   if (trees.empty()) return false;
-  std::ofstream os(path, std::ios::trunc);
-  if (!os.is_open()) return false;
-  os << SerializeForest(trees);
-  return os.good();
+  const std::string text = SerializeForest(trees);
+  return WriteWholeFile(path, {std::as_bytes(std::span(text))}, nullptr);
 }
 
 bool LoadForest(const std::string& path, std::vector<DecisionTree>* out) {

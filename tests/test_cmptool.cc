@@ -1001,6 +1001,66 @@ TEST_F(CmptoolTest, HostileTablesFailWithTheirExitCodes) {
   std::remove(csv.c_str());
 }
 
+// Attribute entries every schema decoder rejects (the rule in
+// common/schema.h): a kind byte other than 0 or 1, which must not pass
+// for categorical, and a categorical cardinality beyond 2^24, which must
+// not reach the builders' histogram allocations.
+TEST_F(CmptoolTest, HostileSchemaEntriesExitThree) {
+  ASSERT_EQ(RunTool("train --data " + data_ + " --algo cmp --out " + tree_),
+            0);
+  const std::string good = Slurp(data_);
+  // F2's fourth attribute, elevel: kind byte at 72, cardinality at 73.
+  ASSERT_EQ(good.substr(66, 6), "elevel");
+  ASSERT_EQ(good[72], 1);
+  const std::string bad = TempPath("hostile_entry.cmpt");
+  const std::string csv = TempPath("hostile_entry.csv");
+  std::string kind7 = good;
+  kind7[72] = 7;
+  std::string huge_card = good;
+  const int32_t card = std::numeric_limits<int32_t>::max();
+  std::memcpy(&huge_card[73], &card, sizeof(card));
+  for (const std::string& bytes : {kind7, huge_card}) {
+    WriteFile(bad, bytes);
+    std::string out;
+    for (const std::string& cmd :
+         {"train --data " + bad + " --algo cmp --out " + tree_,
+          "train --data " + bad + " --algo cmp --stream --out " + tree_,
+          "predict --data " + bad + " --tree " + tree_ + " --out " + csv,
+          "eval --data " + bad + " --tree " + tree_}) {
+      EXPECT_EQ(RunTool(cmd, &out), kIo) << cmd << ": " << out;
+    }
+  }
+  std::remove(bad.c_str());
+  std::remove(csv.c_str());
+}
+
+// /dev/full accepts the open and fails every write, so only a check after
+// the final flush catches a small output. Every writer exits 3.
+TEST_F(CmptoolTest, WritesToAFullDeviceExitThree) {
+  if (!std::ifstream("/dev/full").good()) GTEST_SKIP() << "no /dev/full";
+  const std::string sidecar = TempPath("full.cmps");
+  ASSERT_EQ(RunTool("train --data " + data_ + " --algo cmp-stream --out " +
+                    tree_ + " --sidecar " + sidecar),
+            0);
+  std::string out;
+  for (const std::string& cmd :
+       {std::string("gen --function F2 --records 10 --out /dev/full"),
+        "compile --tree " + tree_ + " --out /dev/full",
+        "train --data " + data_ + " --algo cmp --out /dev/full",
+        "train --data " + data_ + " --algo cmp --stream --out /dev/full",
+        "train --data " + data_ + " --algo boost --rounds 2 --out /dev/full",
+        "train --data " + data_ + " --algo cmp-stream --out " + tree_ +
+            ".2 --sidecar /dev/full",
+        "refit --data " + data_ + " --tree " + tree_ + " --sidecar " +
+            sidecar + " --out " + tree_ + ".3 --sidecar-out /dev/full",
+        "predict --data " + data_ + " --tree " + tree_ + " --out /dev/full"}) {
+    EXPECT_EQ(RunTool(cmd, &out), kIo) << cmd << ": " << out;
+  }
+  for (const std::string& p : {sidecar, tree_ + ".2", tree_ + ".3"}) {
+    std::remove(p.c_str());
+  }
+}
+
 // The predict CSV exactly as the original writer rendered it, streaming
 // every field through an ostream with default formatting. It is the
 // byte-for-byte oracle for the buffered writer.

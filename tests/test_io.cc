@@ -18,6 +18,7 @@
 #include "io/scan.h"
 #include "io/stream.h"
 #include "io/table_file.h"
+#include "tree/serialize.h"
 
 // The largest single operator-new request since the last reset, so the
 // hostile-table tests can assert that counts read from a header never
@@ -87,6 +88,59 @@ TEST(TableFile, HeaderOnly) {
   ASSERT_TRUE(ReadTableHeader(path, &schema, &n));
   EXPECT_TRUE(schema == ds.schema());
   EXPECT_EQ(n, 3);
+  std::remove(path.c_str());
+}
+
+// The header is decoded from the file's first 4 KB, and from a doubled
+// read while it runs past that: a long header still loads.
+TEST(TableFile, HeaderLongerThanTheFirstReadLoads) {
+  std::vector<AttrInfo> attrs;
+  for (int a = 0; a < 600; ++a) {
+    std::string name = "attribute_";
+    name += std::to_string(a);
+    attrs.push_back({name, a % 3 == 0 ? AttrKind::kCategorical
+                                      : AttrKind::kNumeric,
+                     a % 3 == 0 ? 4 : 0});
+  }
+  attrs.push_back({std::string(9000, 'n'), AttrKind::kNumeric, 0});
+  const Schema schema(attrs, {"a", "b"});
+  Dataset ds(schema);
+  std::vector<double> numeric;
+  std::vector<int32_t> categorical;
+  for (int r = 0; r < 5; ++r) {
+    numeric.clear();
+    categorical.clear();
+    for (AttrId a = 0; a < schema.num_attrs(); ++a) {
+      if (schema.is_numeric(a)) {
+        numeric.push_back(r * 0.5 + a);
+      } else {
+        categorical.push_back((r + a) % 4);
+      }
+    }
+    ds.Append(numeric, categorical, r % 2);
+  }
+  const std::string path = TempPath("long_header.cmpt");
+  ASSERT_TRUE(SaveTableFile(ds, path));
+  TableLayout layout;
+  ASSERT_TRUE(ComputeTableLayout(schema, 5, &layout));
+  ASSERT_GT(layout.column_offsets[0], 4 * 4096);
+  Dataset loaded;
+  ASSERT_TRUE(LoadTableFile(path, &loaded));
+  EXPECT_TRUE(loaded.schema() == schema);
+  for (AttrId a = 0; a < schema.num_attrs(); ++a) {
+    for (RecordId r = 0; r < 5; ++r) {
+      if (schema.is_numeric(a)) {
+        EXPECT_EQ(loaded.numeric(a, r), ds.numeric(a, r));
+      } else {
+        EXPECT_EQ(loaded.categorical(a, r), ds.categorical(a, r));
+      }
+    }
+  }
+  Schema header;
+  int64_t n = 0;
+  ASSERT_TRUE(ReadTableHeader(path, &header, &n));
+  EXPECT_TRUE(header == schema);
+  EXPECT_EQ(n, 5);
   std::remove(path.c_str());
 }
 
@@ -185,22 +239,68 @@ TEST(TableFile, HostileCountsFailBeforeAllocating) {
   std::remove(path.c_str());
 }
 
-TEST(TableFile, EveryTruncationAndTrailingGarbageFails) {
-  const std::string path = TempPath("prefix.cmpt");
-  ASSERT_TRUE(SaveTableFile(SmallMixedDataset(), path));
-  const std::string bytes = ReadBytes(path);
-  for (size_t len = 0; len < bytes.size(); ++len) {
-    WriteBytes(path, bytes.substr(0, len));
-    ExpectRejected(path, "prefix of " + std::to_string(len) + " bytes");
+// An attribute entry must pass the schema rule (common/schema.h): kind
+// byte 0 or 1, numeric cardinality 0, categorical cardinality in [0,
+// 2^24], so no builder sizes a histogram from a hostile cardinality.
+TEST(TableFile, HostileAttributeEntriesFail) {
+  const Dataset ds = SmallMixedDataset();  // attr 1, "c", is categorical
+  const std::string path = TempPath("hostile_entry.cmpt");
+  ASSERT_TRUE(SaveTableFile(ds, path));
+  const std::string good = ReadBytes(path);
+  // Header: magic, version, two counts; entry 0 is "x" (4 + 1 + 1 + 4
+  // bytes); entry 1's name "c" ends at 16 + 10 + 5.
+  const size_t kind_at = 16 + 10 + 4 + 1;
+  ASSERT_EQ(good[kind_at], 1);
+  const std::pair<size_t, int32_t> hostile[] = {
+      {kind_at, 7},  // kind byte (written as one byte)
+      {kind_at + 1, std::numeric_limits<int32_t>::max()},
+      {kind_at + 1, (1 << 24) + 1},
+      {kind_at + 1, -1},
+      {16 + 4 + 1 + 1, 3},  // numeric "x" with cardinality 3
+  };
+  for (const auto& [at, value] : hostile) {
+    std::string bytes = good;
+    if (at == kind_at) {
+      bytes[at] = static_cast<char>(value);
+    } else {
+      std::memcpy(&bytes[at], &value, sizeof(value));
+    }
+    WriteBytes(path, bytes);
+    ExpectRejected(path, std::to_string(value) + " at " + std::to_string(at));
   }
-  WriteBytes(path, bytes + '\0');
-  ExpectRejected(path, "one trailing byte");
-  WriteBytes(path, bytes + bytes);
-  ExpectRejected(path, "the table twice");
-  WriteBytes(path, bytes);
+  WriteBytes(path, good);
   Dataset out;
   EXPECT_TRUE(LoadTableFile(path, &out));
   std::remove(path.c_str());
+}
+
+// The text tree parser applies the same rule.
+TEST(TreeText, HostileAttributeEntriesFail) {
+  const std::string tail = "classes 2\nA\nB\nnodes 1\nleaf 0 d 0 cc 0\n";
+  auto parses = [&](const std::string& attr_line) {
+    DecisionTree out;
+    return DeserializeTree("cmp-tree 1\nattrs 1\n" + attr_line + "\n" + tail,
+                           &out);
+  };
+  EXPECT_TRUE(parses("cat 5 elevel"));
+  EXPECT_TRUE(parses("num 0 salary"));
+  EXPECT_FALSE(parses("cat 2147483647 elevel"));
+  EXPECT_FALSE(parses("cat 16777217 elevel"));
+  EXPECT_FALSE(parses("cat -1 elevel"));
+  EXPECT_FALSE(parses("num 3 salary"));
+  EXPECT_FALSE(parses("ord 0 salary"));
+  EXPECT_FALSE(parses("num 0 " + std::string(kMaxNameBytes + 1, 'n')));
+
+  // Counts at the caps with nothing behind them fail without sizing a
+  // list from the count.
+  for (const std::string& text :
+       {std::string("cmp-tree 1\nattrs 1048576\nnum 0 x\n"),
+        std::string("cmp-tree 1\nattrs 0\nclasses 1048576\nA\n")}) {
+    DecisionTree out;
+    largest_new = 0;
+    EXPECT_FALSE(DeserializeTree(text, &out));
+    EXPECT_LT(largest_new.load(), size_t{1} << 16) << text;
+  }
 }
 
 TEST(TableFile, OutOfRangeCategoricalCodeFails) {
@@ -291,52 +391,6 @@ TEST(TableFile, NoNaNChecksEveryValue) {
           << i;
     }
   }
-}
-
-TEST(Csv, NaNFieldFails) {
-  const std::string path = TempPath("nan.csv");
-  for (const char* field : {"nan", "NaN", "-nan"}) {
-    {
-      std::ofstream os(path, std::ios::trunc);
-      os << "x,c,y,class\n1,0,2,a\n" << field << ",1,3,b\n";
-    }
-    Dataset out;
-    EXPECT_FALSE(LoadCsv(path, SmallMixedDataset().schema(), &out)) << field;
-  }
-  {
-    std::ofstream os(path, std::ios::trunc);
-    os << "x,c,y,class\n1,0,inf,a\n-inf,1,3,b\n";
-  }
-  Dataset out;
-  EXPECT_TRUE(LoadCsv(path, SmallMixedDataset().schema(), &out));
-  std::remove(path.c_str());
-}
-
-TEST(Csv, RoundTrip) {
-  const Dataset ds = SmallMixedDataset();
-  const std::string path = TempPath("roundtrip.csv");
-  ASSERT_TRUE(SaveCsv(ds, path));
-  Dataset loaded;
-  ASSERT_TRUE(LoadCsv(path, ds.schema(), &loaded));
-  ASSERT_EQ(loaded.num_records(), ds.num_records());
-  for (RecordId r = 0; r < ds.num_records(); ++r) {
-    EXPECT_DOUBLE_EQ(loaded.numeric(0, r), ds.numeric(0, r));
-    EXPECT_EQ(loaded.categorical(1, r), ds.categorical(1, r));
-    EXPECT_EQ(loaded.label(r), ds.label(r));
-  }
-  std::remove(path.c_str());
-}
-
-TEST(Csv, UnknownClassNameFails) {
-  const std::string path = TempPath("badclass.csv");
-  {
-    FILE* f = fopen(path.c_str(), "w");
-    fputs("x,c,y,class\n1,0,2,zebra\n", f);
-    fclose(f);
-  }
-  Dataset out;
-  EXPECT_FALSE(LoadCsv(path, SmallMixedDataset().schema(), &out));
-  std::remove(path.c_str());
 }
 
 TEST(ScanTracker, ChargesScan) {

@@ -97,52 +97,25 @@ TEST(SketchSidecar, SaveLoadFile) {
   EXPECT_EQ(back.leaves.size(), sidecar.leaves.size());
 }
 
-TEST(SketchSidecar, RejectsBadMagicVersionTruncation) {
-  const std::vector<uint8_t> bytes =
-      SerializeSketchSidecar(MakeSidecar());
+// Refit adds fresh counts into each leaf's categorical tables cell by
+// cell, so a table must hold exactly cardinality x num_classes cells.
+TEST(SketchSidecar, RejectsCategoricalTableOfWrongSize) {
+  SketchSidecar sidecar = MakeSidecar();
   SketchSidecar out;
   std::string error;
-
-  std::vector<uint8_t> bad = bytes;
-  bad[0] = 'X';
-  EXPECT_FALSE(ParseSketchSidecar(bad, &out, &error));
-  EXPECT_FALSE(error.empty());
-
-  bad = bytes;
-  bad[4] ^= 0xFF;  // version word
-  EXPECT_FALSE(ParseSketchSidecar(bad, &out, &error));
-
-  bad = bytes;
-  bad[8] ^= 0xFF;  // endianness probe
-  EXPECT_FALSE(ParseSketchSidecar(bad, &out, &error));
-
-  // Every truncation point must fail clean (the reader bounds-checks
-  // all counts before allocating).
-  for (size_t cut = 0; cut < bytes.size(); cut += 13) {
-    std::vector<uint8_t> prefix(bytes.begin(), bytes.begin() + cut);
-    EXPECT_FALSE(ParseSketchSidecar(prefix, &out, &error)) << "cut=" << cut;
-  }
-  // Trailing garbage is not silently ignored.
-  bad = bytes;
-  bad.push_back(0);
-  EXPECT_FALSE(ParseSketchSidecar(bad, &out, &error));
-}
-
-TEST(SketchSidecar, RejectsCorruptedPayloadBytes) {
-  // Flip single bytes across the payload: parsing must either fail or
-  // produce a structurally valid sidecar — never crash or over-allocate.
-  const std::vector<uint8_t> bytes = SerializeSketchSidecar(MakeSidecar());
-  for (size_t i = 12; i < bytes.size(); i += 7) {
-    std::vector<uint8_t> bad = bytes;
-    bad[i] ^= 0x55;
-    SketchSidecar out;
-    std::string error;
-    if (ParseSketchSidecar(bad, &out, &error)) {
-      for (const LeafSketchState& leaf : out.leaves) {
-        EXPECT_EQ(leaf.class_counts.size(),
-                  static_cast<size_t>(out.num_classes));
-      }
+  ASSERT_TRUE(
+      ParseSketchSidecar(SerializeSketchSidecar(sidecar), &out, &error))
+      << error;
+  for (const int64_t delta : {-1, 1}) {
+    SketchSidecar bad = sidecar;
+    if (delta < 0) {
+      bad.leaves[1].cat_counts[0].pop_back();
+    } else {
+      bad.leaves[1].cat_counts[0].push_back(0);
     }
+    EXPECT_FALSE(ParseSketchSidecar(SerializeSketchSidecar(bad), &out, &error))
+        << delta;
+    EXPECT_NE(error.find("categorical table"), std::string::npos) << error;
   }
 }
 
