@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
@@ -24,6 +25,7 @@
 #include "rainforest/rainforest.h"
 #include "sliq/sliq.h"
 #include "sprint/sprint.h"
+#include "tree/builder.h"
 #include "tree/serialize.h"
 
 namespace cmp {
@@ -44,15 +46,16 @@ std::string GoldenPath(const std::string& name) {
   return std::string(CMP_GOLDEN_DIR) + "/" + name + ".tree";
 }
 
-void CheckGolden(const std::string& name, const DecisionTree& tree) {
-  const std::string serialized = SerializeTree(tree);
-  const std::string path = GoldenPath(name);
+// Compares `contents` with the committed fixture at `path`, or rewrites
+// the fixture under CMP_UPDATE_GOLDEN.
+void CheckFixture(const std::string& name, const std::string& path,
+                  const std::string& contents) {
   if (std::getenv("CMP_UPDATE_GOLDEN") != nullptr) {
     std::ofstream os(path, std::ios::binary);
     ASSERT_TRUE(os.good()) << "cannot write " << path;
-    os << serialized;
+    os << contents;
     ASSERT_TRUE(os.good());
-    std::cout << "updated " << path << " (" << serialized.size()
+    std::cout << "updated " << path << " (" << contents.size()
               << " bytes)\n";
     return;
   }
@@ -61,9 +64,23 @@ void CheckGolden(const std::string& name, const DecisionTree& tree) {
                          << " (regenerate with CMP_UPDATE_GOLDEN=1)";
   std::ostringstream buffer;
   buffer << is.rdbuf();
-  EXPECT_EQ(buffer.str(), serialized)
-      << name << ": retrained tree differs from committed fixture "
+  EXPECT_EQ(buffer.str(), contents)
+      << name << ": retrained output differs from committed fixture "
       << path << " — an algorithm change leaked into model outputs";
+}
+
+void CheckGolden(const std::string& name, const DecisionTree& tree) {
+  CheckFixture(name, GoldenPath(name), SerializeTree(tree));
+}
+
+// 64-bit FNV-1a.
+uint64_t Fnv1a(const std::string& bytes) {
+  uint64_t h = 14695981039346656037ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
 }
 
 // CMP variants with the in-memory switch lowered so pending splits,
@@ -132,6 +149,56 @@ TEST(Golden, RainForest) {
 TEST(Golden, Exact) {
   ExactBuilder builder;
   CheckGolden("exact", builder.Build(GoldenData()).tree);
+}
+
+// The exact-finishing baselines' trees and cost counters across every
+// Agrawal function, in-memory switch and prune setting. The paper-figure
+// benches read these counters (scans, bytes read and written, sorts,
+// peak memory), so a refactor of the baselines must leave each one, and
+// each tree, unchanged. A line holds a hash of the serialized tree and
+// every BuildStats counter except the wall-clock fields.
+TEST(Golden, BaselineCounters) {
+  std::ostringstream out;
+  for (int f = 1; f <= 11; ++f) {
+    AgrawalOptions gen;
+    gen.function = static_cast<AgrawalFunction>(f);
+    gen.num_records = 3000;
+    gen.seed = 71;
+    const Dataset train = GenerateAgrawal(gen);
+    for (const char* algo : {"sliq", "sprint", "exact", "clouds",
+                             "rainforest"}) {
+      for (const int64_t threshold :
+           {int64_t{0}, int64_t{512}, BuilderOptions().in_memory_threshold}) {
+        for (const bool prune : {true, false}) {
+          BuilderConfig config;
+          config.base.in_memory_threshold = threshold;
+          config.base.prune = prune;
+          const std::unique_ptr<TreeBuilder> builder =
+              MakeTreeBuilder(algo, config);
+          ASSERT_NE(builder, nullptr) << algo;
+          const BuildResult r = builder->Build(train);
+          const BuildStats& s = r.stats;
+          out << algo << " F" << f << " threshold=" << threshold
+              << " prune=" << prune << " tree=" << std::hex
+              << Fnv1a(SerializeTree(r.tree)) << std::dec
+              << " scans=" << s.dataset_scans
+              << " records_read=" << s.records_read
+              << " bytes_read=" << s.bytes_read
+              << " bytes_written=" << s.bytes_written
+              << " buffered=" << s.buffered_records
+              << " sort_cmps=" << s.sort_comparisons
+              << " peak_mem=" << s.peak_memory_bytes
+              << " nodes=" << s.tree_nodes << " depth=" << s.tree_depth
+              << " predictions=" << s.predictions_total << "/"
+              << s.predictions_correct
+              << " root_alive=" << s.root_alive_intervals << "\n";
+        }
+      }
+    }
+  }
+  CheckFixture("BaselineCounters",
+               std::string(CMP_GOLDEN_DIR) + "/baseline_counters.txt",
+               out.str());
 }
 
 }  // namespace
