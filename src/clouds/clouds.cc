@@ -283,10 +283,8 @@ BuildResult CloudsBuilder::Build(const Dataset& train) {
       const std::vector<int64_t> counts =
           result.tree.node(node_id).class_counts;
       const bool stop =
-          IsPure(counts) || cn.records < options_.base.min_split_records ||
-          cn.depth >= options_.base.max_depth ||
-          (options_.base.prune &&
-           ShouldPruneBeforeExpand(counts, schema.num_attrs())) ||
+          StopsBeforeSearch(counts, cn.records, cn.depth, schema.num_attrs(),
+                            options_.base) ||
           !cn.best.valid || cn.best.gini >= Gini(counts) - 1e-12;
       if (stop) {
         result.tree.mutable_node(node_id).is_leaf = true;

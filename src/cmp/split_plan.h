@@ -19,7 +19,6 @@
 #include "gini/categorical.h"
 #include "gini/gini.h"
 #include "io/scan.h"
-#include "pruning/mdl.h"
 #include "tree/builder.h"
 
 namespace cmp {
@@ -302,10 +301,8 @@ class SplitExecutor {
     }
     const int depth = result_->tree.node(id).depth;
 
-    if (n == 0 || IsPure(totals) || n < options_.base.min_split_records ||
-        depth >= options_.base.max_depth ||
-        (options_.base.prune &&
-         ShouldPruneBeforeExpand(totals, schema.num_attrs()))) {
+    if (n == 0 || StopsBeforeSearch(totals, n, depth, schema.num_attrs(),
+                                    options_.base)) {
       MakeLeaf(id);
       return;
     }

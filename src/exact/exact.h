@@ -1,10 +1,12 @@
 #ifndef CMP_EXACT_EXACT_H_
 #define CMP_EXACT_EXACT_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "common/dataset.h"
 #include "common/thread_pool.h"
+#include "hist/histogram1d.h"
 #include "io/scan.h"
 #include "tree/builder.h"
 #include "tree/split.h"
@@ -39,26 +41,129 @@ ExactSplit FindBestSplitExact(const Dataset& ds,
                               ScanTracker* tracker = nullptr,
                               ThreadPool* pool = nullptr);
 
-/// Grows an exact greedy subtree for `rids` under the node `root_id` of
-/// `tree` (whose class_counts must already describe `rids`). Used by
-/// every builder once a partition fits in memory
-/// (BuilderOptions::in_memory_threshold) — the standard switch
-/// RF-Hybrid makes explicit. Honors min_split_records, max_depth and,
-/// when `options.prune` is set, the PUBLIC(1) stop test.
+/// The stop test every builder applies to a node before searching it:
+/// true when the node's class counts `counts` are pure, it holds fewer
+/// than min_split_records of its `n` records, it sits at max_depth, or,
+/// when `options.prune` is set, PUBLIC(1) says no split of a node over
+/// `num_attrs` attributes can pay for itself.
+bool StopsBeforeSearch(const std::vector<int64_t>& counts, int64_t n,
+                       int depth, int num_attrs, const BuilderOptions& options);
+
+/// A set of records laid out as presorted attribute lists, the layout of
+/// SLIQ and SPRINT (PAPER.md baselines). Each numeric attribute is sorted
+/// once, on (value, label, position in `rids`). A tree node owns a
+/// segment [lo, hi) that every list shares. Splitting a node partitions
+/// each segment stably, so each child's segment is a subsequence of a
+/// sorted list and stays sorted without a re-sort: its boundary counts
+/// are the ones a fresh sort of the child's records would give, and so is
+/// every split (DESIGN.md §4c, "Presorted finish"). The one exception is
+/// a −0.0 and a 0.0 with the same label, whose order a fresh sort leaves
+/// unspecified. Scratch is about 16 bytes per record per numeric
+/// attribute; nothing is allocated per boundary or subset.
 ///
-/// The partition is sorted once per numeric attribute, on (value, label,
-/// position in `rids`), as SLIQ's and SPRINT's attribute lists are. Each
-/// node is a segment of every list, and a split partitions the segments
-/// stably, so each child's lists stay sorted without a re-sort. Every
-/// node's split, and so the subtree, equals what sorting the node's
-/// records afresh would give (DESIGN.md §4c, "Presorted finish"); the
-/// one exception is a −0.0 and a 0.0 with the same label, whose order a
-/// fresh sort leaves unspecified. Scratch is one set of lists per call,
-/// about 16 bytes per record per numeric attribute; nothing is allocated
-/// per boundary or subset. A `pool` fans the attribute sorts and node
-/// searches out; pass one only when this partition runs alone on it.
-/// Each searched node charges one modeled ChargeSort(node size) per
-/// numeric attribute, as FindBestSplitExact does.
+/// A `pool` fans the attribute sorts and node searches out; pass one only
+/// when this partition runs alone on it. Results are identical for any
+/// thread count.
+class PresortedPartition {
+ public:
+  /// A tree node and the segment [lo, hi) its records occupy.
+  struct NodeSegment {
+    NodeId node;
+    int64_t lo;
+    int64_t hi;
+  };
+
+  PresortedPartition(const Dataset& ds, const std::vector<RecordId>& rids,
+                     ThreadPool* pool);
+
+  int64_t size() const { return n_; }
+
+  /// Class counts of the whole partition.
+  const std::vector<int64_t>& totals() const { return totals_; }
+
+  /// The exact best split of segment [lo, hi), whose class counts are
+  /// `totals` (numeric: every distinct-value boundary; categorical: best
+  /// subset). Boundaries are scored in ascending value order and
+  /// attributes in ascending order; the first lowest gini wins. Charges
+  /// `tracker`, when given, one modeled ChargeSort(hi − lo) per numeric
+  /// attribute.
+  ExactSplit Search(int64_t lo, int64_t hi, const int64_t* totals,
+                    ScanTracker* tracker);
+
+  /// Splits tree node `id`, whose records are segment [lo, hi) and whose
+  /// class counts describe them, on the best split Search finds. On a
+  /// gini gain that sends records both ways, appends the left and then
+  /// the right child to `tree`, partitions the segment stably and returns
+  /// `mid`: the left child owns [lo, mid) and the right [mid, hi). A
+  /// child that fails StopsBeforeSearch keeps no list contents. Otherwise
+  /// the node stays a leaf and the result is −1. Makes no stop test of
+  /// its own.
+  int64_t SplitNode(int64_t lo, int64_t hi, NodeId id,
+                    const BuilderOptions& options, DecisionTree* tree,
+                    ScanTracker* tracker);
+
+  /// Grows the exact greedy subtree of node `id` over segment [lo, hi):
+  /// the stop test, SplitNode, then each child depth-first.
+  void Grow(int64_t lo, int64_t hi, NodeId id, const BuilderOptions& options,
+            DecisionTree* tree, ScanTracker* tracker);
+
+ private:
+  // One entry of a numeric attribute list: a record's value, and its
+  // label above its local index (its position in the partition's rids).
+  // Ordering entries by (value, key) orders them by value, then label,
+  // then local index — a total order, so a sorted list is unique.
+  struct ListEntry {
+    double value;
+    uint64_t key;
+  };
+
+  // One attribute's search state, reused at every node.
+  struct AttrSearch {
+    ExactSplit best;
+    // Numeric: running class counts, and a chunk of boundaries' prefix
+    // rows, ginis and thresholds.
+    std::vector<int64_t> below;
+    std::vector<int64_t> prefix;
+    std::vector<double> ginis;
+    std::vector<double> thresholds;
+    // Categorical: the node's per-value class histogram.
+    Histogram1D hist;
+  };
+
+  // Runs fn(a) for every attribute, across the pool when this partition
+  // fans out.
+  template <class Fn>
+  void ForEachAttr(const Fn& fn);
+
+  void SearchNumeric(AttrId a, int64_t lo, int64_t hi, const int64_t* totals);
+  void SearchCategorical(AttrId a, int64_t lo, int64_t hi);
+  void MarkLeft(const Split& split, int64_t lo, int64_t hi);
+  void SplitSegment(int64_t lo, int64_t hi, int64_t num_left, bool keep_left,
+                    bool keep_right);
+
+  const Schema& schema_;
+  const int nc_;
+  const int64_t n_;
+  ThreadPool* const pool_;  // null unless this partition fans out
+  std::vector<ClassId> labels_;                // by local index
+  std::vector<int64_t> totals_;                // class counts of all records
+  std::vector<uint32_t> order_;                // local indices, by segment
+  std::vector<std::vector<ListEntry>> lists_;  // numeric attributes
+  std::vector<std::vector<int32_t>> cats_;     // categorical, by local index
+  std::vector<uint8_t> left_;                  // routing marks, by local index
+  std::vector<ListEntry> spill_;               // StablePartition's buffers
+  std::vector<uint32_t> spill_order_;
+  std::vector<AttrSearch> search_;             // by attribute
+};
+
+/// Grows an exact greedy subtree for `rids` under the node `root_id` of
+/// `tree` (whose class_counts must already describe `rids`): a
+/// PresortedPartition of `rids`, grown depth-first. Used by every builder
+/// once a partition fits in memory (BuilderOptions::in_memory_threshold)
+/// — the standard switch RF-Hybrid makes explicit. Honors
+/// StopsBeforeSearch. Each searched node charges one modeled
+/// ChargeSort(node size) per numeric attribute, as FindBestSplitExact
+/// does.
 void BuildExactSubtree(const Dataset& ds, const std::vector<RecordId>& rids,
                        const BuilderOptions& options, DecisionTree* tree,
                        NodeId root_id, ScanTracker* tracker = nullptr,

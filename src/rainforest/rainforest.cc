@@ -238,11 +238,8 @@ BuildResult RainForestBuilder::Build(const Dataset& train) {
           result.tree.node(node_id).class_counts;
       std::vector<int64_t> left_counts;
       ExactSplit best;
-      const bool stop =
-          IsPure(counts) || rn.records < options_.base.min_split_records ||
-          rn.depth >= options_.base.max_depth ||
-          (options_.base.prune &&
-           ShouldPruneBeforeExpand(counts, schema.num_attrs()));
+      const bool stop = StopsBeforeSearch(counts, rn.records, rn.depth,
+                                          schema.num_attrs(), options_.base);
       if (!stop) {
         best = BestSplitFromAvc(rn, schema, counts, &left_counts);
       }

@@ -1,17 +1,12 @@
 #include "sliq/sliq.h"
 
-#include <algorithm>
-#include <limits>
 #include <utility>
 #include <vector>
 
 #include "common/class_counts.h"
+#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "exact/exact.h"
-#include "gini/categorical.h"
-#include "gini/gini.h"
-#include "hist/attr_sort.h"
-#include "hist/histogram1d.h"
 #include "io/scan.h"
 #include "pruning/mdl.h"
 #include "tree/observer.h"
@@ -20,30 +15,9 @@ namespace cmp {
 
 namespace {
 
-struct Entry {
-  double value;
-  RecordId rid;
-};
-
 constexpr int64_t kEntryBytes = 16;  // value + rid on disk
 
-// Split search state for one growing leaf during a level.
-struct LeafState {
-  NodeId node = kInvalidNode;
-  int depth = 0;
-  int64_t records = 0;
-  bool active = false;  // still splittable this level
-  // Best split found so far across all attribute-list passes.
-  ExactSplit best;
-  std::vector<int64_t> best_left_counts;
-  // Running per-class below counts for the attribute list currently
-  // being scanned, plus the previous value seen in this leaf (gini is
-  // only evaluated between distinct values).
-  std::vector<int64_t> below;
-  double prev_value = 0.0;
-  bool has_prev = false;
-  int64_t seen = 0;
-};
+using NodeSegment = PresortedPartition::NodeSegment;
 
 }  // namespace
 
@@ -53,7 +27,6 @@ BuildResult SliqBuilder::Build(const Dataset& train) {
   Timer timer;
 
   const Schema& schema = train.schema();
-  const int nc = schema.num_classes();
   const int64_t n = train.num_records();
   result.tree = DecisionTree(schema);
 
@@ -73,96 +46,62 @@ BuildResult SliqBuilder::Build(const Dataset& train) {
   // ---- Pre-sort phase: one scan, one sorted (value, rid) list per
   // numeric attribute. Lists are written once and only ever re-read.
   tracker.ChargeScan(train);
-  std::vector<std::vector<Entry>> lists(schema.num_attrs());
+  std::vector<RecordId> rids(n);
+  for (RecordId r = 0; r < n; ++r) rids[r] = r;
+  ThreadPool pool(options_.base.num_threads);
+  PresortedPartition partition(train, rids, &pool);
   int64_t list_bytes = 0;
   for (AttrId a = 0; a < schema.num_attrs(); ++a) {
     if (!schema.is_numeric(a)) continue;
-    BuildSortedAttrList(
-        train.numeric_column(a),
-        [](double v, RecordId r) { return Entry{v, r}; }, &tracker,
-        &lists[a]);
+    tracker.ChargeSort(n);
     list_bytes += n * kEntryBytes;
   }
   tracker.ChargeWrite(list_bytes);
 
-  // ---- The memory-resident class list: rid -> current leaf. Class
-  // labels live in the dataset and are looked up by rid.
-  std::vector<NodeId> leaf_of(n, root_id);
-  tracker.NotePeakMemory(list_bytes + n * static_cast<int64_t>(
-                                              sizeof(NodeId)));
+  // ---- The memory-resident class list: rid -> current leaf.
+  const int64_t class_list_bytes = n * static_cast<int64_t>(sizeof(NodeId));
+  tracker.NotePeakMemory(list_bytes + class_list_bytes);
 
-  struct CollectNode {
-    NodeId node;
-    std::vector<RecordId> rids;
-  };
-
-  std::vector<NodeId> active_nodes = {root_id};
+  std::vector<NodeSegment> level = {{root_id, 0, n}};
   int pass_index = 0;
-  while (!active_nodes.empty()) {
+  while (!level.empty()) {
     PassObservation po;
     po.pass = pass_index++;
     po.records_scanned = n;
-    po.frontier_fresh = static_cast<int64_t>(active_nodes.size());
+    po.frontier_fresh = static_cast<int64_t>(level.size());
     const int64_t bytes_before = result.stats.bytes_read;
     Timer pass_timer;
 
-    // Build the per-leaf search state.
-    std::vector<LeafState> leaves(active_nodes.size());
-    std::vector<int> slot_of(result.tree.num_nodes(), -1);
-    std::vector<CollectNode> collect;
-    bool any_active = false;
-    for (size_t i = 0; i < active_nodes.size(); ++i) {
-      LeafState& leaf = leaves[i];
-      leaf.node = active_nodes[i];
-      const TreeNode& tn = result.tree.node(leaf.node);
-      leaf.depth = tn.depth;
-      leaf.records = 0;
-      for (int64_t c : tn.class_counts) leaf.records += c;
-      leaf.best.gini = std::numeric_limits<double>::infinity();
-      leaf.below.assign(nc, 0);
-
-      const bool stop =
-          IsPure(tn.class_counts) ||
-          leaf.records < options_.base.min_split_records ||
-          leaf.depth >= options_.base.max_depth ||
-          (options_.base.prune &&
-           ShouldPruneBeforeExpand(tn.class_counts, schema.num_attrs()));
-      if (stop) {
-        result.tree.mutable_node(leaf.node).is_leaf = true;
+    // Sort the level's leaves: those that stop stay the leaves they were
+    // appended as, small ones are collected, the rest are searched.
+    std::vector<NodeSegment> collect;
+    std::vector<NodeSegment> search;
+    for (const NodeSegment& seg : level) {
+      const TreeNode& node = result.tree.node(seg.node);
+      const int64_t records = seg.hi - seg.lo;
+      if (StopsBeforeSearch(node.class_counts, records, node.depth,
+                            schema.num_attrs(), options_.base)) {
         continue;
       }
       if (options_.base.in_memory_threshold > 0 &&
-          leaf.records <= options_.base.in_memory_threshold) {
-        collect.push_back({leaf.node, {}});
-        continue;
+          records <= options_.base.in_memory_threshold) {
+        collect.push_back(seg);
+      } else {
+        search.push_back(seg);
       }
-      leaf.active = true;
-      slot_of[leaf.node] = static_cast<int>(i);
-      any_active = true;
     }
 
-    // Gather rids of small partitions with one pass over the class list
-    // (in-memory, no disk charge) and finish them exactly.
+    // Small partitions are gathered with one sweep of the class list
+    // (in memory, no disk charge) and finished exactly.
     if (!collect.empty()) {
-      std::vector<int> collect_slot(result.tree.num_nodes(), -1);
-      for (size_t i = 0; i < collect.size(); ++i) {
-        collect_slot[collect[i].node] = static_cast<int>(i);
-      }
-      for (RecordId r = 0; r < n; ++r) {
-        const NodeId id = leaf_of[r];
-        if (id < static_cast<NodeId>(collect_slot.size()) &&
-            collect_slot[id] >= 0) {
-          collect[collect_slot[id]].rids.push_back(r);
-        }
-      }
-      tracker.ChargeRecords(n, schema);  // class-list sweep
-      for (CollectNode& cn : collect) {
-        tracker.ChargeBuffered(static_cast<int64_t>(cn.rids.size()));
-        BuildExactSubtree(train, cn.rids, options_.base, &result.tree,
-                          cn.node, &tracker);
+      tracker.ChargeRecords(n, schema);
+      for (const NodeSegment& seg : collect) {
+        tracker.ChargeBuffered(seg.hi - seg.lo);
+        partition.Grow(seg.lo, seg.hi, seg.node, options_.base, &result.tree,
+                       &tracker);
       }
     }
-    if (!any_active) {
+    if (search.empty()) {
       // The collect sweep above was still a real pass; report it before
       // the frontier drains.
       po.frontier_collect = static_cast<int64_t>(collect.size());
@@ -173,140 +112,25 @@ BuildResult SliqBuilder::Build(const Dataset& train) {
       break;
     }
 
-    // ---- One pass over every attribute list evaluates all active
-    // leaves simultaneously.
+    // ---- One pass over every numeric attribute list evaluates all
+    // searched leaves at once; the presort paid for their sorted lists.
     result.stats.dataset_scans += 1;
     for (AttrId a = 0; a < schema.num_attrs(); ++a) {
-      if (schema.is_numeric(a)) {
-        tracker.ChargeRecords(n, schema);
-        for (LeafState& leaf : leaves) {
-          if (!leaf.active) continue;
-          std::fill(leaf.below.begin(), leaf.below.end(), 0);
-          leaf.has_prev = false;
-          leaf.seen = 0;
-        }
-        for (const Entry& e : lists[a]) {
-          const NodeId id = leaf_of[e.rid];
-          const int slot =
-              id < static_cast<NodeId>(slot_of.size()) ? slot_of[id] : -1;
-          if (slot < 0) continue;
-          LeafState& leaf = leaves[slot];
-          // Evaluate the boundary between the previous distinct value
-          // and this one.
-          if (leaf.has_prev && e.value != leaf.prev_value &&
-              leaf.seen < leaf.records) {
-            const double g = BoundaryGini(
-                leaf.below, result.tree.node(leaf.node).class_counts);
-            if (g < leaf.best.gini) {
-              leaf.best.gini = g;
-              leaf.best.split = Split::Numeric(a, leaf.prev_value);
-              leaf.best.valid = true;
-              leaf.best_left_counts = leaf.below;
-            }
-          }
-          leaf.below[train.label(e.rid)]++;
-          leaf.seen++;
-          leaf.prev_value = e.value;
-          leaf.has_prev = true;
-        }
-      } else {
-        // Categorical attributes: per-leaf value histograms from one
-        // sweep of the column (conceptually part of the same level
-        // pass).
-        const int card = schema.attr(a).cardinality;
-        std::vector<Histogram1D> hists;
-        hists.reserve(leaves.size());
-        for (const LeafState& leaf : leaves) {
-          hists.emplace_back(leaf.active ? card : 0,
-                             leaf.active ? nc : 0);
-        }
-        for (RecordId r = 0; r < n; ++r) {
-          const NodeId id = leaf_of[r];
-          const int slot =
-              id < static_cast<NodeId>(slot_of.size()) ? slot_of[id] : -1;
-          if (slot < 0) continue;
-          hists[slot].Add(train.categorical(a, r), train.label(r));
-        }
-        for (size_t i = 0; i < leaves.size(); ++i) {
-          LeafState& leaf = leaves[i];
-          if (!leaf.active) continue;
-          const CategoricalSplit cs = BestCategoricalSplit(hists[i]);
-          if (cs.valid && cs.gini < leaf.best.gini) {
-            leaf.best.gini = cs.gini;
-            leaf.best.split = Split::Categorical(a, cs.left_subset);
-            leaf.best.valid = true;
-            leaf.best_left_counts.assign(nc, 0);
-            for (int v = 0; v < card; ++v) {
-              if (cs.left_subset[v] != 0) {
-                for (ClassId c = 0; c < nc; ++c) {
-                  leaf.best_left_counts[c] += hists[i].count(v, c);
-                }
-              }
-            }
-          }
-        }
-      }
+      if (schema.is_numeric(a)) tracker.ChargeRecords(n, schema);
     }
-
-    // ---- Apply the winning splits: create children, rewrite the class
-    // list in one in-memory sweep.
-    std::vector<NodeId> next_nodes;
-    bool any_split = false;
-    for (LeafState& leaf : leaves) {
-      if (!leaf.active) continue;
-      const std::vector<int64_t>& counts =
-          result.tree.node(leaf.node).class_counts;
-      if (!leaf.best.valid || leaf.best.gini >= Gini(counts) - 1e-12) {
-        result.tree.mutable_node(leaf.node).is_leaf = true;
-        slot_of[leaf.node] = -1;
-        leaf.active = false;
-        continue;
-      }
-      std::vector<int64_t> right_counts(nc);
-      int64_t left_n = 0;
-      int64_t right_n = 0;
-      for (ClassId c = 0; c < nc; ++c) {
-        right_counts[c] = counts[c] - leaf.best_left_counts[c];
-        left_n += leaf.best_left_counts[c];
-        right_n += right_counts[c];
-      }
-      if (left_n == 0 || right_n == 0) {
-        result.tree.mutable_node(leaf.node).is_leaf = true;
-        slot_of[leaf.node] = -1;
-        leaf.active = false;
-        continue;
-      }
-      TreeNode left;
-      left.depth = leaf.depth + 1;
-      left.class_counts = leaf.best_left_counts;
-      left.leaf_class = Majority(left.class_counts);
-      TreeNode right;
-      right.depth = leaf.depth + 1;
-      right.class_counts = right_counts;
-      right.leaf_class = Majority(right_counts);
-      const NodeId left_id = result.tree.AddNode(std::move(left));
-      const NodeId right_id = result.tree.AddNode(std::move(right));
-      TreeNode& parent = result.tree.mutable_node(leaf.node);
-      parent.is_leaf = false;
-      parent.split = leaf.best.split;
-      parent.left = left_id;
-      parent.right = right_id;
-      next_nodes.push_back(left_id);
-      next_nodes.push_back(right_id);
-      any_split = true;
+    std::vector<NodeSegment> next;
+    for (const NodeSegment& seg : search) {
+      const int64_t mid = partition.SplitNode(seg.lo, seg.hi, seg.node,
+                                              options_.base, &result.tree,
+                                              nullptr);
+      if (mid < 0) continue;
+      const TreeNode& parent = result.tree.node(seg.node);
+      next.push_back({parent.left, seg.lo, mid});
+      next.push_back({parent.right, mid, seg.hi});
     }
-    if (any_split) {
-      for (RecordId r = 0; r < n; ++r) {
-        const NodeId id = leaf_of[r];
-        const TreeNode& tn = result.tree.node(id);
-        if (!tn.is_leaf && tn.left != kInvalidNode &&
-            id < static_cast<NodeId>(slot_of.size()) && slot_of[id] >= 0) {
-          leaf_of[r] = tn.split.RoutesLeft(train, r) ? tn.left : tn.right;
-        }
-      }
-      tracker.ChargeWrite(n * static_cast<int64_t>(sizeof(NodeId)));
-    }
-    active_nodes = std::move(next_nodes);
+    // Splitting rewrites the class list in one in-memory sweep.
+    if (!next.empty()) tracker.ChargeWrite(class_list_bytes);
+    level = std::move(next);
 
     po.scan_seconds = pass_timer.Seconds();
     po.bytes_read = result.stats.bytes_read - bytes_before;

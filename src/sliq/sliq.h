@@ -15,17 +15,21 @@ struct SliqOptions {
 /// Reimplementation of SLIQ (Mehta, Agrawal & Rissanen, EDBT 1996), the
 /// predecessor of SPRINT and the other "exact algorithm" the paper cites.
 ///
-/// Like SPRINT, SLIQ pre-sorts each numeric attribute once into an
-/// attribute list of (value, rid) entries. Unlike SPRINT, the lists are
-/// never partitioned: a memory-resident *class list* maps every rid to
-/// its current leaf, and one pass over each attribute list evaluates the
-/// gini index for ALL leaves of the current level simultaneously
-/// (breadth-first growth). Splitting just rewrites the class list.
+/// The tree grows breadth-first over one PresortedPartition of all
+/// records (exact/exact.h), with SPRINT's splits: each numeric attribute
+/// is sorted once, and every leaf of a level is searched at each distinct
+/// value boundary. Each level first finishes its leaves within the
+/// in-memory switch depth-first on the same partition, then splits the
+/// rest.
 ///
-/// The class list (one node id + class label per record) must stay in
-/// memory — SLIQ's scalability limit, and the reason SPRINT exists. The
-/// attribute lists are re-read once per level but never rewritten, so
-/// SLIQ writes far less than SPRINT.
+/// What stays SLIQ's own is its cost model. Its (value, rid) attribute
+/// lists are written once at the presort and never rewritten. A
+/// memory-resident class list maps every rid to its current leaf: it is
+/// SLIQ's scalability limit, and the reason SPRINT exists. Each level
+/// reads every numeric attribute list once to evaluate all its leaves
+/// together, gathering the small leaves costs one class-list sweep, and
+/// splitting rewrites the class list, so SLIQ writes far less than
+/// SPRINT.
 class SliqBuilder : public TreeBuilder {
  public:
   explicit SliqBuilder(SliqOptions options = {}) : options_(options) {}

@@ -1,17 +1,13 @@
 #include "sprint/sprint.h"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 #include <vector>
 
 #include "common/class_counts.h"
+#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "exact/exact.h"
-#include "gini/categorical.h"
-#include "gini/gini.h"
-#include "hist/attr_sort.h"
-#include "hist/histogram1d.h"
 #include "io/scan.h"
 #include "pruning/mdl.h"
 #include "tree/observer.h"
@@ -20,79 +16,14 @@ namespace cmp {
 
 namespace {
 
-// One attribute-list entry: attribute value (categorical values are
-// stored as their integer code), class label, and record id.
-struct Entry {
-  double value;
-  ClassId cls;
-  RecordId rid;
-};
-
 constexpr int64_t kEntryBytes = 20;  // 8 value + 4 class + 8 rid on disk
 
-// All attribute lists of one unfinished tree node.
-struct NodeLists {
-  NodeId node = kInvalidNode;
-  int depth = 0;
-  // lists[a] is sorted ascending by value for numeric attributes and in
-  // arbitrary (original) order for categorical ones.
-  std::vector<std::vector<Entry>> lists;
+// Memory the (simulated) host grants SPRINT before attribute lists spill.
+// It only caps the peak-memory accounting, as the paper notes SPRINT's
+// swapping to disk bounds its resident set.
+constexpr int64_t kMemoryCapBytes = 64ll * 1024 * 1024;
 
-  int64_t NumRecords() const {
-    return lists.empty() ? 0 : static_cast<int64_t>(lists[0].size());
-  }
-  int64_t TotalBytes() const {
-    int64_t bytes = 0;
-    for (const auto& l : lists) {
-      bytes += static_cast<int64_t>(l.size()) * kEntryBytes;
-    }
-    return bytes;
-  }
-};
-
-std::vector<int64_t> CountClassesFromList(const std::vector<Entry>& list,
-                                          int num_classes) {
-  std::vector<int64_t> counts(num_classes, 0);
-  for (const Entry& e : list) counts[e.cls]++;
-  return counts;
-}
-
-// Exact best split of one node from its attribute lists.
-ExactSplit BestSplitFromLists(const NodeLists& node, const Schema& schema,
-                              const std::vector<int64_t>& totals) {
-  ExactSplit best;
-  best.gini = std::numeric_limits<double>::infinity();
-  const int nc = static_cast<int>(totals.size());
-  for (AttrId a = 0; a < schema.num_attrs(); ++a) {
-    const std::vector<Entry>& list = node.lists[a];
-    if (schema.is_numeric(a)) {
-      std::vector<int64_t> below(nc, 0);
-      for (size_t i = 0; i + 1 < list.size(); ++i) {
-        below[list[i].cls]++;
-        if (list[i].value == list[i + 1].value) continue;
-        const double g = BoundaryGini(below, totals);
-        if (g < best.gini) {
-          best.gini = g;
-          best.split = Split::Numeric(a, list[i].value);
-          best.valid = true;
-        }
-      }
-    } else {
-      const int card = schema.attr(a).cardinality;
-      Histogram1D hist(card, nc);
-      for (const Entry& e : list) {
-        hist.Add(static_cast<int>(e.value), e.cls);
-      }
-      const CategoricalSplit cs = BestCategoricalSplit(hist);
-      if (cs.valid && cs.gini < best.gini) {
-        best.gini = cs.gini;
-        best.split = Split::Categorical(a, cs.left_subset);
-        best.valid = true;
-      }
-    }
-  }
-  return best;
-}
+using NodeSegment = PresortedPartition::NodeSegment;
 
 }  // namespace
 
@@ -102,172 +33,89 @@ BuildResult SprintBuilder::Build(const Dataset& train) {
   Timer timer;
 
   const Schema& schema = train.schema();
-  const int nc = schema.num_classes();
   const int64_t n = train.num_records();
   result.tree = DecisionTree(schema);
   TrainObserver* const observer = options_.base.observer;
   if (observer != nullptr) observer->OnBuildStart(name(), n);
-  if (n == 0) {
-    TreeNode root;
-    root.class_counts.assign(nc, 0);
-    root.leaf_class = 0;
-    result.tree.AddNode(std::move(root));
-    result.stats.wall_seconds = timer.Seconds();
-    if (observer != nullptr) observer->OnBuildEnd(result.stats);
-    return result;
-  }
-
-  // --- Pre-sort phase: one scan builds all attribute lists; numeric
-  // lists are sorted once and the sorted order is preserved forever.
-  tracker.ChargeScan(train);
-  NodeLists root_lists;
-  root_lists.lists.resize(schema.num_attrs());
-  for (AttrId a = 0; a < schema.num_attrs(); ++a) {
-    auto& list = root_lists.lists[a];
-    if (schema.is_numeric(a)) {
-      BuildSortedAttrList(
-          train.numeric_column(a),
-          [&train](double v, RecordId r) {
-            return Entry{v, train.label(r), r};
-          },
-          &tracker, &list);
-    } else {
-      const auto& col = train.categorical_column(a);
-      list.resize(n);
-      for (RecordId r = 0; r < n; ++r) {
-        list[r] = Entry{static_cast<double>(col[r]), train.label(r), r};
-      }
-    }
-  }
-  tracker.ChargeWrite(root_lists.TotalBytes());  // lists are materialized
 
   TreeNode root;
   root.depth = 0;
   root.class_counts = train.ClassCounts();
   root.leaf_class = Majority(root.class_counts);
-  root_lists.node = result.tree.AddNode(std::move(root));
+  const NodeId root_id = result.tree.AddNode(std::move(root));
+  if (n == 0) {
+    result.stats.wall_seconds = timer.Seconds();
+    if (observer != nullptr) observer->OnBuildEnd(result.stats);
+    return result;
+  }
 
-  // rid -> goes-left flag, rebuilt per split (SPRINT's hash table).
-  std::vector<uint8_t> goes_left(n, 0);
-  const int64_t hash_bytes = n;  // 1 byte per record
+  // --- Pre-sort phase: one scan builds an attribute list per attribute;
+  // numeric lists are sorted once and the sorted order is preserved
+  // forever. Every list is materialized, so it is charged as written.
+  tracker.ChargeScan(train);
+  std::vector<RecordId> rids(n);
+  for (RecordId r = 0; r < n; ++r) rids[r] = r;
+  ThreadPool pool(options_.base.num_threads);
+  PresortedPartition partition(train, rids, &pool);
+  for (AttrId a = 0; a < schema.num_attrs(); ++a) {
+    if (schema.is_numeric(a)) tracker.ChargeSort(n);
+  }
+  const int64_t record_bytes = schema.num_attrs() * kEntryBytes;
+  tracker.ChargeWrite(n * record_bytes);
 
-  std::vector<NodeLists> active;
-  active.push_back(std::move(root_lists));
+  // SPRINT's rid -> child hash table: 1 byte per record.
+  const int64_t hash_bytes = n;
 
+  std::vector<NodeSegment> level = {{root_id, 0, n}};
   int pass_index = 0;
-  while (!active.empty()) {
+  while (!level.empty()) {
     PassObservation po;
     po.pass = pass_index++;
     po.records_scanned = n;
-    po.frontier_fresh = static_cast<int64_t>(active.size());
+    po.frontier_fresh = static_cast<int64_t>(level.size());
     const int64_t bytes_before = result.stats.bytes_read;
     Timer pass_timer;
 
-    // Per-level accounting: every active node's lists are re-read, and
-    // partitioned lists are re-written.
+    // Per-level accounting: every node's lists are re-read, and the lists
+    // of each split node are re-written, partitioned.
     int64_t level_bytes = 0;
-    for (const NodeLists& nl : active) level_bytes += nl.TotalBytes();
-    if (tracker.stats() != nullptr) {
-      tracker.stats()->dataset_scans += 1;
-      tracker.stats()->bytes_read += level_bytes;
-      tracker.stats()->records_read += n;
+    for (const NodeSegment& seg : level) {
+      level_bytes += (seg.hi - seg.lo) * record_bytes;
     }
+    result.stats.dataset_scans += 1;
+    result.stats.bytes_read += level_bytes;
+    result.stats.records_read += n;
     tracker.NotePeakMemory(
-        std::min(level_bytes + hash_bytes, options_.memory_cap_bytes));
+        std::min(level_bytes + hash_bytes, kMemoryCapBytes));
 
-    std::vector<NodeLists> next;
-    for (NodeLists& nl : active) {
-      const NodeId node_id = nl.node;
-      const std::vector<int64_t> counts =
-          result.tree.node(node_id).class_counts;
-      const int64_t records = nl.NumRecords();
-
-      const bool stop = IsPure(counts) ||
-                        records < options_.base.min_split_records ||
-                        nl.depth >= options_.base.max_depth ||
-                        (options_.base.prune &&
-                         ShouldPruneBeforeExpand(counts, schema.num_attrs()));
-      if (stop) {
-        result.tree.mutable_node(node_id).is_leaf = true;
+    std::vector<NodeSegment> next;
+    for (const NodeSegment& seg : level) {
+      const TreeNode& node = result.tree.node(seg.node);
+      const int64_t records = seg.hi - seg.lo;
+      // A node that stops stays the leaf it was appended as.
+      if (StopsBeforeSearch(node.class_counts, records, node.depth,
+                            schema.num_attrs(), options_.base)) {
         continue;
       }
-
       // In-memory switch: small partitions are finished exactly without
       // further attribute-list traffic.
       if (options_.base.in_memory_threshold > 0 &&
           records <= options_.base.in_memory_threshold) {
-        std::vector<RecordId> rids;
-        rids.reserve(records);
-        for (const Entry& e : nl.lists[0]) rids.push_back(e.rid);
-        BuildExactSubtree(train, rids, options_.base, &result.tree, node_id,
-                          &tracker);
+        partition.Grow(seg.lo, seg.hi, seg.node, options_.base, &result.tree,
+                       &tracker);
         continue;
       }
-
-      const ExactSplit best = BestSplitFromLists(nl, schema, counts);
-      if (!best.valid || best.gini >= Gini(counts) - 1e-12) {
-        result.tree.mutable_node(node_id).is_leaf = true;
-        continue;
-      }
-
-      // Fill the rid hash table from the winning attribute's list, then
-      // partition every list, preserving order.
-      int64_t left_n = 0;
-      for (const Entry& e : nl.lists[best.split.attr]) {
-        bool left;
-        if (best.split.kind == Split::Kind::kNumeric) {
-          left = e.value <= best.split.threshold;
-        } else {
-          const auto v = static_cast<size_t>(e.value);
-          left = v < best.split.left_subset.size() &&
-                 best.split.left_subset[v] != 0;
-        }
-        goes_left[e.rid] = left ? 1 : 0;
-        left_n += left ? 1 : 0;
-      }
-      if (left_n == 0 || left_n == records) {
-        result.tree.mutable_node(node_id).is_leaf = true;
-        continue;
-      }
-
-      NodeLists left_nl;
-      NodeLists right_nl;
-      left_nl.depth = right_nl.depth = nl.depth + 1;
-      left_nl.lists.resize(schema.num_attrs());
-      right_nl.lists.resize(schema.num_attrs());
-      for (AttrId a = 0; a < schema.num_attrs(); ++a) {
-        left_nl.lists[a].reserve(left_n);
-        right_nl.lists[a].reserve(records - left_n);
-        for (const Entry& e : nl.lists[a]) {
-          (goes_left[e.rid] ? left_nl.lists[a] : right_nl.lists[a])
-              .push_back(e);
-        }
-        nl.lists[a].clear();
-        nl.lists[a].shrink_to_fit();
-      }
-      tracker.ChargeWrite(left_nl.TotalBytes() + right_nl.TotalBytes());
-
-      TreeNode left;
-      left.depth = left_nl.depth;
-      left.class_counts = CountClassesFromList(left_nl.lists[0], nc);
-      left.leaf_class = Majority(left.class_counts);
-      TreeNode right;
-      right.depth = right_nl.depth;
-      right.class_counts = CountClassesFromList(right_nl.lists[0], nc);
-      right.leaf_class = Majority(right.class_counts);
-
-      left_nl.node = result.tree.AddNode(std::move(left));
-      right_nl.node = result.tree.AddNode(std::move(right));
-      TreeNode& parent = result.tree.mutable_node(node_id);
-      parent.is_leaf = false;
-      parent.split = best.split;
-      parent.left = left_nl.node;
-      parent.right = right_nl.node;
-
-      next.push_back(std::move(left_nl));
-      next.push_back(std::move(right_nl));
+      // The presort paid for this node's sorted lists.
+      const int64_t mid = partition.SplitNode(seg.lo, seg.hi, seg.node,
+                                              options_.base, &result.tree,
+                                              nullptr);
+      if (mid < 0) continue;
+      tracker.ChargeWrite(records * record_bytes);
+      const TreeNode& parent = result.tree.node(seg.node);
+      next.push_back({parent.left, seg.lo, mid});
+      next.push_back({parent.right, mid, seg.hi});
     }
-    active = std::move(next);
+    level = std::move(next);
 
     po.scan_seconds = pass_timer.Seconds();
     po.bytes_read = result.stats.bytes_read - bytes_before;

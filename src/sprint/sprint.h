@@ -10,23 +10,24 @@ namespace cmp {
 /// Options specific to SPRINT.
 struct SprintOptions {
   BuilderOptions base;
-  /// Bytes of memory the (simulated) host grants SPRINT before attribute
-  /// lists spill; only affects the peak-memory accounting, mirroring the
-  /// paper's note that SPRINT swap to disk bounds its resident set.
-  int64_t memory_cap_bytes = 64ll * 1024 * 1024;
 };
 
 /// Reimplementation of SPRINT (Shafer, Agrawal & Mehta, VLDB 1996), the
 /// exact baseline of the paper's Figures 16-19.
 ///
-/// Each numeric attribute is pre-sorted once into an attribute list of
-/// (value, class, rid) entries. At every node the exact gini index is
-/// evaluated at each distinct value boundary of every attribute; the node
-/// is split on the globally best test. A rid -> child hash table built
-/// from the winning attribute's list partitions every other list while
-/// preserving sort order, so no re-sorting is ever needed. Attribute
-/// lists are materialized structures: creating and moving them is charged
-/// as writes, visiting them as reads — that traffic is exactly why the
+/// The tree grows breadth-first over one PresortedPartition of all
+/// records (exact/exact.h): each numeric attribute is sorted once, every
+/// node of a level is searched at each distinct value boundary of every
+/// attribute, and a split partitions the node's lists stably, so nothing
+/// is ever re-sorted. Nodes within the in-memory switch are finished
+/// depth-first on the same partition.
+///
+/// What stays SPRINT's own is its cost model. Its attribute lists of
+/// (value, class, rid) entries are materialized on disk: creating them
+/// and rewriting a split node's lists (what SPRINT's rid -> child hash
+/// table drives) are charged as writes, and every level re-reads every
+/// list. Peak memory is a level's lists plus the hash table, capped at
+/// the memory the simulated host grants. That traffic is exactly why the
 /// paper finds CMP ~5x faster.
 class SprintBuilder : public TreeBuilder {
  public:

@@ -16,8 +16,8 @@
 #include "cmp/cmp.h"
 #include "common/thread_pool.h"
 #include "datagen/agrawal.h"
-#include "exact/exact.h"
 #include "io/block_source.h"
+#include "tree/builder.h"
 #include "tree/observer.h"
 #include "tree/serialize.h"
 
@@ -112,24 +112,50 @@ INSTANTIATE_TEST_SUITE_P(
       return n;
     });
 
+// Every BuildStats counter except the wall-clock fields, as text.
+std::string Counters(const BuildStats& s) {
+  std::string out;
+  for (const int64_t v :
+       {s.dataset_scans, s.records_read, s.bytes_read, s.bytes_written,
+        s.buffered_records, s.sort_comparisons, s.peak_memory_bytes,
+        s.tree_nodes, s.tree_depth, s.predictions_total,
+        s.predictions_correct, s.root_alive_intervals}) {
+    out += std::to_string(v);
+    out += ' ';
+  }
+  return out;
+}
+
 // The exact reference builder fans its per-attribute split search over
-// the same pool; it must obey the same contract.
+// the same pool, and SLIQ and SPRINT grow their presorted partition on
+// it; they must obey the same contract, counters included. A lowered
+// in-memory switch puts SLIQ's and SPRINT's level-by-level splits on the
+// path as well as their depth-first finish.
 TEST(ParallelDeterminism, ExactBuilderBitIdentical) {
   const Dataset train = MakeData(AgrawalFunction::kF2, 4000, 227);
-  for (const bool prune : {true, false}) {
-    std::string reference;
-    for (const int threads : kThreadCounts) {
-      BuilderOptions o;
-      o.prune = prune;
-      o.num_threads = threads;
-      ExactBuilder builder(o);
-      const std::string bytes = SerializeTree(builder.Build(train).tree);
-      if (threads == 1) {
-        reference = bytes;
-        ASSERT_FALSE(reference.empty());
-      } else {
-        EXPECT_EQ(bytes, reference)
-            << "exact, prune=" << prune << ", " << threads << " threads";
+  for (const char* algo : {"exact", "sliq", "sprint"}) {
+    for (const bool prune : {true, false}) {
+      std::string reference;
+      std::string reference_counters;
+      for (const int threads : kThreadCounts) {
+        BuilderConfig config;
+        config.base.prune = prune;
+        config.base.num_threads = threads;
+        config.base.in_memory_threshold = 512;
+        const BuildResult r = MakeTreeBuilder(algo, config)->Build(train);
+        const std::string bytes = SerializeTree(r.tree);
+        if (threads == 1) {
+          reference = bytes;
+          reference_counters = Counters(r.stats);
+          ASSERT_FALSE(reference.empty());
+        } else {
+          EXPECT_EQ(bytes, reference)
+              << algo << ", prune=" << prune << ", " << threads
+              << " threads";
+          EXPECT_EQ(Counters(r.stats), reference_counters)
+              << algo << ", prune=" << prune << ", " << threads
+              << " threads";
+        }
       }
     }
   }
