@@ -177,10 +177,12 @@ ExactSplit PresortedPartition::Search(int64_t lo, int64_t hi,
 int64_t PresortedPartition::SplitNode(int64_t lo, int64_t hi, NodeId id,
                                       const BuilderOptions& options,
                                       DecisionTree* tree,
-                                      ScanTracker* tracker) {
+                                      ScanTracker* tracker,
+                                      const int64_t* totals) {
   const TreeNode& node = tree->node(id);
   const int depth = node.depth;
-  ExactSplit best = Search(lo, hi, node.class_counts.data(), tracker);
+  if (totals == nullptr) totals = node.class_counts.data();
+  ExactSplit best = Search(lo, hi, totals, tracker);
   if (best.valid && best.gini < Gini(node.class_counts) - 1e-12) {
     MarkLeft(best.split, lo, hi);
     std::vector<int64_t> left_counts(nc_, 0);
@@ -222,14 +224,15 @@ int64_t PresortedPartition::SplitNode(int64_t lo, int64_t hi, NodeId id,
 
 void PresortedPartition::Grow(int64_t lo, int64_t hi, NodeId id,
                               const BuilderOptions& options,
-                              DecisionTree* tree, ScanTracker* tracker) {
+                              DecisionTree* tree, ScanTracker* tracker,
+                              const int64_t* totals) {
   const TreeNode& node = tree->node(id);
   if (StopsBeforeSearch(node.class_counts, hi - lo, node.depth,
                         schema_.num_attrs(), options)) {
     MakeLeaf(tree, id);
     return;
   }
-  const int64_t mid = SplitNode(lo, hi, id, options, tree, tracker);
+  const int64_t mid = SplitNode(lo, hi, id, options, tree, tracker, totals);
   if (mid < 0) return;
   const NodeId right_id = tree->node(id).right;
   Grow(lo, mid, tree->node(id).left, options, tree, tracker);
@@ -343,7 +346,8 @@ void BuildExactSubtree(const Dataset& ds, const std::vector<RecordId>& rids,
                        NodeId root_id, ScanTracker* tracker,
                        ThreadPool* pool) {
   PresortedPartition partition(ds, rids, pool);
-  partition.Grow(0, partition.size(), root_id, options, tree, tracker);
+  partition.Grow(0, partition.size(), root_id, options, tree, tracker,
+                 partition.totals().data());
 }
 
 BuildResult ExactBuilder::Build(const Dataset& train) {

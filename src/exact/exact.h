@@ -90,9 +90,12 @@ class PresortedPartition {
   ExactSplit Search(int64_t lo, int64_t hi, const int64_t* totals,
                     ScanTracker* tracker);
 
-  /// Splits tree node `id`, whose records are segment [lo, hi) and whose
-  /// class counts describe them, on the best split Search finds. On a
-  /// gini gain that sends records both ways, appends the left and then
+  /// Splits tree node `id`, whose records are segment [lo, hi), on the
+  /// best split Search finds over `totals`, the segment's class counts.
+  /// Null `totals` reads them from the node; pass them when the node's
+  /// class_counts also hold mass from outside the segment (a refit root
+  /// keeps its leaf's history), which then enters only the gain test. On
+  /// a gini gain that sends records both ways, appends the left and then
   /// the right child to `tree`, partitions the segment stably and returns
   /// `mid`: the left child owns [lo, mid) and the right [mid, hi). A
   /// child that fails StopsBeforeSearch keeps no list contents. Otherwise
@@ -100,12 +103,14 @@ class PresortedPartition {
   /// its own.
   int64_t SplitNode(int64_t lo, int64_t hi, NodeId id,
                     const BuilderOptions& options, DecisionTree* tree,
-                    ScanTracker* tracker);
+                    ScanTracker* tracker, const int64_t* totals = nullptr);
 
   /// Grows the exact greedy subtree of node `id` over segment [lo, hi):
-  /// the stop test, SplitNode, then each child depth-first.
+  /// the stop test, SplitNode (given `totals`), then each child
+  /// depth-first on its own counts.
   void Grow(int64_t lo, int64_t hi, NodeId id, const BuilderOptions& options,
-            DecisionTree* tree, ScanTracker* tracker);
+            DecisionTree* tree, ScanTracker* tracker,
+            const int64_t* totals = nullptr);
 
  private:
   // One entry of a numeric attribute list: a record's value, and its
@@ -157,8 +162,9 @@ class PresortedPartition {
 };
 
 /// Grows an exact greedy subtree for `rids` under the node `root_id` of
-/// `tree` (whose class_counts must already describe `rids`): a
-/// PresortedPartition of `rids`, grown depth-first. Used by every builder
+/// `tree`: a PresortedPartition of `rids`, grown depth-first. The root is
+/// searched on the class counts of `rids`; its own class_counts, which
+/// may hold more mass (a refit root), feed its stop and gain tests. Used by every builder
 /// once a partition fits in memory (BuilderOptions::in_memory_threshold)
 /// — the standard switch RF-Hybrid makes explicit. Honors
 /// StopsBeforeSearch. Each searched node charges one modeled

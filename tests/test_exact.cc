@@ -300,10 +300,13 @@ struct SubtreeRun {
 };
 
 // Grows the subtree of `rids` under a root at depth `root_depth` that is
-// node 1 of its tree, with BuildExactSubtree or with the oracle.
+// node 1 of its tree, with BuildExactSubtree or with the oracle. `seed`,
+// when given, is class mass the root counts on top of its records, as a
+// refit root carries its leaf's history.
 SubtreeRun GrowSubtree(const Dataset& ds, const std::vector<RecordId>& rids,
                        const BuilderOptions& options, int root_depth,
-                       ThreadPool* pool, bool oracle) {
+                       ThreadPool* pool, bool oracle,
+                       const std::vector<int64_t>& seed = {}) {
   DecisionTree tree(ds.schema());
   TreeNode parent;
   parent.class_counts.assign(ds.num_classes(), 0);
@@ -312,6 +315,7 @@ SubtreeRun GrowSubtree(const Dataset& ds, const std::vector<RecordId>& rids,
   root.depth = root_depth;
   root.class_counts.assign(ds.num_classes(), 0);
   for (RecordId r : rids) root.class_counts[ds.label(r)]++;
+  for (size_t c = 0; c < seed.size(); ++c) root.class_counts[c] += seed[c];
   root.leaf_class = Majority(root.class_counts);
   const NodeId root_id = tree.AddNode(std::move(root));
   BuildStats stats;
@@ -365,6 +369,43 @@ TEST(BuildExactSubtree, PresortedListsMatchPerNodeSortOracle) {
   }
   // The tables are hard enough that every configuration grows a real tree.
   EXPECT_EQ(grown, 32);
+}
+
+// A root whose class counts also hold mass from outside its records (a
+// refit root keeps its leaf's history) is still searched on its records'
+// own class counts; the extra mass only enters its stop and gain tests.
+TEST(BuildExactSubtree, SeededRootScoresItsOwnRecords) {
+  ThreadPool four(4);
+  int grown = 0;
+  for (AgrawalFunction f : {AgrawalFunction::kF2, AgrawalFunction::kF5,
+                            AgrawalFunction::kF7}) {
+    AgrawalOptions gen;
+    gen.function = f;
+    gen.num_records = 1000;
+    gen.seed = 31;
+    const Dataset ds = GenerateAgrawal(gen);
+    const std::vector<RecordId> rids = AllRids(ds);
+    // Three times the records' own mass: the root's gini, and so its
+    // gain test, stays that of its records.
+    std::vector<int64_t> seed(ds.num_classes(), 0);
+    for (RecordId r : rids) seed[ds.label(r)] += 3;
+    for (bool prune : {false, true}) {
+      BuilderOptions options;
+      options.prune = prune;
+      SCOPED_TRACE(testing::Message() << "function " << static_cast<int>(f)
+                                      << " prune " << prune);
+      const SubtreeRun want =
+          GrowSubtree(ds, rids, options, 0, nullptr, true, seed);
+      for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &four}) {
+        const SubtreeRun got =
+            GrowSubtree(ds, rids, options, 0, pool, false, seed);
+        EXPECT_EQ(got.tree, want.tree);
+        EXPECT_EQ(got.sort_comparisons, want.sort_comparisons);
+      }
+      if (want.num_nodes > 9) ++grown;
+    }
+  }
+  EXPECT_EQ(grown, 6);
 }
 
 }  // namespace

@@ -8,8 +8,10 @@
 #include <vector>
 
 #include "cmp/cmp.h"
+#include "common/class_counts.h"
 #include "datagen/agrawal.h"
 #include "datagen/drift.h"
+#include "exact/exact.h"
 #include "io/block_source.h"
 #include "io/sketch_sidecar.h"
 #include "stream/refit.h"
@@ -266,6 +268,54 @@ TEST(Refit, DeterministicAcrossThreadCounts) {
   const std::string one = run(1);
   EXPECT_EQ(one, run(4));
   EXPECT_EQ(one, run(1));
+}
+
+TEST(Refit, RegrownLeafSplitsOnItsNewRecords) {
+  // A drifted leaf with few new records is regrown exactly over them,
+  // while its counts keep the old mass. Its first split must still be
+  // the exact best split of the new records alone.
+  const Dataset first = MakeData(AgrawalFunction::kF2, 20000, 6);
+  const Dataset second = MakeData(AgrawalFunction::kF7, 20000, 7);
+  SketchSidecar sidecar;
+  const BuildResult base = TrainStream(first, 1, 0, &sidecar);
+
+  DecisionTree tree = base.tree;
+  RefitOptions o;
+  DatasetBlockSource source(second);
+  BuildStats bs;
+  RefitStats rs;
+  std::string error;
+  ASSERT_TRUE(RefitTree(&tree, &sidecar, source, o, &bs, &rs, &error))
+      << error;
+
+  std::vector<std::vector<RecordId>> routed(base.tree.num_nodes());
+  for (RecordId r = 0; r < second.num_records(); ++r) {
+    NodeId id = 0;
+    while (!base.tree.node(id).is_leaf) {
+      const TreeNode& cur = base.tree.node(id);
+      id = cur.split.RoutesLeft(second, r) ? cur.left : cur.right;
+    }
+    routed[id].push_back(r);
+  }
+  int checked = 0;
+  for (NodeId id = 0; id < base.tree.num_nodes(); ++id) {
+    const std::vector<RecordId>& rids = routed[id];
+    if (!base.tree.node(id).is_leaf || tree.node(id).is_leaf ||
+        static_cast<int64_t>(rids.size()) >
+            o.stream.base.in_memory_threshold) {
+      continue;
+    }
+    ASSERT_GT(CountSum(base.tree.node(id).class_counts), 0);
+    const ExactSplit want = FindBestSplitExact(second, rids);
+    ASSERT_TRUE(want.valid);
+    const Split& got = tree.node(id).split;
+    EXPECT_EQ(got.kind, want.split.kind) << "node " << id;
+    EXPECT_EQ(got.attr, want.split.attr) << "node " << id;
+    EXPECT_EQ(got.threshold, want.split.threshold) << "node " << id;
+    EXPECT_EQ(got.left_subset, want.split.left_subset) << "node " << id;
+    ++checked;
+  }
+  EXPECT_GT(checked, 0);
 }
 
 TEST(Refit, AbsorbsStationaryDataWithoutRegrowing) {
