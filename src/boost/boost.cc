@@ -71,6 +71,7 @@ class WeakPassCollector : public TrainObserver {
     finish_seconds += pass.finish_seconds;
     route_seconds += pass.route_seconds;
     kernel_seconds += pass.kernel_seconds;
+    records_routed += pass.records_routed;
     bytes_read += pass.bytes_read;
     code_cache_bytes = std::max(code_cache_bytes, pass.code_cache_bytes);
   }
@@ -83,6 +84,7 @@ class WeakPassCollector : public TrainObserver {
   double finish_seconds = 0.0;
   double route_seconds = 0.0;
   double kernel_seconds = 0.0;
+  int64_t records_routed = 0;
   int64_t bytes_read = 0;
   int64_t code_cache_bytes = 0;
 };
@@ -227,6 +229,7 @@ BuildResult BoostBuilder::Build(const Dataset& train) {
       pass.finish_seconds = weak_passes.finish_seconds;
       pass.route_seconds = weak_passes.route_seconds;
       pass.kernel_seconds = weak_passes.kernel_seconds;
+      pass.records_routed = weak_passes.records_routed;
       pass.bytes_read = weak_passes.bytes_read;
       pass.code_cache_bytes = weak_passes.code_cache_bytes;
       pass.records_scanned = train_n;

@@ -1,5 +1,6 @@
 #include "cmp/scan_pass.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace cmp {
@@ -58,16 +59,31 @@ int AddPendingRoute(ScanPlan* plan, Pending* p,
 ScanPlan BuildScanPlan(int num_nodes, FrontierQueues& work) {
   ScanPlan plan;
   plan.nodes.assign(num_nodes, NodeRoute{});
+  // Each work node's sinks are added together, so they form its slot.
+  auto open_slot = [&plan](NodeId node) {
+    plan.slot_node.push_back(node);
+    plan.slot_begin.push_back(static_cast<int>(plan.sinks.size()));
+  };
   for (FreshWork& w : work.fresh) {
+    open_slot(w.node);
     plan.nodes[w.node].sink = AddSink(&plan, {&w.bundle, {}});
   }
   for (PendingWork& w : work.pending) {
+    open_slot(w.node);
     plan.nodes[w.node].pending = AddPendingRoute(&plan, w.pending.get(), {});
   }
   for (CollectWork& w : work.collect) {
+    open_slot(w.node);
     ScanSink sink;
     sink.collect = &w.rids;
     plan.nodes[w.node].sink = AddSink(&plan, std::move(sink));
+  }
+  plan.slot_begin.push_back(static_cast<int>(plan.sinks.size()));
+  plan.sink_slot.resize(plan.sinks.size());
+  for (size_t k = 0; k < plan.slot_node.size(); ++k) {
+    std::fill(plan.sink_slot.begin() + plan.slot_begin[k],
+              plan.sink_slot.begin() + plan.slot_begin[k + 1],
+              static_cast<int>(k));
   }
   return plan;
 }

@@ -12,12 +12,15 @@
 
 #include "common/net.h"
 #include "common/parse_number.h"
+#include "io/table_file.h"
 
 namespace cmp {
 
 namespace {
 
 /// Parses one dense CSV row against `schema` into per-attribute slots.
+/// A value must be what `cmptool predict` accepts: a numeric field that
+/// parses whole and is not NaN, a categorical code in [0, cardinality).
 bool ParseRow(const Schema& schema, const std::string& text,
               std::vector<double>* numeric, std::vector<int32_t>* categorical,
               std::string* error) {
@@ -39,12 +42,17 @@ bool ParseRow(const Schema& schema, const std::string& text,
       return false;
     }
     char* end = nullptr;
+    bool in_range = true;
     if (schema.is_numeric(a)) {
-      (*numeric)[a] = std::strtod(field.c_str(), &end);
+      const double v = std::strtod(field.c_str(), &end);
+      in_range = NoNaN(&v, 1);
+      (*numeric)[a] = v;
     } else {
-      (*categorical)[a] = static_cast<int32_t>(std::strtol(field.c_str(), &end, 10));
+      const long v = std::strtol(field.c_str(), &end, 10);
+      in_range = v >= 0 && v < schema.attr(a).cardinality;
+      (*categorical)[a] = static_cast<int32_t>(v);
     }
-    if (end == field.c_str() || *end != '\0') {
+    if (end == field.c_str() || *end != '\0' || !in_range) {
       *error = "bad value '" + field + "' for attribute " +
                schema.attr(a).name;
       return false;

@@ -79,6 +79,7 @@ std::string TrainStatsCollector::ToJson() const {
        << ", \"tree_nodes\": " << p.tree_nodes
        << ", \"route_seconds\": " << p.route_seconds
        << ", \"kernel_seconds\": " << p.kernel_seconds
+       << ", \"records_routed\": " << p.records_routed
        << ", \"code_cache_bytes\": " << p.code_cache_bytes
        << ", \"sibling_subtractions\": " << p.sibling_subtractions
        << ", \"sketch_bytes\": " << p.sketch_bytes

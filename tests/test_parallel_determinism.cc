@@ -225,6 +225,7 @@ TEST(ParallelDeterminism, BuildCountersIndependentOfThreadCount) {
   auto pass_counters = [](const PassObservation& p) {
     return Counters{{"pass", p.pass},
                     {"records_scanned", p.records_scanned},
+                    {"records_routed", p.records_routed},
                     {"bytes_read", p.bytes_read},
                     {"frontier_fresh", p.frontier_fresh},
                     {"frontier_pending", p.frontier_pending},

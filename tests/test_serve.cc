@@ -14,6 +14,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/schema.h"
@@ -687,6 +688,79 @@ TEST_F(ServeDaemonTest, BatchRejectsCountsThatAreNotWholeNumbers) {
   std::vector<std::string> replies;
   ASSERT_TRUE(client.Batch("m", {"-1,0"}, &replies));
   EXPECT_EQ(replies, std::vector<std::string>{"ok neg"});
+  daemon.Shutdown();
+}
+
+// A served row takes the values `cmptool predict` takes: NaN in a
+// numeric field and a categorical code outside [0, cardinality) are bad
+// values, answered `err bad value …` and counted as protocol errors,
+// with the connection left in step.
+TEST_F(ServeDaemonTest, RejectsNaNAndCategoricalCodesOutOfRange) {
+  DecisionTree cat_tree(Schema(
+      {{"x", AttrKind::kNumeric, 0}, {"c", AttrKind::kCategorical, 3}},
+      {"neg", "pos"}));
+  TreeNode root;
+  root.is_leaf = false;
+  root.split = Split::Categorical(1, {1, 0, 0});
+  cat_tree.AddNode(root);
+  TreeNode leaf;
+  leaf.leaf_class = 0;
+  leaf.class_counts = {1, 0};
+  leaf.depth = 1;
+  cat_tree.AddNode(leaf);
+  leaf.leaf_class = 1;
+  leaf.class_counts = {0, 1};
+  cat_tree.AddNode(leaf);
+  cat_tree.mutable_node(0).left = 1;
+  cat_tree.mutable_node(0).right = 2;
+  const std::string cat_blob =
+      std::string(::testing::TempDir()) + "/serve_cat.cmpb";
+  std::string error;
+  ASSERT_TRUE(SaveModelBlob({&cat_tree}, cat_blob, &error)) << error;
+
+  ServeOptions opts;
+  ServeDaemon daemon(opts);
+  ASSERT_NE(daemon.registry().PublishFromFile("m", blob_a_, &error), 0u);
+  ASSERT_NE(daemon.registry().PublishFromFile("c", cat_blob, &error), 0u);
+  std::remove(cat_blob.c_str());
+  ASSERT_TRUE(daemon.Start(&error)) << error;
+
+  ServeClient client;
+  ASSERT_TRUE(client.ConnectTcp("127.0.0.1", daemon.port(), &error)) << error;
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"predict m nan,0", "err bad value 'nan' for attribute x"},
+      {"predict m 0,NAN", "err bad value 'NAN' for attribute y"},
+      {"predict m -nan,0", "err bad value '-nan' for attribute x"},
+      {"predict m nan(1),0", "err bad value 'nan(1)' for attribute x"},
+      {"predict c 0,3", "err bad value '3' for attribute c"},
+      {"predict c 0,-1", "err bad value '-1' for attribute c"},
+      {"predict c 0,4294967296", "err bad value '4294967296' for attribute c"},
+      {"predictp c nan,0", "err bad value 'nan' for attribute x"}};
+  std::string reply;
+  for (const auto& [line, want] : bad) {
+    ASSERT_TRUE(client.Rpc(line, &reply)) << line;
+    EXPECT_EQ(reply, want) << line;
+  }
+  ASSERT_TRUE(client.Rpc("stats", &reply));
+  EXPECT_NE(reply.find("\"protocol_errors\":" + std::to_string(bad.size())),
+            std::string::npos)
+      << reply;
+
+  // Infinities and every code in range are still served, and a bad row
+  // of a batch answers in its place.
+  ASSERT_TRUE(client.Rpc("predict m -inf,0", &reply));
+  EXPECT_EQ(reply, "ok neg");
+  ASSERT_TRUE(client.Rpc("predict m inf,0", &reply));
+  EXPECT_EQ(reply, "ok pos");
+  ASSERT_TRUE(client.Rpc("predict c 0,0", &reply));
+  EXPECT_EQ(reply, "ok neg");
+  ASSERT_TRUE(client.Rpc("predict c 0,2", &reply));
+  EXPECT_EQ(reply, "ok pos");
+  std::vector<std::string> replies;
+  ASSERT_TRUE(client.Batch("c", {"0,1", "0,3", "nan,0", "1,0"}, &replies));
+  EXPECT_EQ(replies, (std::vector<std::string>{
+                         "ok pos", "err bad value '3' for attribute c",
+                         "err bad value 'nan' for attribute x", "ok neg"}));
   daemon.Shutdown();
 }
 
