@@ -16,7 +16,6 @@
 
 #include "cmp/bundle.h"
 #include "cmp/linear.h"
-#include "cmp/pairs.h"
 #include "datagen/agrawal.h"
 #include "hist/grids.h"
 
@@ -144,19 +143,6 @@ void BM_BundleDerive(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BundleDerive);
-
-void BM_PairDiscovery(benchmark::State& state) {
-  cmp::AgrawalOptions gen;
-  gen.function = cmp::AgrawalFunction::kFunctionF;
-  gen.num_records = state.range(0);
-  gen.seed = 9;
-  const cmp::Dataset ds = cmp::GenerateAgrawal(gen);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cmp::DiscoverLinearRelations(ds));
-  }
-}
-BENCHMARK(BM_PairDiscovery)->Arg(5000)->Arg(20000)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

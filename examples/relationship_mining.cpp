@@ -11,7 +11,6 @@
 #include <iostream>
 
 #include "cmp/cmp.h"
-#include "cmp/pairs.h"
 #include "datagen/agrawal.h"
 #include "tree/crossval.h"
 #include "tree/explain.h"
@@ -31,19 +30,6 @@ int main() {
   options.linear_gain = 0.1;
   cmp::CmpBuilder builder(options);
   const cmp::BuildResult result = builder.Build(data);
-
-  // First, mine pairwise linear structure directly (the all-pairs
-  // extension of DESIGN.md: one scan, N(N-1)/2 coarse matrices).
-  const std::vector<cmp::PairRelation> relations =
-      cmp::DiscoverLinearRelations(data);
-  std::cout << "pairwise linear relations (line gini vs dataset gini "
-            << (relations.empty() ? 0.0 : relations.front().base_gini)
-            << "):\n";
-  for (const cmp::PairRelation& rel : relations) {
-    std::cout << "  " << rel.split.ToString(data.schema())
-              << "   gini=" << rel.gini << "\n";
-  }
-  std::cout << "\n";
 
   std::cout << "tree (" << result.tree.num_nodes() << " nodes):\n";
   // Print the linear splits the tree discovered.

@@ -8,7 +8,6 @@
 
 #include "cmp/frontier.h"
 #include "cmp/options.h"
-#include "cmp/pairs.h"
 #include "cmp/record_store.h"
 #include "cmp/scan_pass.h"
 #include "cmp/split_plan.h"
@@ -17,7 +16,6 @@
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "hist/grid_builder.h"
-#include "hist/grids.h"
 #include "io/scan.h"
 #include "pruning/mdl.h"
 #include "tree/builder.h"
@@ -85,11 +83,6 @@ class CmpBuild {
   // than 16 bits per code.
   BinCodeCache codes_;
 
-  // Optional all-pairs extension: the best root-level pairwise linear
-  // relation discovered during the initial pass (empty if disabled or
-  // none found).
-  std::vector<PairRelation> root_relations_;
-
   // This round's work and the work split resolution generates for the
   // next scan.
   FrontierQueues work_;
@@ -120,9 +113,7 @@ void CmpBuild<Store>::BuildGrids(int64_t n) {
     }
     const std::vector<double>& column =
         full != nullptr ? full->numeric_column(a) : read;
-    grids_[a] = options_.discretization == Discretization::kEqualDepth
-                    ? IntervalGrid::EqualDepth(column, options_.intervals)
-                    : IntervalGrid::EqualWidth(column, options_.intervals);
+    grids_[a] = IntervalGrid::EqualDepth(column, options_.intervals);
     interior_[a] =
         codes_.enabled()
             ? codes_.EncodeNumericColumnWithMarks(a, grids_[a], column.data())
@@ -138,11 +129,7 @@ void CmpBuild<Store>::BuildGrids(int64_t n) {
   } else {
     for (AttrId a : numeric_attrs_) build_attr(a);
   }
-  if (options_.discretization == Discretization::kEqualDepth) {
-    for (size_t i = 0; i < numeric_attrs_.size(); ++i) {
-      tracker_.ChargeSort(n);
-    }
-  }
+  for (size_t i = 0; i < numeric_attrs_.size(); ++i) tracker_.ChargeSort(n);
 }
 
 // Completes the bin-code cache after the grids exist: the label column
@@ -250,17 +237,6 @@ void CmpBuild<Store>::Run() {
   BuildCodes();
   charge_real_bytes();
 
-  if (options_.all_pairs_root && policy_.search_linear) {
-    // All-pairs discovery needs simultaneous random access to every
-    // numeric column; it is an in-memory-only extension (off by
-    // default) and is skipped for streamed builds.
-    if (const Dataset* full = store_.dataset()) {
-      PairDiscoveryOptions pd;
-      pd.min_gain = options_.linear_gain;
-      root_relations_ = DiscoverLinearRelations(*full, pd, &tracker_);
-    }
-  }
-
   nid_.assign(n, root_id);
 
   // The three pipeline layers, wired over the shared state above.
@@ -268,7 +244,6 @@ void CmpBuild<Store>::Run() {
                              numeric_attrs_, pool_);
   SplitExecutor<Store> executor(planner, store_, options_, result_,
                                 &tracker_, pool_, &next_, &codes_);
-  executor.set_root_relations(&root_relations_);
   ScanPass<Store> scan(store_, source_, grids_, result_->tree, nid_, pool_,
                        &tracker_, &codes_, options_.scan_shards);
 

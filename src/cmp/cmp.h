@@ -53,10 +53,8 @@ class CmpBuilder : public TreeBuilder {
   /// byte-identical to Build() on the same records, for every block
   /// size and thread count. BuildStats.bytes_read reports bytes
   /// actually read from the source (real I/O, not the disk simulation).
-  /// Limitation: options.all_pairs_root needs random access to whole
-  /// columns in pairs and is ignored on this path. `prefetch` toggles
-  /// double-buffered async read-ahead on the source (the tree is
-  /// identical either way; only wall time changes).
+  /// `prefetch` toggles double-buffered async read-ahead on the source
+  /// (the tree is identical either way; only wall time changes).
   BuildResult BuildStreamed(BlockSource& source, bool prefetch = true);
 
   std::string name() const override;

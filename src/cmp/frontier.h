@@ -142,13 +142,63 @@ struct FrontierQueues {
 // resolve-time buffer flushes, where records arrive in sorted-value
 // order interleaved with routing.
 
+/// Adds record `r` to a histogram bundle: from `codes` (nullable, the
+/// build's bin-code cache) when present, otherwise by binary-searching
+/// the grid — identical counts either way, since codes agree with
+/// IntervalOf by construction.
+template <class Store>
+void AddToBundle(HistBundle* bundle, const Store& store,
+                 const std::vector<IntervalGrid>& grids,
+                 const BinCodeCache* codes, RecordId r) {
+  if (codes != nullptr) {
+    bundle->AddCoded(*codes, r);
+  } else {
+    bundle->Add(store, grids, r);
+  }
+}
+
+template <class Store>
+bool RoutePending(Pending* p, const Store& store,
+                  const std::vector<IntervalGrid>& grids,
+                  const BinCodeCache* codes, RecordId r);
+
+/// Adds a record to whatever sits on one side of a resolved split: a
+/// nested pending, an exact sub-split, or a plain bundle. Returns true if
+/// the record was set aside in a nested pending's buffer. A flushed
+/// record can land there; it was already stashed when it was first
+/// buffered, so the nested resolve (later this round) can still read it.
+template <class Store>
+bool FlushIntoSegment(Segment* seg, const Store& store,
+                      const std::vector<IntervalGrid>& grids,
+                      const BinCodeCache* codes, RecordId r) {
+  const ClassId label = store.label(r);
+  seg->counts[label]++;
+  switch (seg->plan) {
+    case PlanKind::kGrow:
+      AddToBundle(&seg->bundle, store, grids, codes, r);
+      break;
+    case PlanKind::kPending:
+      return RoutePending(seg->sub.get(), store, grids, codes, r);
+    case PlanKind::kExact:
+      if (seg->exact_split.RoutesLeft(store, r)) {
+        seg->exact_left_counts[label]++;
+        AddToBundle(&seg->exact_left, store, grids, codes, r);
+      } else {
+        seg->exact_right_counts[label]++;
+        AddToBundle(&seg->exact_right, store, grids, codes, r);
+      }
+      break;
+  }
+  return false;
+}
+
 /// Routes record `r` through a pending split (at most one nested
 /// level). Returns true if the record was set aside in a (possibly
-/// nested) pending buffer — i.e. it will be re-read at resolve time.
-/// `codes` (nullable) is the build's bin-code cache: when present, bundle
-/// adds read the cached interval index instead of binary-searching the
-/// grid — identical counts either way, since codes agree with IntervalOf
-/// by construction.
+/// nested) pending buffer — i.e. it will be re-read at resolve time. A
+/// record outside every alive interval goes into its segment as a flush
+/// would, except that a derived (non-fresh) kGrow bundle only counts it:
+/// the bundle was derived from parent matrices that already hold the
+/// record.
 template <class Store>
 bool RoutePending(Pending* p, const Store& store,
                   const std::vector<IntervalGrid>& grids,
@@ -165,79 +215,11 @@ bool RoutePending(Pending* p, const Store& store,
     if (iv > a) ++k;
   }
   Segment& seg = p->segments[k];
-  seg.counts[store.label(r)]++;
-  switch (seg.plan) {
-    case PlanKind::kGrow:
-      if (seg.bundle_fresh) {
-        if (codes != nullptr) {
-          seg.bundle.AddCoded(*codes, r);
-        } else {
-          seg.bundle.Add(store, grids, r);
-        }
-      }
-      break;
-    case PlanKind::kPending:
-      return RoutePending(seg.sub.get(), store, grids, codes, r);
-    case PlanKind::kExact:
-      if (seg.exact_split.RoutesLeft(store, r)) {
-        seg.exact_left_counts[store.label(r)]++;
-        if (codes != nullptr) {
-          seg.exact_left.AddCoded(*codes, r);
-        } else {
-          seg.exact_left.Add(store, grids, r);
-        }
-      } else {
-        seg.exact_right_counts[store.label(r)]++;
-        if (codes != nullptr) {
-          seg.exact_right.AddCoded(*codes, r);
-        } else {
-          seg.exact_right.Add(store, grids, r);
-        }
-      }
-      break;
+  if (seg.plan == PlanKind::kGrow && !seg.bundle_fresh) {
+    seg.counts[store.label(r)]++;
+    return false;
   }
-  return false;
-}
-
-/// Adds a buffered record to whatever sits on one side of a resolved
-/// split: a nested pending, an exact sub-split, or a plain bundle.
-template <class Store>
-void FlushIntoSegment(Segment* seg, const Store& store,
-                      const std::vector<IntervalGrid>& grids,
-                      const BinCodeCache* codes, RecordId r) {
-  seg->counts[store.label(r)]++;
-  switch (seg->plan) {
-    case PlanKind::kGrow:
-      if (codes != nullptr) {
-        seg->bundle.AddCoded(*codes, r);
-      } else {
-        seg->bundle.Add(store, grids, r);
-      }
-      break;
-    case PlanKind::kPending:
-      // A flushed record can land in a nested pending's buffer; it was
-      // already stashed when it was first buffered, so the nested
-      // resolve (later this round) can still read it.
-      RoutePending(seg->sub.get(), store, grids, codes, r);
-      break;
-    case PlanKind::kExact:
-      if (seg->exact_split.RoutesLeft(store, r)) {
-        seg->exact_left_counts[store.label(r)]++;
-        if (codes != nullptr) {
-          seg->exact_left.AddCoded(*codes, r);
-        } else {
-          seg->exact_left.Add(store, grids, r);
-        }
-      } else {
-        seg->exact_right_counts[store.label(r)]++;
-        if (codes != nullptr) {
-          seg->exact_right.AddCoded(*codes, r);
-        } else {
-          seg->exact_right.Add(store, grids, r);
-        }
-      }
-      break;
-  }
+  return FlushIntoSegment(&seg, store, grids, codes, r);
 }
 
 }  // namespace cmp

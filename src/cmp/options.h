@@ -1,7 +1,6 @@
 #ifndef CMP_CMP_OPTIONS_H_
 #define CMP_CMP_OPTIONS_H_
 
-#include "hist/grids.h"
 #include "tree/builder.h"
 
 namespace cmp {
@@ -24,9 +23,6 @@ struct CmpOptions {
   /// Intervals per numeric attribute ("our experiments divide an
   /// attribute domain into 100 to 120 intervals").
   int intervals = 100;
-  /// How the interval grid is built: equal-depth quantiling (the paper's
-  /// choice) or equal-width ranges.
-  Discretization discretization = Discretization::kEqualDepth;
   /// Maximum number of alive intervals kept per split (N in the paper;
   /// "in most cases, limiting N ... to at most 2, is enough").
   int max_alive = 2;
@@ -54,12 +50,6 @@ struct CmpOptions {
   /// thread count (one shard on an inline pool). The tree is
   /// byte-identical for every value.
   int scan_shards = 0;
-  /// Extension beyond the paper (addressing its Section 2.3 limitation):
-  /// when true, the full CMP variant additionally builds ALL N(N-1)/2
-  /// coarse pairwise matrices during the initial pass and may adopt a
-  /// linear split at the root between a pair the regular matrices (which
-  /// share one X axis) cannot see.
-  bool all_pairs_root = false;
 };
 
 }  // namespace cmp

@@ -35,8 +35,8 @@ class InMemoryStore {
   }
   ClassId label(RecordId r) const { return ds_.label(r); }
 
-  /// Non-null: exact subtree finishing and all-pairs discovery can use
-  /// the dataset directly, with no materialization.
+  /// Non-null: setup reads whole columns and exact subtree finishing
+  /// reads records from the dataset directly, with no materialization.
   const Dataset* dataset() const { return &ds_; }
 
   void SetBlock(const BlockView& view) { (void)view; }

@@ -11,7 +11,6 @@
 
 #include "cmp/frontier.h"
 #include "cmp/options.h"
-#include "cmp/pairs.h"
 #include "cmp/variant_policy.h"
 #include "common/class_counts.h"
 #include "common/thread_pool.h"
@@ -197,12 +196,6 @@ class SplitExecutor {
         next_(next),
         codes_(codes != nullptr && codes->enabled() ? codes : nullptr) {}
 
-  /// Root-level pairwise linear relations from the all-pairs extension
-  /// (may stay empty; see CmpOptions::all_pairs_root).
-  void set_root_relations(const std::vector<PairRelation>* relations) {
-    root_relations_ = relations;
-  }
-
   /// Plans one round: grows every fresh node of `work` from its bundle
   /// and resolves every pending split, in work-list order (fresh nodes
   /// first), emitting the next round's work. Until they are numbered
@@ -251,7 +244,6 @@ class SplitExecutor {
         tracker.set_real_io(tracker_->real_io());
         SplitExecutor local(planner_, store_, options_, &t.result, &tracker,
                             pool_, &t.next, codes_);
-        local.root_relations_ = root_relations_;
         local.tree_root_ = node_of(i);
         plan(local, i, 0);
         t.line_search = local.line_search_;
@@ -314,38 +306,6 @@ class SplitExecutor {
 
     const BundleAnalysis an = planner_.Analyze(bundle, totals);
     line_search_.Add(an.line_search);
-
-    // All-pairs extension: if the initial pass found a pairwise linear
-    // relation at the root that the shared-X matrices cannot see, adopt it
-    // when it beats the best univariate split by the usual margin.
-    if (IsBuildRoot(id) && root_relations_ != nullptr &&
-        !root_relations_->empty()) {
-      double best_uni = std::numeric_limits<double>::infinity();
-      for (double est : an.attr_est) best_uni = std::min(best_uni, est);
-      const PairRelation& rel = root_relations_->front();
-      if (rel.gini < (1.0 - options_.linear_gain) * best_uni &&
-          best_uni > options_.linear_skip_gini) {
-        std::vector<int64_t> left_counts(schema.num_classes(), 0);
-        std::vector<int64_t> right_counts(schema.num_classes(), 0);
-        for (ClassId c = 0; c < schema.num_classes(); ++c) {
-          left_counts[c] = totals[c] / 2;
-          right_counts[c] = totals[c] - left_counts[c];
-        }
-        const NodeId left_id = AddChild(left_counts, depth + 1);
-        const NodeId right_id = AddChild(right_counts, depth + 1);
-        TreeNode& node = result_->tree.mutable_node(id);
-        node.is_leaf = false;
-        node.split = rel.split;
-        node.left = left_id;
-        node.right = right_id;
-        const AttrId x = planner_.PredictX(an);
-        PushFreshPair(
-            left_id, right_id,
-            planner_.MakeFreshBundle(x, 0, grids[x].num_intervals()),
-            planner_.MakeFreshBundle(x, 0, grids[x].num_intervals()));
-        return;
-      }
-    }
 
     // Prediction bookkeeping: a fresh bivariate bundle's X axis was
     // chosen by predictSplit; a hit means the split landed on the X axis.
@@ -762,7 +722,6 @@ class SplitExecutor {
   ThreadPool* pool_;  // borrowed, never null
   FrontierQueues* next_;
   const BinCodeCache* codes_;  // null when the cache is disabled
-  const std::vector<PairRelation>* root_relations_ = nullptr;
   // Build-tree id of this executor's node 0: 0 for the build's own tree,
   // the planned node for a plan task's private tree.
   NodeId tree_root_ = 0;

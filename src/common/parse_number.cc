@@ -1,6 +1,7 @@
 #include "common/parse_number.h"
 
 #include <charconv>
+#include <cmath>
 #include <system_error>
 
 namespace cmp {
@@ -15,6 +16,15 @@ bool ParseWholeNumber(std::string_view text, int64_t lo, int64_t hi,
   if (ec != std::errc() || ptr != end || value < lo || value > hi) {
     return false;
   }
+  *out = value;
+  return true;
+}
+
+bool ParseRealNumber(std::string_view text, double* out) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || std::isnan(value)) return false;
   *out = value;
   return true;
 }

@@ -15,6 +15,14 @@ namespace cmp {
 bool ParseWholeNumber(std::string_view text, int64_t lo, int64_t hi,
                       int64_t* out);
 
+/// Parses `text` as one real number in std::from_chars' general form:
+/// an optional '-', digits with an optional fraction and exponent, or
+/// "inf"/"infinity" — and nothing else, so a '+', space, hex prefix or
+/// trailing text is rejected, as are NaN and values that overflow or
+/// underflow a double. Returns false and leaves `*out` untouched on
+/// rejection. Used for the numeric fields of serve protocol rows.
+bool ParseRealNumber(std::string_view text, double* out);
+
 /// Parses `text` as a plain decimal number in [lo, hi]: digits with at
 /// most one '.', at least one digit, and nothing else, so a sign,
 /// exponent, "inf", "nan", space or trailing text is rejected rather

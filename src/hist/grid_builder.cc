@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <type_traits>
-#include <utility>
 
 namespace cmp {
 
@@ -73,17 +72,8 @@ void ExactAttrGridBuilder::Add(const double* values, int64_t n) {
   values_.insert(values_.end(), values, values + n);
 }
 
-void ExactAttrGridBuilder::MergeFrom(AttrGridBuilder& other) {
-  auto& src = static_cast<ExactAttrGridBuilder&>(other);
-  if (values_.empty()) {
-    values_ = std::move(src.values_);
-  } else {
-    Add(src.values_.data(), static_cast<int64_t>(src.values_.size()));
-  }
-  src.values_.clear();
-}
-
-AttrGridResult ExactAttrGridBuilder::Finish(int q, Discretization kind) {
+AttrGridResult ExactAttrGridBuilder::Finish(int q,
+                                            Discretization kind) const {
   AttrGridResult result;
   result.grid = kind == Discretization::kEqualDepth
                     ? IntervalGrid::EqualDepth(values_, q)
@@ -91,55 +81,6 @@ AttrGridResult ExactAttrGridBuilder::Finish(int q, Discretization kind) {
   result.interior = InteriorMarks(result.grid, values_.data(),
                                   static_cast<int64_t>(values_.size()));
   return result;
-}
-
-int64_t ExactAttrGridBuilder::MemoryBytes() const {
-  return static_cast<int64_t>(sizeof(*this)) +
-         static_cast<int64_t>(values_.capacity()) * sizeof(double);
-}
-
-void SketchAttrGridBuilder::Add(const double* values, int64_t n) {
-  sketch_.AddN(values, n);
-}
-
-void SketchAttrGridBuilder::MergeFrom(AttrGridBuilder& other) {
-  auto& src = static_cast<SketchAttrGridBuilder&>(other);
-  sketch_.Merge(src.sketch_);
-}
-
-AttrGridResult SketchAttrGridBuilder::Finish(int q, Discretization kind) {
-  AttrGridResult result;
-  if (sketch_.empty()) return result;
-  if (kind == Discretization::kEqualDepth) {
-    result.grid = sketch_.ToEqualDepthGrid(q);
-  } else {
-    // Equal width needs only exact min/max, which the sketch tracks.
-    result.grid = IntervalGrid::EqualWidth(
-        {sketch_.min_value(), sketch_.max_value()}, q);
-  }
-  // Mark intervals where the summary retains two distinct values: every
-  // retained value is real data, so these intervals truly are
-  // splittable. Sparse intervals may be missed, which only costs split
-  // candidates, never correctness.
-  std::vector<double> kept;
-  for (const std::vector<double>& level : sketch_.levels()) {
-    kept.insert(kept.end(), level.begin(), level.end());
-  }
-  std::sort(kept.begin(), kept.end());
-  result.interior = InteriorMarksFromSorted(kept, result.grid);
-  return result;
-}
-
-int64_t SketchAttrGridBuilder::MemoryBytes() const {
-  return sketch_.MemoryBytes();
-}
-
-std::unique_ptr<AttrGridBuilder> MakeAttrGridBuilder(GridMethod method,
-                                                     int sketch_capacity) {
-  if (method == GridMethod::kSketch) {
-    return std::make_unique<SketchAttrGridBuilder>(sketch_capacity);
-  }
-  return std::make_unique<ExactAttrGridBuilder>();
 }
 
 }  // namespace cmp

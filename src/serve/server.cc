@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <sstream>
 #include <string_view>
@@ -12,16 +11,16 @@
 
 #include "common/net.h"
 #include "common/parse_number.h"
-#include "io/table_file.h"
 
 namespace cmp {
 
 namespace {
 
 /// Parses one dense CSV row against `schema` into per-attribute slots.
-/// A value must be what `cmptool predict` accepts: a numeric field that
-/// parses whole and is not NaN, a categorical code in [0, cardinality).
-bool ParseRow(const Schema& schema, const std::string& text,
+/// A numeric field must be one real number (ParseRealNumber: no sign but
+/// '-', no spaces, no hex, not NaN), a categorical field a whole-number
+/// code in [0, cardinality).
+bool ParseRow(const Schema& schema, std::string_view text,
               std::vector<double>* numeric, std::vector<int32_t>* categorical,
               std::string* error) {
   const int32_t na = schema.num_attrs();
@@ -31,34 +30,31 @@ bool ParseRow(const Schema& schema, const std::string& text,
   for (int32_t a = 0; a < na; ++a) {
     const size_t comma = text.find(',', pos);
     const bool last = a == na - 1;
-    if (!last && comma == std::string::npos) {
+    if (!last && comma == std::string_view::npos) {
       *error = "expected " + std::to_string(na) + " fields";
       return false;
     }
-    const std::string field = text.substr(
-        pos, comma == std::string::npos ? std::string::npos : comma - pos);
+    const size_t end = comma == std::string_view::npos ? text.size() : comma;
+    const std::string_view field(text.data() + pos, end - pos);
     if (field.empty()) {
       *error = "empty field " + std::to_string(a);
       return false;
     }
-    char* end = nullptr;
-    bool in_range = true;
+    bool ok = false;
     if (schema.is_numeric(a)) {
-      const double v = std::strtod(field.c_str(), &end);
-      in_range = NoNaN(&v, 1);
-      (*numeric)[a] = v;
+      ok = ParseRealNumber(field, &(*numeric)[a]);
     } else {
-      const long v = std::strtol(field.c_str(), &end, 10);
-      in_range = v >= 0 && v < schema.attr(a).cardinality;
-      (*categorical)[a] = static_cast<int32_t>(v);
+      int64_t code = 0;
+      ok = ParseWholeNumber(field, 0, schema.attr(a).cardinality - 1, &code);
+      (*categorical)[a] = static_cast<int32_t>(code);
     }
-    if (end == field.c_str() || *end != '\0' || !in_range) {
-      *error = "bad value '" + field + "' for attribute " +
+    if (!ok) {
+      *error = "bad value '" + std::string(field) + "' for attribute " +
                schema.attr(a).name;
       return false;
     }
     if (last) {
-      if (comma != std::string::npos) {
+      if (comma != std::string_view::npos) {
         *error = "expected " + std::to_string(na) + " fields";
         return false;
       }
@@ -71,7 +67,7 @@ bool ParseRow(const Schema& schema, const std::string& text,
 }
 
 /// ParseRow, timed into `hist`.
-bool TimedParseRow(const Schema& schema, const std::string& text,
+bool TimedParseRow(const Schema& schema, std::string_view text,
                    std::vector<double>* numeric,
                    std::vector<int32_t>* categorical, std::string* error,
                    LatencyHistogram* hist) {
@@ -217,8 +213,8 @@ bool ServeDaemon::HandlePredict(int fd, const std::string& rest,
   std::vector<double> numeric;
   std::vector<int32_t> categorical;
   std::string error;
-  if (!TimedParseRow(model->schema(), rest.substr(sp + 1), &numeric,
-                     &categorical, &error, &stats_.stages().parse)) {
+  if (!TimedParseRow(model->schema(), std::string_view(rest).substr(sp + 1),
+                     &numeric, &categorical, &error, &stats_.stages().parse)) {
     stats_.AddProtocolError();
     return SendLine(fd, "err " + error);
   }

@@ -99,12 +99,11 @@ int Usage() {
       "                (boosting knobs, --algo boost only; boost writes a\n"
       "                 cmp-forest file, or a .cmpb blob when --out ends\n"
       "                 in .cmpb)\n"
-      "                [--stream [--block B] [--no-prefetch] [--no-codes]\n"
-      "                 [--scan-shards S]] --out FILE\n"
+      "                [--stream [--block B] [--no-prefetch] [--no-codes]]\n"
+      "                --out FILE\n"
       "                (--stream trains out-of-core from a .cmpt table in\n"
       "                 blocks of B records; cmp/cmp-b/cmp-s only.\n"
-      "                 --no-codes falls back to the record-major scan;\n"
-      "                 --scan-shards overrides the auto shard count.\n"
+      "                 --no-codes falls back to the record-major scan.\n"
       "                 Same tree either way.)\n"
       "                --algo cmp-stream trains in one sequential pass\n"
       "                per level from bounded quantile sketches (no\n"
@@ -156,8 +155,8 @@ bool HasFlag(int argc, char** argv, const std::string& name) {
   return false;
 }
 
-// Upper bound of --threads and --scan-shards: far above any machine this
-// runs on, far below the thread counts that stall or exhaust memory.
+// Upper bound of --threads: far above any machine this runs on, far
+// below the thread counts that stall or exhaust memory.
 constexpr int kMaxThreads = 1024;
 
 // Upper bound of every --block flag (records per block).
@@ -190,7 +189,7 @@ bool ParseWholeFlag(int argc, char** argv, const std::string& flag,
   return true;
 }
 
-// Parses a thread or shard count flag: [0, kMaxThreads], where 0 means
+// Parses a thread count flag: [0, kMaxThreads], where 0 means
 // one per hardware thread, so a typo never silently becomes "all cores"
 // or thousands of threads.
 bool ParseThreadCount(int argc, char** argv, const std::string& flag,
@@ -403,8 +402,7 @@ int CmdGen(int argc, char** argv) {
 // Out-of-core training: records flow from the .cmpt table through
 // block-pipelined scans instead of being loaded up front. Produces the
 // same tree bytes as the in-memory path (that equality is CI-enforced).
-int CmdTrainStreamed(int argc, char** argv, int intervals, int threads,
-                     int scan_shards) {
+int CmdTrainStreamed(int argc, char** argv, int intervals, int threads) {
   const std::string data = GetFlag(argc, argv, "--data");
   const std::string out = GetFlag(argc, argv, "--out");
   const std::string algo = GetFlag(argc, argv, "--algo", "cmp");
@@ -430,7 +428,6 @@ int CmdTrainStreamed(int argc, char** argv, int intervals, int threads,
   o.base.num_threads = threads;
   o.intervals = intervals;
   o.bin_code_cache = !HasFlag(argc, argv, "--no-codes");
-  o.scan_shards = scan_shards;
   const std::string stats_path = GetFlag(argc, argv, "--stats-json");
   cmp::TrainStatsCollector collector;
   if (!stats_path.empty()) o.base.observer = &collector;
@@ -655,6 +652,10 @@ int CmdTrain(int argc, char** argv) {
                  " --threads N or --stream\n";
     return kExitBadArgs;
   }
+  if (HasFlag(argc, argv, "--scan-shards")) {
+    std::cerr << "--scan-shards: removed; the shard count is automatic\n";
+    return kExitBadArgs;
+  }
   const std::string data = GetFlag(argc, argv, "--data");
   const std::string out = GetFlag(argc, argv, "--out");
   const std::string algo = GetFlag(argc, argv, "--algo", "cmp");
@@ -670,9 +671,7 @@ int CmdTrain(int argc, char** argv) {
   }
   const int intervals = static_cast<int>(q);
   int threads = 1;
-  int scan_shards = 0;
-  if (!ParseThreadCount(argc, argv, "--threads", 1, &threads) ||
-      !ParseThreadCount(argc, argv, "--scan-shards", 0, &scan_shards)) {
+  if (!ParseThreadCount(argc, argv, "--threads", 1, &threads)) {
     return kExitBadArgs;
   }
   // cmp-stream owns its flag handling.
@@ -680,7 +679,7 @@ int CmdTrain(int argc, char** argv) {
     return CmdTrainCmpStream(argc, argv, intervals, threads);
   }
   if (HasFlag(argc, argv, "--stream")) {
-    return CmdTrainStreamed(argc, argv, intervals, threads, scan_shards);
+    return CmdTrainStreamed(argc, argv, intervals, threads);
   }
   cmp::BuilderConfig config;
   config.base.prune = !HasFlag(argc, argv, "--no-prune");

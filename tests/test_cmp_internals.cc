@@ -1,7 +1,6 @@
 // Behavior tests of CMP's internal machinery, observed through its cost
 // counters and tree output: deferred-resolution buffering, the
-// degenerate-resolution fallback, discretization kinds, the all-pairs
-// root option, and the equal-width grid path.
+// degenerate-resolution fallback, and multi-level growth.
 
 #include <gtest/gtest.h>
 
@@ -66,36 +65,6 @@ TEST(CmpInternals, DegenerateAttributeFallsBackGracefully) {
   CmpBuilder builder(CmpSOptions());
   const BuildResult result = builder.Build(ds);
   EXPECT_GT(Evaluate(result.tree, ds).Accuracy(), 0.99);
-}
-
-TEST(CmpInternals, EqualWidthDiscretizationWorks) {
-  const Dataset train = MakeData(AgrawalFunction::kF2, 20000, 607);
-  CmpOptions o = CmpSOptions();
-  o.discretization = Discretization::kEqualWidth;
-  CmpBuilder builder(o);
-  const BuildResult result = builder.Build(train);
-  EXPECT_GT(Evaluate(result.tree, train).Accuracy(), 0.97);
-  // Equal-width grids skip the quantiling sorts.
-  CmpOptions depth = CmpSOptions();
-  CmpBuilder depth_builder(depth);
-  const BuildResult depth_result = depth_builder.Build(train);
-  EXPECT_LT(result.stats.sort_comparisons,
-            depth_result.stats.sort_comparisons);
-}
-
-TEST(CmpInternals, AllPairsRootOffByDefault) {
-  // Function f's salary/commission pair IS visible to the regular
-  // matrices, so enabling all_pairs_root must not change correctness;
-  // the option's default is off.
-  CmpOptions o = CmpFullOptions();
-  EXPECT_FALSE(o.all_pairs_root);
-  const Dataset train = MakeData(AgrawalFunction::kFunctionF, 20000, 609);
-  o.all_pairs_root = true;
-  CmpBuilder builder(o);
-  const BuildResult result = builder.Build(train);
-  EXPECT_GT(Evaluate(result.tree, train).Accuracy(), 0.98);
-  ASSERT_FALSE(result.tree.node(0).is_leaf);
-  EXPECT_EQ(result.tree.node(0).split.kind, Split::Kind::kLinear);
 }
 
 TEST(CmpInternals, ScanCountGrowsSublinearlyWithDepth) {

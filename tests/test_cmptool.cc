@@ -223,9 +223,9 @@ TEST_F(CmptoolTest, ExitCodesDistinguishFailureKinds) {
           << out;
     }
   }
-  // Thread and shard counts are whole numbers in [0, 1024] on every
-  // path that takes them: no silent fallback to all cores, no inline run
-  // for a negative count, no thousands of threads or shards.
+  // Thread counts are whole numbers in [0, 1024] on every path that
+  // takes them: no silent fallback to all cores, no inline run for a
+  // negative count, no thousands of threads.
   for (const char* bad : {"abc", "-2", "5000", "1025", "2.5", "4x", "+3", ""}) {
     for (const std::string& cmd :
          {"train --data " + data_ + " --algo cmp --out " + tree_,
@@ -238,18 +238,21 @@ TEST_F(CmptoolTest, ExitCodesDistinguishFailureKinds) {
                 std::string::npos)
           << out;
     }
+  }
+  // --scan-shards is gone: any value is rejected with its reason.
+  for (const char* value : {"0", "4", "1024"}) {
     EXPECT_EQ(RunTool("train --data " + data_ + " --algo cmp --stream"
-                      " --scan-shards " + bad + " --out " + tree_,
+                      " --scan-shards " + value + " --out " + tree_,
                       &out),
               kBadArgs)
-        << "--scan-shards '" << bad << "'";
-    EXPECT_NE(out.find("--scan-shards must be a whole number in [0, 1024]"),
+        << "--scan-shards " << value;
+    EXPECT_NE(out.find("--scan-shards: removed; the shard count is automatic"),
               std::string::npos)
         << out;
   }
-  // The bounds themselves are valid.
+  // The lower bound itself is valid.
   EXPECT_EQ(RunTool("train --data " + data_ + " --algo cmp --stream"
-                    " --scan-shards 1024 --threads 0 --out " + tree_),
+                    " --threads 0 --out " + tree_),
             0);
   // predict's other numeric flags are just as strict: --top-k is a
   // whole number, --abstain a plain decimal in [0, 1].

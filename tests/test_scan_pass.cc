@@ -289,7 +289,8 @@ std::string BuildCheckingEveryPass(const Dataset& ds, Store& store,
   for (const AttrId a : numeric_attrs) {
     ExactAttrGridBuilder builder;
     builder.Add(ds.numeric_column(a).data(), n);
-    AttrGridResult built = builder.Finish(o.intervals, o.discretization);
+    AttrGridResult built =
+        builder.Finish(o.intervals, Discretization::kEqualDepth);
     grids[a] = std::move(built.grid);
     interior[a] = std::move(built.interior);
   }

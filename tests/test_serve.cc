@@ -691,10 +691,11 @@ TEST_F(ServeDaemonTest, BatchRejectsCountsThatAreNotWholeNumbers) {
   daemon.Shutdown();
 }
 
-// A served row takes the values `cmptool predict` takes: NaN in a
-// numeric field and a categorical code outside [0, cardinality) are bad
-// values, answered `err bad value …` and counted as protocol errors,
-// with the connection left in step.
+// A served row field is exactly one number: NaN in a numeric field, a
+// categorical code outside [0, cardinality), and a field with spaces, a
+// '+', a hex prefix or a value beyond a double are bad values, answered
+// `err bad value …` and counted as protocol errors, with the connection
+// left in step.
 TEST_F(ServeDaemonTest, RejectsNaNAndCategoricalCodesOutOfRange) {
   DecisionTree cat_tree(Schema(
       {{"x", AttrKind::kNumeric, 0}, {"c", AttrKind::kCategorical, 3}},
@@ -735,7 +736,20 @@ TEST_F(ServeDaemonTest, RejectsNaNAndCategoricalCodesOutOfRange) {
       {"predict c 0,3", "err bad value '3' for attribute c"},
       {"predict c 0,-1", "err bad value '-1' for attribute c"},
       {"predict c 0,4294967296", "err bad value '4294967296' for attribute c"},
-      {"predictp c nan,0", "err bad value 'nan' for attribute x"}};
+      {"predictp c nan,0", "err bad value 'nan' for attribute x"},
+      // Forms strtod/strtol accepted: a hex prefix, leading spaces, a
+      // leading '+', and values that overflow or underflow a double.
+      {"predict m 0x10,0", "err bad value '0x10' for attribute x"},
+      {"predict m  1,0", "err bad value ' 1' for attribute x"},
+      {"predict m +1,0", "err bad value '+1' for attribute x"},
+      {"predict m 1e999,0", "err bad value '1e999' for attribute x"},
+      {"predict m 1e-400,0", "err bad value '1e-400' for attribute x"},
+      {"predict c 0, 1", "err bad value ' 1' for attribute c"},
+      {"predict c 0,+1", "err bad value '+1' for attribute c"},
+      // Trailing spaces and a hex code stay rejected.
+      {"predict m 1 ,0", "err bad value '1 ' for attribute x"},
+      {"predict m 0,1 ", "err bad value '1 ' for attribute y"},
+      {"predict c 0,0x1", "err bad value '0x1' for attribute c"}};
   std::string reply;
   for (const auto& [line, want] : bad) {
     ASSERT_TRUE(client.Rpc(line, &reply)) << line;

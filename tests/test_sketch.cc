@@ -288,9 +288,9 @@ TEST(QuantileSketch, FromStateRejectsInconsistency) {
                                          sketch.levels(), &out));
 }
 
-// -- AttrGridBuilder: the seam both training paths share ---------------
+// -- Equal-depth grids: exact builder and sketch ---------------------
 
-TEST(AttrGridBuilder, ExactMatchesHistoricalGridAndMarks) {
+TEST(ExactAttrGridBuilder, MatchesHistoricalGridAndMarks) {
   Rng rng(13);
   std::vector<double> column(5000);
   for (auto& v : column) v = rng.Uniform(0.0, 50.0);
@@ -309,62 +309,27 @@ TEST(AttrGridBuilder, ExactMatchesHistoricalGridAndMarks) {
   EXPECT_EQ(result.interior, InteriorMarksFromSorted(sorted, expect));
 }
 
-TEST(AttrGridBuilder, ExactMergeEqualsSingleBuilder) {
-  Rng rng(29);
-  std::vector<double> column(4000);
-  for (auto& v : column) v = rng.Uniform(-10.0, 10.0);
-
-  ExactAttrGridBuilder whole;
-  whole.Add(column.data(), static_cast<int64_t>(column.size()));
-
-  ExactAttrGridBuilder left, right;
-  left.Add(column.data(), 1500);
-  right.Add(column.data() + 1500, 2500);
-  left.MergeFrom(right);
-
-  const AttrGridResult a = whole.Finish(50, Discretization::kEqualDepth);
-  const AttrGridResult b = left.Finish(50, Discretization::kEqualDepth);
-  EXPECT_EQ(a.grid.boundaries(), b.grid.boundaries());
-  EXPECT_EQ(a.interior, b.interior);
-}
-
-TEST(AttrGridBuilder, SketchStaysNearExactCuts) {
+TEST(QuantileSketch, EqualDepthGridStaysNearExactCuts) {
   Rng rng(41);
   std::vector<double> column(60000);
   for (auto& v : column) v = rng.Uniform(0.0, 1.0);
 
-  auto sketchy = MakeAttrGridBuilder(GridMethod::kSketch, 512);
-  sketchy->Add(column.data(), static_cast<int64_t>(column.size()));
-  const AttrGridResult got =
-      sketchy->Finish(10, Discretization::kEqualDepth);
+  QuantileSketch sketch(512);
+  sketch.AddN(column.data(), static_cast<int64_t>(column.size()));
+  const IntervalGrid got = sketch.ToEqualDepthGrid(10);
 
   std::vector<double> sorted = column;
   std::sort(sorted.begin(), sorted.end());
   // Uniform data, q=10: exact cuts are near 0.1, 0.2, ...; sketch cuts
   // must land within the sketch's rank error (a small fraction of n).
-  ASSERT_EQ(got.grid.num_intervals(), 10);
-  const auto& cuts = got.grid.boundaries();
+  ASSERT_EQ(got.num_intervals(), 10);
+  const auto& cuts = got.boundaries();
   for (size_t i = 0; i < cuts.size(); ++i) {
     const double exact = sorted[(sorted.size() * (i + 1)) / 10];
     EXPECT_NEAR(cuts[i], exact, 0.02) << "cut " << i;
   }
   // Bounded memory: far below the 480KB raw column.
-  EXPECT_LT(sketchy->MemoryBytes(), 200 * 1024);
-}
-
-TEST(AttrGridBuilder, SketchEqualWidthUsesExactExtremes) {
-  auto sketchy = MakeAttrGridBuilder(GridMethod::kSketch, 32);
-  std::vector<double> column;
-  for (int i = 0; i <= 10000; ++i) {
-    column.push_back(static_cast<double>(i) / 100.0);  // [0, 100]
-  }
-  sketchy->Add(column.data(), static_cast<int64_t>(column.size()));
-  const AttrGridResult got =
-      sketchy->Finish(4, Discretization::kEqualWidth);
-  // Equal width only needs min/max, which the sketch tracks exactly:
-  // identical to the exact path's grid.
-  const IntervalGrid expect = IntervalGrid::EqualWidth(column, 4);
-  EXPECT_EQ(got.grid.boundaries(), expect.boundaries());
+  EXPECT_LT(sketch.MemoryBytes(), 200 * 1024);
 }
 
 }  // namespace
