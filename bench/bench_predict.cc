@@ -7,7 +7,7 @@
 //   compiled      CompiledTree + BatchPredictor, single thread
 //   compiled-mt   BatchPredictor across a ThreadPool (1, 2, 4 threads)
 //   descent       raw leaf descent per kernel tier (scalar gang, AVX2)
-//   ensemble      EnsemblePredictor majority-voting 5 cross-val trees,
+//   ensemble      BatchPredictor majority-voting 5 cross-val trees,
 //                 per kernel tier
 //
 // Every tier is verified byte-identical to the scalar PredictRow walker
@@ -35,7 +35,6 @@
 #include "datagen/agrawal.h"
 #include "infer/batch_predictor.h"
 #include "infer/compiled_tree.h"
-#include "infer/ensemble.h"
 #include "infer/infer_kernels.h"
 #include "tree/crossval.h"
 #include "tree/evaluate.h"
@@ -218,8 +217,11 @@ int main(int argc, char** argv) {
   cmp::CmpBuilder fold_builder(cmp::CmpFullOptions());
   const cmp::CrossValResult cv =
       cmp::CrossValidate(&fold_builder, train, 5, 1, /*keep_trees=*/true);
-  const cmp::EnsemblePredictor ensemble =
-      cmp::EnsemblePredictor::Compile(cv.trees);
+  std::vector<CompiledTree> folds;
+  for (const DecisionTree& t : cv.trees) {
+    folds.push_back(CompiledTree::Compile(t));
+  }
+  const BatchPredictor ensemble(std::move(folds), cmp::VoteKind::kMajority);
   const double ensemble_rps = MeasureRowsPerSec(score_n, [&] {
     sink = sink + ensemble.Predict(test).labels.back();
   });

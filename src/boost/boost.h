@@ -42,8 +42,8 @@ struct BoostOptions {
 /// Member trees are ordinary DecisionTrees: each leaf's value v is
 /// encoded in its class_counts as {S - c, c} with
 /// c = round((v + R) / 2R * S), so the per-tree probability of class 1
-/// is an affine function of v and EnsemblePredictor's kAverageProb vote
-/// (infer/ensemble.h) reproduces sign(sum v) — scoring a saved boost
+/// is an affine function of v and BatchPredictor's kAverageProb vote
+/// (infer/batch_predictor.h) reproduces sign(sum v) — scoring a saved boost
 /// forest needs no new inference code, and the .cmpb / cmpserve path
 /// works unchanged. The first tree keeps the weak learner's majority
 /// leaf classes, so BuildResult::tree classifies sensibly on its own.

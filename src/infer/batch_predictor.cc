@@ -3,28 +3,46 @@
 #include <algorithm>
 #include <cassert>
 #include <numeric>
+#include <utility>
 
 namespace cmp {
 
 BatchPredictor::BatchPredictor(const CompiledTree* tree, PredictOptions opts,
                                ThreadPool* pool)
-    : tree_(tree), opts_(opts), pool_(pool) {
-  assert(tree_ != nullptr && !tree_->empty());
+    : BatchPredictor(std::vector<CompiledTree>{*tree}, VoteKind::kMajority,
+                     opts, pool) {}
+
+BatchPredictor::BatchPredictor(std::vector<CompiledTree> trees, VoteKind vote,
+                               PredictOptions opts, ThreadPool* pool)
+    : trees_(std::move(trees)), vote_(vote), opts_(opts), pool_(pool) {
+  assert(!trees_.empty());
+  for (const CompiledTree& t : trees_) {
+    assert(!t.empty() && t.num_classes() == trees_.front().num_classes());
+    (void)t;
+  }
   if (opts_.block_size <= 0) opts_.block_size = 2048;
-  opts_.top_k = std::clamp(opts_.top_k, 1, tree_->num_classes());
+  opts_.top_k = std::clamp(opts_.top_k, 1, num_classes());
   if (pool_ == nullptr) {
     owned_ = std::make_unique<ThreadPool>(opts_.num_threads);
     pool_ = owned_.get();
   }
 }
 
-template <typename LeafBlockFn>
-BatchResult BatchPredictor::Run(int64_t n, ThreadPool* pool,
-                                const LeafBlockFn& fill_leaves) const {
+// Scoring is tree-interleaved: every tree batch-descends the whole row
+// block (through the vector kernel tiers) before any row is combined, so
+// the block's columns pass through cache once per tree rather than once
+// per row x tree. The leaf indices land in one trees x block scratch
+// matrix that the combine loop reads column-wise.
+BatchResult BatchPredictor::Run(const RowColumnsView& view, int64_t n,
+                                ThreadPool* pool) const {
   BatchResult out;
-  const int32_t nc = tree_->num_classes();
+  const int32_t nc = num_classes();
   const int k = opts_.top_k;
   const bool abstain = opts_.abstain_threshold > 0.0;
+  // Per-class scores are only worth filling when something reads them.
+  const bool want_scores = opts_.want_probs || k > 1 || abstain;
+  const int num_trees = this->num_trees();
+  const double inv = 1.0 / static_cast<double>(num_trees);
   out.labels.assign(static_cast<size_t>(n), kInvalidClass);
   if (opts_.want_probs) {
     out.probs.assign(static_cast<size_t>(n) * static_cast<size_t>(nc), 0.0f);
@@ -41,29 +59,64 @@ BatchResult BatchPredictor::Run(int64_t n, ThreadPool* pool,
   auto score_block = [&](int64_t begin, int64_t end) {
     ScratchLease lease(&scratch_);
     PredictScratch& s = *lease;
-    s.leaves.resize(static_cast<size_t>(end - begin));
-    fill_leaves(begin, end, s.leaves.data(), &s);
+    const size_t bn = static_cast<size_t>(end - begin);
+    s.leaves.resize(num_trees * bn);
+    for (int t = 0; t < num_trees; ++t) {
+      trees_[t].LeafIndicesOfColumns(view, begin, end,
+                                     s.leaves.data() + t * bn);
+    }
+    std::vector<double>& acc = s.acc;
+    acc.resize(static_cast<size_t>(nc));
     std::vector<ClassId>& order = s.order;
     if (k > 1) order.resize(static_cast<size_t>(nc));
     for (int64_t i = begin; i < end; ++i) {
-      const int32_t leaf = s.leaves[i - begin];
-      const ClassId cls = tree_->leaf_class(leaf);
-      const float* probs = tree_->leaf_probs(leaf);
+      const int32_t* leaves = s.leaves.data() + (i - begin);  // stride bn
+      ClassId label = 0;
+      if (num_trees == 1) {
+        // A lone tree answers with its leaf's class and probabilities,
+        // never a vote: a leaf loaded from text need not predict the
+        // argmax of its counts, and a majority vote would flatten the
+        // probabilities to one-hot.
+        label = trees_[0].leaf_class(leaves[0]);
+        if (!want_scores) {
+          out.labels[i] = label;
+          continue;
+        }
+        const float* p = trees_[0].leaf_probs(leaves[0]);
+        std::copy(p, p + nc, acc.begin());
+      } else {
+        std::fill(acc.begin(), acc.end(), 0.0);
+        for (int t = 0; t < num_trees; ++t) {
+          const int32_t leaf = leaves[t * bn];
+          if (vote_ == VoteKind::kMajority) {
+            acc[trees_[t].leaf_class(leaf)] += 1.0;
+          } else {
+            const float* p = trees_[t].leaf_probs(leaf);
+            for (int32_t c = 0; c < nc; ++c) acc[c] += p[c];
+          }
+        }
+        for (ClassId c = 1; c < nc; ++c) {
+          if (acc[c] > acc[label]) label = c;
+        }
+      }
       if (opts_.want_probs) {
-        std::copy(probs, probs + nc,
-                  out.probs.begin() + static_cast<size_t>(i) * nc);
+        for (int32_t c = 0; c < nc; ++c) {
+          out.probs[static_cast<size_t>(i) * nc + c] =
+              static_cast<float>(acc[c] * inv);
+        }
       }
       if (k > 1) {
         std::iota(order.begin(), order.end(), 0);
         std::sort(order.begin(), order.end(), [&](ClassId a, ClassId b) {
-          return probs[a] != probs[b] ? probs[a] > probs[b] : a < b;
+          return acc[a] != acc[b] ? acc[a] > acc[b] : a < b;
         });
         std::copy(order.begin(), order.begin() + k,
                   out.topk.begin() + static_cast<size_t>(i) * k);
       }
       out.labels[i] =
-          abstain && probs[cls] < opts_.abstain_threshold ? kInvalidClass
-                                                          : cls;
+          abstain && acc[label] * inv < opts_.abstain_threshold
+              ? kInvalidClass
+              : label;
     }
   };
 
@@ -76,15 +129,10 @@ BatchResult BatchPredictor::Run(int64_t n, ThreadPool* pool,
   return out;
 }
 
-BatchResult BatchPredictor::Predict(const Dataset& ds) const {
-  return Predict(ds, nullptr);
-}
-
 BatchResult BatchPredictor::Predict(const Dataset& ds, ThreadPool* pool) const {
-  const CompiledTree* tree = tree_;
   // The dataset is already columnar: build the per-attribute pointer
   // view once for the whole call, indexed by absolute record id.
-  const Schema& schema = tree_->schema();
+  const Schema& schema = trees_.front().schema();
   const int32_t na = schema.num_attrs();
   std::vector<const double*> num(na, nullptr);
   std::vector<const int32_t*> cat(na, nullptr);
@@ -97,37 +145,14 @@ BatchResult BatchPredictor::Predict(const Dataset& ds, ThreadPool* pool) const {
       any_cat = true;
     }
   }
-  const RowColumnsView view{num.data(), any_cat ? cat.data() : nullptr};
-  return Run(ds.num_records(), pool,
-             [tree, &view](int64_t begin, int64_t end, int32_t* out,
-                           PredictScratch*) {
-               tree->LeafIndicesOfColumns(view, begin, end, out);
-             });
-}
-
-BatchResult BatchPredictor::PredictRaw(const double* numeric,
-                                       const int32_t* categorical,
-                                       int64_t n) const {
-  const CompiledTree* tree = tree_;
-  return Run(n, nullptr,
-             [tree, numeric, categorical](int64_t begin, int64_t end,
-                                          int32_t* out, PredictScratch* s) {
-               const RowColumnsView view = TransposeBlock(
-                   tree->schema(), numeric, categorical, begin, end, s);
-               tree->LeafIndicesOfColumns(view, 0, end - begin, out);
-             });
+  return Run({num.data(), any_cat ? cat.data() : nullptr},
+             ds.num_records(), pool);
 }
 
 BatchResult BatchPredictor::PredictColumns(
     const double* const* numeric_cols, const int32_t* const* categorical_cols,
     int64_t n) const {
-  const CompiledTree* tree = tree_;
-  const RowColumnsView view{numeric_cols, categorical_cols};
-  return Run(n, nullptr,
-             [tree, view](int64_t begin, int64_t end, int32_t* out,
-                          PredictScratch*) {
-               tree->LeafIndicesOfColumns(view, begin, end, out);
-             });
+  return Run({numeric_cols, categorical_cols}, n, nullptr);
 }
 
 }  // namespace cmp

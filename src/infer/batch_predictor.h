@@ -30,6 +30,16 @@ struct PredictOptions {
   double abstain_threshold = 0.0;
 };
 
+/// How a model of several trees combines its members' opinions on a row.
+enum class VoteKind {
+  /// One hard vote per tree for its predicted class; ties go to the
+  /// lower class id. Reported probabilities are vote fractions.
+  kMajority,
+  /// Average of the trees' leaf probability vectors; the predicted class
+  /// is its argmax (ties to the lower class id).
+  kAverageProb,
+};
+
 /// Output of a batch scoring run over n rows.
 struct BatchResult {
   /// Predicted class per row; kInvalidClass where the predictor abstained.
@@ -44,53 +54,55 @@ struct BatchResult {
   int64_t num_abstained = 0;
 };
 
-/// Scores datasets (or raw dense rows) against one CompiledTree in row
-/// blocks, optionally fanned out across a ThreadPool. The predictor
-/// borrows the tree; the tree must outlive it.
+/// Scores column-major rows against a model of one or more
+/// CompiledTrees sharing a schema (a single tree, the k trees a
+/// cross-validation run leaves behind, a boosted forest) in row blocks,
+/// optionally fanned out across a ThreadPool.
 ///
-/// The scoring pool is created once, at construction — not per call —
-/// so repeated Predict calls reuse the same workers. Injecting `pool`
-/// instead shares threads with other work (training, other predictors)
-/// without oversubscribing the machine; the pool must outlive the
-/// predictor.
+/// A one-tree model labels a row with its leaf's class and reports the
+/// leaf's probabilities, whatever the vote kind. Several trees are
+/// combined by the VoteKind; then "probability of the predicted class"
+/// for abstention is the combined vote fraction or averaged probability,
+/// so the model abstains exactly when its members disagree.
+///
+/// Options and pool are fixed at construction. The scoring pool is
+/// created once, not per call, so repeated calls reuse the same workers.
+/// Injecting `pool` instead shares threads with other work (training,
+/// other predictors) without oversubscribing the machine; the pool must
+/// outlive the predictor. Scoring is const and safe to call
+/// concurrently.
 class BatchPredictor {
  public:
+  /// A one-tree model. The tree is a view, so copying it is cheap.
   explicit BatchPredictor(const CompiledTree* tree, PredictOptions opts = {},
                           ThreadPool* pool = nullptr);
 
-  const PredictOptions& options() const { return opts_; }
-  const CompiledTree& tree() const { return *tree_; }
+  /// A model of `trees` (at least one, all agreeing on the class count)
+  /// combined by `vote` when there are several.
+  BatchPredictor(std::vector<CompiledTree> trees, VoteKind vote,
+                 PredictOptions opts = {}, ThreadPool* pool = nullptr);
 
-  /// Scores every record of `ds` (whose schema must match the tree's)
-  /// on the predictor's pool (owned or injected at construction).
-  BatchResult Predict(const Dataset& ds) const;
+  int num_trees() const { return static_cast<int>(trees_.size()); }
+  int32_t num_classes() const { return trees_.front().num_classes(); }
 
-  /// Same, but on a caller-owned pool (its thread count wins) for this
-  /// call only.
-  BatchResult Predict(const Dataset& ds, ThreadPool* pool) const;
-
-  /// Scores `n` raw dense rows. Both arrays are row-major, one slot per
-  /// schema attribute: numeric[i * num_attrs + a] for numeric attribute
-  /// `a` of row i, likewise `categorical`; only the slot matching each
-  /// attribute's kind is read. `categorical` may be null for all-numeric
-  /// schemas.
-  BatchResult PredictRaw(const double* numeric, const int32_t* categorical,
-                         int64_t n) const;
+  /// Scores every record of `ds` (whose schema must match the model's)
+  /// on `pool` if given (its thread count wins), else on the
+  /// predictor's pool.
+  BatchResult Predict(const Dataset& ds, ThreadPool* pool = nullptr) const;
 
   /// Scores `n` rows already in column-major form (one pointer per
-  /// schema attribute, see RowColumnsView) — the zero-transpose fast
-  /// path the serving batcher feeds after its single row-major -> SoA
-  /// conversion per flushed batch.
+  /// schema attribute, see RowColumnsView), e.g. a table block or the
+  /// serving batcher's micro-batch.
   BatchResult PredictColumns(const double* const* numeric_cols,
                              const int32_t* const* categorical_cols,
                              int64_t n) const;
 
  private:
-  template <typename LeafBlockFn>
-  BatchResult Run(int64_t n, ThreadPool* pool,
-                  const LeafBlockFn& fill_leaves) const;
+  BatchResult Run(const RowColumnsView& view, int64_t n,
+                  ThreadPool* pool) const;
 
-  const CompiledTree* tree_;
+  std::vector<CompiledTree> trees_;
+  VoteKind vote_;
   PredictOptions opts_;
   ThreadPool* pool_;  // borrowed if injected, else owned_.get()
   std::unique_ptr<ThreadPool> owned_;

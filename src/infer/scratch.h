@@ -7,26 +7,19 @@
 #include <utility>
 #include <vector>
 
-#include "common/schema.h"
 #include "common/types.h"
-#include "infer/compiled_tree.h"
 
 namespace cmp {
 
-/// Reusable per-block scoring scratch. The predictors used to allocate
-/// these vectors inside every block closure — on the serving path that
-/// meant several heap round trips per flushed micro-batch — so each
-/// predictor now owns a ScratchPool and a block leases a warm set
-/// instead. The vectors only ever grow, so a steady-state block does no
+/// Reusable per-block scoring scratch. Allocating these vectors inside
+/// every block closure would cost several heap round trips per flushed
+/// serving micro-batch, so a predictor owns a ScratchPool and a block
+/// leases a warm set instead. The vectors only ever grow, so a steady-state block does no
 /// allocation at all.
 struct PredictScratch {
-  std::vector<int32_t> leaves;   // leaf index per row (x trees, ensembles)
-  std::vector<ClassId> order;    // top-k sort order
-  std::vector<double> acc;       // ensemble vote accumulator
-  std::vector<double> numeric_block;   // SoA transpose of a row-major block
-  std::vector<int32_t> cat_block;
-  std::vector<const double*> numeric_cols;
-  std::vector<const int32_t*> cat_cols;
+  std::vector<int32_t> leaves;  // leaf index per row x tree
+  std::vector<ClassId> order;   // top-k sort order
+  std::vector<double> acc;      // one row's per-class scores
 };
 
 /// Mutex-guarded free list of scratch sets. ThreadPool::ParallelFor
@@ -74,44 +67,6 @@ class ScratchLease {
   ScratchPool* pool_;
   std::unique_ptr<PredictScratch> scratch_;
 };
-
-/// Transposes rows [begin, end) of a row-major dense block (layout as in
-/// CompiledTree::LeafIndexOfRow: one slot per schema attribute,
-/// `categorical` nullable) into `s`'s SoA columns and returns a view
-/// over them. The view's columns are indexed by `row - begin`, so pass
-/// [0, end - begin) to LeafIndicesOfColumns. One transpose serves every
-/// tree of an ensemble — that, plus the column loads it enables, is why
-/// the batch paths transpose instead of walking row-major.
-inline RowColumnsView TransposeBlock(const Schema& schema,
-                                     const double* numeric,
-                                     const int32_t* categorical,
-                                     int64_t begin, int64_t end,
-                                     PredictScratch* s) {
-  const int32_t na = schema.num_attrs();
-  const int64_t n = end - begin;
-  s->numeric_block.resize(static_cast<size_t>(na) * n);
-  s->numeric_cols.assign(na, nullptr);
-  const bool has_cat = categorical != nullptr;
-  if (has_cat) {
-    s->cat_block.resize(static_cast<size_t>(na) * n);
-    s->cat_cols.assign(na, nullptr);
-  }
-  for (int32_t a = 0; a < na; ++a) {
-    if (schema.is_numeric(a)) {
-      double* col = s->numeric_block.data() + static_cast<size_t>(a) * n;
-      const double* src = numeric + begin * na + a;
-      for (int64_t i = 0; i < n; ++i) col[i] = src[i * na];
-      s->numeric_cols[a] = col;
-    } else if (has_cat) {
-      int32_t* col = s->cat_block.data() + static_cast<size_t>(a) * n;
-      const int32_t* src = categorical + begin * na + a;
-      for (int64_t i = 0; i < n; ++i) col[i] = src[i * na];
-      s->cat_cols[a] = col;
-    }
-  }
-  return RowColumnsView{s->numeric_cols.data(),
-                        has_cat ? s->cat_cols.data() : nullptr};
-}
 
 }  // namespace cmp
 

@@ -25,33 +25,13 @@ ServedModel::ServedModel(std::string name, uint64_t version,
       version_(version),
       source_path_(std::move(source_path)),
       model_(std::move(model)),
-      pool_(pool) {
-  if (model_.num_trees() == 1) {
-    single_ = std::make_unique<BatchPredictor>(&model_.trees.front(),
-                                               ServingOptions(), pool_);
-  } else if (model_.num_trees() > 1) {
-    multi_ = std::make_unique<EnsemblePredictor>(model_.trees,
-                                                 VoteKind::kAverageProb);
-  }
-}
-
-BatchResult ServedModel::PredictRows(const double* numeric,
-                                     const int32_t* categorical,
-                                     int64_t n) const {
-  if (single_ != nullptr) {
-    return single_->PredictRaw(numeric, categorical, n);
-  }
-  return multi_->PredictRaw(numeric, categorical, n, ServingOptions(), pool_);
-}
+      predictor_(model_.trees, VoteKind::kAverageProb, ServingOptions(),
+                 pool) {}
 
 BatchResult ServedModel::PredictColumns(
     const double* const* numeric_cols, const int32_t* const* categorical_cols,
     int64_t n) const {
-  if (single_ != nullptr) {
-    return single_->PredictColumns(numeric_cols, categorical_cols, n);
-  }
-  return multi_->PredictColumns(numeric_cols, categorical_cols, n,
-                                ServingOptions(), pool_);
+  return predictor_.PredictColumns(numeric_cols, categorical_cols, n);
 }
 
 uint64_t ModelRegistry::Publish(const std::string& name, CompiledModel model,

@@ -10,7 +10,6 @@
 
 #include "common/thread_pool.h"
 #include "infer/batch_predictor.h"
-#include "infer/ensemble.h"
 #include "infer/model_io.h"
 
 namespace cmp {
@@ -20,9 +19,9 @@ namespace cmp {
 /// threads touch it only through `const`, so a ServedModel can be
 /// shared freely across batches with no locking.
 ///
-/// Single-tree models score through the gang-descent BatchPredictor;
-/// multi-tree blobs through an average-probability EnsemblePredictor.
-/// Either way PredictRows hides the difference from the batcher.
+/// One BatchPredictor scores every model: a single tree by its leaves,
+/// a multi-tree blob (a boosted forest) by the average-probability
+/// vote.
 class ServedModel {
  public:
   /// Builds a served instance over a compiled model (at least one
@@ -38,16 +37,12 @@ class ServedModel {
   int num_trees() const { return model_.num_trees(); }
   int32_t num_classes() const { return model_.num_classes(); }
 
-  /// Scores `n` raw dense rows (layout as in BatchPredictor::PredictRaw).
-  /// Always fills probabilities so mixed want-probs batches need no
-  /// re-grouping. Thread-safe.
-  BatchResult PredictRows(const double* numeric, const int32_t* categorical,
-                          int64_t n) const;
-
   /// Scores `n` rows already in column-major form (one pointer per
   /// schema attribute, see RowColumnsView). This is what the batcher
   /// feeds: it transposes each micro-batch once, and the vector
-  /// kernels descend the columns with no further copying. Thread-safe.
+  /// kernels descend the columns with no further copying. Always fills
+  /// probabilities so mixed want-probs batches need no re-grouping.
+  /// Thread-safe.
   BatchResult PredictColumns(const double* const* numeric_cols,
                              const int32_t* const* categorical_cols,
                              int64_t n) const;
@@ -57,9 +52,7 @@ class ServedModel {
   uint64_t version_;
   std::string source_path_;
   CompiledModel model_;
-  ThreadPool* pool_;
-  std::unique_ptr<BatchPredictor> single_;     // one tree
-  std::unique_ptr<EnsemblePredictor> multi_;   // several trees
+  BatchPredictor predictor_;
 };
 
 /// Named model versions behind shared_ptr RCU semantics.

@@ -30,7 +30,6 @@
 #include <limits>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <system_error>
@@ -53,7 +52,6 @@
 #include "common/timer.h"
 #include "infer/batch_predictor.h"
 #include "infer/compiled_tree.h"
-#include "infer/ensemble.h"
 #include "infer/model_io.h"
 #include "io/table_file.h"
 #include "tree/builder.h"
@@ -228,6 +226,15 @@ bool LoadAnyDataset(const std::string& path, cmp::Dataset* out) {
   if (path.ends_with(".arff")) return cmp::LoadArff(path, out);
   if (path.ends_with(".csv")) return cmp::LoadCsvInferSchema(path, out);
   return cmp::LoadTableFile(path, out);
+}
+
+std::vector<cmp::CompiledTree> CompileTrees(
+    const std::vector<cmp::DecisionTree>& trees) {
+  std::vector<cmp::CompiledTree> compiled;
+  for (const cmp::DecisionTree& t : trees) {
+    compiled.push_back(cmp::CompiledTree::Compile(t));
+  }
+  return compiled;
 }
 
 // A model reads columns by attribute id, so `data` can be scored only
@@ -454,6 +461,41 @@ int CmdTrainStreamed(int argc, char** argv, int intervals, int threads) {
   return kExitOk;
 }
 
+// The records a streaming trainer reads: with --stream, the .cmpt table
+// out of core in --block records; otherwise the dataset loaded whole and
+// wrapped in a zero-copy block source.
+struct TrainingSource {
+  cmp::Dataset ds;  // the loaded records when not streamed
+  std::unique_ptr<cmp::BlockSource> source;
+  bool streamed = false;
+};
+
+// Opens `data` as CmdTrainCmpStream and CmdRefit read it. Returns
+// kExitOk, or the exit code after printing why it failed.
+int OpenTrainingSource(int argc, char** argv, const std::string& data,
+                       TrainingSource* out) {
+  out->streamed = HasFlag(argc, argv, "--stream");
+  if (out->streamed) {
+    int64_t block = 0;
+    if (!ParseWholeFlag(argc, argv, "--block", 1, kMaxBlock, 65536, &block)) {
+      return kExitBadArgs;
+    }
+    out->source = cmp::TableBlockSource::Open(data, block);
+    if (out->source == nullptr) {
+      std::cerr << "failed to open " << data
+                << " (must be a valid .cmpt table)\n";
+      return kExitIo;
+    }
+    return kExitOk;
+  }
+  if (!LoadAnyDataset(data, &out->ds)) {
+    std::cerr << "failed to read " << data << "\n";
+    return kExitIo;
+  }
+  out->source = std::make_unique<cmp::DatasetBlockSource>(out->ds);
+  return kExitOk;
+}
+
 // Streaming sketch-based training (--algo cmp-stream): per-node grids
 // come from bounded quantile sketches filled in one sequential pass per
 // tree level, so no pre-pass sort and no O(n) column buffer. With
@@ -478,36 +520,15 @@ int CmdTrainCmpStream(int argc, char** argv, int intervals, int threads) {
   cmp::TrainStatsCollector collector;
   if (!stats_path.empty()) o.base.observer = &collector;
 
-  std::unique_ptr<cmp::BlockSource> table_source;
-  cmp::Dataset ds;
-  std::unique_ptr<cmp::DatasetBlockSource> mem_source;
-  cmp::BlockSource* source = nullptr;
-  if (HasFlag(argc, argv, "--stream")) {
-    int64_t block = 0;
-    if (!ParseWholeFlag(argc, argv, "--block", 1, kMaxBlock, 65536, &block)) {
-      return kExitBadArgs;
-    }
-    table_source = cmp::TableBlockSource::Open(data, block);
-    if (table_source == nullptr) {
-      std::cerr << "failed to open " << data
-                << " (must be a valid .cmpt table)\n";
-      return kExitIo;
-    }
-    o.real_io = true;
-    source = table_source.get();
-  } else {
-    if (!LoadAnyDataset(data, &ds)) {
-      std::cerr << "failed to read " << data << "\n";
-      return kExitIo;
-    }
-    mem_source = std::make_unique<cmp::DatasetBlockSource>(ds);
-    source = mem_source.get();
-  }
+  TrainingSource in;
+  const int opened = OpenTrainingSource(argc, argv, data, &in);
+  if (opened != kExitOk) return opened;
+  o.real_io = in.streamed;
 
   cmp::BuildResult result;
   cmp::SketchSidecar sidecar;
   std::string error;
-  if (!cmp::StreamTrain(*source, o, &result, &sidecar, &error)) {
+  if (!cmp::StreamTrain(*in.source, o, &result, &sidecar, &error)) {
     std::cerr << "training failed: " << error << "\n";
     return kExitTrain;
   }
@@ -587,35 +608,14 @@ int CmdRefit(int argc, char** argv) {
   cmp::TrainStatsCollector collector;
   if (!stats_path.empty()) o.stream.base.observer = &collector;
 
-  std::unique_ptr<cmp::BlockSource> table_source;
-  cmp::Dataset ds;
-  std::unique_ptr<cmp::DatasetBlockSource> mem_source;
-  cmp::BlockSource* source = nullptr;
-  if (HasFlag(argc, argv, "--stream")) {
-    int64_t block = 0;
-    if (!ParseWholeFlag(argc, argv, "--block", 1, kMaxBlock, 65536, &block)) {
-      return kExitBadArgs;
-    }
-    table_source = cmp::TableBlockSource::Open(data, block);
-    if (table_source == nullptr) {
-      std::cerr << "failed to open " << data
-                << " (must be a valid .cmpt table)\n";
-      return kExitIo;
-    }
-    o.stream.real_io = true;
-    source = table_source.get();
-  } else {
-    if (!LoadAnyDataset(data, &ds)) {
-      std::cerr << "failed to read " << data << "\n";
-      return kExitIo;
-    }
-    mem_source = std::make_unique<cmp::DatasetBlockSource>(ds);
-    source = mem_source.get();
-  }
+  TrainingSource in;
+  const int opened = OpenTrainingSource(argc, argv, data, &in);
+  if (opened != kExitOk) return opened;
+  o.stream.real_io = in.streamed;
 
   cmp::BuildStats build_stats;
   cmp::RefitStats refit_stats;
-  if (!cmp::RefitTree(&tree, &sidecar, *source, o, &build_stats,
+  if (!cmp::RefitTree(&tree, &sidecar, *in.source, o, &build_stats,
                       &refit_stats, &error)) {
     std::cerr << "refit failed: " << error << "\n";
     return kExitTrain;
@@ -777,25 +777,11 @@ int CmdEval(int argc, char** argv) {
   if (ds.schema().class_names() != model_schema.class_names()) {
     ds = WithModelClasses(ds, model_schema, to_model);
   }
-  if (trees.size() == 1) {
-    std::cout << cmp::Evaluate(trees[0], ds).ToString(ds.schema());
-    return kExitOk;
-  }
-  // A cmp-forest (boost output): score with the probability vote the
-  // leaf encoding is built for and tabulate the same way.
-  const cmp::BatchResult batch =
-      cmp::EnsemblePredictor::Compile(trees, cmp::VoteKind::kAverageProb)
-          .Predict(ds);
-  cmp::Evaluation eval;
-  const int nc = ds.schema().num_classes();
-  eval.confusion.assign(nc, std::vector<int64_t>(nc, 0));
-  for (cmp::RecordId r = 0; r < ds.num_records(); ++r) {
-    const cmp::ClassId pred = batch.labels[r];
-    ++eval.total;
-    eval.correct += pred == ds.label(r) ? 1 : 0;
-    ++eval.confusion[ds.label(r)][pred];
-  }
-  std::cout << eval.ToString(ds.schema());
+  // A single tree scores by its leaves; a cmp-forest (boost output) by
+  // the probability vote its leaf encoding is built for.
+  const cmp::BatchPredictor predictor(CompileTrees(trees),
+                                      cmp::VoteKind::kAverageProb);
+  std::cout << cmp::Evaluate(predictor, ds).ToString(ds.schema());
   return kExitOk;
 }
 
@@ -1199,9 +1185,9 @@ class PredictPipeline {
   double busy_write_s_ = 0.0;
 };
 
-// Batch scoring through the compiled inference path: one tree gives a
-// BatchPredictor, several (a comma-separated list, a forest or a
-// multi-tree blob) a voting ensemble. Predictions go to --out as CSV
+// Batch scoring through the compiled inference path: one BatchPredictor
+// over one tree or several (a comma-separated list, a forest or a
+// multi-tree blob), which --vote combines. Predictions go to --out as CSV
 // (stdout when omitted, with the summary moved to stderr so the two
 // streams stay separable).
 //
@@ -1306,29 +1292,16 @@ int CmdPredict(int argc, char** argv) {
     return kExitIo;
   }
 
-  // The predictors clamp top_k to the class count internally; clamp here
+  // The predictor clamps top_k to the class count internally; clamp here
   // too so the CSV formatter indexes the returned topk table with the
   // same k the predictor sized it with.
   opts.top_k = static_cast<int>(
       std::min<int64_t>(top_k, model_schema.num_classes()));
-  std::vector<cmp::CompiledTree> members;
-  if (is_blob) {
-    members = model.trees;
-  } else {
-    for (const cmp::DecisionTree& t : trees) {
-      members.push_back(cmp::CompiledTree::Compile(t));
-    }
-  }
-  const size_t num_trees = members.size();
-  std::optional<cmp::BatchPredictor> single;
-  std::optional<cmp::EnsemblePredictor> ensemble;
-  if (num_trees == 1) {
-    single.emplace(&members.front(), opts);
-  } else {
-    ensemble.emplace(std::move(members), vote_name == "prob"
-                                             ? cmp::VoteKind::kAverageProb
-                                             : cmp::VoteKind::kMajority);
-  }
+  const cmp::BatchPredictor predictor(
+      is_blob ? std::move(model.trees) : CompileTrees(trees),
+      vote_name == "prob" ? cmp::VoteKind::kAverageProb
+                          : cmp::VoteKind::kMajority,
+      opts);
 
   std::ofstream file;
   if (!out_path.empty()) {
@@ -1352,12 +1325,8 @@ int CmdPredict(int argc, char** argv) {
     if (!input.Read(begin, count, r)) return false;
     const cmp::BlockView& view = r->view;
     slot->read_end = wall.Seconds();
-    const cmp::BatchResult result =
-        single ? single->PredictColumns(view.numeric.data(),
-                                        view.categorical.data(), count)
-               : ensemble->PredictColumns(view.numeric.data(),
-                                          view.categorical.data(), count,
-                                          opts);
+    const cmp::BatchResult result = predictor.PredictColumns(
+        view.numeric.data(), view.categorical.data(), count);
     slot->score_end = wall.Seconds();
     slot->abstained = result.num_abstained;
     slot->csv.clear();
@@ -1417,7 +1386,7 @@ int CmdPredict(int argc, char** argv) {
           << ")\n";
   if (abstained > 0) summary << "abstained: " << abstained << "\n";
   const double score_busy = pipeline.busy_score_s();
-  summary << "scored " << rows << " records with " << num_trees
+  summary << "scored " << rows << " records with " << predictor.num_trees()
           << " tree(s) in " << score_busy << "s ("
           << static_cast<int64_t>(rows / std::max(score_busy, 1e-9))
           << " rows/s per thread, " << workers << " thread(s), "

@@ -16,8 +16,8 @@ struct CrossValResult {
   /// Training cost counters accumulated across folds.
   BuildStats total_stats;
   /// The per-fold trees, in fold order — only populated when
-  /// CrossValidate is called with keep_trees, typically to feed an
-  /// EnsemblePredictor (infer/ensemble.h) that votes the k folds.
+  /// CrossValidate is called with keep_trees, typically to feed a
+  /// BatchPredictor (infer/batch_predictor.h) that votes the k folds.
   std::vector<DecisionTree> trees;
 
   double MeanAccuracy() const;

@@ -11,15 +11,18 @@
 namespace cmp {
 
 Evaluation Evaluate(const DecisionTree& tree, const Dataset& ds) {
+  const CompiledTree compiled = CompiledTree::Compile(tree);
+  return Evaluate(BatchPredictor(&compiled), ds);
+}
+
+Evaluation Evaluate(const BatchPredictor& predictor, const Dataset& ds) {
   Evaluation out;
-  // The evaluation dataset may carry classes the tree never saw in
+  // The evaluation dataset may carry classes the model never saw in
   // training (or vice versa), so the confusion matrix spans both label
   // spaces and indexing is guarded rather than trusted.
-  const int nc = std::max(ds.num_classes(), tree.schema().num_classes());
+  const int nc = std::max(ds.num_classes(), predictor.num_classes());
   out.confusion.assign(nc, std::vector<int64_t>(nc, 0));
 
-  const CompiledTree compiled = CompiledTree::Compile(tree);
-  const BatchPredictor predictor(&compiled);
   const BatchResult result = predictor.Predict(ds);
   for (RecordId r = 0; r < ds.num_records(); ++r) {
     const ClassId actual = ds.label(r);

@@ -10,6 +10,8 @@
 
 namespace cmp {
 
+class BatchPredictor;
+
 /// Classification quality of a tree on a dataset.
 struct Evaluation {
   int64_t total = 0;
@@ -30,6 +32,10 @@ struct Evaluation {
 
 /// Runs `tree` over every record of `ds`.
 Evaluation Evaluate(const DecisionTree& tree, const Dataset& ds);
+
+/// Runs a compiled model (one tree or several) over every record of
+/// `ds`.
+Evaluation Evaluate(const BatchPredictor& predictor, const Dataset& ds);
 
 /// Deterministically shuffles record ids and splits them into train/test
 /// with the given test fraction.

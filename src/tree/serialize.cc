@@ -298,8 +298,8 @@ bool DeserializeForest(const std::string& text,
       return false;
     }
   }
+  // No reserve: the header's count is untrusted until its trees parse.
   std::vector<DecisionTree> trees;
-  trees.reserve(static_cast<size_t>(num_trees));
   for (int64_t t = 0; t < num_trees; ++t) {
     int64_t num_lines = 0;
     if (!std::getline(lines, line)) return false;

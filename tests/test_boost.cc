@@ -4,7 +4,7 @@
 // the single depth-capped weak learner it is made of, the build is
 // bit-deterministic (no RNG, so thread counts and reruns cannot move a
 // byte), early stopping is reproducible, and a saved forest scores
-// identically through text, blob, and EnsemblePredictor paths.
+// identically through text, blob, and BatchPredictor paths.
 #include "boost/boost.h"
 
 #include <gtest/gtest.h>
@@ -19,7 +19,7 @@
 
 #include "cmp/cmp.h"
 #include "datagen/agrawal.h"
-#include "infer/ensemble.h"
+#include "infer/batch_predictor.h"
 #include "infer/model_io.h"
 #include "tree/builder.h"
 #include "tree/serialize.h"
@@ -223,8 +223,8 @@ TEST(Boost, BlobEnsembleScoringMatchesAdditiveModel) {
   ASSERT_FALSE(model.empty()) << error;
   ASSERT_EQ(model.num_trees(), static_cast<int>(result.forest.size()));
 
-  const EnsemblePredictor predictor(std::move(model.trees),
-                                    VoteKind::kAverageProb);
+  const BatchPredictor predictor(std::move(model.trees),
+                                 VoteKind::kAverageProb);
   const BatchResult batch = predictor.Predict(test);
   ASSERT_EQ(batch.labels.size(), static_cast<size_t>(test.num_records()));
   for (RecordId r = 0; r < test.num_records(); ++r) {

@@ -25,7 +25,6 @@
 
 #include "infer/batch_predictor.h"
 #include "infer/compiled_tree.h"
-#include "infer/ensemble.h"
 #include "io/arff.h"
 #include "io/csv.h"
 #include "io/table_file.h"
@@ -1064,6 +1063,17 @@ TEST_F(CmptoolTest, WritesToAFullDeviceExitThree) {
   }
 }
 
+// The model `cmptool predict --vote prob` builds from `trees`.
+cmp::BatchPredictor ProbVote(const std::vector<cmp::DecisionTree>& trees,
+                             const cmp::PredictOptions& opts) {
+  std::vector<cmp::CompiledTree> compiled;
+  for (const cmp::DecisionTree& t : trees) {
+    compiled.push_back(cmp::CompiledTree::Compile(t));
+  }
+  return cmp::BatchPredictor(std::move(compiled), cmp::VoteKind::kAverageProb,
+                             opts);
+}
+
 // The predict CSV exactly as the original writer rendered it, streaming
 // every field through an ostream with default formatting. It is the
 // byte-for-byte oracle for the buffered writer.
@@ -1108,6 +1118,63 @@ std::string OstreamCsv(const cmp::Dataset& ds, const cmp::Schema& model_schema,
   return csv.str();
 }
 
+// A cmp-forest holding one tree predicts exactly like the tree file, under
+// either --vote: the leaf's own class and the leaf's probabilities. Each
+// leaf here names a class that is not the argmax of its counts, as a
+// text tree may, so routing the lone tree through either vote combiner
+// changes the bytes.
+TEST_F(CmptoolTest, OneTreeForestPredictsLikeItsTree) {
+  const cmp::Schema schema({{"x", cmp::AttrKind::kNumeric, 0}},
+                           {"a", "b", "c"});
+  cmp::DecisionTree tree(schema);
+  cmp::TreeNode root;
+  root.is_leaf = false;
+  root.split = cmp::Split::Numeric(0, 0.0);
+  const cmp::NodeId root_id = tree.AddNode(root);
+  cmp::TreeNode leaf;
+  leaf.is_leaf = true;
+  leaf.depth = 1;
+  leaf.leaf_class = 1;  // p = (0.6, 0.3, 0.1)
+  leaf.class_counts = {6, 3, 1};
+  const cmp::NodeId left = tree.AddNode(leaf);
+  leaf.leaf_class = 0;  // p = (0.2, 0.3, 0.5)
+  leaf.class_counts = {2, 3, 5};
+  const cmp::NodeId right = tree.AddNode(leaf);
+  tree.mutable_node(root_id).left = left;
+  tree.mutable_node(root_id).right = right;
+  cmp::Dataset ds(schema);
+  for (int i = 0; i < 12; ++i) ds.Append({i % 2 == 0 ? -1.0 : 1.0}, {}, i % 3);
+
+  const std::string data = TempPath("one_tree.cmpt");
+  const std::string tree_path = TempPath("one_tree.tree");
+  const std::string forest_path = TempPath("one_tree.forest");
+  const std::string want = TempPath("one_tree_want.csv");
+  const std::string got = TempPath("one_tree_got.csv");
+  ASSERT_TRUE(cmp::SaveTableFile(ds, data));
+  ASSERT_TRUE(cmp::SaveTree(tree, tree_path));
+  ASSERT_TRUE(cmp::SaveForest({tree}, forest_path));
+  // Record 0 lands in the left leaf.
+  for (const auto& [flags, row0] :
+       {std::pair<std::string, std::string>{"", "0,a,b,0"},
+        {" --probs --top-k 2", "0,a,b,0,0.6,0.3,0.1,a,b"},
+        {" --probs --top-k 2 --abstain 0.55", "0,a,?,0,0.6,0.3,0.1,a,b"}}) {
+    ASSERT_EQ(RunTool("predict --data " + data + " --tree " + tree_path +
+                      flags + " --out " + want),
+              0);
+    EXPECT_NE(Slurp(want).find("\n" + row0 + "\n"), std::string::npos)
+        << flags;
+    for (const std::string vote : {"majority", "prob"}) {
+      ASSERT_EQ(RunTool("predict --data " + data + " --tree " + forest_path +
+                        " --vote " + vote + flags + " --out " + got),
+                0);
+      EXPECT_TRUE(Slurp(got) == Slurp(want)) << "--vote " << vote << flags;
+    }
+  }
+  for (const std::string& p : {data, tree_path, forest_path, want, got}) {
+    std::remove(p.c_str());
+  }
+}
+
 TEST_F(CmptoolTest, PredictCsvMatchesTheOstreamWriterByteForByte) {
   // Two different pruned trees on a harder function, so leaves are
   // impure and the averaged probabilities fractional.
@@ -1146,9 +1213,7 @@ TEST_F(CmptoolTest, PredictCsvMatchesTheOstreamWriterByteForByte) {
   opts.want_probs = true;
   opts.top_k = 2;
   opts.abstain_threshold = 0.97;
-  const cmp::BatchResult voted =
-      cmp::EnsemblePredictor::Compile(trees, cmp::VoteKind::kAverageProb)
-          .Predict(ds, opts);
+  const cmp::BatchResult voted = ProbVote(trees, opts).Predict(ds);
   ASSERT_GT(voted.num_abstained, 0);
   const std::string ensemble = OstreamCsv(ds, schema, opts, voted);
   ASSERT_NE(ensemble.find(",?,"), std::string::npos);
@@ -1290,13 +1355,12 @@ TEST_F(CmptoolTest, PredictStreamMatchesTheOracleAtEveryBlockEdge) {
   trees.push_back(std::move(second.at(0)));
   const cmp::Schema& schema = trees[0].schema();
   const cmp::CompiledTree compiled = cmp::CompiledTree::Compile(trees[0]);
-  const cmp::EnsemblePredictor ensemble =
-      cmp::EnsemblePredictor::Compile(trees, cmp::VoteKind::kAverageProb);
   const cmp::PredictOptions defaults;
   cmp::PredictOptions voted;
   voted.want_probs = true;
   voted.top_k = 2;
   voted.abstain_threshold = 0.9;
+  const cmp::BatchPredictor ensemble = ProbVote(trees, voted);
   const std::string voted_flags = " --tree " + tree_a + "," + tree_b +
                                   " --vote prob --probs --top-k 2"
                                   " --abstain 0.9";
@@ -1311,7 +1375,7 @@ TEST_F(CmptoolTest, PredictStreamMatchesTheOracleAtEveryBlockEdge) {
         ds, schema, defaults,
         cmp::BatchPredictor(&compiled, defaults).Predict(ds));
     const std::string voted_csv =
-        OstreamCsv(ds, schema, voted, ensemble.Predict(ds, voted));
+        OstreamCsv(ds, schema, voted, ensemble.Predict(ds));
     abstained = abstained || voted_csv.find(",?,") != std::string::npos;
 
     const std::string base = TempPath("edges_" + std::to_string(n));
@@ -1466,13 +1530,12 @@ TEST_F(CmptoolTest, PredictBytesDoNotDependOnThreads) {
   trees.push_back(std::move(second.at(0)));
   const cmp::Schema& schema = trees[0].schema();
   const cmp::CompiledTree compiled = cmp::CompiledTree::Compile(trees[0]);
-  const cmp::EnsemblePredictor ensemble =
-      cmp::EnsemblePredictor::Compile(trees, cmp::VoteKind::kAverageProb);
   const cmp::PredictOptions defaults;
   cmp::PredictOptions voted;
   voted.want_probs = true;
   voted.top_k = 2;
   voted.abstain_threshold = 0.9;
+  const cmp::BatchPredictor ensemble = ProbVote(trees, voted);
   const std::string voted_flags = " --tree " + tree_a + "," + tree_b +
                                   " --vote prob --probs --top-k 2"
                                   " --abstain 0.9";
@@ -1492,7 +1555,7 @@ TEST_F(CmptoolTest, PredictBytesDoNotDependOnThreads) {
         *data, schema, defaults,
         cmp::BatchPredictor(&compiled, defaults).Predict(*data));
     const std::string voted_csv =
-        OstreamCsv(*data, schema, voted, ensemble.Predict(*data, voted));
+        OstreamCsv(*data, schema, voted, ensemble.Predict(*data));
     ASSERT_NE(voted_csv.find(",?,"), std::string::npos);
     const std::string scored =
         "scored " + std::to_string(data->num_records()) + " records with ";

@@ -443,6 +443,17 @@ TEST(CodecFixtures, BadMagicVersionAndEndianAreNamed) {
   std::remove(path.c_str());
 }
 
+// A forest header's tree count is untrusted until its trees parse: the
+// largest count the format allows, with no tree behind it, is rejected
+// without allocating room for it.
+TEST(CodecFixtures, ForestTreeCountAllocatesOnlyAsTreesParse) {
+  const std::string text = "cmp-forest 1\ntrees 1048576\n";
+  std::vector<DecisionTree> trees;
+  largest_new = 0;
+  EXPECT_FALSE(DeserializeForest(text, &trees));
+  EXPECT_LE(largest_new.load(), 4 * text.size());
+}
+
 // ---------------------------------------------------------------------
 // The one schema rule, as every decoder applies it.
 

@@ -1,6 +1,6 @@
-// Differential tests of the compiled inference path: CompiledTree,
-// BatchPredictor (1 and N threads, dataset and raw rows) and
-// EnsemblePredictor must agree bit for bit with the interpreted
+// Differential tests of the compiled inference path: CompiledTree and
+// BatchPredictor (1 and N threads, datasets and caller-owned columns,
+// one tree and voting forests) must agree bit for bit with the interpreted
 // DecisionTree::Classify on randomized trees — numeric, categorical and
 // linear-combination splits alike — over randomized datasets whose
 // values are salted with the trees' own thresholds so the `<=` boundary
@@ -18,7 +18,6 @@
 #include "common/schema.h"
 #include "infer/batch_predictor.h"
 #include "infer/compiled_tree.h"
-#include "infer/ensemble.h"
 #include "tree/tree.h"
 
 namespace cmp {
@@ -223,7 +222,7 @@ TEST(CompiledTree, DifferentialFuzzAgainstInterpreter) {
   }
 }
 
-TEST(CompiledTree, RawBatchMatchesDatasetBatch) {
+TEST(CompiledTree, ColumnBatchMatchesDatasetBatch) {
   Rng rng(99);
   const ValuePool pool(&rng);
   const Schema schema = RandomSchema(&rng);
@@ -231,22 +230,31 @@ TEST(CompiledTree, RawBatchMatchesDatasetBatch) {
   const Dataset ds = RandomDataset(schema, &rng, pool, 200);
   const CompiledTree compiled = CompiledTree::Compile(tree);
 
+  // Caller-owned column copies, as the serving batcher builds them.
   const int32_t na = schema.num_attrs();
-  std::vector<double> numeric(static_cast<size_t>(ds.num_records()) * na);
-  std::vector<int32_t> categorical(static_cast<size_t>(ds.num_records()) *
-                                   na);
+  const int64_t n = ds.num_records();
+  std::vector<std::vector<double>> numeric(na, std::vector<double>(n));
+  std::vector<std::vector<int32_t>> categorical(na, std::vector<int32_t>(n));
   std::vector<double> row_n;
   std::vector<int32_t> row_c;
-  for (RecordId r = 0; r < ds.num_records(); ++r) {
+  for (RecordId r = 0; r < n; ++r) {
     FillRawRow(ds, r, &row_n, &row_c);
-    std::copy(row_n.begin(), row_n.end(), numeric.begin() + r * na);
-    std::copy(row_c.begin(), row_c.end(), categorical.begin() + r * na);
+    for (AttrId a = 0; a < na; ++a) {
+      numeric[a][r] = row_n[a];
+      categorical[a][r] = row_c[a];
+    }
+  }
+  std::vector<const double*> num_cols;
+  std::vector<const int32_t*> cat_cols;
+  for (AttrId a = 0; a < na; ++a) {
+    num_cols.push_back(numeric[a].data());
+    cat_cols.push_back(categorical[a].data());
   }
   const BatchPredictor predictor(&compiled);
   const BatchResult from_ds = predictor.Predict(ds);
-  const BatchResult from_raw = predictor.PredictRaw(
-      numeric.data(), categorical.data(), ds.num_records());
-  EXPECT_EQ(from_ds.labels, from_raw.labels);
+  const BatchResult from_cols =
+      predictor.PredictColumns(num_cols.data(), cat_cols.data(), n);
+  EXPECT_EQ(from_ds.labels, from_cols.labels);
 }
 
 TEST(CompiledTree, NonFloatThresholdsUseWideSideTable) {
@@ -327,20 +335,26 @@ TEST(BatchPredictor, TopKAndAbstain) {
   PredictOptions opts;
   opts.top_k = 2;
   opts.abstain_threshold = 0.5;
-  const BatchResult result = BatchPredictor(&compiled, opts).Predict(ds);
-
-  EXPECT_EQ(result.labels[0], 0);             // 0.8 >= 0.5
-  EXPECT_EQ(result.labels[1], kInvalidClass);  // 0.4 < 0.5
-  EXPECT_EQ(result.num_abstained, 1);
-  // Top-k is ordered by probability, ties to the lower class id, and is
-  // still reported for abstained rows.
-  EXPECT_EQ(result.topk[0], 0);
-  EXPECT_EQ(result.topk[1], 1);
-  EXPECT_EQ(result.topk[2], 1);
-  EXPECT_EQ(result.topk[3], 2);
+  // A one-tree model scores by its leaves under either vote kind; a
+  // majority vote of one would never abstain.
+  for (const BatchResult& result :
+       {BatchPredictor(&compiled, opts).Predict(ds),
+        BatchPredictor({compiled}, VoteKind::kMajority, opts).Predict(ds),
+        BatchPredictor({compiled}, VoteKind::kAverageProb, opts)
+            .Predict(ds)}) {
+    EXPECT_EQ(result.labels[0], 0);             // 0.8 >= 0.5
+    EXPECT_EQ(result.labels[1], kInvalidClass);  // 0.4 < 0.5
+    EXPECT_EQ(result.num_abstained, 1);
+    // Top-k is ordered by probability, ties to the lower class id, and
+    // is still reported for abstained rows.
+    EXPECT_EQ(result.topk[0], 0);
+    EXPECT_EQ(result.topk[1], 1);
+    EXPECT_EQ(result.topk[2], 1);
+    EXPECT_EQ(result.topk[3], 2);
+  }
 }
 
-TEST(EnsemblePredictor, MatchesNaiveVoting) {
+TEST(BatchPredictor, MatchesNaiveVoting) {
   Rng rng(4242);
   const ValuePool pool(&rng);
   const Schema schema = RandomSchema(&rng);
@@ -350,21 +364,19 @@ TEST(EnsemblePredictor, MatchesNaiveVoting) {
   }
   const Dataset ds = RandomDataset(schema, &rng, pool, 250);
 
-  const EnsemblePredictor majority =
-      EnsemblePredictor::Compile(trees, VoteKind::kMajority);
-  const EnsemblePredictor averaged =
-      EnsemblePredictor::Compile(trees, VoteKind::kAverageProb);
-  ASSERT_EQ(majority.num_trees(), 5);
-  PredictOptions multi;
-  multi.num_threads = 4;
-  multi.block_size = 41;
-  const BatchResult hard = majority.Predict(ds, multi);
-  const BatchResult soft = averaged.Predict(ds);
-
   std::vector<CompiledTree> compiled;
   for (const DecisionTree& t : trees) {
     compiled.push_back(CompiledTree::Compile(t));
   }
+  PredictOptions multi;
+  multi.num_threads = 4;
+  multi.block_size = 41;
+  const BatchPredictor majority(compiled, VoteKind::kMajority, multi);
+  const BatchPredictor averaged(compiled, VoteKind::kAverageProb);
+  ASSERT_EQ(majority.num_trees(), 5);
+  const BatchResult hard = majority.Predict(ds);
+  const BatchResult soft = averaged.Predict(ds);
+
   const int32_t nc = schema.num_classes();
   for (RecordId r = 0; r < ds.num_records(); ++r) {
     std::vector<int> votes(nc, 0);

@@ -28,7 +28,6 @@
 #include "datagen/agrawal.h"
 #include "infer/batch_predictor.h"
 #include "infer/compiled_tree.h"
-#include "infer/ensemble.h"
 #include "infer/infer_kernels.h"
 #include "infer/model_io.h"
 #include "io/model_blob.h"
@@ -276,8 +275,8 @@ TEST(InferKernels, TiersMatchPredictRowAcrossRemainders) {
   }
 }
 
-// BatchPredictor's three entry points (dataset, raw rows, columns) must
-// agree with each other and with the interpreter under every tier that
+// BatchPredictor's two entry points (dataset, columns) must agree with
+// each other and with the interpreter under every tier that
 // SetKernelIsa can pin on this host.
 TEST(InferKernels, BatchPredictorEntryPointsAgreeAcrossActiveTiers) {
   Rng rng(777001);
@@ -289,16 +288,6 @@ TEST(InferKernels, BatchPredictorEntryPointsAgreeAcrossActiveTiers) {
   const DatasetColumns cols(ds);
 
   const int64_t n = ds.num_records();
-  const int32_t na = schema.num_attrs();
-  std::vector<double> raw_numeric(static_cast<size_t>(n) * na);
-  std::vector<int32_t> raw_cat(static_cast<size_t>(n) * na);
-  std::vector<double> row_n;
-  std::vector<int32_t> row_c;
-  for (RecordId r = 0; r < n; ++r) {
-    FillRawRow(ds, r, &row_n, &row_c);
-    std::copy(row_n.begin(), row_n.end(), raw_numeric.begin() + r * na);
-    std::copy(row_c.begin(), row_c.end(), raw_cat.begin() + r * na);
-  }
 
   const KernelIsa before = ActiveKernelIsa();
   for (const KernelIsa isa : {KernelIsa::kScalar, KernelIsa::kAvx2}) {
@@ -309,15 +298,10 @@ TEST(InferKernels, BatchPredictorEntryPointsAgreeAcrossActiveTiers) {
     opts.block_size = 37;  // force many blocks and remainders
     const BatchPredictor predictor(&compiled, opts);
     const BatchResult from_ds = predictor.Predict(ds);
-    const BatchResult from_raw =
-        predictor.PredictRaw(raw_numeric.data(), raw_cat.data(), n);
     const BatchResult from_cols = predictor.PredictColumns(
         cols.num.data(), cols.any_cat ? cols.cat.data() : nullptr, n);
-    EXPECT_EQ(from_ds.labels, from_raw.labels);
     EXPECT_EQ(from_ds.labels, from_cols.labels);
-    EXPECT_EQ(from_ds.probs, from_raw.probs);
     EXPECT_EQ(from_ds.probs, from_cols.probs);
-    EXPECT_EQ(from_ds.topk, from_raw.topk);
     EXPECT_EQ(from_ds.topk, from_cols.topk);
     for (RecordId r = 0; r < n; ++r) {
       ASSERT_EQ(from_ds.labels[r], tree.Classify(ds, r))
@@ -374,11 +358,11 @@ TEST(InferKernels, EnsembleInterleavingMatchesPerRowReference) {
 
     for (const KernelIsa isa : {KernelIsa::kScalar, KernelIsa::kAvx2}) {
       if (!SetKernelIsa(isa)) continue;
-      const EnsemblePredictor ensemble(compiled, vote);
       PredictOptions opts;
       opts.want_probs = true;
       opts.block_size = 53;
-      const BatchResult got = ensemble.Predict(ds, opts);
+      const BatchResult got =
+          BatchPredictor(compiled, vote, opts).Predict(ds);
       EXPECT_EQ(got.labels, want) << KernelIsaName(isa);
       EXPECT_EQ(got.probs, want_probs) << KernelIsaName(isa);
     }
@@ -418,8 +402,8 @@ TEST(InferKernels, BoostForestIdenticalAcrossTiers) {
   std::vector<ClassId> reference;
   for (const KernelIsa isa : {KernelIsa::kScalar, KernelIsa::kAvx2}) {
     if (!SetKernelIsa(isa)) continue;
-    const EnsemblePredictor ensemble(model.trees, VoteKind::kAverageProb);
-    const BatchResult got = ensemble.Predict(train);
+    const BatchResult got =
+        BatchPredictor(model.trees, VoteKind::kAverageProb).Predict(train);
     if (reference.empty()) {
       reference = got.labels;
     } else {

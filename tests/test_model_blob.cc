@@ -15,7 +15,6 @@
 #include "common/schema.h"
 #include "infer/batch_predictor.h"
 #include "infer/compiled_tree.h"
-#include "infer/ensemble.h"
 #include "infer/model_io.h"
 #include "io/model_blob.h"
 #include "tree/tree.h"
@@ -170,14 +169,23 @@ TEST(ModelBlob, EnsembleBlobRoundTrips) {
 
   // Scoring through the blob-backed trees must match an ensemble
   // compiled straight from the DecisionTrees.
-  const EnsemblePredictor from_blob(model.trees, VoteKind::kAverageProb);
-  const EnsemblePredictor direct =
-      EnsemblePredictor::Compile({t1, t2, t3}, VoteKind::kAverageProb);
+  const BatchPredictor from_blob(model.trees, VoteKind::kAverageProb);
+  const BatchPredictor direct(
+      {CompiledTree::Compile(t1), CompiledTree::Compile(t2),
+       CompiledTree::Compile(t3)},
+      VoteKind::kAverageProb);
   for (const auto& [numeric, categorical] : ProbeRows()) {
+    // One row as columns: a pointer to each attribute's single value.
+    std::vector<const double*> num_cols;
+    std::vector<const int32_t*> cat_cols;
+    for (size_t a = 0; a < numeric.size(); ++a) {
+      num_cols.push_back(&numeric[a]);
+      cat_cols.push_back(&categorical[a]);
+    }
     const BatchResult a =
-        from_blob.PredictRaw(numeric.data(), categorical.data(), 1);
+        from_blob.PredictColumns(num_cols.data(), cat_cols.data(), 1);
     const BatchResult b =
-        direct.PredictRaw(numeric.data(), categorical.data(), 1);
+        direct.PredictColumns(num_cols.data(), cat_cols.data(), 1);
     EXPECT_EQ(a.labels[0], b.labels[0]);
   }
   std::remove(path.c_str());

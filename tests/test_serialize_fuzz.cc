@@ -1,9 +1,12 @@
-// Robustness of the tree text format: every truncation and a barrage of
-// random single-character corruptions of a valid serialization must be
-// either rejected cleanly or produce a tree that classifies without
-// crashing — never undefined behavior.
+// Robustness of the tree and forest text formats: every truncation and a
+// barrage of random single-character corruptions of a valid
+// serialization must be either rejected cleanly or produce trees that
+// classify without crashing — never undefined behavior.
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "common/random.h"
 #include "datagen/agrawal.h"
@@ -13,42 +16,98 @@
 namespace cmp {
 namespace {
 
-std::string ValidSerialization() {
+DecisionTree TrainedTree(uint64_t seed) {
   AgrawalOptions gen;
   gen.function = AgrawalFunction::kF2;
   gen.num_records = 2000;
-  gen.seed = 71;
+  gen.seed = seed;
   const Dataset ds = GenerateAgrawal(gen);
   ExactBuilder builder;
-  const BuildResult result = builder.Build(ds);
-  return SerializeTree(result.tree);
+  return builder.Build(ds).tree;
+}
+
+std::string ValidSerialization() { return SerializeTree(TrainedTree(71)); }
+
+// One valid document per text format: a tree, and a forest of three.
+struct Document {
+  const char* name;
+  std::string text;
+  bool forest;
+};
+
+std::vector<Document> ValidDocuments() {
+  return {{"tree", ValidSerialization(), false},
+          {"forest",
+           SerializeForest({TrainedTree(71), TrainedTree(72), TrainedTree(73)}),
+           true}};
+}
+
+// Classifies a few rows valid under the tree's own schema, which a
+// corruption may have changed: each must reach a leaf with a class the
+// schema names.
+void ExpectClassifies(const DecisionTree& tree) {
+  ASSERT_GT(tree.num_nodes(), 0);
+  const Schema& schema = tree.schema();
+  for (AttrId a = 0; a < schema.num_attrs(); ++a) {
+    // No value is valid for a categorical attribute of cardinality 0.
+    if (!schema.is_numeric(a) && schema.attr(a).cardinality == 0) return;
+  }
+  Dataset ds(schema);
+  for (int i = 0; i < 8; ++i) {
+    std::vector<double> numeric;
+    std::vector<int32_t> categorical;
+    for (AttrId a = 0; a < schema.num_attrs(); ++a) {
+      if (schema.is_numeric(a)) {
+        numeric.push_back((i - 4) * 25000.0);
+      } else {
+        categorical.push_back(i % schema.attr(a).cardinality);
+      }
+    }
+    ds.Append(numeric, categorical, 0);
+  }
+  for (RecordId r = 0; r < ds.num_records(); ++r) {
+    const ClassId c = tree.Classify(ds, r);
+    ASSERT_GE(c, 0);
+    ASSERT_LT(c, schema.num_classes());
+  }
+}
+
+// Parses `text` in `doc`'s format; whatever parses must classify.
+bool ParsesAndClassifies(const Document& doc, const std::string& text) {
+  std::vector<DecisionTree> trees(1);
+  const bool ok = doc.forest ? DeserializeForest(text, &trees)
+                             : DeserializeTree(text, &trees[0]);
+  if (ok) {
+    for (const DecisionTree& tree : trees) ExpectClassifies(tree);
+  }
+  return ok;
 }
 
 TEST(SerializeFuzz, EveryPrefixRejectedOrValid) {
-  const std::string text = ValidSerialization();
-  // Step through prefixes (by ~37 bytes to keep the test quick).
-  for (size_t len = 0; len < text.size(); len += 37) {
-    DecisionTree out;
-    const bool ok = DeserializeTree(text.substr(0, len), &out);
-    // Truncations that cut inside the node list must fail; a successful
-    // parse may only happen if the prefix happens to be a complete
-    // document (it never is, since node count is declared up front).
-    EXPECT_FALSE(ok) << "prefix length " << len;
+  for (const Document& doc : ValidDocuments()) {
+    ASSERT_TRUE(ParsesAndClassifies(doc, doc.text)) << doc.name;
+    // Step through prefixes (by ~37 bytes to keep the test quick).
+    for (size_t len = 0; len < doc.text.size(); len += 37) {
+      // Truncations that cut inside the node list must fail; a
+      // successful parse may only happen if the prefix happens to be a
+      // complete document (it never is, since node and tree counts are
+      // declared up front).
+      EXPECT_FALSE(ParsesAndClassifies(doc, doc.text.substr(0, len)))
+          << doc.name << " prefix length " << len;
+    }
   }
 }
 
 TEST(SerializeFuzz, RandomCorruptionsNeverCrash) {
-  const std::string text = ValidSerialization();
-  Rng rng(73);
-  for (int trial = 0; trial < 300; ++trial) {
-    std::string corrupted = text;
-    const size_t pos = rng.UniformInt(0, corrupted.size() - 1);
-    corrupted[pos] = static_cast<char>(rng.UniformInt(32, 126));
-    DecisionTree out;
-    // Must not crash; result validity is unspecified, but if it parses,
-    // basic invariants hold.
-    if (DeserializeTree(corrupted, &out)) {
-      EXPECT_GT(out.num_nodes(), 0);
+  for (const Document& doc : ValidDocuments()) {
+    Rng rng(73);
+    for (int trial = 0; trial < 300; ++trial) {
+      std::string corrupted = doc.text;
+      const size_t pos = rng.UniformInt(0, corrupted.size() - 1);
+      corrupted[pos] = static_cast<char>(rng.UniformInt(32, 126));
+      // Must not crash; result validity is unspecified, but if it
+      // parses, the trees classify.
+      ParsesAndClassifies(doc, corrupted);
     }
   }
 }

@@ -68,6 +68,16 @@ CompiledModel MakeModel(double threshold, bool flip) {
   return model;
 }
 
+// Scores one all-numeric row through the batcher's column entry point:
+// each column is a pointer to the row's value for that attribute.
+BatchResult PredictRow(const ServedModel& model, const double* row) {
+  std::vector<const double*> cols;
+  for (int32_t a = 0; a < model.schema().num_attrs(); ++a) {
+    cols.push_back(row + a);
+  }
+  return model.PredictColumns(cols.data(), nullptr, 1);
+}
+
 // Polls `done` every millisecond until it holds or `timeout` passes;
 // returns whether it held. Concurrency tests pace themselves with this
 // instead of fixed sleeps, so a loaded machine slows them down rather
@@ -172,8 +182,8 @@ TEST(ModelRegistry, PublishGetAndVersioning) {
   // RCU: the old version is still fully usable through the retained
   // reference, and disagrees with the new one by construction.
   const double x_neg[] = {-5.0, 0.0};
-  const BatchResult old_r = v1->PredictRows(x_neg, nullptr, 1);
-  const BatchResult new_r = v2->PredictRows(x_neg, nullptr, 1);
+  const BatchResult old_r = PredictRow(*v1, x_neg);
+  const BatchResult new_r = PredictRow(*v2, x_neg);
   EXPECT_EQ(old_r.labels[0], 0);
   EXPECT_EQ(new_r.labels[0], 1);
   EXPECT_EQ(registry.size(), 1);
@@ -209,8 +219,8 @@ TEST(ModelRegistry, SwapUnderConcurrentScoring) {
         std::shared_ptr<const ServedModel> m = registry.Get("hot");
         ASSERT_NE(m, nullptr);
         const bool flipped = m->version() % 2 == 0;  // even versions flip
-        const BatchResult neg = m->PredictRows(row_neg, nullptr, 1);
-        const BatchResult pos = m->PredictRows(row_pos, nullptr, 1);
+        const BatchResult neg = PredictRow(*m, row_neg);
+        const BatchResult pos = PredictRow(*m, row_pos);
         ASSERT_EQ(neg.labels[0], flipped ? 1 : 0);
         ASSERT_EQ(pos.labels[0], flipped ? 0 : 1);
         scored.fetch_add(2, std::memory_order_relaxed);
