@@ -20,14 +20,24 @@ struct RainForestOptions {
 /// 1998) in its RF-Hybrid flavor, the fastest baseline in the paper's
 /// Figures 16-18.
 ///
-/// Per level, one scan aggregates every active node's AVC-group (per
-/// attribute: distinct value -> class counts); exact splits fall out of
-/// the AVC-sets. When the active nodes' AVC-groups would exceed the
-/// buffer, nodes are processed in batches of one scan each. The large
-/// AVC buffer also lets RF-Hybrid switch to an in-memory build as soon as
-/// a partition fits in it — that memory-for-speed trade is why the paper
-/// finds RainForest slightly faster than CMP but at ~20 MB of memory
-/// (Figure 19).
+/// RainForest's AVC-groups (per attribute: distinct value -> class
+/// counts) keep every distinct value, so its splits are exact and its
+/// tree is the exact builder's. The tree therefore grows breadth-first
+/// over one PresortedPartition of all records (exact/exact.h), as
+/// SPRINT's does: each level's nodes are split on their presorted lists,
+/// and nodes within the in-memory switch are collected and finished
+/// depth-first on the same partition.
+///
+/// What stays RainForest's own is its cost model. Per level, the active
+/// nodes are packed greedily into batches whose AVC-groups (at most
+/// records x attributes entries) fit the buffer, and each batch costs one
+/// full scan; a level with only collected nodes still costs one. Each
+/// collected partition is charged as buffered records. RF-Hybrid switches
+/// to an in-memory build as soon as a partition fits in the buffer
+/// (buffer / attributes records, or in_memory_threshold if larger), and
+/// the fixed buffer is charged as peak memory — that memory-for-speed
+/// trade is why the paper finds RainForest slightly faster than CMP but
+/// at ~20 MB of memory (Figure 19).
 class RainForestBuilder : public TreeBuilder {
  public:
   explicit RainForestBuilder(RainForestOptions options = {})

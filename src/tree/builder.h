@@ -30,9 +30,10 @@ struct BuilderOptions {
   /// Enable PUBLIC(1)-style MDL pruning during and after construction.
   bool prune = true;
   /// Worker threads for builders that parallelize construction (CMP,
-  /// Exact); 1 builds on the calling thread, 0 means
-  /// std::thread::hardware_concurrency. The built tree is bit-identical
-  /// for every value of this knob (see DESIGN.md, "Parallel training").
+  /// Exact, SLIQ, SPRINT, RainForest); 1 builds on the calling thread, 0
+  /// means std::thread::hardware_concurrency. The built tree is
+  /// bit-identical for every value of this knob (see DESIGN.md, "Parallel
+  /// training").
   int num_threads = 1;
   /// Optional training observability hook (per-pass timings, scan bytes,
   /// frontier sizes; see tree/observer.h). Borrowed, may be null; the

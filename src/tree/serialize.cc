@@ -193,9 +193,9 @@ bool DeserializeTree(const std::string& text, DecisionTree* out) {
         cctag != "cc" || n.depth < 0 || cc > kMaxClassCounts) {
       return false;
     }
-    n.class_counts.resize(cc);
-    for (auto& cnt : n.class_counts) {
-      if (!(ls >> cnt)) return false;
+    // Counts grow as they parse, like the lists above.
+    for (size_t c = 0; c < cc; ++c) {
+      if (!(ls >> n.class_counts.emplace_back())) return false;
     }
     tree.AddNode(std::move(n));
   }

@@ -454,6 +454,17 @@ TEST(CodecFixtures, ForestTreeCountAllocatesOnlyAsTreesParse) {
   EXPECT_LE(largest_new.load(), 4 * text.size());
 }
 
+// Likewise a node's class-count count: the largest one allowed, with no
+// count behind it, is rejected without allocating room for it.
+TEST(CodecFixtures, TreeClassCountAllocatesOnlyAsCountsParse) {
+  const std::string text =
+      "cmp-tree 1\nattrs 0\nclasses 1\nc\nnodes 1\nleaf 0 d 0 cc 1048576\n";
+  DecisionTree tree;
+  largest_new = 0;
+  EXPECT_FALSE(DeserializeTree(text, &tree));
+  EXPECT_LE(largest_new.load(), 4 * text.size());
+}
+
 // ---------------------------------------------------------------------
 // The one schema rule, as every decoder applies it.
 

@@ -26,6 +26,7 @@
 #include "sliq/sliq.h"
 #include "sprint/sprint.h"
 #include "tree/builder.h"
+#include "tree/observer.h"
 #include "tree/serialize.h"
 
 namespace cmp {
@@ -151,6 +152,24 @@ TEST(Golden, Exact) {
   CheckGolden("exact", builder.Build(GoldenData()).tree);
 }
 
+// A hash of the serialized tree and every BuildStats counter except the
+// wall-clock fields, as one fixture line's tail.
+std::string CounterFields(const BuildResult& r) {
+  const BuildStats& s = r.stats;
+  std::ostringstream out;
+  out << " tree=" << std::hex << Fnv1a(SerializeTree(r.tree)) << std::dec
+      << " scans=" << s.dataset_scans << " records_read=" << s.records_read
+      << " bytes_read=" << s.bytes_read
+      << " bytes_written=" << s.bytes_written
+      << " buffered=" << s.buffered_records
+      << " sort_cmps=" << s.sort_comparisons
+      << " peak_mem=" << s.peak_memory_bytes << " nodes=" << s.tree_nodes
+      << " depth=" << s.tree_depth << " predictions=" << s.predictions_total
+      << "/" << s.predictions_correct
+      << " root_alive=" << s.root_alive_intervals;
+  return out.str();
+}
+
 // The exact-finishing baselines' trees and cost counters across every
 // Agrawal function, in-memory switch and prune setting. The paper-figure
 // benches read these counters (scans, bytes read and written, sorts,
@@ -176,28 +195,73 @@ TEST(Golden, BaselineCounters) {
           const std::unique_ptr<TreeBuilder> builder =
               MakeTreeBuilder(algo, config);
           ASSERT_NE(builder, nullptr) << algo;
-          const BuildResult r = builder->Build(train);
-          const BuildStats& s = r.stats;
           out << algo << " F" << f << " threshold=" << threshold
-              << " prune=" << prune << " tree=" << std::hex
-              << Fnv1a(SerializeTree(r.tree)) << std::dec
-              << " scans=" << s.dataset_scans
-              << " records_read=" << s.records_read
-              << " bytes_read=" << s.bytes_read
-              << " bytes_written=" << s.bytes_written
-              << " buffered=" << s.buffered_records
-              << " sort_cmps=" << s.sort_comparisons
-              << " peak_mem=" << s.peak_memory_bytes
-              << " nodes=" << s.tree_nodes << " depth=" << s.tree_depth
-              << " predictions=" << s.predictions_total << "/"
-              << s.predictions_correct
-              << " root_alive=" << s.root_alive_intervals << "\n";
+              << " prune=" << prune << CounterFields(builder->Build(train))
+              << "\n";
         }
       }
     }
   }
   CheckFixture("BaselineCounters",
                std::string(CMP_GOLDEN_DIR) + "/baseline_counters.txt",
+               out.str());
+}
+
+// Every PassObservation field except the wall-clock ones, one pass per
+// line.
+class PassFields : public TrainObserver {
+ public:
+  void OnPass(const PassObservation& p) override {
+    text_ << p.pass << ' ' << p.lines_evaluated << ' ' << p.records_scanned
+          << ' ' << p.bytes_read << ' ' << p.frontier_fresh << ' '
+          << p.frontier_pending << ' ' << p.frontier_collect << ' '
+          << p.alive_intervals << ' ' << p.buffered_records << ' '
+          << p.buffer_bytes << ' ' << p.tree_nodes << ' ' << p.records_routed
+          << ' ' << p.code_cache_bytes << ' ' << p.sibling_subtractions << ' '
+          << p.sketch_bytes << ' ' << p.refit_leaves_regrown << '\n';
+  }
+  std::string text() const { return text_.str(); }
+
+ private:
+  std::ostringstream text_;
+};
+
+// RainForest's AVC levels, which BaselineCounters never reaches: with
+// the default buffer its in-memory switch (buffer / attributes) collects
+// every 3,000-row table at the root. These buffers move the switch to 1,
+// 1,000 and 750 records of the nine attributes, so the levels, their
+// batches and the collected partitions all run. Each line adds a hash of
+// the per-pass fields, and the tree hash pins the breadth-first node
+// order the levels give.
+TEST(Golden, RainForestLevels) {
+  std::ostringstream out;
+  for (int f = 1; f <= 11; ++f) {
+    AgrawalOptions gen;
+    gen.function = static_cast<AgrawalFunction>(f);
+    gen.num_records = 3000;
+    gen.seed = 71;
+    const Dataset train = GenerateAgrawal(gen);
+    const int64_t rows = train.num_records();
+    for (const int64_t buffer : {int64_t{9}, 3 * rows, 9 * rows / 4}) {
+      for (const int64_t threshold : {int64_t{0}, int64_t{512}}) {
+        for (const bool prune : {true, false}) {
+          PassFields passes;
+          RainForestOptions o;
+          o.avc_buffer_entries = buffer;
+          o.base.in_memory_threshold = threshold;
+          o.base.prune = prune;
+          o.base.observer = &passes;
+          const BuildResult r = RainForestBuilder(o).Build(train);
+          out << "rainforest F" << f << " buffer=" << buffer
+              << " threshold=" << threshold << " prune=" << prune
+              << CounterFields(r) << " passes=" << std::hex
+              << Fnv1a(passes.text()) << std::dec << "\n";
+        }
+      }
+    }
+  }
+  CheckFixture("RainForestLevels",
+               std::string(CMP_GOLDEN_DIR) + "/rainforest_levels.txt",
                out.str());
 }
 

@@ -17,6 +17,7 @@
 #include "common/thread_pool.h"
 #include "datagen/agrawal.h"
 #include "io/block_source.h"
+#include "rainforest/rainforest.h"
 #include "tree/builder.h"
 #include "tree/observer.h"
 #include "tree/serialize.h"
@@ -127,13 +128,15 @@ std::string Counters(const BuildStats& s) {
 }
 
 // The exact reference builder fans its per-attribute split search over
-// the same pool, and SLIQ and SPRINT grow their presorted partition on
-// it; they must obey the same contract, counters included. A lowered
-// in-memory switch puts SLIQ's and SPRINT's level-by-level splits on the
-// path as well as their depth-first finish.
+// the same pool, and SLIQ, SPRINT and RainForest grow their presorted
+// partition on it; they must obey the same contract, counters included.
+// A lowered in-memory switch puts their level-by-level splits on the
+// path as well as their depth-first finish. RainForest is built directly:
+// its switch also reads the AVC buffer, which the registry leaves at the
+// default that collects this table at the root.
 TEST(ParallelDeterminism, ExactBuilderBitIdentical) {
   const Dataset train = MakeData(AgrawalFunction::kF2, 4000, 227);
-  for (const char* algo : {"exact", "sliq", "sprint"}) {
+  for (const std::string algo : {"exact", "sliq", "sprint", "rainforest"}) {
     for (const bool prune : {true, false}) {
       std::string reference;
       std::string reference_counters;
@@ -142,7 +145,12 @@ TEST(ParallelDeterminism, ExactBuilderBitIdentical) {
         config.base.prune = prune;
         config.base.num_threads = threads;
         config.base.in_memory_threshold = 512;
-        const BuildResult r = MakeTreeBuilder(algo, config)->Build(train);
+        RainForestOptions rf;
+        rf.base = config.base;
+        rf.avc_buffer_entries = train.schema().num_attrs();
+        const BuildResult r = algo == "rainforest"
+                                  ? RainForestBuilder(rf).Build(train)
+                                  : MakeTreeBuilder(algo, config)->Build(train);
         const std::string bytes = SerializeTree(r.tree);
         if (threads == 1) {
           reference = bytes;

@@ -5,17 +5,40 @@
 #include "datagen/agrawal.h"
 #include "exact/exact.h"
 #include "tree/evaluate.h"
+#include "tree/tree.h"
 
 namespace cmp {
 namespace {
 
 RainForestOptions NoSwitchOptions() {
   RainForestOptions o;
-  // Shrink the AVC buffer so RF-Hybrid cannot pull the whole dataset
-  // into memory and must actually aggregate AVC-groups per level.
-  o.avc_buffer_entries = 200000;
+  // One entry per attribute moves RF-Hybrid's in-memory switch (buffer /
+  // attributes) down to single records, so every level is aggregated
+  // from AVC-groups instead of pulled into memory.
+  o.avc_buffer_entries = AgrawalSchema().num_attrs();
   o.base.in_memory_threshold = 0;
   return o;
+}
+
+// Expects the subtrees under `a_id` of `a` and `b_id` of `b` to be the
+// same in preorder: leaf or split kind, attribute, threshold or subset,
+// and class counts. Node ids may differ.
+void ExpectSameSubtree(const DecisionTree& a, NodeId a_id,
+                       const DecisionTree& b, NodeId b_id) {
+  const TreeNode& x = a.node(a_id);
+  const TreeNode& y = b.node(b_id);
+  EXPECT_EQ(x.class_counts, y.class_counts) << "node " << a_id;
+  ASSERT_EQ(x.is_leaf, y.is_leaf) << "node " << a_id;
+  if (x.is_leaf) return;
+  ASSERT_EQ(x.split.kind, y.split.kind) << "node " << a_id;
+  EXPECT_EQ(x.split.attr, y.split.attr) << "node " << a_id;
+  if (x.split.kind == Split::Kind::kNumeric) {
+    EXPECT_EQ(x.split.threshold, y.split.threshold) << "node " << a_id;
+  } else {
+    EXPECT_EQ(x.split.left_subset, y.split.left_subset) << "node " << a_id;
+  }
+  ExpectSameSubtree(a, x.left, b, y.left);
+  ExpectSameSubtree(a, x.right, b, y.right);
 }
 
 TEST(RainForest, HighAccuracyOnF2) {
@@ -37,25 +60,25 @@ TEST(RainForest, HighAccuracyOnF2) {
 
 TEST(RainForest, AvcSplitsMatchExactBuilder) {
   // AVC-groups preserve every distinct value, so RainForest's splits are
-  // exact: the root split must equal the exact builder's.
+  // exact: grown level by level, the whole tree must equal the exact
+  // builder's depth-first one, node for node in preorder.
   AgrawalOptions gen;
   gen.function = AgrawalFunction::kF7;
   gen.num_records = 5000;
   gen.seed = 123;
   const Dataset train = GenerateAgrawal(gen);
 
-  RainForestBuilder rf(NoSwitchOptions());
-  const BuildResult rres = rf.Build(train);
+  RainForestOptions o = NoSwitchOptions();
+  o.base.num_threads = 4;  // the partition's searches fan out on a pool
+  const BuildResult rres = RainForestBuilder(o).Build(train);
   ExactBuilder exact;
   const BuildResult eres = exact.Build(train);
 
+  EXPECT_EQ(rres.stats.buffered_records, 0);  // no partition was collected
   ASSERT_FALSE(rres.tree.node(0).is_leaf);
-  ASSERT_FALSE(eres.tree.node(0).is_leaf);
-  EXPECT_EQ(rres.tree.node(0).split.attr, eres.tree.node(0).split.attr);
-  if (rres.tree.node(0).split.kind == Split::Kind::kNumeric) {
-    EXPECT_DOUBLE_EQ(rres.tree.node(0).split.threshold,
-                     eres.tree.node(0).split.threshold);
-  }
+  ASSERT_GT(rres.tree.num_nodes(), 3);
+  EXPECT_EQ(rres.tree.num_nodes(), eres.tree.num_nodes());
+  ExpectSameSubtree(rres.tree, 0, eres.tree, 0);
 }
 
 TEST(RainForest, FixedBufferDominatesMemory) {
