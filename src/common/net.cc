@@ -36,20 +36,32 @@ bool SendLine(int fd, const std::string& line) {
 }
 
 bool LineReader::ReadLine(std::string* out) {
-  while (true) {
-    const size_t nl = buf_.find('\n');
+  size_t scanned = start_;  // buf_ before this holds no '\n'
+  while (!too_long_) {
+    const size_t nl = buf_.find('\n', scanned);
+    const size_t pending =
+        (nl == std::string::npos ? buf_.size() : nl) - start_;
+    if (pending > kMaxLineBytes) {
+      too_long_ = true;
+      break;
+    }
     if (nl != std::string::npos) {
-      out->assign(buf_, 0, nl);
+      out->assign(buf_, start_, pending);
       if (!out->empty() && out->back() == '\r') out->pop_back();
-      buf_.erase(0, nl + 1);
+      start_ = nl + 1;
       return true;
     }
+    // Compact only when refilling, so consuming a line moves no bytes.
+    buf_.erase(0, start_);
+    start_ = 0;
+    scanned = buf_.size();
     char chunk[4096];
     const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) return false;
     buf_.append(chunk, static_cast<size_t>(n));
   }
+  return false;
 }
 
 void SetNoDelay(int fd) {

@@ -4,6 +4,8 @@
 #include <cstddef>
 #include <string>
 
+#include "common/schema.h"
+
 namespace cmp {
 
 /// Shared POSIX socket helpers for the serving daemon (serve/server.cc),
@@ -21,18 +23,41 @@ bool SendAll(int fd, const std::string& data);
 /// SendAll of `line` plus a trailing newline.
 bool SendLine(int fd, const std::string& line);
 
+/// Longest number field a request needs: the longest form std::to_chars
+/// writes for a double, e.g. "-2.2250738585072014e-308" (a sign, 17
+/// significant digits, a point and a 5-byte exponent).
+inline constexpr size_t kMaxFieldBytes = 24;
+
+/// Room for a request line's verb, model name and separators.
+inline constexpr size_t kMaxLineHeadBytes = 4096;
+
+/// Longest line a LineReader accepts: a `predict` line whose
+/// kMaxSchemaAttrs (2^20) fields are kMaxFieldBytes each plus a comma,
+/// after the head: 4 KiB + 25 MiB. It bounds what one client can make
+/// the daemon buffer.
+inline constexpr size_t kMaxLineBytes =
+    kMaxLineHeadBytes +
+    static_cast<size_t>(kMaxSchemaAttrs) * (kMaxFieldBytes + 1);
+
 /// Buffered newline-framed reader over a blocking socket.
 class LineReader {
  public:
   explicit LineReader(int fd) : fd_(fd) {}
 
-  /// False on EOF or error with no complete line left. Strips one
-  /// trailing '\r' so CRLF clients work.
+  /// False on EOF or error with no complete line left, and on a line of
+  /// more than kMaxLineBytes (see too_long()). Strips one trailing '\r'
+  /// so CRLF clients work.
   bool ReadLine(std::string* out);
+
+  /// True once ReadLine has met a line over the cap. The stream is then
+  /// out of step, so every later ReadLine returns false.
+  bool too_long() const { return too_long_; }
 
  private:
   int fd_;
   std::string buf_;
+  size_t start_ = 0;  // first unread byte of buf_
+  bool too_long_ = false;
 };
 
 /// Sets TCP_NODELAY so small replies leave at once instead of waiting

@@ -20,7 +20,8 @@ bool ParseWholeNumber(std::string_view text, int64_t lo, int64_t hi,
 /// "inf"/"infinity" — and nothing else, so a '+', space, hex prefix or
 /// trailing text is rejected, as are NaN and values that overflow or
 /// underflow a double. Returns false and leaves `*out` untouched on
-/// rejection. Used for the numeric fields of serve protocol rows.
+/// rejection. Used for the numeric fields of serve protocol rows and of
+/// CSV files whose schema is inferred (io/csv.h).
 bool ParseRealNumber(std::string_view text, double* out);
 
 /// Parses `text` as a plain decimal number in [lo, hi]: digits with at

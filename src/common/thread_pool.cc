@@ -59,14 +59,14 @@ void ThreadPool::Wait() {
 void ThreadPool::ParallelFor(int64_t n, int64_t grain,
                              const std::function<void(int64_t, int64_t)>& fn) {
   if (n <= 0) return;
-  if (workers_.empty()) {
+  if (grain <= 0) {
+    grain = (n + parallelism() - 1) / parallelism();
+  }
+  // One chunk (or no workers): run it here. Queueing it would only make
+  // a worker wake up to run what the caller then waits for.
+  if (workers_.empty() || n <= grain) {
     fn(0, n);
     return;
-  }
-  if (grain <= 0) {
-    grain = (n + static_cast<int64_t>(workers_.size()) - 1) /
-            static_cast<int64_t>(workers_.size());
-    grain = std::max<int64_t>(grain, 1);
   }
   auto group = std::make_shared<Group>();
   {

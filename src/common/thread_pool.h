@@ -72,8 +72,11 @@ class ThreadPool {
   /// Splits `[0, n)` into contiguous chunks of at most `grain` elements,
   /// runs `fn(begin, end)` for each chunk across the pool, and blocks
   /// until all chunks are done, helping to run queued tasks in the
-  /// meantime. `grain <= 0` picks one chunk per worker. Safe to call
-  /// from inside pool tasks and from several threads at once.
+  /// meantime. `grain <= 0` picks one chunk per worker. When the range
+  /// is one chunk (`n <= grain`), `fn(0, n)` runs on the calling thread
+  /// with no queueing and no wake-up, and its exception propagates
+  /// directly. Safe to call from inside pool tasks and from several
+  /// threads at once.
   void ParallelFor(int64_t n, int64_t grain,
                    const std::function<void(int64_t, int64_t)>& fn);
 

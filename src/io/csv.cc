@@ -1,13 +1,12 @@
 #include "io/csv.h"
 
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "io/table_file.h"
+#include "common/parse_number.h"
 
 namespace cmp {
 
@@ -29,15 +28,6 @@ std::vector<std::string> SplitLine(const std::string& line) {
     fields.push_back(field.substr(b, e - b));
   }
   return fields;
-}
-
-// A field is a number when strtod consumes all of it and the value is not
-// NaN (NoNaN in io/table_file.h: numeric columns hold no missing values).
-bool ParseDouble(const std::string& s, double* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtod(s.c_str(), &end);
-  return end != nullptr && *end == '\0' && NoNaN(out, 1);
 }
 
 }  // namespace
@@ -78,10 +68,14 @@ bool LoadCsvInferSchema(const std::string& path, Dataset* out,
   const size_t num_attrs = num_cols - 1;
 
   std::vector<bool> numeric(num_attrs, true);
-  // Distinct values of non-numeric columns (and the class column),
-  // indexed by first appearance.
+  // Distinct values of every column, indexed by first appearance. A
+  // column that is numeric so far keeps them too, so that numbers seen
+  // before its first non-number become categories as well; once it has
+  // more than max_categorical_card it could never load as categorical,
+  // so its values are dropped.
   std::vector<std::map<std::string, int32_t>> values(num_cols);
   std::vector<std::vector<std::string>> value_order(num_cols);
+  std::vector<bool> too_many(num_attrs, false);
   int64_t rows = 0;
   while (std::getline(is, line)) {
     if (line.empty()) continue;
@@ -89,18 +83,27 @@ bool LoadCsvInferSchema(const std::string& path, Dataset* out,
     if (fields.size() != num_cols) return false;
     ++rows;
     for (size_t c = 0; c < num_cols; ++c) {
-      double unused;
-      const bool is_num = ParseDouble(fields[c], &unused);
-      if (c < num_attrs && !is_num) numeric[c] = false;
-      if (c == num_attrs || !is_num) {
-        auto [it, inserted] =
-            values[c].try_emplace(fields[c],
-                                  static_cast<int32_t>(values[c].size()));
-        if (inserted) value_order[c].push_back(fields[c]);
-        if (c < num_attrs &&
-            static_cast<int>(values[c].size()) > max_categorical_card) {
-          return false;  // free-text column, refuse to guess
+      if (c < num_attrs) {
+        // A field is a number when it is one number in the grammar of
+        // served rows: no sign but '-', no hex, no NaN (numeric columns
+        // hold no missing values) and nothing out of a double's range.
+        double unused;
+        if (!ParseRealNumber(fields[c], &unused)) numeric[c] = false;
+        if (too_many[c]) {
+          if (!numeric[c]) return false;  // free-text column
+          continue;
         }
+      }
+      auto [it, inserted] =
+          values[c].try_emplace(fields[c],
+                                static_cast<int32_t>(values[c].size()));
+      if (inserted) value_order[c].push_back(fields[c]);
+      if (c < num_attrs &&
+          static_cast<int>(values[c].size()) > max_categorical_card) {
+        if (!numeric[c]) return false;  // free-text column, refuse to guess
+        too_many[c] = true;
+        values[c].clear();
+        value_order[c].clear();
       }
     }
   }
@@ -133,7 +136,7 @@ bool LoadCsvInferSchema(const std::string& path, Dataset* out,
     for (size_t c = 0; c < num_attrs; ++c) {
       if (numeric[c]) {
         double v;
-        if (!ParseDouble(fields[c], &v)) return false;
+        if (!ParseRealNumber(fields[c], &v)) return false;
         nvals.push_back(v);
       } else {
         const auto it = values[c].find(fields[c]);

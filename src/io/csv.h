@@ -14,9 +14,11 @@ bool SaveCsv(const Dataset& ds, const std::string& path);
 /// Loads a CSV with schema inference, for real-world files: the header
 /// row names the attributes (last column is the class), and each data
 /// column is classified by content — all-numeric columns become numeric
-/// attributes (a "nan" field is not a number); everything else becomes a
-/// categorical attribute whose distinct strings are mapped to dense
-/// integers in first-appearance order. Class names are taken verbatim
+/// attributes; everything else becomes a categorical attribute whose
+/// distinct strings, numbers included, are mapped to dense integers in
+/// first-appearance order. A field is a number when ParseRealNumber
+/// (common/parse_number.h) reads it, so "nan", "+1", "0x10" and values
+/// out of a double's range are not. Class names are taken verbatim
 /// from the last column. The file is read twice (inference, then load).
 /// `max_categorical_card` bounds the cardinality a non-numeric column may
 /// have before the load fails (guards against free-text columns).

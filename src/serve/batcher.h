@@ -37,100 +37,80 @@ struct RowValues {
 
 /// How large a scoring batch may grow.
 struct BatchPolicy {
-  /// Most rows one batch scores; a larger backlog goes out as several.
+  /// Most rows one batch scores; a larger request goes out as several.
   /// Values below 1 mean 1.
   int max_rows = 256;
 };
 
-/// Coalesces individually-submitted rows into scoring batches by group
-/// commit: there is no timer, the scorers clock the batches themselves.
+/// Scores each submission on the thread that submits it.
 ///
-/// A pool with W workers has W scoring slots. A submission whose rows
-/// find a free slot takes it and its rows go to the pool at once, so a
-/// lone request on an idle server never waits. When every slot is busy
-/// the rows pend; a slot that finishes its batch takes whatever pended
-/// meanwhile (up to `policy.max_rows`) and scores it as its next batch
-/// on the same worker, and gives the slot back only when nothing is
-/// pending. Batches therefore grow with load and shrink to one row when
-/// idle. With an inline pool (no workers) every submitting thread
-/// scores its own rows at once, so no thread ever drains rows for
-/// another.
+/// A submission is one request: one model and one or more rows. Its rows
+/// are cut into batches of at most `policy.max_rows`, and each batch is
+/// gathered into columns and scored with one PredictColumns call. The
+/// predictor's ParallelFor runs a batch of up to one block (512 rows) on
+/// the calling thread and splits a larger one across the pool its model
+/// was built with, so a request leaves its connection thread only when
+/// it has more than 512 rows. The futures that Submit and SubmitMany
+/// return are therefore ready on return.
 ///
-/// Batches are grouped by model — one PredictColumns call per distinct
-/// model — and the predictor's own ParallelFor may split large groups
-/// further. Each row's future is fulfilled with its label/probs and the
-/// version that scored it; per-row queue+score latency, the queue-wait
-/// and score stages and the queue depth are recorded into `stats`.
+/// There is no queue and no coalescing across requests: a batch never
+/// holds rows of two requests, so the `batches` and `batch_fill` that
+/// `stats` reports describe request sizes. Nothing is held beyond the
+/// rows of the requests being scored, and no submitter waits on
+/// another's rows.
+/// Each row's future carries its label/probs and the version that
+/// scored it; per-row queue+score latency, the queue-wait and score
+/// stages and the queue depth are recorded into `stats`.
 ///
-/// Because rows carry their own shared_ptr<const ServedModel>, a hot
-/// swap mid-queue is torn-read-free by construction: rows submitted
-/// before the swap score on the old version (kept alive by their
-/// references), rows after it on the new one, and nothing in between.
+/// A submission carries its own shared_ptr<const ServedModel>, so a hot
+/// swap is torn-read-free by construction: a request resolved before
+/// the swap scores on the old version (kept alive by its reference), a
+/// request after it on the new one, and nothing in between.
 class MicroBatcher {
  public:
+  /// `pool` is not used: rows score on the submitting thread, and a
+  /// large batch splits across the pool of its model's predictor.
   MicroBatcher(ThreadPool* pool, BatchPolicy policy, ServeStats* stats);
   ~MicroBatcher();
 
-  /// Enqueues one row against `model` (non-null); see RowValues for the
-  /// slot layout. The future resolves once the row has been scored.
-  /// `want_probs` asks for the per-class vector in the reply.
+  /// Scores one row against `model` (non-null); see RowValues for the
+  /// slot layout. The future is ready on return. `want_probs` asks for
+  /// the per-class vector in the reply.
   std::future<RowReply> Submit(std::shared_ptr<const ServedModel> model,
                                std::vector<double> numeric,
                                std::vector<int32_t> categorical,
                                bool want_probs);
 
-  /// Enqueues every row of one request under one lock, so the rows are
-  /// never split into a lone first row plus the rest; futures come back
-  /// in row order.
+  /// Scores every row of one request; futures come back ready, in row
+  /// order.
   std::vector<std::future<RowReply>> SubmitMany(
       std::shared_ptr<const ServedModel> model, std::vector<RowValues> rows,
       bool want_probs);
 
   /// Rejects new work (later submissions resolve at once with an error
-  /// reply), then waits until every accepted row has been scored.
-  /// Idempotent; called by the destructor.
+  /// reply), then waits until every submission being scored has
+  /// finished. Idempotent; called by the destructor.
   void Stop();
 
   const BatchPolicy& policy() const { return policy_; }
 
  private:
-  struct Request {
-    std::shared_ptr<const ServedModel> model;
-    RowValues values;
-    bool want_probs = false;
-    std::promise<RowReply> promise;
-    std::chrono::steady_clock::time_point enqueued;
-  };
+  /// Scores `rows` on the calling thread in batches of at most
+  /// `max_rows`, unless Stop has begun.
+  std::vector<std::future<RowReply>> Score(const ServedModel& model,
+                                           std::span<const RowValues> rows,
+                                           bool want_probs);
+  /// Scores one batch, fulfils its promises and records its stats.
+  void RunBatch(const ServedModel& model, std::span<const RowValues> rows,
+                std::span<std::promise<RowReply>> promises, bool want_probs,
+                std::chrono::steady_clock::time_point enqueued) const;
 
-  /// Stamps and queues `requests`, then starts scorers on free slots (or
-  /// scores them on this thread with an inline pool).
-  std::vector<std::future<RowReply>> Enqueue(std::vector<Request> requests);
-  /// Scores `batch` on the calling thread in batches of at most
-  /// `max_rows`, holding a slot until it returns or throws; the
-  /// inline-pool path.
-  void ScoreInline(std::vector<Request> batch);
-  /// Scores `batch`, then every batch that pends meanwhile, on one
-  /// worker; gives the slot back once nothing is pending or a batch
-  /// throws.
-  void Drain(std::vector<Request> batch);
-  /// Under mu_: hands pending rows to free slots, each as a Drain task.
-  void StartScorersLocked();
-  /// Under mu_: removes and returns up to max_rows pending rows.
-  std::vector<Request> TakePendingLocked();
-  /// Under mu_: gives one slot back and wakes Stop once idle.
-  void ReleaseSlotLocked();
-  /// Groups by model, scores, fulfills promises, records latency.
-  void RunBatch(std::span<Request> batch) const;
-
-  ThreadPool* pool_;
   const BatchPolicy policy_;
   ServeStats* stats_;
-  const int slots_;  // pool workers; 0 = inline pool
 
   std::mutex mu_;
   std::condition_variable idle_;  // in_flight_ reached 0 while stopping_
-  std::vector<Request> pending_;
-  int in_flight_ = 0;  // batches being scored (slots held)
+  int in_flight_ = 0;             // submissions being scored
   bool stopping_ = false;
 };
 

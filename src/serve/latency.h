@@ -61,8 +61,7 @@ inline uint64_t NanosBetween(std::chrono::steady_clock::time_point from,
 struct StageLatencies {
   LatencyHistogram parse;        // one CSV row -> dense slots, per row
   LatencyHistogram queue_wait;   // enqueue -> its batch starts scoring
-  LatencyHistogram score;        // transpose + descent, per model group
-                                 // of a batch
+  LatencyHistogram score;        // transpose + descent, per batch
   LatencyHistogram reply_write;  // the send of one whole reply
 };
 

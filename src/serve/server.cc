@@ -5,10 +5,10 @@
 
 #include <cerrno>
 #include <cstring>
-#include <sstream>
 #include <string_view>
 #include <utility>
 
+#include "common/format_number.h"
 #include "common/net.h"
 #include "common/parse_number.h"
 
@@ -77,21 +77,29 @@ bool TimedParseRow(const Schema& schema, std::string_view text,
   return ok;
 }
 
-std::string LabelName(const Schema& schema, ClassId c) {
-  if (c == kInvalidClass) return "?";
-  return c < schema.num_classes() ? schema.class_name(c)
-                                  : "class" + std::to_string(c);
-}
-
-std::string ReplyLine(const Schema& schema, const RowReply& reply,
-                      bool want_probs) {
-  if (!reply.ok) return "err " + reply.error;
-  std::ostringstream os;
-  os << "ok " << LabelName(schema, reply.label);
-  if (want_probs) {
-    for (const float p : reply.probs) os << ' ' << p;
+/// Appends the reply line for one row, without its newline.
+void AppendReply(const Schema& schema, const RowReply& reply,
+                 bool want_probs, std::string* out) {
+  if (!reply.ok) {
+    *out += "err ";
+    *out += reply.error;
+    return;
   }
-  return os.str();
+  *out += "ok ";
+  if (reply.label == kInvalidClass) {
+    *out += '?';
+  } else if (reply.label < schema.num_classes()) {
+    *out += schema.class_name(reply.label);
+  } else {
+    *out += "class";
+    *out += std::to_string(reply.label);
+  }
+  if (want_probs) {
+    for (const float p : reply.probs) {
+      *out += ' ';
+      AppendFloat(p, out);
+    }
+  }
 }
 
 }  // namespace
@@ -160,6 +168,12 @@ void ServeDaemon::ServeConnection(int fd) {
     if (line.empty()) continue;
     if (!HandleLine(fd, &reader, line)) break;
   }
+  if (reader.too_long()) {
+    // The next request starts after a newline that may never come, so
+    // the connection cannot stay in step: answer and close it.
+    stats_.AddProtocolError();
+    SendLine(fd, "err line too long");
+  }
   UntrackConnection(fd);
   ::close(fd);
 }
@@ -223,7 +237,10 @@ bool ServeDaemon::HandlePredict(int fd, const std::string& rest,
   std::future<RowReply> fut = batcher_->Submit(
       std::move(model), std::move(numeric), std::move(categorical),
       want_probs);
-  return WriteReply(fd, ReplyLine(schema, fut.get(), want_probs) + "\n");
+  std::string out;
+  AppendReply(schema, fut.get(), want_probs, &out);
+  out += '\n';
+  return WriteReply(fd, out);
 }
 
 bool ServeDaemon::WriteReply(int fd, const std::string& reply) {
@@ -277,8 +294,10 @@ bool ServeDaemon::HandleBatch(int fd, LineReader* reader,
   std::string row;
   for (size_t i = 0; i < count; ++i) {
     if (!reader->ReadLine(&row)) {
-      SendLine(fd, "err short batch: got " + std::to_string(i) + " of " +
-                       std::to_string(n) + " rows");
+      if (!reader->too_long()) {
+        SendLine(fd, "err short batch: got " + std::to_string(i) + " of " +
+                         std::to_string(n) + " rows");
+      }
       return false;
     }
     RowValues values;
@@ -299,7 +318,7 @@ bool ServeDaemon::HandleBatch(int fd, LineReader* reader,
     if (!parse_errors[i].empty()) {
       out += "err " + parse_errors[i];
     } else {
-      out += ReplyLine(schema, futures[next++].get(), /*want_probs=*/false);
+      AppendReply(schema, futures[next++].get(), /*want_probs=*/false, &out);
     }
     out += '\n';
   }

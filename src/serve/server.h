@@ -27,8 +27,9 @@ struct ServeOptions {
   /// When non-empty, listen on a UNIX-domain socket at this path
   /// instead of TCP.
   std::string unix_path;
-  /// Scoring pool size; 0 means hardware concurrency, 1 an inline pool
-  /// (each connection thread scores its own rows).
+  /// Size of the pool that splits a batch of more than 512 rows; 0 means
+  /// hardware concurrency, 1 an inline pool. Each connection thread
+  /// scores its own requests either way.
   int num_threads = 0;
   BatchPolicy batch;
 };
@@ -51,10 +52,10 @@ struct ServeOptions {
 /// in schema attribute order; categorical attributes take their integer
 /// code.
 ///
-/// Threading: one OS thread per connection (blocking reads), scoring on
-/// the shared ThreadPool via the MicroBatcher, so concurrent clients'
-/// single-row requests coalesce into shared batches. `swap` is safe at
-/// any time — see ModelRegistry for the RCU argument.
+/// Threading: one OS thread per connection (blocking reads), which also
+/// scores its own requests through the MicroBatcher; only a request of
+/// more than 512 rows splits across the shared ThreadPool. `swap` is
+/// safe at any time — see ModelRegistry for the RCU argument.
 class ServeDaemon {
  public:
   explicit ServeDaemon(ServeOptions opts);

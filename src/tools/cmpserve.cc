@@ -43,10 +43,10 @@ int Usage() {
          "  swap <model> <path.cmpb> | stats | quit\n"
          "\n"
          "--port is a whole number in [0, 65535], --threads in [0, 1024]\n"
-         "(0 = one per hardware thread; 1 scores on the connection\n"
-         "threads), --batch-rows in [1, 1048576]. Requests are scored as\n"
-         "soon as a scoring thread is free; rows that arrive while all\n"
-         "are busy go out together, at most R to a batch.\n"
+         "(0 = one per hardware thread), --batch-rows in [1, 1048576].\n"
+         "Each connection thread scores its own requests at once, in\n"
+         "batches of at most R rows; --threads sizes the pool that splits\n"
+         "a batch of more than 512 rows.\n"
          "\n"
          "--kernel pins the ISA tier of the batch tree-descent kernels\n"
          "(default auto-detects; predictions are identical across tiers).\n"

@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "common/cpu_features.h"
+#include "common/format_number.h"
 #include "common/parse_number.h"
 #include "common/summary.h"
 #include "cmp/cmp.h"
@@ -829,15 +830,6 @@ void AppendInt(int64_t v, std::string* out) {
   out->append(tmp, std::to_chars(tmp, tmp + sizeof(tmp), v).ptr);
 }
 
-// The general format at precision 6: the bytes `ostream << float` gives
-// by default.
-void AppendFloat(float v, std::string* out) {
-  char tmp[32];
-  out->append(tmp, std::to_chars(tmp, tmp + sizeof(tmp), v,
-                                 std::chars_format::general, 6)
-                       .ptr);
-}
-
 // Formats predict's CSV. Class names are looked up in the model's
 // schema, never built per row. Rows is safe to call from several
 // threads at once.
@@ -888,7 +880,7 @@ class PredictCsv {
         const float* probs = result.probs.data() + i * nc;
         for (int32_t c = 0; c < nc; ++c) {
           out->push_back(',');
-          AppendFloat(probs[c], out);
+          cmp::AppendFloat(probs[c], out);
         }
       }
       if (top_k_ > 1) {

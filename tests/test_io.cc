@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <bit>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -521,6 +522,113 @@ TEST(CsvInfer, RejectsRaggedRowsAndEmpty) {
     fclose(f);
   }
   EXPECT_FALSE(LoadCsvInferSchema(path, &ds));
+  std::remove(path.c_str());
+}
+
+// A column is numeric iff every field is one number as ParseRealNumber
+// reads it (the grammar of served rows); fields are trimmed of spaces
+// and tabs first.
+TEST(CsvInfer, NumberGrammarCaseTable) {
+  struct Case {
+    const char* field;
+    bool numeric;
+    double value;  // when numeric
+  };
+  const Case cases[] = {
+      {"0x10", false, 0},    {"+1", false, 0},     {" 1", true, 1},
+      {"1e999", false, 0},   {"1e-400", false, 0}, {"inf", true, HUGE_VAL},
+      {"-0", true, -0.0},    {"nan", false, 0},    {"-2.5e3", true, -2500},
+  };
+  const std::string path = TempPath("grammar.csv");
+  for (const Case& c : cases) {
+    {
+      FILE* f = fopen(path.c_str(), "w");
+      fprintf(f, "x,class\n%s,a\n2,b\n", c.field);
+      fclose(f);
+    }
+    Dataset ds;
+    ASSERT_TRUE(LoadCsvInferSchema(path, &ds)) << c.field;
+    EXPECT_EQ(ds.schema().is_numeric(0), c.numeric) << c.field;
+    if (c.numeric) {
+      EXPECT_EQ(ds.numeric(0, 0), c.value) << c.field;
+      EXPECT_EQ(std::signbit(ds.numeric(0, 0)), std::signbit(c.value))
+          << c.field;
+    } else {
+      EXPECT_EQ(ds.schema().attr(0).cardinality, 2) << c.field;
+    }
+  }
+  std::remove(path.c_str());
+}
+
+// A column with one non-number is categorical, and the numbers before
+// it are categories too, in first-appearance order.
+TEST(CsvInfer, MixedColumnMapsItsNumbersAsCategories) {
+  const std::string path = TempPath("mixed.csv");
+  {
+    FILE* f = fopen(path.c_str(), "w");
+    fputs("x,y,class\n2,1,a\n+1,2,b\n2,3,a\n-0,4,b\n", f);
+    fclose(f);
+  }
+  Dataset ds;
+  ASSERT_TRUE(LoadCsvInferSchema(path, &ds));
+  ASSERT_FALSE(ds.schema().is_numeric(0));
+  EXPECT_TRUE(ds.schema().is_numeric(1));
+  EXPECT_EQ(ds.schema().attr(0).cardinality, 3);  // "2", "+1", "-0"
+  const int32_t want[] = {0, 1, 0, 2};
+  for (RecordId r = 0; r < 4; ++r) EXPECT_EQ(ds.categorical(0, r), want[r]);
+  std::remove(path.c_str());
+}
+
+// A numeric column with more distinct values than a categorical column
+// may have still loads, and fails once a non-number makes it free text.
+TEST(CsvInfer, ManyDistinctNumbersThenTextIsFreeText) {
+  const std::string path = TempPath("many.csv");
+  for (const bool text : {false, true}) {
+    {
+      FILE* f = fopen(path.c_str(), "w");
+      fputs("x,class\n", f);
+      for (int i = 0; i < 300; ++i) fprintf(f, "%d,a\n", i);
+      fputs(text ? "word,b\n" : "7,b\n", f);
+      fclose(f);
+    }
+    Dataset ds;
+    EXPECT_EQ(LoadCsvInferSchema(path, &ds, /*max_categorical_card=*/256),
+              !text);
+    if (!text) {
+      EXPECT_TRUE(ds.schema().is_numeric(0));
+    }
+  }
+  std::remove(path.c_str());
+}
+
+// SaveCsv's precision-17 numbers read back bit for bit, extremes
+// included.
+TEST(CsvInfer, SaveCsvPrecisionRoundTripsExactly) {
+  const double values[] = {0.1,
+                           1.0 / 3.0,
+                           -0.0,
+                           std::numeric_limits<double>::max(),
+                           std::numeric_limits<double>::lowest(),
+                           std::numeric_limits<double>::min(),
+                           std::numeric_limits<double>::denorm_min(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(),
+                           123456789.123456789};
+  Schema schema({{"a", AttrKind::kNumeric, 0}}, {"neg", "pos"});
+  Dataset original(schema);
+  for (const double v : values) original.Append({v}, {}, 0);
+  original.Append({1.0}, {}, 1);
+  const std::string path = TempPath("savecsv_precision.csv");
+  ASSERT_TRUE(SaveCsv(original, path));
+  Dataset loaded;
+  ASSERT_TRUE(LoadCsvInferSchema(path, &loaded));
+  ASSERT_EQ(loaded.num_records(), original.num_records());
+  ASSERT_TRUE(loaded.schema().is_numeric(0));
+  for (RecordId r = 0; r < original.num_records(); ++r) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(loaded.numeric(0, r)),
+              std::bit_cast<uint64_t>(original.numeric(0, r)))
+        << original.numeric(0, r);
+  }
   std::remove(path.c_str());
 }
 

@@ -1,22 +1,32 @@
 // In-process tests of the serving subsystem: the lock-free latency
 // histogram, ModelRegistry's RCU swap semantics (hammered from many
-// threads — this is a TSan target), MicroBatcher group-commit dispatch
-// and correctness, and a real ServeDaemon on an ephemeral port driven
+// threads — this is a TSan target), MicroBatcher's inline scoring and
+// batch accounting, and a real ServeDaemon on an ephemeral port driven
 // through ServeClient, including a hot swap under concurrent traffic.
 
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <future>
+#include <limits>
 #include <memory>
+#include <random>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "common/format_number.h"
+#include "common/net.h"
 #include "common/schema.h"
 #include "common/thread_pool.h"
 #include "infer/model_io.h"
@@ -160,6 +170,100 @@ TEST(ServeStats, JsonHasTheContractFields) {
   EXPECT_GT(json.find("\"p50\""), latency);
 }
 
+// `predictp` writes probabilities with AppendFloat, which must give the
+// bytes `ostream << float` gives by default (and `cmptool predict --probs`
+// writes).
+TEST(ServeReply, ProbabilitiesFormatLikeOstream) {
+  std::vector<float> values = {0.0f, 1.0f, 0.1f, 0.9f, 1.0f / 3.0f, 1e-7f};
+  std::mt19937 rng(42);
+  std::uniform_real_distribution<float> unit(0.0f, 1.0f);
+  for (int i = 0; i < 10'000; ++i) values.push_back(unit(rng));
+  for (const float v : values) {
+    std::ostringstream want;
+    want << v;
+    std::string got;
+    AppendFloat(v, &got);
+    ASSERT_EQ(got, want.str()) << v;
+  }
+}
+
+// Makes a blocked recv on `fd` give up after 10 s, so a reader that
+// waits for bytes that never come fails its test instead of hanging it.
+void BoundRecvWait(int fd) {
+  timeval tv{};
+  tv.tv_sec = 10;
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)), 0);
+}
+
+// LineReader over a socketpair: pipelined, split and CRLF lines come out
+// one by one, a line of kMaxLineBytes is read whole, and a longer one —
+// with or without its newline — ends the stream instead of growing the
+// buffer.
+TEST(LineReader, FramesLinesAndCapsTheirLength) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  BoundRecvWait(fds[0]);
+  LineReader reader(fds[0]);
+  std::string line;
+  ASSERT_TRUE(SendAll(fds[1], std::string("a\r\nbb\nsp")));
+  ASSERT_TRUE(reader.ReadLine(&line));
+  EXPECT_EQ(line, "a");
+  ASSERT_TRUE(reader.ReadLine(&line));
+  EXPECT_EQ(line, "bb");
+  ASSERT_TRUE(SendAll(fds[1], std::string("lit\n\n")));
+  ASSERT_TRUE(reader.ReadLine(&line));
+  EXPECT_EQ(line, "split");
+  ASSERT_TRUE(reader.ReadLine(&line));
+  EXPECT_EQ(line, "");
+
+  // A line of exactly the cap, then one byte more with no newline: the
+  // second is refused as soon as it passes the cap, without waiting for
+  // the rest. Sent from a thread, since the socket buffer is far smaller.
+  const std::string longest(kMaxLineBytes, '7');
+  std::thread sender([&] {
+    (void)SendAll(fds[1], longest + "\n" + longest + "8");
+  });
+  EXPECT_TRUE(reader.ReadLine(&line));
+  EXPECT_EQ(line.size(), kMaxLineBytes);
+  EXPECT_FALSE(reader.too_long());
+  EXPECT_FALSE(reader.ReadLine(&line));
+  EXPECT_TRUE(reader.too_long());
+  sender.join();
+  ASSERT_TRUE(SendAll(fds[1], std::string("\nok\n")));
+  EXPECT_FALSE(reader.ReadLine(&line));  // out of step for good
+  ::close(fds[0]);
+  ::close(fds[1]);
+
+  // EOF after a partial line is not a long line.
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  LineReader eof(fds[0]);
+  ASSERT_TRUE(SendAll(fds[1], std::string("partial")));
+  ::shutdown(fds[1], SHUT_WR);
+  EXPECT_FALSE(eof.ReadLine(&line));
+  EXPECT_FALSE(eof.too_long());
+  ::close(fds[0]);
+  ::close(fds[1]);
+}
+
+// The cap admits the longest valid `predict` line: kMaxSchemaAttrs
+// fields of the longest number to_chars writes for a double, after a
+// long model name.
+TEST(LineReader, CapAdmitsTheLongestPredictLine) {
+  char field[64];
+  const size_t field_bytes = static_cast<size_t>(
+      std::to_chars(field, field + sizeof(field),
+                    -std::numeric_limits<double>::min())
+          .ptr -
+      field);
+  EXPECT_EQ(std::string(field, field_bytes), "-2.2250738585072014e-308");
+  EXPECT_EQ(field_bytes, kMaxFieldBytes);
+  const size_t longest = std::string("predict ").size() + 255 + 1 +
+                         static_cast<size_t>(kMaxSchemaAttrs) *
+                             (field_bytes + 1) -
+                         1;
+  EXPECT_LE(longest, kMaxLineBytes);
+}
+
 TEST(ModelRegistry, PublishGetAndVersioning) {
   ThreadPool pool(1);
   ModelRegistry registry(&pool);
@@ -244,15 +348,20 @@ TEST(ModelRegistry, SwapUnderConcurrentScoring) {
 }
 
 // Occupies every worker of `pool` with a task that blocks until
-// Release() (or destruction), so rows submitted meanwhile pend in the
-// batcher on purpose. Declare it after the MicroBatcher it starves:
-// the batcher's Stop waits for the held workers.
+// Release() (or destruction), to show that serving never waits for a
+// worker. Returns once every worker is held, so no held task is left in
+// the queue for a waiting caller to pick up. Declare it after the pool,
+// whose destructor joins the held workers.
 class WorkerHold {
  public:
   explicit WorkerHold(ThreadPool* pool) : gate_(open_.get_future().share()) {
     for (int w = 0; w < pool->num_threads(); ++w) {
-      pool->Submit([gate = gate_] { gate.wait(); });
+      pool->Submit([this, gate = gate_] {
+        held_.fetch_add(1);
+        gate.wait();
+      });
     }
+    while (held_.load() < pool->num_threads()) std::this_thread::yield();
   }
   ~WorkerHold() { Release(); }
   void Release() {
@@ -263,6 +372,7 @@ class WorkerHold {
  private:
   std::promise<void> open_;
   std::shared_future<void> gate_;
+  std::atomic<int> held_{0};
   bool released_ = false;
 };
 
@@ -316,35 +426,35 @@ TEST_F(MicroBatcherTest, ALoneRowIsScoredAtOnce) {
   EXPECT_EQ(stats_.batches(), 1u);
 }
 
-// With both slots busy, later rows pend and go out together as one
-// batch on the first slot that frees.
-TEST_F(MicroBatcherTest, RowsPendingOnBusySlotsGoOutAsOneBatch) {
+// A submission is scored on the submitting thread: with every worker of
+// the model's pool held, a row and a one-block request still come back
+// ready, each as its own batch.
+TEST_F(MicroBatcherTest, SubmitCompletesWhileEveryWorkerIsHeld) {
   ThreadPool pool(2);
-  MicroBatcher batcher(&pool, BatchPolicy{}, &stats_);
+  ModelRegistry registry(&pool);
+  std::string error;
+  ASSERT_NE(registry.Publish("m", MakeModel(0.0, false), "", &error), 0u);
+  BatchPolicy policy;
+  policy.max_rows = 512;
+  MicroBatcher batcher(&pool, policy, &stats_);
   WorkerHold hold(&pool);
-  std::vector<std::future<RowReply>> futures;
-  // The first two rows take the two slots (their scorers queue behind
-  // the held workers); the next three find no slot and pend.
-  for (int i = 0; i < 5; ++i) {
-    futures.push_back(
-        batcher.Submit(v1_, {i % 2 == 0 ? -1.0 : 1.0, 0.0}, {}, false));
+  std::future<RowReply> one =
+      batcher.Submit(registry.Get("m"), {-1.0, 0.0}, {}, false);
+  ASSERT_EQ(one.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+  EXPECT_EQ(one.get().label, 0);
+  std::vector<std::future<RowReply>> many = batcher.SubmitMany(
+      registry.Get("m"), Rows(std::vector<double>(512, 1.0)), false);
+  for (std::future<RowReply>& f : many) {
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+    EXPECT_EQ(f.get().label, 1);
   }
-  EXPECT_EQ(stats_.queue_depth(), 5);
-  hold.Release();
-  for (int i = 0; i < 5; ++i) {
-    const RowReply reply = GetReply(&futures[i]);
-    ASSERT_TRUE(reply.ok) << reply.error;
-    EXPECT_EQ(reply.label, i % 2 == 0 ? 0 : 1) << i;
-    EXPECT_TRUE(reply.probs.empty());
-  }
-  batcher.Stop();
-  EXPECT_EQ(stats_.rows(), 5u);
-  EXPECT_EQ(stats_.batches(), 3u);  // {row 0}, {row 1}, {rows 2-4}
+  EXPECT_EQ(stats_.batches(), 2u);
+  EXPECT_EQ(stats_.rows(), 513u);
   EXPECT_EQ(stats_.queue_depth(), 0);
 }
 
-// One SubmitMany of n <= max_rows rows is exactly one batch, whether a
-// slot is free or every slot is busy.
+// One SubmitMany of n <= max_rows rows is exactly one batch, whether the
+// pool's workers are free or all held.
 TEST_F(MicroBatcherTest, SubmitManyIsOneBatch) {
   ThreadPool pool(2);
   BatchPolicy policy;
@@ -363,13 +473,13 @@ TEST_F(MicroBatcherTest, SubmitManyIsOneBatch) {
 
   {
     WorkerHold hold(&pool);
-    futures = batcher.SubmitMany(v1_, Rows({-1, 1}), false);  // slot 1
+    futures = batcher.SubmitMany(v1_, Rows({-1, 1}), false);
     std::vector<std::future<RowReply>> more =
-        batcher.SubmitMany(v1_, Rows({-1, 1, -2}), false);  // slot 2
-    std::vector<std::future<RowReply>> pended =
+        batcher.SubmitMany(v1_, Rows({-1, 1, -2}), false);
+    std::vector<std::future<RowReply>> third =
         batcher.SubmitMany(v1_, Rows({-1, 1, -2, 2}), false);
     hold.Release();
-    for (auto* group : {&futures, &more, &pended}) {
+    for (auto* group : {&futures, &more, &third}) {
       for (std::future<RowReply>& f : *group) EXPECT_TRUE(GetReply(&f).ok);
     }
   }
@@ -378,8 +488,8 @@ TEST_F(MicroBatcherTest, SubmitManyIsOneBatch) {
   EXPECT_EQ(stats_.rows(), 17u);
 }
 
-// max_rows caps a batch on both dispatch paths: a backlog of 10 rows at
-// max_rows 4 is 4 + 4 + 2.
+// max_rows caps a batch with or without workers: a request of 10 rows
+// at max_rows 4 is 4 + 4 + 2.
 TEST_F(MicroBatcherTest, MaxRowsCapsABatch) {
   BatchPolicy policy;
   policy.max_rows = 4;
@@ -401,34 +511,43 @@ TEST_F(MicroBatcherTest, MaxRowsCapsABatch) {
   }
 }
 
-// Rows of two versions of one model in the same batch each score on
-// their own version: the mid-queue swap scenario in miniature.
-TEST_F(MicroBatcherTest, MixedVersionsInOneBatchScoreOnTheirOwnVersion) {
+// Interleaved submissions against two versions of one model each score
+// on their own version, one batch per submission: the swap scenario in
+// miniature.
+TEST_F(MicroBatcherTest, InterleavedVersionsEachScoreOnTheirOwnVersion) {
   ThreadPool pool(2);
   MicroBatcher batcher(&pool, BatchPolicy{}, &stats_);
-  WorkerHold hold(&pool);
-  std::vector<std::future<RowReply>> fillers;  // take both slots
-  fillers.push_back(batcher.Submit(v1_, {0.0, 0.0}, {}, false));
-  fillers.push_back(batcher.Submit(v1_, {0.0, 0.0}, {}, false));
   std::vector<std::future<RowReply>> futures;
-  futures.push_back(batcher.Submit(v1_, {-1.0, 0.0}, {}, false));
-  futures.push_back(batcher.Submit(v2_, {-1.0, 0.0}, {}, false));
-  futures.push_back(batcher.Submit(v1_, {1.0, 0.0}, {}, false));
-  futures.push_back(batcher.Submit(v2_, {1.0, 0.0}, {}, false));
-  hold.Release();
-  for (std::future<RowReply>& f : fillers) EXPECT_TRUE(GetReply(&f).ok);
-  const ClassId expect[] = {0, 1, 1, 0};
-  for (int i = 0; i < 4; ++i) {
+  std::vector<uint64_t> versions;
+  std::vector<ClassId> want;
+  for (int i = 0; i < 6; ++i) {
+    const bool use_v2 = i % 2 == 1;
+    const double x = i % 3 == 0 ? -1.0 : 1.0;
+    const ClassId label = (x < 0) != use_v2 ? 0 : 1;
+    if (i < 3) {
+      futures.push_back(
+          batcher.Submit(use_v2 ? v2_ : v1_, {x, 0.0}, {}, false));
+      versions.push_back(use_v2 ? 2u : 1u);
+      want.push_back(label);
+    } else {
+      for (std::future<RowReply>& f :
+           batcher.SubmitMany(use_v2 ? v2_ : v1_, Rows({x, x}), false)) {
+        futures.push_back(std::move(f));
+        versions.push_back(use_v2 ? 2u : 1u);
+        want.push_back(label);
+      }
+    }
+  }
+  ASSERT_EQ(futures.size(), 9u);
+  for (size_t i = 0; i < futures.size(); ++i) {
     const RowReply reply = GetReply(&futures[i]);
     ASSERT_TRUE(reply.ok) << reply.error;
-    EXPECT_EQ(reply.label, expect[i]) << i;
-    EXPECT_EQ(reply.model_version, i % 2 == 0 ? 1u : 2u);
+    EXPECT_EQ(reply.label, want[i]) << i;
+    EXPECT_EQ(reply.model_version, versions[i]) << i;
   }
   batcher.Stop();
-  // Two filler batches, then one batch of four scored as one group per
-  // version.
-  EXPECT_EQ(stats_.batches(), 4u);
-  EXPECT_EQ(stats_.rows(), 6u);
+  EXPECT_EQ(stats_.batches(), 6u);
+  EXPECT_EQ(stats_.rows(), 9u);
 }
 
 // With an inline pool every submitter scores its own rows; concurrent
@@ -464,44 +583,43 @@ TEST_F(MicroBatcherTest, InlinePoolWithConcurrentSubmittersNeverHangs) {
   EXPECT_EQ(stats_.queue_depth(), 0);
 }
 
-// Stop rejects new work at once but scores every row it had already
-// accepted — pending ones included — before it returns.
-TEST_F(MicroBatcherTest, StopScoresEverythingAcceptedAndRejectsNewWork) {
+// Stop waits for a submission that is being scored, then rejects new
+// work at once. A 100k-row request is 391 batches of at most 256 rows;
+// Stop is called as soon as its rows are counted in the queue depth.
+TEST_F(MicroBatcherTest, StopWaitsForAnInFlightSubmitManyAndRejectsLaterWork) {
   ThreadPool pool(2);
   MicroBatcher batcher(&pool, BatchPolicy{}, &stats_);
-  WorkerHold hold(&pool);
-  std::vector<std::future<RowReply>> accepted;
-  for (int i = 0; i < 4; ++i) {  // two take the slots, two pend
-    accepted.push_back(batcher.Submit(v1_, {-2.0, 0.0}, {}, false));
+  constexpr size_t kRows = 100'000;
+  std::vector<std::future<RowReply>> futures;
+  std::thread submitter([&] {
+    futures = batcher.SubmitMany(
+        v1_, Rows(std::vector<double>(kRows, -2.0)), false);
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (stats_.rows() < kRows && stats_.queue_depth() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
   }
-  std::thread stopper([&] { batcher.Stop(); });
-  // Probe until Stop has begun: a rejected probe resolves at once, an
-  // accepted one pends like the rest.
-  bool rejected = false;
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (!rejected && std::chrono::steady_clock::now() < deadline) {
-    std::future<RowReply> probe = batcher.Submit(v1_, {-2.0, 0.0}, {}, false);
-    if (probe.wait_for(std::chrono::seconds(0)) == std::future_status::ready) {
-      const RowReply reply = probe.get();
-      EXPECT_FALSE(reply.ok);
-      EXPECT_EQ(reply.error, "server shutting down");
-      rejected = true;
-    } else {
-      accepted.push_back(std::move(probe));
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  }
-  EXPECT_TRUE(rejected);
-  hold.Release();
-  stopper.join();
-  for (std::future<RowReply>& f : accepted) {
+  batcher.Stop();
+  // Every accepted row was scored before Stop returned.
+  EXPECT_EQ(stats_.rows(), kRows);
+  EXPECT_EQ(stats_.queue_depth(), 0);
+  std::future<RowReply> late = batcher.Submit(v1_, {-2.0, 0.0}, {}, false);
+  ASSERT_EQ(late.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+  const RowReply rejected = late.get();
+  EXPECT_FALSE(rejected.ok);
+  EXPECT_EQ(rejected.error, "server shutting down");
+  EXPECT_FALSE(batcher.SubmitMany(v1_, Rows({1}), false)[0].get().ok);
+  submitter.join();
+  ASSERT_EQ(futures.size(), kRows);
+  for (std::future<RowReply>& f : futures) {
     ASSERT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready);
     const RowReply reply = f.get();
     ASSERT_TRUE(reply.ok) << reply.error;
     EXPECT_EQ(reply.label, 0);
   }
-  EXPECT_EQ(stats_.rows(), accepted.size());
-  EXPECT_FALSE(batcher.SubmitMany(v1_, Rows({1}), false)[0].get().ok);
+  EXPECT_EQ(stats_.rows(), kRows);
 }
 
 // Many threads mixing Submit and SubmitMany across two versions on a
@@ -583,7 +701,7 @@ TEST_F(ServeDaemonTest, ServesPredictionsOverTcp) {
   ASSERT_TRUE(client.Rpc("predict m 3.5,0", &reply));
   EXPECT_EQ(reply, "ok pos");
   ASSERT_TRUE(client.Rpc("predictp m 3.5,0", &reply));
-  EXPECT_EQ(reply.rfind("ok pos ", 0), 0u) << reply;
+  EXPECT_EQ(reply, "ok pos 0.1 0.9");
   ASSERT_TRUE(client.Rpc("predict m 1,2,3", &reply));
   EXPECT_EQ(reply.rfind("err ", 0), 0u);
   ASSERT_TRUE(client.Rpc("predict ghost 1,2", &reply));
@@ -916,6 +1034,124 @@ TEST_F(ServeDaemonTest, HotSwapUnderConcurrentTraffic) {
 
   ASSERT_TRUE(admin.Rpc("stats", &reply));
   EXPECT_NE(reply.find("\"swaps\":10"), std::string::npos) << reply;
+  daemon.Shutdown();
+}
+
+// A plain TCP connection to the daemon, for clients that misbehave in
+// ways ServeClient cannot: half-closing, or never reading.
+int ConnectRaw(int port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (fd >= 0 &&
+      ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
+          0) {
+    ::close(fd);
+    return -1;
+  }
+  if (fd >= 0) BoundRecvWait(fd);
+  return fd;
+}
+
+// A client that pipelines requests and never reads its replies blocks
+// only its own connection thread: another client is still answered at
+// once, and Shutdown still unblocks and joins the stuck thread.
+TEST_F(ServeDaemonTest, AClientThatNeverReadsDoesNotStallOthers) {
+  ServeOptions opts;
+  ServeDaemon daemon(opts);
+  std::string error;
+  ASSERT_NE(daemon.registry().PublishFromFile("m", blob_a_, &error), 0u);
+  ASSERT_TRUE(daemon.Start(&error)) << error;
+
+  const int hog = ConnectRaw(daemon.port());
+  ASSERT_GE(hog, 0);
+  std::string requests;
+  for (int i = 0; i < 20'000; ++i) requests += "predict m -1,0\n";
+  // Sent from its own thread: once the daemon stops reading, this send
+  // blocks until Shutdown resets the connection.
+  std::thread sender([&] { (void)SendAll(hog, requests); });
+  // The hog is being served before the other client starts.
+  EXPECT_TRUE(WaitUntil([&] { return daemon.stats().rows() > 0; },
+                        std::chrono::seconds(5)));
+
+  ServeClient other;
+  EXPECT_TRUE(other.ConnectTcp("127.0.0.1", daemon.port(), &error)) << error;
+  std::string reply;
+  for (int i = 0; i < 10; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    if (!other.Rpc("predict m 1,0", &reply)) {
+      ADD_FAILURE() << "no reply to request " << i;
+      break;
+    }
+    EXPECT_EQ(reply, "ok pos");
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(1));
+  }
+  const auto start = std::chrono::steady_clock::now();
+  daemon.Shutdown();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+  sender.join();
+  ::close(hog);
+}
+
+// A client that sends its requests and then half-closes gets every
+// reply, then EOF.
+TEST_F(ServeDaemonTest, HalfClosedClientGetsItsRepliesThenEof) {
+  ServeOptions opts;
+  ServeDaemon daemon(opts);
+  std::string error;
+  ASSERT_NE(daemon.registry().PublishFromFile("m", blob_a_, &error), 0u);
+  ASSERT_TRUE(daemon.Start(&error)) << error;
+
+  const int fd = ConnectRaw(daemon.port());
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(SendAll(fd, std::string("predict m -1,0\npredict m 1,0\n"
+                                      "predict m -2,0\n")));
+  ASSERT_EQ(::shutdown(fd, SHUT_WR), 0);
+  LineReader reader(fd);
+  std::vector<std::string> replies;
+  std::string line;
+  while (reader.ReadLine(&line)) replies.push_back(line);
+  EXPECT_EQ(replies, (std::vector<std::string>{"ok neg", "ok pos", "ok neg"}));
+  EXPECT_FALSE(reader.too_long());
+  ::close(fd);
+  daemon.Shutdown();
+}
+
+// A line longer than kMaxLineBytes, with no newline in sight, is
+// answered `err line too long` and its connection closed, instead of
+// being buffered without bound; the daemon keeps serving others.
+TEST_F(ServeDaemonTest, OverlongLineIsRefusedAndItsConnectionClosed) {
+  ServeOptions opts;
+  ServeDaemon daemon(opts);
+  std::string error;
+  ASSERT_NE(daemon.registry().PublishFromFile("m", blob_a_, &error), 0u);
+  ASSERT_TRUE(daemon.Start(&error)) << error;
+
+  const int fd = ConnectRaw(daemon.port());
+  ASSERT_GE(fd, 0);
+  const std::string huge = "predict m " + std::string(kMaxLineBytes, '1');
+  // The daemon stops reading partway, so the send may fail once it has
+  // closed the connection.
+  std::thread sender([&] { (void)SendAll(fd, huge); });
+  LineReader reader(fd);
+  std::string line;
+  EXPECT_TRUE(reader.ReadLine(&line));
+  EXPECT_EQ(line, "err line too long");
+  EXPECT_FALSE(reader.ReadLine(&line));
+  ::shutdown(fd, SHUT_RDWR);  // unblocks the sender if the daemon did not
+  sender.join();
+  ::close(fd);
+
+  ServeClient client;
+  ASSERT_TRUE(client.ConnectTcp("127.0.0.1", daemon.port(), &error)) << error;
+  std::string reply;
+  ASSERT_TRUE(client.Rpc("predict m 1,0", &reply));
+  EXPECT_EQ(reply, "ok pos");
+  ASSERT_TRUE(client.Rpc("stats", &reply));
+  EXPECT_NE(reply.find("\"protocol_errors\":1"), std::string::npos) << reply;
   daemon.Shutdown();
 }
 

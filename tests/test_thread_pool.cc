@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <numeric>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace cmp {
@@ -88,6 +91,47 @@ TEST(ThreadPool, ZeroAndSingleItemParallelFor) {
     });
     EXPECT_EQ(calls.load(), 1) << threads << " threads";
   }
+}
+
+// A range that fits in one chunk runs on the calling thread at once: it
+// neither waits for a worker nor first runs tasks queued ahead of it.
+// Every worker is held and one more task waits in the queue, so a chunk
+// that went through the queue would run after that task (whose bounded
+// wait keeps such a regression from hanging the test).
+TEST(ThreadPool, OneChunkParallelForRunsOnTheCaller) {
+  ThreadPool pool(2);
+  std::promise<void> open;
+  const std::shared_future<void> gate = open.get_future().share();
+  std::atomic<int> started{0};
+  for (int i = 0; i <= pool.num_threads(); ++i) {
+    pool.Submit([gate, &started] {
+      started.fetch_add(1);
+      (void)gate.wait_for(std::chrono::seconds(2));
+    });
+  }
+  while (started.load() < pool.num_threads()) std::this_thread::yield();
+  const std::thread::id caller = std::this_thread::get_id();
+  int calls = 0;
+  for (const auto& [n, grain] : {std::pair<int64_t, int64_t>{512, 512},
+                                 std::pair<int64_t, int64_t>{1, 0},
+                                 std::pair<int64_t, int64_t>{3, 16}}) {
+    pool.ParallelFor(n, grain, [&, n = n](int64_t begin, int64_t end) {
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      EXPECT_EQ(started.load(), pool.num_threads());
+      EXPECT_EQ(begin, 0);
+      EXPECT_EQ(end, n);
+      ++calls;
+    });
+  }
+  EXPECT_EQ(calls, 3);
+  EXPECT_THROW(pool.ParallelFor(8, 8,
+                                [](int64_t, int64_t) {
+                                  throw std::runtime_error("one chunk");
+                                }),
+               std::runtime_error);
+  open.set_value();
+  pool.Wait();
+  EXPECT_EQ(started.load(), pool.num_threads() + 1);
 }
 
 TEST(ThreadPool, SubmitExceptionPropagatesAtWait) {
