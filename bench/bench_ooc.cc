@@ -1,8 +1,9 @@
 // bench_ooc: out-of-core training throughput vs the in-memory build.
 //
 // Generates an Agrawal training set, saves it as a CMPT table, and
-// trains CMP-S four ways: fully in memory, and streamed from the table
-// with prefetch on / prefetch off / a whole-table block. Reports
+// trains CMP-S three ways: fully in memory, and streamed from the table
+// in 65536-record blocks / in one whole-table block (2 threads, so the
+// next block is read ahead on a worker). Reports
 // rows/sec for each, the real bytes the streamed builds pulled from the
 // file per training pass (measured I/O, vs the in-memory build's
 // simulated byte count), and verifies every streamed tree is
@@ -11,9 +12,7 @@
 //
 // Results go to stdout as a table and to BENCH_ooc.json (or argv[1]).
 // CMP_BENCH_SCALE scales the record count (default 0.1 => 100k rows).
-// The JSON records hardware_threads; on a 1-thread host the prefetch
-// delta is not a regression signal (there is no core to prefetch on)
-// and is emitted as null.
+// The JSON records hardware_threads.
 
 #include <cstdint>
 #include <cstdio>
@@ -84,15 +83,11 @@ int main(int argc, char** argv) {
   run("in_memory", [&] { return builder.Build(train); });
   run("streamed_prefetch", [&] {
     auto source = cmp::TableBlockSource::Open(table_path, block);
-    return builder.BuildStreamed(*source, /*prefetch=*/true);
-  });
-  run("streamed_no_prefetch", [&] {
-    auto source = cmp::TableBlockSource::Open(table_path, block);
-    return builder.BuildStreamed(*source, /*prefetch=*/false);
+    return builder.BuildStreamed(*source);
   });
   run("streamed_one_block", [&] {
     auto source = cmp::TableBlockSource::Open(table_path, train_n);
-    return builder.BuildStreamed(*source, /*prefetch=*/true);
+    return builder.BuildStreamed(*source);
   });
 
   bool identical = true;
@@ -134,15 +129,7 @@ int main(int argc, char** argv) {
          << r.bytes_read / r.scans << ",\n";
   }
   json << "  \"streamed_vs_memory\": " << rows[1].rows_per_sec / base
-       << ",\n";
-  // Prefetch overlaps I/O with compute on a spare core; without one the
-  // ratio is scheduler noise, so it is not a trend signal there.
-  if (hw >= 2) {
-    json << "  \"prefetch_speedup\": "
-         << rows[1].rows_per_sec / rows[2].rows_per_sec << "\n";
-  } else {
-    json << "  \"prefetch_speedup\": null\n";
-  }
+       << "\n";
   json << "}\n";
   std::cout << "wrote " << json_path << "\n";
   std::remove(table_path.c_str());

@@ -110,7 +110,7 @@ int main(int argc, char** argv) {
     for (int pass = 0; pass < 2; ++pass) {
       auto source = cmp::TableBlockSource::Open(first_path, block);
       cmp::Timer timer;
-      const cmp::BuildResult result = builder.BuildStreamed(*source, true);
+      const cmp::BuildResult result = builder.BuildStreamed(*source);
       const double rps = static_cast<double>(half_n) / timer.Seconds();
       if (rps > batch_rps) batch_rps = rps;
       batch_peak = result.stats.peak_memory_bytes;

@@ -15,7 +15,6 @@
 #include "common/class_counts.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
-#include "hist/grid_builder.h"
 #include "io/scan.h"
 #include "pruning/mdl.h"
 #include "tree/builder.h"
@@ -53,7 +52,6 @@ class CmpBuild {
 
  private:
   void BuildGrids(int64_t n);
-  void BuildCodes();
 
   Store& store_;
   BlockSource& source_;
@@ -75,14 +73,6 @@ class CmpBuild {
   std::vector<AttrId> numeric_attrs_;
   std::vector<NodeId> nid_;
 
-  // Pass-invariant bin-code cache (hist/bin_codes.h): every attribute's
-  // interval index / categorical value, encoded once right after grid
-  // construction, read by every scan pass after it. Disabled (and empty)
-  // when the option is off, when the build finishes entirely in memory
-  // before the first histogram scan, or when an attribute needs more
-  // than 16 bits per code.
-  BinCodeCache codes_;
-
   // This round's work and the work split resolution generates for the
   // next scan.
   FrontierQueues work_;
@@ -90,16 +80,16 @@ class CmpBuild {
 };
 
 // Discretization pass: one visit per numeric value serves the grid's
-// interior-splittable marks and the bin codes. In-memory builds borrow
-// each column from the dataset; streamed builds read it once from the
-// table. The cuts are selected without sorting (IntervalGrid::EqualDepth),
-// so grids depend only on the value multiset and the streamed and
-// in-memory builds produce identical grids — the first link of the
-// streamed-equals-in-memory determinism argument. One loop then writes
-// each value's code and its interval's min and max (interior = min <
-// max); with the cache off it yields the marks alone. (The cmp-stream
-// trainer grows its grids from quantile sketches in its own driver,
-// src/stream/.)
+// interior-splittable marks and, in memory, the bin codes. In-memory
+// builds borrow each column from the dataset; streamed builds read it
+// once from the table. The cuts are selected without sorting
+// (IntervalGrid::EqualDepth), so grids depend only on the value multiset
+// and the streamed and in-memory builds produce identical grids — the
+// first link of the streamed-equals-in-memory determinism argument. One
+// loop then writes each value's interval's min and max (interior = min <
+// max) and, when the store keeps a code matrix, its code
+// (record_store.h). (The cmp-stream trainer grows its grids from
+// quantile sketches in its own driver, src/stream/.)
 template <class Store>
 void CmpBuild<Store>::BuildGrids(int64_t n) {
   tracker_.ChargeScan(n, schema_);
@@ -114,10 +104,7 @@ void CmpBuild<Store>::BuildGrids(int64_t n) {
     const std::vector<double>& column =
         full != nullptr ? full->numeric_column(a) : read;
     grids_[a] = IntervalGrid::EqualDepth(column, options_.intervals);
-    interior_[a] =
-        codes_.enabled()
-            ? codes_.EncodeNumericColumnWithMarks(a, grids_[a], column.data())
-            : InteriorMarks(grids_[a], column.data(), n);
+    interior_[a] = store_.EncodeNumeric(a, grids_[a], column.data());
   };
   if (pool_->parallelism() > 1 && numeric_attrs_.size() > 1) {
     pool_->ParallelFor(static_cast<int64_t>(numeric_attrs_.size()), 1,
@@ -130,48 +117,6 @@ void CmpBuild<Store>::BuildGrids(int64_t n) {
     for (AttrId a : numeric_attrs_) build_attr(a);
   }
   for (size_t i = 0; i < numeric_attrs_.size(); ++i) tracker_.ChargeSort(n);
-}
-
-// Completes the bin-code cache after the grids exist: the label column
-// and the categorical columns (numeric columns were encoded inside
-// BuildGrids, riding the discretization pass's column reads). For the
-// out-of-core build this is the compact resident sidecar of the streamed
-// table — 1-2 bytes per value instead of 8 — so it is charged against
-// the peak-memory high-water mark.
-template <class Store>
-void CmpBuild<Store>::BuildCodes() {
-  if (!codes_.enabled()) return;
-  {
-    std::vector<ClassId> labels;
-    if (!source_.ReadLabels(&labels)) {
-      throw std::runtime_error("cmp: failed to read label column");
-    }
-    codes_.SetLabels(std::move(labels));
-  }
-  const std::vector<AttrId> cat_attrs = schema_.CategoricalAttrs();
-  const Dataset* const full = store_.dataset();
-  auto encode_attr = [&](AttrId a) {
-    if (full != nullptr) {
-      codes_.EncodeCategoricalColumn(a, full->categorical_column(a));
-      return;
-    }
-    std::vector<int32_t> column;
-    if (!source_.ReadCategoricalColumn(a, &column)) {
-      throw std::runtime_error("cmp: failed to read categorical column");
-    }
-    codes_.EncodeCategoricalColumn(a, column);
-  };
-  if (pool_->parallelism() > 1 && cat_attrs.size() > 1) {
-    pool_->ParallelFor(static_cast<int64_t>(cat_attrs.size()), 1,
-                       [&](int64_t lo, int64_t hi) {
-                         for (int64_t i = lo; i < hi; ++i) {
-                           encode_attr(cat_attrs[i]);
-                         }
-                       });
-  } else {
-    for (AttrId a : cat_attrs) encode_attr(a);
-  }
-  tracker_.NotePeakMemory(codes_.MemoryBytes());
 }
 
 template <class Store>
@@ -227,14 +172,14 @@ void CmpBuild<Store>::Run() {
 
   numeric_attrs_ = schema_.NumericAttrs();
   // A build that finishes entirely in memory (root collected before any
-  // histogram scan) never reads a bin code; skip the cache outright.
+  // histogram scan) never reads a bin code; an in-memory store then
+  // encodes no code matrix.
   const bool collect_only = options_.base.in_memory_threshold > 0 &&
                             n <= options_.base.in_memory_threshold;
-  if (options_.bin_code_cache && !collect_only) {
-    codes_ = BinCodeCache(schema_, n, options_.intervals);
-  }
+  if (!collect_only) store_.StartCodes();
   BuildGrids(n);
-  BuildCodes();
+  store_.FinishCodes(grids_, std::min(n, kScanTileRecords), pool_);
+  tracker_.NotePeakMemory(store_.code_bytes());
   charge_real_bytes();
 
   nid_.assign(n, root_id);
@@ -243,12 +188,11 @@ void CmpBuild<Store>::Run() {
   const SplitPlanner planner(schema_, options_, policy_, grids_, interior_,
                              numeric_attrs_, pool_);
   SplitExecutor<Store> executor(planner, store_, options_, result_,
-                                &tracker_, pool_, &next_, &codes_);
+                                &tracker_, pool_, &next_);
   ScanPass<Store> scan(store_, source_, grids_, result_->tree, nid_, pool_,
-                       &tracker_, &codes_, options_.scan_shards);
+                       &tracker_, options_.scan_shards);
 
-  if (options_.base.in_memory_threshold > 0 &&
-      n <= options_.base.in_memory_threshold) {
+  if (collect_only) {
     work_.collect.push_back({root_id, {}});
   } else if (planner.bivariate()) {
     const AttrId x = numeric_attrs_.front();

@@ -125,22 +125,6 @@ void HistBundle::MergeSameShape(const HistBundle& other) {
   }
 }
 
-void HistBundle::AccumulateCodedAttr(const BinCodeCache& codes, AttrId a,
-                                     RecordId base, const uint32_t* offsets,
-                                     size_t n) {
-  assert(HasHistogram(a));
-  if (shape_only_) EnsureStorage();
-  const int nc = schema_->num_classes();
-  if (!bivariate_) {
-    AccumulateHist1D(codes.view(a), codes.labels(), base, offsets, n, nc,
-                     hists_[a].data());
-    return;
-  }
-  HistogramMatrix& m = matrices_[a];
-  AccumulateHist2D(codes.view(x_attr_), x_lo_, codes.view(a), codes.labels(),
-                   base, offsets, n, m.y_intervals(), nc, m.data());
-}
-
 Histogram1D HistBundle::HistFor(AttrId a) const {
   assert(!shape_only_);
   if (!bivariate_) return hists_[a];

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/dataset.h"
-#include "hist/bin_codes.h"
 #include "hist/grids.h"
 #include "hist/hist_kernels.h"
 #include "hist/histogram1d.h"
@@ -104,11 +103,14 @@ class HistBundle {
     }
   }
 
-  /// Record-major add through the bin-code cache: same effect as Add but
-  /// the interval index is a 1-2 byte load instead of a binary search.
-  /// Used where records arrive one at a time with interleaved routing
-  /// (pending-buffer flushes at resolve time).
-  void AddCoded(const BinCodeCache& codes, RecordId r) {
+  /// Record-major add from bin codes: same effect as Add but the
+  /// interval index is a code load instead of a binary search. `Codes`
+  /// is anything exposing `code(a, r)` and `label(r)`: a BinCodeCache or
+  /// a record store (cmp/record_store.h). Used where records arrive one
+  /// at a time with interleaved routing (pending-buffer flushes at
+  /// resolve time).
+  template <class Codes>
+  void AddCoded(const Codes& codes, RecordId r) {
     if (shape_only_) EnsureStorage();
     const Schema& schema = *schema_;
     const ClassId label = codes.label(r);
@@ -132,46 +134,30 @@ class HistBundle {
   /// a bivariate bundle. The scan fills each such histogram as one task.
   bool HasHistogram(AttrId a) const { return !bivariate_ || a != x_attr_; }
 
-  /// Per-attribute accumulation through the bin-code cache: adds records
-  /// `base + offsets[i]` to attribute `a`'s histogram only (which must
-  /// exist: HasHistogram(a)), with the hist/hist_kernels.h kernels.
-  /// Distinct attributes touch distinct histograms, so one bundle's
-  /// attributes may be filled concurrently. Byte-for-byte the counts of
-  /// calling Add record by record. Concurrent calls need a bundle that
-  /// has storage: only a single caller may give it its storage.
-  void AccumulateCodedAttr(const BinCodeCache& codes, AttrId a, RecordId base,
-                           const uint32_t* offsets, size_t n);
-
-  /// AccumulateCodedAttr without the cache: the interval indices come
-  /// from `IntervalOf` on the records of `ds` (which must be readable,
-  /// e.g. inside the resident block of a streamed scan).
-  template <class DS>
-  void AccumulateAttr(const DS& ds, const std::vector<IntervalGrid>& grids,
-                      AttrId a, RecordId base, const uint32_t* offsets,
-                      size_t n) {
+  /// Per-attribute accumulation from code columns: adds records `base +
+  /// offsets[i]` of `codes` (anything exposing `view(a)` and `labels()`
+  /// over the same records: a BinCodeCache, or a record store's current
+  /// tile) to attribute `a`'s histogram only (which must exist:
+  /// HasHistogram(a)), with the hist/hist_kernels.h kernels. Distinct
+  /// attributes touch distinct histograms, so one bundle's attributes may
+  /// be filled concurrently. Byte-for-byte the counts of calling Add
+  /// record by record. Concurrent calls need a bundle that has storage:
+  /// only a single caller may give it its storage.
+  template <class Codes>
+  void AccumulateCodedAttr(const Codes& codes, AttrId a, RecordId base,
+                           const uint32_t* offsets, size_t n) {
     assert(HasHistogram(a));
     if (shape_only_) EnsureStorage();
-    const bool numeric = schema_->is_numeric(a);
-    auto row_of = [&](RecordId r) {
-      return numeric ? grids[a].IntervalOf(ds.numeric(a, r))
-                     : ds.categorical(a, r);
-    };
+    const int nc = schema_->num_classes();
     if (!bivariate_) {
-      Histogram1D& h = hists_[a];
-      for (size_t i = 0; i < n; ++i) {
-        const RecordId r = base + offsets[i];
-        h.Add(row_of(r), ds.label(r));
-      }
+      AccumulateHist1D(codes.view(a), codes.labels(), base, offsets, n, nc,
+                       hists_[a].data());
       return;
     }
     HistogramMatrix& m = matrices_[a];
-    const IntervalGrid& xgrid = grids[x_attr_];
-    for (size_t i = 0; i < n; ++i) {
-      const RecordId r = base + offsets[i];
-      const int gx = xgrid.IntervalOf(ds.numeric(x_attr_, r));
-      assert(gx >= x_lo_ && gx < x_hi_);
-      m.Add(gx - x_lo_, row_of(r), ds.label(r));
-    }
+    AccumulateHist2D(codes.view(x_attr_), x_lo_, codes.view(a),
+                     codes.labels(), base, offsets, n, m.y_intervals(), nc,
+                     m.data());
   }
 
   /// The 1-D class histogram of attribute `a`:

@@ -27,7 +27,7 @@ BuildResult CmpBuilder::Build(const Dataset& train) {
   return result;
 }
 
-BuildResult CmpBuilder::BuildStreamed(BlockSource& source, bool prefetch) {
+BuildResult CmpBuilder::BuildStreamed(BlockSource& source) {
   BuildResult result;
   std::unique_ptr<ThreadPool> owned;
   ThreadPool* pool = pool_;
@@ -35,8 +35,7 @@ BuildResult CmpBuilder::BuildStreamed(BlockSource& source, bool prefetch) {
     owned = std::make_unique<ThreadPool>(options_.base.num_threads);
     pool = owned.get();
   }
-  source.set_prefetch_pool(
-      prefetch && pool->num_threads() > 0 ? pool : nullptr);
+  source.set_prefetch_pool(pool->num_threads() > 0 ? pool : nullptr);
   StreamStore store(source.schema(), source.num_records());
   CmpBuild<StreamStore> build(store, source, options_, pool, &result);
   build.Run();

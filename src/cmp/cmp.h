@@ -53,9 +53,9 @@ class CmpBuilder : public TreeBuilder {
   /// byte-identical to Build() on the same records, for every block
   /// size and thread count. BuildStats.bytes_read reports bytes
   /// actually read from the source (real I/O, not the disk simulation).
-  /// `prefetch` toggles double-buffered async read-ahead on the source
-  /// (the tree is identical either way; only wall time changes).
-  BuildResult BuildStreamed(BlockSource& source, bool prefetch = true);
+  /// A pool with workers reads the next block ahead on one of them; an
+  /// inline pool (one thread) reads synchronously.
+  BuildResult BuildStreamed(BlockSource& source);
 
   std::string name() const override;
 

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "cmp/bundle.h"
-#include "hist/bin_codes.h"
 #include "hist/quantiles.h"
 #include "tree/split.h"
 
@@ -136,31 +135,14 @@ struct FrontierQueues {
 // ---------------------------------------------------------------------
 // Record-major routing through a resolved pending split's segments.
 // Templated over the record store (record_store.h) like the rest of the
-// pipeline. The scan routes records through the same plan tree
-// (ScanPass), but as a route phase over a tile followed by a
-// per-histogram fill; these one-record-at-a-time forms serve the
-// resolve-time buffer flushes, where records arrive in sorted-value
-// order interleaved with routing.
-
-/// Adds record `r` to a histogram bundle: from `codes` (nullable, the
-/// build's bin-code cache) when present, otherwise by binary-searching
-/// the grid — identical counts either way, since codes agree with
-/// IntervalOf by construction.
-template <class Store>
-void AddToBundle(HistBundle* bundle, const Store& store,
-                 const std::vector<IntervalGrid>& grids,
-                 const BinCodeCache* codes, RecordId r) {
-  if (codes != nullptr) {
-    bundle->AddCoded(*codes, r);
-  } else {
-    bundle->Add(store, grids, r);
-  }
-}
+// pipeline; every interval index comes from the store's bin codes. The
+// scan routes records through the same plan tree (ScanPass), but as a
+// route phase over a tile followed by a per-histogram fill; these
+// one-record-at-a-time forms serve the resolve-time buffer flushes,
+// where records arrive in sorted-value order interleaved with routing.
 
 template <class Store>
-bool RoutePending(Pending* p, const Store& store,
-                  const std::vector<IntervalGrid>& grids,
-                  const BinCodeCache* codes, RecordId r);
+bool RoutePending(Pending* p, const Store& store, RecordId r);
 
 /// Adds a record to whatever sits on one side of a resolved split: a
 /// nested pending, an exact sub-split, or a plain bundle. Returns true if
@@ -168,24 +150,22 @@ bool RoutePending(Pending* p, const Store& store,
 /// record can land there; it was already stashed when it was first
 /// buffered, so the nested resolve (later this round) can still read it.
 template <class Store>
-bool FlushIntoSegment(Segment* seg, const Store& store,
-                      const std::vector<IntervalGrid>& grids,
-                      const BinCodeCache* codes, RecordId r) {
+bool FlushIntoSegment(Segment* seg, const Store& store, RecordId r) {
   const ClassId label = store.label(r);
   seg->counts[label]++;
   switch (seg->plan) {
     case PlanKind::kGrow:
-      AddToBundle(&seg->bundle, store, grids, codes, r);
+      seg->bundle.AddCoded(store, r);
       break;
     case PlanKind::kPending:
-      return RoutePending(seg->sub.get(), store, grids, codes, r);
+      return RoutePending(seg->sub.get(), store, r);
     case PlanKind::kExact:
       if (seg->exact_split.RoutesLeft(store, r)) {
         seg->exact_left_counts[label]++;
-        AddToBundle(&seg->exact_left, store, grids, codes, r);
+        seg->exact_left.AddCoded(store, r);
       } else {
         seg->exact_right_counts[label]++;
-        AddToBundle(&seg->exact_right, store, grids, codes, r);
+        seg->exact_right.AddCoded(store, r);
       }
       break;
   }
@@ -200,16 +180,12 @@ bool FlushIntoSegment(Segment* seg, const Store& store,
 /// the bundle was derived from parent matrices that already hold the
 /// record.
 template <class Store>
-bool RoutePending(Pending* p, const Store& store,
-                  const std::vector<IntervalGrid>& grids,
-                  const BinCodeCache* codes, RecordId r) {
-  const double v = store.numeric(p->attr, r);
-  const int iv =
-      codes != nullptr ? codes->code(p->attr, r) : grids[p->attr].IntervalOf(v);
+bool RoutePending(Pending* p, const Store& store, RecordId r) {
+  const int iv = store.code(p->attr, r);
   int k = 0;
   for (int a : p->alive) {
     if (iv == a) {
-      p->buffer.push_back({r, v, store.label(r)});
+      p->buffer.push_back({r, store.numeric(p->attr, r), store.label(r)});
       return true;
     }
     if (iv > a) ++k;
@@ -219,7 +195,7 @@ bool RoutePending(Pending* p, const Store& store,
     seg.counts[store.label(r)]++;
     return false;
   }
-  return FlushIntoSegment(&seg, store, grids, codes, r);
+  return FlushIntoSegment(&seg, store, r);
 }
 
 }  // namespace cmp

@@ -38,13 +38,6 @@ struct CmpOptions {
   /// each line evaluation quadratically more expensive without changing
   /// which relationships are detected).
   int linear_grid = 32;
-  /// Build the pass-invariant bin-code cache after grid construction and
-  /// accumulate histograms from the 1-2 byte codes with the per-attribute
-  /// kernels (hist/bin_codes.h, hist/hist_kernels.h). Off reads
-  /// IntervalOf on the resident records instead; the tree is
-  /// byte-identical either way. The cache also disables itself when an attribute needs
-  /// more than 16 bits per code.
-  bool bin_code_cache = true;
   /// Shard count of a scan pass's route phase. 0 = auto: four shards per
   /// worker, counting the pool's parallelism capped at the hardware
   /// thread count (one shard on an inline pool). The tree is

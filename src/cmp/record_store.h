@@ -7,20 +7,37 @@
 #include <vector>
 
 #include "common/dataset.h"
+#include "common/thread_pool.h"
+#include "hist/bin_codes.h"
+#include "hist/grid_builder.h"
 #include "io/block_source.h"
 
 namespace cmp {
 
 /// Record stores adapt CmpBuild's per-record reads (numeric /
-/// categorical / label by GLOBAL record id) to wherever the bytes
-/// actually live. The builder is templated over the store: the
-/// in-memory path keeps its direct column indexing, while the
-/// out-of-core path serves reads from the currently resident block —
-/// with the few records that must outlive block eviction (pending-
-/// buffer and collect records, re-read during the resolve phase)
-/// copied into a per-round stash while their block is still resident.
+/// categorical / label / bin code by GLOBAL record id) to wherever the
+/// bytes actually live. The builder is templated over the store: the
+/// in-memory path keeps its direct column indexing and a resident code
+/// matrix, while the out-of-core path serves reads from the currently
+/// resident block and encodes codes tile by tile — with the few records
+/// that must outlive block eviction (pending-buffer and collect records,
+/// re-read during the resolve phase) copied, codes included, into a
+/// per-round stash while their block is still resident.
+///
+/// Both stores answer the same calls:
+///  - setup: StartCodes, then EncodeNumeric once per numeric attribute
+///    (concurrently for distinct ones), then FinishCodes. A build that
+///    never scans histograms skips StartCodes, so an in-memory store
+///    encodes nothing and only returns the interior marks;
+///  - scan: SetBlock, then per tile SetTile and EncodeTile (concurrently
+///    on disjoint offsets). view(a) and labels() then read the tile's
+///    columns from its first record on (the pair
+///    HistBundle::AccumulateCodedAttr takes), and code(a, r) any of its
+///    records;
+///  - resolve: code(a, r) and label(r) of any record a scan kept.
 
-/// Direct view over an in-memory Dataset.
+/// Direct view over an in-memory Dataset, with the whole table's codes
+/// resident in a BinCodeCache encoded once at setup.
 class InMemoryStore {
  public:
   static constexpr bool kStreaming = false;
@@ -34,24 +51,68 @@ class InMemoryStore {
     return ds_.categorical(a, r);
   }
   ClassId label(RecordId r) const { return ds_.label(r); }
+  int code(AttrId a, RecordId r) const { return codes_.code(a, r); }
 
   /// Non-null: setup reads whole columns and exact subtree finishing
   /// reads records from the dataset directly, with no materialization.
   const Dataset* dataset() const { return &ds_; }
 
-  void SetBlock(const BlockView& view) { (void)view; }
+  void StartCodes() { codes_ = BinCodeCache(schema(), num_records()); }
+  /// The interior marks of numeric attribute `a`'s column (hist/
+  /// grid_builder.h), writing its codes in the same visit once
+  /// StartCodes has run.
+  std::vector<char> EncodeNumeric(AttrId a, const IntervalGrid& grid,
+                                  const double* column) {
+    return codes_.enabled()
+               ? codes_.EncodeNumericColumnWithMarks(a, grid, column)
+               : InteriorMarks(grid, column, num_records());
+  }
+  /// Encodes the categorical columns and labels, one pool task per
+  /// column; nothing without StartCodes.
+  void FinishCodes(const std::vector<IntervalGrid>& /*grids*/,
+                   int64_t /*tile_records*/, ThreadPool* pool) {
+    if (!codes_.enabled()) return;
+    // The scan reads the dataset's labels; this copy stays only because
+    // code_cache_bytes and peak_memory_bytes report it.
+    codes_.SetLabels(ds_.labels());
+    const std::vector<AttrId> cat_attrs = schema().CategoricalAttrs();
+    pool->ParallelFor(static_cast<int64_t>(cat_attrs.size()), 1,
+                      [&](int64_t lo, int64_t hi) {
+                        for (int64_t i = lo; i < hi; ++i) {
+                          codes_.EncodeCategoricalColumn(
+                              cat_attrs[i],
+                              ds_.categorical_column(cat_attrs[i]));
+                        }
+                      });
+  }
+  /// Resident code bytes: the whole matrix and its label column.
+  int64_t code_bytes() const { return codes_.MemoryBytes(); }
+
+  void SetBlock(const BlockView& /*view*/) {}
   void ClearBlock() {}
+  void SetTile(RecordId begin, int64_t /*count*/) { tile_begin_ = begin; }
+  void EncodeTile(const uint16_t* /*offsets*/, int64_t /*n*/) {}
+  CodeView view(AttrId a) const {
+    return codes_.view(a).Shifted(tile_begin_);
+  }
+  const ClassId* labels() const { return ds_.labels().data() + tile_begin_; }
 
  private:
   const Dataset& ds_;
+  BinCodeCache codes_;
+  RecordId tile_begin_ = 0;
 };
 
 /// Bounded-memory store for a streamed build. Reads inside the resident
 /// block window hit the block's columns; reads outside it hit the stash
-/// of explicitly retained records. Block columns are read concurrently
-/// by scan tasks; Stash() must only be called between tiles (no
-/// concurrent readers), and the stash is cleared once per round after
-/// the resolve phase has consumed it.
+/// of explicitly retained records. It holds no code matrix: numeric
+/// codes live in one tile-sized column per attribute, written for the
+/// tile's live records only, and categorical codes are the block's own
+/// int32 values, read in place at the 32-bit width. Block columns and
+/// tile codes are read concurrently by scan tasks; SetTile and Stash()
+/// must only be called between tiles (no concurrent readers), and the
+/// stash is cleared once per round after the resolve phase has
+/// consumed it.
 class StreamStore {
  public:
   static constexpr bool kStreaming = true;
@@ -59,15 +120,74 @@ class StreamStore {
   StreamStore(const Schema& schema, int64_t num_records)
       : schema_(schema),
         num_records_(num_records),
+        numeric_attrs_(schema.NumericAttrs()),
+        tile_codes_(schema.num_attrs()),
         numeric_stash_(schema.num_attrs()),
-        cat_stash_(schema.num_attrs()) {}
+        cat_stash_(schema.num_attrs()),
+        code_stash_(schema.num_attrs()) {}
 
   const Schema& schema() const { return schema_; }
   int64_t num_records() const { return num_records_; }
   const Dataset* dataset() const { return nullptr; }
 
+  void StartCodes() {}
+  std::vector<char> EncodeNumeric(AttrId /*a*/, const IntervalGrid& grid,
+                                  const double* column) {
+    return InteriorMarks(grid, column, num_records_);
+  }
+  /// Sizes one code column of `tile_records` entries per numeric
+  /// attribute, at the width its grid needs.
+  void FinishCodes(const std::vector<IntervalGrid>& grids,
+                   int64_t tile_records, ThreadPool* /*pool*/) {
+    grids_ = &grids;
+    for (const AttrId a : numeric_attrs_) {
+      tile_codes_[a].Resize(grids[a].num_intervals(), tile_records);
+    }
+  }
+  /// Resident code bytes: the tile columns (stashed codes count in
+  /// stash_bytes()).
+  int64_t code_bytes() const {
+    int64_t bytes = 0;
+    for (const CodeColumn& c : tile_codes_) bytes += c.MemoryBytes();
+    return bytes;
+  }
+
   void SetBlock(const BlockView& view) { view_ = &view; }
-  void ClearBlock() { view_ = nullptr; }
+  void ClearBlock() {
+    view_ = nullptr;
+    tile_count_ = 0;
+  }
+
+  /// Makes records [begin, begin + count) of the resident block the
+  /// current tile.
+  void SetTile(RecordId begin, int64_t count) {
+    tile_begin_ = begin;
+    tile_count_ = count;
+  }
+
+  /// Encodes every numeric code of the current tile's records at
+  /// tile-relative `offsets`. Calls on disjoint offsets may run
+  /// concurrently.
+  void EncodeTile(const uint16_t* offsets, int64_t n) {
+    const int64_t shift = tile_begin_ - view_->begin;
+    for (const AttrId a : numeric_attrs_) {
+      tile_codes_[a].EncodeAt((*grids_)[a], view_->numeric[a] + shift,
+                              offsets, n);
+    }
+  }
+
+  CodeView view(AttrId a) const {
+    if (schema_.is_numeric(a)) return tile_codes_[a].view();
+    // The block reader checks every categorical value against its
+    // cardinality (io/stream.h), so reading them as unsigned keeps them.
+    CodeView v;
+    v.u32 = reinterpret_cast<const uint32_t*>(view_->categorical[a] +
+                                              (tile_begin_ - view_->begin));
+    return v;
+  }
+  const ClassId* labels() const {
+    return view_->labels + (tile_begin_ - view_->begin);
+  }
 
   double numeric(AttrId a, RecordId r) const {
     const int64_t i = BlockIndex(r);
@@ -84,14 +204,25 @@ class StreamStore {
     if (i >= 0) return view_->labels[i];
     return label_stash_[StashIndex(r)];
   }
+  /// The code of a record of the current tile (numeric codes encoded by
+  /// EncodeTile) or of a stashed one.
+  int code(AttrId a, RecordId r) const {
+    const int64_t i = r - tile_begin_;
+    const bool numeric = schema_.is_numeric(a);
+    if (i >= 0 && i < tile_count_) {
+      return numeric ? tile_codes_[a][i] : categorical(a, r);
+    }
+    const int64_t row = StashIndex(r);
+    return numeric ? code_stash_[a][row] : cat_stash_[a][row];
+  }
 
-  /// Copies `rids` (all inside the resident block) into the stash so
-  /// they stay readable after the block is evicted. Already-stashed
-  /// records are skipped.
+  /// Copies `rids` (all inside the current tile, their codes encoded)
+  /// into the stash so they stay readable after the block is evicted.
+  /// Already-stashed records are skipped.
   void Stash(const std::vector<RecordId>& rids) {
     for (RecordId r : rids) {
       const int64_t i = BlockIndex(r);
-      assert(i >= 0);
+      assert(i >= 0 && r - tile_begin_ < tile_count_);
       const auto [it, inserted] =
           stash_index_.emplace(r, static_cast<int64_t>(label_stash_.size()));
       (void)it;
@@ -99,6 +230,7 @@ class StreamStore {
       for (AttrId a = 0; a < schema_.num_attrs(); ++a) {
         if (schema_.is_numeric(a)) {
           numeric_stash_[a].push_back(view_->numeric[a][i]);
+          code_stash_[a].push_back(tile_codes_[a][r - tile_begin_]);
         } else {
           cat_stash_[a].push_back(view_->categorical[a][i]);
         }
@@ -111,14 +243,18 @@ class StreamStore {
     stash_index_.clear();
     for (auto& col : numeric_stash_) col.clear();
     for (auto& col : cat_stash_) col.clear();
+    for (auto& col : code_stash_) col.clear();
     label_stash_.clear();
   }
 
   int64_t stash_records() const {
     return static_cast<int64_t>(label_stash_.size());
   }
+  /// Bytes of the stashed records and their numeric codes.
   int64_t stash_bytes() const {
-    return stash_records() * schema_.RecordBytes();
+    return stash_records() *
+           (schema_.RecordBytes() +
+            static_cast<int64_t>(numeric_attrs_.size() * sizeof(int32_t)));
   }
 
   /// Materializes the stashed records `rids` as a Dataset whose record
@@ -161,12 +297,20 @@ class StreamStore {
 
   const Schema& schema_;
   int64_t num_records_ = 0;
+  std::vector<AttrId> numeric_attrs_;
   const BlockView* view_ = nullptr;  // borrowed; owned by the scan loop
+  const std::vector<IntervalGrid>* grids_ = nullptr;  // set by FinishCodes
+
+  // The current tile, and its numeric codes by tile offset.
+  RecordId tile_begin_ = 0;
+  int64_t tile_count_ = 0;
+  std::vector<CodeColumn> tile_codes_;  // indexed by AttrId
 
   // Columnar stash, rows indexed via stash_index_ (rid -> row).
   std::unordered_map<RecordId, int64_t> stash_index_;
   std::vector<std::vector<double>> numeric_stash_;
   std::vector<std::vector<int32_t>> cat_stash_;
+  std::vector<std::vector<int32_t>> code_stash_;  // numeric attributes
   std::vector<ClassId> label_stash_;
 };
 

@@ -56,15 +56,19 @@ namespace cmp {
 ///    pass refines one node of the last, so a stable regroup keeps each
 ///    node's records ascending;
 ///  - accumulate: one task per (sink, attribute) histogram reads every
-///    shard's offsets of that sink straight from the code columns (or,
-///    with the cache off, from the resident block). Each histogram has
-///    exactly one writer, so there are no per-shard copies to merge.
+///    shard's offsets of that sink straight from the tile's code columns.
+///    Each histogram has exactly one writer, so there are no per-shard
+///    copies to merge.
+/// Every interval index the two phases read is a bin code from the
+/// record store (record_store.h): the resident code matrix in memory, or
+/// the tile's codes a streamed store writes for its live records, each
+/// shard encoding its own chunk before routing it.
 /// Buffers and collect lists are appended shard by shard per tile, and
 /// the class counts are added into the sinks' count arrays once at the
 /// end of the pass. Integer adds commute, and each sink's records arrive
 /// in ascending record order, so the post-pass state — and the tree —
-/// is byte-identical for every thread count, shard count, block size
-/// and cache setting. The cost model is the paper's: every pass charges
+/// is byte-identical for every thread count, shard count and block
+/// size. The cost model is the paper's: every pass charges
 /// a full scan, and a streamed pass still reads every block.
 
 /// Records routed and then accumulated together. A tile lies inside the
@@ -163,13 +167,10 @@ class ScanPass {
   /// All references are borrowed and must outlive the pass. `tree` is
   /// read-only during Run (records descend through splits resolved since
   /// the last scan); `nid` is the per-record frontier-node assignment
-  /// and is advanced in place. `codes` (nullable) is the build's
-  /// bin-code cache: when present and enabled, histograms fill through
-  /// the hist/hist_kernels.h kernels and routing reads cached interval
-  /// indices — byte-identical counts, fraction of the work.
-  /// `scan_shards` sets the route shard count (0 = auto: four per
-  /// worker, the workers being the pool parallelism capped at the
-  /// hardware thread count; one shard on an inline pool).
+  /// and is advanced in place. `store`'s codes must be set up
+  /// (record_store.h). `scan_shards` sets the route shard count (0 =
+  /// auto: four per worker, the workers being the pool parallelism
+  /// capped at the hardware thread count; one shard on an inline pool).
   ///
   /// One ScanPass serves every pass of a build: its live lists carry
   /// from pass to pass, so every pass must see the same blocks, and
@@ -177,7 +178,7 @@ class ScanPass {
   ScanPass(Store& store, BlockSource& source,
            const std::vector<IntervalGrid>& grids, const DecisionTree& tree,
            std::vector<NodeId>& nid, ThreadPool* pool, ScanTracker* tracker,
-           const BinCodeCache* codes = nullptr, int scan_shards = 0)
+           int scan_shards = 0)
       : store_(store),
         source_(source),
         schema_(store.schema()),
@@ -186,7 +187,6 @@ class ScanPass {
         nid_(nid),
         pool_(pool),
         tracker_(tracker),
-        codes_(codes != nullptr && codes->enabled() ? codes : nullptr),
         scan_shards_(scan_shards) {
     // The live list is per-record state like `nid`, so it is allocated
     // right after it. Allocated mid-pass instead, it changed the heap
@@ -199,9 +199,9 @@ class ScanPass {
   /// buffers, and collect lists. On return the accumulated state is
   /// byte-for-byte what a serial record-major scan would have produced
   /// (buffers and collect lists in ascending record order), for any
-  /// thread count and block size, with or without the bin-code cache.
-  /// Fills `po`'s route/kernel timers, routed-record and cache counters
-  /// when non-null. Throws on a mid-pass source failure.
+  /// thread count and block size.
+  /// Fills `po`'s route/kernel timers, routed-record and code-byte
+  /// counters when non-null. Throws on a mid-pass source failure.
   void Run(FrontierQueues& work, PassObservation* po = nullptr) {
     const int64_t n = source_.num_records();
     tracker_->ChargeScan(n, schema_);
@@ -209,15 +209,13 @@ class ScanPass {
 
     {
       // The live list is per-record state like nid_: one offset per
-      // record, allocated once for the whole build.
+      // record, allocated once for the whole build. The store's codes
+      // (the code matrix in memory, the tile columns streamed) are
+      // resident for the whole build too.
       int64_t mem = GridsMemoryBytes(grids_) +
                     n * static_cast<int64_t>(sizeof(NodeId)) +
                     n * static_cast<int64_t>(sizeof(LiveOffset)) +
-                    source_.resident_bytes();
-      // The code cache is resident for the whole build (it is the point:
-      // 1-2 bytes/value kept hot across passes), so it is part of every
-      // pass's high-water mark.
-      if (codes_ != nullptr) mem += codes_->MemoryBytes();
+                    source_.resident_bytes() + store_.code_bytes();
       for (const FreshWork& w : work.fresh) mem += w.bundle.MemoryBytes();
       for (const PendingWork& w : work.pending) {
         mem += w.pending->MemoryBytes();
@@ -309,12 +307,14 @@ class ScanPass {
       store_.SetBlock(view);
       const RecordId end = view.begin + view.count;
       for (RecordId t = view.begin; t < end; t += kScanTileRecords) {
+        const int64_t count = std::min<int64_t>(kScanTileRecords, end - t);
         if (first_pass) {
-          StartTile(t, std::min<int64_t>(kScanTileRecords, end - t));
+          StartTile(t, count);
         } else if (tile_index >= tiles_.size() ||
                    tiles_[tile_index].begin != t) {
           throw std::logic_error("cmp: scan blocks changed between passes");
         }
+        store_.SetTile(t, count);
         ScanTile(view, &tiles_[tile_index++], num_shards);
       }
       scanned += view.count;
@@ -346,7 +346,7 @@ class ScanPass {
       po->route_seconds = route_seconds_;
       po->kernel_seconds = kernel_seconds_;
       po->records_routed = records_routed_;
-      if (codes_ != nullptr) po->code_cache_bytes = codes_->MemoryBytes();
+      po->code_cache_bytes = store_.code_bytes();
     }
 
     // Buffered records count toward peak memory (they hold whole
@@ -411,9 +411,7 @@ class ScanPass {
   /// runs the same compares; a terminal step has no alive intervals.
   struct Step {
     bool terminal = true;
-    CodeView codes;                  // cache on: the split attribute's codes
-    const double* values = nullptr;  // cache off: its raw values
-    const IntervalGrid* grid = nullptr;
+    CodeView codes;  // the split attribute's codes, from the tile's start
     int alive[kHoistAlive] = {};
     int sinks[kHoistAlive + 1] = {};  // per segment: sink or kDescend
     int buffer_sink = 0;
@@ -449,11 +447,12 @@ class ScanPass {
     const int64_t chunk = (live + shards_here - 1) / shards_here;
 
     Timer route_timer;
-    const TileColumns cols(view, tile_begin, codes_);
+    const TileColumns cols(view, tile_begin);
     auto route = [&](int64_t s) {
       const int64_t lo = std::min(live, s * chunk);
-      RouteRange(cols, runs, num_runs, live, lo, std::min(live, lo + chunk),
-                 &shards_[s]);
+      const int64_t hi = std::min(live, lo + chunk);
+      store_.EncodeTile(live_.data() + tile_begin + lo, hi - lo);
+      RouteRange(cols, runs, num_runs, live, lo, hi, &shards_[s]);
     };
     if (shards_here == 1) {
       route(0);
@@ -488,12 +487,12 @@ class ScanPass {
     const int workers = static_cast<int>(std::min<int64_t>(
         pool_->parallelism(), static_cast<int64_t>(tasks_.size())));
     if (workers <= 1) {
-      for (const FillTask& t : tasks_) Fill(t, tile_begin, shards_here);
+      for (const FillTask& t : tasks_) Fill(t, shards_here);
     } else {
       std::atomic<size_t> next{0};
       pool_->ParallelFor(workers, 1, [&](int64_t, int64_t) {
         for (size_t i = next++; i < tasks_.size(); i = next++) {
-          Fill(tasks_[i], tile_begin, shards_here);
+          Fill(tasks_[i], shards_here);
         }
       });
     }
@@ -525,28 +524,17 @@ class ScanPass {
   }
 
   /// The resident block's columns, shifted to one tile's first record.
+  /// The tile's codes and labels come from the store (store_.view(a),
+  /// store_.labels()), which SetTile pointed at the same record.
   struct TileColumns {
-    TileColumns(const BlockView& view, RecordId tile_begin,
-                const BinCodeCache* codes)
-        : view(view), shift(tile_begin - view.begin), tile_begin(tile_begin),
-          codes(codes) {}
+    TileColumns(const BlockView& view, RecordId tile_begin)
+        : view(view), shift(tile_begin - view.begin), tile_begin(tile_begin) {}
 
     const double* numeric(AttrId a) const { return view.numeric[a] + shift; }
-    const ClassId* labels() const {
-      return codes != nullptr ? codes->labels() + tile_begin
-                              : view.labels + shift;
-    }
-    CodeView code(AttrId a) const {
-      CodeView v = codes->view(a);
-      if (v.u8 != nullptr) v.u8 += tile_begin;
-      if (v.u16 != nullptr) v.u16 += tile_begin;
-      return v;
-    }
 
     const BlockView& view;
     int64_t shift;
     RecordId tile_begin;
-    const BinCodeCache* codes;
   };
 
   /// Route phase of one shard: positions [lo, hi) of the tile's live
@@ -575,7 +563,7 @@ class ScanPass {
     uint32_t* const begin = sh->begin.data();
     std::fill(begin, begin + drop_ + 2, 0);
     int64_t* const class_counts = sh->class_counts.data();
-    const ClassId* const labels = cols.labels();
+    const ClassId* const labels = store_.labels();
     const int32_t* const sinks = tile_sink_.data();
     for (int64_t p = lo; p < hi; ++p) {
       const int s = sinks[p];
@@ -612,53 +600,55 @@ class ScanPass {
     const TreeNode& tn = tree_.node(node);
     Step steps[2];
     if (Settled(tn)) {
-      if (MakeStep(cols, node, &steps[0])) {
+      if (MakeStep(node, &steps[0])) {
         const Step& step = steps[0];
         if (step.terminal) {
           std::fill(sinks + a, sinks + b, step.sinks[0]);
-        } else if (codes_ != nullptr) {
-          for (int64_t p = a; p < b; ++p) {
-            sinks[p] = StepSink<true>(step, tile_begin, list[p]);
-          }
         } else {
-          for (int64_t p = a; p < b; ++p) {
-            sinks[p] = StepSink<false>(step, tile_begin, list[p]);
-          }
+          VisitCodes(step.codes, [&](const auto* codes) {
+            for (int64_t p = a; p < b; ++p) {
+              const LiveOffset off = list[p];
+              sinks[p] = StepSink(step, codes[off], tile_begin, off);
+            }
+          });
         }
         return;
       }
     } else if (tn.split.kind == Split::Kind::kNumeric &&
                Settled(tree_.node(tn.left)) &&
                Settled(tree_.node(tn.right)) &&
-               MakeStep(cols, tn.left, &steps[0]) &&
-               MakeStep(cols, tn.right, &steps[1])) {
+               MakeStep(tn.left, &steps[0]) &&
+               MakeStep(tn.right, &steps[1])) {
       const double* const values = cols.numeric(tn.split.attr);
       const double threshold = tn.split.threshold;
       const NodeId child[2] = {tn.left, tn.right};
       NodeId* const nid = nid_.data() + tile_begin;
-      auto descend = [&](auto sink_of) {
+      if (steps[0].terminal && steps[1].terminal) {
         for (int64_t p = a; p < b; ++p) {
           const LiveOffset off = list[p];
           const int side = values[off] <= threshold ? 0 : 1;
           nid[off] = child[side];
-          sinks[p] = sink_of(steps[side], off);
+          sinks[p] = steps[side].sinks[0];
         }
-      };
-      if (steps[0].terminal && steps[1].terminal) {
-        descend([](const Step& step, LiveOffset) { return step.sinks[0]; });
-      } else if (codes_ != nullptr) {
-        // A terminal side reads its sibling's codes, so both sides run
-        // the same loads and compares.
-        if (steps[0].terminal) steps[0].codes = steps[1].codes;
-        if (steps[1].terminal) steps[1].codes = steps[0].codes;
-        descend([&](const Step& step, LiveOffset off) {
-          return StepSink<true>(step, tile_begin, off);
-        });
-      } else {
-        descend([&](const Step& step, LiveOffset off) {
-          return StepSink<false>(step, tile_begin, off);
-        });
+        return;
       }
+      // Each record loads both sides' codes and keeps its own side's. A
+      // terminal side has no code column, so it borrows its sibling's:
+      // any code routes a terminal step to its sink.
+      if (steps[0].terminal) steps[0].codes = steps[1].codes;
+      if (steps[1].terminal) steps[1].codes = steps[0].codes;
+      VisitCodes(steps[0].codes, [&](const auto* left) {
+        VisitCodes(steps[1].codes, [&](const auto* right) {
+          for (int64_t p = a; p < b; ++p) {
+            const LiveOffset off = list[p];
+            const int side = values[off] <= threshold ? 0 : 1;
+            const int iv[2] = {static_cast<int>(left[off]),
+                               static_cast<int>(right[off])};
+            nid[off] = child[side];
+            sinks[p] = StepSink(steps[side], iv[side], tile_begin, off);
+          }
+        });
+      });
       return;
     }
     for (int64_t p = a; p < b; ++p) sinks[p] = SinkOf(tile_begin + list[p]);
@@ -671,7 +661,7 @@ class ScanPass {
 
   /// Hoists the first routing step of settled node `id` into `step`;
   /// false when its pending has more than kHoistAlive alive intervals.
-  bool MakeStep(const TileColumns& cols, NodeId id, Step* step) const {
+  bool MakeStep(NodeId id, Step* step) const {
     const NodeRoute& route = plan_.nodes[id];
     std::fill(std::begin(step->alive), std::end(step->alive),
               std::numeric_limits<int>::max());
@@ -685,12 +675,7 @@ class ScanPass {
     const int num_alive = static_cast<int>(p.alive->size());
     if (num_alive > kHoistAlive) return false;
     step->terminal = false;
-    if (codes_ != nullptr) {
-      step->codes = cols.code(p.attr);
-    } else {
-      step->values = cols.numeric(p.attr);
-      step->grid = &grids_[p.attr];
-    }
+    step->codes = store_.view(p.attr);
     std::copy(p.alive->begin(), p.alive->end(), step->alive);
     std::copy(segment_sinks_.begin() + p.first_segment,
               segment_sinks_.begin() + p.first_segment + num_alive + 1,
@@ -701,17 +686,10 @@ class ScanPass {
   }
 
   /// The sink of the record at `off` in the tile at `tile_begin`, which
-  /// has reached the node `step` was made for. With the cache on, a
-  /// terminal step must carry a code column too (any will do).
-  template <bool kCoded>
-  int StepSink(const Step& step, RecordId tile_begin, LiveOffset off) const {
-    int iv = 0;
-    if constexpr (kCoded) {
-      iv = step.codes.u8 != nullptr ? step.codes.u8[off] : step.codes.u16[off];
-    } else {
-      if (step.terminal) return step.sinks[0];
-      iv = step.grid->IntervalOf(step.values[off]);
-    }
+  /// has reached the node `step` was made for and whose code on the
+  /// step's attribute is `iv` (any code, for a terminal step).
+  int StepSink(const Step& step, int iv, RecordId tile_begin,
+               LiveOffset off) const {
     int k = 0;
     bool hit = false;
     for (int i = 0; i < kHoistAlive; ++i) {
@@ -740,9 +718,7 @@ class ScanPass {
 
   int PendingSink(int pi, RecordId r) const {
     const PendingRoute& p = plan_.pendings[pi];
-    const int iv = codes_ != nullptr
-                       ? codes_->code(p.attr, r)
-                       : grids_[p.attr].IntervalOf(store_.numeric(p.attr, r));
+    const int iv = store_.code(p.attr, r);
     int k = 0;
     for (const int a : *p.alive) {
       if (iv == a) return p.buffer_sink;
@@ -794,21 +770,15 @@ class ScanPass {
 
   /// Accumulate phase of one histogram: every shard's records of the
   /// task's sink, in shard order.
-  void Fill(const FillTask& t, RecordId tile_begin, int shards_here) {
+  void Fill(const FillTask& t, int shards_here) {
     HistBundle* const bundle = plan_.sinks[t.sink].bundle;
     for (int h = 0; h < shards_here; ++h) {
       const Shard& sh = shards_[h];
       const uint32_t lo = sh.begin[t.sink];
       const size_t count = sh.begin[t.sink + 1] - lo;
       if (count == 0) continue;
-      const uint32_t* offsets = tile_offsets_.data() + lo;
-      if (codes_ != nullptr) {
-        bundle->AccumulateCodedAttr(*codes_, t.attr, tile_begin, offsets,
-                                    count);
-      } else {
-        bundle->AccumulateAttr(store_, grids_, t.attr, tile_begin, offsets,
-                               count);
-      }
+      bundle->AccumulateCodedAttr(store_, t.attr, 0,
+                                  tile_offsets_.data() + lo, count);
     }
   }
 
@@ -820,7 +790,6 @@ class ScanPass {
   std::vector<NodeId>& nid_;
   ThreadPool* pool_;  // borrowed, never null
   ScanTracker* tracker_;
-  const BinCodeCache* codes_;  // null when the cache is disabled
   int scan_shards_;
 
   // Live lists, carried from pass to pass.

@@ -181,20 +181,18 @@ class SplitPlanner {
 template <class Store>
 class SplitExecutor {
  public:
-  /// `codes` (nullable) is the build's bin-code cache; buffer flushes
-  /// read cached interval indices through it when present.
+  /// Buffer flushes read each record's interval indices from the
+  /// store's bin codes.
   SplitExecutor(const SplitPlanner& planner, const Store& store,
                 const CmpOptions& options, BuildResult* result,
-                ScanTracker* tracker, ThreadPool* pool, FrontierQueues* next,
-                const BinCodeCache* codes = nullptr)
+                ScanTracker* tracker, ThreadPool* pool, FrontierQueues* next)
       : planner_(planner),
         store_(store),
         options_(options),
         result_(result),
         tracker_(tracker),
         pool_(pool),
-        next_(next),
-        codes_(codes != nullptr && codes->enabled() ? codes : nullptr) {}
+        next_(next) {}
 
   /// Plans one round: grows every fresh node of `work` from its bundle
   /// and resolves every pending split, in work-list order (fresh nodes
@@ -243,7 +241,7 @@ class SplitExecutor {
         ScanTracker tracker(&t.result.stats);
         tracker.set_real_io(tracker_->real_io());
         SplitExecutor local(planner_, store_, options_, &t.result, &tracker,
-                            pool_, &t.next, codes_);
+                            pool_, &t.next);
         local.tree_root_ = node_of(i);
         plan(local, i, 0);
         t.line_search = local.line_search_;
@@ -581,7 +579,7 @@ class SplitExecutor {
 
     for (size_t i = 0; i < p->buffer.size(); ++i) {
       FlushIntoSegment(i < best_buf_left ? &left_seg : &right_seg, store_,
-                       grids, codes_, p->buffer[i].rid);
+                       p->buffer[i].rid);
     }
     p->buffer.clear();
 
@@ -721,7 +719,6 @@ class SplitExecutor {
   ScanTracker* tracker_;
   ThreadPool* pool_;  // borrowed, never null
   FrontierQueues* next_;
-  const BinCodeCache* codes_;  // null when the cache is disabled
   // Build-tree id of this executor's node 0: 0 for the build's own tree,
   // the planned node for a plan task's private tree.
   NodeId tree_root_ = 0;

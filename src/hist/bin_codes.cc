@@ -1,33 +1,48 @@
 #include "hist/bin_codes.h"
 
+#include <algorithm>
+#include <type_traits>
 #include <utility>
 
 #include "hist/grid_builder.h"
 
 namespace cmp {
 
-namespace {
+void CodeColumn::Resize(int64_t rows, int64_t n) {
+  width_ = rows <= 256 ? 1 : rows <= 65536 ? 2 : 4;
+  u8_.resize(width_ == 1 ? n : 0);
+  u16_.resize(width_ == 2 ? n : 0);
+  u32_.resize(width_ == 4 ? n : 0);
+}
 
-constexpr int kMaxRows8 = 256;
-constexpr int kMaxRows16 = 65536;
+CodeView CodeColumn::view() const {
+  CodeView v;
+  if (width_ == 1) v.u8 = u8_.data();
+  if (width_ == 2) v.u16 = u16_.data();
+  if (width_ == 4) v.u32 = u32_.data();
+  return v;
+}
 
-}  // namespace
+void CodeColumn::EncodeAt(const IntervalGrid& grid, const double* values,
+                          const uint16_t* offsets, int64_t n) {
+  VisitStorage([&](auto* codes) {
+    using Code = std::remove_pointer_t<decltype(codes)>;
+    for (int64_t i = 0; i < n; ++i) {
+      const uint16_t o = offsets[i];
+      codes[o] = static_cast<Code>(grid.IntervalOf(values[o]));
+    }
+  });
+}
+
+int64_t CodeColumn::MemoryBytes() const {
+  return static_cast<int64_t>(u8_.capacity()) * sizeof(uint8_t) +
+         static_cast<int64_t>(u16_.capacity()) * sizeof(uint16_t) +
+         static_cast<int64_t>(u32_.capacity()) * sizeof(uint32_t);
+}
 
 BinCodeCache::BinCodeCache(const Schema& schema, int64_t num_records,
-                           int max_intervals)
-    : n_(num_records) {
-  // The gate is decided up front from static bounds (the grid-size cap
-  // and the categorical cardinalities) so concurrent column encoders
-  // never have to flip enabled_ mid-build.
-  if (max_intervals > kMaxRows16) return;
-  for (AttrId a = 0; a < schema.num_attrs(); ++a) {
-    if (!schema.is_numeric(a) && schema.attr(a).cardinality > kMaxRows16) {
-      return;
-    }
-  }
-  enabled_ = true;
-  cols_.resize(schema.num_attrs());
-}
+                           int /*max_intervals*/)
+    : enabled_(true), n_(num_records), cols_(schema.num_attrs()) {}
 
 void BinCodeCache::EncodeNumericColumn(AttrId a, const IntervalGrid& grid,
                                        const std::vector<double>& column) {
@@ -38,41 +53,29 @@ void BinCodeCache::EncodeNumericColumn(AttrId a, const IntervalGrid& grid,
 std::vector<char> BinCodeCache::EncodeNumericColumnWithMarks(
     AttrId a, const IntervalGrid& grid, const double* column) {
   assert(enabled_);
-  Column& col = cols_[a];
+  CodeColumn& col = cols_[a];
   // Width follows the ACTUAL interval count (collapsed duplicate cuts
   // can shrink a 300-interval request under 256), not the requested cap.
-  const int rows = grid.num_intervals();
-  assert(rows <= kMaxRows16);
-  if (rows <= kMaxRows8) {
-    col.width = 1;
-    col.u8.resize(n_);
-    return InteriorMarks(grid, column, n_, col.u8.data());
-  }
-  col.width = 2;
-  col.u16.resize(n_);
-  return InteriorMarks(grid, column, n_, col.u16.data());
+  col.Resize(grid.num_intervals(), n_);
+  return col.VisitStorage([&](auto* codes) {
+    return InteriorMarks(grid, column, n_, codes);
+  });
 }
 
 void BinCodeCache::EncodeCategoricalColumn(AttrId a,
                                            const std::vector<int32_t>& column) {
   assert(enabled_);
   assert(static_cast<int64_t>(column.size()) == n_);
-  Column& col = cols_[a];
+  CodeColumn& col = cols_[a];
   int32_t max_value = 0;
   for (int32_t v : column) max_value = std::max(max_value, v);
-  if (max_value < kMaxRows8) {
-    col.width = 1;
-    col.u8.resize(column.size());
+  col.Resize(int64_t{max_value} + 1, n_);
+  col.VisitStorage([&](auto* codes) {
+    using Code = std::remove_pointer_t<decltype(codes)>;
     for (size_t i = 0; i < column.size(); ++i) {
-      col.u8[i] = static_cast<uint8_t>(column[i]);
+      codes[i] = static_cast<Code>(column[i]);
     }
-  } else {
-    col.width = 2;
-    col.u16.resize(column.size());
-    for (size_t i = 0; i < column.size(); ++i) {
-      col.u16[i] = static_cast<uint16_t>(column[i]);
-    }
-  }
+  });
 }
 
 void BinCodeCache::SetLabels(std::vector<ClassId> labels) {
@@ -83,10 +86,7 @@ void BinCodeCache::SetLabels(std::vector<ClassId> labels) {
 
 int64_t BinCodeCache::MemoryBytes() const {
   int64_t bytes = 0;
-  for (const Column& c : cols_) {
-    bytes += static_cast<int64_t>(c.u8.capacity()) * sizeof(uint8_t);
-    bytes += static_cast<int64_t>(c.u16.capacity()) * sizeof(uint16_t);
-  }
+  for (const CodeColumn& c : cols_) bytes += c.MemoryBytes();
   bytes += static_cast<int64_t>(labels_.capacity()) * sizeof(ClassId);
   return bytes;
 }

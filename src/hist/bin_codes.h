@@ -12,17 +12,80 @@
 namespace cmp {
 
 /// Read-only view of one attribute's encoded column: exactly one of the
-/// two pointers is non-null, per the column's code width. The histogram
-/// kernels (hist/hist_kernels.h) template their inner loops over this so
-/// the width branch is paid once per batch, not once per record.
+/// three pointers is non-null, per the column's code width. The
+/// histogram kernels (hist/hist_kernels.h) and the scan's hoisted route
+/// steps dispatch on the width once per call through VisitCodes, so
+/// their record loops never branch on it.
 struct CodeView {
   const uint8_t* u8 = nullptr;
   const uint16_t* u16 = nullptr;
+  const uint32_t* u32 = nullptr;
+
+  /// The same column viewed from element `by` on.
+  CodeView Shifted(int64_t by) const {
+    CodeView v = *this;
+    if (v.u8 != nullptr) v.u8 += by;
+    if (v.u16 != nullptr) v.u16 += by;
+    if (v.u32 != nullptr) v.u32 += by;
+    return v;
+  }
+};
+
+/// Calls `f` with the view's one non-null typed pointer, so a loop
+/// written inside `f` is compiled once per code width.
+template <class F>
+decltype(auto) VisitCodes(const CodeView& v, F&& f) {
+  if (v.u8 != nullptr) return f(v.u8);
+  if (v.u16 != nullptr) return f(v.u16);
+  return f(v.u32);
+}
+
+/// One attribute's codes, stored at the narrowest width that holds
+/// `rows` distinct codes: 1 byte up to 256 rows, 2 up to 65536, 4
+/// beyond.
+class CodeColumn {
+ public:
+  /// Sizes the column for `n` codes below `rows`; the contents are
+  /// unspecified until written.
+  void Resize(int64_t rows, int64_t n);
+
+  /// Bytes per code (0 before Resize).
+  int width() const { return width_; }
+  CodeView view() const;
+
+  int operator[](int64_t i) const {
+    if (width_ == 1) return u8_[i];
+    if (width_ == 2) return u16_[i];
+    return static_cast<int>(u32_[i]);
+  }
+
+  /// Writes codes[offsets[i]] = grid.IntervalOf(values[offsets[i]]) for
+  /// i < n: the codes of the listed elements only.
+  void EncodeAt(const IntervalGrid& grid, const double* values,
+                const uint16_t* offsets, int64_t n);
+
+  int64_t MemoryBytes() const;
+
+ private:
+  friend class BinCodeCache;
+
+  // Calls `f` with the writable storage of the current width.
+  template <class F>
+  decltype(auto) VisitStorage(F&& f) {
+    if (width_ == 1) return f(u8_.data());
+    if (width_ == 2) return f(u16_.data());
+    return f(u32_.data());
+  }
+
+  int width_ = 0;
+  std::vector<uint8_t> u8_;
+  std::vector<uint16_t> u16_;
+  std::vector<uint32_t> u32_;
 };
 
 /// Pass-invariant bin-code cache: the quantized representation of the
-/// whole training set that every scan pass after grid construction
-/// accumulates histograms from.
+/// whole training set that an in-memory build's scan passes accumulate
+/// histograms from.
 ///
 /// The equal-depth grids are computed once per build and never change,
 /// so the interval index of (attribute, record) — the only thing
@@ -31,17 +94,11 @@ struct CodeView {
 /// each column is encoded ONCE into a columnar code matrix: numeric
 /// attributes store their grid interval index, categorical attributes
 /// their (already dense) value, and the label column rides along so a
-/// kernel never touches the raw record store. Codes are 1 byte per value
-/// when an attribute has at most 256 rows and 2 bytes up to 65536 rows;
-/// beyond that the cache disables itself and the builder falls back to
-/// the record-major `IntervalOf` path (same tree, just slower).
+/// kernel never touches the raw records. Each column takes the width
+/// its row count needs (CodeColumn), so every schema can be encoded.
 ///
-/// At 1-2 bytes/value vs 8 for a raw double, the code matrix of a table
-/// that does not fit in RAM often does — the out-of-core build keeps it
-/// resident as a compact sidecar of the streamed table, so histogram
-/// accumulation in later passes never waits on raw column bytes (raw
-/// blocks still stream for tree descent and for the exact values the
-/// pending buffers need).
+/// A streamed build keeps no such matrix: its record store encodes each
+/// tile's live records as the scan reaches them (cmp/record_store.h).
 ///
 /// Thread-safety: columns are independent, so EncodeNumericColumn /
 /// EncodeCategoricalColumn may run concurrently for DISTINCT attributes
@@ -49,21 +106,17 @@ struct CodeView {
 /// All reads are const after encoding completes.
 class BinCodeCache {
  public:
-  /// A default-constructed cache is disabled; every consumer must check
-  /// enabled() (the builder passes nullptr instead, but tests construct
-  /// empty caches).
+  /// An empty cache, which holds no columns and reports 0 bytes.
   BinCodeCache() = default;
 
-  /// Prepares a cache for `num_records` records of `schema`.
-  /// `max_intervals` is the grid-size cap of the build
-  /// (CmpOptions::intervals): together with the categorical
-  /// cardinalities it bounds every attribute's row count, so the
-  /// 16-bit-code gate is decided here, before any column is encoded.
-  BinCodeCache(const Schema& schema, int64_t num_records, int max_intervals);
+  /// Prepares a cache for `num_records` records of `schema`. Every
+  /// grid-size cap `max_intervals` can be encoded, so it decides
+  /// nothing.
+  BinCodeCache(const Schema& schema, int64_t num_records,
+               int max_intervals = 0);
 
-  /// False when some attribute needs more than 16 bits (or the cache was
-  /// default-constructed). A disabled cache holds no storage and must
-  /// not be encoded into or read from.
+  /// True once constructed for a schema: such a cache can be encoded
+  /// into and read from.
   bool enabled() const { return enabled_; }
   int64_t num_records() const { return n_; }
 
@@ -90,28 +143,21 @@ class BinCodeCache {
   /// Installs the label column (ascending record order, full length).
   void SetLabels(std::vector<ClassId> labels);
 
-  /// Code width of attribute `a` in bytes (1 or 2; 0 before encoding).
-  int width(AttrId a) const { return cols_[a].width; }
+  /// Code width of attribute `a` in bytes (1, 2 or 4; 0 before
+  /// encoding).
+  int width(AttrId a) const { return cols_[a].width(); }
 
   /// The bin code of (attribute, record): the grid interval index for
   /// numeric attributes, the value for categorical ones.
   int code(AttrId a, RecordId r) const {
-    const Column& c = cols_[a];
-    assert(c.width != 0 && r >= 0 && r < n_);
-    return c.width == 1 ? c.u8[r] : c.u16[r];
+    assert(cols_[a].width() != 0 && r >= 0 && r < n_);
+    return cols_[a][r];
   }
 
   /// Kernel view of one encoded column.
   CodeView view(AttrId a) const {
-    const Column& c = cols_[a];
-    assert(c.width != 0);
-    CodeView v;
-    if (c.width == 1) {
-      v.u8 = c.u8.data();
-    } else {
-      v.u16 = c.u16.data();
-    }
-    return v;
+    assert(cols_[a].width() != 0);
+    return cols_[a].view();
   }
 
   ClassId label(RecordId r) const { return labels_[r]; }
@@ -122,15 +168,9 @@ class BinCodeCache {
   int64_t MemoryBytes() const;
 
  private:
-  struct Column {
-    int width = 0;  // bytes per code: 1, 2, or 0 (not yet encoded)
-    std::vector<uint8_t> u8;
-    std::vector<uint16_t> u16;
-  };
-
   bool enabled_ = false;
   int64_t n_ = 0;
-  std::vector<Column> cols_;  // indexed by AttrId
+  std::vector<CodeColumn> cols_;  // indexed by AttrId
   std::vector<ClassId> labels_;
 };
 

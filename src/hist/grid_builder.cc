@@ -1,9 +1,5 @@
 #include "hist/grid_builder.h"
 
-#include <algorithm>
-#include <limits>
-#include <type_traits>
-
 namespace cmp {
 
 std::vector<char> InteriorMarksFromSorted(const std::vector<double>& sorted,
@@ -23,49 +19,6 @@ std::vector<char> InteriorMarksFromSorted(const std::vector<double>& sorted,
     }
   }
   return interior;
-}
-
-namespace {
-
-// The one visit per value behind every InteriorMarks overload; Code is
-// void when no codes are stored.
-template <class Code>
-std::vector<char> MarkIntervals(const IntervalGrid& grid,
-                                const double* values, int64_t n,
-                                Code* codes) {
-  const int m = grid.num_intervals();
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  std::vector<double> lo(m, kInf);
-  std::vector<double> hi(m, -kInf);
-  for (int64_t r = 0; r < n; ++r) {
-    const double v = values[r];
-    const int i = grid.IntervalOf(v);
-    if constexpr (!std::is_void_v<Code>) codes[r] = static_cast<Code>(i);
-    lo[i] = std::min(lo[i], v);
-    hi[i] = std::max(hi[i], v);
-  }
-  std::vector<char> interior(m);
-  for (int i = 0; i < m; ++i) interior[i] = lo[i] < hi[i];
-  return interior;
-}
-
-}  // namespace
-
-std::vector<char> InteriorMarks(const IntervalGrid& grid,
-                                const double* values, int64_t n) {
-  return MarkIntervals<void>(grid, values, n, nullptr);
-}
-
-std::vector<char> InteriorMarks(const IntervalGrid& grid,
-                                const double* values, int64_t n,
-                                uint8_t* codes) {
-  return MarkIntervals(grid, values, n, codes);
-}
-
-std::vector<char> InteriorMarks(const IntervalGrid& grid,
-                                const double* values, int64_t n,
-                                uint16_t* codes) {
-  return MarkIntervals(grid, values, n, codes);
 }
 
 void ExactAttrGridBuilder::Add(const double* values, int64_t n) {

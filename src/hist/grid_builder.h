@@ -1,7 +1,10 @@
 #ifndef CMP_HIST_GRID_BUILDER_H_
 #define CMP_HIST_GRID_BUILDER_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <type_traits>
 #include <vector>
 
 #include "hist/grids.h"
@@ -45,18 +48,35 @@ std::vector<char> InteriorMarksFromSorted(const std::vector<double>& sorted,
                                           const IntervalGrid& grid);
 
 /// The same marks from `n` values in any order, in one pass: interval i
-/// is interior iff its smallest value is below its largest. The
-/// overloads with `codes` also store each value's interval index
-/// (grid.IntervalOf(values[r])) in codes[r], so one visit per value
-/// yields both the marks and the bin codes; `codes` holds `n` entries.
-std::vector<char> InteriorMarks(const IntervalGrid& grid,
-                                const double* values, int64_t n);
-std::vector<char> InteriorMarks(const IntervalGrid& grid,
-                                const double* values, int64_t n,
-                                uint8_t* codes);
+/// is interior iff its smallest value is below its largest. With a
+/// `codes` array of `n` unsigned entries (Code not void) the same visit
+/// also stores each value's interval index (grid.IntervalOf(values[r]))
+/// in codes[r], so one visit per value yields both the marks and the bin
+/// codes.
+template <class Code>
 std::vector<char> InteriorMarks(const IntervalGrid& grid,
                                 const double* values, int64_t n,
-                                uint16_t* codes);
+                                Code* codes) {
+  const int m = grid.num_intervals();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> lo(m, kInf);
+  std::vector<double> hi(m, -kInf);
+  for (int64_t r = 0; r < n; ++r) {
+    const double v = values[r];
+    const int i = grid.IntervalOf(v);
+    if constexpr (!std::is_void_v<Code>) codes[r] = static_cast<Code>(i);
+    lo[i] = std::min(lo[i], v);
+    hi[i] = std::max(hi[i], v);
+  }
+  std::vector<char> interior(m);
+  for (int i = 0; i < m; ++i) interior[i] = lo[i] < hi[i];
+  return interior;
+}
+
+inline std::vector<char> InteriorMarks(const IntervalGrid& grid,
+                                       const double* values, int64_t n) {
+  return InteriorMarks<void>(grid, values, n, nullptr);
+}
 
 }  // namespace cmp
 

@@ -4,7 +4,7 @@ namespace cmp {
 
 namespace {
 
-// The width templates move the u8/u16 branches out of the inner loops;
+// The width templates move the width branches out of the inner loops;
 // the nc == 2 specialization strength-reduces the row multiply to a
 // shift (binary classification is the common case in the paper's
 // workloads). Column pointers arrive pre-offset by the tile base.
@@ -44,42 +44,26 @@ void Accum2D(const XCode* xcodes, int x_lo, const YCode* ycodes,
   }
 }
 
-template <typename XCode>
-void Accum2DY(const XCode* xcodes, int x_lo, const CodeView& ycodes,
-              const ClassId* labels, RecordId base, const uint32_t* offsets,
-              size_t n, int ny, int nc, int64_t* counts) {
-  if (ycodes.u8 != nullptr) {
-    Accum2D(xcodes, x_lo, ycodes.u8 + base, labels, offsets, n, ny, nc,
-            counts);
-  } else {
-    Accum2D(xcodes, x_lo, ycodes.u16 + base, labels, offsets, n, ny, nc,
-            counts);
-  }
-}
-
 }  // namespace
 
 void AccumulateHist1D(const CodeView& codes, const ClassId* labels,
                       RecordId base, const uint32_t* offsets, size_t n,
                       int nc, int64_t* counts) {
-  if (codes.u8 != nullptr) {
-    Accum1D(codes.u8 + base, labels + base, offsets, n, nc, counts);
-  } else {
-    Accum1D(codes.u16 + base, labels + base, offsets, n, nc, counts);
-  }
+  VisitCodes(codes, [&](const auto* c) {
+    Accum1D(c + base, labels + base, offsets, n, nc, counts);
+  });
 }
 
 void AccumulateHist2D(const CodeView& xcodes, int x_lo, const CodeView& ycodes,
                       const ClassId* labels, RecordId base,
                       const uint32_t* offsets, size_t n, int ny, int nc,
                       int64_t* counts) {
-  if (xcodes.u8 != nullptr) {
-    Accum2DY(xcodes.u8 + base, x_lo, ycodes, labels + base, base, offsets, n,
-             ny, nc, counts);
-  } else {
-    Accum2DY(xcodes.u16 + base, x_lo, ycodes, labels + base, base, offsets, n,
-             ny, nc, counts);
-  }
+  VisitCodes(xcodes, [&](const auto* x) {
+    VisitCodes(ycodes, [&](const auto* y) {
+      Accum2D(x + base, x_lo, y + base, labels + base, offsets, n, ny, nc,
+              counts);
+    });
+  });
 }
 
 }  // namespace cmp

@@ -21,8 +21,10 @@ namespace cmp {
 /// columns (read near-sequentially, since a sink's offsets ascend).
 ///
 /// Records are named by 32-bit offsets from a tile base: record
-/// `base + offsets[i]`. Codes and labels are read straight from the
-/// cache's columns by record — there is no per-batch gather.
+/// `base + offsets[i]`. Codes and labels are read straight from the code
+/// columns by record — there is no per-batch gather. Each call picks its
+/// code widths (1, 2 or 4 bytes) once; the record loops are compiled per
+/// width.
 ///
 /// All kernels are plain integer-count adds, so the accumulation order
 /// is immaterial: the kernels produce byte-for-byte the histograms of

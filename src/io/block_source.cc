@@ -46,12 +46,6 @@ bool DatasetBlockSource::ReadNumericColumn(AttrId a,
   return true;
 }
 
-bool DatasetBlockSource::ReadCategoricalColumn(AttrId a,
-                                               std::vector<int32_t>* out) {
-  *out = ds_.categorical_column(a);
-  return true;
-}
-
 bool DatasetBlockSource::ReadLabels(std::vector<ClassId>* out) {
   *out = ds_.labels();
   return true;
@@ -192,16 +186,6 @@ bool TableBlockSource::ReadNumericColumn(AttrId a,
   auto scanner = TableScanner::Open(path_, scanner_->block_records());
   if (scanner == nullptr) return false;
   if (!scanner->ReadNumericColumn(a, out)) return false;
-  std::lock_guard<std::mutex> lock(mu_);
-  bytes_read_ += scanner->bytes_read();
-  return true;
-}
-
-bool TableBlockSource::ReadCategoricalColumn(AttrId a,
-                                             std::vector<int32_t>* out) {
-  auto scanner = TableScanner::Open(path_, scanner_->block_records());
-  if (scanner == nullptr) return false;
-  if (!scanner->ReadCategoricalColumn(a, out)) return false;
   std::lock_guard<std::mutex> lock(mu_);
   bytes_read_ += scanner->bytes_read();
   return true;

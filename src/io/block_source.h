@@ -62,10 +62,6 @@ class BlockSource {
   /// on I/O failure.
   virtual bool ReadNumericColumn(AttrId a, std::vector<double>* out) = 0;
 
-  /// Reads one whole categorical column (ascending record order) — used
-  /// by the bin-code cache build. Returns false on I/O failure.
-  virtual bool ReadCategoricalColumn(AttrId a, std::vector<int32_t>* out) = 0;
-
   /// Reads the whole label column in ascending record order.
   virtual bool ReadLabels(std::vector<ClassId>* out) = 0;
 
@@ -90,7 +86,6 @@ class DatasetBlockSource : public BlockSource {
   bool NextBlock(BlockView* view) override;
   void Reset() override { position_ = 0; }
   bool ReadNumericColumn(AttrId a, std::vector<double>* out) override;
-  bool ReadCategoricalColumn(AttrId a, std::vector<int32_t>* out) override;
   bool ReadLabels(std::vector<ClassId>* out) override;
 
  private:
@@ -121,7 +116,6 @@ class TableBlockSource : public BlockSource {
   bool failed() const override { return failed_; }
   int64_t bytes_read() const override;
   bool ReadNumericColumn(AttrId a, std::vector<double>* out) override;
-  bool ReadCategoricalColumn(AttrId a, std::vector<int32_t>* out) override;
   bool ReadLabels(std::vector<ClassId>* out) override;
   void set_prefetch_pool(ThreadPool* pool) override;
   int64_t resident_bytes() const override;

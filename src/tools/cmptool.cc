@@ -98,12 +98,11 @@ int Usage() {
       "                (boosting knobs, --algo boost only; boost writes a\n"
       "                 cmp-forest file, or a .cmpb blob when --out ends\n"
       "                 in .cmpb)\n"
-      "                [--stream [--block B] [--no-prefetch] [--no-codes]]\n"
-      "                --out FILE\n"
+      "                [--stream [--block B]] --out FILE\n"
       "                (--stream trains out-of-core from a .cmpt table in\n"
-      "                 blocks of B records; cmp/cmp-b/cmp-s only.\n"
-      "                 --no-codes falls back to the record-major scan.\n"
-      "                 Same tree either way.)\n"
+      "                 blocks of B records; cmp/cmp-b/cmp-s only. Same\n"
+      "                 tree as in memory; with --threads above 1 the\n"
+      "                 next block is read ahead on a worker.)\n"
       "                --algo cmp-stream trains in one sequential pass\n"
       "                per level from bounded quantile sketches (no\n"
       "                pre-pass sort; add --stream --block B to read a\n"
@@ -155,8 +154,12 @@ bool HasFlag(int argc, char** argv, const std::string& name) {
 }
 
 // Upper bound of --threads: far above any machine this runs on, far
-// below the thread counts that stall or exhaust memory.
+// below the thread counts that stall or exhaust memory. 0 means one per
+// hardware thread, so a typo never silently becomes "all cores" or
+// thousands of threads.
 constexpr int kMaxThreads = 1024;
+
+constexpr int kMaxInt = std::numeric_limits<int>::max();
 
 // Upper bound of every --block flag (records per block).
 constexpr int64_t kMaxBlock = int64_t{1} << 24;
@@ -165,8 +168,9 @@ constexpr int64_t kMaxBlock = int64_t{1} << 24;
 // this writes, well short of sizes whose allocation fails.
 constexpr int64_t kMaxGenRecords = int64_t{1} << 32;
 
-// Upper bound of train's --intervals: the most grid rows a bin code can
-// address (hist/bin_codes.h).
+// Upper bound of train's --intervals: far above the paper's 100-120
+// intervals, and the finest grid whose bin codes still take two bytes
+// (hist/bin_codes.h).
 constexpr int64_t kMaxIntervals = 65536;
 
 // Parses a whole-number flag (absent: `def`). Accepts only a whole
@@ -188,27 +192,41 @@ bool ParseWholeFlag(int argc, char** argv, const std::string& flag,
   return true;
 }
 
-// Parses a thread count flag: [0, kMaxThreads], where 0 means
-// one per hardware thread, so a typo never silently becomes "all cores"
-// or thousands of threads.
-bool ParseThreadCount(int argc, char** argv, const std::string& flag,
-                      int def, int* out) {
-  int64_t value = 0;
-  if (!ParseWholeFlag(argc, argv, flag, 0, kMaxThreads, def, &value)) {
+// Parses a decimal flag (absent: `def`) the same way: only a plain
+// decimal number in [lo, hi] (common/parse_number.h) is accepted.
+bool ParseDecimalFlag(int argc, char** argv, const std::string& flag,
+                      double lo, double hi, double def, double* out) {
+  if (!HasFlag(argc, argv, flag)) {
+    *out = def;
+    return true;
+  }
+  const std::string v = GetFlag(argc, argv, flag);
+  if (!cmp::ParseDecimal(v, lo, hi, out)) {
+    std::cerr << flag << " must be a decimal number in [" << lo << ", " << hi
+              << "] (got '" << v << "')\n";
     return false;
   }
+  return true;
+}
+
+// ParseWholeFlag into an int.
+bool ParseIntFlag(int argc, char** argv, const std::string& flag, int lo,
+                  int hi, int def, int* out) {
+  int64_t value = 0;
+  if (!ParseWholeFlag(argc, argv, flag, lo, hi, def, &value)) return false;
   *out = static_cast<int>(value);
   return true;
 }
 
+// Accepts exactly F1..F10 or Ff (either case of the F), nothing longer.
 bool ParseFunction(const std::string& s, AgrawalFunction* out) {
   if (s == "Ff" || s == "ff" || s == "f") {
     *out = AgrawalFunction::kFunctionF;
     return true;
   }
-  if (s.size() >= 2 && (s[0] == 'F' || s[0] == 'f')) {
-    const int k = std::atoi(s.c_str() + 1);
-    if (k >= 1 && k <= 10) {
+  for (int k = 1; k <= 10; ++k) {
+    const std::string digits = std::to_string(k);
+    if (s == "F" + digits || s == "f" + digits) {
       *out = static_cast<AgrawalFunction>(k);
       return true;
     }
@@ -333,13 +351,9 @@ int CmdGen(int argc, char** argv) {
     return kExitBadArgs;
   }
   o.seed = static_cast<uint64_t>(seed);
-  if (HasFlag(argc, argv, "--perturb")) {
-    const std::string v = GetFlag(argc, argv, "--perturb");
-    if (!cmp::ParseDecimal(v, 0.0, 1.0, &o.perturbation)) {
-      std::cerr << "--perturb must be a decimal number in [0, 1] (got '" << v
-                << "')\n";
-      return kExitBadArgs;
-    }
+  if (!ParseDecimalFlag(argc, argv, "--perturb", 0.0, 1.0, o.perturbation,
+                        &o.perturbation)) {
+    return kExitBadArgs;
   }
   const std::string out = GetFlag(argc, argv, "--out");
   if (out.empty()) return Usage();
@@ -435,15 +449,13 @@ int CmdTrainStreamed(int argc, char** argv, int intervals, int threads) {
   o.base.prune = !HasFlag(argc, argv, "--no-prune");
   o.base.num_threads = threads;
   o.intervals = intervals;
-  o.bin_code_cache = !HasFlag(argc, argv, "--no-codes");
   const std::string stats_path = GetFlag(argc, argv, "--stats-json");
   cmp::TrainStatsCollector collector;
   if (!stats_path.empty()) o.base.observer = &collector;
   cmp::CmpBuilder builder(o);
   cmp::BuildResult result;
   try {
-    result =
-        builder.BuildStreamed(*source, !HasFlag(argc, argv, "--no-prefetch"));
+    result = builder.BuildStreamed(*source);
   } catch (const std::exception& e) {
     std::cerr << "training failed: " << e.what() << "\n";
     return kExitTrain;
@@ -511,10 +523,8 @@ int CmdTrainCmpStream(int argc, char** argv, int intervals, int threads) {
   o.base.prune = !HasFlag(argc, argv, "--no-prune");
   o.base.num_threads = threads;
   o.intervals = intervals;
-  o.sketch_capacity =
-      std::atoi(GetFlag(argc, argv, "--sketch-capacity", "512").c_str());
-  if (o.sketch_capacity < 8) {
-    std::cerr << "--sketch-capacity must be >= 8\n";
+  if (!ParseIntFlag(argc, argv, "--sketch-capacity", 8, kMaxInt, 512,
+                    &o.sketch_capacity)) {
     return kExitBadArgs;
   }
   const std::string stats_path = GetFlag(argc, argv, "--stats-json");
@@ -595,14 +605,12 @@ int CmdRefit(int argc, char** argv) {
 
   cmp::RefitOptions o;
   o.stream.base.prune = !HasFlag(argc, argv, "--no-prune");
-  if (!ParseThreadCount(argc, argv, "--threads", 1,
-                        &o.stream.base.num_threads)) {
+  if (!ParseIntFlag(argc, argv, "--threads", 0, kMaxThreads, 1,
+                    &o.stream.base.num_threads)) {
     return kExitBadArgs;
   }
-  o.drift_threshold =
-      std::atof(GetFlag(argc, argv, "--drift-threshold", "0.15").c_str());
-  if (o.drift_threshold < 0.0 || o.drift_threshold > 1.0) {
-    std::cerr << "--drift-threshold must be in [0, 1]\n";
+  if (!ParseDecimalFlag(argc, argv, "--drift-threshold", 0.0, 1.0, 0.15,
+                        &o.drift_threshold)) {
     return kExitBadArgs;
   }
   const std::string stats_path = GetFlag(argc, argv, "--stats-json");
@@ -648,14 +656,20 @@ int CmdRefit(int argc, char** argv) {
 }
 
 int CmdTrain(int argc, char** argv) {
-  if (HasFlag(argc, argv, "--workers")) {
-    std::cerr << "--workers: distributed training was removed; use"
-                 " --threads N or --stream\n";
-    return kExitBadArgs;
-  }
-  if (HasFlag(argc, argv, "--scan-shards")) {
-    std::cerr << "--scan-shards: removed; the shard count is automatic\n";
-    return kExitBadArgs;
+  // Removed flags are rejected with their reasons.
+  for (const auto& [flag, reason] : {
+           std::pair<const char*, const char*>{
+               "--workers",
+               "distributed training was removed; use --threads N or "
+               "--stream"},
+           {"--scan-shards", "removed; the shard count is automatic"},
+           {"--no-codes", "removed; every CMP scan reads bin codes"},
+           {"--no-prefetch",
+            "removed; --threads 1 reads blocks synchronously"}}) {
+    if (HasFlag(argc, argv, flag)) {
+      std::cerr << flag << ": " << reason << "\n";
+      return kExitBadArgs;
+    }
   }
   const std::string data = GetFlag(argc, argv, "--data");
   const std::string out = GetFlag(argc, argv, "--out");
@@ -672,7 +686,7 @@ int CmdTrain(int argc, char** argv) {
   }
   const int intervals = static_cast<int>(q);
   int threads = 1;
-  if (!ParseThreadCount(argc, argv, "--threads", 1, &threads)) {
+  if (!ParseIntFlag(argc, argv, "--threads", 0, kMaxThreads, 1, &threads)) {
     return kExitBadArgs;
   }
   // cmp-stream owns its flag handling.
@@ -686,16 +700,18 @@ int CmdTrain(int argc, char** argv) {
   config.base.prune = !HasFlag(argc, argv, "--no-prune");
   config.base.num_threads = threads;
   config.intervals = intervals;
-  config.boost.rounds =
-      std::atoi(GetFlag(argc, argv, "--rounds", "50").c_str());
-  config.boost.shrinkage =
-      std::atof(GetFlag(argc, argv, "--shrinkage", "0.1").c_str());
-  config.boost.weak_depth =
-      std::atoi(GetFlag(argc, argv, "--weak-depth", "6").c_str());
-  config.boost.holdout =
-      std::atof(GetFlag(argc, argv, "--holdout", "0.2").c_str());
-  config.boost.patience =
-      std::atoi(GetFlag(argc, argv, "--patience", "5").c_str());
+  if (!ParseIntFlag(argc, argv, "--rounds", 1, kMaxInt, 50,
+                    &config.boost.rounds) ||
+      !ParseDecimalFlag(argc, argv, "--shrinkage", 0.0, 1.0, 0.1,
+                        &config.boost.shrinkage) ||
+      !ParseIntFlag(argc, argv, "--weak-depth", 0, kMaxInt, 6,
+                    &config.boost.weak_depth) ||
+      !ParseDecimalFlag(argc, argv, "--holdout", 0.0, 0.9, 0.2,
+                        &config.boost.holdout) ||
+      !ParseIntFlag(argc, argv, "--patience", 1, kMaxInt, 5,
+                    &config.boost.patience)) {
+    return kExitBadArgs;
+  }
   const std::string stats_path = GetFlag(argc, argv, "--stats-json");
   cmp::TrainStatsCollector collector;
   if (!stats_path.empty()) config.base.observer = &collector;
@@ -1204,7 +1220,8 @@ int CmdPredict(int argc, char** argv) {
 
   cmp::PredictOptions opts;
   int64_t top_k = 1;
-  if (!ParseThreadCount(argc, argv, "--threads", 0, &opts.num_threads) ||
+  if (!ParseIntFlag(argc, argv, "--threads", 0, kMaxThreads, 0,
+                    &opts.num_threads) ||
       !ParseWholeFlag(argc, argv, "--top-k", 1, 65536, 1, &top_k)) {
     return kExitBadArgs;
   }
@@ -1215,13 +1232,9 @@ int CmdPredict(int argc, char** argv) {
   // Each block is scored whole on the thread that holds it.
   opts.num_threads = 1;
   opts.want_probs = HasFlag(argc, argv, "--probs");
-  if (HasFlag(argc, argv, "--abstain")) {
-    const std::string v = GetFlag(argc, argv, "--abstain");
-    if (!cmp::ParseDecimal(v, 0.0, 1.0, &opts.abstain_threshold)) {
-      std::cerr << "--abstain must be a decimal number in [0, 1] (got '"
-                << v << "')\n";
-      return kExitBadArgs;
-    }
+  if (!ParseDecimalFlag(argc, argv, "--abstain", 0.0, 1.0,
+                        opts.abstain_threshold, &opts.abstain_threshold)) {
+    return kExitBadArgs;
   }
   const std::string vote_name = GetFlag(argc, argv, "--vote", "majority");
   if (vote_name != "majority" && vote_name != "prob") {
@@ -1411,8 +1424,12 @@ int CmdDot(int argc, char** argv) {
 int CmdExplain(int argc, char** argv) {
   const std::string data = GetFlag(argc, argv, "--data");
   const std::string tree_path = GetFlag(argc, argv, "--tree");
-  const int64_t record = std::atoll(GetFlag(argc, argv, "--record", "0").c_str());
   if (data.empty() || tree_path.empty()) return Usage();
+  int64_t record = 0;
+  if (!ParseWholeFlag(argc, argv, "--record", 0,
+                      std::numeric_limits<int64_t>::max(), 0, &record)) {
+    return kExitBadArgs;
+  }
   cmp::Dataset ds;
   if (!LoadAnyDataset(data, &ds)) {
     std::cerr << "failed to read " << data << "\n";

@@ -46,8 +46,9 @@ struct PassObservation {
   /// Nodes in the tree after the pass was applied.
   int64_t tree_nodes = 0;
   /// CMP only (0 otherwise): wall seconds of the scan's two phases. The
-  /// route phase descends every live record to its sink and regroups
-  /// the survivors into the next pass's live lists; the accumulate
+  /// route phase descends every live record to its sink (a streamed
+  /// build encodes its numeric codes first) and regroups the survivors
+  /// into the next pass's live lists; the accumulate
   /// (kernel) phase fills the sinks' histograms, buffers and collect
   /// lists. Both are subsets of scan_seconds.
   double route_seconds = 0.0;
@@ -56,7 +57,9 @@ struct PassObservation {
   /// of them on the first pass, then those the previous pass sent to a
   /// sink. records_scanned stays the full table (the cost model).
   int64_t records_routed = 0;
-  /// Resident bytes of the bin-code cache (0 when disabled).
+  /// CMP only: resident bytes of the record store's bin codes (the
+  /// whole-table matrix in memory, the tile columns streamed; 0 for a
+  /// build that only collects).
   int64_t code_cache_bytes = 0;
   /// Always 0: fresh bundles are always accumulated by the scan. Kept
   /// because the `--stats-json` key is read by the repository benchmark.

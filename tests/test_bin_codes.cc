@@ -2,8 +2,8 @@
 // for every record, for every grid shape the discretizer can produce —
 // random data, values sitting exactly on cut boundaries, heavy ties that
 // collapse duplicate cuts, single-interval grids, and grids wide enough
-// to force the uint16_t code width. The byte-identical-trees contract of
-// the kernel scan path rests entirely on this agreement.
+// to force the uint16_t and uint32_t code widths. The byte-identical-trees
+// contract of the scan rests entirely on this agreement.
 #include "hist/bin_codes.h"
 
 #include <gtest/gtest.h>
@@ -29,7 +29,7 @@ void CheckAgreement(const IntervalGrid& grid,
                     const std::vector<double>& column, int want_width) {
   const Schema schema = OneNumericSchema();
   BinCodeCache codes(schema, static_cast<int64_t>(column.size()),
-                     /*max_intervals=*/65536);
+                     /*max_intervals=*/100000);
   ASSERT_TRUE(codes.enabled());
   codes.EncodeNumericColumn(0, grid, column);
   EXPECT_EQ(codes.width(0), want_width);
@@ -110,6 +110,48 @@ TEST(BinCodes, WideGridFallsBackToSixteenBitCodes) {
   CheckAgreement(grid, column, /*want_width=*/2);
 }
 
+// A grid of more than 65536 intervals past every 16-bit code, on
+// random values, on every cut and outside the outer cuts.
+IntervalGrid ThirtyTwoBitGrid() {
+  std::vector<double> cuts;
+  for (int i = 0; i < 70000; ++i) cuts.push_back(static_cast<double>(i));
+  return IntervalGrid::FromBoundaries(std::move(cuts), 0.0, 70000.0);
+}
+
+TEST(BinCodes, WiderGridTakesThirtyTwoBitCodes) {
+  const IntervalGrid grid = ThirtyTwoBitGrid();
+  ASSERT_GT(grid.num_intervals(), 65536);
+  Rng rng(75);
+  std::vector<double> column(3000);
+  for (double& v : column) v = rng.Uniform(-5.0, 70005.0);
+  for (int i = 0; i < 70000; i += 7) column.push_back(static_cast<double>(i));
+  column.push_back(-1e9);
+  column.push_back(1e9);
+  CheckAgreement(grid, column, /*want_width=*/4);
+}
+
+// Only encoded elements are written; the others keep their contents.
+TEST(BinCodes, EncodeAtWritesTheListedOffsetsAtEveryWidth) {
+  Rng rng(76);
+  std::vector<double> values(4000);
+  for (double& v : values) v = rng.Uniform(-10.0, 70010.0);
+  const std::vector<uint16_t> offsets = {0, 3, 17, 999, 3999};
+  for (const int q : {100, 1000, 70000}) {
+    std::vector<double> cuts;
+    for (int i = 1; i < q; ++i) cuts.push_back(70000.0 * i / q);
+    const IntervalGrid grid =
+        IntervalGrid::FromBoundaries(std::move(cuts), 0.0, 70000.0);
+    CodeColumn col;
+    col.Resize(grid.num_intervals(), static_cast<int64_t>(values.size()));
+    EXPECT_EQ(col.width(), q <= 256 ? 1 : q <= 65536 ? 2 : 4);
+    col.EncodeAt(grid, values.data(), offsets.data(),
+                 static_cast<int64_t>(offsets.size()));
+    for (const uint16_t o : offsets) {
+      EXPECT_EQ(col[o], grid.IntervalOf(values[o])) << "q=" << q << " " << o;
+    }
+  }
+}
+
 TEST(BinCodes, CategoricalWidthsFollowObservedValues) {
   const Schema schema = Schema(
       {{"small", AttrKind::kCategorical, 7},
@@ -127,15 +169,29 @@ TEST(BinCodes, CategoricalWidthsFollowObservedValues) {
   EXPECT_EQ(codes.code(1, 3), 256);
 }
 
-TEST(BinCodes, GateDisablesCacheBeyondSixteenBits) {
-  // A grid cap or a categorical cardinality beyond 65536 rows cannot be
-  // coded in two bytes; the whole cache disables itself up front.
-  const Schema numeric = OneNumericSchema();
-  EXPECT_FALSE(BinCodeCache(numeric, 10, /*max_intervals=*/65537).enabled());
-  EXPECT_TRUE(BinCodeCache(numeric, 10, /*max_intervals=*/65536).enabled());
+TEST(BinCodes, EverySchemaIsEncodedPastSixteenBits) {
+  // A grid cap or a categorical cardinality beyond 65536 rows takes
+  // four-byte codes; no schema leaves the cache unusable.
+  const IntervalGrid grid = ThirtyTwoBitGrid();
+  const std::vector<double> values = {-1.0, 0.5, 65536.5, 69999.5, 1e9};
+  BinCodeCache wide(OneNumericSchema(), 5, /*max_intervals=*/65537);
+  ASSERT_TRUE(wide.enabled());
+  wide.EncodeNumericColumn(0, grid, values);
+  EXPECT_EQ(wide.width(0), 4);
+  for (RecordId r = 0; r < 5; ++r) {
+    EXPECT_EQ(wide.code(0, r), grid.IntervalOf(values[r])) << r;
+  }
+
   const Schema huge_cat = Schema(
       {{"c", AttrKind::kCategorical, 70000}}, {"a", "b"});
-  EXPECT_FALSE(BinCodeCache(huge_cat, 10, /*max_intervals=*/100).enabled());
+  BinCodeCache cat(huge_cat, 4, /*max_intervals=*/100);
+  ASSERT_TRUE(cat.enabled());
+  cat.EncodeCategoricalColumn(0, {0, 65535, 65536, 69999});
+  EXPECT_EQ(cat.width(0), 4);
+  EXPECT_EQ(cat.code(0, 1), 65535);
+  EXPECT_EQ(cat.code(0, 2), 65536);
+  EXPECT_EQ(cat.code(0, 3), 69999);
+  EXPECT_EQ(cat.view(0).u32[3], 69999u);
   EXPECT_FALSE(BinCodeCache().enabled());
 }
 
@@ -146,7 +202,7 @@ void CheckFusedPass(const IntervalGrid& grid,
                     const std::vector<double>& column, int want_width) {
   const Schema schema = OneNumericSchema();
   BinCodeCache codes(schema, static_cast<int64_t>(column.size()),
-                     /*max_intervals=*/65536);
+                     /*max_intervals=*/100000);
   ASSERT_TRUE(codes.enabled());
   const std::vector<char> marks =
       codes.EncodeNumericColumnWithMarks(0, grid, column.data());
@@ -190,6 +246,7 @@ TEST(BinCodes, FusedPassMatchesIntervalOfAndSortedMarks) {
   on_cuts.push_back(-1e9);
   on_cuts.push_back(1e9);
   CheckFusedPass(wide, on_cuts, /*want_width=*/2);
+  CheckFusedPass(ThirtyTwoBitGrid(), on_cuts, /*want_width=*/4);
 }
 
 TEST(BinCodes, LabelsAndMemoryAccounting) {

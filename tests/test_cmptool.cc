@@ -249,10 +249,74 @@ TEST_F(CmptoolTest, ExitCodesDistinguishFailureKinds) {
               std::string::npos)
         << out;
   }
+  // --no-codes and --no-prefetch are gone too: every CMP scan reads bin
+  // codes, and --threads 1 reads blocks synchronously.
+  for (const auto& [flag, message] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"--no-codes", "--no-codes: removed"},
+           {"--no-prefetch", "--no-prefetch: removed"}}) {
+    for (const char* mode : {" --algo cmp", " --algo cmp --stream"}) {
+      EXPECT_EQ(RunTool("train --data " + data_ + mode + " " + flag +
+                        " --out " + tree_, &out),
+                kBadArgs)
+          << mode << " " << flag;
+      EXPECT_NE(out.find(message), std::string::npos) << out;
+    }
+  }
   // The lower bound itself is valid.
   EXPECT_EQ(RunTool("train --data " + data_ + " --algo cmp --stream"
                     " --threads 0 --out " + tree_),
             0);
+  // The boosting, sketch and explain counts and fractions are read whole
+  // or rejected, never up to a bad character or past an overflow.
+  const std::string boost = "train --data " + data_ + " --algo boost";
+  for (const auto& [args, message] :
+       std::vector<std::pair<std::string, std::string>>{
+           {boost + " --rounds 3abc",
+            "--rounds must be a whole number in [1, 2147483647]"},
+           {boost + " --rounds -4",
+            "--rounds must be a whole number in [1, 2147483647]"},
+           {boost + " --rounds 0",
+            "--rounds must be a whole number in [1, 2147483647]"},
+           {boost + " --rounds 3 --holdout 0.2zz",
+            "--holdout must be a decimal number in [0, 0.9]"},
+           {boost + " --rounds 3 --holdout 0.95",
+            "--holdout must be a decimal number in [0, 0.9]"},
+           {boost + " --rounds 3 --shrinkage 0.1x",
+            "--shrinkage must be a decimal number in [0, 1]"},
+           {boost + " --rounds 3 --weak-depth 2x",
+            "--weak-depth must be a whole number in [0, 2147483647]"},
+           {boost + " --rounds 3 --patience 0",
+            "--patience must be a whole number in [1, 2147483647]"},
+           {"train --data " + data_ + " --algo cmp-stream"
+            " --sketch-capacity 4294967304",
+            "--sketch-capacity must be a whole number in [8, 2147483647]"},
+           {"train --data " + data_ + " --algo cmp-stream"
+            " --sketch-capacity 7",
+            "--sketch-capacity must be a whole number in [8, 2147483647]"},
+           {"explain --data " + data_ + " --tree " + tree_ + " --record 3x",
+            "--record must be a whole number"},
+           {"explain --data " + data_ + " --tree " + tree_ + " --record -1",
+            "--record must be a whole number"},
+           {"gen --function F2x --records 10 --out " + TempPath("f2x.cmpt"),
+            "unknown function"},
+           {"gen --function F11 --records 10 --out " + TempPath("f2x.cmpt"),
+            "unknown function"},
+           {"gen --function F02 --records 10 --out " + TempPath("f2x.cmpt"),
+            "unknown function"}}) {
+    EXPECT_EQ(RunTool(args + (args.starts_with("train") ? " --out " + tree_
+                                                        : std::string()),
+                      &out),
+              kBadArgs)
+        << args;
+    EXPECT_NE(out.find(message), std::string::npos) << args << ": " << out;
+  }
+  EXPECT_EQ(RunTool(boost + " --rounds 2 --shrinkage 1 --holdout 0.9"
+                    " --weak-depth 0 --patience 1 --out " +
+                    TempPath("boost_flags.tree"), &out),
+            0)
+      << out;
+  std::remove(TempPath("boost_flags.tree").c_str());
   // predict's other numeric flags are just as strict: --top-k is a
   // whole number, --abstain a plain decimal in [0, 1].
   const std::string predict = "predict --data " + data_ + " --tree " + tree_;
@@ -765,10 +829,13 @@ TEST_F(CmptoolTest, StreamAndRefitFlagValidation) {
   EXPECT_EQ(RunTool("refit --data " + data_ + " --tree " + tree_ +
                 " --sidecar /does/not/exist.cmps --out " + tree_ + ".out"),
             kIo);
-  EXPECT_EQ(RunTool("refit --data " + data_ + " --tree " + tree_ +
-                " --sidecar " + sidecar + " --out " + tree_ + ".out"
-                " --drift-threshold 1.5"),
-            kBadArgs);
+  for (const char* threshold : {"1.5", "0.5x", "-0.1"}) {
+    EXPECT_EQ(RunTool("refit --data " + data_ + " --tree " + tree_ +
+                      " --sidecar " + sidecar + " --out " + tree_ + ".out"
+                      " --drift-threshold " + threshold),
+              kBadArgs)
+        << threshold;
+  }
   // Missing required flags fall back to usage.
   EXPECT_EQ(RunTool("refit --data " + data_ + " --tree " + tree_), kBadArgs);
   std::remove(sidecar.c_str());

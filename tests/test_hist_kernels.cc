@@ -2,9 +2,9 @@
 // EXACTLY — same integer cells, any tile base and offset list — because
 // the scan fills every histogram through them under the
 // bit-identical-trees contract. Tested bottom-up: raw kernels vs direct
-// counting (both code widths, random tables, every offset shape the scan
-// produces), then HistBundle::AccumulateCodedAttr / AccumulateAttr vs
-// Add, then whole builds with and without the code cache.
+// counting (every code width, random tables, every offset shape the scan
+// produces), then HistBundle::AccumulateCodedAttr vs Add, then whole
+// builds at 1 and 4 threads.
 //
 // The 511-record cases end at the last record of a column, so under ASan
 // (CMP_SANITIZE=address) any kernel read past the end of the unpadded
@@ -216,6 +216,88 @@ TEST(HistKernelsRandom, SixteenBitCodesMatchDirectCounts) {
   }
 }
 
+// Grids past 65536 intervals code as u32. Each kernel is checked with a
+// u32 column on the X axis, on the Y axis and alone, against IntervalOf.
+TEST(HistKernelsRandom, ThirtyTwoBitCodesMatchDirectCounts) {
+  std::vector<double> wide_cuts;
+  for (int i = 0; i < 66000; ++i) wide_cuts.push_back(static_cast<double>(i));
+  const IntervalGrid wide =
+      IntervalGrid::FromBoundaries(std::move(wide_cuts), 0.0, 66000.0);
+  const IntervalGrid small = IntervalGrid::FromBoundaries(
+      {1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0}, 0.0, 10.0);
+  Rng rng(41);
+  const int64_t n = 3000;
+  std::vector<double> w(n);
+  std::vector<double> x(n);
+  std::vector<ClassId> labels(n);
+  for (int64_t i = 0; i < n; ++i) {
+    // Half the values crowd rows [1000, 2000) so the X sub-range below
+    // holds plenty of records.
+    w[i] = i % 2 == 0 ? rng.Uniform(-5.0, 66005.0) : rng.Uniform(999.5, 1999.5);
+    x[i] = rng.Uniform(-1.0, 11.0);
+    labels[i] = static_cast<ClassId>(rng.UniformInt(0, 2));
+  }
+  Schema schema({{"w", AttrKind::kNumeric, 0}, {"x", AttrKind::kNumeric, 0}},
+                ClassNames(3));
+  BinCodeCache codes(schema, n, /*max_intervals=*/100000);
+  codes.EncodeNumericColumn(0, wide, w);
+  codes.EncodeNumericColumn(1, small, x);
+  codes.SetLabels(labels);
+  ASSERT_EQ(codes.width(0), 4);
+  ASSERT_EQ(codes.width(1), 1);
+  const int nc = 3;
+  const int qw = wide.num_intervals();
+  const int qx = small.num_intervals();
+
+  for (const auto& rids : BatchShapes(n, 43)) {
+    const Offsets o = ToOffsets(rids);
+    // u32 alone.
+    std::vector<int64_t> got(static_cast<size_t>(qw) * nc);
+    AccumulateHist1D(codes.view(0), codes.labels(), o.base, o.offsets.data(),
+                     o.offsets.size(), nc, got.data());
+    std::vector<int64_t> want(got.size());
+    for (const RecordId r : rids) {
+      want[static_cast<size_t>(wide.IntervalOf(w[r])) * nc + labels[r]]++;
+    }
+    ASSERT_EQ(got, want) << "1d batch=" << rids.size();
+
+    // u8 X, u32 Y.
+    got.assign(static_cast<size_t>(qx) * qw * nc, 0);
+    AccumulateHist2D(codes.view(1), 0, codes.view(0), codes.labels(), o.base,
+                     o.offsets.data(), o.offsets.size(), qw, nc, got.data());
+    want.assign(got.size(), 0);
+    for (const RecordId r : rids) {
+      const size_t cell =
+          static_cast<size_t>(small.IntervalOf(x[r])) * qw + wide.IntervalOf(w[r]);
+      want[cell * nc + labels[r]]++;
+    }
+    ASSERT_EQ(got, want) << "2d u32 y batch=" << rids.size();
+
+    // u32 X over the sub-range [x_lo, x_hi), u8 Y.
+    const int x_lo = 1000;
+    const int x_hi = 2000;
+    std::vector<RecordId> inside;
+    for (const RecordId r : rids) {
+      const int gx = wide.IntervalOf(w[r]);
+      if (gx >= x_lo && gx < x_hi) inside.push_back(r);
+    }
+    ASSERT_FALSE(inside.empty());
+    const Offsets oi = ToOffsets(inside);
+    got.assign(static_cast<size_t>(x_hi - x_lo) * qx * nc, 0);
+    AccumulateHist2D(codes.view(0), x_lo, codes.view(1), codes.labels(),
+                     oi.base, oi.offsets.data(), oi.offsets.size(), qx, nc,
+                     got.data());
+    want.assign(got.size(), 0);
+    for (const RecordId r : inside) {
+      const size_t cell =
+          static_cast<size_t>(wide.IntervalOf(w[r]) - x_lo) * qx +
+          small.IntervalOf(x[r]);
+      want[cell * nc + labels[r]]++;
+    }
+    ASSERT_EQ(got, want) << "2d u32 x batch=" << rids.size();
+  }
+}
+
 TEST(HistKernelsRandom, BivariateMatchesDirectCountsOnRandomTables) {
   for (const uint64_t seed : {31u, 32u, 33u}) {
     const int64_t n = 511;
@@ -289,10 +371,8 @@ class HistKernelsTest : public ::testing::Test {
 
   // Fills every histogram of `bundle` attribute by attribute, the way
   // the scan's accumulate tasks do, in two uneven tiles — cell counts
-  // must not care where the tile boundary falls. `coded` picks the
-  // bin-code kernels or the IntervalOf path.
-  void FillPerAttribute(HistBundle* bundle, const std::vector<RecordId>& rids,
-                        bool coded) {
+  // must not care where the tile boundary falls.
+  void FillPerAttribute(HistBundle* bundle, const std::vector<RecordId>& rids) {
     const size_t cut = rids.size() / 3;
     for (const auto& [lo, hi] : {std::pair<size_t, size_t>{0, cut},
                                  std::pair<size_t, size_t>{cut, rids.size()}}) {
@@ -304,13 +384,8 @@ class HistKernelsTest : public ::testing::Test {
       }
       for (AttrId a = 0; a < ds_.num_attrs(); ++a) {
         if (!bundle->HasHistogram(a)) continue;
-        if (coded) {
-          bundle->AccumulateCodedAttr(codes_, a, base, offsets.data(),
-                                      offsets.size());
-        } else {
-          bundle->AccumulateAttr(ds_, grids_, a, base, offsets.data(),
-                                 offsets.size());
-        }
+        bundle->AccumulateCodedAttr(codes_, a, base, offsets.data(),
+                                    offsets.size());
       }
     }
   }
@@ -382,11 +457,9 @@ TEST_F(HistKernelsTest, Accumulate1DSixteenBitCodes) {
 TEST_F(HistKernelsTest, PerAttributeMatchesRecordMajorUnivariate) {
   HistBundle serial = HistBundle::MakeUnivariate(ds_.schema(), grids_);
   for (const RecordId r : rids_) serial.Add(ds_, grids_, r);
-  for (const bool coded : {true, false}) {
-    HistBundle filled = HistBundle::MakeUnivariate(ds_.schema(), grids_);
-    FillPerAttribute(&filled, rids_, coded);
-    ExpectSameCells(filled, serial);
-  }
+  HistBundle filled = HistBundle::MakeUnivariate(ds_.schema(), grids_);
+  FillPerAttribute(&filled, rids_);
+  ExpectSameCells(filled, serial);
 }
 
 TEST_F(HistKernelsTest, PerAttributeMatchesRecordMajorBivariate) {
@@ -396,12 +469,9 @@ TEST_F(HistKernelsTest, PerAttributeMatchesRecordMajorBivariate) {
       HistBundle::MakeBivariate(ds_.schema(), grids_, x, 0, qx);
   for (const RecordId r : rids_) serial.Add(ds_, grids_, r);
   EXPECT_FALSE(serial.HasHistogram(x));
-  for (const bool coded : {true, false}) {
-    HistBundle filled =
-        HistBundle::MakeBivariate(ds_.schema(), grids_, x, 0, qx);
-    FillPerAttribute(&filled, rids_, coded);
-    ExpectSameCells(filled, serial);
-  }
+  HistBundle filled = HistBundle::MakeBivariate(ds_.schema(), grids_, x, 0, qx);
+  FillPerAttribute(&filled, rids_);
+  ExpectSameCells(filled, serial);
 }
 
 TEST_F(HistKernelsTest, PerAttributeMatchesRecordMajorBivariateSubRange) {
@@ -420,18 +490,15 @@ TEST_F(HistKernelsTest, PerAttributeMatchesRecordMajorBivariateSubRange) {
   HistBundle serial =
       HistBundle::MakeBivariate(ds_.schema(), grids_, x, x_lo, x_hi);
   for (const RecordId r : inside) serial.Add(ds_, grids_, r);
-  for (const bool coded : {true, false}) {
-    HistBundle filled =
-        HistBundle::MakeBivariate(ds_.schema(), grids_, x, x_lo, x_hi);
-    FillPerAttribute(&filled, inside, coded);
-    ExpectSameCells(filled, serial);
-  }
+  HistBundle filled =
+      HistBundle::MakeBivariate(ds_.schema(), grids_, x, x_lo, x_hi);
+  FillPerAttribute(&filled, inside);
+  ExpectSameCells(filled, serial);
 }
 
-// Build-level identity: the tree bytes must not depend on which scan
-// path ran. Every combination of code cache and thread count must
-// reproduce the plain record-major single-thread tree, for every CMP
-// variant.
+// Build-level identity: the tree bytes must not depend on how the scan
+// was split up. Every thread and shard count must reproduce the
+// single-thread tree, for every CMP variant.
 TEST(HistKernelsBuild, TreeBytesInvariantAcrossScanPaths) {
   AgrawalOptions gen;
   gen.function = AgrawalFunction::kF6;  // pendings + linear splits
@@ -442,20 +509,17 @@ TEST(HistKernelsBuild, TreeBytesInvariantAcrossScanPaths) {
   for (CmpOptions base :
        {CmpSOptions(), CmpBOptions(), CmpFullOptions()}) {
     base.base.in_memory_threshold = 256;  // keep the collect path in play
-    CmpOptions plain = base;
-    plain.bin_code_cache = false;
+    CmpOptions serial = base;
+    serial.base.num_threads = 1;
     const std::string reference =
-        SerializeTree(CmpBuilder(plain).Build(train).tree);
+        SerializeTree(CmpBuilder(serial).Build(train).tree);
     ASSERT_FALSE(reference.empty());
-    for (const bool codes : {false, true}) {
-      for (const int threads : {1, 4}) {
-        CmpOptions o = base;
-        o.bin_code_cache = codes;
-        o.base.num_threads = threads;
-        o.scan_shards = threads;
-        EXPECT_EQ(SerializeTree(CmpBuilder(o).Build(train).tree), reference)
-            << "codes=" << codes << " threads=" << threads;
-      }
+    for (const int threads : {2, 4}) {
+      CmpOptions o = base;
+      o.base.num_threads = threads;
+      o.scan_shards = threads;
+      EXPECT_EQ(SerializeTree(CmpBuilder(o).Build(train).tree), reference)
+          << "threads=" << threads;
     }
   }
 }

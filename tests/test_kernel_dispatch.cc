@@ -34,9 +34,9 @@ std::vector<KernelIsa> RunnableIsas() {
 }
 
 // Whole-build identity: the serialized tree must not depend on the
-// kernel tier, the thread count, or the code-cache toggle — the full
-// cross product collapses onto one byte string.
-TEST(KernelDispatch, TreeBytesInvariantAcrossTiersThreadsAndToggles) {
+// kernel tier or the thread count — the full cross product collapses
+// onto the scalar 1-thread build's byte string.
+TEST(KernelDispatch, TreeBytesInvariantAcrossTiersAndThreads) {
   IsaGuard guard;
   AgrawalOptions gen;
   gen.function = AgrawalFunction::kF7;  // linear splits stress the gini scan
@@ -49,23 +49,19 @@ TEST(KernelDispatch, TreeBytesInvariantAcrossTiersThreadsAndToggles) {
 
   ASSERT_TRUE(SetKernelIsa(KernelIsa::kScalar));
   CmpOptions ref = base;
-  ref.bin_code_cache = false;
+  ref.base.num_threads = 1;
   const std::string reference =
       SerializeTree(CmpBuilder(ref).Build(train).tree);
   ASSERT_FALSE(reference.empty());
 
   for (const KernelIsa isa : RunnableIsas()) {
     ASSERT_TRUE(SetKernelIsa(isa));
-    for (const bool codes : {true, false}) {
-      for (const int threads : {1, 2, 4}) {
-        CmpOptions o = base;
-        o.bin_code_cache = codes;
-        o.base.num_threads = threads;
-        o.scan_shards = threads;
-        EXPECT_EQ(SerializeTree(CmpBuilder(o).Build(train).tree), reference)
-            << KernelIsaName(isa) << " codes=" << codes
-            << " threads=" << threads;
-      }
+    for (const int threads : {1, 2, 4}) {
+      CmpOptions o = base;
+      o.base.num_threads = threads;
+      o.scan_shards = threads;
+      EXPECT_EQ(SerializeTree(CmpBuilder(o).Build(train).tree), reference)
+          << KernelIsaName(isa) << " threads=" << threads;
     }
   }
 }

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "cmp/cmp.h"
+#include "common/random.h"
 #include "datagen/agrawal.h"
 #include "io/block_source.h"
 #include "io/table_file.h"
@@ -37,12 +38,11 @@ class OocTrainTest : public ::testing::Test {
   }
   void TearDown() override { std::remove(path_.c_str()); }
 
-  BuildResult BuildStreamed(CmpOptions options, int64_t block,
-                            bool prefetch = true) {
+  BuildResult BuildStreamed(CmpOptions options, int64_t block) {
     auto source = TableBlockSource::Open(path_, block);
     EXPECT_NE(source, nullptr);
     CmpBuilder builder(options);
-    return builder.BuildStreamed(*source, prefetch);
+    return builder.BuildStreamed(*source);
   }
 
   Dataset ds_;
@@ -71,14 +71,15 @@ TEST_F(OocTrainTest, StreamedTreeIdenticalAcrossBlockSizesAndThreads) {
   }
 }
 
+// One thread reads every block synchronously; four read the next block
+// ahead on a worker. The tree must not notice.
 TEST_F(OocTrainTest, PrefetchDoesNotChangeTheTree) {
   CmpOptions options = CmpSOptions();
-  options.base.num_threads = 2;
-  const std::string with =
-      SerializeTree(BuildStreamed(options, 512, /*prefetch=*/true).tree);
-  const std::string without =
-      SerializeTree(BuildStreamed(options, 512, /*prefetch=*/false).tree);
-  EXPECT_EQ(with, without);
+  options.base.num_threads = 1;
+  const std::string synchronous = SerializeTree(BuildStreamed(options, 512).tree);
+  options.base.num_threads = 4;
+  const std::string prefetched = SerializeTree(BuildStreamed(options, 512).tree);
+  EXPECT_EQ(synchronous, prefetched);
 }
 
 TEST_F(OocTrainTest, AllVariantsMatchInMemory) {
@@ -204,6 +205,66 @@ TEST(SignedZeros, OneTreeAcrossThreadsAndStreaming) {
     ASSERT_NE(source, nullptr);
     EXPECT_EQ(SerializeTree(CmpBuilder(options).BuildStreamed(*source).tree),
               reference);
+  }
+  std::remove(path.c_str());
+}
+
+uint64_t Fnv1a(const std::string& bytes) {
+  uint64_t h = 1469598103934665603ull;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// Two numeric attributes and one categorical attribute of cardinality
+// 70,000 whose values reach past 65535, so its codes need four bytes: the
+// in-memory code matrix stores them as u32, and the streamed store reads
+// the block's int32 column in place.
+Dataset WideCategoricalTable() {
+  Schema schema({{"x", AttrKind::kNumeric, 0},
+                 {"c", AttrKind::kCategorical, 70000},
+                 {"y", AttrKind::kNumeric, 0}},
+                {"neg", "pos"});
+  Dataset ds(schema);
+  Rng rng(79);
+  for (int64_t i = 0; i < 3000; ++i) {
+    const int64_t k = rng.UniformInt(0, 39);
+    const double x = rng.Uniform(0.0, 100.0);
+    const double y = rng.Uniform(0.0, 1.0);
+    bool pos = k % 3 == 0 ? x > 30.0 : x + 40.0 * y > 60.0;
+    if (rng.Bernoulli(0.05)) pos = !pos;
+    ds.Append({x, y}, {static_cast<int32_t>(k * 1733 + 5)}, pos ? 1 : 0);
+  }
+  return ds;
+}
+
+// The 32-bit code width gives one CMP-S tree in memory and streamed, at
+// every block size and thread count — the tree the IntervalOf scan built
+// for this table before the width existed (its hash is pinned here).
+TEST(OocWideCodes, ThirtyTwoBitCategoricalGivesOneTree) {
+  const Dataset ds = WideCategoricalTable();
+  const std::string path = TempPath("wide_codes.cmpt");
+  ASSERT_TRUE(SaveTableFile(ds, path));
+  CmpOptions options = CmpSOptions();
+  options.base.in_memory_threshold = 256;  // scan before collecting
+  const std::string reference =
+      SerializeTree(CmpBuilder(options).Build(ds).tree);
+  EXPECT_EQ(Fnv1a(reference), 0xcbf5319b08b7b387ull);
+  const int64_t n = ds.num_records();
+  for (const int threads : {1, 4}) {
+    options.base.num_threads = threads;
+    options.scan_shards = threads;
+    EXPECT_EQ(SerializeTree(CmpBuilder(options).Build(ds).tree), reference)
+        << "memory threads=" << threads;
+    for (const int64_t block : {int64_t{1}, int64_t{700}, n, n + 1}) {
+      auto source = TableBlockSource::Open(path, block);
+      ASSERT_NE(source, nullptr);
+      EXPECT_EQ(SerializeTree(CmpBuilder(options).BuildStreamed(*source).tree),
+                reference)
+          << "block=" << block << " threads=" << threads;
+    }
   }
   std::remove(path.c_str());
 }

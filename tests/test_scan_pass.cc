@@ -3,14 +3,16 @@
 // serial record-major scan: bundle cells, segment and exact-side counts,
 // pending buffers in order, collect lists and the record->node map.
 // `oracle::RecordMajorScan` is that serial scan, kept here as the
-// reference. Every pass of real builds is checked against it — CMP,
-// CMP-B (nested pendings, kExact sub-splits) and CMP-S; 1-4 route
-// shards; more records than one tile; in-memory and streamed stores
-// with blocks that do not divide the tile; bin-code cache on and off.
+// reference; it finds every interval with IntervalOf on the raw values,
+// so it checks the stores' bin codes too. Every pass of real builds is
+// checked against it — CMP, CMP-B (nested pendings, kExact sub-splits)
+// and CMP-S; 1-4 route shards; more records than one tile; in-memory and
+// streamed stores with blocks that do not divide the tile.
 #include "cmp/scan_pass.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -23,7 +25,6 @@
 #include "common/class_counts.h"
 #include "common/thread_pool.h"
 #include "datagen/agrawal.h"
-#include "hist/grid_builder.h"
 #include "io/block_source.h"
 #include "pruning/mdl.h"
 #include "tree/serialize.h"
@@ -36,11 +37,9 @@ namespace oracle {
 // record was set aside in a (possibly nested) pending buffer.
 template <class Store>
 bool RoutePending(Pending* p, const Store& store,
-                  const std::vector<IntervalGrid>& grids,
-                  const BinCodeCache* codes, RecordId r) {
+                  const std::vector<IntervalGrid>& grids, RecordId r) {
   const double v = store.numeric(p->attr, r);
-  const int iv =
-      codes != nullptr ? codes->code(p->attr, r) : grids[p->attr].IntervalOf(v);
+  const int iv = grids[p->attr].IntervalOf(v);
   int k = 0;
   for (int a : p->alive) {
     if (iv == a) {
@@ -53,31 +52,17 @@ bool RoutePending(Pending* p, const Store& store,
   seg.counts[store.label(r)]++;
   switch (seg.plan) {
     case PlanKind::kGrow:
-      if (seg.bundle_fresh) {
-        if (codes != nullptr) {
-          seg.bundle.AddCoded(*codes, r);
-        } else {
-          seg.bundle.Add(store, grids, r);
-        }
-      }
+      if (seg.bundle_fresh) seg.bundle.Add(store, grids, r);
       break;
     case PlanKind::kPending:
-      return oracle::RoutePending(seg.sub.get(), store, grids, codes, r);
+      return oracle::RoutePending(seg.sub.get(), store, grids, r);
     case PlanKind::kExact:
       if (seg.exact_split.RoutesLeft(store, r)) {
         seg.exact_left_counts[store.label(r)]++;
-        if (codes != nullptr) {
-          seg.exact_left.AddCoded(*codes, r);
-        } else {
-          seg.exact_left.Add(store, grids, r);
-        }
+        seg.exact_left.Add(store, grids, r);
       } else {
         seg.exact_right_counts[store.label(r)]++;
-        if (codes != nullptr) {
-          seg.exact_right.AddCoded(*codes, r);
-        } else {
-          seg.exact_right.Add(store, grids, r);
-        }
+        seg.exact_right.Add(store, grids, r);
       }
       break;
   }
@@ -88,8 +73,8 @@ bool RoutePending(Pending* p, const Store& store,
 // the record-major form the tiled scan replaced.
 template <class Store>
 void RecordMajorScan(const Store& store, const std::vector<IntervalGrid>& grids,
-                     const DecisionTree& tree, const BinCodeCache* codes,
-                     std::vector<NodeId>* nid, FrontierQueues* work) {
+                     const DecisionTree& tree, std::vector<NodeId>* nid,
+                     FrontierQueues* work) {
   const int num_nodes = tree.num_nodes();
   std::vector<int> fresh(num_nodes, -1);
   std::vector<int> pending(num_nodes, -1);
@@ -115,17 +100,12 @@ void RecordMajorScan(const Store& store, const std::vector<IntervalGrid>& grids,
     if (id < num_nodes) {
       const int fs = fresh[id];
       if (fs >= 0) {
-        if (codes != nullptr) {
-          work->fresh[fs].bundle.AddCoded(*codes, r);
-        } else {
-          work->fresh[fs].bundle.Add(store, grids, r);
-        }
+        work->fresh[fs].bundle.Add(store, grids, r);
         continue;
       }
       const int ps = pending[id];
       if (ps >= 0) {
-        oracle::RoutePending(work->pending[ps].pending.get(), store, grids,
-                             codes, r);
+        oracle::RoutePending(work->pending[ps].pending.get(), store, grids, r);
         continue;
       }
       const int cs = collect[id];
@@ -275,7 +255,8 @@ void ExpectSameState(const FrontierQueues& got, const FrontierQueues& want,
 
 // Drives a CMP build pass by pass (the CmpBuild loop, serially), checking
 // the state after every ScanPass::Run against the oracle's scan of a
-// copy of the same work lists. Returns the finished, pruned tree.
+// copy of the same work lists. Sets up `store`'s codes the way the build
+// driver does. Returns the finished, pruned tree.
 template <class Store>
 std::string BuildCheckingEveryPass(const Dataset& ds, Store& store,
                                    BlockSource& source, const CmpOptions& o,
@@ -286,27 +267,12 @@ std::string BuildCheckingEveryPass(const Dataset& ds, Store& store,
   const std::vector<AttrId> numeric_attrs = schema.NumericAttrs();
   std::vector<IntervalGrid> grids(schema.num_attrs());
   std::vector<std::vector<char>> interior(schema.num_attrs());
+  store.StartCodes();
   for (const AttrId a : numeric_attrs) {
-    ExactAttrGridBuilder builder;
-    builder.Add(ds.numeric_column(a).data(), n);
-    AttrGridResult built =
-        builder.Finish(o.intervals, Discretization::kEqualDepth);
-    grids[a] = std::move(built.grid);
-    interior[a] = std::move(built.interior);
+    grids[a] = IntervalGrid::EqualDepth(ds.numeric_column(a), o.intervals);
+    interior[a] = store.EncodeNumeric(a, grids[a], ds.numeric_column(a).data());
   }
-  BinCodeCache codes;
-  if (o.bin_code_cache) {
-    codes = BinCodeCache(schema, n, o.intervals);
-    for (AttrId a = 0; a < schema.num_attrs(); ++a) {
-      if (schema.is_numeric(a)) {
-        codes.EncodeNumericColumn(a, grids[a], ds.numeric_column(a));
-      } else {
-        codes.EncodeCategoricalColumn(a, ds.categorical_column(a));
-      }
-    }
-    codes.SetLabels(ds.labels());
-  }
-  const BinCodeCache* oracle_codes = codes.enabled() ? &codes : nullptr;
+  store.FinishCodes(grids, std::min(n, kScanTileRecords), pool);
 
   BuildResult result;
   result.tree = DecisionTree(schema);
@@ -324,9 +290,9 @@ std::string BuildCheckingEveryPass(const Dataset& ds, Store& store,
   FrontierQueues work;
   FrontierQueues next;
   SplitExecutor<Store> executor(planner, store, o, &result, &tracker, pool,
-                                &next, &codes);
+                                &next);
   ScanPass<Store> scan(store, source, grids, result.tree, nid, pool, &tracker,
-                       &codes, shards);
+                       shards);
   if (planner.bivariate()) {
     const AttrId x = numeric_attrs.front();
     work.fresh.push_back(
@@ -340,8 +306,8 @@ std::string BuildCheckingEveryPass(const Dataset& ds, Store& store,
   for (int pass = 0; !work.Empty(); ++pass) {
     FrontierQueues want = Clone(work);
     std::vector<NodeId> want_nid = nid;
-    oracle::RecordMajorScan(oracle_store, grids, result.tree, oracle_codes,
-                            &want_nid, &want);
+    oracle::RecordMajorScan(oracle_store, grids, result.tree, &want_nid,
+                            &want);
     PassObservation po;
     scan.Run(work, &po);
     const std::string at = where + " pass " + std::to_string(pass);
@@ -386,41 +352,36 @@ class ScanPassOracleTest : public ::testing::Test {
   }
 
   // Checks every pass of `o` over the in-memory and streamed stores, for
-  // each route shard count and both cache settings, and that the driven
-  // build's tree is CmpBuilder's.
+  // each route shard count, and that the driven build's tree is
+  // CmpBuilder's.
   Coverage CheckVariant(CmpOptions o) {
     ThreadPool pool(4);
     Coverage cov;
     const std::string reference = SerializeTree(CmpBuilder(o).Build(*data_).tree);
-    for (const bool codes : {true, false}) {
-      o.bin_code_cache = codes;
-      const std::string tag = codes ? " codes" : " no-codes";
-      for (const int shards : {1, 2, 3, 4}) {
-        DatasetBlockSource source(*data_);
-        InMemoryStore store(*data_);
-        const std::string where =
-            "memory shards=" + std::to_string(shards) + tag;
-        EXPECT_EQ(BuildCheckingEveryPass(*data_, store, source, o, shards,
-                                         &pool, where, &cov),
-                  reference)
-            << where;
-        if (HasFailure()) return cov;
-      }
-      // 7000 leaves a partial block per tile boundary; 69999 is a block
-      // larger than the tile that ends one record short of the table.
-      for (const auto& [block, shards] :
-           {std::pair<int64_t, int>{7000, 3}, std::pair<int64_t, int>{7000, 1},
-            std::pair<int64_t, int>{69999, 4}}) {
-        DatasetBlockSource source(*data_, block);
-        StreamStore store(data_->schema(), data_->num_records());
-        const std::string where = "stream block=" + std::to_string(block) +
-                                  " shards=" + std::to_string(shards) + tag;
-        EXPECT_EQ(BuildCheckingEveryPass(*data_, store, source, o, shards,
-                                         &pool, where, &cov),
-                  reference)
-            << where;
-        if (HasFailure()) return cov;
-      }
+    for (const int shards : {1, 2, 3, 4}) {
+      DatasetBlockSource source(*data_);
+      InMemoryStore store(*data_);
+      const std::string where = "memory shards=" + std::to_string(shards);
+      EXPECT_EQ(BuildCheckingEveryPass(*data_, store, source, o, shards,
+                                       &pool, where, &cov),
+                reference)
+          << where;
+      if (HasFailure()) return cov;
+    }
+    // 7000 leaves a partial block per tile boundary; 69999 is a block
+    // larger than the tile that ends one record short of the table.
+    for (const auto& [block, shards] :
+         {std::pair<int64_t, int>{7000, 3}, std::pair<int64_t, int>{7000, 1},
+          std::pair<int64_t, int>{69999, 4}}) {
+      DatasetBlockSource source(*data_, block);
+      StreamStore store(data_->schema(), data_->num_records());
+      const std::string where = "stream block=" + std::to_string(block) +
+                                " shards=" + std::to_string(shards);
+      EXPECT_EQ(BuildCheckingEveryPass(*data_, store, source, o, shards,
+                                       &pool, where, &cov),
+                reference)
+          << where;
+      if (HasFailure()) return cov;
     }
     return cov;
   }

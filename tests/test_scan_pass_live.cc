@@ -5,8 +5,8 @@
 // descent, that
 //  - a pass routes exactly the records the previous pass sent to a sink
 //    (every record on the first pass) and reports that count as
-//    records_routed, the same for every shard count, store, block size
-//    and cache setting;
+//    records_routed, the same for every shard count, store and block
+//    size;
 //  - after each pass the live lists hold exactly those records, every
 //    run's records sit at the run's node, and each node's records
 //    appear in ascending record order.
@@ -27,7 +27,6 @@
 #include "common/class_counts.h"
 #include "common/thread_pool.h"
 #include "datagen/agrawal.h"
-#include "hist/grid_builder.h"
 #include "io/block_source.h"
 #include "tree/observer.h"
 
@@ -132,26 +131,12 @@ std::vector<int64_t> BuildCheckingLiveLists(const Dataset& ds, Store& store,
   const std::vector<AttrId> numeric_attrs = schema.NumericAttrs();
   std::vector<IntervalGrid> grids(schema.num_attrs());
   std::vector<std::vector<char>> interior(schema.num_attrs());
+  store.StartCodes();
   for (const AttrId a : numeric_attrs) {
-    ExactAttrGridBuilder builder;
-    builder.Add(ds.numeric_column(a).data(), n);
-    AttrGridResult built =
-        builder.Finish(o.intervals, Discretization::kEqualDepth);
-    grids[a] = std::move(built.grid);
-    interior[a] = std::move(built.interior);
+    grids[a] = IntervalGrid::EqualDepth(ds.numeric_column(a), o.intervals);
+    interior[a] = store.EncodeNumeric(a, grids[a], ds.numeric_column(a).data());
   }
-  BinCodeCache codes;
-  if (o.bin_code_cache) {
-    codes = BinCodeCache(schema, n, o.intervals);
-    for (AttrId a = 0; a < schema.num_attrs(); ++a) {
-      if (schema.is_numeric(a)) {
-        codes.EncodeNumericColumn(a, grids[a], ds.numeric_column(a));
-      } else {
-        codes.EncodeCategoricalColumn(a, ds.categorical_column(a));
-      }
-    }
-    codes.SetLabels(ds.labels());
-  }
+  store.FinishCodes(grids, std::min(n, kScanTileRecords), pool);
 
   BuildResult result;
   result.tree = DecisionTree(schema);
@@ -169,9 +154,9 @@ std::vector<int64_t> BuildCheckingLiveLists(const Dataset& ds, Store& store,
   FrontierQueues work;
   FrontierQueues next;
   SplitExecutor<Store> executor(planner, store, o, &result, &tracker, pool,
-                                &next, &codes);
+                                &next);
   ScanPass<Store> scan(store, source, grids, result.tree, nid, pool, &tracker,
-                       &codes, shards);
+                       shards);
   if (planner.bivariate()) {
     const AttrId x = numeric_attrs.front();
     work.fresh.push_back(
@@ -231,8 +216,8 @@ class ScanPassLiveTest : public ::testing::Test {
   // Checks every pass of `o` at route shards 1-4, over the in-memory
   // store and the streamed one at blocks 7000 (a partial block per tile
   // boundary) and 69999 (larger than a tile, one record short of the
-  // table), with the cache on and off; records_routed must be the same
-  // in all of them and in CmpBuilder's own build.
+  // table); records_routed must be the same in all of them and in
+  // CmpBuilder's own build.
   LiveCoverage CheckVariant(CmpOptions o) {
     ThreadPool pool(4);
     LiveCoverage cov;
@@ -245,31 +230,26 @@ class ScanPassLiveTest : public ::testing::Test {
       reference.push_back(p.records_routed);
     }
     EXPECT_EQ(reference.front(), data_->num_records());
-    for (const bool codes : {true, false}) {
-      o.bin_code_cache = codes;
-      const std::string tag = codes ? " codes" : " no-codes";
-      for (const int shards : {1, 2, 3, 4}) {
-        for (const int64_t block :
-             {int64_t{0}, int64_t{7000}, int64_t{69999}}) {
-          const std::string where =
-              (block == 0 ? std::string("memory")
-                          : "stream block=" + std::to_string(block)) +
-              " shards=" + std::to_string(shards) + tag;
-          std::vector<int64_t> routed;
-          if (block == 0) {
-            DatasetBlockSource source(*data_);
-            InMemoryStore store(*data_);
-            routed = BuildCheckingLiveLists(*data_, store, source, o, shards,
-                                            &pool, where, &cov);
-          } else {
-            DatasetBlockSource source(*data_, block);
-            StreamStore store(data_->schema(), data_->num_records());
-            routed = BuildCheckingLiveLists(*data_, store, source, o, shards,
-                                            &pool, where, &cov);
-          }
-          EXPECT_EQ(routed, reference) << where;
-          if (HasFailure()) return cov;
+    for (const int shards : {1, 2, 3, 4}) {
+      for (const int64_t block : {int64_t{0}, int64_t{7000}, int64_t{69999}}) {
+        const std::string where =
+            (block == 0 ? std::string("memory")
+                        : "stream block=" + std::to_string(block)) +
+            " shards=" + std::to_string(shards);
+        std::vector<int64_t> routed;
+        if (block == 0) {
+          DatasetBlockSource source(*data_);
+          InMemoryStore store(*data_);
+          routed = BuildCheckingLiveLists(*data_, store, source, o, shards,
+                                          &pool, where, &cov);
+        } else {
+          DatasetBlockSource source(*data_, block);
+          StreamStore store(data_->schema(), data_->num_records());
+          routed = BuildCheckingLiveLists(*data_, store, source, o, shards,
+                                          &pool, where, &cov);
         }
+        EXPECT_EQ(routed, reference) << where;
+        if (HasFailure()) return cov;
       }
     }
     return cov;
