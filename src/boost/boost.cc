@@ -68,6 +68,7 @@ class WeakPassCollector : public TrainObserver {
     line_search_seconds += pass.line_search_seconds;
     line_refine_seconds += pass.line_refine_seconds;
     lines_evaluated += pass.lines_evaluated;
+    lines_skipped += pass.lines_skipped;
     finish_seconds += pass.finish_seconds;
     route_seconds += pass.route_seconds;
     kernel_seconds += pass.kernel_seconds;
@@ -81,6 +82,7 @@ class WeakPassCollector : public TrainObserver {
   double line_search_seconds = 0.0;
   double line_refine_seconds = 0.0;
   int64_t lines_evaluated = 0;
+  int64_t lines_skipped = 0;
   double finish_seconds = 0.0;
   double route_seconds = 0.0;
   double kernel_seconds = 0.0;
@@ -226,6 +228,7 @@ BuildResult BoostBuilder::Build(const Dataset& train) {
       pass.line_search_seconds = weak_passes.line_search_seconds;
       pass.line_refine_seconds = weak_passes.line_refine_seconds;
       pass.lines_evaluated = weak_passes.lines_evaluated;
+      pass.lines_skipped = weak_passes.lines_skipped;
       pass.finish_seconds = weak_passes.finish_seconds;
       pass.route_seconds = weak_passes.route_seconds;
       pass.kernel_seconds = weak_passes.kernel_seconds;

@@ -248,6 +248,7 @@ void CmpBuild<Store>::Run() {
     po.line_search_seconds = line_search.search_seconds;
     po.line_refine_seconds = line_search.refine_seconds;
     po.lines_evaluated = line_search.lines_evaluated;
+    po.lines_skipped = line_search.lines_skipped;
 
     if constexpr (Store::kStreaming) {
       // Every retained record has been consumed (collect subtrees built,

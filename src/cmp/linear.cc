@@ -118,6 +118,37 @@ PrefixGrid MakePrefixGrid(const HistogramMatrix& m, const Axis& ax,
   return g;
 }
 
+// The coarse matrix's within-cell impurity, sum over cells of
+// n_cell * gini(cell), divided by the matrix's record count. Every line
+// partitions whole cells into three groups and gini is concave, so no
+// line's gini^D lies below it.
+double WithinCellImpurity(const PrefixGrid& g) {
+  const int nc = g.nc;
+  int64_t n = 0;
+  for (int k = 0; k < nc; ++k) n += g.totals[k];
+  if (n == 0) return 0.0;
+  double impurity = 0.0;
+  for (int x = 0; x < g.ax.cells(); ++x) {
+    const int64_t* col = g.column(x);
+    for (int y = 0; y < g.ay.cells(); ++y) {
+      const int64_t* lo = col + static_cast<size_t>(y) * nc;
+      const int64_t* hi = lo + nc;
+      int64_t cell_n = 0;
+      double sum_sq = 0.0;
+      for (int k = 0; k < nc; ++k) {
+        const double count = static_cast<double>(hi[k] - lo[k]);
+        cell_n += hi[k] - lo[k];
+        sum_sq += count * count;
+      }
+      if (cell_n > 0) {
+        impurity += static_cast<double>(cell_n) -
+                    sum_sq / static_cast<double>(cell_n);
+      }
+    }
+  }
+  return impurity / static_cast<double>(n);
+}
+
 // Per-FindBestLine scratch, reused by every line evaluation.
 struct LineScratch {
   std::vector<int64_t> under;
@@ -134,6 +165,52 @@ struct WalkResult {
   double gini = 1.0;
 };
 
+// First index in [0, n] at which `below` turns false, for a predicate
+// that holds on a prefix of [0, n) and fails on the rest. The search
+// starts at `hint` (the answer of the previous column), gallops away
+// from it until it brackets the boundary, then bisects the bracket: for
+// a boundary d rows from the hint this costs O(log d) probes, and O(1)
+// when it has not moved. On such a predicate it returns the same index
+// as a plain binary search over [0, n).
+template <typename Below>
+int GallopBoundary(int n, int hint, Below below) {
+  int lo = 0;
+  int hi = n;
+  int step = 1;
+  if (hint < n && below(hint)) {
+    lo = hint + 1;
+    while (lo < n) {
+      const int probe = std::min(lo + step - 1, n - 1);
+      if (!below(probe)) {
+        hi = probe;
+        break;
+      }
+      lo = probe + 1;
+      step *= 2;
+    }
+  } else {
+    hi = hint;
+    while (hi > 0) {
+      const int probe = std::max(hi - step, 0);
+      if (below(probe)) {
+        lo = probe + 1;
+        break;
+      }
+      hi = probe;
+      step *= 2;
+    }
+  }
+  while (lo < hi) {
+    const int mid = (lo + hi) / 2;
+    if (below(mid)) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
 // gini^D of the three-way partition induced by a*X + b*Y <= c over the
 // coarse grid, where a cell is "under" when its max corner satisfies
 // f_max = a*x1 + b*y1 - c <= 0, else "above" when its min corner
@@ -143,12 +220,15 @@ struct WalkResult {
 // only builds lines with a, b >= 0), so "under" is a prefix of rows
 // [0, u) and "above" a suffix [max(u, m), cy), where u is the first row
 // failing the under test and m the first row passing the above test.
-// Two binary searches find u and m; prefix-count differences then give
-// the very integer counts the cell-by-cell classification sums, so
-// SplitGini3 sees identical inputs: O(cx * (log cy + classes)) per line
-// instead of O(cx * cy * classes). Each corner value is computed as the
-// same expression `(a*x + b*y) - c` the per-cell test uses (a*x hoisted
-// per column, b*y per row), so every comparison is bit-for-bit the same.
+// Two boundary searches find u and m, each started at the previous
+// column's answer: a line crosses neighbouring columns at nearby rows,
+// so a line costs about O(cx + cy) probes plus O(cx * classes) for the
+// prefix-count differences, instead of O(cx * cy * classes) for the
+// cell-by-cell classification. Those differences are the very integer
+// counts the cell loop sums, so SplitGini3 sees identical inputs. Each
+// corner value is computed as the same expression `(a*x + b*y) - c` the
+// per-cell test uses (a*x hoisted per column, b*y per row), so every
+// comparison is bit-for-bit the same.
 //
 // Infinite edges (±inf attribute values are legal) can turn a corner
 // value into NaN, which fails both tests and files the cell as crossed.
@@ -177,33 +257,18 @@ double LineGini(const PrefixGrid& g, double a, double b, double c,
   const int rows = b == 0.0 ? g.inf_row : cy;
   std::fill(s->under.begin(), s->under.end(), 0);
   std::fill(s->above.begin(), s->above.end(), 0);
+  int u = 0;
+  int m = 0;
   for (int x = 0; x < g.ax.cells(); ++x) {
     const double a1 = a * ex[x + 1];
     const double a0 = a * ex[x];
     // u: first row whose max corner is not under the line.
-    int lo = 0;
-    int hi = cy;
-    while (lo < hi) {
-      const int mid = (lo + hi) / 2;
-      if (a1 + by[mid + 1] - c <= 0.0) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    const int u = lo;
+    u = GallopBoundary(cy, u,
+                       [&](int r) { return a1 + by[r + 1] - c <= 0.0; });
     // m: first row whose min corner is on or above the line.
-    lo = 0;
-    hi = rows;
-    while (lo < hi) {
-      const int mid = (lo + hi) / 2;
-      if (a0 + by[mid] - c >= 0.0) {
-        hi = mid;
-      } else {
-        lo = mid + 1;
-      }
-    }
-    const int first_above = std::max(u, lo);
+    m = GallopBoundary(rows, m,
+                       [&](int r) { return !(a0 + by[r] - c >= 0.0); });
+    const int first_above = std::max(u, m);
     const int64_t* col = g.column(x);
     for (int k = 0; k < nc; ++k) s->under[k] += col[u * nc + k];
     if (first_above < rows) {
@@ -291,7 +356,8 @@ WalkResult NegativeSlopeWalk(const PrefixGrid& g, LineScratch* scratch,
 
 LinearSplitResult FindBestLine(const HistogramMatrix& m,
                                const IntervalGrid& gx, int x_lo,
-                               const IntervalGrid& gy, int max_grid) {
+                               const IntervalGrid& gy, int max_grid,
+                               double must_beat) {
   LinearSplitResult out;
   const int nc = m.num_classes();
   if (m.x_intervals() < 2 || m.y_intervals() < 2) return out;
@@ -300,15 +366,21 @@ LinearSplitResult FindBestLine(const HistogramMatrix& m,
   std::vector<int> yg;
   const Axis ax = CoarsenAxis(gx, x_lo, m.x_intervals(), max_grid, &xg);
   const Axis ay = CoarsenAxis(gy, 0, m.y_intervals(), max_grid, &yg);
+  const PrefixGrid grid = MakePrefixGrid(m, ax, xg, ay, yg, /*mirror=*/false);
+  // The margin absorbs the rounding of both impurity sums; mirroring
+  // only reorders rows, so one bound covers both walks.
+  if (WithinCellImpurity(grid) * (1.0 - 1e-9) >= must_beat) {
+    out.skipped = true;
+    return out;
+  }
   LineScratch scratch;
   scratch.under.resize(nc);
   scratch.above.resize(nc);
   scratch.on.resize(nc);
   scratch.by.resize(ay.edges.size());
 
-  const WalkResult neg = NegativeSlopeWalk(
-      MakePrefixGrid(m, ax, xg, ay, yg, /*mirror=*/false), &scratch,
-      &out.lines_evaluated);
+  const WalkResult neg =
+      NegativeSlopeWalk(grid, &scratch, &out.lines_evaluated);
   // Mirroring maps y -> -y; the coefficients map back by negating b.
   WalkResult pos = NegativeSlopeWalk(
       MakePrefixGrid(m, ax, xg, ay, yg, /*mirror=*/true), &scratch,

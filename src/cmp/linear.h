@@ -2,6 +2,7 @@
 #define CMP_CMP_LINEAR_H_
 
 #include <cstdint>
+#include <limits>
 
 #include "hist/histogram2d.h"
 #include "hist/quantiles.h"
@@ -21,6 +22,9 @@ struct LinearSplitResult {
   double gini = 1.0;
   /// Candidate lines scored by the search (both walks), valid or not.
   int64_t lines_evaluated = 0;
+  /// The search was skipped because no line could beat `must_beat`
+  /// (then `valid` is false and no line was scored).
+  bool skipped = false;
 };
 
 /// Searches for the best splitting line over the matrix `m`, whose X
@@ -37,11 +41,19 @@ struct LinearSplitResult {
 ///
 /// `max_grid`: the matrix is first coarsened so that neither axis exceeds
 /// this many intervals (adjacent-interval merging), bounding the cost of
-/// each line evaluation: O(cx * (log cy + classes)) over per-column
-/// prefix counts, for a cx x cy coarse grid.
-LinearSplitResult FindBestLine(const HistogramMatrix& m,
-                               const IntervalGrid& gx, int x_lo,
-                               const IntervalGrid& gy, int max_grid);
+/// each line evaluation: about O(cx * classes + cy) over per-column
+/// prefix counts for a cx x cy coarse grid, since each column's row
+/// boundaries are searched from the previous column's.
+///
+/// `must_beat`: every line's gini^D is at least the coarse matrix's
+/// within-cell impurity W = sum over cells of n_cell * gini(cell) / N
+/// (gini is concave). When W * (1 - 1e-9) >= must_beat, no line can
+/// score below `must_beat`, and the search returns `skipped` without
+/// scoring any. The default never skips.
+LinearSplitResult FindBestLine(
+    const HistogramMatrix& m, const IntervalGrid& gx, int x_lo,
+    const IntervalGrid& gy, int max_grid,
+    double must_beat = std::numeric_limits<double>::infinity());
 
 }  // namespace cmp
 

@@ -67,14 +67,12 @@ class InMemoryStore {
                ? codes_.EncodeNumericColumnWithMarks(a, grid, column)
                : InteriorMarks(grid, column, num_records());
   }
-  /// Encodes the categorical columns and labels, one pool task per
-  /// column; nothing without StartCodes.
+  /// Encodes the categorical columns, one pool task per column; nothing
+  /// without StartCodes. The scan reads the dataset's labels, so the
+  /// matrix holds no label column.
   void FinishCodes(const std::vector<IntervalGrid>& /*grids*/,
                    int64_t /*tile_records*/, ThreadPool* pool) {
     if (!codes_.enabled()) return;
-    // The scan reads the dataset's labels; this copy stays only because
-    // code_cache_bytes and peak_memory_bytes report it.
-    codes_.SetLabels(ds_.labels());
     const std::vector<AttrId> cat_attrs = schema().CategoricalAttrs();
     pool->ParallelFor(static_cast<int64_t>(cat_attrs.size()), 1,
                       [&](int64_t lo, int64_t hi) {
@@ -85,7 +83,7 @@ class InMemoryStore {
                         }
                       });
   }
-  /// Resident code bytes: the whole matrix and its label column.
+  /// Resident code bytes: the whole code matrix.
   int64_t code_bytes() const { return codes_.MemoryBytes(); }
 
   void SetBlock(const BlockView& /*view*/) {}

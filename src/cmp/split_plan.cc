@@ -100,9 +100,7 @@ HistBundle SplitPlanner::MakeFreshBundle(AttrId x_attr, int x_lo,
   return HistBundle::MakeBivariate(schema_, grids_, x_attr, x_lo, x_hi);
 }
 
-BundleAnalysis SplitPlanner::Analyze(
-    const HistBundle& bundle, const std::vector<int64_t>& totals) const {
-  (void)totals;  // kept for symmetry with future split criteria
+BundleAnalysis SplitPlanner::Analyze(const HistBundle& bundle) const {
   BundleAnalysis out;
   out.attr_est.assign(schema_.num_attrs(),
                       std::numeric_limits<double>::infinity());
@@ -188,6 +186,12 @@ BundleAnalysis SplitPlanner::Analyze(
     // across the pool into per-Y slots. The winner is reduced serially in
     // ascending numeric_attrs_ order with the serial loop's comparison,
     // so a tie goes to the first Y whatever the thread count.
+    //
+    // A Y whose matrix bound shows that no line can pass the adoption
+    // test below is skipped. That cannot change the decision: when some
+    // other Y's line passes, it scores below every line of the skipped
+    // Y and wins anyway; when none passes, no line is adopted either way.
+    const double must_beat = (1.0 - options_.linear_gain) * best_est;
     std::vector<AttrId> ys;
     for (AttrId y : numeric_attrs_) {
       if (y != x && grids_[y].num_intervals() >= 2) ys.push_back(y);
@@ -197,7 +201,7 @@ BundleAnalysis SplitPlanner::Analyze(
     auto search = [&](size_t i) {
       const Timer timer;
       lines[i] = FindBestLine(bundle.matrix(ys[i]), grids_[x], bundle.x_lo(),
-                              grids_[ys[i]], options_.linear_grid);
+                              grids_[ys[i]], options_.linear_grid, must_beat);
       seconds[i] = timer.Seconds();
     };
     if (pool_->parallelism() > 1 && ys.size() > 1) {
@@ -214,13 +218,13 @@ BundleAnalysis SplitPlanner::Analyze(
       const LinearSplitResult& line = lines[i];
       out.line_search.search_seconds += seconds[i];
       out.line_search.lines_evaluated += line.lines_evaluated;
+      out.line_search.lines_skipped += line.skipped ? 1 : 0;
       if (line.valid && (!best_line.valid || line.gini < best_line.gini)) {
         best_line = line;
         best_line_y = ys[i];
       }
     }
-    if (best_line.valid &&
-        best_line.gini < (1.0 - options_.linear_gain) * best_est) {
+    if (best_line.valid && best_line.gini < must_beat) {
       // The coarse grid is enough to *detect* a linear relationship;
       // refine the winning matrix at full resolution so the committed
       // line hugs the true boundary (fewer residual fix-up splits).
@@ -445,7 +449,7 @@ void SplitPlanner::PlanSegment(Segment* seg, int depth,
     seg->plan = PlanKind::kGrow;
     return;
   }
-  const BundleAnalysis an = Analyze(seg->bundle, totals);
+  const BundleAnalysis an = Analyze(seg->bundle);
   line_search->Add(an.line_search);
   switch (an.decision) {
     case BundleAnalysis::Decision::kNone:

@@ -39,11 +39,15 @@ struct LineSearchStats {
   double refine_seconds = 0.0;
   /// Candidate lines scored; independent of the thread count.
   int64_t lines_evaluated = 0;
+  /// Per-Y searches skipped because no line of that matrix could be
+  /// adopted; independent of the thread count.
+  int64_t lines_skipped = 0;
 
   void Add(const LineSearchStats& o) {
     search_seconds += o.search_seconds;
     refine_seconds += o.refine_seconds;
     lines_evaluated += o.lines_evaluated;
+    lines_skipped += o.lines_skipped;
   }
 };
 
@@ -144,9 +148,8 @@ class SplitPlanner {
   HistBundle MakeFreshBundle(AttrId x_attr, int x_lo, int x_hi) const;
 
   /// Analyzes a node's complete histogram bundle and picks a split
-  /// decision. `totals` are the node's per-class counts.
-  BundleAnalysis Analyze(const HistBundle& bundle,
-                         const std::vector<int64_t>& totals) const;
+  /// decision.
+  BundleAnalysis Analyze(const HistBundle& bundle) const;
 
   /// Builds the Pending structure for a node whose decision is
   /// kNumericPending. The line searches of any segments it plans are
@@ -302,7 +305,7 @@ class SplitExecutor {
       return;
     }
 
-    const BundleAnalysis an = planner_.Analyze(bundle, totals);
+    const BundleAnalysis an = planner_.Analyze(bundle);
     line_search_.Add(an.line_search);
 
     // Prediction bookkeeping: a fresh bivariate bundle's X axis was

@@ -93,9 +93,11 @@ class CodeColumn {
 /// re-paying a binary search (`IntervalOf`) per numeric value per pass,
 /// each column is encoded ONCE into a columnar code matrix: numeric
 /// attributes store their grid interval index, categorical attributes
-/// their (already dense) value, and the label column rides along so a
-/// kernel never touches the raw records. Each column takes the width
-/// its row count needs (CodeColumn), so every schema can be encoded.
+/// their (already dense) value, and a caller may install the label
+/// column too (SetLabels) so a kernel never touches the raw records; the
+/// CMP build's in-memory store does not, since its scan reads the
+/// dataset's labels. Each column takes the width its row count needs
+/// (CodeColumn), so every schema can be encoded.
 ///
 /// A streamed build keeps no such matrix: its record store encodes each
 /// tile's live records as the scan reaches them (cmp/record_store.h).

@@ -67,6 +67,7 @@ std::string TrainStatsCollector::ToJson() const {
        << ", \"line_search_seconds\": " << p.line_search_seconds
        << ", \"line_refine_seconds\": " << p.line_refine_seconds
        << ", \"lines_evaluated\": " << p.lines_evaluated
+       << ", \"lines_skipped\": " << p.lines_skipped
        << ", \"finish_seconds\": " << p.finish_seconds
        << ", \"records_scanned\": " << p.records_scanned
        << ", \"bytes_read\": " << p.bytes_read

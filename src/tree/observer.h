@@ -22,10 +22,12 @@ struct PassObservation {
   /// CMP only (0 otherwise): the linear-split search inside plan. Seconds
   /// of the coarse per-Y line searches, summed across the pool threads
   /// they run on; seconds refining winning lines at full resolution;
-  /// and candidate lines scored, which no thread count changes.
+  /// candidate lines scored; and per-Y searches skipped because no line
+  /// of that matrix could be adopted. No thread count changes the counts.
   double line_search_seconds = 0.0;
   double line_refine_seconds = 0.0;
   int64_t lines_evaluated = 0;
+  int64_t lines_skipped = 0;
   /// Wall seconds finishing in-memory partitions with the exact builder.
   double finish_seconds = 0.0;
   int64_t records_scanned = 0;

@@ -633,7 +633,8 @@ TEST_F(CmptoolTest, StatsJsonEmitsObserverMetrics) {
   // The line-search split of plan is reported per pass; CMP-S searches
   // no lines, so its fields read 0 in every pass.
   for (const std::string field :
-       {"line_search_seconds", "line_refine_seconds", "lines_evaluated"}) {
+       {"line_search_seconds", "line_refine_seconds", "lines_evaluated",
+        "lines_skipped"}) {
     EXPECT_NE(json.find("\"" + field + "\": "), std::string::npos) << json;
   }
   ASSERT_EQ(RunTool("train --data " + data_ + " --algo cmp-s --out " +
@@ -654,7 +655,8 @@ TEST_F(CmptoolTest, StatsJsonEmitsObserverMetrics) {
     return n;
   };
   for (const std::string field :
-       {"line_search_seconds", "line_refine_seconds", "lines_evaluated"}) {
+       {"line_search_seconds", "line_refine_seconds", "lines_evaluated",
+        "lines_skipped"}) {
     const std::string key = "\"" + field + "\": ";
     EXPECT_GT(count(key), 0) << json3;
     EXPECT_EQ(count(key + "0,"), count(key)) << json3;

@@ -114,6 +114,24 @@ TEST(Golden, CmpFullDefaultThreshold) {
   CheckGolden("cmp_full_default", builder.Build(GoldenData()).tree);
 }
 
+TEST(Golden, CmpFullLinear) {
+  // GoldenData takes no linear split; F7's linear predicate does, so
+  // this fixture pins the line search and its full-resolution refine.
+  AgrawalOptions gen;
+  gen.function = AgrawalFunction::kF7;
+  gen.num_records = 60000;
+  gen.seed = 239;
+  CmpBuilder builder(CmpFullOptions());
+  const DecisionTree tree = builder.Build(GenerateAgrawal(gen)).tree;
+  int linear = 0;
+  for (NodeId id = 0; id < tree.num_nodes(); ++id) {
+    const TreeNode& node = tree.node(id);
+    if (!node.is_leaf && node.split.kind == Split::Kind::kLinear) ++linear;
+  }
+  EXPECT_GE(linear, 1);
+  CheckGolden("cmp_full_linear", tree);
+}
+
 TEST(Golden, CmpSNoPrune) {
   CmpOptions o = ScanHeavy(CmpSOptions());
   o.base.prune = false;

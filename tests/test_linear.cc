@@ -541,6 +541,69 @@ TEST(LinearSplitDifferential, ZeroSlopeLineOverInfiniteTopRows) {
   }
 }
 
+// Lines the sweep below scores at must_beat = +inf, taken from the
+// search as it was before the skip and the hinted boundary search.
+constexpr int64_t kSweepLines = 46225;
+
+// The skip bound over the same kind of random matrices as the
+// differential test: 2, 3 and 5 classes, infinite edges, every
+// coarsening of its sweep. For thresholds around each matrix's best
+// line, a search is skipped only when its unskipped best gini is
+// >= must_beat, so one whose best line beats must_beat always runs (the
+// bound never exceeds a line's gini); and a search that runs returns
+// the unskipped result bit for bit with the same lines scored. The
+// default threshold (+inf) never skips and scores every line it did
+// before.
+TEST(LinearSplitBound, SkipsOnlySearchesNoLineCanWin) {
+  Rng rng(20261020);
+  int skipped = 0;
+  int skipped_with_inf = 0;
+  int searched = 0;
+  int64_t lines = 0;
+  for (int trial = 0; trial < 1500; ++trial) {
+    const int nc = std::vector<int>{2, 3, 5}[trial % 3];
+    const IntervalGrid gx = RandomGrid(&rng, 40);
+    const IntervalGrid gy = RandomGrid(&rng, 40);
+    const int qx = gx.num_intervals();
+    const int x_lo = static_cast<int>(rng.UniformInt(0, qx - 1));
+    const int nx = static_cast<int>(rng.UniformInt(1, qx - x_lo));
+    const HistogramMatrix m = RandomMatrix(&rng, nx, gy.num_intervals(), nc);
+    const int max_grid = std::vector<int>{2, 3, 7, 16, 32, 64}[trial % 6];
+    const LinearSplitResult full = FindBestLine(m, gx, x_lo, gy, max_grid);
+    ASSERT_FALSE(full.skipped) << "trial " << trial;
+    lines += full.lines_evaluated;
+    const double g = full.valid ? full.gini : 0.5;
+    for (const double must_beat :
+         {0.0, 0.5 * g, 0.9 * g, g, std::nextafter(g, kInf), 1.1 * g, kInf}) {
+      const LinearSplitResult got =
+          FindBestLine(m, gx, x_lo, gy, max_grid, must_beat);
+      if (got.skipped) {
+        EXPECT_FALSE(got.valid) << "trial " << trial;
+        EXPECT_EQ(got.lines_evaluated, 0) << "trial " << trial;
+        if (full.valid && must_beat > 0.0) {
+          EXPECT_GE(full.gini, must_beat) << "trial " << trial;
+          ++skipped;
+          if (HasInfiniteEdge(gx) || HasInfiniteEdge(gy)) ++skipped_with_inf;
+        }
+        continue;
+      }
+      ++searched;
+      ASSERT_EQ(got.valid, full.valid) << "trial " << trial;
+      ASSERT_TRUE(SameBits(got.a, full.a)) << "trial " << trial;
+      ASSERT_TRUE(SameBits(got.b, full.b)) << "trial " << trial;
+      ASSERT_TRUE(SameBits(got.c, full.c)) << "trial " << trial;
+      ASSERT_TRUE(SameBits(got.gini, full.gini)) << "trial " << trial;
+      ASSERT_EQ(got.lines_evaluated, full.lines_evaluated)
+          << "trial " << trial;
+    }
+  }
+  // Both outcomes must be exercised, with and without infinite edges.
+  EXPECT_GT(skipped_with_inf, 300);
+  EXPECT_GT(skipped - skipped_with_inf, 20);
+  EXPECT_GT(searched, 6000);
+  EXPECT_EQ(lines, kSweepLines);
+}
+
 // Each walk scores its starting line plus one or two candidates per
 // step, and takes (cx - 1) + (cy - 1) steps on a cx x cy grid.
 TEST(LinearSplit, CountsEvaluatedLines) {

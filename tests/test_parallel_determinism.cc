@@ -173,11 +173,14 @@ TEST(ParallelDeterminism, ExactBuilderBitIdentical) {
 // reduces them serially in ascending attribute order. Agrawal F7 at 60k
 // rows takes linear splits, so the parallel search and its tie rule are
 // on the path: the tree must carry a linear split and be byte-identical,
-// with the same count of scored lines, at every thread count.
+// with the same counts of scored lines and of skipped searches, at every
+// thread count. Some searches must be skipped, so the bound is on the
+// path too.
 TEST(ParallelDeterminism, LinearSplitSearchBitIdentical) {
   const Dataset train = MakeData(AgrawalFunction::kF7, 60000, 239);
   std::string reference;
   int64_t reference_lines = 0;
+  int64_t reference_skipped = 0;
   for (const int threads : {1, 2, 4}) {
     CmpOptions o;
     o.base.num_threads = threads;
@@ -186,7 +189,11 @@ TEST(ParallelDeterminism, LinearSplitSearchBitIdentical) {
     o.base.observer = &stats;
     const BuildResult r = CmpBuilder(o).Build(train);
     int64_t lines = 0;
-    for (const PassObservation& p : stats.passes()) lines += p.lines_evaluated;
+    int64_t skipped = 0;
+    for (const PassObservation& p : stats.passes()) {
+      lines += p.lines_evaluated;
+      skipped += p.lines_skipped;
+    }
     const std::string bytes = SerializeTree(r.tree);
     if (threads == 1) {
       int linear = 0;
@@ -198,11 +205,14 @@ TEST(ParallelDeterminism, LinearSplitSearchBitIdentical) {
       }
       ASSERT_GE(linear, 1);
       ASSERT_GT(lines, 0);
+      ASSERT_GT(skipped, 0);
       reference = bytes;
       reference_lines = lines;
+      reference_skipped = skipped;
     } else {
       EXPECT_EQ(bytes, reference) << threads << " threads";
       EXPECT_EQ(lines, reference_lines) << threads << " threads";
+      EXPECT_EQ(skipped, reference_skipped) << threads << " threads";
     }
   }
 }
@@ -243,6 +253,7 @@ TEST(ParallelDeterminism, BuildCountersIndependentOfThreadCount) {
                     {"buffer_bytes", p.buffer_bytes},
                     {"tree_nodes", p.tree_nodes},
                     {"lines_evaluated", p.lines_evaluated},
+                    {"lines_skipped", p.lines_skipped},
                     {"code_cache_bytes", p.code_cache_bytes},
                     {"sibling_subtractions", p.sibling_subtractions},
                     {"sketch_bytes", p.sketch_bytes},
