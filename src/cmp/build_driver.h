@@ -2,6 +2,7 @@
 #define CMP_CMP_BUILD_DRIVER_H_
 
 #include <algorithm>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -13,8 +14,10 @@
 #include "cmp/split_plan.h"
 #include "cmp/variant_policy.h"
 #include "common/class_counts.h"
+#include "common/column_reader.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
+#include "hist/grid_builder.h"
 #include "io/scan.h"
 #include "pruning/mdl.h"
 #include "tree/builder.h"
@@ -79,32 +82,35 @@ class CmpBuild {
   FrontierQueues next_;
 };
 
-// Discretization pass: one visit per numeric value serves the grid's
-// interior-splittable marks and, in memory, the bin codes. In-memory
-// builds borrow each column from the dataset; streamed builds read it
-// once from the table. The cuts are selected without sorting
-// (IntervalGrid::EqualDepth), so grids depend only on the value multiset
-// and the streamed and in-memory builds produce identical grids — the
-// first link of the streamed-equals-in-memory determinism argument. One
-// loop then writes each value's interval's min and max (interior = min <
-// max) and, when the store keeps a code matrix, its code
-// (record_store.h). (The cmp-stream trainer grows its grids from
-// quantile sketches in its own driver, src/stream/.)
+// Discretization: DiscretizeColumn (hist/grid_builder.h) sets up each
+// numeric column in three chunked passes, which give its grid, its
+// interior marks and, when the store keeps a code matrix, its bin codes
+// (record_store.h). In-memory builds read the dataset's column in place;
+// streamed builds stage it a chunk at a time, so setup holds O(chunk +
+// candidates) per column, never the column. The cuts are selected
+// exactly, so grids depend only on the value multiset and the streamed
+// and in-memory builds produce identical grids — the first link of the
+// streamed-equals-in-memory determinism argument. (The cmp-stream
+// trainer grows its grids from quantile sketches in its own driver,
+// src/stream/.)
 template <class Store>
 void CmpBuild<Store>::BuildGrids(int64_t n) {
   tracker_.ChargeScan(n, schema_);
   grids_.assign(schema_.num_attrs(), IntervalGrid());
   interior_.assign(schema_.num_attrs(), {});
-  const Dataset* const full = store_.dataset();
+  std::vector<int64_t> setup_bytes(schema_.num_attrs(), 0);
   auto build_attr = [&](AttrId a) {
-    std::vector<double> read;
-    if (full == nullptr && !source_.ReadNumericColumn(a, &read)) {
+    const std::unique_ptr<ColumnReader> column = source_.OpenNumericColumn(a);
+    AttrGridResult result;
+    ColumnSetupStats stats;
+    if (column == nullptr ||
+        !DiscretizeColumn(*column, options_.intervals, kSetupChunkRecords,
+                          store_.numeric_codes(a), &result, &stats)) {
       throw std::runtime_error("cmp: failed to read numeric column");
     }
-    const std::vector<double>& column =
-        full != nullptr ? full->numeric_column(a) : read;
-    grids_[a] = IntervalGrid::EqualDepth(column, options_.intervals);
-    interior_[a] = store_.EncodeNumeric(a, grids_[a], column.data());
+    grids_[a] = std::move(result.grid);
+    interior_[a] = std::move(result.interior);
+    setup_bytes[a] = stats.buffer_bytes + column->buffer_bytes();
   };
   if (pool_->parallelism() > 1 && numeric_attrs_.size() > 1) {
     pool_->ParallelFor(static_cast<int64_t>(numeric_attrs_.size()), 1,
@@ -117,6 +123,14 @@ void CmpBuild<Store>::BuildGrids(int64_t n) {
     for (AttrId a : numeric_attrs_) build_attr(a);
   }
   for (size_t i = 0; i < numeric_attrs_.size(); ++i) tracker_.ChargeSort(n);
+  if constexpr (Store::kStreaming) {
+    // Setup's buffers as if every column were set up at once, so the
+    // figure does not depend on the thread count; the staged blocks are
+    // resident too.
+    int64_t bytes = source_.resident_bytes();
+    for (const int64_t b : setup_bytes) bytes += b;
+    tracker_.NotePeakMemory(bytes);
+  }
 }
 
 template <class Store>

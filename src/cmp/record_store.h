@@ -9,7 +9,6 @@
 #include "common/dataset.h"
 #include "common/thread_pool.h"
 #include "hist/bin_codes.h"
-#include "hist/grid_builder.h"
 #include "io/block_source.h"
 
 namespace cmp {
@@ -25,10 +24,11 @@ namespace cmp {
 /// per-round stash while their block is still resident.
 ///
 /// Both stores answer the same calls:
-///  - setup: StartCodes, then EncodeNumeric once per numeric attribute
-///    (concurrently for distinct ones), then FinishCodes. A build that
-///    never scans histograms skips StartCodes, so an in-memory store
-///    encodes nothing and only returns the interior marks;
+///  - setup: StartCodes, then numeric_codes once per numeric attribute
+///    (concurrently for distinct ones) names where DiscretizeColumn
+///    (hist/grid_builder.h) writes its codes, null for none, then
+///    FinishCodes. A build that never scans histograms skips StartCodes,
+///    so an in-memory store encodes nothing;
 ///  - scan: SetBlock, then per tile SetTile and EncodeTile (concurrently
 ///    on disjoint offsets). view(a) and labels() then read the tile's
 ///    columns from its first record on (the pair
@@ -58,14 +58,10 @@ class InMemoryStore {
   const Dataset* dataset() const { return &ds_; }
 
   void StartCodes() { codes_ = BinCodeCache(schema(), num_records()); }
-  /// The interior marks of numeric attribute `a`'s column (hist/
-  /// grid_builder.h), writing its codes in the same visit once
-  /// StartCodes has run.
-  std::vector<char> EncodeNumeric(AttrId a, const IntervalGrid& grid,
-                                  const double* column) {
-    return codes_.enabled()
-               ? codes_.EncodeNumericColumnWithMarks(a, grid, column)
-               : InteriorMarks(grid, column, num_records());
+  /// The code matrix's column for numeric attribute `a` once StartCodes
+  /// has run: setup writes the whole table's codes there.
+  CodeColumn* numeric_codes(AttrId a) {
+    return codes_.enabled() ? codes_.mutable_column(a) : nullptr;
   }
   /// Encodes the categorical columns, one pool task per column; nothing
   /// without StartCodes. The scan reads the dataset's labels, so the
@@ -129,10 +125,8 @@ class StreamStore {
   const Dataset* dataset() const { return nullptr; }
 
   void StartCodes() {}
-  std::vector<char> EncodeNumeric(AttrId /*a*/, const IntervalGrid& grid,
-                                  const double* column) {
-    return InteriorMarks(grid, column, num_records_);
-  }
+  /// None: each pass encodes its tiles' live records (EncodeTile).
+  CodeColumn* numeric_codes(AttrId /*a*/) { return nullptr; }
   /// Sizes one code column of `tile_records` entries per numeric
   /// attribute, at the width its grid needs.
   void FinishCodes(const std::vector<IntervalGrid>& grids,

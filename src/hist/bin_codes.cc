@@ -4,12 +4,10 @@
 #include <type_traits>
 #include <utility>
 
-#include "hist/grid_builder.h"
-
 namespace cmp {
 
 void CodeColumn::Resize(int64_t rows, int64_t n) {
-  width_ = rows <= 256 ? 1 : rows <= 65536 ? 2 : 4;
+  width_ = WidthFor(rows);
   u8_.resize(width_ == 1 ? n : 0);
   u16_.resize(width_ == 2 ? n : 0);
   u32_.resize(width_ == 4 ? n : 0);
@@ -34,6 +32,22 @@ void CodeColumn::EncodeAt(const IntervalGrid& grid, const double* values,
   });
 }
 
+void CodeColumn::Remap(const std::vector<int32_t>& map, int64_t rows) {
+  const int64_t n = static_cast<int64_t>(
+      std::max({u8_.size(), u16_.size(), u32_.size()}));
+  // Maps in place, or into a narrower column that then replaces this one.
+  CodeColumn narrow;
+  CodeColumn* const out = WidthFor(rows) == width_ ? this : &narrow;
+  if (out != this) narrow.Resize(rows, n);
+  VisitStorage([&](const auto* from) {
+    out->VisitStorage([&](auto* to) {
+      using Code = std::remove_pointer_t<decltype(to)>;
+      for (int64_t i = 0; i < n; ++i) to[i] = static_cast<Code>(map[from[i]]);
+    });
+  });
+  if (out != this) *this = std::move(narrow);
+}
+
 int64_t CodeColumn::MemoryBytes() const {
   return static_cast<int64_t>(u8_.capacity()) * sizeof(uint8_t) +
          static_cast<int64_t>(u16_.capacity()) * sizeof(uint16_t) +
@@ -46,19 +60,17 @@ BinCodeCache::BinCodeCache(const Schema& schema, int64_t num_records,
 
 void BinCodeCache::EncodeNumericColumn(AttrId a, const IntervalGrid& grid,
                                        const std::vector<double>& column) {
-  assert(static_cast<int64_t>(column.size()) == n_);
-  EncodeNumericColumnWithMarks(a, grid, column.data());
-}
-
-std::vector<char> BinCodeCache::EncodeNumericColumnWithMarks(
-    AttrId a, const IntervalGrid& grid, const double* column) {
   assert(enabled_);
+  assert(static_cast<int64_t>(column.size()) == n_);
   CodeColumn& col = cols_[a];
   // Width follows the ACTUAL interval count (collapsed duplicate cuts
   // can shrink a 300-interval request under 256), not the requested cap.
   col.Resize(grid.num_intervals(), n_);
-  return col.VisitStorage([&](auto* codes) {
-    return InteriorMarks(grid, column, n_, codes);
+  col.VisitStorage([&](auto* codes) {
+    using Code = std::remove_pointer_t<decltype(codes)>;
+    for (int64_t r = 0; r < n_; ++r) {
+      codes[r] = static_cast<Code>(grid.IntervalOf(column[r]));
+    }
   });
 }
 

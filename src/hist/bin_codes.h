@@ -45,6 +45,11 @@ decltype(auto) VisitCodes(const CodeView& v, F&& f) {
 /// beyond.
 class CodeColumn {
  public:
+  /// Bytes per code for codes below `rows`.
+  static int WidthFor(int64_t rows) {
+    return rows <= 256 ? 1 : rows <= 65536 ? 2 : 4;
+  }
+
   /// Sizes the column for `n` codes below `rows`; the contents are
   /// unspecified until written.
   void Resize(int64_t rows, int64_t n);
@@ -64,12 +69,11 @@ class CodeColumn {
   void EncodeAt(const IntervalGrid& grid, const double* values,
                 const uint16_t* offsets, int64_t n);
 
-  int64_t MemoryBytes() const;
+  /// Replaces every code c by map[c], stored at the width `rows` needs
+  /// (narrower than the current one when `rows` is smaller).
+  void Remap(const std::vector<int32_t>& map, int64_t rows);
 
- private:
-  friend class BinCodeCache;
-
-  // Calls `f` with the writable storage of the current width.
+  /// Calls `f` with the writable storage of the current width.
   template <class F>
   decltype(auto) VisitStorage(F&& f) {
     if (width_ == 1) return f(u8_.data());
@@ -77,6 +81,9 @@ class CodeColumn {
     return f(u32_.data());
   }
 
+  int64_t MemoryBytes() const;
+
+ private:
   int width_ = 0;
   std::vector<uint8_t> u8_;
   std::vector<uint16_t> u16_;
@@ -130,13 +137,13 @@ class BinCodeCache {
   void EncodeNumericColumn(AttrId a, const IntervalGrid& grid,
                            const std::vector<double>& column);
 
-  /// The same codes from a borrowed column of num_records() values, and
-  /// from the same visit per value the column's interior marks
-  /// (InteriorMarks in hist/grid_builder.h) — the build driver's setup
-  /// pass.
-  std::vector<char> EncodeNumericColumnWithMarks(AttrId a,
-                                                 const IntervalGrid& grid,
-                                                 const double* column);
+  /// Attribute `a`'s column, for a writer that sizes and fills it
+  /// itself: the build driver's setup (DiscretizeColumn in
+  /// hist/grid_builder.h) writes the numeric codes there.
+  CodeColumn* mutable_column(AttrId a) {
+    assert(enabled_);
+    return &cols_[a];
+  }
 
   /// Encodes a categorical attribute's raw column (values are dense
   /// integers in [0, cardinality), validated by the loaders).

@@ -1,12 +1,11 @@
 #ifndef CMP_HIST_GRID_BUILDER_H_
 #define CMP_HIST_GRID_BUILDER_H_
 
-#include <algorithm>
 #include <cstdint>
-#include <limits>
-#include <type_traits>
 #include <vector>
 
+#include "common/column_reader.h"
+#include "hist/bin_codes.h"
 #include "hist/grids.h"
 #include "hist/quantiles.h"
 
@@ -20,13 +19,58 @@ struct AttrGridResult {
   std::vector<char> interior;
 };
 
+/// Records per chunk of a setup pass: the chunk's bucket ids (2 bytes
+/// each) and candidate offsets (4 bytes each) stay in L1.
+inline constexpr int64_t kSetupChunkRecords = 4096;
+
+/// What one DiscretizeColumn call did.
+struct ColumnSetupStats {
+  /// Reads of the whole column: 3, or 4 when a fix-up pass ran.
+  int passes = 0;
+  /// Values copied out for the cut selection.
+  int64_t candidates = 0;
+  /// True when provisional codes were mapped to final ones (cuts
+  /// collapsed, or the final codes are narrower).
+  bool remapped = false;
+  /// Bytes of the buffers the routine held, the reader's excluded.
+  int64_t buffer_bytes = 0;
+};
+
+/// Equal-depth setup of one numeric column in three chunked passes, each
+/// of which holds one chunk of the column at a time:
+///  1. the key range (OrderKey in hist/quantiles.h);
+///  2. a count of 4096 buckets over that range, value-linear over
+///     [min, max], or linear in the keys when a bound is infinite or the
+///     span overflows; equal doubles (-0.0 and +0.0 too) share a bucket;
+///  3. a pass that gives each value its bucket's provisional code (the
+///     number of target ranks below the bucket) and copies the values of
+///     the buckets that hold a target rank (the candidates). A heavy
+///     bucket keeps its first value as a representative and counts its
+///     repeats instead of copying them, so a spike (a run of zeros) is
+///     never copied.
+/// The cuts are then selected among the candidates and collapsed by
+/// IntervalGrid::FromRankCuts, provisional codes are mapped to final
+/// ones (the identity unless cuts collapsed) and candidates are coded
+/// with IntervalOf. Every bucket without a rank lies inside one interval, so
+/// the interior marks follow from which buckets fall in each interval
+/// plus the candidates. A rare 4th pass settles the intervals that one
+/// bucket decides and recodes the repeats of a heavy bucket whose
+/// representative's interval differs from the bucket's provisional one.
+///
+/// Writes the grid and marks to `out` and, with `codes`, each value's
+/// interval (grid.IntervalOf) at the width the grid needs. For any
+/// `chunk` >= 1 the grid is bit-identical to EqualDepthFromSorted on the
+/// sorted column, the marks equal InteriorMarksFromSorted and the codes
+/// per-value IntervalOf. Returns false when a read fails (a file-backed
+/// reader rejects NaN); `out` and `codes` are then unspecified.
+bool DiscretizeColumn(ColumnReader& column, int q, int64_t chunk,
+                      CodeColumn* codes, AttrGridResult* out,
+                      ColumnSetupStats* stats = nullptr);
+
 /// Buffers one numeric attribute's values and never sorts them.
-/// Finish(q, kEqualDepth) selects the cuts (IntervalGrid::EqualDepth),
-/// which is byte-identical to IntervalGrid::EqualDepthFromSorted on the
-/// sorted column; the interior marks come from one pass over the
-/// unsorted buffer (InteriorMarks) and equal InteriorMarksFromSorted on
-/// the sorted column. The CMP build driver selects its grids directly
-/// over the borrowed column instead; this builder serves the benchmark's
+/// Finish(q, kEqualDepth) takes the grid and interior marks from
+/// DiscretizeColumn, the routine the CMP build driver runs over the
+/// borrowed or streamed column; this builder serves the benchmark's
 /// setup replay and the tests.
 class ExactAttrGridBuilder {
  public:
@@ -43,40 +87,9 @@ class ExactAttrGridBuilder {
 
 /// Interior marks for a grid from a sorted value run (the exact rule the
 /// CMP driver uses: interval i is interior iff it contains two distinct
-/// values). Tests use it as the oracle for the one-pass marks.
+/// values). Tests use it as the oracle for DiscretizeColumn's marks.
 std::vector<char> InteriorMarksFromSorted(const std::vector<double>& sorted,
                                           const IntervalGrid& grid);
-
-/// The same marks from `n` values in any order, in one pass: interval i
-/// is interior iff its smallest value is below its largest. With a
-/// `codes` array of `n` unsigned entries (Code not void) the same visit
-/// also stores each value's interval index (grid.IntervalOf(values[r]))
-/// in codes[r], so one visit per value yields both the marks and the bin
-/// codes.
-template <class Code>
-std::vector<char> InteriorMarks(const IntervalGrid& grid,
-                                const double* values, int64_t n,
-                                Code* codes) {
-  const int m = grid.num_intervals();
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  std::vector<double> lo(m, kInf);
-  std::vector<double> hi(m, -kInf);
-  for (int64_t r = 0; r < n; ++r) {
-    const double v = values[r];
-    const int i = grid.IntervalOf(v);
-    if constexpr (!std::is_void_v<Code>) codes[r] = static_cast<Code>(i);
-    lo[i] = std::min(lo[i], v);
-    hi[i] = std::max(hi[i], v);
-  }
-  std::vector<char> interior(m);
-  for (int i = 0; i < m; ++i) interior[i] = lo[i] < hi[i];
-  return interior;
-}
-
-inline std::vector<char> InteriorMarks(const IntervalGrid& grid,
-                                       const double* values, int64_t n) {
-  return InteriorMarks<void>(grid, values, n, nullptr);
-}
 
 }  // namespace cmp
 

@@ -2,6 +2,7 @@
 #define CMP_HIST_QUANTILES_H_
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -10,6 +11,24 @@
 #include "common/types.h"
 
 namespace cmp {
+
+/// Order-preserving map from a non-NaN double to an unsigned key: flip
+/// every bit of a negative value, set the sign bit of the rest. Keys
+/// order values as `<` does, except that -0.0 sorts before +0.0, which
+/// makes the order total.
+inline uint64_t OrderKey(double v) {
+  const uint64_t bits = std::bit_cast<uint64_t>(v);
+  const uint64_t negative =
+      static_cast<uint64_t>(static_cast<int64_t>(bits) >> 63);
+  return bits ^ (negative | (uint64_t{1} << 63));
+}
+
+/// The double whose OrderKey is `key`.
+inline double FromOrderKey(uint64_t key) {
+  const uint64_t positive =
+      static_cast<uint64_t>(static_cast<int64_t>(~key) >> 63);
+  return std::bit_cast<double>(key ^ (positive | (uint64_t{1} << 63)));
+}
 
 /// Equal-depth (quantile) discretization of one numeric attribute.
 ///
@@ -25,13 +44,12 @@ class IntervalGrid {
   IntervalGrid() = default;
 
   /// Builds an equal-depth grid with (at most) `q` intervals from the
-  /// attribute values, in any order, without sorting them: the cuts are
-  /// order statistics, found by bucket selection (a counting pass over
-  /// order-preserving integer keys, repeated inside the few buckets that
-  /// hold a target rank until they are small or constant). The observed
-  /// min/max are recorded as the grid's domain bounds. Identical, bit for
-  /// bit, to EqualDepthFromSorted on the values sorted by the total order
-  /// that puts -0.0 before +0.0. `values` must not contain NaN.
+  /// attribute values, in any order, without sorting them: the grid of
+  /// DiscretizeColumn (hist/grid_builder.h), which selects the cuts from
+  /// one bucket count. The observed min/max are recorded as the grid's
+  /// domain bounds. Identical, bit for bit, to EqualDepthFromSorted on the
+  /// values sorted by the total order that puts -0.0 before +0.0.
+  /// `values` must not contain NaN.
   static IntervalGrid EqualDepth(const std::vector<double>& values, int q);
 
   /// The same grid from a column already in ascending order: cut i is

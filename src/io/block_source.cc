@@ -40,10 +40,10 @@ bool DatasetBlockSource::NextBlock(BlockView* view) {
   return true;
 }
 
-bool DatasetBlockSource::ReadNumericColumn(AttrId a,
-                                           std::vector<double>* out) {
-  *out = ds_.numeric_column(a);
-  return true;
+std::unique_ptr<ColumnReader> DatasetBlockSource::OpenNumericColumn(
+    AttrId a) {
+  return std::make_unique<BorrowedColumn>(ds_.numeric_column(a).data(),
+                                          ds_.num_records());
 }
 
 bool DatasetBlockSource::ReadLabels(std::vector<ClassId>* out) {
@@ -179,16 +179,42 @@ void TableBlockSource::Reset() {
   slots_[1].scanner->Reset();
 }
 
-bool TableBlockSource::ReadNumericColumn(AttrId a,
-                                         std::vector<double>* out) {
-  // A private scanner per call: column loads may fan out across a pool
-  // during discretization, and each needs its own stream position.
+class TableBlockSource::NumericColumnReader final : public ColumnReader {
+ public:
+  NumericColumnReader(TableBlockSource* source,
+                      std::unique_ptr<TableScanner> scanner, AttrId a)
+      : source_(source), scanner_(std::move(scanner)), attr_(a) {}
+
+  int64_t size() const override { return scanner_->num_records(); }
+
+  bool Read(int64_t begin, int64_t count, const double** values) override {
+    if (static_cast<int64_t>(buffer_.size()) < count) buffer_.resize(count);
+    const int64_t before = scanner_->bytes_read();
+    const bool ok =
+        scanner_->ReadNumericChunk(attr_, begin, count, buffer_.data());
+    std::lock_guard<std::mutex> lock(source_->mu_);
+    source_->bytes_read_ += scanner_->bytes_read() - before;
+    *values = buffer_.data();
+    return ok;
+  }
+
+  int64_t buffer_bytes() const override {
+    return static_cast<int64_t>(buffer_.capacity() * sizeof(double));
+  }
+
+ private:
+  TableBlockSource* source_;
+  std::unique_ptr<TableScanner> scanner_;
+  AttrId attr_;
+  std::vector<double> buffer_;
+};
+
+std::unique_ptr<ColumnReader> TableBlockSource::OpenNumericColumn(AttrId a) {
+  // A private scanner per reader: columns may be set up concurrently, and
+  // each needs its own stream position.
   auto scanner = TableScanner::Open(path_, scanner_->block_records());
-  if (scanner == nullptr) return false;
-  if (!scanner->ReadNumericColumn(a, out)) return false;
-  std::lock_guard<std::mutex> lock(mu_);
-  bytes_read_ += scanner->bytes_read();
-  return true;
+  if (scanner == nullptr) return nullptr;
+  return std::make_unique<NumericColumnReader>(this, std::move(scanner), a);
 }
 
 bool TableBlockSource::ReadLabels(std::vector<ClassId>* out) {

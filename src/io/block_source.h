@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "common/column_reader.h"
 #include "common/dataset.h"
 #include "io/stream.h"
 
@@ -57,10 +58,11 @@ class BlockSource {
   /// sources).
   virtual int64_t bytes_read() const { return 0; }
 
-  /// Reads one whole numeric column (ascending record order) — the
-  /// column-contiguous access discretization passes use. Returns false
-  /// on I/O failure.
-  virtual bool ReadNumericColumn(AttrId a, std::vector<double>* out) = 0;
+  /// Opens numeric column `a` for the discretization setup's chunked
+  /// passes (common/column_reader.h); null when the column cannot be
+  /// opened. Each reader reads on its own, so columns may be set up
+  /// concurrently.
+  virtual std::unique_ptr<ColumnReader> OpenNumericColumn(AttrId a) = 0;
 
   /// Reads the whole label column in ascending record order.
   virtual bool ReadLabels(std::vector<ClassId>* out) = 0;
@@ -85,7 +87,8 @@ class DatasetBlockSource : public BlockSource {
   int64_t num_records() const override { return ds_.num_records(); }
   bool NextBlock(BlockView* view) override;
   void Reset() override { position_ = 0; }
-  bool ReadNumericColumn(AttrId a, std::vector<double>* out) override;
+  /// Reads the dataset's column in place.
+  std::unique_ptr<ColumnReader> OpenNumericColumn(AttrId a) override;
   bool ReadLabels(std::vector<ClassId>* out) override;
 
  private:
@@ -115,12 +118,17 @@ class TableBlockSource : public BlockSource {
   void Reset() override;
   bool failed() const override { return failed_; }
   int64_t bytes_read() const override;
-  bool ReadNumericColumn(AttrId a, std::vector<double>* out) override;
+  /// Stages the column one chunk at a time through a private scanner,
+  /// rejecting a chunk that holds a NaN, and charges every chunk's bytes
+  /// to bytes_read().
+  std::unique_ptr<ColumnReader> OpenNumericColumn(AttrId a) override;
   bool ReadLabels(std::vector<ClassId>* out) override;
   void set_prefetch_pool(ThreadPool* pool) override;
   int64_t resident_bytes() const override;
 
  private:
+  class NumericColumnReader;
+
   TableBlockSource() = default;
 
   // Issues an async (or, without a pool, synchronous) read of records

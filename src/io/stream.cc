@@ -153,6 +153,16 @@ bool TableScanner::ReadNumericColumn(AttrId a, std::vector<double>* out) {
   return true;
 }
 
+bool TableScanner::ReadNumericChunk(AttrId a, int64_t begin, int64_t count,
+                                    double* out) {
+  if (begin < 0 || count < 0 || begin + count > num_records_) return false;
+  file_.seekg(column_offsets_[a] +
+              begin * static_cast<int64_t>(sizeof(double)));
+  if (!ReadNumbers(file_, out, count)) return false;
+  bytes_read_ += count * static_cast<int64_t>(sizeof(double));
+  return true;
+}
+
 bool TableScanner::ReadCategoricalColumn(AttrId a, std::vector<int32_t>* out) {
   out->resize(num_records_);
   file_.seekg(column_offsets_[a]);

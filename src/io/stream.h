@@ -122,6 +122,11 @@ class TableScanner {
   /// Does not move the sequential cursor.
   bool ReadNumericColumn(AttrId a, std::vector<double>* out);
 
+  /// Reads values [begin, begin + count) of numeric column `a` into
+  /// `out` and rejects NaN, like ReadNumericColumn. Does not move the
+  /// sequential cursor.
+  bool ReadNumericChunk(AttrId a, int64_t begin, int64_t count, double* out);
+
   /// Reads one whole categorical column in a single bulk read; rejects
   /// codes outside [0, cardinality). `a` must be a categorical
   /// attribute. Does not move the sequential cursor.

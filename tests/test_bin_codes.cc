@@ -195,31 +195,9 @@ TEST(BinCodes, EverySchemaIsEncodedPastSixteenBits) {
   EXPECT_FALSE(BinCodeCache().enabled());
 }
 
-// The build driver's one pass per column: the codes it writes must equal
-// IntervalOf, and the marks it returns InteriorMarksFromSorted, at both
-// code widths; the marks-only pass must return the same marks.
-void CheckFusedPass(const IntervalGrid& grid,
-                    const std::vector<double>& column, int want_width) {
-  const Schema schema = OneNumericSchema();
-  BinCodeCache codes(schema, static_cast<int64_t>(column.size()),
-                     /*max_intervals=*/100000);
-  ASSERT_TRUE(codes.enabled());
-  const std::vector<char> marks =
-      codes.EncodeNumericColumnWithMarks(0, grid, column.data());
-  EXPECT_EQ(codes.width(0), want_width);
-  for (size_t r = 0; r < column.size(); ++r) {
-    ASSERT_EQ(codes.code(0, static_cast<RecordId>(r)),
-              grid.IntervalOf(column[r]))
-        << "record " << r << " value " << column[r];
-  }
-  std::vector<double> sorted = column;
-  std::sort(sorted.begin(), sorted.end());
-  EXPECT_EQ(marks, InteriorMarksFromSorted(sorted, grid));
-  EXPECT_EQ(InteriorMarks(grid, column.data(),
-                          static_cast<int64_t>(column.size())),
-            marks);
-}
-
+// The build driver's setup (DiscretizeColumn): the codes it writes must
+// equal IntervalOf on its grid, at the width the grid needs, and the
+// marks it returns InteriorMarksFromSorted.
 TEST(BinCodes, FusedPassMatchesIntervalOfAndSortedMarks) {
   Rng rng(74);
   std::vector<double> column(6000);
@@ -230,23 +208,23 @@ TEST(BinCodes, FusedPassMatchesIntervalOfAndSortedMarks) {
                 : i % 5 == 1 ? static_cast<double>(rng.UniformInt(1, 40))
                              : rng.Uniform(-100.0, 100.0);
   }
+  std::vector<double> sorted = column;
+  std::sort(sorted.begin(), sorted.end());
+  const int64_t n = static_cast<int64_t>(column.size());
   for (const int q : {2, 100, 256, 300, 1000}) {
-    std::vector<double> sorted = column;
-    std::sort(sorted.begin(), sorted.end());
-    const IntervalGrid grid = IntervalGrid::EqualDepthFromSorted(sorted, q);
-    CheckFusedPass(grid, column, grid.num_intervals() <= 256 ? 1 : 2);
+    BinCodeCache codes(OneNumericSchema(), n);
+    BorrowedColumn reader(column.data(), n);
+    AttrGridResult result;
+    ASSERT_TRUE(DiscretizeColumn(reader, q, kSetupChunkRecords,
+                                 codes.mutable_column(0), &result));
+    const IntervalGrid& grid = result.grid;
+    EXPECT_EQ(codes.width(0), grid.num_intervals() <= 256 ? 1 : 2) << q;
+    for (int64_t r = 0; r < n; ++r) {
+      ASSERT_EQ(codes.code(0, r), grid.IntervalOf(column[r]))
+          << "q " << q << " record " << r << " value " << column[r];
+    }
+    EXPECT_EQ(result.interior, InteriorMarksFromSorted(sorted, grid)) << q;
   }
-  // A wide explicit grid forces two-byte codes over values sitting on,
-  // between and outside the cuts.
-  std::vector<double> cuts;
-  for (int i = 0; i < 400; ++i) cuts.push_back(static_cast<double>(i));
-  const IntervalGrid wide = IntervalGrid::FromBoundaries(cuts, 0.0, 400.0);
-  std::vector<double> on_cuts = column;
-  for (double cut : cuts) on_cuts.push_back(cut);
-  on_cuts.push_back(-1e9);
-  on_cuts.push_back(1e9);
-  CheckFusedPass(wide, on_cuts, /*want_width=*/2);
-  CheckFusedPass(ThirtyTwoBitGrid(), on_cuts, /*want_width=*/4);
 }
 
 TEST(BinCodes, LabelsAndMemoryAccounting) {

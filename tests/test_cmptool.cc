@@ -1072,6 +1072,50 @@ TEST_F(CmptoolTest, HostileTablesFailWithTheirExitCodes) {
   std::remove(csv.c_str());
 }
 
+// Setup reads each numeric column in chunks, pass after pass, and checks
+// every chunk it reads: a NaN only in the last record of the last numeric
+// column, or only in record 0 of the first, fails a streamed train with
+// 4 and writes no tree, with small blocks and with one whole-table
+// block. Loaded whole, the table fails with 3.
+TEST_F(CmptoolTest, NaNAtEitherEndFailsStreamedSetup) {
+  cmp::Schema schema;
+  int64_t n = 0;
+  cmp::TableLayout layout;
+  ASSERT_TRUE(cmp::ReadTableHeader(data_, &schema, &n));
+  ASSERT_TRUE(cmp::ComputeTableLayout(schema, n, &layout));
+  const std::vector<cmp::AttrId> numeric = schema.NumericAttrs();
+  const std::string good = Slurp(data_);
+  const std::string bad = TempPath("nan_end.cmpt");
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  struct Spot {
+    cmp::AttrId attr;
+    int64_t record;
+  };
+  for (const Spot spot :
+       {Spot{numeric.back(), n - 1}, Spot{numeric.front(), 0}}) {
+    std::string bytes = good;
+    std::memcpy(&bytes[layout.column_offsets[spot.attr] +
+                       spot.record * sizeof(double)],
+                &nan, sizeof(nan));
+    WriteFile(bad, bytes);
+    const std::string what = schema.attr(spot.attr).name + " record " +
+                             std::to_string(spot.record);
+    for (const std::string& block :
+         {std::string("1000"), std::to_string(n)}) {
+      std::remove(tree_.c_str());
+      EXPECT_EQ(RunTool("train --data " + bad + " --stream --block " + block +
+                        " --out " + tree_),
+                kTrain)
+          << what << " block " << block;
+      EXPECT_FALSE(std::ifstream(tree_).good()) << what << " block " << block;
+    }
+    std::remove(tree_.c_str());
+    EXPECT_EQ(RunTool("train --data " + bad + " --out " + tree_), kIo) << what;
+    EXPECT_FALSE(std::ifstream(tree_).good()) << what;
+  }
+}
+
+
 // Attribute entries every schema decoder rejects (the rule in
 // common/schema.h): a kind byte other than 0 or 1, which must not pass
 // for categorical, and a categorical cardinality beyond 2^24, which must

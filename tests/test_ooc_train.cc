@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -129,6 +130,22 @@ TEST_F(OocTrainTest, ReportsRealBytesAndBoundedResidentMemory) {
   EXPECT_LE(source->resident_bytes(),
             2 * block * ds_.schema().RecordBytes() + padding);
   EXPECT_LT(source->resident_bytes(), one_pass);
+}
+
+// A streamed setup stages each numeric column a chunk at a time and reads
+// it at least three times: bytes_read charges every read, and
+// peak_memory_bytes counts the setup's buffers, among them each column's
+// four counters for each of its 4096 buckets.
+TEST_F(OocTrainTest, SetupReadsColumnsInChunksAndCountsItsBuffers) {
+  const BuildResult result = BuildStreamed(CmpSOptions(), 500);
+  const int64_t n = ds_.num_records();
+  const int64_t numeric =
+      static_cast<int64_t>(ds_.schema().NumericAttrs().size());
+  EXPECT_GE(result.stats.bytes_read,
+            3 * numeric * n * static_cast<int64_t>(sizeof(double)) +
+                n * ds_.schema().RecordBytes());
+  EXPECT_GE(result.stats.peak_memory_bytes,
+            numeric * 4 * 4096 * static_cast<int64_t>(sizeof(uint32_t)));
 }
 
 TEST_F(OocTrainTest, DatasetBlockSourceMatchesToo) {

@@ -12,7 +12,9 @@
 #include <utility>
 #include <vector>
 
+#include "common/column_reader.h"
 #include "common/random.h"
+#include "hist/bin_codes.h"
 #include "hist/grid_builder.h"
 #include "hist/sketch.h"
 
@@ -179,6 +181,17 @@ std::vector<std::pair<std::string, std::vector<double>>> SelectionColumns() {
     return i % 4 == 0 ? -0.0 : i % 4 == 2 ? 0.0 : rng.Uniform(-3, 3);
   });
   add("only signed zeros", [](int i) { return i % 2 == 0 ? 0.0 : -0.0; });
+  add("signed zeros with +inf", [](int i) {
+    return i % 3 == 0 ? -0.0 : i % 3 == 1 ? 0.0 : kInf;
+  });
+  add("two adjacent doubles", [](int i) {
+    return i % 2 == 0 ? 1.0 : std::nextafter(1.0, 2.0);
+  });
+  // At small q the last interval holds only the tail's bucket, which no
+  // cut falls in: one bucket decides the interval's mark.
+  add("zero spike, two-value tail", [](int i) {
+    return i < 18000 ? 0.0 : i % 2 == 0 ? 50.0 : 50.001;
+  });
   return cols;
 }
 
@@ -237,6 +250,119 @@ TEST(EqualDepthSelection, ExactBuilderMarksMatchSortedScan) {
             << what;
       }
     }
+  }
+}
+
+// -- The chunked setup routine against the sorted reference --------------
+
+// DiscretizeColumn's grid, marks and codes must equal the sorted
+// reference for every column, interval count and chunk size, with and
+// without codes, and its codes must take the width the grid needs.
+TEST(DiscretizeColumn, MatchesSortedReferenceAtEveryChunkSize) {
+  bool remapped = false;
+  bool recoded = false;
+  bool lone_bucket = false;
+  for (const auto& [name, values] : SelectionColumns()) {
+    const std::vector<double> sorted = TotalOrderSorted(values);
+    const int64_t n = static_cast<int64_t>(values.size());
+    for (const int q : {1, 2, 3, 100, 255, 256, 300, static_cast<int>(n) + 5}) {
+      const IntervalGrid want = IntervalGrid::EqualDepthFromSorted(sorted, q);
+      const std::vector<char> want_marks =
+          InteriorMarksFromSorted(sorted, want);
+      for (const int64_t chunk :
+           {int64_t{1}, int64_t{7}, std::max<int64_t>(1, n - 1), n}) {
+        int passes_without_codes = 0;
+        for (const bool with_codes : {false, true}) {
+          const std::string what = name + " q=" + std::to_string(q) +
+                                   " chunk=" + std::to_string(chunk) +
+                                   (with_codes ? " codes" : "");
+          BorrowedColumn column(values.data(), n);
+          CodeColumn codes;
+          AttrGridResult got;
+          ColumnSetupStats stats;
+          ASSERT_TRUE(DiscretizeColumn(column, q, chunk,
+                                       with_codes ? &codes : nullptr, &got,
+                                       &stats))
+              << what;
+          ExpectSameGrid(got.grid, want, what);
+          EXPECT_EQ(got.interior, want_marks) << what;
+          EXPECT_GE(stats.passes, 3) << what;
+          remapped |= stats.remapped;
+          // Without codes only an interval that one bucket decides needs
+          // the 4th pass; with codes, so does a heavy bucket's recode.
+          if (!with_codes) {
+            passes_without_codes = stats.passes;
+            lone_bucket |= stats.passes == 4;
+            continue;
+          }
+          recoded |= stats.passes == 4 && passes_without_codes == 3;
+          ASSERT_EQ(codes.width(), CodeColumn::WidthFor(want.num_intervals()))
+              << what;
+          for (int64_t r = 0; r < n; ++r) {
+            ASSERT_EQ(codes[r], want.IntervalOf(values[r]))
+                << what << " record " << r;
+          }
+        }
+      }
+    }
+  }
+  // The remap of provisional codes and the rare 4th pass both ran.
+  EXPECT_TRUE(remapped);
+  EXPECT_TRUE(recoded);
+  EXPECT_TRUE(lone_bucket);
+}
+
+TEST(DiscretizeColumn, SpikeIsCountedNotCopied) {
+  // 58% zeros, the rest uniform: Agrawal's commission. A streamed setup
+  // (no codes) keeps few candidates, since the zero bucket counts its
+  // repeats.
+  Rng rng(58);
+  std::vector<double> values(200000);
+  for (double& v : values) {
+    v = rng.Uniform(0, 1) < 0.58 ? 0.0 : rng.Uniform(10000, 75000);
+  }
+  const int64_t n = static_cast<int64_t>(values.size());
+  const std::vector<double> sorted = TotalOrderSorted(values);
+  for (const int q : {100, 256}) {
+    BorrowedColumn column(values.data(), n);
+    AttrGridResult got;
+    ColumnSetupStats stats;
+    ASSERT_TRUE(DiscretizeColumn(column, q, kSetupChunkRecords, nullptr, &got,
+                                 &stats));
+    const IntervalGrid want = IntervalGrid::EqualDepthFromSorted(sorted, q);
+    ExpectSameGrid(got.grid, want, "spike");
+    EXPECT_EQ(got.interior, InteriorMarksFromSorted(sorted, want));
+    EXPECT_LE(stats.candidates, n / 20) << "q=" << q;
+    EXPECT_EQ(stats.passes, 3);
+  }
+}
+
+// A reader that fails on one chunk, as a table reader does on a NaN.
+class FailingColumn final : public ColumnReader {
+ public:
+  FailingColumn(const std::vector<double>& values, int64_t bad)
+      : values_(values), bad_(bad) {}
+  int64_t size() const override {
+    return static_cast<int64_t>(values_.size());
+  }
+  bool Read(int64_t begin, int64_t count, const double** values) override {
+    *values = values_.data() + begin;
+    return bad_ < begin || bad_ >= begin + count;
+  }
+
+ private:
+  const std::vector<double>& values_;
+  int64_t bad_;
+};
+
+TEST(DiscretizeColumn, ReadFailureFailsTheSetup) {
+  std::vector<double> values(1000);
+  for (size_t i = 0; i < values.size(); ++i) values[i] = static_cast<double>(i);
+  for (const int64_t bad : {int64_t{0}, int64_t{999}}) {
+    FailingColumn column(values, bad);
+    AttrGridResult got;
+    CodeColumn codes;
+    EXPECT_FALSE(DiscretizeColumn(column, 10, 64, &codes, &got)) << bad;
   }
 }
 

@@ -27,6 +27,7 @@
 #include "common/class_counts.h"
 #include "common/thread_pool.h"
 #include "datagen/agrawal.h"
+#include "hist/grid_builder.h"
 #include "io/block_source.h"
 #include "tree/observer.h"
 
@@ -133,8 +134,12 @@ std::vector<int64_t> BuildCheckingLiveLists(const Dataset& ds, Store& store,
   std::vector<std::vector<char>> interior(schema.num_attrs());
   store.StartCodes();
   for (const AttrId a : numeric_attrs) {
-    grids[a] = IntervalGrid::EqualDepth(ds.numeric_column(a), o.intervals);
-    interior[a] = store.EncodeNumeric(a, grids[a], ds.numeric_column(a).data());
+    BorrowedColumn column(ds.numeric_column(a).data(), n);
+    AttrGridResult setup;
+    EXPECT_TRUE(DiscretizeColumn(column, o.intervals, kSetupChunkRecords,
+                                 store.numeric_codes(a), &setup));
+    grids[a] = std::move(setup.grid);
+    interior[a] = std::move(setup.interior);
   }
   store.FinishCodes(grids, std::min(n, kScanTileRecords), pool);
 
