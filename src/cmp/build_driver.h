@@ -30,8 +30,10 @@ namespace cmp {
 //   frontier.h    — pending/segment lifecycle, resolve-time routing
 //   scan_pass.h   — one tiled, blocked pass: route, then fill sinks
 //   split_plan.h  — bundle analysis, split decisions, tree growth
-// The driver owns the shared state (grids, record->node map, frontier
-// queues), sequences the passes, and reports per-pass observations.
+// The driver owns the shared state (grids, interior marks, frontier
+// queues), sequences the passes, and reports per-pass observations. It
+// holds no per-record state: the scan's live runs name each live
+// record's node.
 //
 // Templated over the record store (record_store.h): the in-memory path
 // instantiates it with InMemoryStore + a zero-copy DatasetBlockSource,
@@ -74,7 +76,6 @@ class CmpBuild {
   // ginis and the interval must never be selected as alive.
   std::vector<std::vector<char>> interior_;
   std::vector<AttrId> numeric_attrs_;
-  std::vector<NodeId> nid_;
 
   // This round's work and the work split resolution generates for the
   // next scan.
@@ -196,14 +197,12 @@ void CmpBuild<Store>::Run() {
   tracker_.NotePeakMemory(store_.code_bytes());
   charge_real_bytes();
 
-  nid_.assign(n, root_id);
-
   // The three pipeline layers, wired over the shared state above.
   const SplitPlanner planner(schema_, options_, policy_, grids_, interior_,
                              numeric_attrs_, pool_);
   SplitExecutor<Store> executor(planner, store_, options_, result_,
                                 &tracker_, pool_, &next_);
-  ScanPass<Store> scan(store_, source_, grids_, result_->tree, nid_, pool_,
+  ScanPass<Store> scan(store_, source_, grids_, result_->tree, pool_,
                        &tracker_, options_.scan_shards);
 
   if (collect_only) {

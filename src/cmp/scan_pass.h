@@ -34,11 +34,12 @@ namespace cmp {
 /// tile keeps its live records as 16-bit tile-relative offsets, grouped
 /// into runs by the frontier node they reached on the previous pass, in
 /// ascending record order within each node. The first pass starts from
-/// every record, in runs of equal `nid`. A record that routes to no sink
-/// (a finished leaf) leaves the list; no other record ever does. Records
-/// at leaves are never visited again: nodes gain work only as this
-/// round's work nodes or their new descendants, so a leaf without work
-/// stays without work.
+/// every record, in one run per tile at the root. A record that routes
+/// to no sink (a finished leaf) leaves the list; no other record ever
+/// does. Records at leaves are never visited again: nodes gain work only
+/// as this round's work nodes or their new descendants, so a leaf
+/// without work stays without work. The runs are the build's only
+/// record->node state.
 ///
 /// The pass works tile by tile, each tile in two phases:
 ///  - route: shards take contiguous chunks of the tile's live list and
@@ -166,33 +167,29 @@ class ScanPass {
  public:
   /// All references are borrowed and must outlive the pass. `tree` is
   /// read-only during Run (records descend through splits resolved since
-  /// the last scan); `nid` is the per-record frontier-node assignment
-  /// and is advanced in place. `store`'s codes must be set up
-  /// (record_store.h). `scan_shards` sets the route shard count (0 =
+  /// the last scan), and node 0 is its root. `store`'s codes must be set
+  /// up (record_store.h). `scan_shards` sets the route shard count (0 =
   /// auto: four per worker, the workers being the pool parallelism
   /// capped at the hardware thread count; one shard on an inline pool).
   ///
   /// One ScanPass serves every pass of a build: its live lists carry
-  /// from pass to pass, so every pass must see the same blocks, and
-  /// `nid` may change only through Run.
+  /// from pass to pass, so every pass must see the same blocks.
   ScanPass(Store& store, BlockSource& source,
            const std::vector<IntervalGrid>& grids, const DecisionTree& tree,
-           std::vector<NodeId>& nid, ThreadPool* pool, ScanTracker* tracker,
-           int scan_shards = 0)
+           ThreadPool* pool, ScanTracker* tracker, int scan_shards = 0)
       : store_(store),
         source_(source),
         schema_(store.schema()),
         grids_(grids),
         tree_(tree),
-        nid_(nid),
         pool_(pool),
         tracker_(tracker),
         scan_shards_(scan_shards) {
-    // The live list is per-record state like `nid`, so it is allocated
-    // right after it. Allocated mid-pass instead, it changed the heap
-    // layout enough that the next build in the same process loaded its
-    // table at half speed (500k-row F2: 11 -> 22 ms).
-    live_.reserve(nid.size());
+    // The live list is the first per-record allocation after setup, so
+    // it is made here, before any pass. Allocated mid-pass instead, it
+    // changed the heap layout enough that the next build in the same
+    // process loaded its table at half speed (500k-row F2: 11 -> 22 ms).
+    live_.reserve(source.num_records());
   }
 
   /// Runs one full pass, filling `work`'s bundles, pending segments and
@@ -205,15 +202,16 @@ class ScanPass {
   void Run(FrontierQueues& work, PassObservation* po = nullptr) {
     const int64_t n = source_.num_records();
     tracker_->ChargeScan(n, schema_);
+    // The paper's per-record nid array, swapped out every pass: the live
+    // runs replace it, but the cost model keeps its charge.
     tracker_->ChargeWrite(n * static_cast<int64_t>(sizeof(NodeId)));
 
     {
-      // The live list is per-record state like nid_: one offset per
+      // The live list is the only per-record state: one offset per
       // record, allocated once for the whole build. The store's codes
       // (the code matrix in memory, the tile columns streamed) are
       // resident for the whole build too.
       int64_t mem = GridsMemoryBytes(grids_) +
-                    n * static_cast<int64_t>(sizeof(NodeId)) +
                     n * static_cast<int64_t>(sizeof(LiveOffset)) +
                     source_.resident_bytes() + store_.code_bytes();
       for (const FreshWork& w : work.fresh) mem += w.bundle.MemoryBytes();
@@ -419,18 +417,14 @@ class ScanPass {
   };
 
   /// First pass only: tile [begin, begin + count) starts with every
-  /// record live, in runs of equal nid.
+  /// record live, in one run at the root.
   void StartTile(RecordId begin, int64_t count) {
-    LiveTile tile{begin, static_cast<uint32_t>(count),
-                  static_cast<uint32_t>(runs_.size()), 0};
+    tiles_.push_back({begin, static_cast<uint32_t>(count),
+                      static_cast<uint32_t>(runs_.size()), 1});
+    runs_.push_back({0, 0});
     for (int64_t i = 0; i < count; ++i) {
       live_[begin + i] = static_cast<LiveOffset>(i);
-      if (i == 0 || nid_[begin + i] != nid_[begin + i - 1]) {
-        runs_.push_back({nid_[begin + i], static_cast<uint32_t>(i)});
-      }
     }
-    tile.num_runs = static_cast<uint32_t>(runs_.size()) - tile.first_run;
-    tiles_.push_back(tile);
   }
 
   void ScanTile(const BlockView& view, LiveTile* tile, int num_shards) {
@@ -621,13 +615,10 @@ class ScanPass {
                MakeStep(tn.right, &steps[1])) {
       const double* const values = cols.numeric(tn.split.attr);
       const double threshold = tn.split.threshold;
-      const NodeId child[2] = {tn.left, tn.right};
-      NodeId* const nid = nid_.data() + tile_begin;
       if (steps[0].terminal && steps[1].terminal) {
         for (int64_t p = a; p < b; ++p) {
           const LiveOffset off = list[p];
           const int side = values[off] <= threshold ? 0 : 1;
-          nid[off] = child[side];
           sinks[p] = steps[side].sinks[0];
         }
         return;
@@ -644,14 +635,15 @@ class ScanPass {
             const int side = values[off] <= threshold ? 0 : 1;
             const int iv[2] = {static_cast<int>(left[off]),
                                static_cast<int>(right[off])};
-            nid[off] = child[side];
             sinks[p] = StepSink(steps[side], iv[side], tile_begin, off);
           }
         });
       });
       return;
     }
-    for (int64_t p = a; p < b; ++p) sinks[p] = SinkOf(tile_begin + list[p]);
+    for (int64_t p = a; p < b; ++p) {
+      sinks[p] = SinkOf(node, tile_begin + list[p]);
+    }
   }
 
   /// A node with no split to descend through.
@@ -702,16 +694,14 @@ class ScanPass {
                        tile_begin + off);
   }
 
-  /// Descends record `r` through the splits resolved since the last scan
-  /// (advancing nid_) and then through its node's pending plan, returning
-  /// the terminal sink (drop_ at a finished leaf).
-  int SinkOf(RecordId r) {
-    NodeId id = nid_[r];
+  /// Descends record `r` from node `id`, its run's, through the splits
+  /// resolved since the last scan and then through its node's pending
+  /// plan, returning the terminal sink (drop_ at a finished leaf).
+  int SinkOf(NodeId id, RecordId r) const {
     while (!Settled(tree_.node(id))) {
       const TreeNode& node = tree_.node(id);
       id = node.split.RoutesLeft(store_, r) ? node.left : node.right;
     }
-    nid_[r] = id;
     const NodeRoute& route = plan_.nodes[id];
     return route.pending < 0 ? route.sink : PendingSink(route.pending, r);
   }
@@ -787,7 +777,6 @@ class ScanPass {
   const Schema& schema_;
   const std::vector<IntervalGrid>& grids_;
   const DecisionTree& tree_;
-  std::vector<NodeId>& nid_;
   ThreadPool* pool_;  // borrowed, never null
   ScanTracker* tracker_;
   int scan_shards_;

@@ -20,6 +20,12 @@ constexpr size_t kMaxClassCounts = 1 << 20;
 constexpr int64_t kMaxForestTrees = 1 << 20;
 constexpr int64_t kMaxForestTreeLines = int64_t{1} << 32;
 
+// A document cut inside its last line may still parse, so the last line
+// must end in a newline, as the writers' does.
+bool Terminated(const std::string& text) {
+  return !text.empty() && text.back() == '\n';
+}
+
 void WriteDouble(std::ostringstream& os, double v) {
   os << std::hexfloat << v << std::defaultfloat;
 }
@@ -87,6 +93,7 @@ std::string SerializeTree(const DecisionTree& tree) {
 }
 
 bool DeserializeTree(const std::string& text, DecisionTree* out) {
+  if (!Terminated(text)) return false;
   std::istringstream lines(text);
   std::string line;
   auto next_line = [&](std::istringstream* ls) {
@@ -278,6 +285,7 @@ std::string SerializeForest(const std::vector<DecisionTree>& trees) {
 
 bool DeserializeForest(const std::string& text,
                        std::vector<DecisionTree>* out) {
+  if (!Terminated(text)) return false;
   std::istringstream lines(text);
   std::string line;
   std::string tag;

@@ -13,7 +13,8 @@ namespace cmp {
 /// DeserializeTree (thresholds are written with hexfloat precision).
 std::string SerializeTree(const DecisionTree& tree);
 
-/// Parses the output of SerializeTree. Returns false on malformed input.
+/// Parses the output of SerializeTree. Returns false on malformed input,
+/// including text whose last line has no newline (a truncated file).
 bool DeserializeTree(const std::string& text, DecisionTree* out);
 
 /// Convenience wrappers writing/reading the text format to a file.

@@ -5,11 +5,13 @@
 //                                 cmp-stream` on that table
 //   cmp_full_default_blocked.cmpb a blob from an older compiler
 // Each fixture loads and re-saves byte for byte, and one corruption sweep
-// runs over all three (plus an in-process blob with every split kind):
-// every truncation prefix, every single-byte flip and an oversized value
-// written over every count field must either be rejected or load,
-// without a crash (ASan/UBSan make a bad access fail the test) and
-// without allocating more than the input could hold.
+// runs over all three (plus an in-process blob with every split kind)
+// and over the text formats (the tree cmp_full_linear.tree and a forest
+// of three golden trees): every truncation prefix, every single-byte
+// flip and an oversized value written over every count field must
+// either be rejected or load, without a crash (ASan/UBSan make a bad
+// access fail the test) and without allocating more than the input
+// could hold.
 
 #include <gtest/gtest.h>
 
@@ -221,6 +223,18 @@ bool LoadSidecar(const Bytes& bytes) {
   return true;
 }
 
+// Predicts every probe row with every tree of `model`.
+void Probe(const CompiledModel& model) {
+  EXPECT_LE(model.schema->num_attrs(), kProbeWidth);
+  if (model.schema->num_attrs() > kProbeWidth) return;
+  for (const auto& [numeric, categorical] : ProbeRows()) {
+    for (const CompiledTree& t : model.trees) {
+      const ClassId c = t.PredictRow(numeric.data(), categorical.data());
+      EXPECT_TRUE(c >= 0 && c < t.num_classes());
+    }
+  }
+}
+
 bool LoadBlob(const Bytes& bytes) {
   std::string error;
   std::shared_ptr<const ModelBlob> blob = ModelBlob::FromBytes(bytes, &error);
@@ -230,14 +244,34 @@ bool LoadBlob(const Bytes& bytes) {
   }
   CompiledModel model;
   if (!ModelFromBlob(blob, &model, &error)) return false;
-  EXPECT_LE(model.schema->num_attrs(), kProbeWidth);
-  if (model.schema->num_attrs() > kProbeWidth) return true;
-  for (const auto& [numeric, categorical] : ProbeRows()) {
-    for (const CompiledTree& t : model.trees) {
-      const ClassId c = t.PredictRow(numeric.data(), categorical.data());
-      EXPECT_TRUE(c >= 0 && c < t.num_classes());
-    }
-  }
+  Probe(model);
+  return true;
+}
+
+// The text formats load through their parsers; what parses is compiled
+// and probed like a blob. A forest whose trees disagree on the schema
+// parses but does not compile.
+void ProbeTrees(const std::vector<DecisionTree>& trees) {
+  std::vector<const DecisionTree*> views;
+  for (const DecisionTree& tree : trees) views.push_back(&tree);
+  std::string error;
+  const CompiledModel model = CompileModel(views, &error);
+  if (!model.empty()) Probe(model);
+}
+
+bool LoadTextTree(const Bytes& bytes) {
+  std::vector<DecisionTree> trees(1);
+  const std::string text(bytes.begin(), bytes.end());
+  if (!DeserializeTree(text, &trees[0])) return false;
+  ProbeTrees(trees);
+  return true;
+}
+
+bool LoadTextForest(const Bytes& bytes) {
+  std::vector<DecisionTree> trees;
+  const std::string text(bytes.begin(), bytes.end());
+  if (!DeserializeForest(text, &trees)) return false;
+  ProbeTrees(trees);
   return true;
 }
 
@@ -291,14 +325,26 @@ Bytes EverySplitKindBlob() {
   return PackModelBlob({&tree}, &error);
 }
 
+// How a format writes its counts: fixed-width u32/i64 fields, LEB128
+// varints, or decimal words of text.
+enum class Counts { kFixed, kVarint, kDecimal };
+
 struct Fixture {
   std::string name;
   std::function<Bytes()> bytes;
   Loader load;
+  // Checks the framing alone. Null for the text formats, which have no
+  // framing apart from their parse.
   Loader frames;
-  // Counts are fixed-width u32/i64 fields, or LEB128 varints.
-  bool varint_counts;
+  Counts counts;
+  // The most one input byte may make a single allocation grow by.
+  size_t expansion = 1;
 };
+
+// A parsed text node takes sizeof(TreeNode) bytes, its line as few as 16
+// ("leaf 0 d 0 cc 0\n"), and the node array grows by doubling. So a text
+// tree allocates more than its own bytes however its parser is written.
+constexpr size_t kTextExpansion = 2 * sizeof(TreeNode) / 16;
 
 void PrintTo(const Fixture& fixture, std::ostream* os) { *os << fixture.name; }
 
@@ -307,15 +353,22 @@ class CorruptionSweep : public ::testing::TestWithParam<Fixture> {
   static void SetUpTestSuite() { ProbeRows(); }
 
   // Loads `bytes` and checks that no single allocation exceeded what an
-  // input of that size can hold: the input's own bytes, or an ifstream's
-  // fixed buffer (BUFSIZ), whichever is larger.
+  // input of that size can hold: the input's own bytes (times the
+  // format's expansion), or an ifstream's fixed buffer (BUFSIZ),
+  // whichever is larger.
   bool Load(const Bytes& bytes, const std::string& what) {
     largest_new = 0;
     bool loaded = false;
     EXPECT_NO_THROW(loaded = GetParam().load(bytes)) << what;
-    const size_t bound = std::max<size_t>(bytes.size(), BUFSIZ);
+    const size_t bound =
+        std::max<size_t>(bytes.size() * GetParam().expansion, BUFSIZ);
     EXPECT_LE(largest_new.load(), bound) << what;
     return loaded;
+  }
+
+  // False when the fixture has no framing check.
+  bool Frames(const Bytes& bytes) {
+    return GetParam().frames && GetParam().frames(bytes);
   }
 
   Bytes Good() { return GetParam().bytes(); }
@@ -330,16 +383,16 @@ TEST_P(CorruptionSweep, EveryTruncationAndTrailingBytesFail) {
   for (size_t len = 0; len < good.size(); ++len) {
     const Bytes prefix(good.begin(), good.begin() + len);
     const std::string what = "prefix of " + std::to_string(len);
-    EXPECT_FALSE(GetParam().frames(prefix)) << what;
+    EXPECT_FALSE(Frames(prefix)) << what;
     EXPECT_FALSE(Load(prefix, what));
   }
   Bytes padded = good;
   padded.push_back(0);
-  EXPECT_FALSE(GetParam().frames(padded));
+  EXPECT_FALSE(Frames(padded));
   EXPECT_FALSE(Load(padded, "one trailing byte"));
   padded = good;
   padded.insert(padded.end(), good.begin(), good.end());
-  EXPECT_FALSE(GetParam().frames(padded));
+  EXPECT_FALSE(Frames(padded));
   EXPECT_FALSE(Load(padded, "the input twice"));
 }
 
@@ -354,13 +407,16 @@ TEST_P(CorruptionSweep, EverySingleByteFlipIsRejectedOrLoads) {
   }
 }
 
+bool IsDigit(uint8_t c) { return c >= '0' && c <= '9'; }
+bool IsSpace(uint8_t c) { return c == ' ' || c == '\n'; }
+
 TEST_P(CorruptionSweep, OversizedCountsAreRejectedOrLoad) {
   const Bytes good = Good();
   // Every offset stands in for "each count field": whatever field starts
   // there gets a value far beyond what the input could back.
   for (size_t at = 0; at < good.size(); ++at) {
     const std::string what = "oversized at " + std::to_string(at);
-    if (GetParam().varint_counts) {
+    if (GetParam().counts == Counts::kVarint) {
       // Replace the varint starting here with 2^62 and with the input's
       // size, each re-encoded.
       size_t end = at;
@@ -373,6 +429,24 @@ TEST_P(CorruptionSweep, OversizedCountsAreRejectedOrLoad) {
         Bytes mutant(good.begin(), good.begin() + at);
         const Bytes varint = w.Take();
         mutant.insert(mutant.end(), varint.begin(), varint.end());
+        mutant.insert(mutant.end(), good.begin() + end, good.end());
+        Load(mutant, what);
+      }
+      continue;
+    }
+    if (GetParam().counts == Counts::kDecimal) {
+      // Replace the decimal word starting here, if one does, with
+      // 2^31 - 1 and with 2^62.
+      size_t end = at;
+      while (end < good.size() && IsDigit(good[end])) ++end;
+      const bool word = end > at && (at == 0 || IsSpace(good[at - 1])) &&
+                        (end == good.size() || IsSpace(good[end]));
+      if (!word) continue;
+      for (const std::string& value :
+           {std::to_string(std::numeric_limits<int32_t>::max()),
+            std::to_string(int64_t{1} << 62)}) {
+        Bytes mutant(good.begin(), good.begin() + at);
+        mutant.insert(mutant.end(), value.begin(), value.end());
         mutant.insert(mutant.end(), good.begin() + end, good.end());
         Load(mutant, what);
       }
@@ -398,17 +472,33 @@ std::function<Bytes()> GoldenBytes(const std::string& file) {
   return [file] { return ReadBytes(GoldenPath(file)); };
 }
 
+// A text forest of three golden trees over one schema, one of them with
+// linear splits.
+Bytes TextForest() {
+  std::vector<DecisionTree> trees;
+  for (const char* file :
+       {"cmp_full_linear.tree", "cmp_s.tree", "cmp_full_default.tree"}) {
+    EXPECT_TRUE(LoadTree(GoldenPath(file), &trees.emplace_back())) << file;
+  }
+  const std::string text = SerializeForest(trees);
+  return Bytes(text.begin(), text.end());
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Fixtures, CorruptionSweep,
     ::testing::Values(
         Fixture{"cmpt", GoldenBytes("f2_64.cmpt"), LoadTable, TableFrames,
-                false},
+                Counts::kFixed},
         Fixture{"cmps", GoldenBytes("f2_64_stream.cmps"), LoadSidecar,
-                SidecarFrames, true},
+                SidecarFrames, Counts::kVarint},
         Fixture{"cmpb", GoldenBytes("cmp_full_default_blocked.cmpb"),
-                LoadBlob, BlobFrames, false},
+                LoadBlob, BlobFrames, Counts::kFixed},
         Fixture{"cmpb_every_split_kind", EverySplitKindBlob, LoadBlob,
-                BlobFrames, false}),
+                BlobFrames, Counts::kFixed},
+        Fixture{"text_tree", GoldenBytes("cmp_full_linear.tree"),
+                LoadTextTree, nullptr, Counts::kDecimal, kTextExpansion},
+        Fixture{"text_forest", TextForest, LoadTextForest, nullptr,
+                Counts::kDecimal, kTextExpansion}),
     [](const ::testing::TestParamInfo<Fixture>& info) {
       return info.param.name;
     });

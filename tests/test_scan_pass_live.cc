@@ -8,8 +8,9 @@
 //    records_routed, the same for every shard count, store and block
 //    size;
 //  - after each pass the live lists hold exactly those records, every
-//    run's records sit at the run's node, and each node's records
-//    appear in ascending record order.
+//    run's records sit at the node the serial descent reached (the
+//    runs are the build's only record->node state), and each node's
+//    records appear in ascending record order.
 // The checked passes must include a run that crosses a route-shard
 // boundary and a tile holding several runs.
 #include <gtest/gtest.h>
@@ -43,24 +44,26 @@ struct LiveCoverage {
 };
 
 // Serial record-major descent of every record from `nid` through
-// `tree`: marks the records whose reached node has work this pass —
-// those the pass sends to a sink — and returns how many there are.
+// `tree`, advancing `nid` (the test's own record->node map): marks the
+// records whose reached node has work this pass — those the pass sends
+// to a sink — and returns how many there are.
 int64_t SentToASink(const Dataset& ds, const DecisionTree& tree,
-                    const FrontierQueues& work, const std::vector<NodeId>& nid,
+                    const FrontierQueues& work, std::vector<NodeId>* nid,
                     std::vector<char>* sent) {
   std::vector<char> has_work(tree.num_nodes(), 0);
   for (const FreshWork& w : work.fresh) has_work[w.node] = 1;
   for (const PendingWork& w : work.pending) has_work[w.node] = 1;
   for (const CollectWork& w : work.collect) has_work[w.node] = 1;
   int64_t count = 0;
-  sent->assign(nid.size(), 0);
+  sent->assign(nid->size(), 0);
   for (RecordId r = 0; r < ds.num_records(); ++r) {
-    NodeId id = nid[r];
+    NodeId id = (*nid)[r];
     while (true) {
       const TreeNode& node = tree.node(id);
       if (node.is_leaf || node.left == kInvalidNode) break;
       id = node.split.RoutesLeft(ds, r) ? node.left : node.right;
     }
+    (*nid)[r] = id;
     if (has_work[id]) {
       (*sent)[r] = 1;
       ++count;
@@ -70,8 +73,10 @@ int64_t SentToASink(const Dataset& ds, const DecisionTree& tree,
 }
 
 // Checks the live lists `scan` keeps for its next pass: exactly the
-// records flagged in `sent`, each run's records at the run's node, each
-// node's records ascending, adjacent runs at different nodes. Counts
+// records flagged in `sent`, each run's records at the node the
+// descent reached (`nid`), each node's records ascending, adjacent runs
+// at different nodes. Records at finished leaves are not listed, so
+// their nodes drop out of the comparison: the build keeps none. Counts
 // the runs a pass at `shards` route shards splits across shards.
 template <class Store>
 void ExpectLiveLists(const ScanPass<Store>& scan, const std::vector<char>& sent,
@@ -160,7 +165,7 @@ std::vector<int64_t> BuildCheckingLiveLists(const Dataset& ds, Store& store,
   FrontierQueues next;
   SplitExecutor<Store> executor(planner, store, o, &result, &tracker, pool,
                                 &next);
-  ScanPass<Store> scan(store, source, grids, result.tree, nid, pool, &tracker,
+  ScanPass<Store> scan(store, source, grids, result.tree, pool, &tracker,
                        shards);
   if (planner.bivariate()) {
     const AttrId x = numeric_attrs.front();
@@ -176,7 +181,7 @@ std::vector<int64_t> BuildCheckingLiveLists(const Dataset& ds, Store& store,
   std::vector<char> sent;
   for (int pass = 0; !work.Empty(); ++pass) {
     const std::string at = where + " pass " + std::to_string(pass);
-    const int64_t sends = SentToASink(ds, result.tree, work, nid, &sent);
+    const int64_t sends = SentToASink(ds, result.tree, work, &nid, &sent);
     PassObservation po;
     scan.Run(work, &po);
     EXPECT_EQ(po.records_routed, want_routed) << at;

@@ -90,8 +90,9 @@ TEST(SerializeFuzz, EveryPrefixRejectedOrValid) {
     for (size_t len = 0; len < doc.text.size(); len += 37) {
       // Truncations that cut inside the node list must fail; a
       // successful parse may only happen if the prefix happens to be a
-      // complete document (it never is, since node and tree counts are
-      // declared up front).
+      // complete document (it never is: node and tree counts are
+      // declared up front, and a last line cut short has no newline).
+      // test_codec's CorruptionSweep tries every prefix.
       EXPECT_FALSE(ParsesAndClassifies(doc, doc.text.substr(0, len)))
           << doc.name << " prefix length " << len;
     }
