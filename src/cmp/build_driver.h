@@ -244,19 +244,20 @@ void CmpBuild<Store>::Run() {
       }
     }
 
-    // Finish small partitions in memory (grafted back in work-list
-    // order; see SplitExecutor::FinishCollects for the determinism
-    // argument).
-    Timer finish_timer;
-    executor.FinishCollects(work_.collect);
-    po.finish_seconds = finish_timer.Seconds();
-
-    // Grow the fresh nodes and resolve the pendings, each node a task
-    // on a private tree (see SplitExecutor::PlanRound).
+    // Finish the collected partitions and plan the fresh and pending
+    // nodes as one round of tasks (SplitExecutor::RunRound). The round's
+    // wall time is split between finish and plan in proportion to the
+    // busy seconds of their tasks, so the phases still sum to wall time.
     next_.Clear();
-    Timer plan_timer;
-    executor.PlanRound(work_);
-    po.plan_seconds = plan_timer.Seconds();
+    Timer round_timer;
+    const auto busy = executor.RunRound(work_);
+    const double round_seconds = round_timer.Seconds();
+    const double busy_seconds = busy.finish_seconds + busy.plan_seconds;
+    po.finish_seconds =
+        busy_seconds > 0.0
+            ? round_seconds * (busy.finish_seconds / busy_seconds)
+            : 0.0;
+    po.plan_seconds = round_seconds - po.finish_seconds;
     const LineSearchStats line_search = executor.TakeLineSearchStats();
     po.line_search_seconds = line_search.search_seconds;
     po.line_refine_seconds = line_search.refine_seconds;

@@ -2,6 +2,7 @@
 #define CMP_CMP_SPLIT_PLAN_H_
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <limits>
 #include <memory>
@@ -14,6 +15,7 @@
 #include "cmp/variant_policy.h"
 #include "common/class_counts.h"
 #include "common/thread_pool.h"
+#include "common/timer.h"
 #include "exact/exact.h"
 #include "gini/categorical.h"
 #include "gini/gini.h"
@@ -179,8 +181,8 @@ class SplitPlanner {
 /// in-memory partitions with the exact builder. Emits next-round work
 /// into `next`. Templated over the record store because buffer flushes
 /// and exact finishing re-read records; all store access is const.
-/// PlanRound and FinishCollects run each node of a round as a pool
-/// task on a private tree and graft the trees back in work-list order.
+/// RunRound runs each node of a round as a pool task on a private tree
+/// and grafts the trees back in work-list order.
 template <class Store>
 class SplitExecutor {
  public:
@@ -197,68 +199,112 @@ class SplitExecutor {
         pool_(pool),
         next_(next) {}
 
-  /// Plans one round: grows every fresh node of `work` from its bundle
-  /// and resolves every pending split, in work-list order (fresh nodes
-  /// first), emitting the next round's work. Until they are numbered
-  /// into the tree the nodes do not depend on each other, so with a real
-  /// pool each node is its own task: it copies the node into a private
-  /// tree as local root 0 and runs GrowNode or ResolvePending there
-  /// through an executor with its own stats, tracker, work queues and
-  /// line-search sums. The tasks are then applied in work-list order:
-  /// stats added, tree grafted at the node, next-round work appended
-  /// with Graft's id map. The serial walk appends each node's tree
-  /// nodes and queue entries contiguously in that same order, so tree,
-  /// queues and counters match it exactly (the argument of
-  /// FinishCollects).
-  void PlanRound(FrontierQueues& work) {
+  /// Busy seconds of one round's tasks, summed by kind.
+  struct RoundBusy {
+    double finish_seconds = 0.0;  // collected partitions
+    double plan_seconds = 0.0;    // fresh and pending nodes
+  };
+
+  /// Runs one round of in-memory work, emitting the next round's: every
+  /// collected partition of `work` is finished with the exact builder,
+  /// every fresh node grown from its bundle and every pending split
+  /// resolved. Until they are numbered into the tree these nodes do not
+  /// depend on each other, so each is one task: it copies its node into a
+  /// private tree as local root 0 and works there with its own stats,
+  /// tracker, work queues and line-search sums. Tasks are handed out
+  /// largest first (by records) through an atomic cursor, so a big
+  /// partition does not start last. They are then applied in work-list
+  /// order, collects first, then fresh nodes, then pendings: stats added,
+  /// tree grafted at the node, next-round work appended with Graft's id
+  /// map. Graft appends a subtree's nodes in their local id order, which
+  /// is the order an in-place build would append them, so node ids,
+  /// queues and counters do not depend on the thread count or on the
+  /// order tasks ran in. A collect task builds serially; a round with a
+  /// single task runs it on the caller with the pool, so a lone
+  /// partition still fans its attributes out.
+  RoundBusy RunRound(FrontierQueues& work) {
+    const size_t num_collect = work.collect.size();
     const size_t num_fresh = work.fresh.size();
-    const size_t num_tasks = num_fresh + work.pending.size();
+    const size_t num_plan = num_fresh + work.pending.size();
+    const size_t num_tasks = num_collect + num_plan;
     auto node_of = [&](size_t i) {
+      if (i < num_collect) return work.collect[i].node;
+      i -= num_collect;
       return i < num_fresh ? work.fresh[i].node
                            : work.pending[i - num_fresh].node;
     };
-    // Plans task i on `ex`'s tree, where the node is `id`.
-    auto plan = [&](SplitExecutor& ex, size_t i, NodeId id) {
-      if (i < num_fresh) {
-        ex.GrowNode(id, std::move(work.fresh[i].bundle));
-      } else {
-        ex.ResolvePending(id, work.pending[i - num_fresh].pending.get(),
-                          ex.result_->tree.node(id).depth);
-      }
-    };
-    if (pool_->parallelism() <= 1 || num_tasks <= 1) {
-      for (size_t i = 0; i < num_tasks; ++i) plan(*this, i, node_of(i));
-      return;
-    }
-    struct NodeTask {
+    struct RoundTask {
+      int64_t records = 0;
+      double seconds = 0.0;
       BuildResult result;
       FrontierQueues next;
       LineSearchStats line_search;
     };
-    std::vector<NodeTask> tasks(num_tasks);
-    pool_->ParallelFor(num_tasks, 1, [&](int64_t lo, int64_t hi) {
-      for (int64_t i = lo; i < hi; ++i) {
-        NodeTask& t = tasks[i];
-        t.result.tree = DecisionTree(planner_.schema());
-        t.result.tree.AddNode(result_->tree.node(node_of(i)));
-        ScanTracker tracker(&t.result.stats);
-        tracker.set_real_io(tracker_->real_io());
+    std::vector<RoundTask> tasks(num_tasks);
+    std::vector<size_t> order(num_tasks);
+    for (size_t i = 0; i < num_tasks; ++i) {
+      tasks[i].records =
+          i < num_collect
+              ? static_cast<int64_t>(work.collect[i].rids.size())
+              : CountSum(result_->tree.node(node_of(i)).class_counts);
+      order[i] = i;
+    }
+    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      return tasks[a].records > tasks[b].records;
+    });
+    ThreadPool* const lone = num_tasks == 1 ? pool_ : nullptr;
+    auto run = [&](size_t i) {
+      Timer timer;
+      RoundTask& t = tasks[i];
+      t.result.tree = DecisionTree(planner_.schema());
+      t.result.tree.AddNode(result_->tree.node(node_of(i)));
+      ScanTracker tracker(&t.result.stats);
+      tracker.set_real_io(tracker_->real_io());
+      if (i < num_collect) {
+        FinishCollect(work.collect[i].rids, &t.result.tree, &tracker, lone);
+      } else {
         SplitExecutor local(planner_, store_, options_, &t.result, &tracker,
                             pool_, &t.next);
         local.tree_root_ = node_of(i);
-        plan(local, i, 0);
+        const size_t k = i - num_collect;
+        if (k < num_fresh) {
+          local.GrowNode(0, std::move(work.fresh[k].bundle));
+        } else {
+          local.ResolvePending(0, work.pending[k - num_fresh].pending.get(),
+                               t.result.tree.node(0).depth);
+        }
         t.line_search = local.line_search_;
       }
-    });
+      t.seconds = timer.Seconds();
+    };
+    const int workers = static_cast<int>(std::min<int64_t>(
+        pool_->parallelism(), static_cast<int64_t>(num_tasks)));
+    if (workers <= 1) {
+      for (const size_t i : order) run(i);
+    } else {
+      std::atomic<size_t> next{0};
+      pool_->ParallelFor(workers, 1, [&](int64_t, int64_t) {
+        for (size_t k = next++; k < num_tasks; k = next++) run(order[k]);
+      });
+    }
+
+    RoundBusy busy;
     for (size_t i = 0; i < num_tasks; ++i) {
-      NodeTask& t = tasks[i];
+      RoundTask& t = tasks[i];
       const NodeId at = node_of(i);
-      result_->stats.Accumulate(t.result.stats);
-      // Accumulate leaves it alone; only the build root's plan sets it.
-      if (at == 0) {
-        result_->stats.root_alive_intervals =
-            t.result.stats.root_alive_intervals;
+      if (i < num_collect) {
+        busy.finish_seconds += t.seconds;
+        tracker_->ChargeBuffered(t.records);
+      } else {
+        busy.plan_seconds += t.seconds;
+        // Accumulate leaves it alone; only growing the build root sets
+        // it (resolving the root's pending leaves a task's copy at 0).
+        if (at == 0 && i < num_collect + num_fresh) {
+          result_->stats.root_alive_intervals =
+              t.result.stats.root_alive_intervals;
+        }
       }
+      result_->stats.Accumulate(t.result.stats);
       line_search_.Add(t.line_search);
       const DecisionTree::GraftMap map = result_->tree.Graft(at, t.result.tree);
       for (FreshWork& w : t.next.fresh) {
@@ -271,7 +317,20 @@ class SplitExecutor {
         next_->collect.push_back({map(w.node), std::move(w.rids)});
       }
     }
+    return busy;
   }
+
+  /// The line-search work of every analysis applied since the last call,
+  /// summed in work-list order; resets the sum.
+  LineSearchStats TakeLineSearchStats() {
+    const LineSearchStats out = line_search_;
+    line_search_ = LineSearchStats{};
+    return out;
+  }
+
+  // GrowNode and ResolvePending, applied in place in work-list order
+  // after each collect is finished in place at its node, are the serial
+  // walk RunRound must reproduce; tests drive them as its reference.
 
   /// Applies stop tests + Analyze to a real tree node whose bundle is
   /// complete, materializing children / pendings / collect work.
@@ -450,14 +509,6 @@ class SplitExecutor {
     }
   }
 
-  /// The line-search work of every analysis applied since the last call,
-  /// summed in the serial walk's order; resets the sum.
-  LineSearchStats TakeLineSearchStats() {
-    const LineSearchStats out = line_search_;
-    line_search_ = LineSearchStats{};
-    return out;
-  }
-
   /// Resolves a pending split of tree node `id`, creating children (and
   /// grandchildren for nested pendings) and growing the frontier.
   void ResolvePending(NodeId id, Pending* p, int depth) {
@@ -623,48 +674,6 @@ class SplitExecutor {
     finish_side(right_id, right_seg);
   }
 
-  /// Finishes every collected partition in memory. With several
-  /// independent partitions and a real pool, each subtree is built into a
-  /// private detached tree (root node copied from the master tree) and
-  /// grafted back in work-list order; Graft appends the subtree's nodes
-  /// in their local id order, which is exactly the order the serial
-  /// in-place build would have appended them, so node ids — and the
-  /// serialized tree — match the serial build byte for byte. A partition
-  /// fans its own attribute work out over the pool only when it runs
-  /// alone; inside a collect task it runs serially.
-  void FinishCollects(std::vector<CollectWork>& collect) {
-    const Schema& schema = planner_.schema();
-    if (pool_->parallelism() > 1 && collect.size() > 1) {
-      struct CollectBuild {
-        DecisionTree tree;
-        BuildStats stats;
-      };
-      std::vector<CollectBuild> builds(collect.size());
-      pool_->ParallelFor(collect.size(), 1, [&](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i) {
-          CollectBuild& b = builds[i];
-          b.tree = DecisionTree(schema);
-          TreeNode root = result_->tree.node(collect[i].node);
-          b.tree.AddNode(std::move(root));
-          ScanTracker local(&b.stats);
-          local.set_real_io(tracker_->real_io());
-          FinishCollect(collect[i].rids, &b.tree, 0, &local, nullptr);
-        }
-      });
-      for (size_t i = 0; i < collect.size(); ++i) {
-        tracker_->ChargeBuffered(static_cast<int64_t>(collect[i].rids.size()));
-        result_->stats.Accumulate(builds[i].stats);
-        result_->tree.Graft(collect[i].node, builds[i].tree);
-      }
-    } else {
-      for (CollectWork& w : collect) {
-        tracker_->ChargeBuffered(static_cast<int64_t>(w.rids.size()));
-        FinishCollect(w.rids, &result_->tree, w.node, tracker_, pool_);
-      }
-    }
-    collect.clear();
-  }
-
  private:
   /// Queues the two children of a just-split node for the next scan,
   /// left first: the next round grows the fresh list in order, so this
@@ -690,16 +699,14 @@ class SplitExecutor {
   /// (a plan task's local root is the node it plans).
   bool IsBuildRoot(NodeId id) const { return id == 0 && tree_root_ == 0; }
 
-  // Finishes one collect partition with the exact in-memory builder:
-  // directly on the dataset when there is one, otherwise on a Dataset
-  // materialized from the stash (rids ascending, so local record i is
-  // global record rids[i] — BuildExactSubtree depends only on the
-  // record sequence, so the subtree is identical either way). `pool`
-  // (null for none) fans the partition's attribute work out.
+  // Finishes one collect partition with the exact in-memory builder
+  // under node 0 of `tree`: directly on the dataset when there is one,
+  // otherwise on a Dataset materialized from the stash. `pool` (null for
+  // none) fans the partition's attribute work out.
   void FinishCollect(const std::vector<RecordId>& rids, DecisionTree* tree,
-                     NodeId node, ScanTracker* tracker, ThreadPool* pool) {
+                     ScanTracker* tracker, ThreadPool* pool) {
     if constexpr (!Store::kStreaming) {
-      BuildExactSubtree(*store_.dataset(), rids, options_.base, tree, node,
+      BuildExactSubtree(*store_.dataset(), rids, options_.base, tree, 0,
                         tracker, pool);
     } else {
       // Streamed: the records live in the stash. Materialize them in
@@ -710,8 +717,7 @@ class SplitExecutor {
       const Dataset local = store_.Materialize(rids);
       std::vector<RecordId> lrids(static_cast<size_t>(local.num_records()));
       std::iota(lrids.begin(), lrids.end(), 0);
-      BuildExactSubtree(local, lrids, options_.base, tree, node, tracker,
-                        pool);
+      BuildExactSubtree(local, lrids, options_.base, tree, 0, tracker, pool);
     }
   }
 

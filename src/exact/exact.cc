@@ -4,12 +4,15 @@
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "common/class_counts.h"
 #include "common/timer.h"
 #include "gini/categorical.h"
 #include "gini/gini.h"
 #include "hist/histogram1d.h"
+#include "hist/quantiles.h"
 #include "pruning/mdl.h"
 #include "tree/observer.h"
 
@@ -65,6 +68,55 @@ void StablePartition(T* first, int64_t n, int64_t num_left, bool keep_left,
   }
 }
 
+using ListEntry = PresortedPartition::ListEntry;
+
+// Sorts `list`, filled in local-index order, by (value, label, local
+// index) with a stable LSD radix sort: a counting pass on the label, then
+// one pass per byte of the value's OrderKey from the lowest, skipping
+// bytes every entry shares. −0.0 takes 0.0's key, so they tie as `<` has
+// them. `label_counts` are the list's class counts; `scratch` holds as
+// many entries as `list`, and the two may trade buffers.
+void RadixSortList(std::vector<ListEntry>* list,
+                   std::vector<ListEntry>* scratch,
+                   const std::vector<int64_t>& label_counts) {
+  const size_t n = list->size();
+  if (n < 2) return;
+  ListEntry* src = list->data();
+  ListEntry* dst = scratch->data();
+  auto value_key = [](double v) { return OrderKey(v == 0.0 ? 0.0 : v); };
+  int classes_present = 0;
+  for (const int64_t c : label_counts) classes_present += c > 0;
+  if (classes_present > 1) {
+    std::vector<int64_t> next(label_counts.size(), 0);
+    for (size_t c = 1; c < next.size(); ++c) {
+      next[c] = next[c - 1] + label_counts[c - 1];
+    }
+    for (size_t i = 0; i < n; ++i) dst[next[LabelOf(src[i].key)]++] = src[i];
+    std::swap(src, dst);
+  }
+  constexpr int kBytes = sizeof(uint64_t);
+  uint32_t counts[kBytes][256] = {};
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t k = value_key(src[i].value);
+    for (int b = 0; b < kBytes; ++b) counts[b][(k >> (8 * b)) & 0xFF]++;
+  }
+  for (int b = 0; b < kBytes; ++b) {
+    uint32_t* const count = counts[b];
+    if (count[(value_key(src[0].value) >> (8 * b)) & 0xFF] == n) continue;
+    uint32_t next = 0;
+    for (int d = 0; d < 256; ++d) {
+      const uint32_t c = count[d];
+      count[d] = next;
+      next += c;
+    }
+    for (size_t i = 0; i < n; ++i) {
+      dst[count[(value_key(src[i].value) >> (8 * b)) & 0xFF]++] = src[i];
+    }
+    std::swap(src, dst);
+  }
+  if (src != list->data()) list->swap(*scratch);
+}
+
 }  // namespace
 
 bool StopsBeforeSearch(const std::vector<int64_t>& counts, int64_t n,
@@ -113,7 +165,12 @@ PresortedPartition::PresortedPartition(const Dataset& ds,
   search_.resize(na);
   bool any_numeric = false;
   for (AttrId a = 0; a < na; ++a) any_numeric |= schema_.is_numeric(a);
-  if (any_numeric) spill_.resize(n_ / 2);
+  // A serial partition radix-sorts its lists one after another through
+  // spill_, which then holds a whole list. Fanned out, the sorts run at
+  // once and each would need its own list of scratch, so they use
+  // std::sort.
+  const bool radix = pool_ == nullptr;
+  if (any_numeric) spill_.resize(radix ? n_ : n_ / 2);
   ForEachAttr([&](AttrId a) {
     AttrSearch& s = search_[a];
     if (schema_.is_numeric(a)) {
@@ -124,12 +181,16 @@ PresortedPartition::PresortedPartition(const Dataset& ds,
                    (static_cast<uint64_t>(labels_[i]) << 32) |
                        static_cast<uint64_t>(i)};
       }
-      // A lambda, not a function pointer, so std::sort inlines it.
-      std::sort(list.begin(), list.end(),
-                [](const ListEntry& x, const ListEntry& y) {
-                  return x.value < y.value ||
-                         (x.value == y.value && x.key < y.key);
-                });
+      if (radix) {
+        RadixSortList(&list, &spill_, totals_);
+      } else {
+        // A lambda, not a function pointer, so std::sort inlines it.
+        std::sort(list.begin(), list.end(),
+                  [](const ListEntry& x, const ListEntry& y) {
+                    return x.value < y.value ||
+                           (x.value == y.value && x.key < y.key);
+                  });
+      }
       s.below.resize(nc_);
       s.prefix.resize(static_cast<size_t>(kChunkBoundaries) * nc_);
       s.ginis.resize(kChunkBoundaries);

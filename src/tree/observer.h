@@ -17,7 +17,13 @@ struct PassObservation {
   int pass = 0;  // 0-based pass index
   /// Wall seconds routing records + filling histograms this pass.
   double scan_seconds = 0.0;
-  /// Wall seconds analyzing bundles, planning and resolving splits.
+  /// Wall seconds analyzing bundles, planning and resolving splits. CMP
+  /// runs this work and the exact finish (finish_seconds) as one round
+  /// of tasks; the round's wall time is split between the two in
+  /// proportion to the busy seconds of its plan tasks and its collect
+  /// tasks, so the two still sum to the round's wall time. A round
+  /// without collects reports 0 finish seconds, one without fresh or
+  /// pending nodes 0 plan seconds.
   double plan_seconds = 0.0;
   /// CMP only (0 otherwise): the linear-split search inside plan. Seconds
   /// of the coarse per-Y line searches, summed across the pool threads
@@ -28,7 +34,8 @@ struct PassObservation {
   double line_refine_seconds = 0.0;
   int64_t lines_evaluated = 0;
   int64_t lines_skipped = 0;
-  /// Wall seconds finishing in-memory partitions with the exact builder.
+  /// Wall seconds finishing in-memory partitions with the exact builder
+  /// (CMP: the collect tasks' share of the round; see plan_seconds).
   double finish_seconds = 0.0;
   int64_t records_scanned = 0;
   /// Bytes read this pass (real I/O for streamed builds, disk-simulation

@@ -664,6 +664,67 @@ TEST_F(CmptoolTest, StatsJsonEmitsObserverMetrics) {
   std::remove(stats.c_str());
 }
 
+// The phase ledger of a CMP build: a pass's collected partitions and its
+// fresh and pending nodes run as one round of tasks, whose wall time is
+// split between finish_seconds and plan_seconds by the busy seconds of
+// the two kinds of task. No phase is negative; a round without collects
+// reports no finish time and one without plan work no plan time; and
+// setup plus every pass's scan, finish and plan fits in the build's wall
+// time. The table is big enough that rounds mix collects and plan work.
+TEST_F(CmptoolTest, StatsJsonPhasesSumWithinWall) {
+  const std::string data = TempPath("ledger.cmpt");
+  const std::string stats = TempPath("ledger.json");
+  ASSERT_EQ(RunTool("gen --function F7 --records 40000 --seed 241 --out " +
+                    data),
+            0);
+  for (const std::string algo : {"cmp", "cmp-b", "cmp-s"}) {
+    SCOPED_TRACE(algo);
+    ASSERT_EQ(RunTool("train --data " + data + " --algo " + algo +
+                      " --threads 4 --out " + tree_ + " --stats-json " +
+                      stats),
+              0);
+    std::ifstream is(stats);
+    double phases = 0.0;
+    double setup = -1.0;
+    double wall = -1.0;
+    int mixed = 0;
+    for (std::string line; std::getline(is, line);) {
+      if (line.find("\"setup_seconds\": ") != std::string::npos) {
+        setup = JsonNumber(line, "setup_seconds");
+      }
+      if (line.find("\"wall_seconds\": ") != std::string::npos) {
+        wall = JsonNumber(line, "wall_seconds");
+      }
+      if (line.find("{\"pass\": ") == std::string::npos) continue;
+      const double scan = JsonNumber(line, "scan_seconds");
+      const double finish = JsonNumber(line, "finish_seconds");
+      const double plan = JsonNumber(line, "plan_seconds");
+      EXPECT_GE(scan, 0.0) << line;
+      EXPECT_GE(finish, 0.0) << line;
+      EXPECT_GE(plan, 0.0) << line;
+      const bool collects = JsonNumber(line, "frontier_collect") > 0;
+      const bool plans = JsonNumber(line, "frontier_fresh") +
+                             JsonNumber(line, "frontier_pending") >
+                         0;
+      if (!collects) {
+        EXPECT_EQ(finish, 0.0) << line;
+      }
+      if (!plans) {
+        EXPECT_EQ(plan, 0.0) << line;
+      }
+      if (collects && plans) ++mixed;
+      phases += scan + finish + plan;
+    }
+    EXPECT_GT(mixed, 0);
+    EXPECT_GE(setup, 0.0);
+    // The JSON prints six significant digits.
+    EXPECT_LE(setup + phases, wall * (1.0 + 1e-4) + 1e-6)
+        << "setup " << setup << " phases " << phases << " wall " << wall;
+  }
+  std::remove(data.c_str());
+  std::remove(stats.c_str());
+}
+
 std::string Slurp(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   std::ostringstream buffer;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <limits>
 #include <string>
 
@@ -157,11 +159,32 @@ TEST(BuildExactSubtree, EmptyRidsMakesLeaf) {
   EXPECT_TRUE(tree.node(root_id).is_leaf);
 }
 
+// Numeric attribute `a` of `rids` as list entries (value; label above
+// position in `rids`), sorted with the comparator the presorted lists
+// are defined by: value, then label, then position. −0.0 == 0.0, so the
+// two tie and fall to label and position.
+std::vector<PresortedPartition::ListEntry> ComparatorSortedList(
+    const Dataset& ds, AttrId a, const std::vector<RecordId>& rids) {
+  std::vector<PresortedPartition::ListEntry> list;
+  for (size_t i = 0; i < rids.size(); ++i) {
+    list.push_back({ds.numeric(a, rids[i]),
+                    (static_cast<uint64_t>(ds.label(rids[i])) << 32) | i});
+  }
+  std::sort(list.begin(), list.end(),
+            [](const PresortedPartition::ListEntry& x,
+               const PresortedPartition::ListEntry& y) {
+              return x.value < y.value ||
+                     (x.value == y.value && x.key < y.key);
+            });
+  return list;
+}
+
 // The per-node-sort exact builder that presorted attribute lists
-// replaced: every node gathers (value, label) pairs for each numeric
-// attribute, sorts them and scores each distinct-value boundary with
-// BoundaryGini; children get fresh rid vectors. BuildExactSubtree must
-// grow the same subtree and charge the same modeled sort work.
+// replaced: every node sorts each numeric attribute's entries with the
+// comparator and scores each distinct-value boundary with BoundaryGini;
+// children get fresh rid vectors, whose positions keep the parent's
+// relative order. BuildExactSubtree must grow the same subtree and
+// charge the same modeled sort work.
 ExactSplit OracleSplit(const Dataset& ds, const std::vector<RecordId>& rids,
                        ScanTracker* tracker) {
   const Schema& schema = ds.schema();
@@ -177,19 +200,16 @@ ExactSplit OracleSplit(const Dataset& ds, const std::vector<RecordId>& rids,
       if (tracker != nullptr) {
         tracker->ChargeSort(static_cast<int64_t>(rids.size()));
       }
-      std::vector<std::pair<double, ClassId>> column;
-      for (RecordId r : rids) {
-        column.emplace_back(ds.numeric(a, r), ds.label(r));
-      }
-      std::sort(column.begin(), column.end());
+      const std::vector<PresortedPartition::ListEntry> column =
+          ComparatorSortedList(ds, a, rids);
       std::vector<int64_t> below(nc, 0);
       for (size_t i = 0; i + 1 < column.size(); ++i) {
-        below[column[i].second]++;
-        if (column[i].first == column[i + 1].first) continue;
+        below[column[i].key >> 32]++;
+        if (column[i].value == column[i + 1].value) continue;
         const double g = BoundaryGini(below, totals);
         if (g < cur.gini) {
           cur.gini = g;
-          cur.split = Split::Numeric(a, column[i].first);
+          cur.split = Split::Numeric(a, column[i].value);
           cur.valid = true;
         }
       }
@@ -406,6 +426,109 @@ TEST(BuildExactSubtree, SeededRootScoresItsOwnRecords) {
     }
   }
   EXPECT_EQ(grown, 6);
+}
+
+// Numeric columns that stress the radix sort's key: ±0.0 under mixed
+// labels; long runs of duplicates, most of them negative; subnormals,
+// ±DBL_MAX and ±inf among ordinary values. Labels follow the columns
+// loosely, so trees split on all three.
+Dataset RadixAdversarialTable(int64_t num_records, uint64_t seed) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kMax = std::numeric_limits<double>::max();
+  constexpr double kMin = std::numeric_limits<double>::min();
+  constexpr double kTiny = std::numeric_limits<double>::denorm_min();
+  const double kZeros[] = {-0.0, 0.0, -0.0, 0.0, -1.0, 1.0};
+  const double kExtremes[] = {-kInf, -kMax,      -1.5,     -kMin,
+                              -3 * kTiny, -kTiny, -0.0,    0.0,
+                              kTiny,      7 * kTiny, kMin / 3, kMin,
+                              2.0,        kMax,      kInf};
+  Dataset ds(Schema({{"zeros", AttrKind::kNumeric, 0},
+                     {"runs", AttrKind::kNumeric, 0},
+                     {"extremes", AttrKind::kNumeric, 0},
+                     {"cat", AttrKind::kCategorical, 5}},
+                    {"c0", "c1", "c2"}));
+  Rng rng(seed);
+  for (int64_t i = 0; i < num_records; ++i) {
+    const double zero = kZeros[rng.UniformInt(0, 5)];
+    const double run = static_cast<double>((i / 97) % 7) - 4.0;
+    const double extreme = kExtremes[rng.UniformInt(0, 14)];
+    const int32_t cat = static_cast<int32_t>(rng.UniformInt(0, 4));
+    int64_t label = (std::signbit(zero) ? 1 : 0) + (run < -1.0 ? 1 : 0) +
+                    (extreme > 0.0 ? 1 : 0);
+    if (rng.Bernoulli(0.2)) label += rng.UniformInt(0, 2);
+    ds.Append({zero, run, extreme}, {cat}, static_cast<ClassId>(label % 3));
+  }
+  return ds;
+}
+
+// Partition sizes for the radix tests: the degenerate ones, an odd
+// handful, and more records than 16 bits count.
+constexpr int64_t kRadixSizes[] = {0, 1, 2, 3, 700, 65537};
+
+// A serial partition sorts its lists with a radix sort, a fanned-out one
+// with std::sort. Either way each list must equal the comparator's sort
+// entry for entry, value bits included (so −0.0 and 0.0 land where the
+// comparator puts them).
+TEST(PresortedPartition, ListsEqualComparatorSortSerialAndFannedOut) {
+  ThreadPool four(4);
+  for (const int64_t n : kRadixSizes) {
+    const Dataset ds = RadixAdversarialTable(n + n / 4, 50 + n);
+    // An ascending subset, so local indices differ from record ids.
+    std::vector<RecordId> rids;
+    for (RecordId r = 0; r < ds.num_records(); ++r) {
+      if (static_cast<int64_t>(rids.size()) < n && (r % 5 != 3 || r >= n)) {
+        rids.push_back(r);
+      }
+    }
+    ASSERT_EQ(static_cast<int64_t>(rids.size()), n);
+    for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &four}) {
+      const PresortedPartition partition(ds, rids, pool);
+      for (AttrId a = 0; a < 3; ++a) {
+        SCOPED_TRACE(testing::Message() << "n " << n << " attr " << a
+                                        << " pool " << (pool != nullptr));
+        const std::vector<PresortedPartition::ListEntry> want =
+            ComparatorSortedList(ds, a, rids);
+        const std::vector<PresortedPartition::ListEntry>& got =
+            partition.list(a);
+        ASSERT_EQ(got.size(), want.size());
+        int64_t mismatches = 0;
+        for (size_t i = 0; i < want.size(); ++i) {
+          if (std::bit_cast<uint64_t>(got[i].value) !=
+                  std::bit_cast<uint64_t>(want[i].value) ||
+              got[i].key != want[i].key) {
+            ++mismatches;
+          }
+        }
+        EXPECT_EQ(mismatches, 0);
+      }
+    }
+  }
+}
+
+// The same tables grown into trees: BuildExactSubtree on radix-sorted
+// (serial) and std::sort-ed (fanned-out) lists must equal the per-node
+// comparator sort, thresholds' bits included.
+TEST(BuildExactSubtree, RadixSortedListsMatchComparatorOracle) {
+  ThreadPool four(4);
+  int grown = 0;
+  for (const int64_t n : kRadixSizes) {
+    const Dataset ds = RadixAdversarialTable(n, 90 + n);
+    BuilderOptions options;
+    options.prune = false;
+    options.max_depth = 7;
+    const SubtreeRun want =
+        GrowSubtree(ds, AllRids(ds), options, 0, nullptr, true);
+    for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &four}) {
+      SCOPED_TRACE(testing::Message() << "n " << n << " pool "
+                                      << (pool != nullptr));
+      const SubtreeRun got =
+          GrowSubtree(ds, AllRids(ds), options, 0, pool, false);
+      EXPECT_EQ(got.tree, want.tree);
+      EXPECT_EQ(got.sort_comparisons, want.sort_comparisons);
+    }
+    if (want.num_nodes > 9) ++grown;
+  }
+  EXPECT_EQ(grown, 2);
 }
 
 }  // namespace

@@ -217,105 +217,137 @@ TEST(ParallelDeterminism, LinearSplitSearchBitIdentical) {
   }
 }
 
+using CounterList = std::vector<std::pair<std::string, int64_t>>;
+
+CounterList FinalCounters(const BuildStats& s) {
+  return CounterList{{"dataset_scans", s.dataset_scans},
+                     {"records_read", s.records_read},
+                     {"bytes_read", s.bytes_read},
+                     {"bytes_written", s.bytes_written},
+                     {"buffered_records", s.buffered_records},
+                     {"sort_comparisons", s.sort_comparisons},
+                     {"peak_memory_bytes", s.peak_memory_bytes},
+                     {"tree_nodes", s.tree_nodes},
+                     {"tree_depth", s.tree_depth},
+                     {"predictions_total", s.predictions_total},
+                     {"predictions_correct", s.predictions_correct},
+                     {"root_alive_intervals", s.root_alive_intervals}};
+}
+
+CounterList PassCounters(const PassObservation& p) {
+  return CounterList{{"pass", p.pass},
+                     {"records_scanned", p.records_scanned},
+                     {"records_routed", p.records_routed},
+                     {"bytes_read", p.bytes_read},
+                     {"frontier_fresh", p.frontier_fresh},
+                     {"frontier_pending", p.frontier_pending},
+                     {"frontier_collect", p.frontier_collect},
+                     {"alive_intervals", p.alive_intervals},
+                     {"buffered_records", p.buffered_records},
+                     {"buffer_bytes", p.buffer_bytes},
+                     {"tree_nodes", p.tree_nodes},
+                     {"lines_evaluated", p.lines_evaluated},
+                     {"lines_skipped", p.lines_skipped},
+                     {"code_cache_bytes", p.code_cache_bytes},
+                     {"sibling_subtractions", p.sibling_subtractions},
+                     {"sketch_bytes", p.sketch_bytes},
+                     {"refit_leaves_regrown", p.refit_leaves_regrown}};
+}
+
+// A CMP build's serialized tree, final counters and per-pass counters.
+struct CountedRun {
+  std::string tree;
+  CounterList final_stats;
+  std::vector<CounterList> passes;
+  std::vector<PassObservation> observed;
+};
+
+// Builds with `threads` threads (and as many scan shards), in memory
+// when `block` is 0 and streamed in blocks of `block` records otherwise.
+CountedRun BuildCounted(CmpOptions o, const Dataset& train, int threads,
+                        int64_t block) {
+  o.base.num_threads = threads;
+  o.scan_shards = threads;
+  TrainStatsCollector collector;
+  o.base.observer = &collector;
+  CmpBuilder builder(o);
+  BuildResult result;
+  if (block > 0) {
+    DatasetBlockSource source(train, block);
+    result = builder.BuildStreamed(source);
+  } else {
+    result = builder.Build(train);
+  }
+  CountedRun run{SerializeTree(result.tree), FinalCounters(result.stats), {},
+                 collector.passes()};
+  for (const PassObservation& p : collector.passes()) {
+    run.passes.push_back(PassCounters(p));
+  }
+  return run;
+}
+
+void ExpectSameRun(const CountedRun& run, const CountedRun& reference,
+                   const std::string& where) {
+  EXPECT_EQ(run.tree, reference.tree) << where;
+  EXPECT_EQ(run.final_stats, reference.final_stats) << where;
+  ASSERT_EQ(run.passes.size(), reference.passes.size()) << where;
+  for (size_t i = 0; i < run.passes.size(); ++i) {
+    EXPECT_EQ(run.passes[i], reference.passes[i]) << where << " pass " << i;
+  }
+}
+
 // Every counter of a build other than its seconds is a property of the
 // data and the tree, not of the thread count: the final BuildStats and
 // each pass's observation must equal the 1-thread build's, in memory and
-// streamed. The plan of a round runs each node as a task with its own
-// stats, folded back in work-list order; only the build root's plan may
-// set root_alive_intervals, so a fold that takes it from any other task
-// shows up here.
+// streamed. A pass's round runs its collected partitions and its fresh
+// and pending nodes as one set of tasks with their own stats, handed out
+// largest first and folded back in work-list order (collects, then
+// fresh, then pending). On F7 some rounds mix at least two collects with
+// at least two plan tasks, so the hand-out order differs from the graft
+// order; an odd thread count makes it differ most. Only the build root's
+// growth may set root_alive_intervals, so a fold that takes it from any
+// other task shows up here.
 TEST(ParallelDeterminism, BuildCountersIndependentOfThreadCount) {
-  using Counters = std::vector<std::pair<std::string, int64_t>>;
-  auto final_counters = [](const BuildStats& s) {
-    return Counters{{"dataset_scans", s.dataset_scans},
-                    {"records_read", s.records_read},
-                    {"bytes_read", s.bytes_read},
-                    {"bytes_written", s.bytes_written},
-                    {"buffered_records", s.buffered_records},
-                    {"sort_comparisons", s.sort_comparisons},
-                    {"peak_memory_bytes", s.peak_memory_bytes},
-                    {"tree_nodes", s.tree_nodes},
-                    {"tree_depth", s.tree_depth},
-                    {"predictions_total", s.predictions_total},
-                    {"predictions_correct", s.predictions_correct},
-                    {"root_alive_intervals", s.root_alive_intervals}};
+  // F7 takes linear splits; F2 resolves pendings deeply.
+  struct DataCase {
+    AgrawalFunction function;
+    int64_t rows;
+    bool mixed_rounds;
   };
-  auto pass_counters = [](const PassObservation& p) {
-    return Counters{{"pass", p.pass},
-                    {"records_scanned", p.records_scanned},
-                    {"records_routed", p.records_routed},
-                    {"bytes_read", p.bytes_read},
-                    {"frontier_fresh", p.frontier_fresh},
-                    {"frontier_pending", p.frontier_pending},
-                    {"frontier_collect", p.frontier_collect},
-                    {"alive_intervals", p.alive_intervals},
-                    {"buffered_records", p.buffered_records},
-                    {"buffer_bytes", p.buffer_bytes},
-                    {"tree_nodes", p.tree_nodes},
-                    {"lines_evaluated", p.lines_evaluated},
-                    {"lines_skipped", p.lines_skipped},
-                    {"code_cache_bytes", p.code_cache_bytes},
-                    {"sibling_subtractions", p.sibling_subtractions},
-                    {"sketch_bytes", p.sketch_bytes},
-                    {"refit_leaves_regrown", p.refit_leaves_regrown}};
-  };
-  struct Run {
-    std::string tree;
-    Counters final_stats;
-    std::vector<Counters> passes;
-  };
-  auto build = [&](CmpOptions o, const Dataset& train, int threads,
-                   bool streamed) {
-    o.base.num_threads = threads;
-    o.scan_shards = threads;
-    TrainStatsCollector collector;
-    o.base.observer = &collector;
-    CmpBuilder builder(o);
-    BuildResult result;
-    if (streamed) {
-      DatasetBlockSource source(train, 777);
-      result = builder.BuildStreamed(source);
-    } else {
-      result = builder.Build(train);
-    }
-    Run run{SerializeTree(result.tree), final_counters(result.stats), {}};
-    for (const PassObservation& p : collector.passes()) {
-      run.passes.push_back(pass_counters(p));
-    }
-    return run;
-  };
-
-  // F7 at 60k rows takes linear splits; F2 resolves pendings deeply.
-  const std::pair<AgrawalFunction, int64_t> data_cases[] = {
-      {AgrawalFunction::kF7, 60000}, {AgrawalFunction::kF2, 20000}};
+  const DataCase data_cases[] = {{AgrawalFunction::kF7, 60000, true},
+                                 {AgrawalFunction::kF2, 20000, false}};
   int64_t roots_with_alive = 0;
-  for (const auto& [function, rows] : data_cases) {
-    const Dataset train = MakeData(function, rows, 241);
+  for (const DataCase& data : data_cases) {
+    const Dataset train = MakeData(data.function, data.rows, 241);
     for (const auto& [variant, name] :
          {std::pair<CmpVariant, const char*>{CmpVariant::kS, "CMP-S"},
           std::pair<CmpVariant, const char*>{CmpVariant::kB, "CMP-B"},
           std::pair<CmpVariant, const char*>{CmpVariant::kFull, "CMP"}}) {
       CmpOptions o;
       o.variant = variant;
-      for (const bool streamed : {false, true}) {
-        const Run reference = build(o, train, 1, streamed);
+      for (const int64_t block : {int64_t{0}, int64_t{700}, int64_t{777}}) {
+        std::string at = "F";
+        at += std::to_string(static_cast<int>(data.function));
+        at += std::string(" ") + name;
+        at += block > 0 ? " streamed at " + std::to_string(block) + ", "
+                        : std::string(" in memory, ");
+        const CountedRun reference = BuildCounted(o, train, 1, block);
         ASSERT_GT(reference.passes.size(), 1u);
         // root_alive_intervals is the last final counter.
         if (reference.final_stats.back().second > 0) ++roots_with_alive;
-        for (const int threads : {2, 4, 8}) {
-          std::string where = "F";
-          where += std::to_string(static_cast<int>(function));
-          where += std::string(" ") + name;
-          where += streamed ? " streamed, " : " in memory, ";
-          where += std::to_string(threads) + " threads";
-          const Run run = build(o, train, threads, streamed);
-          EXPECT_EQ(run.tree, reference.tree) << where;
-          EXPECT_EQ(run.final_stats, reference.final_stats) << where;
-          ASSERT_EQ(run.passes.size(), reference.passes.size()) << where;
-          for (size_t i = 0; i < run.passes.size(); ++i) {
-            EXPECT_EQ(run.passes[i], reference.passes[i])
-                << where << " pass " << i;
+        if (data.mixed_rounds) {
+          int mixed = 0;
+          for (const PassObservation& p : reference.observed) {
+            if (p.frontier_collect >= 2 &&
+                p.frontier_fresh + p.frontier_pending >= 2) {
+              ++mixed;
+            }
           }
+          EXPECT_GT(mixed, 0) << at;
+        }
+        for (const int threads : {2, 3, 4, 8}) {
+          ExpectSameRun(BuildCounted(o, train, threads, block), reference,
+                        at + std::to_string(threads) + " threads");
         }
       }
     }
@@ -323,6 +355,23 @@ TEST(ParallelDeterminism, BuildCountersIndependentOfThreadCount) {
   // The root-id rule is on the path: some roots resolve with alive
   // intervals.
   EXPECT_GT(roots_with_alive, 0);
+}
+
+// A table no larger than the in-memory switch is collected at the root:
+// its one round has one task, which runs on the caller and fans the
+// partition's attributes out over the pool.
+TEST(ParallelDeterminism, CollectOnlyBuildBitIdentical) {
+  const Dataset train = MakeData(AgrawalFunction::kF7, 3000, 257);
+  for (const CmpVariant variant :
+       {CmpVariant::kS, CmpVariant::kB, CmpVariant::kFull}) {
+    CmpOptions o;
+    o.variant = variant;
+    ASSERT_LE(train.num_records(), o.base.in_memory_threshold);
+    const CountedRun reference = BuildCounted(o, train, 1, 0);
+    ASSERT_EQ(reference.observed.size(), 1u);
+    EXPECT_EQ(reference.observed[0].frontier_collect, 1);
+    ExpectSameRun(BuildCounted(o, train, 4, 0), reference, "4 threads");
+  }
 }
 
 // An injected shared pool (the no-oversubscription path) must behave

@@ -27,6 +27,7 @@
 #include "common/class_counts.h"
 #include "common/thread_pool.h"
 #include "datagen/agrawal.h"
+#include "exact/exact.h"
 #include "hist/grid_builder.h"
 #include "io/block_source.h"
 #include "pruning/mdl.h"
@@ -191,6 +192,9 @@ struct Coverage {
   int64_t derived_segments = 0;
   int64_t buffered = 0;
   int64_t collected = 0;
+  // Rounds whose largest-first hand-out would renumber nodes if the
+  // tasks were grafted in that order.
+  int64_t reordered_rounds = 0;
 };
 
 void ExpectSamePending(const Pending& got, const Pending& want, int num_attrs,
@@ -347,15 +351,47 @@ std::string BuildCheckingEveryPass(const Dataset& ds, Store& store,
     if (::testing::Test::HasFailure()) return "";
     ++cov->passes;
 
-    executor.FinishCollects(work.collect);
+    // The serial in-place walk CmpBuilder's round of tasks must
+    // reproduce: each collect finished at its node, then the fresh nodes
+    // and the pendings in work-list order. `records` and `grew` note each
+    // task's size and whether it added tree nodes.
+    std::vector<int64_t> records;
+    std::vector<bool> grew;
+    auto walk = [&](int64_t size, auto&& task) {
+      const int64_t before = result.tree.num_nodes();
+      records.push_back(size);
+      task();
+      grew.push_back(result.tree.num_nodes() > before);
+    };
     next.Clear();
+    for (const CollectWork& w : work.collect) {
+      walk(static_cast<int64_t>(w.rids.size()), [&] {
+        tracker.ChargeBuffered(static_cast<int64_t>(w.rids.size()));
+        BuildExactSubtree(ds, w.rids, o.base, &result.tree, w.node, &tracker,
+                          pool);
+      });
+    }
     for (FreshWork& w : work.fresh) {
-      executor.GrowNode(w.node, std::move(w.bundle));
+      walk(CountSum(result.tree.node(w.node).class_counts),
+           [&] { executor.GrowNode(w.node, std::move(w.bundle)); });
     }
     for (PendingWork& w : work.pending) {
-      executor.ResolvePending(w.node, w.pending.get(),
-                              result.tree.node(w.node).depth);
+      walk(CountSum(result.tree.node(w.node).class_counts), [&] {
+        executor.ResolvePending(w.node, w.pending.get(),
+                                result.tree.node(w.node).depth);
+      });
     }
+    // CmpBuilder hands the tasks out largest first and grafts them in
+    // work-list order; node ids tell the two apart when a task that grew
+    // the tree holds more records than an earlier one that did too.
+    int64_t biggest = -1;  // the largest earlier task that grew the tree
+    bool reordered = false;
+    for (size_t j = 0; j < records.size(); ++j) {
+      if (!grew[j]) continue;
+      reordered |= biggest >= 0 && records[j] > biggest;
+      biggest = std::max(biggest, records[j]);
+    }
+    cov->reordered_rounds += reordered;
     if constexpr (Store::kStreaming) store.ClearStash();
     work = std::move(next);
     next.Clear();
@@ -381,12 +417,17 @@ class ScanPassOracleTest : public ::testing::Test {
   }
 
   // Checks every pass of `o` over the in-memory and streamed stores, for
-  // each route shard count, and that the driven build's tree is
-  // CmpBuilder's.
+  // each route shard count, and that the driven build's serial walk
+  // gives CmpBuilder's tree, whose rounds run as tasks grafted back in
+  // work-list order, at 1 and 4 threads.
   Coverage CheckVariant(CmpOptions o) {
     ThreadPool pool(4);
     Coverage cov;
     const std::string reference = SerializeTree(CmpBuilder(o).Build(*data_).tree);
+    CmpOptions threaded = o;
+    threaded.base.num_threads = 4;
+    EXPECT_EQ(SerializeTree(CmpBuilder(threaded).Build(*data_).tree),
+              reference);
     for (const int shards : {1, 2, 3, 4}) {
       DatasetBlockSource source(*data_);
       InMemoryStore store(*data_);
@@ -443,6 +484,19 @@ TEST_F(ScanPassOracleTest, CmpMatchesRecordMajorScanEveryPass) {
   EXPECT_GT(cov.exact_segments, 0);
   EXPECT_GT(cov.buffered, 0);
   EXPECT_GT(cov.collected, 0);
+}
+
+// Final MDL pruning compacts the tree in preorder, which hides the order
+// in which nodes were numbered. Unpruned, the serial walk's node ids must
+// be CmpBuilder's in rounds whose largest-first hand-out differs from
+// their graft order.
+TEST_F(ScanPassOracleTest, UnprunedCmpBNumbersNodesAsTheSerialWalk) {
+  CmpOptions o = CmpBOptions();
+  o.base.prune = false;
+  const Coverage cov = CheckVariant(o);
+  EXPECT_GT(cov.passes, 2);
+  EXPECT_GT(cov.collected, 0);
+  EXPECT_GT(cov.reordered_rounds, 0);
 }
 
 // The sink table flattens every pending plan: one buffer sink per

@@ -28,6 +28,7 @@
 #include "common/class_counts.h"
 #include "common/thread_pool.h"
 #include "datagen/agrawal.h"
+#include "exact/exact.h"
 #include "hist/grid_builder.h"
 #include "io/block_source.h"
 #include "tree/observer.h"
@@ -191,8 +192,15 @@ std::vector<int64_t> BuildCheckingLiveLists(const Dataset& ds, Store& store,
     want_routed = sends;
     ++cov->passes;
 
-    executor.FinishCollects(work.collect);
+    // The serial in-place walk CmpBuilder's round of tasks must
+    // reproduce: each collect finished at its node, then the fresh nodes
+    // and the pendings in work-list order.
     next.Clear();
+    for (const CollectWork& w : work.collect) {
+      tracker.ChargeBuffered(static_cast<int64_t>(w.rids.size()));
+      BuildExactSubtree(ds, w.rids, o.base, &result.tree, w.node, &tracker,
+                        pool);
+    }
     for (FreshWork& w : work.fresh) {
       executor.GrowNode(w.node, std::move(w.bundle));
     }
