@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <iomanip>
+#include <span>
 #include <sstream>
 
 namespace cmp {
@@ -18,7 +19,7 @@ DatasetSummary Summarize(const Dataset& ds, int64_t distinct_cap) {
     s.name = schema.attr(a).name;
     s.kind = schema.attr(a).kind;
     if (schema.is_numeric(a)) {
-      const auto& col = ds.numeric_column(a);
+      const std::span<const double> col = ds.numeric_column(a);
       if (col.empty()) continue;
       double sum = 0.0;
       double sum_sq = 0.0;
@@ -35,7 +36,7 @@ DatasetSummary Summarize(const Dataset& ds, int64_t distinct_cap) {
       const double var = std::max(0.0, sum_sq / n - s.mean * s.mean);
       s.stddev = std::sqrt(var);
       // Distinct values via a sorted copy, capped for huge columns.
-      std::vector<double> sorted = col;
+      std::vector<double> sorted(col.begin(), col.end());
       std::sort(sorted.begin(), sorted.end());
       int64_t distinct = 1;
       for (size_t i = 1; i < sorted.size() && distinct < distinct_cap; ++i) {

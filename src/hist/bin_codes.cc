@@ -59,7 +59,7 @@ BinCodeCache::BinCodeCache(const Schema& schema, int64_t num_records,
     : enabled_(true), n_(num_records), cols_(schema.num_attrs()) {}
 
 void BinCodeCache::EncodeNumericColumn(AttrId a, const IntervalGrid& grid,
-                                       const std::vector<double>& column) {
+                                       std::span<const double> column) {
   assert(enabled_);
   assert(static_cast<int64_t>(column.size()) == n_);
   CodeColumn& col = cols_[a];
@@ -75,7 +75,7 @@ void BinCodeCache::EncodeNumericColumn(AttrId a, const IntervalGrid& grid,
 }
 
 void BinCodeCache::EncodeCategoricalColumn(AttrId a,
-                                           const std::vector<int32_t>& column) {
+                                           std::span<const int32_t> column) {
   assert(enabled_);
   assert(static_cast<int64_t>(column.size()) == n_);
   CodeColumn& col = cols_[a];

@@ -3,6 +3,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/schema.h"
@@ -135,7 +136,7 @@ class BinCodeCache {
   /// for every record — the agreement the byte-identical-trees contract
   /// rests on (exhaustively tested in tests/test_bin_codes.cc).
   void EncodeNumericColumn(AttrId a, const IntervalGrid& grid,
-                           const std::vector<double>& column);
+                           std::span<const double> column);
 
   /// Attribute `a`'s column, for a writer that sizes and fills it
   /// itself: the build driver's setup (DiscretizeColumn in
@@ -147,7 +148,7 @@ class BinCodeCache {
 
   /// Encodes a categorical attribute's raw column (values are dense
   /// integers in [0, cardinality), validated by the loaders).
-  void EncodeCategoricalColumn(AttrId a, const std::vector<int32_t>& column);
+  void EncodeCategoricalColumn(AttrId a, std::span<const int32_t> column);
 
   /// Installs the label column (ascending record order, full length).
   void SetLabels(std::vector<ClassId> labels);

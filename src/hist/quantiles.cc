@@ -9,7 +9,7 @@
 
 namespace cmp {
 
-IntervalGrid IntervalGrid::EqualDepth(const std::vector<double>& values,
+IntervalGrid IntervalGrid::EqualDepth(std::span<const double> values,
                                       int q) {
   BorrowedColumn column(values.data(), static_cast<int64_t>(values.size()));
   AttrGridResult result;
@@ -46,7 +46,7 @@ IntervalGrid IntervalGrid::FromRankCuts(const std::vector<double>& rank_cuts,
   return grid;
 }
 
-IntervalGrid IntervalGrid::EqualWidth(const std::vector<double>& values,
+IntervalGrid IntervalGrid::EqualWidth(std::span<const double> values,
                                       int q) {
   IntervalGrid grid;
   if (values.empty()) return grid;

@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "common/types.h"
@@ -50,7 +51,7 @@ class IntervalGrid {
   /// domain bounds. Identical, bit for bit, to EqualDepthFromSorted on the
   /// values sorted by the total order that puts -0.0 before +0.0.
   /// `values` must not contain NaN.
-  static IntervalGrid EqualDepth(const std::vector<double>& values, int q);
+  static IntervalGrid EqualDepth(std::span<const double> values, int q);
 
   /// The same grid from a column already in ascending order: cut i is
   /// the value at position CutRank(n, i, q). The reference definition of
@@ -78,7 +79,7 @@ class IntervalGrid {
   /// outer intervals, a span too wide for a double is divided without
   /// overflow, and only finite cuts below the largest value are kept.
   /// The grid's min/max are the true extremes, infinities included.
-  static IntervalGrid EqualWidth(const std::vector<double>& values, int q);
+  static IntervalGrid EqualWidth(std::span<const double> values, int q);
 
   /// Builds a grid from explicit, strictly increasing cut values and
   /// domain bounds (defaulting to the first/last cut).

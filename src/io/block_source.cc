@@ -1,6 +1,7 @@
 #include "io/block_source.h"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 #include "common/thread_pool.h"
@@ -47,7 +48,8 @@ std::unique_ptr<ColumnReader> DatasetBlockSource::OpenNumericColumn(
 }
 
 bool DatasetBlockSource::ReadLabels(std::vector<ClassId>* out) {
-  *out = ds_.labels();
+  const std::span<const ClassId> labels = ds_.labels();
+  out->assign(labels.begin(), labels.end());
   return true;
 }
 

@@ -100,6 +100,15 @@ std::unique_ptr<TableScanner> TableScanner::Open(const std::string& path,
                        &scanner->num_records_, &layout)) {
     return nullptr;
   }
+  // Each padding run is read once, here, so a nonzero byte fails a
+  // streamed run at open as it fails a whole-table load. These header
+  // reads, like the header's own, are not counted in bytes_read().
+  uint8_t gap[kTableColumnAlign];
+  for (const auto& [at, len] : layout.padding) {
+    scanner->file_.seekg(at);
+    scanner->file_.read(reinterpret_cast<char*>(gap), len);
+    if (!scanner->file_.good() || !IsZeroPadding(gap, len)) return nullptr;
+  }
   scanner->column_offsets_ = std::move(layout.column_offsets);
   scanner->label_offset_ = layout.label_offset;
   return scanner;
@@ -145,14 +154,6 @@ bool TableScanner::ReadBlock(int64_t start, int64_t count,
   return true;
 }
 
-bool TableScanner::ReadNumericColumn(AttrId a, std::vector<double>* out) {
-  out->resize(num_records_);
-  file_.seekg(column_offsets_[a]);
-  if (!ReadNumbers(file_, out->data(), num_records_)) return false;
-  bytes_read_ += num_records_ * static_cast<int64_t>(sizeof(double));
-  return true;
-}
-
 bool TableScanner::ReadNumericChunk(AttrId a, int64_t begin, int64_t count,
                                     double* out) {
   if (begin < 0 || count < 0 || begin + count > num_records_) return false;
@@ -161,17 +162,6 @@ bool TableScanner::ReadNumericChunk(AttrId a, int64_t begin, int64_t count,
   if (!ReadNumbers(file_, out, count)) return false;
   bytes_read_ += count * static_cast<int64_t>(sizeof(double));
   return true;
-}
-
-bool TableScanner::ReadCategoricalColumn(AttrId a, std::vector<int32_t>* out) {
-  out->resize(num_records_);
-  file_.seekg(column_offsets_[a]);
-  file_.read(reinterpret_cast<char*>(out->data()),
-             num_records_ * static_cast<int64_t>(sizeof(int32_t)));
-  if (!file_.good() && !(file_.eof() && num_records_ == 0)) return false;
-  bytes_read_ += num_records_ * static_cast<int64_t>(sizeof(int32_t));
-  return ValuesInRange(out->data(), num_records_,
-                       schema_.attr(a).cardinality);
 }
 
 bool TableScanner::ReadLabelColumn(std::vector<ClassId>* out) {

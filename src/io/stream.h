@@ -87,10 +87,10 @@ class ColumnBlock {
 class TableScanner {
  public:
   /// Opens `path`; returns null on open/parse failure (ReadTableHeader in
-  /// table_file.h), on a non-positive block size, and on a file whose
-  /// size does not match the record count and schema in its own header
-  /// (truncated or padded files are rejected up front instead of failing
-  /// mid-scan).
+  /// table_file.h), on a non-positive block size, on a file whose size
+  /// does not match the record count and schema in its own header
+  /// (truncated files and trailing bytes are rejected up front instead of
+  /// failing mid-scan), and on a nonzero padding byte.
   static std::unique_ptr<TableScanner> Open(const std::string& path,
                                             int64_t block_records = 65536);
 
@@ -115,22 +115,11 @@ class TableScanner {
   /// another pass.
   bool NextBlock(ColumnBlock* block);
 
-  /// Reads one whole column in bulk (columns are stored contiguously
-  /// precisely so discretization passes can do this); rejects NaN,
-  /// checking each cache-sized chunk as it lands. `a` must be a numeric
-  /// attribute.
-  /// Does not move the sequential cursor.
-  bool ReadNumericColumn(AttrId a, std::vector<double>* out);
-
   /// Reads values [begin, begin + count) of numeric column `a` into
-  /// `out` and rejects NaN, like ReadNumericColumn. Does not move the
-  /// sequential cursor.
+  /// `out`, checking each cache-sized chunk for NaN as it lands (columns
+  /// are stored contiguously so discretization passes can do this). `a`
+  /// must be a numeric attribute. Does not move the sequential cursor.
   bool ReadNumericChunk(AttrId a, int64_t begin, int64_t count, double* out);
-
-  /// Reads one whole categorical column in a single bulk read; rejects
-  /// codes outside [0, cardinality). `a` must be a categorical
-  /// attribute. Does not move the sequential cursor.
-  bool ReadCategoricalColumn(AttrId a, std::vector<int32_t>* out);
 
   /// Reads the whole label column; rejects out-of-range labels.
   bool ReadLabelColumn(std::vector<ClassId>* out);

@@ -30,6 +30,7 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <sstream>
 #include <string>
 #include <system_error>
@@ -304,11 +305,10 @@ cmp::Dataset WithModelClasses(const cmp::Dataset& ds,
   std::vector<std::vector<double>> numeric(schema.num_attrs());
   std::vector<std::vector<int32_t>> categorical(schema.num_attrs());
   for (cmp::AttrId a = 0; a < schema.num_attrs(); ++a) {
-    if (schema.is_numeric(a)) {
-      numeric[a] = ds.numeric_column(a);
-    } else {
-      categorical[a] = ds.categorical_column(a);
-    }
+    const std::span<const double> nums = ds.numeric_column(a);
+    const std::span<const int32_t> cats = ds.categorical_column(a);
+    numeric[a].assign(nums.begin(), nums.end());
+    categorical[a].assign(cats.begin(), cats.end());
   }
   std::vector<cmp::ClassId> labels(ds.labels().size());
   for (size_t r = 0; r < labels.size(); ++r) {
@@ -437,12 +437,14 @@ int CmdTrainStreamed(int argc, char** argv, int intervals, int threads) {
   if (!ParseWholeFlag(argc, argv, "--block", 1, kMaxBlock, 65536, &block)) {
     return kExitBadArgs;
   }
+  const cmp::Timer load;
   auto source = cmp::TableBlockSource::Open(data, block);
   if (source == nullptr) {
     std::cerr << "failed to open " << data
               << " (must be a valid .cmpt table)\n";
     return kExitIo;
   }
+  const double load_s = load.Seconds();
   cmp::CmpOptions o = algo == "cmp"     ? cmp::CmpFullOptions()
                       : algo == "cmp-b" ? cmp::CmpBOptions()
                                         : cmp::CmpSOptions();
@@ -464,10 +466,12 @@ int CmdTrainStreamed(int argc, char** argv, int intervals, int threads) {
   std::ostream& summary = stats_path == "-" ? std::cerr : std::cout;
   summary << builder.name() << " (streamed, block=" << block
           << "): " << result.stats.ToString() << "\n";
+  const cmp::Timer save;
   if (!cmp::SaveTree(result.tree, out)) {
     std::cerr << "failed to write " << out << "\n";
     return kExitIo;
   }
+  collector.SetIoSeconds(load_s, save.Seconds());
   summary << "tree with " << result.tree.num_nodes() << " nodes saved to "
           << out << "\n";
   if (!stats_path.empty()) return WriteStatsJson(collector, stats_path);
@@ -531,9 +535,11 @@ int CmdTrainCmpStream(int argc, char** argv, int intervals, int threads) {
   cmp::TrainStatsCollector collector;
   if (!stats_path.empty()) o.base.observer = &collector;
 
+  const cmp::Timer load;
   TrainingSource in;
   const int opened = OpenTrainingSource(argc, argv, data, &in);
   if (opened != kExitOk) return opened;
+  const double load_s = load.Seconds();
   o.real_io = in.streamed;
 
   cmp::BuildResult result;
@@ -546,6 +552,7 @@ int CmdTrainCmpStream(int argc, char** argv, int intervals, int threads) {
   // With --stats-json - the JSON owns stdout; summaries move to stderr.
   std::ostream& summary = stats_path == "-" ? std::cerr : std::cout;
   summary << "CMP-stream: " << result.stats.ToString() << "\n";
+  const cmp::Timer save;
   if (!cmp::SaveTree(result.tree, out)) {
     std::cerr << "failed to write " << out << "\n";
     return kExitIo;
@@ -562,6 +569,7 @@ int CmdTrainCmpStream(int argc, char** argv, int intervals, int threads) {
     summary << "sketch sidecar (" << sidecar.leaves.size()
             << " leaves) saved to " << sidecar_path << "\n";
   }
+  collector.SetIoSeconds(load_s, save.Seconds());
   if (!stats_path.empty()) return WriteStatsJson(collector, stats_path);
   return kExitOk;
 }
@@ -721,11 +729,13 @@ int CmdTrain(int argc, char** argv) {
               << ")\n";
     return kExitBadArgs;
   }
+  const cmp::Timer load;
   cmp::Dataset ds;
   if (!LoadAnyDataset(data, &ds)) {
     std::cerr << "failed to read " << data << "\n";
     return kExitIo;
   }
+  const double load_s = load.Seconds();
   cmp::BuildResult result;
   try {
     result = builder->Build(ds);
@@ -738,6 +748,7 @@ int CmdTrain(int argc, char** argv) {
   summary << builder->name() << ": " << result.stats.ToString() << "\n";
   // Multi-tree results (boost) go out as a cmp-forest file; an --out
   // ending in .cmpb asks for the compiled blob directly (any algorithm).
+  const cmp::Timer save;
   const bool blob_out =
       out.size() > 5 && out.substr(out.size() - 5) == ".cmpb";
   if (blob_out) {
@@ -768,6 +779,7 @@ int CmdTrain(int argc, char** argv) {
     summary << "tree with " << result.tree.num_nodes() << " nodes saved to "
             << out << "\n";
   }
+  collector.SetIoSeconds(load_s, save.Seconds());
   if (!stats_path.empty()) return WriteStatsJson(collector, stats_path);
   return kExitOk;
 }

@@ -58,6 +58,8 @@ std::string TrainStatsCollector::ToJson() const {
   os << "  \"builder\": \"" << JsonEscape(builder_) << "\",\n";
   os << "  \"kernel_isa\": \"" << JsonEscape(kernel_isa_) << "\",\n";
   os << "  \"records\": " << records_ << ",\n";
+  os << "  \"io\": {\"load_s\": " << load_seconds_
+     << ", \"save_s\": " << save_seconds_ << "},\n";
   os << "  \"passes\": [\n";
   for (size_t i = 0; i < passes_.size(); ++i) {
     const PassObservation& p = passes_[i];

@@ -120,8 +120,17 @@ class TrainStatsCollector : public TrainObserver {
   /// it; training kernels are the same on every tier.
   const std::string& kernel_isa() const { return kernel_isa_; }
 
-  /// The run as a JSON object: builder, record count, per-pass metrics
-  /// and the final BuildStats counters.
+  /// Seconds the caller spent around the build: loading the training
+  /// data and saving the model. They are reported as the top-level "io"
+  /// object, named after the benchmark's io.load_s and io.save_s; zero
+  /// unless set.
+  void SetIoSeconds(double load_s, double save_s) {
+    load_seconds_ = load_s;
+    save_seconds_ = save_s;
+  }
+
+  /// The run as a JSON object: builder, record count, load and save
+  /// seconds, per-pass metrics and the final BuildStats counters.
   std::string ToJson() const;
 
  private:
@@ -131,6 +140,8 @@ class TrainStatsCollector : public TrainObserver {
   std::vector<PassObservation> passes_;
   BuildStats final_stats_;
   bool finished_ = false;
+  double load_seconds_ = 0.0;
+  double save_seconds_ = 0.0;
 };
 
 }  // namespace cmp

@@ -159,8 +159,8 @@ TEST(BinCodes, CategoricalWidthsFollowObservedValues) {
       {"a", "b"});
   BinCodeCache codes(schema, 4, /*max_intervals=*/100);
   ASSERT_TRUE(codes.enabled());
-  codes.EncodeCategoricalColumn(0, {0, 6, 3, 0});
-  codes.EncodeCategoricalColumn(1, {0, 999, 255, 256});
+  codes.EncodeCategoricalColumn(0, std::vector<int32_t>{0, 6, 3, 0});
+  codes.EncodeCategoricalColumn(1, std::vector<int32_t>{0, 999, 255, 256});
   EXPECT_EQ(codes.width(0), 1);
   EXPECT_EQ(codes.width(1), 2);
   EXPECT_EQ(codes.code(0, 1), 6);
@@ -186,7 +186,7 @@ TEST(BinCodes, EverySchemaIsEncodedPastSixteenBits) {
       {{"c", AttrKind::kCategorical, 70000}}, {"a", "b"});
   BinCodeCache cat(huge_cat, 4, /*max_intervals=*/100);
   ASSERT_TRUE(cat.enabled());
-  cat.EncodeCategoricalColumn(0, {0, 65535, 65536, 69999});
+  cat.EncodeCategoricalColumn(0, std::vector<int32_t>{0, 65535, 65536, 69999});
   EXPECT_EQ(cat.width(0), 4);
   EXPECT_EQ(cat.code(0, 1), 65535);
   EXPECT_EQ(cat.code(0, 2), 65536);
@@ -232,7 +232,7 @@ TEST(BinCodes, LabelsAndMemoryAccounting) {
   BinCodeCache codes(schema, 3, /*max_intervals=*/10);
   ASSERT_TRUE(codes.enabled());
   codes.EncodeNumericColumn(0, IntervalGrid::FromBoundaries({1.0}, 0.0, 2.0),
-                            {0.5, 1.0, 1.5});
+                            std::vector<double>{0.5, 1.0, 1.5});
   codes.SetLabels({1, 0, 1});
   EXPECT_EQ(codes.label(0), 1);
   EXPECT_EQ(codes.label(1), 0);

@@ -687,8 +687,14 @@ TEST_F(CmptoolTest, StatsJsonPhasesSumWithinWall) {
     double phases = 0.0;
     double setup = -1.0;
     double wall = -1.0;
+    double load = -1.0;
+    double save = -1.0;
     int mixed = 0;
     for (std::string line; std::getline(is, line);) {
+      if (line.find("\"io\": ") != std::string::npos) {
+        load = JsonNumber(line, "load_s");
+        save = JsonNumber(line, "save_s");
+      }
       if (line.find("\"setup_seconds\": ") != std::string::npos) {
         setup = JsonNumber(line, "setup_seconds");
       }
@@ -717,6 +723,9 @@ TEST_F(CmptoolTest, StatsJsonPhasesSumWithinWall) {
     }
     EXPECT_GT(mixed, 0);
     EXPECT_GE(setup, 0.0);
+    // The load and save around the build are reported beside it.
+    EXPECT_GE(load, 0.0);
+    EXPECT_GE(save, 0.0);
     // The JSON prints six significant digits.
     EXPECT_LE(setup + phases, wall * (1.0 + 1e-4) + 1e-6)
         << "setup " << setup << " phases " << phases << " wall " << wall;
@@ -1105,8 +1114,7 @@ TEST_F(CmptoolTest, HostileTablesFailWithTheirExitCodes) {
   // A record count of 2^40 on a 4000-row file.
   bytes = good;
   const int64_t hostile = int64_t{1} << 40;
-  std::memcpy(&bytes[layout.column_offsets[0] - sizeof(int64_t)], &hostile,
-              sizeof(hostile));
+  std::memcpy(&bytes[layout.count_offset], &hostile, sizeof(hostile));
   WriteFile(bad, bytes);
   EXPECT_EQ(RunTool("info --data " + bad, &out), kIo) << out;
   EXPECT_EQ(RunTool("predict --data " + bad + " --tree " + tree_ + " --out " +

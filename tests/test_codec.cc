@@ -1,11 +1,14 @@
 // The binary formats against their committed fixtures (tests/golden):
 //   f2_64.cmpt                    `cmptool gen --function F2 --records 64
-//                                 --seed 7`
+//                                 --seed 7` (table format version 2)
+//   f2_64_v1.cmpt                 the same table in format version 1, as
+//                                 an older `cmptool gen` wrote it
 //   f2_64_stream.cmps             the sidecar of `cmptool train --algo
 //                                 cmp-stream` on that table
 //   cmp_full_default_blocked.cmpb a blob from an older compiler
-// Each fixture loads and re-saves byte for byte, and one corruption sweep
-// runs over all three (plus an in-process blob with every split kind)
+// Each fixture loads and re-saves byte for byte (the version 1 table
+// re-saves as version 2), and one corruption sweep runs over all four
+// (plus an in-process blob with every split kind)
 // and over the text formats (the tree cmp_full_linear.tree and a forest
 // of three golden trees): every truncation prefix, every single-byte
 // flip and an oversized value written over every count field must
@@ -98,15 +101,45 @@ TEST(CodecFixtures, TableResavesByteIdentically) {
   std::remove(path.c_str());
 }
 
+// A version 1 table loads to the version 2 table's values and labels,
+// and re-saves as the version 2 fixture.
+TEST(CodecFixtures, VersionOneTableLoadsLikeVersionTwo) {
+  Dataset v1;
+  Dataset v2;
+  ASSERT_TRUE(LoadTableFile(GoldenPath("f2_64_v1.cmpt"), &v1));
+  ASSERT_TRUE(LoadTableFile(GoldenPath("f2_64.cmpt"), &v2));
+  ASSERT_TRUE(v1.schema() == v2.schema());
+  ASSERT_EQ(v1.num_records(), v2.num_records());
+  const Schema& schema = v1.schema();
+  for (RecordId r = 0; r < v1.num_records(); ++r) {
+    for (AttrId a = 0; a < schema.num_attrs(); ++a) {
+      if (schema.is_numeric(a)) {
+        EXPECT_EQ(v1.numeric(a, r), v2.numeric(a, r)) << a << " " << r;
+      } else {
+        EXPECT_EQ(v1.categorical(a, r), v2.categorical(a, r))
+            << a << " " << r;
+      }
+    }
+    EXPECT_EQ(v1.label(r), v2.label(r)) << r;
+  }
+  const std::string path = TempPath("resave_v1.cmpt");
+  ASSERT_TRUE(SaveTableFile(v1, path));
+  EXPECT_EQ(ReadBytes(path), ReadBytes(GoldenPath("f2_64.cmpt")));
+  std::remove(path.c_str());
+}
+
 TEST(CodecFixtures, SidecarResavesByteIdentically) {
   SketchSidecar sidecar;
   std::string error;
   ASSERT_TRUE(LoadSketchSidecar(GoldenPath("f2_64_stream.cmps"), &sidecar,
                                 &error))
       << error;
-  Dataset ds;
-  ASSERT_TRUE(LoadTableFile(GoldenPath("f2_64.cmpt"), &ds));
-  EXPECT_TRUE(sidecar.MatchesSchema(ds.schema()));
+  for (const char* table : {"f2_64.cmpt", "f2_64_v1.cmpt"}) {
+    Dataset ds;
+    ASSERT_TRUE(LoadTableFile(GoldenPath(table), &ds)) << table;
+    EXPECT_TRUE(sidecar.MatchesSchema(ds.schema())) << table;
+    EXPECT_EQ(ds.num_records(), 64) << table;
+  }
   EXPECT_EQ(sidecar.records_seen, 64);
   const std::string path = TempPath("resave.cmps");
   ASSERT_TRUE(SaveSketchSidecar(sidecar, path, &error)) << error;
@@ -489,6 +522,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         Fixture{"cmpt", GoldenBytes("f2_64.cmpt"), LoadTable, TableFrames,
                 Counts::kFixed},
+        Fixture{"cmpt_v1", GoldenBytes("f2_64_v1.cmpt"), LoadTable,
+                TableFrames, Counts::kFixed},
         Fixture{"cmps", GoldenBytes("f2_64_stream.cmps"), LoadSidecar,
                 SidecarFrames, Counts::kVarint},
         Fixture{"cmpb", GoldenBytes("cmp_full_default_blocked.cmpb"),

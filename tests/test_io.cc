@@ -212,8 +212,7 @@ TEST(TableFile, HostileCountsFailBeforeAllocating) {
   TableLayout layout;
   ASSERT_TRUE(ComputeTableLayout(ds.schema(), 3000, &layout));
   ASSERT_EQ(layout.file_size, static_cast<int64_t>(bytes.size()));
-  // num_records is the last header field, right before the first column.
-  const size_t count_at = static_cast<size_t>(layout.column_offsets[0]) - 8;
+  const size_t count_at = static_cast<size_t>(layout.count_offset);
   for (const int64_t hostile :
        {int64_t{1} << 40, int64_t{3001}, int64_t{2999},
         std::numeric_limits<int64_t>::max()}) {
@@ -328,8 +327,6 @@ TEST(TableFile, OutOfRangeCategoricalCodeFails) {
     ColumnBlock block;
     EXPECT_TRUE(scanner->ReadBlock(0, 2, &block)) << what;
     EXPECT_FALSE(scanner->ReadBlock(1, 2, &block)) << what;
-    std::vector<int32_t> column;
-    EXPECT_FALSE(scanner->ReadCategoricalColumn(1, &column)) << what;
   }
   std::remove(path.c_str());
 }
@@ -354,9 +351,19 @@ TEST(TableFile, NaNNumericValueFails) {
   ColumnBlock block;
   EXPECT_TRUE(scanner->ReadBlock(0, 2, &block));
   EXPECT_FALSE(scanner->ReadBlock(1, 2, &block));
-  std::vector<double> column;
-  EXPECT_TRUE(scanner->ReadNumericColumn(0, &column));
-  EXPECT_FALSE(scanner->ReadNumericColumn(2, &column));
+
+  // The loader checks every value of every numeric column: a NaN in the
+  // first value of the first column or the last value of the last fails
+  // it too.
+  for (const int64_t at :
+       {layout.column_offsets[0],
+        layout.column_offsets[2] +
+            (ds.num_records() - 1) * static_cast<int64_t>(sizeof(double))}) {
+    bytes = good;
+    std::memcpy(&bytes[at], &nan, sizeof(nan));
+    WriteBytes(path, bytes);
+    EXPECT_FALSE(LoadTableFile(path, &out)) << at;
+  }
 
   // Infinities are ordinary values.
   bytes = good;
@@ -369,6 +376,199 @@ TEST(TableFile, NaNNumericValueFails) {
     EXPECT_EQ(out.numeric(2, 2), inf);
   }
   std::remove(path.c_str());
+}
+
+// The same table in format version 1: the header with version 1, then
+// the columns back to back, without padding.
+std::string AsVersionOne(const std::string& v2, const Schema& schema,
+                         int64_t n) {
+  TableLayout from;
+  TableLayout to;
+  EXPECT_TRUE(ComputeTableLayout(schema, n, &from));
+  EXPECT_TRUE(ComputeTableLayout(schema, n, &to, 1));
+  std::string v1(static_cast<size_t>(to.file_size), '\0');
+  std::memcpy(&v1[0], v2.data(), static_cast<size_t>(from.count_offset + 8));
+  const uint32_t version = 1;
+  std::memcpy(&v1[4], &version, sizeof(version));
+  for (AttrId a = 0; a < schema.num_attrs(); ++a) {
+    const int64_t width = schema.is_numeric(a) ? 8 : 4;
+    std::memcpy(&v1[to.column_offsets[a]], &v2[from.column_offsets[a]],
+                static_cast<size_t>(n * width));
+  }
+  std::memcpy(&v1[to.label_offset], &v2[from.label_offset],
+              static_cast<size_t>(n * 4));
+  return v1;
+}
+
+void ExpectSameRecords(const Dataset& a, const Dataset& b) {
+  ASSERT_TRUE(a.schema() == b.schema());
+  ASSERT_EQ(a.num_records(), b.num_records());
+  for (AttrId at = 0; at < a.num_attrs(); ++at) {
+    for (RecordId r = 0; r < a.num_records(); ++r) {
+      if (a.schema().is_numeric(at)) {
+        EXPECT_EQ(a.numeric(at, r), b.numeric(at, r)) << at << " " << r;
+      } else {
+        EXPECT_EQ(a.categorical(at, r), b.categorical(at, r))
+            << at << " " << r;
+      }
+    }
+  }
+  for (RecordId r = 0; r < a.num_records(); ++r) {
+    EXPECT_EQ(a.label(r), b.label(r)) << r;
+  }
+}
+
+// Version 2 pads after the header and after each column so every column
+// starts 64-byte aligned; the padding is zero. An odd record count
+// leaves a run before every column.
+TEST(TableFile, ColumnsStartAlignedAfterZeroPadding) {
+  const Dataset ds = SmallMixedDataset();
+  TableLayout layout;
+  ASSERT_TRUE(ComputeTableLayout(ds.schema(), ds.num_records(), &layout));
+  ASSERT_EQ(layout.padding.size(), 4u);
+  for (const int64_t offset : layout.column_offsets) {
+    EXPECT_EQ(offset % kTableColumnAlign, 0) << offset;
+  }
+  EXPECT_EQ(layout.label_offset % kTableColumnAlign, 0);
+  EXPECT_EQ(layout.file_size, layout.label_offset + 3 * 4);
+  const std::string path = TempPath("padded.cmpt");
+  ASSERT_TRUE(SaveTableFile(ds, path));
+  const std::string bytes = ReadBytes(path);
+  ASSERT_EQ(static_cast<int64_t>(bytes.size()), layout.file_size);
+  for (const auto& [at, len] : layout.padding) {
+    EXPECT_GT(len, 0);
+    EXPECT_LT(len, kTableColumnAlign);
+    EXPECT_EQ(bytes.substr(at, len), std::string(len, '\0')) << at;
+  }
+  std::remove(path.c_str());
+}
+
+// A nonzero padding byte fails the whole-table load and the scanner's
+// open alike, so in-memory and streamed runs reject the same file.
+TEST(TableFile, NonzeroPaddingFails) {
+  const Dataset ds = SmallMixedDataset();
+  TableLayout layout;
+  ASSERT_TRUE(ComputeTableLayout(ds.schema(), ds.num_records(), &layout));
+  const std::string path = TempPath("dirty_padding.cmpt");
+  ASSERT_TRUE(SaveTableFile(ds, path));
+  const std::string good = ReadBytes(path);
+  for (const auto& [at, len] : layout.padding) {
+    for (const int64_t byte : {at, at + len - 1}) {
+      std::string bytes = good;
+      bytes[byte] = 1;
+      WriteBytes(path, bytes);
+      ExpectRejected(path, "padding byte " + std::to_string(byte));
+    }
+  }
+  WriteBytes(path, good);
+  Dataset out;
+  EXPECT_TRUE(LoadTableFile(path, &out));
+  std::remove(path.c_str());
+}
+
+// A loaded version 2 table reads its columns in place: each column
+// pointer sits at its layout offset from one page-aligned base, so it is
+// 64-byte aligned and inside the file's mapping. A moved Dataset keeps
+// reading them.
+TEST(TableFile, LoadedColumnsPointIntoTheMapping) {
+  const Dataset ds = GenerateAgrawal(
+      {AgrawalFunction::kF7, /*num_records=*/1001, /*seed=*/4, 0.0});
+  const std::string path = TempPath("mapped.cmpt");
+  ASSERT_TRUE(SaveTableFile(ds, path));
+  TableLayout layout;
+  ASSERT_TRUE(ComputeTableLayout(ds.schema(), ds.num_records(), &layout));
+  Dataset loaded;
+  ASSERT_TRUE(LoadTableFile(path, &loaded));
+  const auto* base = reinterpret_cast<const char*>(loaded.labels().data()) -
+                     layout.label_offset;
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(base) % 4096, 0u);
+  auto offset_of = [&](const void* p) {
+    return static_cast<const char*>(p) - base;
+  };
+  for (AttrId a = 0; a < ds.num_attrs(); ++a) {
+    const void* column = ds.schema().is_numeric(a)
+                             ? static_cast<const void*>(
+                                   loaded.numeric_column(a).data())
+                             : loaded.categorical_column(a).data();
+    EXPECT_EQ(offset_of(column), layout.column_offsets[a]) << a;
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(column) % kTableColumnAlign, 0u)
+        << a;
+  }
+  EXPECT_EQ(offset_of(loaded.labels().data() + loaded.num_records()),
+            layout.file_size);
+  ExpectSameRecords(loaded, ds);
+
+  Dataset moved(std::move(loaded));
+  EXPECT_EQ(loaded.num_records(), 0);
+  EXPECT_EQ(offset_of(moved.labels().data()), layout.label_offset);
+  ExpectSameRecords(moved, ds);
+  Dataset assigned;
+  assigned = std::move(moved);
+  ExpectSameRecords(assigned, ds);
+  std::remove(path.c_str());
+}
+
+// A version 1 table loads to the same records. Its columns sit wherever
+// the header ends, so a column misaligned for its type is copied out of
+// the mapping; no column is read through a misaligned pointer (UBSan
+// builds check every read). The copies get every value check.
+TEST(TableFile, VersionOneLoadsAndReadsAligned) {
+  for (const int64_t n : {int64_t{3}, int64_t{1000}, int64_t{1001}}) {
+    const Dataset ds = GenerateAgrawal(
+        {AgrawalFunction::kF2, /*num_records=*/n, /*seed=*/5, 0.0});
+    const std::string path = TempPath("version_one.cmpt");
+    ASSERT_TRUE(SaveTableFile(ds, path));
+    WriteBytes(path, AsVersionOne(ReadBytes(path), ds.schema(), n));
+    TableLayout v1;
+    ASSERT_TRUE(ComputeTableLayout(ds.schema(), n, &v1, 1));
+    EXPECT_TRUE(v1.padding.empty());
+    ASSERT_NE(v1.column_offsets[0] % 8, 0) << "want a misaligned column";
+    Dataset loaded;
+    ASSERT_TRUE(LoadTableFile(path, &loaded)) << n;
+    for (AttrId a = 0; a < ds.num_attrs(); ++a) {
+      if (ds.schema().is_numeric(a)) {
+        EXPECT_EQ(reinterpret_cast<uintptr_t>(
+                      loaded.numeric_column(a).data()) % alignof(double),
+                  0u);
+      } else {
+        EXPECT_EQ(reinterpret_cast<uintptr_t>(
+                      loaded.categorical_column(a).data()) % alignof(int32_t),
+                  0u);
+      }
+    }
+    ExpectSameRecords(loaded, ds);
+    auto scanner = TableScanner::Open(path, 64);
+    ASSERT_NE(scanner, nullptr);
+    ColumnBlock block;
+    int64_t seen = 0;
+    while (scanner->NextBlock(&block)) {
+      for (int64_t i = 0; i < block.count(); ++i) {
+        EXPECT_EQ(block.label(i), ds.label(block.begin() + i));
+      }
+      seen += block.count();
+    }
+    EXPECT_EQ(seen, n);
+
+    // A copied column is checked like one read in place: a NaN, an
+    // out-of-range code or an out-of-range label in the last record
+    // fails the load.
+    const std::string good = ReadBytes(path);
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const int32_t bad_code = 1 << 20;
+    for (AttrId a = 0; a <= ds.num_attrs(); ++a) {
+      const bool labels = a == ds.num_attrs();
+      const bool numeric = !labels && ds.schema().is_numeric(a);
+      const size_t width = numeric ? sizeof(double) : sizeof(int32_t);
+      const int64_t at = labels ? v1.label_offset : v1.column_offsets[a];
+      std::string bytes = good;
+      std::memcpy(&bytes[at + (n - 1) * static_cast<int64_t>(width)],
+                  numeric ? static_cast<const void*>(&nan) : &bad_code, width);
+      WriteBytes(path, bytes);
+      Dataset rejected;
+      EXPECT_FALSE(LoadTableFile(path, &rejected)) << n << " " << a;
+    }
+    std::remove(path.c_str());
+  }
 }
 
 TEST(TableFile, NoNaNChecksEveryValue) {

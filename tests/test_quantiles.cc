@@ -27,7 +27,8 @@ TEST(IntervalGrid, EmptyValues) {
 }
 
 TEST(IntervalGrid, SingleIntervalRequested) {
-  const IntervalGrid grid = IntervalGrid::EqualDepth({1, 2, 3}, 1);
+  const IntervalGrid grid =
+      IntervalGrid::EqualDepth(std::vector<double>{1, 2, 3}, 1);
   EXPECT_EQ(grid.num_intervals(), 1);
   EXPECT_EQ(grid.IntervalOf(2.0), 0);
 }
@@ -81,7 +82,8 @@ TEST(IntervalGrid, AllValuesIdentical) {
 }
 
 TEST(IntervalGrid, MinMaxRecorded) {
-  const IntervalGrid grid = IntervalGrid::EqualDepth({3, 1, 4, 1, 5}, 3);
+  const IntervalGrid grid =
+      IntervalGrid::EqualDepth(std::vector<double>{3, 1, 4, 1, 5}, 3);
   EXPECT_DOUBLE_EQ(grid.min_value(), 1.0);
   EXPECT_DOUBLE_EQ(grid.max_value(), 5.0);
 }
@@ -214,7 +216,8 @@ TEST(EqualDepthSelection, SignedZerosAreOrderedNotInputDependent) {
   const IntervalGrid a = IntervalGrid::EqualDepth(values, 7);
   std::reverse(values.begin(), values.end());
   ExpectSameGrid(IntervalGrid::EqualDepth(values, 7), a, "reversed");
-  const IntervalGrid zeros = IntervalGrid::EqualDepth({0.0, -0.0}, 4);
+  const IntervalGrid zeros =
+      IntervalGrid::EqualDepth(std::vector<double>{0.0, -0.0}, 4);
   EXPECT_TRUE(std::signbit(zeros.min_value()));
   EXPECT_FALSE(std::signbit(zeros.max_value()));
   EXPECT_EQ(zeros.num_intervals(), 1);
@@ -399,18 +402,24 @@ TEST(EqualWidthExtremes, InfiniteAndHugeExtremesKeepFiniteCuts) {
   ExpectFiniteCutsSpreadValues({-1e308, 0, 1e308}, 4, "+-1e308");
   ExpectFiniteCutsSpreadValues({-1.7e308, 1.7e308}, 300, "+-1.7e308");
   // The divided span runs over the finite values only.
-  const IntervalGrid grid = IntervalGrid::EqualWidth({-kInf, 1, 2, 3, kInf}, 4);
+  const IntervalGrid grid =
+      IntervalGrid::EqualWidth(std::vector<double>{-kInf, 1, 2, 3, kInf}, 4);
   EXPECT_EQ(grid.boundaries(), (std::vector<double>{1.5, 2.0, 2.5}));
   EXPECT_EQ(grid.min_value(), -kInf);
   EXPECT_EQ(grid.max_value(), kInf);
-  const IntervalGrid huge = IntervalGrid::EqualWidth({-1e308, 1e308}, 4);
+  const IntervalGrid huge =
+      IntervalGrid::EqualWidth(std::vector<double>{-1e308, 1e308}, 4);
   ASSERT_EQ(huge.boundaries().size(), 3u);
   EXPECT_NEAR(huge.boundaries()[0] / 5e307, -1.0, 1e-12);
   EXPECT_EQ(huge.boundaries()[1], 0.0);
   EXPECT_NEAR(huge.boundaries()[2] / 5e307, 1.0, 1e-12);
   // No two distinct finite values: nothing to divide.
-  EXPECT_EQ(IntervalGrid::EqualWidth({-kInf, 5, kInf}, 4).num_intervals(), 1);
-  EXPECT_EQ(IntervalGrid::EqualWidth({-kInf, kInf}, 4).num_intervals(), 1);
+  EXPECT_EQ(IntervalGrid::EqualWidth(std::vector<double>{-kInf, 5, kInf}, 4)
+                .num_intervals(),
+            1);
+  EXPECT_EQ(IntervalGrid::EqualWidth(std::vector<double>{-kInf, kInf}, 4)
+                .num_intervals(),
+            1);
 }
 
 // -- The bucketed lookup against std::lower_bound -------------------------

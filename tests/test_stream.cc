@@ -119,19 +119,26 @@ TEST_F(StreamTest, ReadBlockIsRandomAccess) {
   EXPECT_EQ(scanner->position(), 0);
 }
 
-TEST_F(StreamTest, ReadNumericColumnMatchesDataset) {
+TEST_F(StreamTest, LoadedColumnsMatchDataset) {
+  Dataset loaded;
+  ASSERT_TRUE(LoadTableFile(path_, &loaded));
+  const Schema& schema = original_.schema();
+  ASSERT_EQ(loaded.num_records(), original_.num_records());
+  for (AttrId a = 0; a < schema.num_attrs(); ++a) {
+    for (RecordId r = 0; r < original_.num_records(); ++r) {
+      if (schema.is_numeric(a)) {
+        ASSERT_EQ(loaded.numeric(a, r), original_.numeric(a, r)) << a;
+      } else {
+        ASSERT_EQ(loaded.categorical(a, r), original_.categorical(a, r)) << a;
+      }
+    }
+  }
   auto scanner = TableScanner::Open(path_, 512);
   ASSERT_NE(scanner, nullptr);
-  const AttrId salary = original_.schema().FindAttr("salary");
-  std::vector<double> col;
-  ASSERT_TRUE(scanner->ReadNumericColumn(salary, &col));
-  ASSERT_EQ(static_cast<int64_t>(col.size()), original_.num_records());
-  for (RecordId r = 0; r < original_.num_records(); ++r) {
-    EXPECT_DOUBLE_EQ(col[r], original_.numeric(salary, r));
-  }
   std::vector<ClassId> labels;
   ASSERT_TRUE(scanner->ReadLabelColumn(&labels));
   for (RecordId r = 0; r < original_.num_records(); ++r) {
+    EXPECT_EQ(loaded.label(r), original_.label(r));
     EXPECT_EQ(labels[r], original_.label(r));
   }
 }
